@@ -36,7 +36,7 @@ synthetic presets:
    net splice and one warm solve (``update_many`` on the application
    list), amortizing the solve across the window.  Per-event rows
    record the push-solver work profile (seed frontier, live frontier,
-   escapes, escape sweeps, correction columns, polish sweeps).
+   escapes, escape sweeps, correction columns).
 4. Verify per event that the incremental scores match the cold ones to
    ``10 * tol`` per node, and report the median speedup per flavor.
 
@@ -107,7 +107,6 @@ STAT_FIELDS = (
     "escapes",
     "escape_sweeps",
     "correction_cols",
-    "polish_sweeps",
 )
 
 

@@ -76,7 +76,6 @@ from .graph import (
     write_host_list,
     write_scores,
 )
-from .perf.engine import PRECISIONS
 from .synth import WorldConfig, build_world, default_good_core
 
 __all__ = ["main", "build_parser", "run"]
@@ -90,12 +89,6 @@ EXIT_DATA = 3
 EXIT_CONVERGENCE = 4
 EXIT_AUDIT = 5
 EXIT_INTERRUPTED = 130
-
-#: Node count at which ``estimate``/``update`` switch to the adaptive
-#: mixed-precision kernel when ``--precision`` is left unset.  Below
-#: it the float32/float64 split is pure overhead; above it the float32
-#: sweeps buy real memory bandwidth (see docs/perf.md).
-AUTO_PRECISION_NODES = 250_000
 
 _SCALES = {
     "small": WorldConfig.small,
@@ -349,38 +342,13 @@ def _runtime_policy(args: argparse.Namespace):
 
 
 def _build_engine(args: argparse.Namespace):
-    """A :class:`~repro.perf.PagerankEngine` per the perf flags."""
+    """A :class:`~repro.perf.PagerankEngine` per the perf flags
+    (``--workers`` exists only where Monte Carlo runs)."""
     from .perf import PagerankEngine
 
     return PagerankEngine(
-        args.cache_size,
-        workers=args.workers,
-        precision=getattr(args, "precision", "float64"),
+        args.cache_size, workers=getattr(args, "workers", None)
     )
-
-
-def _resolve_precision(args: argparse.Namespace, num_nodes: int) -> str:
-    """Fill in ``args.precision`` when the flag was left at auto.
-
-    An explicit ``--precision`` always wins.  Otherwise graphs at or
-    above :data:`AUTO_PRECISION_NODES` nodes get ``"adaptive"`` and
-    smaller graphs ``"float64"``.  The choice (and why) is printed so
-    an operator can audit it from logs.
-    """
-    if args.precision is not None:
-        choice = args.precision
-        why = "explicit --precision"
-    elif num_nodes >= AUTO_PRECISION_NODES:
-        choice = "adaptive"
-        why = (
-            f"auto: {num_nodes:,} nodes >= {AUTO_PRECISION_NODES:,}"
-        )
-    else:
-        choice = "float64"
-        why = f"auto: {num_nodes:,} nodes < {AUTO_PRECISION_NODES:,}"
-    print(f"precision: {choice} ({why})")
-    args.precision = choice
-    return choice
 
 
 def _supervisor_policy(args: argparse.Namespace):
@@ -464,7 +432,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             transition_t=transition_matrix(graph).T.tocsr(),
         )
     else:
-        _resolve_precision(args, graph.num_nodes)
         estimates = estimate_spam_mass(
             graph,
             core,
@@ -596,7 +563,6 @@ def cmd_update(args: argparse.Namespace) -> int:
         compose_applications(applications[i:i + batch])
         for i in range(0, len(applications), batch)
     ]
-    _resolve_precision(args, graph.num_nodes)
     engine = _build_engine(args)
     policy = _ingest_policy(args)
 
@@ -1324,16 +1290,6 @@ def build_parser() -> argparse.ArgumentParser:
         "results are identical for any worker count",
     )
     p_est.add_argument(
-        "--precision",
-        choices=PRECISIONS,
-        default=None,
-        help="batched-solve arithmetic: 'float64' or 'adaptive' "
-        "(float32 sweeps down to a relaxed tier, then float64 polish "
-        "to full tolerance; see docs/perf.md); default: auto — "
-        f"'adaptive' at >= {AUTO_PRECISION_NODES:,} nodes, else "
-        "'float64' (the choice is printed)",
-    )
-    p_est.add_argument(
         "--mc-walks",
         type=_positive_int,
         default=0,
@@ -1466,23 +1422,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bound of the operator LRU cache (graphs, default 8)",
     )
     p_upd.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="unused by the push solver; accepted for flag parity with "
-        "'estimate'",
-    )
-    p_upd.add_argument(
-        "--precision",
-        choices=PRECISIONS,
-        default=None,
-        help="arithmetic of the escape kernel a wide-frontier push "
-        "update falls back to: 'float64' or 'adaptive' (float32 "
-        "sweeps + float64 polish; see docs/perf.md); default: auto — "
-        f"'adaptive' at >= {AUTO_PRECISION_NODES:,} nodes, else "
-        "'float64' (the choice is printed)",
-    )
-    p_upd.add_argument(
         "--max-task-retries",
         type=_nonnegative_int,
         default=None,
@@ -1581,14 +1520,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(one warm solve, one epoch; default 1 = apply one at a time)",
     )
     p_srv.add_argument(
-        "--precision",
-        choices=PRECISIONS,
-        default="float64",
-        help="arithmetic of the ingest re-estimates: 'float64' "
-        "(default) or 'adaptive' (float32 sweeps + float64 polish; "
-        "see docs/perf.md)",
-    )
-    p_srv.add_argument(
         "--max-requests",
         type=_positive_int,
         default=None,
@@ -1664,12 +1595,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=8,
         help="bound of the operator LRU cache (graphs, default 8)",
-    )
-    p_srv.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="solver workers for the pagerank engine (default: serial)",
     )
     p_srv.set_defaults(func=cmd_serve)
 
@@ -1869,19 +1794,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         help="bound of the operator LRU cache (graphs, default 8)",
     )
-    p_sing.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="solver workers for the pagerank engine (default: serial)",
-    )
-    p_sing.add_argument(
-        "--precision",
-        choices=PRECISIONS,
-        default="float64",
-        help="arithmetic of the window re-estimates: 'float64' "
-        "(default) or 'adaptive' (see docs/perf.md)",
-    )
     p_sing.set_defaults(func=cmd_stream_ingest)
 
     p_sdlq = stream_sub.add_parser(
@@ -1966,12 +1878,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=8,
         help="bound of the operator LRU cache (graphs, default 8)",
-    )
-    p_aud.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="accepted for flag parity with 'estimate'",
     )
     p_aud.add_argument(
         "--lenient",

@@ -29,7 +29,6 @@ from .cache import (
 )
 from .engine import (
     DEFAULT_CHECK_EVERY,
-    PRECISIONS,
     BatchResult,
     PagerankEngine,
     configure_engine,
@@ -50,7 +49,6 @@ from .parallel import (
 from .sharded import (
     ShardedOperator,
     derive_sharded,
-    sharded_block_jacobi,
     sharded_operator_for,
 )
 
@@ -59,11 +57,9 @@ __all__ = [
     "DEFAULT_CHECK_EVERY",
     "DEFAULT_CHUNKS",
     "DEFAULT_SHARD_CACHE_SIZE",
-    "PRECISIONS",
     "ShardedOperator",
     "sharded_operator_for",
     "derive_sharded",
-    "sharded_block_jacobi",
     "BatchResult",
     "IncrementalResult",
     "OperatorBundle",

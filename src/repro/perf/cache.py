@@ -105,8 +105,6 @@ class OperatorBundle:
         "dangling",
         "_tt_ss",
         "_tt_ds",
-        "_tt_ss32",
-        "_tt_ds32",
         "_lock",
     )
 
@@ -127,8 +125,6 @@ class OperatorBundle:
         self.dangling = np.flatnonzero(self.dangling_mask)
         self._tt_ss: Optional[sparse.csr_matrix] = None
         self._tt_ds: Optional[sparse.csr_matrix] = None
-        self._tt_ss32: Optional[sparse.csr_matrix] = None
-        self._tt_ds32: Optional[sparse.csr_matrix] = None
         self._lock = threading.Lock()
 
     # -- restricted sub-operators (built on first batched solve) -------
@@ -157,42 +153,15 @@ class OperatorBundle:
             self._build_restriction()
         return self._tt_ds
 
-    # -- float32 casts (built on first adaptive-precision solve) -------
+    # -- the block kernel's operator interface -----------------------
 
-    def _build_restriction32(self) -> None:
-        tt_ss = self.tt_ss  # ensure the float64 restriction exists
-        tt_ds = self.tt_ds
-        with self._lock:
-            if self._tt_ss32 is not None:
-                return
-            # elementwise cast shares the index arrays: the float32
-            # blocks cost only one extra ``data`` array each, and their
-            # values are exact casts of the float64 operator — which is
-            # what makes the sharded adaptive path bitwise-reproducible
-            # against this one (a per-shard cast of a sub-block equals
-            # the sub-block of the cast).
-            self._tt_ss32 = sparse.csr_matrix(
-                (tt_ss.data.astype(np.float32), tt_ss.indices, tt_ss.indptr),
-                shape=tt_ss.shape,
-            )
-            self._tt_ds32 = sparse.csr_matrix(
-                (tt_ds.data.astype(np.float32), tt_ds.indices, tt_ds.indptr),
-                shape=tt_ds.shape,
-            )
+    def matvec_ss(self, z: np.ndarray) -> np.ndarray:
+        """``(Tᵀ)_SS @ z`` (one step of the restricted iteration)."""
+        return self.tt_ss @ z
 
-    @property
-    def tt_ss32(self) -> sparse.csr_matrix:
-        """Float32 cast of :attr:`tt_ss` for the adaptive low phase."""
-        if self._tt_ss32 is None:
-            self._build_restriction32()
-        return self._tt_ss32
-
-    @property
-    def tt_ds32(self) -> sparse.csr_matrix:
-        """Float32 cast of :attr:`tt_ds` for the adaptive low phase."""
-        if self._tt_ds32 is None:
-            self._build_restriction32()
-        return self._tt_ds32
+    def matvec_ds(self, z: np.ndarray) -> np.ndarray:
+        """``(Tᵀ)_DS @ z`` (the dangling rows the iterate induces)."""
+        return self.tt_ds @ z
 
     def nbytes(self) -> int:
         """Approximate resident size of the bundle (diagnostics)."""
@@ -201,8 +170,6 @@ class OperatorBundle:
             self.transition_t,
             self._tt_ss,
             self._tt_ds,
-            self._tt_ss32,
-            self._tt_ds32,
         ):
             if mat is not None:
                 total += mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
@@ -384,8 +351,7 @@ class OperatorCache:
         did not touch them (see :func:`repro.perf.sharded.derive_sharded`).
         """
         if not isinstance(application.after, WebGraph):
-            # lazy import: perf.sharded imports the engine, which
-            # imports this module
+            # lazy import: perf.sharded imports this module
             from .sharded import derive_sharded
 
             return derive_sharded(self, application)

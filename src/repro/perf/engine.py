@@ -30,6 +30,18 @@ restricted change plus the induced dangling change), i.e. exactly the
 stopping criterion of :func:`repro.core.solvers.jacobi` — the batched
 kernel converges to the same vectors within the same tolerance.
 
+The loop is written once, in :func:`_block_jacobi`, against any
+operator that exposes the index arrays ``non_dangling``/``dangling``
+and the products ``matvec_ss(z) = (Tᵀ)_SS z`` and
+``matvec_ds(z) = (Tᵀ)_DS z``.  An in-memory graph's
+:class:`~repro.perf.cache.OperatorBundle` applies them as one sparse
+matmul each; a :class:`~repro.graph.sharded.ShardedWebGraph`'s
+:class:`~repro.perf.sharded.ShardedOperator` assembles them from
+per-shard row blocks whose rows are bitwise those of the assembled
+matmul, so both backends produce bitwise-identical solves.  The
+incremental engine's diffusion escape
+(:func:`repro.perf.incremental.push_update`) runs the same loop.
+
 Runtime policies (PR 1) are preserved **per column**: pass ``policy=``
 and each stacked vector is solved through its own
 :class:`~repro.runtime.resilient.FallbackSolver` with its own labeled
@@ -49,7 +61,7 @@ from ..core.pagerank import _resolve_jump  # single source of jump semantics
 from ..graph.sharded import ShardedWebGraph
 from ..graph.webgraph import WebGraph
 from ..obs import get_telemetry
-from ..runtime.supervisor import SupervisorPolicy, TaskSupervisor
+from . import sharded as _sharded
 from .cache import (
     DEFAULT_CACHE_SIZE,
     DEFAULT_SHARD_CACHE_SIZE,
@@ -60,7 +72,6 @@ from .cache import (
 __all__ = [
     "BatchResult",
     "PagerankEngine",
-    "PRECISIONS",
     "get_engine",
     "set_engine",
     "configure_engine",
@@ -74,33 +85,7 @@ __all__ = [
 #: solver's by up to ``CHECK_EVERY − 1``.
 DEFAULT_CHECK_EVERY = 8
 
-#: Supported solve precisions.  ``"float64"`` is the oracle path;
-#: ``"adaptive"`` runs float32 sweeps against the cast operator down to
-#: a relaxed tier, then promotes the iterate and polishes in float64 to
-#: the caller's ``tol`` — same answer within the differential bound,
-#: cheaper sweeps while the residual is far from converged.
-PRECISIONS = ("float64", "adaptive")
-
-#: Relaxed L1-residual tier the float32 phase targets.  Safely above
-#: the float32 rounding floor of the residual reduction (~1e-7 for
-#: probability-scale iterates), so the low phase never spins against
-#: noise; the float64 polish closes the remaining gap to ``tol``.
-ADAPTIVE_TIER = 1e-5
-
-#: The float32 phase also stops on stall: when a residual check fails
-#: to beat this fraction of the previous one, the iterate has hit the
-#: low-precision floor and further float32 sweeps are wasted.
-ADAPTIVE_STALL = 0.9
-
 JumpLike = Union[None, np.ndarray, Sequence[int]]
-
-
-def _validate_precision(precision: str) -> str:
-    if precision not in PRECISIONS:
-        raise ValueError(
-            f"precision must be one of {PRECISIONS}, got {precision!r}"
-        )
-    return precision
 
 
 class BatchResult:
@@ -187,6 +172,9 @@ def _validate_block(vectors: np.ndarray, damping: float, tol: float) -> None:
         raise ValueError(f"damping factor must be in (0, 1), got {damping}")
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
+    # NaN passes every comparison below and would sweep to max_iter
+    if not np.isfinite(vectors).all():
+        raise ValueError("random-jump vectors must be finite")
     if np.any(vectors < 0):
         raise ValueError("random-jump vectors must be non-negative")
     norms = vectors.sum(axis=0)
@@ -214,13 +202,6 @@ class PagerankEngine:
     workers:
         Default process count for Monte-Carlo sampling (``None`` =
         serial in-process execution).
-    precision:
-        ``"float64"`` (default) or ``"adaptive"``.  Adaptive applies to
-        the batched kernels (stacked, sharded and incremental solves):
-        float32 sweeps to a relaxed tier, float64 polish to ``tol``.
-        Single :meth:`solve` calls dispatch the sequential float64
-        solvers regardless, and runtime policies (whose fallback chains
-        are float64 by construction) reject an adaptive engine.
     """
 
     def __init__(
@@ -230,7 +211,6 @@ class PagerankEngine:
         method: str = "jacobi",
         check_every: int = DEFAULT_CHECK_EVERY,
         workers: Optional[int] = None,
-        precision: str = "float64",
     ) -> None:
         if check_every < 1:
             raise ValueError("check_every must be >= 1")
@@ -242,7 +222,6 @@ class PagerankEngine:
         self.method = method
         self.check_every = check_every
         self.workers = workers
-        self.precision = _validate_precision(precision)
 
     # ------------------------------------------------------------------
     # operator access
@@ -254,8 +233,8 @@ class PagerankEngine:
             raise TypeError(
                 "a sharded graph has no assembled operator bundle — "
                 "its operator exists only as per-shard blocks; use "
-                "solve()/solve_many(), which route to the sharded "
-                "kernel automatically"
+                "solve()/solve_many(), which run against those blocks "
+                "automatically"
             )
         return self.cache.bundle_for(graph)
 
@@ -342,9 +321,13 @@ class PagerankEngine:
         check: bool = True,
         labels: Optional[Sequence[str]] = None,
         policy=None,
-        supervisor: Union[None, SupervisorPolicy, TaskSupervisor] = None,
     ) -> BatchResult:
         """Solve ``k`` stacked jump vectors in one batched pass.
+
+        Both backends run :func:`_block_jacobi`: an in-memory graph
+        against its cached :class:`OperatorBundle`, a sharded graph
+        against its :class:`~repro.perf.sharded.ShardedOperator`
+        (per-shard blocks cached in ``shard_cache``).
 
         Parameters
         ----------
@@ -361,20 +344,11 @@ class PagerankEngine:
             Per-column names; under a ``policy`` they key checkpoint
             subdirectories and the ``reports`` dict.
         policy:
-            Optional :class:`~repro.runtime.resilient.RuntimePolicy`.
-            Each column then runs through its own labeled
-            :class:`FallbackSolver` — checkpoint/resume, escalation and
-            budgets apply per column, exactly as in the sequential
-            pipeline of PR 1.
-        supervisor:
-            Optional :class:`~repro.runtime.supervisor.TaskSupervisor`
-            (or bare :class:`SupervisorPolicy`).  Columns are then
-            solved as one supervised task each — per-column retry with
-            backoff, and partial-result salvage (a faulted column is
-            re-solved alone; completed columns are kept).  The block
-            kernel is column-separable bitwise, so the supervised
-            per-column results are identical to the stacked pass.
-            Mutually exclusive with ``policy``.
+            Optional :class:`~repro.runtime.resilient.RuntimePolicy`
+            (in-memory graphs only).  Each column then runs through its
+            own labeled :class:`FallbackSolver` — checkpoint/resume,
+            escalation and budgets apply per column, exactly as in the
+            sequential pipeline.
         """
         n = graph.num_nodes
         if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
@@ -395,45 +369,27 @@ class PagerankEngine:
             raise ValueError(
                 f"{len(labels)} labels for {k} stacked vectors"
             )
-        if policy is not None and supervisor is not None:
-            raise ValueError(
-                "pass either a runtime policy or a task supervisor, "
-                "not both (the policy path has its own per-column "
-                "resilience)"
-            )
         if isinstance(graph, ShardedWebGraph):
             if policy is not None:
                 raise ValueError(
                     "runtime policies need the assembled operator and "
-                    "are not available on the sharded backend; pass a "
-                    "task supervisor to schedule the shard sweep instead"
+                    "are not available on the sharded backend"
                 )
-            return self._solve_sharded(
-                graph, stacked, labels, damping, tol, max_iter, check,
-                supervisor,
-            )
-        bundle = self.bundle(graph)
+            op = _sharded.sharded_operator_for(self.shard_cache, graph)
+        else:
+            op = self.bundle(graph)
 
         tele = get_telemetry()
-        counters: Dict[str, int] = {}
         if not tele.enabled:
             return self._run_batch(
-                bundle, stacked, labels, damping, tol, max_iter, check,
-                policy, supervisor, counters,
+                op, stacked, labels, damping, tol, max_iter, check, policy,
             )
         with tele.span("solve:batch", columns=k) as sp:
             result = self._run_batch(
-                bundle, stacked, labels, damping, tol, max_iter, check,
-                policy, supervisor, counters,
+                op, stacked, labels, damping, tol, max_iter, check, policy,
             )
             tele.inc("engine.batched_solves")
             tele.inc("engine.columns", k)
-            if counters.get("polish_sweeps"):
-                tele.inc(
-                    "precision.polish_sweeps", counters["polish_sweeps"]
-                )
-            if counters.get("low_sweeps"):
-                tele.inc("precision.low_sweeps", counters["low_sweeps"])
             for j, label in enumerate(labels):
                 tele.event(
                     "solver.column",
@@ -448,7 +404,7 @@ class PagerankEngine:
 
     def _run_batch(
         self,
-        bundle: OperatorBundle,
+        op,
         stacked: np.ndarray,
         labels: Sequence[str],
         damping: float,
@@ -456,113 +412,21 @@ class PagerankEngine:
         max_iter: int,
         check: bool,
         policy,
-        supervisor=None,
-        counters: Optional[Dict[str, int]] = None,
     ) -> BatchResult:
         """The untraced core of :meth:`solve_many`."""
-        k = stacked.shape[1]
         if policy is not None:
-            if self.precision != "float64":
-                raise ValueError(
-                    "runtime policies run the sequential float64 "
-                    "fallback chains; adaptive precision is not "
-                    "available under a policy"
-                )
             return self._solve_with_policy(
-                bundle, stacked, labels, damping, tol, max_iter, check,
-                policy,
+                op, stacked, labels, damping, tol, max_iter, check, policy,
             )
-        if supervisor is not None:
-            result = self._solve_supervised(
-                bundle, stacked, labels, damping, tol, max_iter,
-                supervisor,
-            )
-        else:
-            result = _block_jacobi(
-                bundle,
-                stacked,
-                damping=damping,
-                tol=tol,
-                max_iter=max_iter,
-                check_every=self.check_every,
-                labels=labels,
-                precision=self.precision,
-                counters=counters,
-            )
-        if check and not bool(result.converged.all()):
-            bad = [
-                labels[j]
-                for j in range(k)
-                if not result.converged[j]
-            ]
-            raise ConvergenceError(
-                f"batched solve did not converge for column(s) "
-                f"{', '.join(bad)} within {max_iter} iterations; pass "
-                "check=False for best-effort vectors or a runtime "
-                "policy for per-column fallback",
-                result=result.column(labels.index(bad[0])),
-            )
-        return result
-
-    def _solve_sharded(
-        self,
-        graph: ShardedWebGraph,
-        stacked: np.ndarray,
-        labels: Sequence[str],
-        damping: float,
-        tol: float,
-        max_iter: int,
-        check: bool,
-        supervisor=None,
-    ) -> BatchResult:
-        """Batched solve against the out-of-core backend.
-
-        The shard operator and its per-shard blocks live in the
-        engine's dedicated ``shard_cache`` LRU; a supervisor, when
-        given, schedules the per-iteration shard sweep (per-shard retry
-        with salvage) instead of per-column solves — the block products
-        are pure tasks, so supervised execution stays bitwise identical
-        to the serial sweep.
-        """
-        # lazy import: perf.sharded imports BatchResult from this module
-        from .sharded import sharded_block_jacobi, sharded_operator_for
-
-        op = sharded_operator_for(self.shard_cache, graph)
-        tele = get_telemetry()
-        counters: Dict[str, int] = {}
-        if tele.enabled:
-            with tele.span(
-                "solve:sharded",
-                columns=stacked.shape[1],
-                shards=graph.num_shards,
-            ) as sp:
-                result = sharded_block_jacobi(
-                    op, stacked,
-                    damping=damping, tol=tol, max_iter=max_iter,
-                    check_every=self.check_every, labels=labels,
-                    supervisor=supervisor, precision=self.precision,
-                    counters=counters,
-                )
-                tele.inc("engine.sharded_solves")
-                if counters.get("polish_sweeps"):
-                    tele.inc(
-                        "precision.polish_sweeps",
-                        counters["polish_sweeps"],
-                    )
-                if counters.get("low_sweeps"):
-                    tele.inc(
-                        "precision.low_sweeps", counters["low_sweeps"]
-                    )
-                sp.set("max_iterations",
-                       int(result.iterations.max(initial=0)))
-        else:
-            result = sharded_block_jacobi(
-                op, stacked,
-                damping=damping, tol=tol, max_iter=max_iter,
-                check_every=self.check_every, labels=labels,
-                supervisor=supervisor, precision=self.precision,
-                counters=counters,
-            )
+        result = _block_jacobi(
+            op,
+            stacked,
+            damping=damping,
+            tol=tol,
+            max_iter=max_iter,
+            check_every=self.check_every,
+            labels=labels,
+        )
         if check and not bool(result.converged.all()):
             bad = [
                 labels[j]
@@ -570,65 +434,13 @@ class PagerankEngine:
                 if not result.converged[j]
             ]
             raise ConvergenceError(
-                f"sharded batched solve did not converge for column(s) "
+                f"batched solve did not converge for column(s) "
                 f"{', '.join(bad)} within {max_iter} iterations; pass "
-                "check=False for best-effort vectors",
+                "check=False for best-effort vectors or, in memory, a "
+                "runtime policy for per-column fallback",
                 result=result.column(labels.index(bad[0])),
             )
         return result
-
-    def _solve_supervised(
-        self,
-        bundle: OperatorBundle,
-        stacked: np.ndarray,
-        labels: Sequence[str],
-        damping: float,
-        tol: float,
-        max_iter: int,
-        supervisor,
-    ) -> BatchResult:
-        """Per-column solves under a :class:`TaskSupervisor`.
-
-        Each column is one task of a fixed plan; the supervisor retries
-        faulted columns with backoff and salvages completed ones.  The
-        block kernel is column-separable bitwise (each column's iterate
-        evolves independently and freezes on its own residual), so
-        assembling the per-column results reproduces the stacked pass
-        exactly.  Execution is in-process — the operator bundle stays
-        shared, and a column solve is pure CPU with no pool to lose.
-        """
-        if not isinstance(supervisor, TaskSupervisor):
-            supervisor = TaskSupervisor(supervisor)
-        n, k = stacked.shape
-        tasks = [
-            (
-                j,
-                bundle,
-                np.ascontiguousarray(stacked[:, j : j + 1]),
-                damping,
-                tol,
-                max_iter,
-                self.check_every,
-                self.precision,
-            )
-            for j in range(k)
-        ]
-        report = supervisor.run(
-            _solve_column_task, tasks, label="solve_many"
-        )
-        scores = np.empty_like(stacked)
-        iterations = np.zeros(k, dtype=np.int64)
-        residuals = np.full(k, np.inf)
-        converged = np.zeros(k, dtype=bool)
-        for j, column in enumerate(report.results):
-            scores[:, j] = column.scores[:, 0]
-            iterations[j] = column.iterations[0]
-            residuals[j] = column.residuals[0]
-            converged[j] = column.converged[0]
-        return BatchResult(
-            scores, iterations, residuals, converged,
-            _method_name(self.precision), labels,
-        )
 
     def _solve_with_policy(
         self,
@@ -771,18 +583,12 @@ class PagerankEngine:
                     bundle, application, prev_scores, stacked,
                     damping=damping, tol=tol, max_iter=max_iter,
                     labels=labels, prev_iterations=prev_iterations,
-                    precision=self.precision,
                 )
                 tele.inc("engine.incremental_updates")
                 tele.inc("incremental.pushes", result.stats.pushes)
                 tele.inc("incremental.sweeps", result.stats.sweeps)
                 if result.stats.escapes:
                     tele.inc("incremental.escapes", result.stats.escapes)
-                if result.stats.polish_sweeps:
-                    tele.inc(
-                        "precision.polish_sweeps",
-                        result.stats.polish_sweeps,
-                    )
                 tele.event(
                     "incremental.update",
                     sweeps=result.stats.sweeps,
@@ -809,7 +615,6 @@ class PagerankEngine:
                 bundle, application, prev_scores, stacked,
                 damping=damping, tol=tol, max_iter=max_iter,
                 labels=labels, prev_iterations=prev_iterations,
-                precision=self.precision,
             )
         if check and not bool(result.converged.all()):
             bad = [
@@ -856,8 +661,7 @@ class PagerankEngine:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PagerankEngine(cache={self.cache!r}, "
-            f"method={self.method!r}, check_every={self.check_every}, "
-            f"precision={self.precision!r})"
+            f"method={self.method!r}, check_every={self.check_every})"
         )
 
 
@@ -866,97 +670,8 @@ class PagerankEngine:
 # ----------------------------------------------------------------------
 
 
-def _method_name(precision: str) -> str:
-    return (
-        "batched_jacobi" if precision == "float64"
-        else "batched_jacobi_adaptive"
-    )
-
-
-def _solve_column_task(
-    column_index: int,
-    bundle: OperatorBundle,
-    column: np.ndarray,
-    damping: float,
-    tol: float,
-    max_iter: int,
-    check_every: int,
-    precision: str = "float64",
-) -> BatchResult:
-    """One supervised column solve (module-level so supervised pool
-    execution and chaos wrappers can reference it by name).
-
-    ``column_index`` identifies the task to the supervision layer and
-    to chaos injectors keyed on it; the solve depends only on the
-    remaining arguments.
-    """
-    del column_index
-    return _block_jacobi(
-        bundle,
-        column,
-        damping=damping,
-        tol=tol,
-        max_iter=max_iter,
-        check_every=check_every,
-        labels=["col"],
-        precision=precision,
-    )
-
-
-def _low_precision_phase(
-    tt_ss32,
-    tt_ds32,
-    z: np.ndarray,
-    b_s: np.ndarray,
-    *,
-    damping: float,
-    tol: float,
-    check_every: int,
-    max_sweeps: int,
-) -> "tuple[np.ndarray, int]":
-    """Float32 sweeps down to the relaxed tier; returns (iterate, sweeps).
-
-    The loop mirrors the float64 kernel step for step (fused plain
-    sweeps, then one measured sweep with the full-vector residual) but
-    runs every column together against the cast operator — no freezing,
-    the phase is cheap and short.  It exits on reaching
-    ``max(tol, ADAPTIVE_TIER)``, on a stalled residual (the float32
-    floor), or on ``max_sweeps``; the caller promotes the iterate to
-    float64 and polishes.
-    """
-    tier = max(tol, ADAPTIVE_TIER)
-    z32 = z.astype(np.float32)
-    b32 = b_s.astype(np.float32)
-    c = np.float32(damping)
-    has_dangling = tt_ds32.shape[0] > 0
-    sweeps = 0
-    prev_worst = np.inf
-    while sweeps < max_sweeps:
-        plain_steps = min(check_every, max_sweeps - sweeps) - 1
-        for _ in range(plain_steps):
-            z_next = tt_ss32 @ z32
-            z_next *= c
-            z_next += b32
-            z32 = z_next
-            sweeps += 1
-        z_prev = z32
-        z32 = tt_ss32 @ z32
-        z32 *= c
-        z32 += b32
-        sweeps += 1
-        dz = z32 - z_prev
-        res = np.abs(dz).sum(axis=0)
-        if has_dangling:
-            res = res + c * np.abs(tt_ds32 @ dz).sum(axis=0)
-        worst = float(res.max(initial=0.0))
-        if worst < tier or worst >= ADAPTIVE_STALL * prev_worst:
-            break
-        prev_worst = worst
-    return z32.astype(np.float64), sweeps
-
-
 def _block_jacobi(
-    bundle: OperatorBundle,
+    op,
     vectors: np.ndarray,
     *,
     damping: float,
@@ -964,17 +679,21 @@ def _block_jacobi(
     max_iter: int,
     check_every: int,
     labels: Sequence[str],
-    precision: str = "float64",
-    counters: Optional[Dict[str, int]] = None,
 ) -> BatchResult:
-    """Dangling-restricted block Jacobi over stacked jump vectors."""
-    _validate_precision(precision)
-    method = _method_name(precision)
+    """Dangling-restricted block Jacobi over stacked jump vectors.
+
+    ``op`` is an :class:`~repro.perf.cache.OperatorBundle` or a
+    :class:`~repro.perf.sharded.ShardedOperator`: anything with the
+    index arrays ``non_dangling`` (``S``) and ``dangling`` (``D``) and
+    the products ``matvec_ss(z) = (Tᵀ)_SS z`` and
+    ``matvec_ds(z) = (Tᵀ)_DS z``.  Columns freeze individually once
+    their full-vector L1 change drops below ``tol``.
+    """
     c = damping
     n, k = vectors.shape
     jump = (1.0 - c) * vectors
-    s = bundle.non_dangling
-    d = bundle.dangling
+    s = op.non_dangling
+    d = op.dangling
     scores = np.empty_like(vectors)
     iterations = np.zeros(k, dtype=np.int64)
     residuals = np.full(k, np.inf)
@@ -988,39 +707,20 @@ def _block_jacobi(
         residuals[:] = 0.0
         converged[:] = True
         return BatchResult(
-            scores, iterations, residuals, converged, method, labels,
+            scores, iterations, residuals, converged, "batched_jacobi",
+            labels,
         )
 
-    tt_ss = bundle.tt_ss
-    tt_ds = bundle.tt_ds
     b_s = np.ascontiguousarray(jump[s, :])
     z = np.array(vectors[s, :], dtype=np.float64)  # p⁽⁰⁾ = v, as in jacobi()
     active = np.arange(k)
 
-    low_sweeps = 0
-    if precision == "adaptive":
-        # leave the polish at least one full check window
-        z, low_sweeps = _low_precision_phase(
-            bundle.tt_ss32,
-            bundle.tt_ds32,
-            z,
-            b_s,
-            damping=c,
-            tol=tol,
-            check_every=check_every,
-            max_sweeps=max(max_iter - check_every, 1),
-        )
-        if counters is not None:
-            counters["low_sweeps"] = (
-                counters.get("low_sweeps", 0) + low_sweeps
-            )
-
     def _freeze(cols_in_active: np.ndarray, res: np.ndarray, it: int,
                 ok: bool) -> None:
         cols = active[cols_in_active]
-        z_cols = z[:, cols_in_active]
+        z_cols = np.ascontiguousarray(z[:, cols_in_active])
         scores[np.ix_(s, cols)] = z_cols
-        expanded = tt_ds @ z_cols
+        expanded = op.matvec_ds(z_cols)
         expanded *= c
         expanded += jump[np.ix_(d, cols)]
         scores[np.ix_(d, cols)] = expanded
@@ -1028,12 +728,12 @@ def _block_jacobi(
         residuals[cols] = res[cols_in_active]
         converged[cols] = ok
 
-    it = low_sweeps  # iteration counts include the float32 phase
+    it = 0
     while it < max_iter and len(active):
         # fused update steps, no residual bookkeeping
         plain_steps = min(check_every, max_iter - it) - 1
         for _ in range(plain_steps):
-            z_next = tt_ss @ z
+            z_next = op.matvec_ss(z)
             z_next *= c
             z_next += b_s
             z = z_next
@@ -1041,14 +741,14 @@ def _block_jacobi(
         # measured step: full-vector L1 change = restricted change plus
         # the dangling change it induces through (Tᵀ)_DS
         z_prev = z
-        z = tt_ss @ z
+        z = op.matvec_ss(z)
         z *= c
         z += b_s
         it += 1
         dz = z - z_prev
         res = np.abs(dz).sum(axis=0)
         if len(d):
-            res = res + c * np.abs(tt_ds @ dz).sum(axis=0)
+            res = res + c * np.abs(op.matvec_ds(dz)).sum(axis=0)
         done = res < tol
         if done.any():
             _freeze(np.flatnonzero(done), res, it, True)
@@ -1067,13 +767,8 @@ def _block_jacobi(
         _freeze(np.arange(len(active)), np.full(len(active), np.inf),
                 it, False)
 
-    if counters is not None and precision == "adaptive":
-        counters["polish_sweeps"] = (
-            counters.get("polish_sweeps", 0) + (it - low_sweeps)
-        )
-
     return BatchResult(
-        scores, iterations, residuals, converged, method, labels,
+        scores, iterations, residuals, converged, "batched_jacobi", labels,
     )
 
 
@@ -1119,14 +814,12 @@ def configure_engine(
     method: str = "jacobi",
     check_every: int = DEFAULT_CHECK_EVERY,
     workers: Optional[int] = None,
-    precision: str = "float64",
 ) -> PagerankEngine:
     """Build a fresh engine with the given knobs and install it as the
-    shared default (the CLI's ``--cache-size``/``--workers``/
-    ``--precision`` end up here).  Returns the new engine."""
+    shared default.  Returns the new engine."""
     engine = PagerankEngine(
         cache_size, method=method, check_every=check_every,
-        workers=workers, precision=precision,
+        workers=workers,
     )
     set_engine(engine)
     return engine

@@ -118,7 +118,6 @@ class PushStats:
         "escape_sweeps",
         "correction_cols",
         "correction_gain",
-        "polish_sweeps",
         "cold_work_estimate",
         "speedup_estimate",
     )
@@ -136,7 +135,6 @@ class PushStats:
         self.escape_sweeps = 0
         self.correction_cols = 0
         self.correction_gain = 1.0
-        self.polish_sweeps = 0
         self.cold_work_estimate = 0
         self.speedup_estimate = 0.0
 
@@ -158,7 +156,6 @@ class PushStats:
             "escape_sweeps": self.escape_sweeps,
             "correction_cols": self.correction_cols,
             "correction_gain": self.correction_gain,
-            "polish_sweeps": self.polish_sweeps,
             "cold_work_estimate": self.cold_work_estimate,
             "speedup_estimate": self.speedup_estimate,
         }
@@ -262,7 +259,6 @@ def push_update(
     max_iter: int,
     labels: Sequence[str],
     prev_iterations: Optional[np.ndarray] = None,
-    precision: str = "float64",
 ) -> IncrementalResult:
     """Run the residual-push update; returns scores at the cold ``tol``.
 
@@ -270,8 +266,6 @@ def push_update(
     (typically from :meth:`OperatorCache.derive_for`);
     ``previous_scores`` is the ``(n, k)`` solution on
     ``application.before`` for the same stacked jump ``vectors``.
-    ``precision`` applies to the escape kernel only — push sweeps are
-    float64 regardless (they are sparse and accuracy-critical).
     """
     c = damping
     after = application.after
@@ -371,7 +365,6 @@ def push_update(
             stats.correction_cols = int(accepted.sum())
             if accepted.any():
                 stats.correction_gain = float(gains[accepted].min())
-            counters: dict = {}
             correction = _block_jacobi(
                 bundle,
                 deflated / (1.0 - c),
@@ -380,8 +373,6 @@ def push_update(
                 max_iter=max(max_iter - sweep, 1),
                 check_every=8,
                 labels=[labels[j] for j in cols],
-                precision=precision,
-                counters=counters,
             )
             scores[:, cols] += correction.scores
             if start is not None:
@@ -396,7 +387,6 @@ def push_update(
             stats.colwork += int(after.num_edges) * escape_iters
             stats.escapes = 1
             stats.escape_sweeps = escape_iters
-            stats.polish_sweeps = int(counters.get("polish_sweeps", 0))
             cols = cols[:0]
             break
         prev_wide = wide

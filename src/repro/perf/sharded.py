@@ -1,13 +1,14 @@
-"""Shard-by-shard block-Jacobi PageRank over the out-of-core backend.
+"""The out-of-core operator: per-shard row blocks of ``(Tᵀ)_SS``.
 
-The in-memory batched kernel (:func:`repro.perf.engine._block_jacobi`)
-iterates ``z ← c·(Tᵀ)_SS z + (1−c) v_S`` with one whole-graph sparse
-matmul per step.  This module runs the *same* iteration against a
-:class:`~repro.graph.sharded.ShardedWebGraph`, where ``(Tᵀ)_SS`` never
-exists as one matrix: each shard ``k`` contributes the row block of
-``(Tᵀ)_SS`` indexed by its non-dangling nodes, built straight from the
-shard's transpose CSR, and one iteration sweeps the shards writing each
-block product into its slice of the output vector.
+The batched kernel (:func:`repro.perf.engine._block_jacobi`) iterates
+``z ← c·(Tᵀ)_SS z + (1−c) v_S`` against any operator that supplies
+``matvec_ss``/``matvec_ds``.  In memory that is one whole-graph sparse
+matmul per step.  Against a :class:`~repro.graph.sharded.ShardedWebGraph`,
+``(Tᵀ)_SS`` never exists as one matrix: :class:`ShardedOperator` holds,
+for each shard ``k``, the row block of ``(Tᵀ)_SS`` indexed by its
+non-dangling nodes, built straight from the shard's transpose CSR, and
+one matvec sweeps the shards writing each block product into its slice
+of the output vector.  The same loop then runs on both backends.
 
 **The parity argument** (what the differential harness enforces
 bitwise): CSR × dense-block multiplication computes every output row
@@ -30,12 +31,6 @@ bit for bit.  Two details matter and are preserved deliberately:
   reduction, again so the pairwise-summation tree is the in-memory
   one.
 
-Scheduling: the per-iteration shard sweep can run under a
-:class:`~repro.runtime.supervisor.TaskSupervisor` — each block product
-is a pure, deterministic task (retry-safe by construction), and results
-are assembled in plan order, so supervised execution is bitwise
-identical to the serial sweep.
-
 Blocks are cached in an :class:`~repro.perf.cache.OperatorCache` under
 composite keys (``<fingerprint>#ss:<k>``, ``<fingerprint>#ds:<k>``).
 For a delta-derived graph, :func:`derive_sharded` builds a child
@@ -45,39 +40,19 @@ delta provably did not touch — see ``docs/scale.md``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
 
 from ..graph.sharded import ShardedWebGraph
-from ..runtime.supervisor import SupervisorPolicy, TaskSupervisor
 from .cache import OperatorCache
-from .engine import (
-    ADAPTIVE_STALL,
-    ADAPTIVE_TIER,
-    BatchResult,
-    _validate_precision,
-)
 
 __all__ = [
     "ShardedOperator",
     "sharded_operator_for",
     "derive_sharded",
-    "sharded_block_jacobi",
 ]
-
-
-def _ss_block_task(shard_index: int, operator: "ShardedOperator",
-                   z: np.ndarray) -> np.ndarray:
-    """One supervised shard task: the block product of shard
-    ``shard_index`` against the current iterate.
-
-    Module-level and pure (output depends only on the arguments), so
-    supervised retries recompute the identical array and chaos wrappers
-    can reference it by name.
-    """
-    return operator.ss_block(shard_index) @ z
 
 
 class ShardedOperator:
@@ -190,33 +165,6 @@ class ShardedOperator:
             lambda: self._build_or_reuse(k, "ds"),
         )
 
-    @staticmethod
-    def _cast32(block: sparse.csr_matrix) -> sparse.csr_matrix:
-        # share the index arrays; only the data is duplicated.  The
-        # elementwise cast of a row block equals the row block of the
-        # elementwise-cast operator, which keeps the sharded adaptive
-        # phase bitwise identical to the in-memory one.
-        cast = sparse.csr_matrix(
-            (block.data.astype(np.float32), block.indices, block.indptr),
-            shape=block.shape,
-        )
-        cast.has_sorted_indices = True
-        return cast
-
-    def ss_block32(self, k: int) -> sparse.csr_matrix:
-        """Float32 cast of :meth:`ss_block` (adaptive low phase)."""
-        return self._entry(
-            f"{self.key_base}#ss32:{k}",
-            lambda: self._cast32(self.ss_block(k)),
-        )
-
-    def ds_block32(self, k: int) -> sparse.csr_matrix:
-        """Float32 cast of :meth:`ds_block` (adaptive low phase)."""
-        return self._entry(
-            f"{self.key_base}#ds32:{k}",
-            lambda: self._cast32(self.ds_block(k)),
-        )
-
     def _build_or_reuse(self, k: int, kind: str) -> sparse.csr_matrix:
         if (
             self.cache is not None
@@ -275,34 +223,10 @@ class ShardedOperator:
     # matvecs
     # ------------------------------------------------------------------
 
-    def matvec_ss(
-        self,
-        z: np.ndarray,
-        *,
-        supervisor: Optional[TaskSupervisor] = None,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """``(Tᵀ)_SS @ z`` assembled from per-shard row blocks.
-
-        With a supervisor, each shard's block product runs as one
-        supervised task (retried on fault, results in plan order);
-        either way the output rows are bitwise those of the assembled
-        matmul.
-        """
-        if out is None:
-            out = np.empty((len(self.non_dangling), z.shape[1]))
-        if supervisor is not None:
-            live = [k for k in range(self.num_shards)
-                    if self._s_bounds[k + 1] > self._s_bounds[k]]
-            report = supervisor.run(
-                _ss_block_task,
-                [(k, self, z) for k in live],
-                label="shard-matvec",
-            )
-            for k, product in zip(live, report.results):
-                lo, hi = self.s_range(k)
-                out[lo:hi] = product
-            return out
+    def matvec_ss(self, z: np.ndarray) -> np.ndarray:
+        """``(Tᵀ)_SS @ z`` assembled from per-shard row blocks; the
+        output rows are bitwise those of the assembled matmul."""
+        out = np.empty((len(self.non_dangling), z.shape[1]))
         for k in range(self.num_shards):
             lo, hi = self.s_range(k)
             if hi > lo:
@@ -321,24 +245,6 @@ class ShardedOperator:
             lo, hi = self.d_range(k)
             if hi > lo:
                 out[lo:hi] = self.ds_block(k) @ z
-        return out
-
-    def matvec_ss32(self, z: np.ndarray) -> np.ndarray:
-        """Float32 sweep of :meth:`matvec_ss` over the cast blocks."""
-        out = np.empty((len(self.non_dangling), z.shape[1]), dtype=np.float32)
-        for k in range(self.num_shards):
-            lo, hi = self.s_range(k)
-            if hi > lo:
-                out[lo:hi] = self.ss_block32(k) @ z
-        return out
-
-    def matvec_ds32(self, z: np.ndarray) -> np.ndarray:
-        """Float32 sweep of :meth:`matvec_ds` over the cast blocks."""
-        out = np.empty((len(self.dangling), z.shape[1]), dtype=np.float32)
-        for k in range(self.num_shards):
-            lo, hi = self.d_range(k)
-            if hi > lo:
-                out[lo:hi] = self.ds_block32(k) @ z
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -392,185 +298,4 @@ def derive_sharded(cache: OperatorCache, application) -> ShardedOperator:
     return cache.entry_for(
         f"{after.structural_fingerprint()}@{after.partition_key}#shardop",
         build,
-    )
-
-
-def _sharded_low_phase(
-    operator: ShardedOperator,
-    z: np.ndarray,
-    b_s: np.ndarray,
-    *,
-    damping: float,
-    tol: float,
-    check_every: int,
-    max_sweeps: int,
-) -> "tuple[np.ndarray, int]":
-    """Float32 shard sweeps down to the relaxed tier.
-
-    A transliteration of :func:`repro.perf.engine._low_precision_phase`
-    with the matvecs routed through the cast per-shard blocks; because
-    a cast row block equals the row block of the cast operator, every
-    float32 sweep here is bitwise the in-memory adaptive sweep.  Runs
-    serially even under a supervisor (the phase is short and its
-    blocks are distinct tasks from the float64 ones).
-    """
-    tier = max(tol, ADAPTIVE_TIER)
-    z32 = z.astype(np.float32)
-    b32 = b_s.astype(np.float32)
-    c = np.float32(damping)
-    has_dangling = len(operator.dangling) > 0
-    sweeps = 0
-    prev_worst = np.inf
-    while sweeps < max_sweeps:
-        plain_steps = min(check_every, max_sweeps - sweeps) - 1
-        for _ in range(plain_steps):
-            z_next = operator.matvec_ss32(z32)
-            z_next *= c
-            z_next += b32
-            z32 = z_next
-            sweeps += 1
-        z_prev = z32
-        z32 = operator.matvec_ss32(z32)
-        z32 *= c
-        z32 += b32
-        sweeps += 1
-        dz = z32 - z_prev
-        res = np.abs(dz).sum(axis=0)
-        if has_dangling:
-            res = res + c * np.abs(operator.matvec_ds32(dz)).sum(axis=0)
-        worst = float(res.max(initial=0.0))
-        if worst < tier or worst >= ADAPTIVE_STALL * prev_worst:
-            break
-        prev_worst = worst
-    return z32.astype(np.float64), sweeps
-
-
-def sharded_block_jacobi(
-    operator: ShardedOperator,
-    vectors: np.ndarray,
-    *,
-    damping: float,
-    tol: float,
-    max_iter: int,
-    check_every: int,
-    labels: Sequence[str],
-    supervisor=None,
-    precision: str = "float64",
-    counters: Optional[dict] = None,
-) -> BatchResult:
-    """Dangling-restricted block Jacobi, one shard sweep per step.
-
-    Structurally a transliteration of the in-memory kernel
-    (:func:`repro.perf.engine._block_jacobi`) with every operator
-    application routed through :class:`ShardedOperator` — same
-    restricted iterate, same fused-steps/measured-step cadence, same
-    residual, same per-column freeze and active-set compaction.  The
-    differential harness (``tests/test_differential_solvers.py``)
-    asserts the outputs are *bitwise* equal — in both precisions: the
-    adaptive path mirrors the in-memory float32 phase over cast blocks
-    that are sub-arrays of the cast in-memory operator.
-    """
-    _validate_precision(precision)
-    method = (
-        "sharded_jacobi" if precision == "float64"
-        else "sharded_jacobi_adaptive"
-    )
-    if supervisor is not None and not isinstance(supervisor, TaskSupervisor):
-        supervisor = TaskSupervisor(supervisor)
-    c = damping
-    n, k = vectors.shape
-    jump = (1.0 - c) * vectors
-    s = operator.non_dangling
-    d = operator.dangling
-    scores = np.empty_like(vectors)
-    iterations = np.zeros(k, dtype=np.int64)
-    residuals = np.full(k, np.inf)
-    converged = np.zeros(k, dtype=bool)
-
-    if len(s) == 0:
-        # edgeless graph: (I - cTᵀ) = I, the solution is the jump term
-        scores[:] = jump
-        iterations[:] = 1
-        residuals[:] = 0.0
-        converged[:] = True
-        return BatchResult(
-            scores, iterations, residuals, converged, method, labels,
-        )
-
-    b_s = np.ascontiguousarray(jump[s, :])
-    z = np.array(vectors[s, :], dtype=np.float64)  # p⁽⁰⁾ = v, as in jacobi()
-    active = np.arange(k)
-
-    low_sweeps = 0
-    if precision == "adaptive":
-        z, low_sweeps = _sharded_low_phase(
-            operator,
-            z,
-            b_s,
-            damping=c,
-            tol=tol,
-            check_every=check_every,
-            max_sweeps=max(max_iter - check_every, 1),
-        )
-        if counters is not None:
-            counters["low_sweeps"] = (
-                counters.get("low_sweeps", 0) + low_sweeps
-            )
-
-    def _freeze(cols_in_active: np.ndarray, res: np.ndarray, it: int,
-                ok: bool) -> None:
-        cols = active[cols_in_active]
-        z_cols = z[:, cols_in_active]
-        scores[np.ix_(s, cols)] = z_cols
-        expanded = operator.matvec_ds(np.ascontiguousarray(z_cols))
-        expanded *= c
-        expanded += jump[np.ix_(d, cols)]
-        scores[np.ix_(d, cols)] = expanded
-        iterations[cols] = it
-        residuals[cols] = res[cols_in_active]
-        converged[cols] = ok
-
-    it = low_sweeps  # iteration counts include the float32 phase
-    while it < max_iter and len(active):
-        plain_steps = min(check_every, max_iter - it) - 1
-        for _ in range(plain_steps):
-            z_next = operator.matvec_ss(z, supervisor=supervisor)
-            z_next *= c
-            z_next += b_s
-            z = z_next
-            it += 1
-        z_prev = z
-        z = operator.matvec_ss(z, supervisor=supervisor)
-        z *= c
-        z += b_s
-        it += 1
-        dz = z - z_prev
-        res = np.abs(dz).sum(axis=0)
-        if len(d):
-            res = res + c * np.abs(operator.matvec_ds(dz)).sum(axis=0)
-        done = res < tol
-        if done.any():
-            _freeze(np.flatnonzero(done), res, it, True)
-            keep = ~done
-            if not keep.any():
-                active = active[:0]
-                break
-            active = active[keep]
-            z = np.ascontiguousarray(z[:, keep])
-            b_s = np.ascontiguousarray(b_s[:, keep])
-        elif it >= max_iter:
-            _freeze(np.arange(len(active)), res, it, False)
-            active = active[:0]
-
-    if len(active):  # pragma: no cover - defensive (loop always drains)
-        _freeze(np.arange(len(active)), np.full(len(active), np.inf),
-                it, False)
-
-    if counters is not None and precision == "adaptive":
-        counters["polish_sweeps"] = (
-            counters.get("polish_sweeps", 0) + (it - low_sweeps)
-        )
-
-    return BatchResult(
-        scores, iterations, residuals, converged, method, labels,
     )

@@ -443,41 +443,40 @@ def test_parser_engine_defaults():
     assert rep.workers is None
 
 
-def test_precision_autoselect_respects_threshold(
-    world_dir, tmp_path, capsys, monkeypatch
-):
-    """Above the node threshold the auto default flips to 'adaptive';
-    the numbers stay within solver tolerance of plain float64."""
-    import repro.cli as cli
+_REQUIRED = {
+    "estimate": ["estimate", "--world", "w", "--out-prefix", "p"],
+    "update": [
+        "update", "--world", "w", "--delta", "d",
+        "--checkpoint-dir", "c", "--out-prefix", "p",
+    ],
+    "serve": [
+        "serve", "--world", "w", "--checkpoint-dir", "c", "--socket", "s",
+    ],
+    "stream-ingest": [
+        "stream", "ingest", "--world", "w", "--checkpoint-dir", "c",
+        "--events", "e",
+    ],
+    "audit-core": ["audit-core", "--world", "w"],
+}
 
-    code = main(
-        ["estimate", "--world", str(world_dir),
-         "--out-prefix", str(tmp_path / "f64")]
-    )
-    assert code == 0
-    assert "precision: float64 (auto:" in capsys.readouterr().out
 
-    monkeypatch.setattr(cli, "AUTO_PRECISION_NODES", 10)
-    code = main(
-        ["estimate", "--world", str(world_dir),
-         "--out-prefix", str(tmp_path / "adp")]
-    )
-    assert code == 0
-    assert "precision: adaptive (auto:" in capsys.readouterr().out
-
-    # an explicit flag beats the (monkeypatched) auto rule
-    code = main(
-        ["estimate", "--world", str(world_dir),
-         "--out-prefix", str(tmp_path / "exp"),
-         "--precision", "float64"]
-    )
-    assert code == 0
-    assert "precision: float64 (explicit --precision)" in (
-        capsys.readouterr().out
-    )
-
-    f64 = read_scores(f"{tmp_path / 'f64'}.pagerank.scores")
-    adp = read_scores(f"{tmp_path / 'adp'}.pagerank.scores")
-    exp = read_scores(f"{tmp_path / 'exp'}.pagerank.scores")
-    assert np.array_equal(f64, exp)
-    assert np.abs(f64 - adp).max() <= 1e-9
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("estimate", "--precision", "adaptive"),
+        ("update", "--precision", "float64"),
+        ("serve", "--precision", "float64"),
+        ("stream-ingest", "--precision", "float64"),
+        ("update", "--workers", "2"),
+        ("serve", "--workers", "2"),
+        ("stream-ingest", "--workers", "2"),
+        ("audit-core", "--workers", "2"),
+    ],
+)
+def test_removed_solver_flags_are_usage_errors(command, flag, value, capsys):
+    """Every batched solve is float64, and only the Monte-Carlo commands
+    (``estimate``, ``reproduce``) take ``--workers``."""
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(_REQUIRED[command] + [flag, value])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

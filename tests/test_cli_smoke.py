@@ -253,12 +253,13 @@ def test_update_round_trip_matches_cold_estimate(small_world_dir, tmp_path):
 
 
 def test_update_chained_deltas_and_precision(small_world_dir, tmp_path):
-    """Repeated ``--delta`` + ``--batch-deltas`` + ``--precision``.
+    """Repeated ``--delta`` + ``--batch-deltas``.
 
     Two chained delta files applied in one invocation (coalesced into
     one batch by default, split with ``--batch-deltas 1``) must land on
-    the same scores as a cold adaptive-precision estimate of the final
-    mutated world, within ``10 * tol``.
+    the same scores as a cold estimate of the final mutated world,
+    within ``10 * tol``.  Both solves are float64: neither command
+    reports a precision choice.
     """
     import numpy as np
 
@@ -300,7 +301,6 @@ def test_update_chained_deltas_and_precision(small_world_dir, tmp_path):
         "--delta", str(delta_files[0]),
         "--delta", str(delta_files[1]),
         "--batch-deltas", "1",
-        "--precision", "adaptive",
         "--checkpoint-dir", str(ckpt),
         "--out-prefix", str(tmp_path / "upd"),
         "--write-world", str(mutated_dir),
@@ -308,15 +308,16 @@ def test_update_chained_deltas_and_precision(small_world_dir, tmp_path):
     )
     assert upd.returncode == 0, upd.stderr
     assert "2 file(s) in 2 batch(es)" in upd.stdout
+    assert "precision:" not in upd.stdout
 
     est2 = run_cli(
         "estimate",
         "--world", str(mutated_dir),
-        "--precision", "adaptive",
         "--out-prefix", str(tmp_path / "coldmut"),
         cwd=tmp_path,
     )
     assert est2.returncode == 0, est2.stderr
+    assert "precision:" not in est2.stdout
     for kind in ("pagerank", "core"):
         updated = read_scores(f"{tmp_path}/upd.{kind}.scores")
         cold = read_scores(f"{tmp_path}/coldmut.{kind}.scores")
@@ -327,7 +328,6 @@ def test_update_chained_deltas_and_precision(small_world_dir, tmp_path):
     "flag,value,message",
     [
         ("--batch-deltas", "0", "must be a positive integer"),
-        ("--precision", "float32", "invalid choice"),
     ],
 )
 def test_update_rejects_bad_coalescing_flags(
@@ -498,7 +498,6 @@ def test_audit_core_round_trip(small_world_dir, tmp_path):
         ("--replica-poll", "-0.5", "must be a positive number"),
         ("--batch-deltas", "0", "must be a positive integer"),
         ("--batch-deltas", "-2", "must be a positive integer"),
-        ("--precision", "float16", "invalid choice"),
     ],
 )
 def test_serve_rejects_bad_flags(tmp_path, flag, value, message):
@@ -816,7 +815,6 @@ def test_stream_synth_ingest_dlq_round_trip(small_world_dir, tmp_path):
         ("--apply-every", "0", "must be a positive integer"),
         ("--max-staleness", "0", "must be a positive integer"),
         ("--batch-deltas", "-1", "must be a positive integer"),
-        ("--precision", "float16", "invalid choice"),
     ],
 )
 def test_stream_ingest_rejects_bad_flags(tmp_path, flag, value, message):
@@ -894,29 +892,3 @@ def test_stream_ingest_probe_requires_sidecar(tmp_path):
     )
     assert proc.returncode == 2
     assert "attack sidecar" in proc.stderr
-
-
-def test_estimate_precision_autoselect_logs_choice(
-    small_world_dir, tmp_path
-):
-    """Satellite contract: the auto default prints the decision, an
-    explicit flag prints the override."""
-    auto = run_cli(
-        "estimate",
-        "--world", str(small_world_dir),
-        "--out-prefix", str(tmp_path / "auto"),
-        cwd=tmp_path,
-    )
-    assert auto.returncode == 0, auto.stderr
-    assert re.search(
-        r"precision: float64 \(auto: [\d,]+ nodes < [\d,]+\)", auto.stdout
-    )
-    explicit = run_cli(
-        "estimate",
-        "--world", str(small_world_dir),
-        "--out-prefix", str(tmp_path / "explicit"),
-        "--precision", "adaptive",
-        cwd=tmp_path,
-    )
-    assert explicit.returncode == 0, explicit.stderr
-    assert "precision: adaptive (explicit --precision)" in explicit.stdout

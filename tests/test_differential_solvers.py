@@ -17,15 +17,9 @@ tolerance: for every zoo graph and every shard count in
 ``SHARD_COUNTS`` ({1, 2, 7, 32} by default, overridable through the
 ``REPRO_TEST_SHARDS`` environment variable — the CI ``scale`` job
 matrixes over it), scores, iteration counts, residuals and convergence
-flags must be **bitwise identical** to the in-memory block kernel.
-
-The adaptive mixed-precision path (``precision="adaptive"``: float32
-sweeps to a relaxed tier, float64 polish to ``tol``) is held to both
-standards at once, for every mode in ``PRECISION_MODES``
-(``REPRO_TEST_PRECISION``, matrixed by the CI ``precision`` job):
-within ``10 * tol`` of the float64 kernel per node on every zoo graph,
-bitwise identical between the in-memory and sharded backends, and
-bitwise-identical rank ordering against the float64 solution.
+flags must be **bitwise identical** to the in-memory block kernel —
+at every residual-check cadence, and for solves cut off by ``max_iter``
+before they converge as well as for converged ones.
 """
 
 import os
@@ -39,6 +33,7 @@ from repro.core.pagerank import (
     uniform_jump_vector,
 )
 from repro.core.solvers import solve
+from repro.errors import ConvergenceError
 from repro.graph.ops import transition_matrix
 from repro.graph.sharded import partition_graph
 from repro.graph.webgraph import WebGraph
@@ -57,18 +52,6 @@ SHARD_COUNTS = [
     for part in os.environ.get("REPRO_TEST_SHARDS", "1,2,7,32").split(",")
     if part.strip()
 ]
-
-#: Precision modes of the mixed-precision sweep.  The CI ``precision``
-#: job sets ``REPRO_TEST_PRECISION`` to pin a single mode per matrix
-#: leg; the default sweep covers both.
-PRECISION_MODES = [
-    part.strip()
-    for part in os.environ.get(
-        "REPRO_TEST_PRECISION", "float64,adaptive"
-    ).split(",")
-    if part.strip()
-]
-
 
 def _random_graph(
     seed: int,
@@ -264,18 +247,61 @@ def _parity_vectors(n):
     )
 
 
-def test_sharded_solve_many_bitwise_equal(zoo_graph, sharded_variants):
-    engine = PagerankEngine()
-    vectors = _parity_vectors(zoo_graph.num_nodes)
-    reference = engine.solve_many(
-        zoo_graph, vectors, damping=DAMPING, tol=TOL
+#: Iteration cap that cuts most parity solves short of ``TOL``: across
+#: the zoo it yields converged, mixed and unconverged batches.
+CUT_OFF = 5
+
+
+def _solves_bitwise_equal(a, b) -> bool:
+    return (
+        np.array_equal(a.scores, b.scores)
+        and np.array_equal(a.iterations, b.iterations)
+        and np.array_equal(a.residuals, b.residuals)
+        and np.array_equal(a.converged, b.converged)
     )
-    for k, store in sharded_variants.items():
-        batch = engine.solve_many(store, vectors, damping=DAMPING, tol=TOL)
-        assert np.array_equal(batch.scores, reference.scores), k
-        assert np.array_equal(batch.iterations, reference.iterations), k
-        assert np.array_equal(batch.residuals, reference.residuals), k
-        assert np.array_equal(batch.converged, reference.converged), k
+
+
+def _convergence_error(engine, graph, vectors):
+    """The message of the checked cut-off solve's error, or ``None``."""
+    try:
+        engine.solve_many(graph, vectors, tol=TOL, max_iter=CUT_OFF)
+    except ConvergenceError as exc:
+        return str(exc)
+    return None
+
+
+def test_sharded_solve_many_bitwise_equal(zoo_graph, sharded_variants):
+    """Both backends run one loop, so every diagnostic matches bitwise:
+    at any residual-check cadence, for converged solves and for solves
+    cut off at ``max_iter`` — which, checked, raise the same error
+    naming the same columns."""
+    vectors = _parity_vectors(zoo_graph.num_nodes)
+    for check_every in (1, 3, 8):
+        engine = PagerankEngine(check_every=check_every)
+        for max_iter in (10_000, CUT_OFF):
+            reference = engine.solve_many(
+                zoo_graph, vectors, damping=DAMPING, tol=TOL,
+                max_iter=max_iter, check=False,
+            )
+            for k, store in sharded_variants.items():
+                batch = engine.solve_many(
+                    store, vectors, damping=DAMPING, tol=TOL,
+                    max_iter=max_iter, check=False,
+                )
+                assert _solves_bitwise_equal(batch, reference), (
+                    k, check_every, max_iter,
+                )
+        cut = engine.solve_many(
+            zoo_graph, vectors, tol=TOL, max_iter=CUT_OFF, check=False
+        )
+        unconverged = [f"col{j}" for j in np.flatnonzero(~cut.converged)]
+        expected = _convergence_error(engine, zoo_graph, vectors)
+        if unconverged:
+            assert ", ".join(unconverged) in expected
+        else:
+            assert expected is None
+        for k, store in sharded_variants.items():
+            assert _convergence_error(engine, store, vectors) == expected, k
 
 
 def test_sharded_single_solve_bitwise_equal(zoo_graph, sharded_variants):
@@ -288,113 +314,6 @@ def test_sharded_single_solve_bitwise_equal(zoo_graph, sharded_variants):
         result = engine.solve(store, tol=TOL)
         assert np.array_equal(result.scores, reference.scores), k
         assert result.iterations == reference.iterations, k
-
-
-# ---------------------------------------------------------------------------
-# adaptive mixed precision: 10*tol agreement + bitwise backend parity
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def float64_reference(zoo_graph):
-    """The float64 block kernel — the oracle of the precision claim."""
-    engine = PagerankEngine()
-    return engine.solve_many(
-        zoo_graph,
-        _parity_vectors(zoo_graph.num_nodes),
-        damping=DAMPING,
-        tol=TOL,
-    )
-
-
-@pytest.mark.parametrize("precision", PRECISION_MODES)
-def test_precision_modes_agree_with_float64_kernel(
-    zoo_graph, float64_reference, precision
-):
-    """Every precision mode lands within 10*tol of the float64 oracle.
-
-    (``float64`` itself must be *bitwise* the reference — the default
-    path may not drift when the adaptive machinery is compiled in.)
-    """
-    engine = PagerankEngine(precision=precision)
-    batch = engine.solve_many(
-        zoo_graph,
-        _parity_vectors(zoo_graph.num_nodes),
-        damping=DAMPING,
-        tol=TOL,
-    )
-    assert batch.converged.all()
-    if precision == "float64":
-        assert np.array_equal(batch.scores, float64_reference.scores)
-        assert np.array_equal(
-            batch.iterations, float64_reference.iterations
-        )
-    else:
-        deviation = np.abs(batch.scores - float64_reference.scores).max()
-        assert deviation <= 10 * TOL, deviation
-
-
-@pytest.mark.parametrize("precision", PRECISION_MODES)
-def test_precision_modes_preserve_rank_ordering(
-    zoo_graph, float64_reference, precision
-):
-    """The ranking is the float64 one, up to exact ties in the oracle.
-
-    Structurally equivalent nodes carry *bitwise equal* float64 scores
-    and have no defined relative rank; the adaptive path may split such
-    a tie by 1 ulp.  So the check is: the precision mode's descending
-    order, applied to the float64 scores, yields exactly the float64
-    descending sequence — every node sits in its float64 rank group.
-    ``float64`` itself must reproduce the reference permutation
-    bitwise.
-    """
-    engine = PagerankEngine(precision=precision)
-    batch = engine.solve_many(
-        zoo_graph,
-        _parity_vectors(zoo_graph.num_nodes),
-        damping=DAMPING,
-        tol=TOL,
-    )
-    for j in range(batch.scores.shape[1]):
-        order = np.argsort(-batch.scores[:, j], kind="stable")
-        reference = np.argsort(
-            -float64_reference.scores[:, j], kind="stable"
-        )
-        if precision == "float64":
-            assert np.array_equal(order, reference), j
-        else:
-            assert np.array_equal(
-                float64_reference.scores[order, j],
-                float64_reference.scores[reference, j],
-            ), j
-
-
-@pytest.mark.parametrize("precision", PRECISION_MODES)
-def test_sharded_precision_modes_bitwise_equal(
-    zoo_graph, sharded_variants, precision
-):
-    """Sharded and in-memory kernels agree bitwise in *every* precision.
-
-    The adaptive float32 phase runs over cast per-shard blocks that are
-    sub-arrays of the cast in-memory operator, so the parity argument
-    of the float64 path carries over unchanged.
-    """
-    engine = PagerankEngine(precision=precision)
-    vectors = _parity_vectors(zoo_graph.num_nodes)
-    reference = engine.solve_many(
-        zoo_graph, vectors, damping=DAMPING, tol=TOL
-    )
-    for k, store in sharded_variants.items():
-        batch = engine.solve_many(store, vectors, damping=DAMPING, tol=TOL)
-        assert np.array_equal(batch.scores, reference.scores), k
-        assert np.array_equal(batch.iterations, reference.iterations), k
-        assert np.array_equal(batch.residuals, reference.residuals), k
-        assert np.array_equal(batch.converged, reference.converged), k
-
-
-def test_engine_rejects_unknown_precision():
-    with pytest.raises(ValueError, match="precision"):
-        PagerankEngine(precision="float16")
 
 
 def test_estimate_spam_mass_backend_parity(zoo_graph, sharded_variants):

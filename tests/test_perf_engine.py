@@ -130,6 +130,11 @@ def test_solve_many_input_validation(chain_graph):
         engine.solve_many(chain_graph, np.stack([v, v * 0.0], axis=1))
     with pytest.raises(ValueError, match="exceed"):
         engine.solve_many(chain_graph, np.stack([v, v * n], axis=1))
+    # NaN passes the sign and norm checks; even best-effort mode rejects
+    nan = v.copy()
+    nan[2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        engine.solve_many(chain_graph, np.stack([v, nan], axis=1), check=False)
     with pytest.raises(ValueError, match="labels"):
         engine.solve_many(chain_graph, [v, v], labels=["only-one"])
     with pytest.raises(ValueError, match="check_every"):

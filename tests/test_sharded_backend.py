@@ -45,7 +45,6 @@ from repro.graph.sharded import (
 )
 from repro.graph.webgraph import WebGraph
 from repro.perf import OperatorCache, PagerankEngine, sharded_operator_for
-from repro.runtime.supervisor import SupervisorPolicy, TaskSupervisor
 
 TOL = 1e-12
 
@@ -488,32 +487,14 @@ def test_derived_operator_reuses_untouched_blocks(tmp_path):
     assert np.array_equal(base_batch.converged, derived_batch.converged)
 
 
-def test_supervised_shard_sweep_is_bitwise_identical(graph, store):
-    engine = PagerankEngine()
-    vectors = np.stack(
-        [
-            np.full(graph.num_nodes, 1.0 / graph.num_nodes),
-            np.linspace(0.1, 0.9, graph.num_nodes)
-            / np.linspace(0.1, 0.9, graph.num_nodes).sum(),
-        ],
-        axis=1,
-    )
-    plain = engine.solve_many(store, vectors, tol=TOL)
-    supervised = engine.solve_many(
-        store,
-        vectors,
-        tol=TOL,
-        supervisor=TaskSupervisor(SupervisorPolicy()),
-    )
-    assert np.array_equal(plain.scores, supervised.scores)
-    assert np.array_equal(plain.iterations, supervised.iterations)
-    assert np.array_equal(plain.residuals, supervised.residuals)
-
-
 def test_sharded_rejects_non_jacobi_and_policies(store):
+    from repro.runtime.resilient import RuntimePolicy
+
     engine = PagerankEngine()
     with pytest.raises(ValueError, match="sharded"):
         engine.solve(store, method="power")
+    with pytest.raises(ValueError, match="sharded"):
+        engine.solve_many(store, [None], policy=RuntimePolicy())
     with pytest.raises(TypeError, match="sharded"):
         engine.bundle(store)
 

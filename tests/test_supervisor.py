@@ -2,8 +2,8 @@
 
 Every scenario asserts two things at once:
 
-1. **numbers are untouched** — the supervised Monte-Carlo estimate (or
-   batched solve) is *bitwise* identical to the fault-free serial run,
+1. **numbers are untouched** — the supervised Monte-Carlo estimate is
+   *bitwise* identical to the fault-free serial run,
    because the chunk plan and RNG streams are fixed before execution;
 2. **the telemetry tells the truth** — each fault produces exactly the
    supervision events it should (``supervisor.retry``,
@@ -24,10 +24,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.errors import InjectedFault, SupervisionError
-from repro.perf.engine import PagerankEngine
+from repro.errors import SupervisionError
 from repro.perf.parallel import _simulate_chunk, pagerank_montecarlo_parallel
-from repro.runtime.chaos import ChaosWorker, FlakyCalls
+from repro.runtime.chaos import ChaosWorker
 from repro.runtime.retry import BackoffPolicy
 from repro.runtime.supervisor import (
     CIRCUIT_STATES,
@@ -309,64 +308,6 @@ def test_retry_budget_exhaustion_raises_supervision_error(
         _run(tiny_world.graph, chunk_fn=chaos, supervisor=sup, workers=None)
     retries = supervision_telemetry.sink.named("supervisor.retry")
     assert len(retries) == 1  # one retry allowed, then the budget is gone
-
-
-# ----------------------------------------------------------------------
-# supervised solve_many: column batches under the same supervision
-# ----------------------------------------------------------------------
-
-
-def test_supervised_solve_many_is_bitwise_identical(
-    supervision_telemetry, tiny_world
-):
-    graph = tiny_world.graph
-    vs = [None, np.ones(graph.num_nodes) / graph.num_nodes]
-    engine = PagerankEngine(cache_size=4)
-    plain = engine.solve_many(graph, vs, tol=1e-10)
-    supervised = engine.solve_many(
-        graph, vs, tol=1e-10, supervisor=TaskSupervisor()
-    )
-    assert np.array_equal(plain.scores, supervised.scores)
-    assert supervised.converged.all()
-    assert _supervisor_events(supervision_telemetry.sink) == []
-
-
-def test_supervised_solve_many_retries_flaky_column(
-    supervision_telemetry, tiny_world, monkeypatch
-):
-    import repro.perf.engine as engine_mod
-
-    graph = tiny_world.graph
-    vs = [None, np.ones(graph.num_nodes) / graph.num_nodes]
-    engine = PagerankEngine(cache_size=4)
-    plain = engine.solve_many(graph, vs, tol=1e-10)
-
-    flaky = FlakyCalls(
-        engine_mod._solve_column_task, plan={1: InjectedFault}
-    )
-    monkeypatch.setattr(engine_mod, "_solve_column_task", flaky)
-    sup = TaskSupervisor(SupervisorPolicy(max_task_retries=2, backoff=FAST))
-    supervised = engine.solve_many(graph, vs, tol=1e-10, supervisor=sup)
-    assert np.array_equal(plain.scores, supervised.scores)
-
-    sink = supervision_telemetry.sink
-    retries = sink.named("supervisor.retry")
-    assert len(retries) == 1
-    assert retries[0].attrs["label"] == "solve_many"
-    assert len(sink.named("supervisor.salvaged_chunks")) == 1
-
-
-def test_solve_many_rejects_supervisor_with_runtime_policy(tiny_world):
-    from repro.runtime.resilient import RuntimePolicy
-
-    engine = PagerankEngine(cache_size=4)
-    with pytest.raises(ValueError, match="supervisor"):
-        engine.solve_many(
-            tiny_world.graph,
-            [None],
-            policy=RuntimePolicy(),
-            supervisor=TaskSupervisor(),
-        )
 
 
 # ----------------------------------------------------------------------
