@@ -19,14 +19,6 @@ client would pay for):
    previous epoch, with ``staleness`` set — and the bench reports the
    read latencies and the availability ratio.  Availability below 1.0
    is a correctness failure, not a regression.
-4. **Replicated serving** (``--replicas N``, default 2) — the same
-   world behind a WAL-owning writer + N snapshot-fed read replicas
-   and the shard-aware router: sustained ``score`` QPS through the
-   router, then read availability while one replica is killed
-   mid-load (reads route around the corpse; the supervised set
-   restarts it).  Availability below 1.0 or a replica that never
-   comes back is a correctness failure; replicated QPS is gated like
-   the single-process number.
 
 Typical usage::
 
@@ -93,145 +85,7 @@ def churn_delta(graph, *, churn, rng):
     return GraphDelta(insertions=insertions)
 
 
-def bench_replicated(
-    graph, core, estimates, hosts, root, *, threads, duration, replicas
-):
-    """Replicated QPS + availability during a replica kill.
-
-    A fresh writer daemon ships its base snapshot to ``root/ship``,
-    ``replicas`` read replicas load it, and the router fans ``score``
-    reads across them over the real socket.  Mid-way through the
-    availability window one replica is killed; every read must still
-    answer (route-around or writer fallback) and the background
-    refresh sweep must restart the corpse before the window closes.
-    """
-    from repro.serve import (
-        DaemonConfig,
-        DeltaWAL,
-        ReplicaRouter,
-        ReplicaSet,
-        ReplicatedWriter,
-        ScoringDaemon,
-        ScoringServer,
-        ServeClient,
-    )
-
-    failures = []
-    daemon = ScoringDaemon(
-        graph,
-        core,
-        estimates,
-        wal=DeltaWAL(root / "replicated-wal"),
-        config=DaemonConfig(),
-    )
-    writer = ReplicatedWriter(daemon, root / "ship")
-    rset = ReplicaSet(root / "ship", graph, core=core)
-    fleet = rset.spawn(replicas)
-    router = ReplicaRouter(fleet, replica_set=rset)
-    server = ScoringServer(
-        daemon,
-        root / "replicated.sock",
-        max_queue=max(64, threads * 4),
-        workers=2,
-        router=router,
-        writer=writer,
-        replica_poll=0.02,
-    )
-    server.start()
-    try:
-        # sustained QPS through the router
-        counts = [0] * threads
-        replica_served = [0] * threads
-        stop = threading.Event()
-
-        def _hammer(idx):
-            with ServeClient(server.socket_path) as c:
-                i = 0
-                while not stop.is_set():
-                    response = c.score(hosts[(idx + i) % len(hosts)])
-                    if not response.get("ok"):
-                        failures.append(f"replicated qps: {response!r}")
-                        return
-                    counts[idx] += 1
-                    replica_served[idx] += str(
-                        response.get("served_by", "")
-                    ).startswith("replica-")
-                    i += 1
-
-        pool = [
-            threading.Thread(target=_hammer, args=(i,), daemon=True)
-            for i in range(threads)
-        ]
-        started = time.perf_counter()
-        for t in pool:
-            t.start()
-        time.sleep(duration)
-        stop.set()
-        for t in pool:
-            t.join(timeout=30.0)
-        elapsed = time.perf_counter() - started
-        result = {
-            "replicas": replicas,
-            "throughput": {
-                "threads": threads,
-                "duration_seconds": round(elapsed, 3),
-                "requests": sum(counts),
-                "qps": round(sum(counts) / elapsed, 1),
-                "replica_served_fraction": round(
-                    sum(replica_served) / max(1, sum(counts)), 6
-                ),
-            },
-        }
-
-        # availability while one replica dies mid-load
-        reads, killed_at = [], None
-        deadline = time.perf_counter() + duration
-        with ServeClient(server.socket_path) as client:
-            i = 0
-            while time.perf_counter() < deadline:
-                if killed_at is None and time.perf_counter() > (
-                    deadline - duration / 2
-                ):
-                    router.replicas[0].kill("bench-chaos")
-                    killed_at = time.perf_counter()
-                start = time.perf_counter()
-                response = client.score(hosts[i % len(hosts)])
-                reads.append(time.perf_counter() - start)
-                if not response.get("ok"):
-                    failures.append(f"read during kill: {response!r}")
-                    break
-                i += 1
-        answered = len(reads) - sum(
-            1 for f in failures if f.startswith("read during kill")
-        )
-        restart_deadline = time.perf_counter() + 30.0
-        while time.perf_counter() < restart_deadline:
-            if rset.restarts >= 1 and all(
-                r.ready for r in router.replicas
-            ):
-                break
-            time.sleep(0.02)
-        else:
-            failures.append(
-                "killed replica never restarted within 30s "
-                f"(restarts={rset.restarts})"
-            )
-        result["kill"] = {
-            "reads_during_kill": len(reads),
-            "availability": round(answered / max(1, len(reads)), 6),
-            "routed_around": router.routed_around,
-            "restarts": rset.restarts,
-            "read_latency": _percentiles_ms(reads),
-        }
-        result["failures"] = failures
-        return result
-    finally:
-        server.stop()
-
-
-def bench_preset(
-    config, *, requests, threads, duration, churn, seed, replicas
-):
+def bench_preset(config, *, requests, threads, duration, churn, seed):
     from repro.core.mass import estimate_spam_mass
     from repro.serve import (
         DaemonConfig,
@@ -367,14 +221,6 @@ def bench_preset(
             }
     finally:
         server.stop()
-    # 4. the replicated topology, after the single-process server is
-    # fully drained so the two QPS numbers never contend
-    if replicas > 0:
-        preset["replicated"] = bench_replicated(
-            graph, core, estimates, hosts, root,
-            threads=threads, duration=duration, replicas=replicas,
-        )
-        failures.extend(preset["replicated"].pop("failures"))
     preset["failures"] = failures
     return preset
 
@@ -396,25 +242,6 @@ def verify(report):
             problems.append(
                 f"{name}: no reads landed during the apply window"
             )
-        replicated = preset.get("replicated", {})
-        if replicated:
-            kill = replicated["kill"]
-            if kill["availability"] < 1.0:
-                problems.append(
-                    f"{name}: replicated read availability during a "
-                    f"replica kill was {kill['availability']:.4f}, not "
-                    "1.0 — route-around / writer fallback went down"
-                )
-            if kill["reads_during_kill"] < 1:
-                problems.append(
-                    f"{name}: no reads landed during the kill window"
-                )
-            served = replicated["throughput"]["replica_served_fraction"]
-            if served <= 0.0:
-                problems.append(
-                    f"{name}: no replicated read was served by a "
-                    "replica — the router routed nothing"
-                )
     return problems
 
 
@@ -441,29 +268,6 @@ def check_regression(report, baseline_path, factor):
                 f"{name}: sustained {current_qps:.0f} qps is less than "
                 f"1/{factor:g} of the baseline {reference_qps:.0f} qps"
             )
-        replicated = preset.get("replicated")
-        base_replicated = base.get("replicated")
-        if replicated and base_replicated:
-            current_r = replicated["throughput"]["qps"]
-            reference_r = base_replicated["throughput"]["qps"]
-            if reference_r > 0 and current_r < reference_r / factor:
-                failures.append(
-                    f"{name}: replicated {current_r:.0f} qps is less "
-                    f"than 1/{factor:g} of the baseline "
-                    f"{reference_r:.0f} qps"
-                )
-            current_kill = replicated["kill"]["read_latency"]["p99_ms"]
-            reference_kill = (
-                base_replicated["kill"]["read_latency"]["p99_ms"]
-            )
-            if reference_kill > 0 and current_kill > (
-                factor * reference_kill
-            ):
-                failures.append(
-                    f"{name}: p99 read latency during a replica kill "
-                    f"{current_kill:.3f}ms is more than {factor:g}x "
-                    f"the baseline {reference_kill:.3f}ms"
-                )
     return failures
 
 
@@ -494,13 +298,6 @@ def main(argv=None):
         type=float,
         default=0.01,
         help="churn fraction for the availability delta (default 1%%)",
-    )
-    parser.add_argument(
-        "--replicas",
-        type=int,
-        default=2,
-        help="read replicas for the replicated section (0 skips it; "
-        "default 2)",
     )
     parser.add_argument("--seed", type=int, default=7, help="world seed")
     parser.add_argument(
@@ -544,7 +341,6 @@ def main(argv=None):
             "threads": args.threads,
             "duration": args.duration,
             "churn": args.churn,
-            "replicas": args.replicas,
             "gamma": 0.85,
         },
     )
@@ -557,7 +353,6 @@ def main(argv=None):
             duration=args.duration,
             churn=args.churn,
             seed=args.seed,
-            replicas=args.replicas,
         )
 
     emit_report(report, args.out)
@@ -574,18 +369,6 @@ def main(argv=None):
             f"({ing['reads_during_apply']} reads)",
             file=sys.stderr,
         )
-        replicated = preset.get("replicated")
-        if replicated:
-            rthr, kill = replicated["throughput"], replicated["kill"]
-            print(
-                f"{name}: replicated x{replicated['replicas']}: "
-                f"{rthr['qps']} qps "
-                f"({rthr['replica_served_fraction']:.0%} replica-"
-                f"served), availability {kill['availability']} through "
-                f"a replica kill ({kill['reads_during_kill']} reads, "
-                f"{kill['restarts']} restarts)",
-                file=sys.stderr,
-            )
 
     problems = verify(report)
     if args.check:

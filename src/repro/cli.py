@@ -653,29 +653,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     Loads the world bundle and the converged solution a previous
     ``estimate --checkpoint-dir`` saved, replays any write-ahead log
     left by a crashed instance, and serves spam-mass queries while
-    ingesting edge deltas in the background.  With ``--replicas N``
-    the process becomes the WAL-owning writer of a replicated
-    deployment: epochs are shipped as snapshots to ``--ship-dir`` and
-    reads are routed across N replicas (plus an optional pinned
-    ``--explain-replica``).  Runs until SIGTERM/SIGINT (clean drain)
-    or ``--max-requests``.  See docs/serving.md.
+    ingesting edge deltas in the background.  Runs until SIGTERM/SIGINT
+    (clean drain) or ``--max-requests``.  See docs/serving.md.
     """
-    from .serve import (
-        DaemonConfig,
-        ReplicaRouter,
-        ReplicaSet,
-        ReplicatedWriter,
-        ScoringDaemon,
-        ScoringServer,
-    )
-
-    if args.explain_replica and args.replicas < 1:
-        print(
-            "repro-spam serve: error: --explain-replica requires "
-            "--replicas >= 1",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    from .serve import DaemonConfig, ScoringDaemon, ScoringServer
 
     config = DaemonConfig(
         rho=args.rho,
@@ -696,33 +677,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         config=config,
         engine=_build_engine(args),
     )
-    router = None
-    writer = None
-    if args.replicas > 0:
-        ship_dir = (
-            Path(args.ship_dir)
-            if args.ship_dir is not None
-            else Path(args.checkpoint_dir) / "ship"
-        )
-        writer = ReplicatedWriter(daemon, ship_dir)
-        # replicas bootstrap from the daemon's *current* graph (not the
-        # bundle on disk): after a WAL replay the shipped chain starts
-        # at the replayed tip, which only the live epoch matches
-        base_graph = daemon.store.current.graph
-        replica_set = ReplicaSet(ship_dir, base_graph, core=daemon.core)
-        replicas = replica_set.spawn(args.replicas)
-        explain_replica = None
-        if args.explain_replica:
-            explain_replica = replica_set.spawn(
-                1, names=["replica-explain"], with_core=True
-            )[0]
-        router = ReplicaRouter(
-            replicas,
-            explain_replica=explain_replica,
-            boundaries=getattr(base_graph, "boundaries", None),
-            replica_set=replica_set,
-            max_lag=args.max_lag,
-        )
     server = ScoringServer(
         daemon,
         args.socket,
@@ -730,24 +684,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
         request_timeout=args.request_timeout,
         workers=args.serve_workers,
         max_requests=args.max_requests,
-        router=router,
-        writer=writer,
-        replica_poll=args.replica_poll,
     )
     server.install_signal_handlers()
     server.start()
     epoch = daemon.store.current
-    replicated = (
-        f", {args.replicas} replicas"
-        + (" + explain" if args.explain_replica else "")
-        + f" shipping to {writer.ship_dir}"
-        if writer is not None
-        else ""
-    )
     print(
         f"serving {epoch.graph.num_nodes:,} hosts on {args.socket} "
         f"(pid {os.getpid()}); epoch {epoch.seq}, "
-        f"staleness {daemon.staleness}{replicated}; SIGTERM drains"
+        f"staleness {daemon.staleness}; SIGTERM drains"
     )
     server.wait()
     stats = server.stats()
@@ -1549,44 +1493,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="refuse to degrade a failed warm re-estimate to a cold "
         "re-solve; the delta stays pending and the ingest circuit "
         "opens instead",
-    )
-    p_srv.add_argument(
-        "--replicas",
-        type=_nonnegative_int,
-        default=0,
-        metavar="N",
-        help="read replicas fed from shipped snapshots; score/top "
-        "queries are routed across them shard-affinely while the "
-        "writer keeps WAL ownership (default 0: single-process "
-        "serving, no ship directory)",
-    )
-    p_srv.add_argument(
-        "--explain-replica",
-        action="store_true",
-        help="pin 'explain' to a dedicated replica outside the read "
-        "rotation (requires --replicas >= 1)",
-    )
-    p_srv.add_argument(
-        "--ship-dir",
-        default=None,
-        help="snapshot-shipping directory the writer publishes to and "
-        "replicas load from (default: <checkpoint-dir>/ship)",
-    )
-    p_srv.add_argument(
-        "--max-lag",
-        type=_positive_int,
-        default=4,
-        metavar="N",
-        help="WAL records a replica may trail the applied epoch "
-        "before serving degrades (default 4)",
-    )
-    p_srv.add_argument(
-        "--replica-poll",
-        type=_positive_float,
-        default=0.05,
-        metavar="SECONDS",
-        help="background cadence for shipping pending epochs and "
-        "refreshing replicas (default 0.05)",
     )
     p_srv.add_argument("--rho", type=float, default=10.0)
     p_srv.add_argument("--tau", type=float, default=0.98)

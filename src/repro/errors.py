@@ -24,9 +24,6 @@ __all__ = [
     "CheckpointError",
     "SnapshotMismatchError",
     "WalError",
-    "ReplicationError",
-    "SnapshotIntegrityError",
-    "ReplicaGapError",
     "GraphFormatError",
     "TruncatedFileError",
     "EmptyGraphError",
@@ -96,39 +93,6 @@ class WalError(ReproError):
     parent fingerprint matches neither the current graph nor an
     already-applied state (the log and the snapshot tell different
     histories).
-    """
-
-
-class ReplicationError(ReproError):
-    """Base class for replicated-serving failures.
-
-    Covers the writer→replica snapshot-shipping pipeline: a snapshot
-    that cannot be shipped, a ship directory whose chain cannot reach
-    the replica's state, a replica that is dead.  Integrity failures of
-    an individual shipped snapshot get the more specific
-    :class:`SnapshotIntegrityError`.
-    """
-
-
-class SnapshotIntegrityError(ReplicationError):
-    """A shipped snapshot is torn, truncated or corrupt.
-
-    Raised by the replica-side loader when a snapshot directory fails
-    any of its integrity checks — unreadable or CRC-failing manifest,
-    missing or checksum-mismatched solution file.  The replica refuses
-    the epoch and keeps serving its current one; the writer re-ships.
-    """
-
-
-class ReplicaGapError(ReplicationError):
-    """The ship chain cannot connect the replica's state to the tip.
-
-    A replica that lagged past the retained snapshot history (or a
-    writer whose WAL was pruned past the last shipped snapshot) has no
-    delta segment to compose — the fingerprint chain is discontinuous.
-    Recovery is operational: restart the replica from the current base,
-    or clear the ship directory and let the writer re-ship (see the
-    replication runbook in docs/serving.md).
     """
 
 

@@ -410,26 +410,6 @@ class ServeChaos:
         visible, and the fault proves readers keep the previous epoch
         and the WAL record stays pending.
 
-    The replicated-serving layer adds three more hook points:
-
-    ``before_ship(wal_seq)``
-        Runs inside the writer's snapshot ship, after ``solution.npz``
-        is durable but *before* the manifest write — the kill-mid-ship
-        window.  ``fail_ship_on`` raises ``exc`` here, leaving a
-        manifest-less snapshot directory that replicas must ignore and
-        a later re-ship must repair.
-    ``should_delay_ship(wal_seq)``
-        Consulted by the writer before shipping.  ``delay_ship_on``
-        makes it answer true, so the epoch's snapshot is *not* shipped
-        yet — replicas lag, and the next ship must carry a composed
-        multi-record segment.
-    ``before_replica_load(name, wal_seq)``
-        Runs inside a replica's refresh before it loads a shipped
-        snapshot.  ``kill_replica_on`` — ``(name, wal_seq)`` pairs —
-        raises ``exc`` here, simulating the replica process dying
-        mid-load; the router must route around it and a supervised
-        restart must reconverge it bitwise.
-
     Faults fire **once per (kind, seq)** by default (``once=True``) so
     the retry after a planted fault succeeds; with ``once=False`` the
     fault repeats on every attempt, which is how the ingest circuit
@@ -442,9 +422,6 @@ class ServeChaos:
         fail_apply_on: tuple = (),
         slow_apply_on: tuple = (),
         kill_swap_on: tuple = (),
-        fail_ship_on: tuple = (),
-        delay_ship_on: tuple = (),
-        kill_replica_on: tuple = (),
         slow_seconds: float = 0.05,
         exc: Type[BaseException] = InjectedFault,
         once: bool = True,
@@ -452,11 +429,6 @@ class ServeChaos:
         self.fail_apply_on = tuple(fail_apply_on)
         self.slow_apply_on = tuple(slow_apply_on)
         self.kill_swap_on = tuple(kill_swap_on)
-        self.fail_ship_on = tuple(fail_ship_on)
-        self.delay_ship_on = tuple(delay_ship_on)
-        self.kill_replica_on = tuple(
-            (str(name), int(seq)) for name, seq in kill_replica_on
-        )
         self.slow_seconds = slow_seconds
         self.exc = exc
         self.once = once
@@ -482,22 +454,6 @@ class ServeChaos:
     def before_publish(self, seq: int) -> None:
         if seq in self.kill_swap_on and self._fires("kill", seq):
             raise self.exc(f"injected kill mid-swap on wal seq {seq}")
-
-    def before_ship(self, seq: int) -> None:
-        if seq in self.fail_ship_on and self._fires("ship", seq):
-            raise self.exc(
-                f"injected ship crash before manifest on wal seq {seq}"
-            )
-
-    def should_delay_ship(self, seq: int) -> bool:
-        return seq in self.delay_ship_on and self._fires("delay", seq)
-
-    def before_replica_load(self, name: str, seq: int) -> None:
-        key = (str(name), int(seq))
-        if key in self.kill_replica_on and self._fires("replica", key):
-            raise self.exc(
-                f"injected replica kill: {name} loading wal seq {seq}"
-            )
 
 
 def truncate_wal_tail(path: Union[str, Path], nbytes: int = 7) -> Path:

@@ -9,10 +9,7 @@ through a crash-safe write-ahead log (:mod:`~repro.serve.wal`), folds
 them in with guarded warm re-estimates (:mod:`~repro.serve.ingest`),
 and degrades explicitly under overload or ingest failure
 (:mod:`~repro.serve.admission`).  The socket front-end and client live
-in :mod:`~repro.serve.server`.  Replicated serving — a WAL-owning
-writer shipping snapshots to read replicas behind a shard-aware router
-— lives in :mod:`~repro.serve.replication` and
-:mod:`~repro.serve.router`.  See ``docs/serving.md``.
+in :mod:`~repro.serve.server`.  See ``docs/serving.md``.
 """
 
 from .admission import (
@@ -25,18 +22,6 @@ from .admission import (
 from .daemon import DaemonConfig, ScoringDaemon
 from .epoch import Epoch, EpochStore, score_from_epoch, top_from_epoch
 from .ingest import IngestPolicy, IngestTimeout, guarded_call
-from .replication import (
-    ReadReplica,
-    ReplicaSet,
-    ReplicatedWriter,
-    ShippedSnapshot,
-    SnapshotManifest,
-    list_manifests,
-    load_snapshot,
-    read_current,
-    ship_snapshot,
-)
-from .router import ReplicaRouter
 from .server import ScoringServer, ServeClient
 from .stream import DeadLetterQueue, StreamConfig, StreamIngestor
 from .wal import DeltaWAL, WalRecord, plan_replay
@@ -56,16 +41,6 @@ __all__ = [
     "IngestPolicy",
     "IngestTimeout",
     "guarded_call",
-    "ReadReplica",
-    "ReplicaSet",
-    "ReplicatedWriter",
-    "ReplicaRouter",
-    "ShippedSnapshot",
-    "SnapshotManifest",
-    "list_manifests",
-    "load_snapshot",
-    "read_current",
-    "ship_snapshot",
     "ScoringServer",
     "ServeClient",
     "DeadLetterQueue",

@@ -9,12 +9,11 @@ and the ingest worker starves.  Admission control makes overload a
     Everything is served: fresh reads, and ingest is accepting deltas.
 ``degraded``
     The ingest circuit breaker is open (consecutive re-estimate
-    failures), staleness exceeded its bound, or a read replica lags
-    past its bound: reads are still served from the current epoch —
-    every response carries an explicit ``staleness`` count so clients
-    know what they got — but mutating requests (``ingest``) and slow
-    analysis (:data:`SLOW_OPS`, i.e. ``explain``) are refused until
-    the path heals.
+    failures) or staleness exceeded its bound: reads are still served
+    from the current epoch — every response carries an explicit
+    ``staleness`` count so clients know what they got — but mutating
+    requests (``ingest``) and slow analysis (:data:`SLOW_OPS`, i.e.
+    ``explain``) are refused until the path heals.
 ``reject``
     The 503-equivalent: the bounded request queue is full (per-request
     shedding) or the daemon is draining for shutdown.  The connection

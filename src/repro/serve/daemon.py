@@ -35,7 +35,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -137,9 +137,6 @@ class ScoringDaemon:
         chaos=None,
         clock: Callable[[], float] = time.monotonic,
         initial_wal_seq: int = 0,
-        on_apply: Optional[
-            Callable[[Epoch, Sequence[WalRecord]], None]
-        ] = None,
     ) -> None:
         self.config = config if config is not None else DaemonConfig()
         self.core = np.asarray(core, dtype=np.int64)
@@ -155,15 +152,8 @@ class ScoringDaemon:
             engine = PagerankEngine()
         self.engine = engine
         self.store = EpochStore(
-            Epoch(0, graph, estimates, wal_seq=initial_wal_seq, clock=clock)
+            Epoch(0, graph, estimates, wal_seq=initial_wal_seq)
         )
-        #: called after every successful apply (scores durable, the
-        #: watermark advanced) with the new epoch and the WAL records
-        #: it covers — one record normally, several when the apply
-        #: coalesced a batch (``batch_deltas > 1``) — the replication
-        #: writer ships snapshots from here.  Failures are contained:
-        #: a broken hook never fails the apply itself.
-        self.on_apply = on_apply
         #: tip of the *accepted* chain (last pending graph, or the
         #: current epoch's); submit validates and fingerprints against it
         self._tail = graph
@@ -270,8 +260,7 @@ class ScoringDaemon:
             engine=engine,
             chaos=chaos,
             # the restored epoch sits at the end of the applied prefix;
-            # stamping its true WAL position keeps snapshot shipping
-            # keys monotonic across restarts
+            # stamp its true WAL position, not 0
             initial_wal_seq=(prefix[-1].seq if prefix else 0),
         )
         daemon._enqueue_replay(records, todo, dropped)
@@ -360,9 +349,8 @@ class ScoringDaemon:
         A **slow op** (:data:`~repro.serve.admission.SLOW_OPS`):
         ``explain_mass`` walks contribution paths over the whole graph,
         orders of magnitude above a score read.  The server runs it on
-        the dedicated slow lane, admission sheds it first in degraded
-        mode, and the replica router pins it to the explain replica so
-        it never competes with the hot scoring path.
+        the dedicated slow lane and admission sheds it first in
+        degraded mode, so it never competes with the hot scoring path.
         """
         from ..core.explain import explain_mass
 
@@ -708,20 +696,6 @@ class ScoringDaemon:
             )
         self._gauge_staleness()
         self._gauge_circuit()
-        if self.on_apply is not None:
-            # a failed ship must not fail the apply: scores are live
-            # and durable; the shipper re-ships on its next chance
-            try:
-                self.on_apply(
-                    self.store.current, [it.record for it in items]
-                )
-            except Exception as exc:  # noqa: BLE001 - containment
-                if tele.enabled:
-                    tele.event(
-                        "replica.ship_failed",
-                        seq=record.seq,
-                        error=type(exc).__name__,
-                    )
         if (
             self.wal is not None
             and self._applied_since_prune >= config.prune_every

@@ -24,7 +24,6 @@ pointer swap.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -51,7 +50,6 @@ class Epoch:
         "fingerprint",
         "lookup",
         "wal_seq",
-        "created_at",
     )
 
     def __init__(
@@ -62,7 +60,6 @@ class Epoch:
         *,
         wal_seq: int = 0,
         lookup: Optional[Dict[str, int]] = None,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.seq = seq
         self.graph = graph
@@ -79,7 +76,6 @@ class Epoch:
         )
         #: sequence of the last WAL record folded into these scores
         self.wal_seq = wal_seq
-        self.created_at = clock()
 
     def successor(self, graph, estimates, *, wal_seq: int) -> "Epoch":
         """The next epoch, sharing this one's name lookup."""
@@ -101,11 +97,7 @@ class Epoch:
 def score_from_epoch(epoch: Epoch, host: str) -> dict:
     """Per-host spam-mass score payload from one epoch.
 
-    Shared by the daemon and read replicas so a replica's answer is
-    *constructed* identically to the writer's — the differential
-    replica battery then only has to prove the inputs (scores,
-    fingerprints) match bitwise.  Raises :class:`KeyError` for an
-    unknown host.
+    Raises :class:`KeyError` for an unknown host.
     """
     node = epoch.lookup.get(host)
     if node is None:

@@ -39,7 +39,7 @@ import threading
 from pathlib import Path
 from typing import Optional, Union
 
-from ..errors import ReplicationError, ReproError, WalError
+from ..errors import ReproError, WalError
 from ..obs import get_telemetry
 from .admission import AdmissionController, AdmissionRejected
 from .daemon import ScoringDaemon
@@ -87,12 +87,6 @@ class ScoringServer:
     max_requests:
         Optional cap on processed requests, after which the server
         drains itself — benchmark/soak plumbing.
-    router / writer:
-        Replicated serving (see :mod:`repro.serve.router` /
-        :mod:`repro.serve.replication`): reads fan out across the
-        router's replicas, the writer ships every applied epoch, and a
-        background refresher advances replicas every ``replica_poll``
-        seconds.  Both ``None`` for single-process serving.
     """
 
     def __init__(
@@ -105,9 +99,6 @@ class ScoringServer:
         workers: int = 2,
         slow_workers: int = 1,
         max_requests: Optional[int] = None,
-        router=None,
-        writer=None,
-        replica_poll: float = 0.05,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -115,8 +106,6 @@ class ScoringServer:
             raise ValueError("slow_workers must be >= 1")
         if max_requests is not None and max_requests < 1:
             raise ValueError("max_requests must be >= 1")
-        if replica_poll <= 0:
-            raise ValueError("replica_poll must be positive")
         self.daemon = daemon
         self.socket_path = Path(socket_path)
         self.admission = AdmissionController(
@@ -125,9 +114,6 @@ class ScoringServer:
         self.workers = workers
         self.slow_workers = slow_workers
         self.max_requests = max_requests
-        self.router = router
-        self.writer = writer
-        self.replica_poll = replica_poll
         self._queue: "queue.Queue[Optional[_Job]]" = queue.Queue()
         self._slow_queue: "queue.Queue[Optional[_Job]]" = queue.Queue()
         self._threads: list = []
@@ -137,7 +123,6 @@ class ScoringServer:
         self._lock = threading.Lock()
         self.requests = 0
         self.errors = 0
-        self.replica_fallbacks = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -177,14 +162,6 @@ class ScoringServer:
             )
             thread.start()
             self._threads.append(thread)
-        if self.router is not None:
-            refresher = threading.Thread(
-                target=self._refresh_loop,
-                name="serve-replica-refresh",
-                daemon=True,
-            )
-            refresher.start()
-            self._threads.append(refresher)
         acceptor = threading.Thread(
             target=self._accept_loop, name="serve-accept", daemon=True
         )
@@ -331,35 +308,6 @@ class ScoringServer:
     # workers
     # ------------------------------------------------------------------
 
-    def _refresh_loop(self) -> None:
-        """Background replica upkeep: re-ship, refresh, restart, gauge."""
-        while not self._stopped.wait(self.replica_poll):
-            try:
-                if self.writer is not None:
-                    self.writer.ship_pending()
-                # lag is measured against the writer's *applied* epoch,
-                # not the shipped tip — a delayed ship IS lag
-                self.router.refresh(
-                    shipped_seq=self.daemon.store.current.wal_seq
-                )
-            except Exception as exc:  # noqa: BLE001 - contained upkeep
-                tele = get_telemetry()
-                if tele.enabled:
-                    tele.event(
-                        "replica.refresh_error",
-                        error=type(exc).__name__,
-                    )
-
-    def _healthy(self) -> bool:
-        """Ingest-path health: breaker/staleness AND replica lag."""
-        if self.daemon.degraded:
-            return False
-        if self.router is not None:
-            return not self.router.lagging(
-                self.daemon.store.current.wal_seq
-            )
-        return True
-
     def _worker_loop(self, jobs: "queue.Queue[Optional[_Job]]") -> None:
         while True:
             job = jobs.get()
@@ -367,7 +315,7 @@ class ScoringServer:
                 return
             try:
                 # keep the admission mode honest before deciding anything
-                self.admission.set_ingest_healthy(self._healthy())
+                self.admission.set_ingest_healthy(not self.daemon.degraded)
                 self.admission.check_deadline(job.ticket)
                 job.response = self._dispatch(job.request)
             except AdmissionRejected as rejected:
@@ -397,75 +345,22 @@ class ScoringServer:
             if hit_cap:
                 threading.Thread(target=self.stop, daemon=True).start()
 
-    def _routed(self, op: str, host: Optional[str] = None):
-        """The replica to serve a read from, or ``None`` → writer."""
-        router = self.router
-        if router is None:
-            return None
-        if op == "score":
-            return router.route_score(host)
-        if op == "top":
-            return router.route_top()
-        if op == "explain":
-            return router.route_explain()
-        return None
-
     def _dispatch(self, request: dict) -> dict:
         op = str(request.get("op", ""))
         daemon = self.daemon
         try:
             if op == "score":
-                host = str(request["host"])
-                replica = self._routed("score", host)
-                if replica is not None:
-                    try:
-                        return {"ok": True, **replica.query_score(host),
-                                "served_by": replica.name}
-                    except ReplicationError:
-                        self.replica_fallbacks += 1
-                body = {"ok": True, **daemon.query_score(host)}
-                if self.router is not None:
-                    body["served_by"] = "writer"
-                return body
+                return {"ok": True, **daemon.query_score(_host(request))}
             if op == "top":
-                k = int(request.get("k", 10))
-                tau = _opt_float(request.get("tau"))
-                rho = _opt_float(request.get("rho"))
-                replica = self._routed("top")
-                if replica is not None:
-                    try:
-                        return {
-                            "ok": True,
-                            **replica.query_top(
-                                k,
-                                tau=(daemon.config.tau
-                                     if tau is None else tau),
-                                rho=(daemon.config.rho
-                                     if rho is None else rho),
-                            ),
-                            "served_by": replica.name,
-                        }
-                    except ReplicationError:
-                        self.replica_fallbacks += 1
-                body = {"ok": True, **daemon.query_top(k, tau=tau, rho=rho)}
-                if self.router is not None:
-                    body["served_by"] = "writer"
-                return body
+                return {"ok": True, **daemon.query_top(
+                    int(request.get("k", 10)),
+                    tau=_opt_float(request.get("tau")),
+                    rho=_opt_float(request.get("rho")),
+                )}
             if op == "explain":
-                host = str(request["host"])
-                top = int(request.get("top", 10))
-                replica = self._routed("explain")
-                if replica is not None:
-                    try:
-                        return {"ok": True,
-                                **replica.query_explain(host, top=top),
-                                "served_by": replica.name}
-                    except ReplicationError:
-                        self.replica_fallbacks += 1
-                body = {"ok": True, **daemon.query_explain(host, top=top)}
-                if self.router is not None:
-                    body["served_by"] = "writer"
-                return body
+                return {"ok": True, **daemon.query_explain(
+                    _host(request), top=int(request.get("top", 10))
+                )}
             if op == "ingest":
                 return {"ok": True, **daemon.submit_delta(
                     [tuple(edge) for edge in request.get("insertions", [])],
@@ -517,25 +412,15 @@ class ScoringServer:
             "pid": os.getpid(),
             "slow_depth": self.admission.slow_depth,
             "slow_shed": self.admission.slow_shed,
-            "replication": self._replication_stats(),
         }
 
-    def _replication_stats(self) -> Optional[dict]:
-        if self.router is None:
-            return None
-        writer = {
-            "ships": self.writer.ships,
-            "ship_failures": self.writer.ship_failures,
-            "pending": self.writer.pending,
-            "shipped_seq": self.writer.shipped_seq,
-        } if self.writer is not None else None
-        lag = self.router.lag(self.daemon.store.current.wal_seq)
-        return {
-            "writer": writer,
-            "lag": lag,
-            "query_fallbacks": self.replica_fallbacks,
-            **self.router.stats(),
-        }
+
+def _host(request: dict) -> str:
+    """The request's ``host``; a missing one is a ``bad-request``
+    (``ValueError``), not an ``unknown-host`` (``KeyError``)."""
+    if "host" not in request:
+        raise ValueError("missing field 'host'")
+    return str(request["host"])
 
 
 def _opt_float(value) -> Optional[float]:

@@ -471,12 +471,20 @@ _REQUIRED = {
         ("serve", "--workers", "2"),
         ("stream-ingest", "--workers", "2"),
         ("audit-core", "--workers", "2"),
+        ("serve", "--replicas", "2"),
+        ("serve", "--explain-replica", None),
+        ("serve", "--ship-dir", "ship"),
+        ("serve", "--max-lag", "4"),
+        ("serve", "--replica-poll", "0.05"),
     ],
 )
 def test_removed_solver_flags_are_usage_errors(command, flag, value, capsys):
-    """Every batched solve is float64, and only the Monte-Carlo commands
-    (``estimate``, ``reproduce``) take ``--workers``."""
+    """Every batched solve is float64, only the Monte-Carlo commands
+    (``estimate``, ``reproduce``) take ``--workers``, and ``serve`` has
+    no read-replica fleet."""
     with pytest.raises(SystemExit) as excinfo:
-        build_parser().parse_args(_REQUIRED[command] + [flag, value])
+        build_parser().parse_args(
+            _REQUIRED[command] + [flag] + ([] if value is None else [value])
+        )
     assert excinfo.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

@@ -491,11 +491,6 @@ def test_audit_core_round_trip(small_world_dir, tmp_path):
         ("--task-timeout", "-3.5", "must be a positive number"),
         ("--task-timeout", "nan", "must be a positive number"),
         ("--max-task-retries", "-1", "must be a non-negative integer"),
-        ("--replicas", "-1", "must be a non-negative integer"),
-        ("--replicas", "two", "is not an integer"),
-        ("--max-lag", "0", "must be a positive integer"),
-        ("--replica-poll", "0", "must be a positive number"),
-        ("--replica-poll", "-0.5", "must be a positive number"),
         ("--batch-deltas", "0", "must be a positive integer"),
         ("--batch-deltas", "-2", "must be a positive integer"),
     ],
@@ -513,22 +508,6 @@ def test_serve_rejects_bad_flags(tmp_path, flag, value, message):
     )
     assert proc.returncode == 2
     assert message in proc.stderr
-    assert not (tmp_path / "serve.sock").exists()
-
-
-def test_serve_explain_replica_requires_replicas(tmp_path):
-    """Cross-flag validation: a pinned explain replica is meaningless
-    without a read fleet — exit 2 before any path is touched."""
-    proc = run_cli(
-        "serve",
-        "--world", str(tmp_path / "does-not-exist"),
-        "--checkpoint-dir", str(tmp_path / "nor-this"),
-        "--socket", str(tmp_path / "serve.sock"),
-        "--explain-replica",
-        cwd=tmp_path,
-    )
-    assert proc.returncode == 2
-    assert "--explain-replica requires --replicas >= 1" in proc.stderr
     assert not (tmp_path / "serve.sock").exists()
 
 
@@ -664,77 +643,6 @@ def test_serve_subprocess_round_trip(small_world_dir, tmp_path):
     assert proc.returncode == 0, stderr
     assert "serving" in stdout
     assert "drained after 3 requests" in stdout
-    assert not sock.exists()
-
-
-def test_serve_replicated_subprocess_round_trip(small_world_dir, tmp_path):
-    """`serve --replicas 2 --explain-replica` end to end: reads carry
-    replica attribution, explain pins to its dedicated replica, stats
-    expose the replication block, and the ship directory materializes
-    under the checkpoint."""
-    import subprocess as sp
-    import time
-
-    from repro.graph import read_host_list
-    from repro.serve import ServeClient
-
-    ckpt, _ = _checkpointed_estimate(small_world_dir, tmp_path)
-    sock = tmp_path / "serve.sock"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_SRC) + os.pathsep + env.get(
-        "PYTHONPATH", ""
-    )
-    proc = sp.Popen(
-        [
-            sys.executable, "-m", "repro.cli",
-            "serve",
-            "--world", str(small_world_dir),
-            "--checkpoint-dir", str(ckpt),
-            "--socket", str(sock),
-            "--replicas", "2",
-            "--explain-replica",
-            "--max-requests", "4",
-        ],
-        cwd=tmp_path,
-        env=env,
-        stdout=sp.PIPE,
-        stderr=sp.PIPE,
-        text=True,
-    )
-    try:
-        deadline = time.monotonic() + 120
-        while not sock.exists() and time.monotonic() < deadline:
-            assert proc.poll() is None, proc.communicate()[1]
-            time.sleep(0.05)
-        assert sock.exists(), "server never bound its socket"
-        host = read_host_list(small_world_dir / "core.hosts")[0]
-        with ServeClient(sock) as client:
-            score = client.score(host)
-            assert score["ok"] is True
-            assert score["served_by"].startswith("replica-")
-            assert score["served_by"] != "replica-explain"
-            top = client.top(3, tau=0.0, rho=0.0)
-            assert top["ok"] is True
-            assert top["served_by"].startswith("replica-")
-            exp = client.explain(host)
-            assert exp["ok"] is True
-            assert exp["served_by"] == "replica-explain"
-            stats = client.stats()
-            rep = stats["replication"]
-            assert rep["writer"]["ships"] >= 1
-            assert rep["writer"]["pending"] == 0
-            assert rep["lag"] == 0
-            assert len(rep["replicas"]) == 2
-            assert rep["explain_replica"]["replica"] == "replica-explain"
-        stdout, stderr = proc.communicate(timeout=120)
-    except BaseException:
-        proc.kill()
-        raise
-    assert proc.returncode == 0, stderr
-    assert "2 replicas + explain shipping to" in stdout
-    assert "drained after 4 requests" in stdout
-    # the writer published its chain where the flag default says
-    assert (ckpt / "ship" / "CURRENT").exists()
     assert not sock.exists()
 
 

@@ -101,6 +101,33 @@ def test_no_timeout_means_no_deadline():
     ctl.check_deadline(ticket)
 
 
+def test_admission_sheds_slow_ops_in_degraded_mode():
+    ctrl = AdmissionController(16)
+    ctrl.set_ingest_healthy(False)
+    with pytest.raises(AdmissionRejected) as err:
+        ctrl.admit("explain")
+    assert err.value.reason == "slow-op" and err.value.mode == "degraded"
+    assert ctrl.slow_shed == 1
+    ctrl.admit("score").released  # cheap reads still flow
+    ctrl.set_ingest_healthy(True)
+    ticket = ctrl.admit("explain")
+    assert ticket.slow and ctrl.slow_depth == 1
+    ctrl.release(ticket)
+    assert ctrl.slow_depth == 0
+
+
+def test_admission_bounds_slow_lane_independently():
+    ctrl = AdmissionController(16, max_slow=2)
+    tickets = [ctrl.admit("explain") for _ in range(2)]
+    with pytest.raises(AdmissionRejected) as err:
+        ctrl.admit("explain")
+    assert err.value.reason == "overloaded"
+    # the fast lane is untouched by a saturated slow lane
+    fast = ctrl.admit("score")
+    for t in tickets + [fast]:
+        ctrl.release(t)
+
+
 # ----------------------------------------------------------------------
 # guarded_call
 # ----------------------------------------------------------------------

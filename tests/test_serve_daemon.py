@@ -169,17 +169,11 @@ def test_batched_apply_coalesces_the_queue(base, tmp_path):
     """``batch_deltas=N`` drains N queued deltas per apply.
 
     One composed warm solve covers the whole batch: the epoch/WAL
-    watermark jump to the last coalesced record, scores match a cold
-    re-solve of the final graph, and the ``on_apply`` hook sees every
-    record of the batch in one call (the replication segment must chain
-    record-by-record to the shipped fingerprint).
+    watermark jump to the last coalesced record, and scores match a
+    cold re-solve of the final graph.
     """
     graph, core, _ = base
     d = _daemon(base, tmp_path, batch_deltas=2)
-    segments = []
-    d.on_apply = lambda epoch, records: segments.append(
-        (epoch.wal_seq, [r.seq for r in records])
-    )
     for ins, dels in DELTAS:
         d.submit_delta(ins, dels)
     assert d.staleness == 3
@@ -188,7 +182,6 @@ def test_batched_apply_coalesces_the_queue(base, tmp_path):
     assert d.staleness == 0
     assert d.store.current.wal_seq == 3
     assert d.wal.applied_seq() == 3
-    assert segments == [(2, [1, 2]), (3, [3])]
     cold = estimate_spam_mass(d.store.current.graph, core, gamma=GAMMA)
     assert np.abs(
         d.store.current.estimates.pagerank - cold.pagerank
@@ -467,7 +460,11 @@ def test_server_round_trip(base, server, tmp_path):
         explain = client.explain(graph.name_of(3), top=3)
         assert explain["ok"] is True and graph.name_of(3) in explain["text"]
         assert client.score("nope")["error"] == "unknown-host"
+        # a request that names no host is malformed, not an unknown host
+        assert client.request({"op": "score"})["error"] == "bad-request"
+        assert client.request({"op": "explain"})["error"] == "bad-request"
         assert client.request({"op": "wat"})["error"] == "bad-request"
+        assert "replication" not in client.stats()
         assert client.request({"op": "top", "k": -1})["error"] == (
             "bad-request"
         )
@@ -494,6 +491,53 @@ def test_server_drain_rejects_then_closes(base, server):
     assert not server.socket_path.exists()
     assert server.wait(1.0) is True
     client.close()
+
+
+def test_score_p99_unmoved_by_explain_storm(base, tmp_path, monkeypatch):
+    """Regression: slow explains get their own lane, score stays fast."""
+    daemon = _daemon(base, tmp_path)
+    slow = threading.Event()
+
+    real_explain = daemon.query_explain
+
+    def glacial_explain(host, *, top=10):
+        slow.set()
+        time.sleep(0.5)
+        return real_explain(host, top=top)
+
+    monkeypatch.setattr(daemon, "query_explain", glacial_explain)
+    server = ScoringServer(
+        daemon, tmp_path / "sock", workers=2, slow_workers=1
+    )
+    server.start()
+    try:
+        graph, _, _ = base
+        host = graph.name_of(3)
+
+        def storm():
+            with ServeClient(tmp_path / "sock") as client:
+                client.explain(host)
+
+        stormers = [
+            threading.Thread(target=storm, daemon=True) for _ in range(3)
+        ]
+        for t in stormers:
+            t.start()
+        assert slow.wait(5.0)  # an explain is occupying the slow lane
+        with ServeClient(tmp_path / "sock") as client:
+            started = time.monotonic()
+            for _ in range(10):
+                assert client.score(host)["ok"]
+            elapsed = time.monotonic() - started
+        # 10 score round-trips complete while the first explain is
+        # still sleeping — far under one explain's 0.5 s
+        assert elapsed < 0.45, f"score latency moved: {elapsed:.3f}s"
+        for t in stormers:
+            t.join(10.0)
+        stats = server.stats()
+        assert stats["slow_shed"] == 0
+    finally:
+        server.stop()
 
 
 def test_concurrent_reads_never_tear(base, tmp_path):
