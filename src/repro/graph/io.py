@@ -59,7 +59,7 @@ import numpy as np
 
 from ..errors import GraphFormatError, GraphIOWarning, TruncatedFileError
 from ..runtime.retry import with_retries
-from .webgraph import WebGraph
+from .webgraph import WebGraph, sorted_unique
 
 __all__ = [
     "write_npz",
@@ -212,74 +212,34 @@ def read_edge_list(path: PathLike, *, strict: bool = True) -> WebGraph:
     (counting them into one :class:`~repro.errors.GraphIOWarning`)
     instead of raising; the node-count header is structural and its
     absence raises in both modes, as does gzip truncation.
+
+    A clean file is parsed by numpy in one call; anything that parse
+    does not take as it is (a ``#`` line in the body, a bad token, a
+    wrong column count, an out-of-range id) is read again line by
+    line, which is what names the offending ``file:line`` and counts
+    the lines lenient mode skips.
     """
     counts: Counter = Counter()
-    num_nodes: Optional[int] = None
-    edges: List[Tuple[int, int]] = []
     try:
-        with _open_text(path, "r") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if num_nodes is None:
-                    try:
-                        num_nodes = int(line)
-                    except ValueError:
-                        raise GraphFormatError(
-                            f"{path}:{lineno}: expected node count, "
-                            f"got {line!r}"
-                        ) from None
-                    if num_nodes < 0:
-                        raise GraphFormatError(
-                            f"{path}:{lineno}: negative node count "
-                            f"{num_nodes}"
-                        )
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    if strict:
-                        raise GraphFormatError(
-                            f"{path}:{lineno}: expected '<src> <dst>', "
-                            f"got {line!r}"
-                        )
-                    counts["malformed"] += 1
-                    continue
-                try:
-                    src, dst = int(parts[0]), int(parts[1])
-                except ValueError:
-                    if strict:
-                        raise GraphFormatError(
-                            f"{path}:{lineno}: non-integer node id in "
-                            f"{line!r}"
-                        ) from None
-                    counts["malformed"] += 1
-                    continue
-                if not (0 <= src < num_nodes and 0 <= dst < num_nodes):
-                    if strict:
-                        raise GraphFormatError(
-                            f"{path}:{lineno}: node id out of range "
-                            f"[0, {num_nodes}) in {line!r}"
-                        )
-                    counts["out-of-range"] += 1
-                    continue
-                edges.append((src, dst))
+        parsed = _parse_edge_array(path)
+        if parsed is None:
+            num_nodes, edges = _parse_edge_lines(path, strict, counts)
+        else:
+            num_nodes, edges = parsed
     except _TRUNCATION_ERRORS as exc:
         raise TruncatedFileError(
             f"{path}: truncated or corrupt gzip stream ({exc}) — "
             "the file was likely cut mid-transfer"
         ) from exc
-    if num_nodes is None:
-        raise GraphFormatError(f"{path}: missing node-count header")
-    if not strict and edges:
+    if not strict and len(edges):
         # count duplicates (and self-links) the graph constructor will
         # collapse/drop, so the warning reflects everything ignored
-        arr = np.asarray(edges, dtype=np.int64)
-        loops = int((arr[:, 0] == arr[:, 1]).sum())
-        keyed = arr[arr[:, 0] != arr[:, 1]]
+        looped = edges[:, 0] == edges[:, 1]
+        keyed = edges[~looped]
         dupes = len(keyed) - len(
-            np.unique(keyed[:, 0] * num_nodes + keyed[:, 1])
+            sorted_unique(keyed[:, 0] * num_nodes + keyed[:, 1])
         )
+        loops = int(looped.sum())
         if dupes:
             counts["duplicate"] += dupes
         if loops:
@@ -287,6 +247,106 @@ def read_edge_list(path: PathLike, *, strict: bool = True) -> WebGraph:
     if counts:
         _warn_skips(path, counts)
     return WebGraph.from_edges(num_nodes, edges)
+
+
+def _parse_edge_array(path: PathLike) -> Optional[Tuple[int, np.ndarray]]:
+    """``(num_nodes, (m, 2) edges)`` of a clean edge list, else ``None``.
+
+    Clean means: ``#`` lines only before the header, then blank or
+    ``<src> <dst>`` lines of in-range ids, which ``np.loadtxt`` parses
+    without an error or a warning.  ``comments=None`` keeps ``#``
+    inside the body a parse error (the default would accept
+    ``1 2 # x``), and warnings are errors because some numpy releases
+    parse ``1.5`` into an integer column with only a warning.  Every
+    token numpy accepts here is one ``int()`` accepts with the same
+    value; the converse does not hold (``1_0``, non-ASCII digits),
+    which is why ``None`` sends the caller to the line loop.
+    """
+    with _open_text(path, "r") as fh:
+        for line in iter(fh.readline, ""):
+            line = line.strip()
+            if line and not line.startswith("#"):
+                break
+        else:
+            return None
+        try:
+            num_nodes = int(line)
+        except ValueError:
+            return None
+        if num_nodes < 0:
+            return None
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                edges = np.loadtxt(
+                    fh, dtype=np.int64, comments=None, ndmin=2
+                )
+        except (ValueError, OverflowError, Warning):
+            return None
+    if edges.shape[1] != 2 or (
+        len(edges) and (edges.min() < 0 or edges.max() >= num_nodes)
+    ):
+        return None
+    return num_nodes, edges
+
+
+def _parse_edge_lines(
+    path: PathLike, strict: bool, counts: Counter
+) -> Tuple[int, np.ndarray]:
+    """The line-by-line reader: exact ``file:line`` errors in strict
+    mode, skipped lines counted into ``counts`` in lenient mode."""
+    num_nodes: Optional[int] = None
+    edges: List[Tuple[int, int]] = []
+    with _open_text(path, "r") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if num_nodes is None:
+                try:
+                    num_nodes = int(line)
+                except ValueError:
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: expected node count, "
+                        f"got {line!r}"
+                    ) from None
+                if num_nodes < 0:
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: negative node count "
+                        f"{num_nodes}"
+                    )
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                if strict:
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: expected '<src> <dst>', "
+                        f"got {line!r}"
+                    )
+                counts["malformed"] += 1
+                continue
+            try:
+                src, dst = int(parts[0]), int(parts[1])
+            except ValueError:
+                if strict:
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: non-integer node id in "
+                        f"{line!r}"
+                    ) from None
+                counts["malformed"] += 1
+                continue
+            if not (0 <= src < num_nodes and 0 <= dst < num_nodes):
+                if strict:
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: node id out of range "
+                        f"[0, {num_nodes}) in {line!r}"
+                    )
+                counts["out-of-range"] += 1
+                continue
+            edges.append((src, dst))
+    if num_nodes is None:
+        raise GraphFormatError(f"{path}: missing node-count header")
+    return num_nodes, np.asarray(edges, dtype=np.int64).reshape(-1, 2)
 
 
 # ----------------------------------------------------------------------
@@ -487,9 +547,8 @@ def read_graph_bundle(
     hosts_path = directory / "graph.hosts"
     if hosts_path.exists():
         names = read_host_list(hosts_path)
-        graph = WebGraph(
-            graph.indptr.copy(), graph.indices.copy(), names, validate=False
-        )
+        # the CSR arrays are read-only, so the named graph shares them
+        graph = WebGraph(graph.indptr, graph.indices, names, validate=False)
     labels = None
     labels_path = directory / "graph.labels"
     if labels_path.exists():

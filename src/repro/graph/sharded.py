@@ -75,6 +75,7 @@ from .webgraph import (
     _mix_edge_keys,
     compose_fingerprint,
     edge_digest,
+    sorted_unique,
 )
 
 __all__ = [
@@ -1035,12 +1036,14 @@ def sharded_from_edges(
 
     1. append each edge, as raw int64 pairs, to the bucket file of its
        *source* shard;
-    2. per source shard: dedup + sort by ``(src, dst)``, emit the local
-       out-CSR and the shard digest, and re-bucket the surviving edges
-       by *destination* shard;
-    3. per destination shard: sort by ``(dst, src)`` into the local
-       transpose CSR and write the final ``.npz``; the manifest goes
-       last (atomically), so a crashed build never looks like a store.
+    2. per source shard: dedup + sort by ``(src, dst)`` with one sort
+       of the composite keys, emit the local out-CSR and the shard
+       digest, and re-bucket the surviving edges by *destination*
+       shard;
+    3. per destination shard: sort the (already distinct) ``(dst,
+       src)`` keys into the local transpose CSR and write the final
+       ``.npz``; the manifest goes last (atomically), so a crashed
+       build never looks like a store.
     """
     if num_nodes < 0:
         raise ValueError("num_nodes must be non-negative")
@@ -1087,7 +1090,7 @@ def sharded_from_edges(
             if not len(arr):
                 continue
             shard_of = np.searchsorted(bounds, arr[:, 0], side="right") - 1
-            for k in np.unique(shard_of):
+            for k in sorted_unique(shard_of):
                 _append("src", int(k), arr[shard_of == k])
 
         # --- pass 2: per source shard, dedup + out-CSR + re-bucket --
@@ -1097,13 +1100,9 @@ def sharded_from_edges(
         for k in range(num_shards):
             a, b = int(bounds[k]), int(bounds[k + 1])
             pairs = _read_bucket("src", k)
-            if len(pairs):
-                keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
-                srcs = keys // n
-                dsts = keys % n
-            else:
-                srcs = np.empty(0, dtype=np.int64)
-                dsts = np.empty(0, dtype=np.int64)
+            keys = sorted_unique(pairs[:, 0] * n + pairs[:, 1])
+            srcs = keys // n
+            dsts = keys % n
             indptr = np.zeros(b - a + 1, dtype=np.int64)
             if b > a:
                 indptr[1:] = np.cumsum(
@@ -1116,7 +1115,7 @@ def sharded_from_edges(
                      indptr=indptr, indices=dsts)
             if len(srcs):
                 dst_shard = np.searchsorted(bounds, dsts, side="right") - 1
-                for j in np.unique(dst_shard):
+                for j in sorted_unique(dst_shard):
                     sel = dst_shard == j
                     _append(
                         "dst", int(j), np.column_stack((srcs[sel], dsts[sel]))
@@ -1128,17 +1127,14 @@ def sharded_from_edges(
         for k in range(num_shards):
             a, b = int(bounds[k]), int(bounds[k + 1])
             pairs = _read_bucket("dst", k)
-            if len(pairs):
-                # (dst, src) keys give destination-major, source-minor
-                # order — the within-row ascending-source order the
-                # in-memory transpose produces
-                tkeys = pairs[:, 1] * n + pairs[:, 0]
-                order = np.argsort(tkeys, kind="stable")
-                t_srcs = pairs[order, 0]
-                t_dsts = pairs[order, 1]
-            else:
-                t_srcs = np.empty(0, dtype=np.int64)
-                t_dsts = np.empty(0, dtype=np.int64)
+            # (dst, src) keys give destination-major, source-minor
+            # order — the within-row ascending-source order the
+            # in-memory transpose produces.  Equal keys are equal
+            # pairs, so splitting the sorted keys gives exactly the
+            # pairs a stable argsort would gather
+            tkeys = np.sort(pairs[:, 1] * n + pairs[:, 0])
+            t_srcs = tkeys % n
+            t_dsts = tkeys // n
             t_indptr = np.zeros(b - a + 1, dtype=np.int64)
             if b > a:
                 t_indptr[1:] = np.cumsum(

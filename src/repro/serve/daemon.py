@@ -48,7 +48,13 @@ from ..obs import get_telemetry
 from ..runtime.checkpoint import load_solution, save_solution
 from ..runtime.supervisor import CircuitBreaker
 from .ingest import IngestPolicy, guarded_call
-from .epoch import Epoch, EpochStore, score_from_epoch, top_from_epoch
+from .epoch import (
+    Epoch,
+    EpochStore,
+    resolve_host,
+    score_from_epoch,
+    top_from_epoch,
+)
 from .wal import DeltaWAL, WalRecord, plan_replay
 
 __all__ = ["DaemonConfig", "ScoringDaemon"]
@@ -102,6 +108,31 @@ class DaemonConfig:
             deadline=self.ingest_deadline,
             allow_degrade=self.allow_degrade,
         )
+
+
+def _core_nodes(graph, names: List[str]) -> np.ndarray:
+    """Node ids of the core host ``names`` (:class:`DeltaError` naming
+    the first missing one).  A named graph is scanned once against the
+    set of core names, so no table of every host's name is built here;
+    the epoch builds the one the daemon keeps."""
+    lookup = None
+    if graph.names is not None:
+        wanted = set(names)
+        lookup = {
+            name: i for i, name in enumerate(graph.names) if name in wanted
+        }
+    core, missing = [], []
+    for name in names:
+        try:
+            core.append(resolve_host(name, lookup, graph.num_nodes))
+        except KeyError:
+            missing.append(name)
+    if missing:
+        raise DeltaError(
+            f"{len(missing)} core hosts are not in the graph "
+            f"(first: {missing[0]!r})"
+        )
+    return np.asarray(core, dtype=np.int64)
 
 
 class _Pending:
@@ -203,15 +234,7 @@ class ScoringDaemon:
         graph, _, _ = read_graph_bundle(world_dir)
         if core_path is None:
             core_path = Path(world_dir) / "core.hosts"
-        names = read_host_list(core_path)
-        lookup = {graph.name_of(i): i for i in range(graph.num_nodes)}
-        missing = [name for name in names if name not in lookup]
-        if missing:
-            raise DeltaError(
-                f"{len(missing)} core hosts are not in the graph "
-                f"(first: {missing[0]!r})"
-            )
-        core = np.asarray([lookup[n] for n in names], dtype=np.int64)
+        core = _core_nodes(graph, read_host_list(core_path))
         snapshot = load_solution(checkpoint_dir)
         base_fp = graph.structural_fingerprint()
         stored_fp = str(snapshot.meta.get("fingerprint", "")) or base_fp
@@ -355,12 +378,9 @@ class ScoringDaemon:
         from ..core.explain import explain_mass
 
         epoch = self.store.current
-        node = epoch.lookup.get(host)
-        if node is None:
-            raise KeyError(host)
         explanation = explain_mass(
             epoch.graph,
-            int(node),
+            epoch.node_of(host),
             self.core,
             damping=epoch.estimates.damping,
             top=top,

@@ -32,7 +32,46 @@ from ..core import scale_scores
 from ..errors import SnapshotMismatchError
 from ..obs import get_telemetry
 
-__all__ = ["Epoch", "EpochStore", "score_from_epoch", "top_from_epoch"]
+__all__ = [
+    "Epoch",
+    "EpochStore",
+    "resolve_host",
+    "score_from_epoch",
+    "top_from_epoch",
+]
+
+
+def resolve_host(
+    host: str, lookup: Optional[Dict[str, int]], num_nodes: int
+) -> int:
+    """Node id of ``host``; :class:`KeyError` for an unknown host.
+
+    A named graph resolves through ``lookup`` (name -> node id).  An
+    unnamed graph (``lookup`` is ``None``) names node ``i``
+    ``"node<i>"``, so ``host`` resolves by exact round trip: ``"node"``
+    and ASCII digits that print back as the same string, below
+    ``num_nodes`` -- the strings a ``{f"node{i}": i}`` table would
+    hold, without building one.
+    """
+    if lookup is not None:
+        node = lookup.get(host)
+    else:
+        node = None
+        if isinstance(host, str) and host.startswith("node"):
+            digits = host[4:]
+            # the length bound also keeps int() clear of its
+            # digit-count limit on hostile input
+            if (
+                digits.isascii()
+                and digits.isdigit()
+                and len(digits) <= len(str(num_nodes))
+            ):
+                i = int(digits)
+                if i < num_nodes and f"node{i}" == host:
+                    node = i
+    if node is None:
+        raise KeyError(host)
+    return node
 
 
 class Epoch:
@@ -65,17 +104,19 @@ class Epoch:
         self.graph = graph
         self.estimates = estimates
         self.fingerprint = graph.structural_fingerprint()
-        #: host name -> node id; node universes are fixed across deltas,
-        #: so successor epochs share the parent's dict (never copied)
-        self.lookup = (
-            lookup
-            if lookup is not None
-            else {
-                graph.name_of(i): i for i in range(graph.num_nodes)
-            }
-        )
+        #: host name -> node id of a named graph, ``None`` for an
+        #: unnamed one (see :func:`resolve_host`); node universes are
+        #: fixed across deltas, so successor epochs share the parent's
+        #: dict (never copied)
+        if lookup is None and graph.names is not None:
+            lookup = {name: i for i, name in enumerate(graph.names)}
+        self.lookup = lookup
         #: sequence of the last WAL record folded into these scores
         self.wal_seq = wal_seq
+
+    def node_of(self, host: str) -> int:
+        """Node id of ``host`` (:class:`KeyError` if unknown)."""
+        return resolve_host(host, self.lookup, self.graph.num_nodes)
 
     def successor(self, graph, estimates, *, wal_seq: int) -> "Epoch":
         """The next epoch, sharing this one's name lookup."""
@@ -99,9 +140,7 @@ def score_from_epoch(epoch: Epoch, host: str) -> dict:
 
     Raises :class:`KeyError` for an unknown host.
     """
-    node = epoch.lookup.get(host)
-    if node is None:
-        raise KeyError(host)
+    node = epoch.node_of(host)
     est = epoch.estimates
     n = epoch.graph.num_nodes
     return {

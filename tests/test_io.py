@@ -307,3 +307,109 @@ def test_bundle_lenient_mode_threads_through(tmp_path, sample_graph):
     with pytest.warns(GraphIOWarning):
         graph, _, _ = read_graph_bundle(out, strict=False)
     assert graph == sample_graph
+
+
+# ----------------------------------------------------------------------
+# the vectorized reader accepts and rejects exactly what the line loop does
+# ----------------------------------------------------------------------
+
+#: (id, file text, whether the one-call numpy parse may take it as is)
+EDGE_BODIES = [
+    ("plain", "# repro edge list v1\n4\n0 1\n1 2\n2 0\n0 3\n", True),
+    ("tabs-crlf-trailing", "# c\r\n4\r\n0\t1\r\n1 2   \r\n2\t0 \r\n", True),
+    ("duplicates-self-links", "4\n0 1\n0 1\n1 1\n2 3\n0 1\n", True),
+    ("blank-lines-in-body", "4\n0 1\n\n  \n1 2\n\n", True),
+    ("comment-in-body", "4\n0 1\n\n# note\n1 2\n", False),
+    ("trailing-comment", "4\n0 1\n1 2 # x\n", False),
+    ("plus-sign", "12\n0 1\n+1 2\n", True),
+    ("leading-zero", "12\n0 1\n01 2\n", True),
+    ("underscore", "12\n0 1\n1_0 2\n", False),
+    ("float-integral", "12\n0 1\n1.0 2\n", False),
+    ("float", "12\n0 1\n1.5 2\n", False),
+    ("hex", "12\n0 1\n0x1 2\n", False),
+    ("arabic-indic-digit", "12\n0 1\n١ 2\n", False),
+    ("one-token", "4\n0 1\n2\n", False),
+    ("three-tokens", "4\n0 1\n1 2 3\n", False),
+    ("negative-id", "4\n0 1\n-1 2\n", False),
+    ("out-of-range-id", "4\n0 1\n1 4\n", False),
+    ("header-only", "# c\n4\n", False),
+    ("missing-header", "0 1\n1 2\n", False),
+    ("empty-file", "", False),
+]
+
+
+def _write_body(path, text):
+    import gzip
+
+    if path.suffix == ".gz":
+        with gzip.open(path, "wt", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        path.write_text(text, encoding="utf-8", newline="")
+
+
+def _read_outcome(path, strict):
+    """What ``read_edge_list`` gives: the graph or the exception, plus
+    every warning it emitted."""
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            graph = read_edge_list(path, strict=strict)
+            result = ("graph", graph.num_nodes, graph.indptr.tolist(),
+                      graph.indices.tolist())
+        except Exception as exc:  # noqa: BLE001 - compared, not handled
+            result = ("error", type(exc), str(exc))
+    emitted = [
+        (type(w.message), str(w.message), dict(getattr(w.message, "counts", {})))
+        for w in caught
+    ]
+    return result, emitted
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+@pytest.mark.parametrize("suffix", [".edges", ".edges.gz"])
+@pytest.mark.parametrize(
+    "text,clean", [(t, c) for _, t, c in EDGE_BODIES],
+    ids=[name for name, _, _ in EDGE_BODIES],
+)
+def test_fast_reader_matches_line_loop(tmp_path, monkeypatch, text, clean,
+                                       suffix, strict):
+    import repro.graph.io as io_mod
+
+    path = tmp_path / f"g{suffix}"
+    _write_body(path, text)
+    assert (io_mod._parse_edge_array(path) is not None) == clean
+    fast = _read_outcome(path, strict)
+    monkeypatch.setattr(io_mod, "_parse_edge_array", lambda path: None)
+    assert _read_outcome(path, strict) == fast
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+@pytest.mark.parametrize("suffix", [".edges", ".edges.gz"])
+@pytest.mark.parametrize(
+    "text", [t for _, t, c in EDGE_BODIES if c],
+    ids=[name for name, _, c in EDGE_BODIES if c],
+)
+def test_clean_edge_list_never_enters_the_line_loop(tmp_path, monkeypatch,
+                                                    text, suffix, strict):
+    import repro.graph.io as io_mod
+
+    def _loop(*args):
+        raise AssertionError("a clean file fell back to the line loop")
+
+    path = tmp_path / f"g{suffix}"
+    _write_body(path, text)
+    monkeypatch.setattr(io_mod, "_parse_edge_lines", _loop)
+    (kind, *_), _warnings = _read_outcome(path, strict)
+    assert kind == "graph"
+
+
+def test_strict_errors_keep_file_and_line(tmp_path):
+    from repro.graph import GraphFormatError
+
+    path = tmp_path / "g.edges"
+    path.write_text("# c\n4\n0 1\n\n1 2 # x\n")
+    with pytest.raises(GraphFormatError, match=r"g\.edges:5: expected"):
+        read_edge_list(path)

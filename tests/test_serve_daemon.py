@@ -133,6 +133,80 @@ def test_query_explain_renders(base, tmp_path):
     assert got["epoch"] == 0
 
 
+#: hosts of the resolution check; ``{last}`` and ``{n}`` are the last
+#: node and one past it
+RESOLUTION_HOSTS = [
+    "node0", "node{last}", "node{n}",
+    "node007", "node-1", "node+1", "node 1", "node1_0", "node\u0661",
+    "node", "", "NODE1", "x.com", "node" + "9" * 5000,
+]
+
+
+def test_unnamed_hosts_resolve_like_a_name_table(base, tmp_path):
+    from repro.core.explain import explain_mass
+    from repro.serve.epoch import Epoch, score_from_epoch
+
+    graph, core, estimates = base
+    n = graph.num_nodes
+    d = _daemon(base, tmp_path)
+    assert d.store.current.lookup is None  # no per-host name table
+    table = {f"node{i}": i for i in range(n)}
+    reference = Epoch(0, graph, estimates, lookup=table)
+    for host in (h.format(last=n - 1, n=n) for h in RESOLUTION_HOSTS):
+        if host not in table:
+            for query in (d.query_score, d.query_explain):
+                with pytest.raises(KeyError) as info:
+                    query(host)
+                assert info.value.args == (host,)
+            continue
+        got = d.query_score(host)
+        want = score_from_epoch(reference, host)
+        assert {key: got[key] for key in want} == want
+        expected = explain_mass(
+            graph, table[host], core, damping=estimates.damping, top=3
+        ).render(graph)
+        assert d.query_explain(host, top=3)["text"] == expected
+
+
+def test_load_rejects_core_host_past_the_last_node(base, world, tmp_path):
+    from repro.errors import DeltaError
+
+    graph, _, _ = base
+    world_dir, _ = world
+    core_path = tmp_path / "core.hosts"
+    write_host_list(["node0", f"node{graph.num_nodes}"], core_path)
+    with pytest.raises(DeltaError) as info:
+        ScoringDaemon.load(world_dir, _fresh_ckpt(world, tmp_path),
+                           core_path=core_path, wal_dir=tmp_path / "wal")
+    assert str(info.value) == (
+        f"1 core hosts are not in the graph (first: 'node{graph.num_nodes}')"
+    )
+
+
+def test_named_world_resolves_core_and_hosts_by_name(base, world, tmp_path):
+    from repro.errors import DeltaError
+    from repro.graph import WebGraph
+
+    graph, core, _ = base
+    names = [f"h{i}.example" for i in range(graph.num_nodes)]
+    named = WebGraph(graph.indptr, graph.indices, names, validate=False)
+    world_dir = write_graph_bundle(named, tmp_path / "named")
+    write_host_list([names[i] for i in core], world_dir / "core.hosts")
+    d = ScoringDaemon.load(world_dir, _fresh_ckpt(world, tmp_path),
+                           wal_dir=tmp_path / "wal")
+    assert np.array_equal(d.core, core)
+    assert d.store.current.lookup == {name: i for i, name in enumerate(names)}
+    assert d.query_score("h3.example")["node"] == 3
+    with pytest.raises(KeyError):
+        d.query_score("node3")
+    write_host_list(["h0.example", "node0"], tmp_path / "core.hosts")
+    with pytest.raises(DeltaError, match=r"^1 core hosts are not in the "
+                       r"graph \(first: 'node0'\)$"):
+        ScoringDaemon.load(world_dir, _fresh_ckpt(world, tmp_path / "x"),
+                           core_path=tmp_path / "core.hosts",
+                           wal_dir=tmp_path / "wal2")
+
+
 def test_health_reports_serving_state(base, tmp_path):
     d = _daemon(base, tmp_path)
     health = d.health()

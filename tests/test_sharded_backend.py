@@ -12,6 +12,7 @@ cache, and the ``repro-spam shard`` CLI.
 """
 
 import json
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -43,10 +44,18 @@ from repro.graph.sharded import (
     sharded_from_edges,
     verify_store,
 )
-from repro.graph.webgraph import WebGraph
+from repro.graph.webgraph import WebGraph, compose_fingerprint, edge_digest
 from repro.perf import OperatorCache, PagerankEngine, sharded_operator_for
 
 TOL = 1e-12
+
+#: Shard counts of the bitwise build check; ``REPRO_TEST_SHARDS`` pins
+#: one per CI ``scale`` leg, as in ``test_differential_solvers.py``.
+SHARD_COUNTS = [
+    int(part)
+    for part in os.environ.get("REPRO_TEST_SHARDS", "1,2,7,32").split(",")
+    if part.strip()
+]
 
 
 def _random_graph(seed: int, n: int, num_edges: int) -> WebGraph:
@@ -133,6 +142,71 @@ def test_builder_dedups_and_drops_self_links(tmp_path):
     back = built.to_webgraph()
     assert np.array_equal(back.indptr, reference.indptr)
     assert np.array_equal(back.indices, reference.indices)
+
+
+def _reference_build(n, edges, bounds):
+    """The CSR and each shard's arrays and digest, built with
+    ``np.unique`` and a stable argsort: the construction the sort-based
+    dedup replaced."""
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    keys = np.unique(edges[:, 0] * n + edges[:, 1])
+    src, dst = keys // n, keys % n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(np.bincount(src, minlength=n))
+    shards = []
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        out = (src >= a) & (src < b)
+        into = (dst >= a) & (dst < b)
+        t_src, t_dst = src[into], dst[into]
+        order = np.argsort(t_dst * n + t_src, kind="stable")
+        t_indptr = np.zeros(b - a + 1, dtype=np.int64)
+        t_indptr[1:] = np.cumsum(np.bincount(t_dst - a, minlength=b - a))
+        shards.append({
+            "indptr": indptr[a:b + 1] - indptr[a],
+            "indices": dst[out],
+            "t_indptr": t_indptr,
+            "t_indices": t_src[order],
+            "digest": edge_digest(n, src[out], dst[out]),
+        })
+    return indptr, dst, shards
+
+
+@pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+def test_sort_dedup_builds_are_bitwise_the_unique_reference(
+    tmp_path, num_shards
+):
+    # a duplicate- and self-link-heavy stream in uneven chunks, one of
+    # them all self-links and one empty
+    n = 61
+    rng = np.random.default_rng(num_shards)
+    edges = rng.integers(0, n, size=(4000, 2))
+    loops = rng.random(len(edges)) < 0.3
+    edges[loops, 1] = edges[loops, 0]
+    chunks = np.array_split(edges, [0, 700, 1900, 1901, 3300])
+    chunks.append(np.repeat(np.arange(n), 2).reshape(-1, 2))
+    bounds = default_boundaries(n, num_shards)
+    indptr, indices, shards = _reference_build(
+        n, np.concatenate(chunks), bounds
+    )
+
+    graph = WebGraph.from_edges(n, np.concatenate(chunks))
+    for got, want in ((graph.indptr, indptr), (graph.indices, indices)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    store_dir = tmp_path / "store"
+    sharded_from_edges(n, iter(chunks), store_dir, num_shards=num_shards)
+    manifest = _manifest(store_dir)
+    for record, want in zip(manifest["shards"], shards):
+        with np.load(store_dir / record["file"]) as stored:
+            for name in ("indptr", "indices", "t_indptr", "t_indices"):
+                got = stored[name]
+                assert got.dtype == want[name].dtype, name
+                assert np.array_equal(got, want[name]), name
+        assert record["digest"] == f"{want['digest']:016x}"
+    digest = sum(shard["digest"] for shard in shards) & (2**64 - 1)
+    fingerprint = compose_fingerprint(n, len(indices), digest)
+    assert manifest["fingerprint"] == fingerprint
+    assert graph.structural_fingerprint() == fingerprint
 
 
 def test_zero_node_store_rejected(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import GraphStats, WebGraph
 
@@ -145,14 +147,99 @@ def test_node_range_checks():
 
 
 def test_validation_rejects_bad_csr():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"indptr\[-1\] \(2\) != number of edges \(1\)"):
         WebGraph(np.array([0, 2]), np.array([1]))  # indptr[-1] mismatch
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="indptr must start at 0"):
         WebGraph(np.array([1, 1]), np.array([], dtype=np.int64))  # not 0-start
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="indptr must be non-decreasing"):
+        WebGraph(np.array([0, 2, 1, 2]), np.array([1, 2]))
+    with pytest.raises(ValueError, match="edge destination out of range"):
+        WebGraph(np.array([0, 1]), np.array([1]))
+    with pytest.raises(ValueError, match="self-link on node 0 is not allowed"):
         WebGraph(np.array([0, 1]), np.array([0]))  # self-link
-    with pytest.raises(ValueError):
-        WebGraph(np.array([0, 2]), np.array([1, 1]))  # duplicate in row
+    with pytest.raises(ValueError, match="edge destination out of range"):
+        WebGraph(np.array([0, 2]), np.array([1, 1]))  # id 1 in a 1-node graph
+    with pytest.raises(
+        ValueError,
+        match=r"out-neighbours of node 0 must be strictly increasing "
+        r"\(sorted, no duplicate edges\)",
+    ):
+        WebGraph(np.array([0, 2, 2]), np.array([1, 1]))  # duplicate in row
+    # two bad rows: the lower node is named, whatever its fault
+    with pytest.raises(ValueError, match="self-link on node 1 "):
+        WebGraph(np.array([0, 1, 2, 4, 4]), np.array([1, 1, 1, 0]))
+    with pytest.raises(ValueError, match="out-neighbours of node 1 "):
+        WebGraph(np.array([0, 1, 3, 4, 4]), np.array([1, 2, 0, 2]))
+    # one row both unsorted and self-linked: the ordering message wins
+    with pytest.raises(ValueError, match="out-neighbours of node 2 "):
+        WebGraph(np.array([0, 0, 0, 2]), np.array([2, 1]))
+    with pytest.raises(ValueError, match="out-neighbours of node 2 "):
+        WebGraph(np.array([0, 0, 0, 3]), np.array([1, 0, 2]))
+
+
+def _row_loop_error(indptr, indices):
+    """The per-row validation loop the vectorized check replaced."""
+    for x in range(len(indptr) - 1):
+        row = indices[indptr[x]:indptr[x + 1]]
+        if np.any(np.diff(row) <= 0):
+            return (f"out-neighbours of node {x} must be strictly "
+                    "increasing (sorted, no duplicate edges)")
+        if np.any(row == x):
+            return f"self-link on node {x} is not allowed"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), max_size=4), min_size=n, max_size=n)))
+def test_validation_names_the_node_the_row_loop_names(rows):
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([len(row) for row in rows])
+    indices = np.asarray(
+        [v for row in rows for v in row], dtype=np.int64
+    )
+    expected = _row_loop_error(indptr, indices)
+    if expected is None:
+        WebGraph(indptr, indices)
+    else:
+        with pytest.raises(ValueError) as info:
+            WebGraph(indptr, indices)
+        assert str(info.value) == expected
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        np.empty(0, dtype=np.int64),
+        np.array([7], dtype=np.int64),
+        np.full(50, 3, dtype=np.int64),
+        np.arange(-5, 40, dtype=np.int64),
+        np.arange(40, -5, -1, dtype=np.int64),
+        np.random.default_rng(5).integers(0, 30, 2_000),
+        np.random.default_rng(6).integers(-2**62, 2**62, 500).repeat(3),
+    ],
+    ids=["empty", "one", "all-equal", "sorted", "reversed", "many-dupes",
+         "wide-dupes"],
+)
+def test_sorted_unique_is_np_unique(keys):
+    from repro.graph.webgraph import sorted_unique
+
+    expected = np.unique(keys)
+    got = sorted_unique(keys)
+    assert got.dtype == expected.dtype
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=60),
+       st.integers(1, 4))
+def test_sorted_unique_matches_np_unique_property(values, repeat):
+    from repro.graph.webgraph import sorted_unique
+
+    keys = np.asarray(values * repeat, dtype=np.int64)
+    assert np.array_equal(sorted_unique(keys), np.unique(keys))
+    assert sorted_unique(keys).dtype == np.int64
 
 
 def test_arrays_are_read_only():
