@@ -36,7 +36,7 @@ synthetic presets:
    net splice and one warm solve (``update_many`` on the application
    list), amortizing the solve across the window.  Per-event rows
    record the push-solver work profile (seed frontier, live frontier,
-   escapes, escape sweeps, correction columns).
+   escapes, escape sweeps).
 4. Verify per event that the incremental scores match the cold ones to
    ``10 * tol`` per node, and report the median speedup per flavor.
 
@@ -106,7 +106,6 @@ STAT_FIELDS = (
     "live_seed_frontier",
     "escapes",
     "escape_sweeps",
-    "correction_cols",
 )
 
 
@@ -196,9 +195,7 @@ def bench_preset(config, *, repeats, events, churn, seed):
     }
 
     def _stat_row(stats):
-        row = {field: getattr(stats, field) for field in STAT_FIELDS}
-        row["correction_gain"] = round(stats.correction_gain, 4)
-        return row
+        return {field: getattr(stats, field) for field in STAT_FIELDS}
 
     def _time_cold(application, tol):
         best = float("inf")

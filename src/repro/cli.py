@@ -675,7 +675,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         core_path=args.core,
         wal_dir=args.wal_dir,
         config=config,
-        engine=_build_engine(args),
     )
     server = ScoringServer(
         daemon,
@@ -830,7 +829,6 @@ def cmd_stream_ingest(args: argparse.Namespace) -> int:
         core_path=args.core,
         wal_dir=args.wal_dir,
         config=config,
-        engine=_build_engine(args),
     )
     state_dir = (
         Path(args.state_dir)
@@ -1496,12 +1494,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument("--rho", type=float, default=10.0)
     p_srv.add_argument("--tau", type=float, default=0.98)
-    p_srv.add_argument(
-        "--cache-size",
-        type=_positive_int,
-        default=8,
-        help="bound of the operator LRU cache (graphs, default 8)",
-    )
     p_srv.set_defaults(func=cmd_serve)
 
     p_stream = sub.add_parser(
@@ -1693,12 +1685,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sing.add_argument(
         "--json", action="store_true", help="machine-readable output"
-    )
-    p_sing.add_argument(
-        "--cache-size",
-        type=_positive_int,
-        default=8,
-        help="bound of the operator LRU cache (graphs, default 8)",
     )
     p_sing.set_defaults(func=cmd_stream_ingest)
 

@@ -130,14 +130,36 @@ class OperatorBundle:
     # -- restricted sub-operators (built on first batched solve) -------
 
     def _build_restriction(self) -> None:
+        """Split ``Tᵀ`` into ``(Tᵀ)_SS`` and ``(Tᵀ)_DS`` in one pass.
+
+        Every column of ``Tᵀ`` at a dangling source is empty, so keeping
+        only the ``S`` columns drops no entry: it renumbers them by the
+        monotone map ``cumsum(~dangling) − 1``, which keeps each row's
+        columns ascending.  The rows then split by whether their node
+        is dangling — the arrays ``tt[s][:, s]`` / ``tt[d][:, s]`` give.
+        """
         with self._lock:
             if self._tt_ss is not None:
                 return
-            s = self.non_dangling
-            d = self.dangling
             tt = self.transition_t
-            self._tt_ss = tt[s][:, s].tocsr()
-            self._tt_ds = tt[d][:, s].tocsr()
+            mask = self.dangling_mask
+            s_pos = np.cumsum(~mask) - 1
+            columns = s_pos[tt.indices].astype(tt.indices.dtype, copy=False)
+            row_nnz = np.diff(tt.indptr)
+            entry_in_d = np.repeat(mask, row_nnz)
+            blocks = []
+            for rows, entries in ((~mask, ~entry_in_d), (mask, entry_in_d)):
+                indptr = np.zeros(
+                    int(np.count_nonzero(rows)) + 1, dtype=tt.indptr.dtype
+                )
+                np.cumsum(row_nnz[rows], out=indptr[1:])
+                blocks.append(
+                    sparse.csr_matrix(
+                        (tt.data[entries], columns[entries], indptr),
+                        shape=(len(indptr) - 1, len(self.non_dangling)),
+                    )
+                )
+            self._tt_ss, self._tt_ds = blocks
 
     @property
     def tt_ss(self) -> sparse.csr_matrix:
@@ -193,22 +215,25 @@ def _splice_transition_t(
     Column ``s`` of ``Tᵀ`` is the out-row of source ``s`` with weight
     ``1/outdeg(s)``; an edge delta changes exactly the columns of its
     touched sources.  Entries of untouched sources are carried over
-    verbatim (data included), so the splice is O(nnz) index work with no
-    re-transpose (the argsort that dominates a cold operator build).
+    verbatim (data included), so the splice is O(nnz) copying with no
+    re-transpose (the argsort that dominates a cold operator build):
+    the touched columns' entries are deleted, and each new entry is
+    placed by a search over only the rows it lands in.
     """
     after = application.after
     touched = application.touched_sources
     n = after.num_nodes
-    rows = np.repeat(
-        np.arange(n, dtype=np.int64), np.diff(parent_tt.indptr)
-    )
     # membership via a lookup table: O(nnz) gather, no sort (np.isin
     # pays an (nnz + m)·log m sort that dominates the whole splice)
     touched_mask = np.zeros(n, dtype=bool)
     touched_mask[touched] = True
-    keep = ~touched_mask[parent_tt.indices]
-    keys = rows[keep] * n + parent_tt.indices[keep]
-    data = parent_tt.data[keep]
+    drop = np.flatnonzero(touched_mask[parent_tt.indices])
+    indices = np.delete(parent_tt.indices, drop)
+    data = np.delete(parent_tt.data, drop)
+    row_nnz = np.diff(parent_tt.indptr) - np.bincount(
+        np.searchsorted(parent_tt.indptr, drop, side="right") - 1,
+        minlength=n,
+    )
     # fresh entries: the touched sources' out-rows on the mutated graph
     deg = after.out_degree()[touched]
     live = deg > 0
@@ -224,19 +249,27 @@ def _splice_transition_t(
         targets = after.indices[gather]
         cols = np.repeat(srcs, counts)
         vals = np.repeat(1.0 / counts, counts)
-        new_keys = targets * n + cols
-        order = np.argsort(new_keys)
-        new_keys = new_keys[order]
-        vals = vals[order]
-        pos = np.searchsorted(keys, new_keys)
-        keys = np.insert(keys, pos, new_keys)
+        order = np.argsort(targets * n + cols)
+        targets, cols, vals = targets[order], cols[order], vals[order]
+        # key the kept entries of the landing rows by (row rank, column):
+        # one sorted array, searched for every new entry at once
+        rows, per_row = np.unique(targets, return_counts=True)
+        rank = np.arange(len(rows))
+        length = row_nnz[rows]
+        base = (np.cumsum(row_nnz) - row_nnz)[rows] - (
+            np.cumsum(length) - length
+        )
+        landing = np.repeat(base, length) + np.arange(int(length.sum()))
+        keys = np.repeat(rank, length) * n + indices[landing]
+        pos = np.repeat(base, per_row) + np.searchsorted(
+            keys, np.repeat(rank, per_row) * n + cols
+        )
+        indices = np.insert(indices, pos, cols.astype(indices.dtype))
         data = np.insert(data, pos, vals)
+        row_nnz += np.bincount(targets, minlength=n)
     indptr = np.zeros(n + 1, dtype=parent_tt.indptr.dtype)
-    indptr[1:] = np.cumsum(np.bincount(keys // n, minlength=n))
-    return sparse.csr_matrix(
-        (data, (keys % n).astype(parent_tt.indices.dtype), indptr),
-        shape=(n, n),
-    )
+    np.cumsum(row_nnz, out=indptr[1:])
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 class OperatorCache:

@@ -595,9 +595,6 @@ class PagerankEngine:
                     pushes=result.stats.pushes,
                     max_frontier=result.stats.max_frontier,
                     escapes=result.stats.escapes,
-                    correction_gain=round(
-                        result.stats.correction_gain, 4
-                    ),
                     speedup_estimate=round(
                         result.stats.speedup_estimate, 2
                     ),

@@ -37,27 +37,13 @@ out-neighbourhoods of the touched nodes.  This module exploits that:
    block Jacobi the cold path uses, at the same ``tol``, but starting
    from a residual that is orders of magnitude smaller.  The
    warm-start advantage survives diffusion; only the locality
-   advantage is lost.  Two refinements close most of the remaining
-   gap on diffuse churn:
-
-   * **Early escape.**  A seed frontier that is already wide *and*
-     alive — enough frontier rows can scatter (non-dangling) to keep
-     it wide — escapes before the first sweep instead of paying two
-     full-frontier row-slicing sweeps to discover the diffusion.  A
-     wide-but-dead seed (spam-farm churn lands on dangling leaves and
-     collapses after one absorb) keeps the push path.
-   * **Low-rank jump correction.**  Before the escape solve, the
-     residual is deflated against the span of ``(I − c·T'ᵀ)·P_prev``
-     (one matvec per previous-solution column): the singular-
-     perturbation view of the damping factor (Avrachenkov–Litvak)
-     says a delta that predominantly perturbs dangling mass or the
-     jump vector produces a residual aligned with those directions,
-     whose solve is *known* — it is the previous solution itself.
-     The least-squares coefficient is accepted per column only when
-     it removes a substantial fraction of the residual (exact
-     algebra either way; the guard only protects the escape from a
-     useless start), and the cold kernel then runs warm-started from
-     the corrected iterate on the deflated residual.
+   advantage is lost.  **Early escape:** a seed frontier that is
+   already wide *and* alive — enough frontier rows can scatter
+   (non-dangling) to keep it wide — escapes before the first sweep
+   instead of paying two full-frontier row-slicing sweeps to discover
+   the diffusion.  A wide-but-dead seed (spam-farm churn lands on
+   dangling leaves and collapses after one absorb) keeps the push
+   path.
 4. **Freeze.**  A column whose global L1 residual drops below ``tol``
    absorbs its remaining residual once (a free terminal push) and
    leaves the active set.
@@ -95,12 +81,6 @@ FLOOR_FRACTION = 0.25
 #: docstring, "Diffusion escape").
 DENSE_CROSSOVER = 64
 
-#: The low-rank jump correction is kept per column only when it shrinks
-#: the escape residual's L1 norm to at most this fraction — a weaker
-#: projection means the delta is not jump-vector-shaped and the plain
-#: warm start is already the best iterate available.
-CORRECTION_ACCEPT = 0.5
-
 
 class PushStats:
     """Work accounting of one incremental update (telemetry payload)."""
@@ -116,8 +96,6 @@ class PushStats:
         "live_seed_frontier",
         "escapes",
         "escape_sweeps",
-        "correction_cols",
-        "correction_gain",
         "cold_work_estimate",
         "speedup_estimate",
     )
@@ -133,8 +111,6 @@ class PushStats:
         self.live_seed_frontier = 0
         self.escapes = 0
         self.escape_sweeps = 0
-        self.correction_cols = 0
-        self.correction_gain = 1.0
         self.cold_work_estimate = 0
         self.speedup_estimate = 0.0
 
@@ -154,8 +130,6 @@ class PushStats:
             "live_seed_frontier": self.live_seed_frontier,
             "escapes": self.escapes,
             "escape_sweeps": self.escape_sweeps,
-            "correction_cols": self.correction_cols,
-            "correction_gain": self.correction_gain,
             "cold_work_estimate": self.cold_work_estimate,
             "speedup_estimate": self.speedup_estimate,
         }
@@ -207,45 +181,6 @@ def seed_residual(
         ]
         np.add.at(residual, targets, contribution)
     return residual
-
-
-def _deflate_residual(
-    bundle: OperatorBundle,
-    active_residual: np.ndarray,
-    basis: np.ndarray,
-    damping: float,
-):
-    """Guarded least-squares deflation of the escape residual.
-
-    For basis columns ``P`` (previous-solution vectors) the image
-    ``Y = (I − c·T'ᵀ)·P`` is exact (one matvec per column), and any
-    component ``Y·γ`` of the residual has the *known* solve ``P·γ``.
-    The remainder ``R − Y·γ`` is therefore an exactly equivalent
-    right-hand side for the escape kernel, warm-started at ``P·γ``.
-    Acceptance is per column and guarded: a correction is kept only
-    when it removes at least ``1 − CORRECTION_ACCEPT`` of the L1 mass
-    (a weak projection would just add two matvecs of noise).
-
-    Returns ``(start, deflated, gains, accepted)`` where ``start`` is
-    the warm-start correction (``None`` when nothing was accepted),
-    ``deflated`` the residual to hand to the escape solve, ``gains``
-    the per-column post/pre L1 ratio and ``accepted`` the mask.
-    """
-    tt = bundle.transition_t
-    image = basis - damping * (tt @ basis)
-    gamma, *_ = np.linalg.lstsq(image, active_residual, rcond=None)
-    candidate = active_residual - image @ gamma
-    before = np.abs(active_residual).sum(axis=0)
-    after = np.abs(candidate).sum(axis=0)
-    gains = np.where(before > 0.0, after / np.maximum(before, 1e-300), 1.0)
-    accepted = gains <= CORRECTION_ACCEPT
-    if not accepted.any():
-        return None, active_residual, gains, accepted
-    gamma = gamma * accepted[None, :]
-    start = basis @ gamma
-    deflated = active_residual.copy()
-    deflated[:, accepted] = candidate[:, accepted]
-    return start, deflated, gains, accepted
 
 
 def push_update(
@@ -354,20 +289,10 @@ def push_update(
             # diffusion escape: solve (I - cT')e = R for the remaining
             # correction with the cold restricted block kernel, warm
             # start intact (the jump R/(1-c) is orders of magnitude
-            # smaller than a cold solve's).  First try the low-rank
-            # jump correction: deflate R against the known solves of
-            # the previous-solution directions and start the kernel
-            # from the corrected iterate.
-            active_residual = np.ascontiguousarray(active_residual)
-            start, deflated, gains, accepted = _deflate_residual(
-                bundle, active_residual, previous_scores[:, cols], c
-            )
-            stats.correction_cols = int(accepted.sum())
-            if accepted.any():
-                stats.correction_gain = float(gains[accepted].min())
+            # smaller than a cold solve's)
             correction = _block_jacobi(
                 bundle,
-                deflated / (1.0 - c),
+                np.ascontiguousarray(active_residual) / (1.0 - c),
                 damping=c,
                 tol=tol,
                 max_iter=max(max_iter - sweep, 1),
@@ -375,8 +300,6 @@ def push_update(
                 labels=[labels[j] for j in cols],
             )
             scores[:, cols] += correction.scores
-            if start is not None:
-                scores[:, cols] += start
             iterations[cols] = sweep + correction.iterations
             residuals[cols] = correction.residuals
             converged[cols] = correction.converged

@@ -61,6 +61,14 @@ __all__ = ["DaemonConfig", "ScoringDaemon"]
 
 PathLike = Union[str, Path]
 
+#: Operator bundles the daemon's own engine caches.  An apply derives
+#: the next graph's operator from the tip's; after
+#: :meth:`ScoringDaemon.quarantine_pending` the tip is the dropped
+#: delta's graph, and the next apply derives from the bundle one step
+#: back.  No older graph is revisited, and each bundle holds O(edges)
+#: memory (~150 MB at 1M hosts).
+OPERATOR_BUNDLES = 2
+
 
 @dataclass(frozen=True)
 class DaemonConfig:
@@ -180,7 +188,7 @@ class ScoringDaemon:
         if engine is None:
             from ..perf import PagerankEngine
 
-            engine = PagerankEngine()
+            engine = PagerankEngine(OPERATOR_BUNDLES)
         self.engine = engine
         self.store = EpochStore(
             Epoch(0, graph, estimates, wal_seq=initial_wal_seq)
@@ -628,9 +636,18 @@ class ScoringDaemon:
                     engine=self.engine,
                 )
 
+            # the warm path seeds the residual of this delta alone, so
+            # it starts only from the graph the delta was validated
+            # against; a health-probe rollback leaves the epoch a graph
+            # behind the accepted chain, and then only a cold solve is
+            # correct
+            warm = (
+                application.before.structural_fingerprint()
+                == epoch.fingerprint
+            )
             started = self._clock()
             new_estimates, degraded = guarded_call(
-                _warm,
+                _warm if warm else _cold,
                 _cold,
                 config.ingest_policy(),
                 label=f"wal-seq-{record.seq}",

@@ -476,12 +476,14 @@ _REQUIRED = {
         ("serve", "--ship-dir", "ship"),
         ("serve", "--max-lag", "4"),
         ("serve", "--replica-poll", "0.05"),
+        ("serve", "--cache-size", "2"),
+        ("stream-ingest", "--cache-size", "2"),
     ],
 )
 def test_removed_solver_flags_are_usage_errors(command, flag, value, capsys):
     """Every batched solve is float64, only the Monte-Carlo commands
-    (``estimate``, ``reproduce``) take ``--workers``, and ``serve`` has
-    no read-replica fleet."""
+    (``estimate``, ``reproduce``) take ``--workers``, ``serve`` has no
+    read-replica fleet, and the daemon sizes its own operator cache."""
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args(
             _REQUIRED[command] + [flag] + ([] if value is None else [value])

@@ -9,8 +9,13 @@ splicing, ``estimate_spam_mass(previous=)``, ``MassDetector.update``,
 ``ReproductionContext.updated``, solution checkpoints).
 """
 
+import json
+import struct
+import zipfile
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.core.detector import MassDetector
 from repro.core.mass import estimate_spam_mass
@@ -20,9 +25,9 @@ from repro.core.pagerank import (
 )
 from repro.errors import CheckpointError
 from repro.graph import GraphDelta, compose_applications
+from repro.graph.ops import transition_matrix
 from repro.graph.webgraph import WebGraph
 from repro.perf import OperatorCache, PagerankEngine
-from repro.perf.incremental import CORRECTION_ACCEPT, _deflate_residual
 from repro.runtime import load_solution, save_solution
 from test_differential_solvers import _random_graph
 
@@ -167,7 +172,7 @@ def test_update_many_rejects_non_finite_jump_vectors():
 
 
 # ----------------------------------------------------------------------
-# delta coalescing, escape profile, deflation
+# delta coalescing, escape profile
 # ----------------------------------------------------------------------
 
 
@@ -236,8 +241,6 @@ def test_diffuse_update_escapes_and_records_the_profile():
         "live_seed_frontier",
         "escapes",
         "escape_sweeps",
-        "correction_cols",
-        "correction_gain",
     ):
         assert key in stats.as_dict()
 
@@ -272,49 +275,73 @@ def test_farm_update_stays_on_the_push_path():
     assert np.abs(inc.scores - cold.scores).max() <= BOUND
 
 
-def test_deflate_residual_accepts_in_span_and_rejects_noise():
-    graph = _random_graph(24, n=120, num_edges=700)
-    rng = np.random.default_rng(24)
-    bundle = OperatorCache().bundle_for(graph)
-    c = 0.85
-    tt = bundle.transition_t
-    basis = rng.random((graph.num_nodes, 2))
-    image = basis - c * (tt @ basis)
-
-    # residual exactly in the image span: accepted, near-zero remainder
-    residual = image @ np.array([[0.7, 0.0], [0.0, -0.4]])
-    start, deflated, gains, accepted = _deflate_residual(
-        bundle, residual, basis, c
-    )
-    assert accepted.all()
-    assert gains.max() < 1e-8
-    assert np.abs(deflated).max() < 1e-10 * np.abs(residual).max()
-    # the warm start is the known solve of the deflated component
-    assert np.allclose(start, basis @ [[0.7, 0.0], [0.0, -0.4]])
-
-    # residual orthogonal to the image span: projection removes nothing,
-    # the guard rejects and hands the original residual through untouched
-    noise = rng.random((graph.num_nodes, 1))
-    q, _ = np.linalg.qr(image)
-    orthogonal = noise - q @ (q.T @ noise)
-    start, deflated, gains, accepted = _deflate_residual(
-        bundle, orthogonal, basis, c
-    )
-    assert not accepted.any()
-    assert start is None
-    assert deflated is orthogonal
-    assert gains.min() > CORRECTION_ACCEPT
-
-
 # ----------------------------------------------------------------------
 # operator splice
 # ----------------------------------------------------------------------
 
 
-def test_derived_operator_is_bit_identical_to_cold_build():
+def _shaped_delta(graph, rng, shape):
+    """A delta of one shape the operator splice must handle."""
+    out_deg = graph.out_degree()
+    live = np.flatnonzero(out_deg > 0)
+    dangling = np.flatnonzero(out_deg == 0)
+    existing = _edge_set(graph)
+
+    def _new_edges(sources, targets):
+        return sorted(
+            {(int(u), int(v)) for u in sources for v in targets
+             if u != v and (int(u), int(v)) not in existing}
+        )
+
+    def _out_row(src):
+        row = graph.indices[graph.indptr[src]:graph.indptr[src + 1]]
+        return [(int(src), int(v)) for v in row]
+
+    if shape == "mixed":
+        return _random_delta(graph, rng, num_ins=25, num_del=10)
+    if shape == "insertion-only":
+        return _random_delta(graph, rng, num_ins=25, num_del=0)
+    if shape == "deletion-only":
+        return _random_delta(graph, rng, num_ins=0, num_del=25)
+    if shape == "source-goes-dangling":
+        src = live[np.argmax(out_deg[live] >= 2)]
+        return GraphDelta(deletions=_out_row(src))
+    if shape == "dangling-source-gains-edges":
+        src = rng.choice(dangling)
+        targets = rng.choice(graph.num_nodes, size=6, replace=False)
+        return GraphDelta(insertions=_new_edges([src], targets))
+    if shape == "hub-source":
+        hub = int(np.argmax(out_deg))
+        targets = rng.choice(graph.num_nodes, size=4, replace=False)
+        return GraphDelta(
+            insertions=_new_edges([hub], targets),
+            deletions=_out_row(hub)[:2],
+        )
+    assert shape == "one-row-many-entries"
+    # several sources gain the same target: one row of Tᵀ gets them all
+    target = int(rng.integers(graph.num_nodes))
+    sources = rng.choice(np.concatenate([live[:4], dangling[:4]]), 8,
+                         replace=False)
+    return GraphDelta(insertions=_new_edges(sources, [target]))
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        "mixed",
+        "insertion-only",
+        "deletion-only",
+        "source-goes-dangling",
+        "dangling-source-gains-edges",
+        "hub-source",
+        "one-row-many-entries",
+    ],
+)
+def test_derived_operator_is_bit_identical_to_cold_build(shape):
     graph = _random_graph(6, n=200, num_edges=1200, dangling_frac=0.4)
     rng = np.random.default_rng(6)
-    delta = _random_delta(graph, rng, num_ins=25, num_del=10)
+    delta = _shaped_delta(graph, rng, shape)
+    assert len(delta)
     application = delta.apply(graph)
 
     cache = OperatorCache()
@@ -322,14 +349,45 @@ def test_derived_operator_is_bit_identical_to_cold_build():
     spliced = cache.derive_for(application).transition_t
     cold = OperatorCache().bundle_for(application.after).transition_t
 
-    assert np.array_equal(spliced.indptr, cold.indptr)
-    assert np.array_equal(spliced.indices, cold.indices)
-    assert np.array_equal(spliced.data, cold.data)
+    assert spliced.shape == cold.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(spliced, name), getattr(cold, name)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
     assert cache.derives == 1
     # the derived child is registered: a second request is a cache hit
     hits_before = cache.hits
     cache.derive_for(application)
     assert cache.hits == hits_before + 1
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        _random_graph(30, n=250, num_edges=1500, dangling_frac=0.4),
+        _random_graph(31, n=300, num_edges=900, dangling_frac=0.6,
+                      isolated_frac=0.1),
+        WebGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
+        WebGraph.from_edges(5, [(0, 1), (0, 2), (0, 4)]),
+        WebGraph.from_edges(5, []),
+    ],
+    ids=["random", "random-sparse", "no-dangling", "one-live-source",
+         "edgeless"],
+)
+def test_restriction_equals_row_and_column_selection(graph):
+    """``(Tᵀ)_SS``/``(Tᵀ)_DS`` are bitwise the fancy-indexed blocks."""
+    bundle = OperatorCache().bundle_for(graph)
+    tt = transition_matrix(graph).T.tocsr()
+    s, d = bundle.non_dangling, bundle.dangling
+    for got, want in (
+        (bundle.tt_ss, tt[s][:, s].tocsr()),
+        (bundle.tt_ds, tt[d][:, s].tocsr()),
+    ):
+        assert isinstance(got, sparse.csr_matrix)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_derive_falls_back_to_cold_build_without_parent():
@@ -545,4 +603,54 @@ def test_solution_snapshot_fingerprint_guard(tmp_path):
 
 def test_solution_snapshot_missing_file(tmp_path):
     with pytest.raises(CheckpointError, match="no solution snapshot"):
+        load_solution(tmp_path)
+
+
+def _snapshot_scores(n=500):
+    return np.random.default_rng(16).random((n, 2))
+
+
+def test_solution_snapshot_members_are_stored(tmp_path):
+    path = save_solution(tmp_path, _snapshot_scores(), fingerprint="fp")
+    with zipfile.ZipFile(path) as archive:
+        members = archive.infolist()
+    assert {m.filename for m in members} == {
+        "scores.npy", "iterations.npy", "residuals.npy", "meta.npy"
+    }
+    assert all(m.compress_type == zipfile.ZIP_STORED for m in members)
+
+
+def test_solution_snapshot_reads_the_compressed_format(tmp_path):
+    """Snapshots written with deflated members still load."""
+    scores = _snapshot_scores()
+    meta = {"fingerprint": "fp", "columns": 2, "labels": ["a", "b"]}
+    with open(tmp_path / "solution.npz", "wb") as fh:
+        np.savez_compressed(
+            fh,
+            scores=scores,
+            iterations=np.array([40, 41], dtype=np.int64),
+            residuals=np.array([1e-13, 2e-13]),
+            meta=np.asarray(json.dumps(meta)),
+        )
+    snap = load_solution(tmp_path, fingerprint="fp")
+    assert np.array_equal(snap.scores, scores)
+    assert np.array_equal(snap.iterations, [40, 41])
+    assert np.array_equal(snap.residuals, [1e-13, 2e-13])
+    assert snap.meta == meta
+
+
+def test_solution_snapshot_flipped_byte_raises(tmp_path):
+    """A stored member's CRC-32 catches a one-byte flip in the scores."""
+    path = save_solution(tmp_path, _snapshot_scores(), fingerprint="fp")
+    with zipfile.ZipFile(path) as archive:
+        member = archive.getinfo("scores.npy")
+    raw = bytearray(path.read_bytes())
+    # payload = local header (30 bytes) + name + extra field
+    name_len, extra_len = struct.unpack_from(
+        "<HH", raw, member.header_offset + 26
+    )
+    payload = member.header_offset + 30 + name_len + extra_len
+    raw[payload + member.file_size - 9] ^= 0x01
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="CRC"):
         load_solution(tmp_path)

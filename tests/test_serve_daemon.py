@@ -9,8 +9,13 @@ restart replays the WAL to bitwise-identical scores — including after
 a crash between apply and the watermark fsync.
 """
 
+import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -417,6 +422,136 @@ def test_poisoned_epoch_rolls_back_on_health_probe(base, tmp_path):
     assert health["poisoned_epoch_rolled_back"] is True
     assert health["epoch"] == 0
     assert d.store.rollbacks == 1
+
+
+def test_applies_after_a_rollback_match_cold_resolve(base, tmp_path):
+    """A rollback leaves the epoch one graph behind the accepted chain,
+    so the next delta's residual seed does not describe it: that apply
+    must solve cold, and the one after it is warm again."""
+    _, core, _ = base
+    d = _daemon(base, tmp_path)
+    d.submit_delta(*DELTAS[0])
+    d.apply_pending()
+    d.store.current.estimates.pagerank[0] = np.nan
+    assert d.health()["poisoned_epoch_rolled_back"] is True
+    for ins, dels in DELTAS[1:]:
+        d.submit_delta(ins, dels)
+        assert d.apply_pending() == 1
+        epoch = d.store.current
+        cold = estimate_spam_mass(epoch.graph, core, gamma=GAMMA)
+        assert np.abs(
+            epoch.estimates.pagerank - cold.pagerank
+        ).max() <= 1e-11
+        assert np.abs(
+            epoch.estimates.core_pagerank - cold.core_pagerank
+        ).max() <= 1e-11
+
+
+# ----------------------------------------------------------------------
+# operator memory
+# ----------------------------------------------------------------------
+
+
+def _fresh_insertions(graph, rng, count=3):
+    sources = np.repeat(np.arange(graph.num_nodes), graph.out_degree())
+    existing = set(zip(sources.tolist(), graph.indices.tolist()))
+    edges = set()
+    while len(edges) < count:
+        u, v = (int(x) for x in rng.integers(graph.num_nodes, size=2))
+        if u != v and (u, v) not in existing:
+            edges.add((u, v))
+    return sorted(edges)
+
+
+def test_daemon_engine_keeps_two_operator_bundles(base, tmp_path):
+    """A daemon built without an engine caches the tip's bundle and the
+    one a step back, through a retried failure and a quarantine."""
+    d = _daemon(base, tmp_path)
+    cache = d.engine.cache
+    rng = np.random.default_rng(17)
+    for step in range(14):
+        seq = d.submit_delta(_fresh_insertions(d._tail, rng))["seq"]
+        if step == 4:
+            # fails after deriving its operator; the retry below lands
+            d.chaos = ServeChaos(kill_swap_on=(seq,))
+            assert d._apply_one() is False
+            assert len(cache) <= 2
+        if step == 8:
+            # fails for good: the tip's bundle is the dropped graph's
+            d.chaos = ServeChaos(kill_swap_on=(seq,), once=False)
+            assert d._apply_one() is False
+            assert len(cache) <= 2
+            d.quarantine_pending()
+            d.chaos = None
+            continue
+        derives, misses = cache.derives, cache.misses
+        assert d._apply_one() is True
+        assert len(cache) <= 2
+        if step == 9:
+            # derived from the bundle one step back: no cold build
+            assert cache.derives == derives + 1
+            assert cache.misses == misses
+    assert d.applies == 13
+
+
+#: Runs ``windows`` 16-edge deltas through a daemon on a seeded world
+#: of ``hosts`` hosts; prints the peak RSS after each window and the
+#: size of one full operator bundle, in MiB.
+_MEMORY_SCRIPT = """
+import json, resource, sys
+import numpy as np
+from repro.core.mass import estimate_spam_mass
+from repro.graph import WebGraph
+from repro.serve import ScoringDaemon
+from repro.synth.huge import huge_good_core, iter_huge_edges
+from repro.synth.scenario import WorldConfig
+
+hosts, windows = int(sys.argv[1]), int(sys.argv[2])
+config = WorldConfig(13, num_base_hosts=hosts, mean_outdegree=6.0,
+                     directory_size=hosts // 10, gov_size=hosts // 10)
+graph = WebGraph.from_edges(hosts, np.concatenate(list(iter_huge_edges(config))))
+core = huge_good_core(config)
+daemon = ScoringDaemon(graph, core, estimate_spam_mass(graph, core))
+rng = np.random.default_rng(13)
+live = np.flatnonzero(graph.out_degree() > 0)
+peaks = []
+for _ in range(windows):
+    tip = daemon.store.current.graph
+    insertions, deletions = [], []
+    for i, u in enumerate(rng.choice(live, 16, replace=False)):
+        row = tip.indices[tip.indptr[u]:tip.indptr[u + 1]]
+        v = int(rng.integers(hosts))
+        if i < 6 and len(row):
+            deletions.append((int(u), int(row[0])))
+        elif v != u and v not in row:
+            insertions.append((int(u), v))
+    daemon.submit_delta(insertions, deletions)
+    assert daemon.apply_pending() == 1
+    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+bundle = daemon.engine.cache.bundle_for(daemon.store.current.graph)
+bundle.tt_ss  # a full bundle: the restriction built
+print(json.dumps({"peaks": peaks, "bundle_mib": bundle.nbytes() / 2**20}))
+"""
+
+
+def test_daemon_memory_stays_flat_over_windows_at_200k_hosts():
+    """Each cached bundle is ~30 MB at 200k hosts; from the third window
+    on, peak RSS must grow by less than two bundles."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _MEMORY_SCRIPT, "200000", "12"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    peaks = out["peaks"]
+    assert len(peaks) == 12
+    assert peaks[11] - peaks[2] < 2 * out["bundle_mib"], out
 
 
 # ----------------------------------------------------------------------
