@@ -14,10 +14,8 @@ The library implements the paper's full stack:
   experiment harness behind every table and figure;
 * :mod:`repro.analysis` — power-law fitting and mass distributions;
 * :mod:`repro.datasets` — the paper's worked example graphs;
-* :mod:`repro.runtime` — the resilient execution layer: solver
-  checkpoint/resume, fallback chains with structured run reports,
-  wall-time budgets and deterministic fault injection (see
-  ``docs/runtime.md``).
+* :mod:`repro.runtime` — converged-solution snapshots, retry/backoff
+  and deterministic fault injection (see ``docs/runtime.md``).
 
 Quickstart::
 

@@ -37,11 +37,11 @@ Failure behavior
 User-facing errors print a one-line message to stderr and exit with a
 distinct code (see the ``EXIT_*`` constants): 3 for missing/corrupt
 input files, 4 for solver non-convergence, 5 for a dirty good core,
-130 for interruption, 1 for anything unexpected.  ``--traceback`` opts back into the raw Python
-traceback for debugging.  Long solves accept ``--checkpoint-dir`` /
-``--resume`` (kill-and-resume), ``--time-budget`` (best-effort
-degradation) and ``--lenient`` (skip-and-warn on malformed input);
-see ``docs/runtime.md``.
+130 for interruption, 1 for anything unexpected.  ``--traceback`` opts
+back into the raw Python traceback for debugging.  ``estimate
+--checkpoint-dir`` saves the converged solution that ``update``,
+``serve`` and ``stream ingest`` start from, and ``--lenient``
+skips-and-warns on malformed input; see ``docs/runtime.md``.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def _positive_int(text: str) -> int:
     """argparse type: a strictly positive integer.
 
     Guards the knobs where zero or a negative value is never meaningful
-    (cache bounds, worker counts, walk counts, checkpoint cadence) so a
+    (cache bounds, worker counts, walk counts, batch sizes) so a
     fat-fingered ``--workers 0`` fails at parse time with a usage error
     (exit code 2) instead of surfacing later as an obscure solver or
     multiprocessing failure.  Note argparse only applies ``type=`` to
@@ -307,38 +307,12 @@ def cmd_shard_verify(args: argparse.Namespace) -> int:
 
 
 def _core_ids(graph, core_path: Path) -> np.ndarray:
-    names = read_host_list(core_path)
-    if graph.names is None:
-        raise SystemExit("graph has no host names; cannot resolve the core")
-    lookup = {name: i for i, name in enumerate(graph.names)}
-    missing = [name for name in names if name not in lookup]
-    if missing:
-        raise SystemExit(
-            f"{len(missing)} core hosts not present in the graph "
-            f"(first: {missing[0]!r})"
-        )
-    return np.asarray([lookup[name] for name in names], dtype=np.int64)
+    """Node ids of the core host list, resolved as ``serve`` resolves
+    them (an unnamed graph's hosts are ``node<i>``); a missing host
+    raises :class:`~repro.errors.DeltaError` (exit 3)."""
+    from .serve.epoch import core_nodes
 
-
-def _runtime_policy(args: argparse.Namespace):
-    """Build a RuntimePolicy from the estimate flags (or ``None``)."""
-    wants_runtime = (
-        args.checkpoint_dir is not None
-        or args.resume
-        or args.time_budget is not None
-    )
-    if not wants_runtime:
-        return None
-    if args.resume and args.checkpoint_dir is None:
-        raise SystemExit("--resume requires --checkpoint-dir")
-    from .runtime.resilient import RuntimePolicy
-
-    return RuntimePolicy(
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
-        time_budget=args.time_budget,
-    )
+    return core_nodes(graph, read_host_list(core_path))
 
 
 def _build_engine(args: argparse.Namespace):
@@ -351,46 +325,15 @@ def _build_engine(args: argparse.Namespace):
     )
 
 
-def _supervisor_policy(args: argparse.Namespace):
-    """Build a SupervisorPolicy from the supervision flags (or ``None``).
-
-    ``None`` lets the supervised call sites use their defaults, so the
-    flags only override behavior when the operator actually sets them.
-    """
-    wants_supervision = (
-        getattr(args, "max_task_retries", None) is not None
-        or getattr(args, "task_timeout", None) is not None
-        or getattr(args, "no_degrade", False)
-    )
-    if not wants_supervision:
-        return None
-    from .runtime.supervisor import SupervisorPolicy
-
-    defaults = SupervisorPolicy()
-    retries = (
-        defaults.max_task_retries
-        if args.max_task_retries is None
-        else args.max_task_retries
-    )
-    return SupervisorPolicy(
-        max_task_retries=retries,
-        task_timeout=args.task_timeout,
-        allow_degrade=not args.no_degrade,
-    )
-
-
 def _ingest_policy(args: argparse.Namespace):
-    """Build an IngestPolicy from the supervision flags (or ``None``).
-
-    Mirrors :func:`_supervisor_policy` for the single-task ingest path
-    (``update`` and the daemon's apply worker): ``None`` keeps the
-    historical direct-call behavior, so the guarded wrapper only
-    engages when the operator asked for it.
+    """Build an IngestPolicy from ``update``'s supervision flags (or
+    ``None``): ``None`` keeps the direct-call behavior, so the guarded
+    wrapper only engages when the operator asked for it.
     """
     wants = (
-        getattr(args, "max_task_retries", None) is not None
-        or getattr(args, "task_timeout", None) is not None
-        or getattr(args, "no_degrade", False)
+        args.max_task_retries is not None
+        or args.task_timeout is not None
+        or args.no_degrade
     )
     if not wants:
         return None
@@ -413,33 +356,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     )
     core = _core_ids(graph, core_path)
     gamma = None if args.gamma <= 0 else args.gamma
-    policy = _runtime_policy(args)
-    # under a runtime policy the contract is graceful degradation: a
-    # budget that runs out yields best-effort vectors, reported below,
-    # instead of an exception
-    if args.engine == "legacy":
-        # pre-engine behavior: build the operator here, solve the two
-        # vectors sequentially (an explicit transition_t opts out of
-        # the batched kernel and the operator cache)
-        from .graph.ops import transition_matrix
-
-        estimates = estimate_spam_mass(
-            graph,
-            core,
-            gamma=gamma,
-            policy=policy,
-            check=policy is None,
-            transition_t=transition_matrix(graph).T.tocsr(),
-        )
-    else:
-        estimates = estimate_spam_mass(
-            graph,
-            core,
-            gamma=gamma,
-            policy=policy,
-            check=policy is None,
-            engine=_build_engine(args),
-        )
+    # one batched solve of p and p′; a solve that does not converge
+    # raises ConvergenceError (exit 4) before anything is written
+    estimates = estimate_spam_mass(
+        graph, core, gamma=gamma, engine=_build_engine(args)
+    )
     if args.mc_walks > 0:
         from .perf import pagerank_montecarlo_parallel
 
@@ -448,7 +369,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             num_walks=args.mc_walks,
             workers=args.workers,
             seed=args.seed,
-            supervisor=_supervisor_policy(args),
         )
         deviation = float(np.abs(mc.scores - estimates.pagerank).sum())
         print(
@@ -456,38 +376,14 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             f"workers={args.workers or 1}): L1 deviation from the "
             f"linear PageRank {deviation:.3e}"
         )
-    exit_code = EXIT_OK
-    if estimates.reports:
-        for label, report in sorted(estimates.reports.items()):
-            if report is None:
-                continue
-            if report.resumed_from is not None:
-                print(
-                    f"[{label}] resumed from checkpoint at iteration "
-                    f"{report.resumed_from}"
-                )
-            escalations = report.escalations()
-            if len(escalations) > 1:
-                print(
-                    f"[{label}] solver escalated: {' -> '.join(escalations)}"
-                )
-            if report.outcome != "converged":
-                print(
-                    f"warning: [{label}] solve did not converge "
-                    f"(best-effort vector; {report.outcome})",
-                    file=sys.stderr,
-                )
-                exit_code = EXIT_CONVERGENCE
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     write_scores(estimates.pagerank, f"{prefix}.pagerank.scores")
     write_scores(estimates.core_pagerank, f"{prefix}.core.scores")
     write_scores(estimates.relative, f"{prefix}.relative.scores")
-    if args.checkpoint_dir is not None and exit_code == EXIT_OK:
+    if args.checkpoint_dir is not None:
         # persist the converged pair so a later `repro-spam update` can
-        # warm-start the incremental engine instead of solving cold (a
-        # best-effort vector is deliberately not saved: the push update
-        # assumes the stored scores solve the base graph exactly)
+        # warm-start the incremental engine instead of solving cold
         from .runtime.checkpoint import save_solution
 
         save_solution(
@@ -510,7 +406,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         f"{eligible:,} hosts pass scaled PageRank >= {args.rho:g}"
     )
     print(f"wrote {prefix}.{{pagerank,core,relative}}.scores")
-    return exit_code
+    return EXIT_OK
 
 
 def cmd_update(args: argparse.Namespace) -> int:
@@ -1211,14 +1107,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip-and-warn on malformed input lines instead of failing",
     )
     p_est.add_argument(
-        "--engine",
-        choices=("batched", "legacy"),
-        default="batched",
-        help="'batched' (default) solves p and p' as one block iteration "
-        "over the cached operator; 'legacy' rebuilds the operator and "
-        "solves the two vectors sequentially (pre-engine behavior)",
-    )
-    p_est.add_argument(
         "--cache-size",
         type=_positive_int,
         default=8,
@@ -1246,54 +1134,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="RNG seed for the Monte-Carlo cross-check",
     )
     p_est.add_argument(
-        "--max-task-retries",
-        type=_nonnegative_int,
-        default=None,
-        metavar="N",
-        help="per-task retry budget for supervised fan-out work "
-        "(Monte-Carlo chunks); 0 disables retries (default: "
-        "supervisor default)",
-    )
-    p_est.add_argument(
-        "--task-timeout",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help="per-task deadline for supervised fan-out work; a hung "
-        "worker is abandoned at the deadline and its chunk re-executed "
-        "in-process (default: no deadline)",
-    )
-    p_est.add_argument(
-        "--no-degrade",
-        action="store_true",
-        help="fail fast instead of degrading the process pool to "
-        "in-process serial execution when the circuit breaker trips",
-    )
-    p_est.add_argument(
         "--checkpoint-dir",
         default=None,
-        help="snapshot solver iterates here (atomic write-rename); "
-        "enables the resilient fallback runtime",
-    )
-    p_est.add_argument(
-        "--checkpoint-every",
-        type=_positive_int,
-        default=50,
-        help="checkpoint cadence in solver iterations (default 50)",
-    )
-    p_est.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from the newest checkpoint in --checkpoint-dir "
-        "instead of starting at iteration 0",
-    )
-    p_est.add_argument(
-        "--time-budget",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget per solve; on expiry return the "
-        "best-effort vector (exit code 4) instead of running on",
+        help="also save the converged p and p' as <dir>/solution.npz "
+        "(atomic write-rename), the state 'update', 'serve' and "
+        "'stream ingest' start from",
     )
     p_est.set_defaults(func=cmd_estimate)
 

@@ -88,7 +88,6 @@ class MassEstimates:
         "relative",
         "damping",
         "gamma",
-        "reports",
     )
 
     def __init__(
@@ -97,7 +96,6 @@ class MassEstimates:
         core_pagerank: np.ndarray,
         damping: float,
         gamma: Optional[float],
-        reports: Optional[dict] = None,
     ) -> None:
         if pagerank.shape != core_pagerank.shape:
             raise ValueError("score vectors must have identical shapes")
@@ -105,10 +103,6 @@ class MassEstimates:
         self.core_pagerank = core_pagerank
         self.damping = damping
         self.gamma = gamma
-        #: ``{"pagerank": RunReport, "core": RunReport}`` when the
-        #: estimates were produced under a resilient runtime policy;
-        #: ``None`` for plain solves.
-        self.reports = reports
         self.absolute = pagerank - core_pagerank
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = 1.0 - core_pagerank / pagerank
@@ -189,7 +183,6 @@ def estimate_spam_mass(
     method: str = "jacobi",
     transition_t=None,
     check: bool = True,
-    policy=None,
     engine=None,
     previous: Optional[MassEstimates] = None,
 ) -> MassEstimates:
@@ -225,14 +218,6 @@ def estimate_spam_mass(
         PageRank solve fails to converge — mass estimates computed from
         an unconverged vector are garbage, so treating that silently is
         opt-*out* (``check=False``), never the default.
-    policy:
-        Optional :class:`~repro.runtime.resilient.RuntimePolicy`.  When
-        given, both solves run under a :class:`FallbackSolver` —
-        divergence escalates down the method chain, budgets degrade to
-        best-effort vectors, and checkpoint/resume applies — and the
-        per-solve :class:`RunReport` diagnostics land in
-        ``MassEstimates.reports``.  ``check=True`` still raises if even
-        the fallback chain could not converge.
     previous:
         Optional :class:`MassEstimates` from the graph *before* the
         delta.  Requires ``graph`` to be a
@@ -255,10 +240,10 @@ def estimate_spam_mass(
                 "previous= needs a DeltaApplication (pairing the old "
                 "graph with the mutated one), not a bare WebGraph"
             )
-        if policy is not None or transition_t is not None:
+        if transition_t is not None:
             raise ValueError(
                 "previous= uses the incremental engine path and cannot "
-                "be combined with policy= or transition_t="
+                "be combined with transition_t="
             )
         if previous.num_nodes != graph.num_nodes:
             raise ValueError(
@@ -276,7 +261,7 @@ def estimate_spam_mass(
         return _estimate_spam_mass(
             graph, core_list, damping=damping, gamma=gamma, tol=tol,
             max_iter=max_iter, method=method, transition_t=transition_t,
-            check=check, policy=policy, engine=engine, tele=tele,
+            check=check, engine=engine, tele=tele,
             application=application, previous=previous,
         )
     with tele.span(
@@ -289,7 +274,7 @@ def estimate_spam_mass(
         return _estimate_spam_mass(
             graph, core_list, damping=damping, gamma=gamma, tol=tol,
             max_iter=max_iter, method=method, transition_t=transition_t,
-            check=check, policy=policy, engine=engine, tele=tele,
+            check=check, engine=engine, tele=tele,
             application=application, previous=previous,
         )
 
@@ -305,7 +290,6 @@ def _estimate_spam_mass(
     method: str,
     transition_t,
     check: bool,
-    policy,
     engine,
     tele,
     application=None,
@@ -348,24 +332,6 @@ def _estimate_spam_mass(
             from ..perf import get_engine
 
             engine = get_engine()
-        if policy is not None:
-            batch = engine.solve_many(
-                graph,
-                np.stack([u, w], axis=1),
-                damping=damping,
-                tol=tol,
-                max_iter=max_iter,
-                check=check,
-                labels=("pagerank", "core"),
-                policy=policy,
-            )
-            return MassEstimates(
-                batch.scores[:, 0].copy(),
-                batch.scores[:, 1].copy(),
-                damping,
-                gamma,
-                reports=batch.reports,
-            )
         if method == "jacobi":
             batch = engine.solve_many(
                 graph,
@@ -385,57 +351,29 @@ def _estimate_spam_mass(
         # non-default solver: sequential solves, cached operator
         transition_t = engine.operator(graph)
 
-    reports = None
-    if policy is not None:
-        results = {}
-        for label, jump in (
-            ("pagerank", u),
-            ("core", w),
-        ):
-            solver = policy.make_solver(label, tol=tol, max_iter=max_iter)
-            results[label] = solver.solve(
-                transition_t, jump, damping=damping, resume=policy.resume
-            )
-        reports = {label: r.report for label, r in results.items()}
-        if check:
-            failed = [
-                label for label, r in results.items() if not r.converged
-            ]
-            if failed:
-                from ..errors import ConvergenceError
-
-                raise ConvergenceError(
-                    "resilient mass estimation did not converge for the "
-                    f"{' and '.join(failed)} solve(s); pass check=False "
-                    "to accept the best-effort vectors",
-                    result=results[failed[0]],
-                )
-        p = results["pagerank"].scores
-        p_core = results["core"].scores
-    else:
-        # legacy sequential path: two separate solves, spanned apart so
-        # traces distinguish p from p′
-        with tele.span("solve:p", method=method):
-            p = pagerank_from_matrix(
-                transition_t,
-                u,
-                damping=damping,
-                tol=tol,
-                max_iter=max_iter,
-                method=method,
-                raise_on_divergence=check,
-            ).scores
-        with tele.span("solve:p_prime", method=method):
-            p_core = pagerank_from_matrix(
-                transition_t,
-                w,
-                damping=damping,
-                tol=tol,
-                max_iter=max_iter,
-                method=method,
-                raise_on_divergence=check,
-            ).scores
-    return MassEstimates(p, p_core, damping, gamma, reports=reports)
+    # sequential path: two separate solves, spanned apart so traces
+    # distinguish p from p′
+    with tele.span("solve:p", method=method):
+        p = pagerank_from_matrix(
+            transition_t,
+            u,
+            damping=damping,
+            tol=tol,
+            max_iter=max_iter,
+            method=method,
+            raise_on_divergence=check,
+        ).scores
+    with tele.span("solve:p_prime", method=method):
+        p_core = pagerank_from_matrix(
+            transition_t,
+            w,
+            damping=damping,
+            tol=tol,
+            max_iter=max_iter,
+            method=method,
+            raise_on_divergence=check,
+        ).scores
+    return MassEstimates(p, p_core, damping, gamma)
 
 
 def blacklist_mass(

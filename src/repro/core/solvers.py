@@ -38,8 +38,7 @@ pass silently.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 from scipy import sparse
@@ -62,8 +61,7 @@ __all__ = [
 
 #: Signature of the per-iteration hook accepted by the iterative
 #: solvers: ``callback(iteration, p, residual)``.  Raising from the
-#: callback aborts the solve — the resilient runtime layer uses this
-#: for divergence monitors, wall-time budgets and fault injection.
+#: callback aborts the solve.
 IterationCallback = Callable[[int, np.ndarray, float], None]
 
 
@@ -92,7 +90,6 @@ class SolverResult:
         "converged",
         "method",
         "residual_history",
-        "report",
     )
 
     def __init__(
@@ -110,10 +107,6 @@ class SolverResult:
         self.converged = converged
         self.method = method
         self.residual_history = residual_history
-        #: Populated by the resilient runtime layer
-        #: (:class:`repro.runtime.resilient.RunReport`); ``None`` for
-        #: plain single-method solves.
-        self.report = None
 
     def convergence_rate(self) -> float:
         """Empirical per-iteration residual contraction (geometric mean
@@ -172,7 +165,7 @@ def _validate_inputs(
 def _initial_iterate(
     v: np.ndarray, x0: Optional[np.ndarray], start_iteration: int
 ) -> np.ndarray:
-    """Resolve the warm-start iterate (checkpoint resume support)."""
+    """Resolve the warm-start iterate (``x0`` after ``start_iteration``)."""
     if start_iteration < 0:
         raise ValueError("start_iteration must be non-negative")
     if x0 is None:
@@ -213,16 +206,16 @@ def jacobi(
     tol:
         Stop when ``‖p⁽ⁱ⁾ − p⁽ⁱ⁻¹⁾‖₁ < tol``.
     max_iter:
-        Safety bound on the number of iterations (absolute — a resumed
-        solve continues counting from ``start_iteration``).
+        Safety bound on the number of iterations (absolute — a
+        warm-started solve continues counting from ``start_iteration``).
     x0, start_iteration:
-        Warm start: resume from a checkpointed iterate ``x0`` taken
-        after ``start_iteration`` iterations.  Jacobi is memoryless in
-        the iterate, so a resumed run reproduces the uninterrupted one
+        Warm start: continue from an iterate ``x0`` taken after
+        ``start_iteration`` iterations.  Jacobi is memoryless in the
+        iterate, so a continued run reproduces the uninterrupted one
         exactly.
     callback:
         Optional per-iteration hook ``callback(iteration, p, residual)``;
-        raising from it aborts the solve (see the resilient runtime).
+        raising from it aborts the solve.
     """
     _validate_inputs(transition_t, v, damping, tol)
     p = _initial_iterate(v, x0, start_iteration)
@@ -439,28 +432,14 @@ def solve(
     x0: Optional[np.ndarray] = None,
     start_iteration: int = 0,
     callback: Optional[IterationCallback] = None,
-    checkpoint: Union[None, str, Path, "object"] = None,
-    resume: bool = False,
-    checkpoint_every: int = 50,
 ) -> SolverResult:
     """Dispatch to a solver by name (see :data:`SOLVERS`).
 
-    Robustness extensions
-    ---------------------
     check:
         Raise :class:`~repro.errors.ConvergenceError` (carrying the
         best-effort result) when the stopping criterion was not met —
         the exhaust-path otherwise returns ``converged=False`` silently
         and nothing downstream is forced to look at the flag.
-    checkpoint, resume, checkpoint_every:
-        ``checkpoint`` is a directory path (or a pre-built
-        :class:`~repro.runtime.checkpoint.CheckpointManager`); the
-        iterate is snapshotted atomically every ``checkpoint_every``
-        iterations.  With ``resume=True`` the newest compatible
-        snapshot seeds ``x0``/``start_iteration``, so a killed run
-        restarts from the last checkpoint instead of iteration 0.
-        Snapshots record a problem fingerprint and refuse to resume
-        against a different matrix/jump vector.
     x0, start_iteration, callback:
         Warm start and per-iteration hook, forwarded to the solver.
     """
@@ -470,29 +449,6 @@ def solve(
         raise ValueError(
             f"unknown solver {method!r}; available: {sorted(SOLVERS)}"
         ) from None
-
-    if resume and checkpoint is None:
-        raise ValueError("resume=True requires a checkpoint directory")
-    if checkpoint is not None:
-        # lazy import: the runtime package sits above this module
-        from ..runtime.checkpoint import CheckpointManager, problem_fingerprint
-        from ..runtime.monitors import compose_callbacks
-
-        manager = (
-            checkpoint
-            if isinstance(checkpoint, CheckpointManager)
-            else CheckpointManager(checkpoint, every=checkpoint_every)
-        )
-        fingerprint = problem_fingerprint(transition_t, v)
-        if resume:
-            restored = manager.load_latest(fingerprint=fingerprint)
-            if restored is not None:
-                x0 = restored.p
-                start_iteration = restored.iteration
-        callback = compose_callbacks(
-            callback,
-            manager.callback(method=method, fingerprint=fingerprint),
-        )
 
     result = solver(
         transition_t,
@@ -509,8 +465,7 @@ def solve(
         raise ConvergenceError(
             f"solver {method!r} did not converge: residual "
             f"{result.residual:.3e} after {result.iterations} iterations "
-            f"(tol {tol:g}); pass check=False for the best-effort vector "
-            "or use repro.runtime.FallbackSolver for graceful degradation",
+            f"(tol {tol:g}); pass check=False for the best-effort vector",
             result=result,
         )
     return result

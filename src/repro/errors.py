@@ -37,8 +37,6 @@ __all__ = [
     "DeltaError",
     "StreamError",
     "StreamEventError",
-    "SolverAbort",
-    "BudgetExceeded",
     "SupervisionError",
     "InjectedFault",
 ]
@@ -214,37 +212,14 @@ class GraphIOWarning(UserWarning):
         self.counts = dict(counts or {})
 
 
-class SolverAbort(ReproError):
-    """Internal control-flow signal: a residual monitor (or budget)
-    demands the current solve attempt stop immediately.
-
-    ``reason`` is a short machine-readable slug (``"nan"``,
-    ``"diverged"``, ``"stagnated"``, ``"time-budget"``).
-    """
-
-    def __init__(self, reason: str, message: str = "") -> None:
-        super().__init__(message or reason)
-        self.reason = reason
-
-
-class BudgetExceeded(SolverAbort):
-    """An iteration or wall-time budget ran out mid-solve."""
-
-
 class SupervisionError(ReproError, RuntimeError):
-    """Supervised fan-out execution could not complete.
+    """A guarded re-estimate could not complete.
 
-    Raised by :class:`~repro.runtime.supervisor.TaskSupervisor` when a
-    task exhausts its retry budget, or when degradation to in-process
-    serial execution would be required but was disallowed
-    (``allow_degrade=False`` / ``--no-degrade``).  Carries the partial
-    :class:`~repro.runtime.supervisor.SupervisionReport` in ``report``
-    so callers can inspect what *did* complete before the failure.
+    Raised by :func:`~repro.serve.ingest.guarded_call` when the warm
+    path exhausts its retry budget and degradation to a cold re-solve
+    is disallowed (``allow_degrade=False`` / ``--no-degrade``) or
+    unavailable, or when the cold fallback itself fails.
     """
-
-    def __init__(self, message: str, report=None) -> None:
-        super().__init__(message)
-        self.report = report
 
 
 class InjectedFault(ReproError):

@@ -147,7 +147,6 @@ class ReproductionContext:
         frac_unknown: float = 0.061,
         frac_nonexistent: float = 0.05,
         sample_seed: int = 23,
-        policy=None,
         engine=None,
     ) -> "ReproductionContext":
         """Build a context following the paper's Section 4 procedure.
@@ -156,13 +155,6 @@ class ReproductionContext:
         ``sample_fraction=None`` inspects the *whole* filtered set
         (affordable at synthetic scale, and it removes sampling noise
         from reproduced curves — pass 0.001 for the paper's 0.1%).
-
-        ``policy`` optionally runs the two PageRank solves under a
-        resilient runtime
-        (:class:`~repro.runtime.resilient.RuntimePolicy`): checkpointed,
-        budgeted and with solver fallback — the CLI's
-        ``--checkpoint-dir``/``--resume``/``--time-budget`` flags end up
-        here.
 
         ``engine`` optionally supplies a
         :class:`~repro.perf.PagerankEngine`; by default the solves use
@@ -176,7 +168,7 @@ class ReproductionContext:
                 world, uncovered_coverage=uncovered_coverage
             )
             estimates = estimate_spam_mass(
-                world.graph, core, gamma=gamma, policy=policy, engine=engine
+                world.graph, core, gamma=gamma, engine=engine
             )
             scaled = estimates.scaled_pagerank()
             eligible_mask = scaled >= rho

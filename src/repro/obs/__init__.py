@@ -1,11 +1,10 @@
 """Observability layer: tracing, metrics and telemetry capture.
 
 The mass-estimation pipeline (Algorithm 2: two PageRank solves over
-one operator, then thresholding) runs under a resilient runtime and a
-batched perf engine whose *behaviour* — fallback escalations, cache
-hits, residual trajectories, checkpoint writes — matters as much as
-its output.  This package makes that behaviour a first-class,
-assertable signal:
+one operator, then thresholding) runs on a batched perf engine whose
+*behaviour* — cache hits, per-column convergence, write retries,
+incremental pushes — matters as much as its output.  This package
+makes that behaviour a first-class, assertable signal:
 
 * :mod:`repro.obs.events` — the :class:`Event` record and the sinks
   (:class:`NullSink`, :class:`MemorySink`, :class:`JsonlSink`,

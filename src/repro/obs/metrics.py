@@ -19,15 +19,9 @@ name                       type        meaning
 ``opcache.evictions``      counter     LRU evictions
 ``engine.batched_solves``  counter     ``solve_many`` calls
 ``engine.columns``         counter     stacked columns solved
-``solver.attempts``        counter     fallback-chain attempts started
-``solver.escalations``     counter     escalations to a later chain method
-``solver.resumes``         counter     checkpoint resumes
-``checkpoint.writes``      counter     snapshots written
 ``retry.attempts``         counter     transient-I/O retries
 ``mc.walks``               counter     Monte-Carlo walks sampled
 ``detect.candidates``      gauge       size of the last candidate set
-``solver.iterations``      histogram   per-solve iteration counts
-``solver.residual_curve``  histogram   residuals observed by the monitors
 ``span.duration.<name>``   histogram   per-stage wall seconds
 =========================  ==========  =======================================
 """

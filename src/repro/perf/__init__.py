@@ -10,9 +10,8 @@ makes that path fast without changing any numerical semantics:
   ``solve_many`` runs stacked jump vectors as one dangling-restricted
   block Jacobi iteration (``p`` and ``p′`` in a single pass);
 * :mod:`repro.perf.parallel` — process-parallel Monte-Carlo sampling
-  with deterministic, scheduling-independent results, gathered under
-  a :class:`~repro.runtime.supervisor.TaskSupervisor` (per-chunk
-  retry, deadlines, circuit breaking, partial-result salvage).
+  with deterministic, scheduling-independent results (a fixed chunk
+  plan mapped over a process pool).
 
 ``get_engine()`` returns the process-wide shared engine that the core
 APIs (:func:`repro.core.pagerank.pagerank`,

@@ -41,17 +41,12 @@ per-shard row blocks whose rows are bitwise those of the assembled
 matmul, so both backends produce bitwise-identical solves.  The
 incremental engine's diffusion escape
 (:func:`repro.perf.incremental.push_update`) runs the same loop.
-
-Runtime policies (PR 1) are preserved **per column**: pass ``policy=``
-and each stacked vector is solved through its own
-:class:`~repro.runtime.resilient.FallbackSolver` with its own labeled
-checkpoint directory, exactly as the sequential path would.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -98,15 +93,10 @@ class BatchResult:
     iterations, residuals, converged:
         Per-column diagnostics (``int64`` / ``float64`` / ``bool``).
     method:
-        ``"batched_jacobi"`` for the block kernel, the underlying
-        solver name for loop fallbacks, ``"fallback_chain"`` under a
-        runtime policy.
+        ``"batched_jacobi"`` for the block kernel, ``"incremental_push"``
+        for a warm update.
     labels:
-        Per-column labels (used for checkpoint directories and report
-        keys under a policy).
-    reports:
-        ``{label: RunReport}`` when solved under a runtime policy,
-        otherwise ``None``.
+        Per-column labels (named in convergence errors and telemetry).
     """
 
     __slots__ = (
@@ -116,7 +106,6 @@ class BatchResult:
         "converged",
         "method",
         "labels",
-        "reports",
     )
 
     def __init__(
@@ -127,7 +116,6 @@ class BatchResult:
         converged: np.ndarray,
         method: str,
         labels: Sequence[str],
-        reports: Optional[Dict[str, object]] = None,
     ) -> None:
         self.scores = scores
         self.iterations = iterations
@@ -135,7 +123,6 @@ class BatchResult:
         self.converged = converged
         self.method = method
         self.labels = list(labels)
-        self.reports = reports
 
     @property
     def num_columns(self) -> int:
@@ -263,7 +250,7 @@ class PagerankEngine:
         Semantically identical to
         :func:`repro.core.pagerank.pagerank`, minus the per-call
         operator rebuild.  Extra options go to
-        :func:`repro.core.solvers.solve` (checkpoints, warm starts,
+        :func:`repro.core.solvers.solve` (warm starts, residual tracking,
         callbacks).
 
         Sharded graphs route through the block kernel (only the Jacobi
@@ -320,7 +307,6 @@ class PagerankEngine:
         max_iter: int = 10_000,
         check: bool = True,
         labels: Optional[Sequence[str]] = None,
-        policy=None,
     ) -> BatchResult:
         """Solve ``k`` stacked jump vectors in one batched pass.
 
@@ -341,14 +327,7 @@ class PagerankEngine:
             fails to converge (the default — a silently unconverged
             column poisons the mass estimates downstream).
         labels:
-            Per-column names; under a ``policy`` they key checkpoint
-            subdirectories and the ``reports`` dict.
-        policy:
-            Optional :class:`~repro.runtime.resilient.RuntimePolicy`
-            (in-memory graphs only).  Each column then runs through its
-            own labeled :class:`FallbackSolver` — checkpoint/resume,
-            escalation and budgets apply per column, exactly as in the
-            sequential pipeline.
+            Per-column names, used in convergence errors and telemetry.
         """
         n = graph.num_nodes
         if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
@@ -370,11 +349,6 @@ class PagerankEngine:
                 f"{len(labels)} labels for {k} stacked vectors"
             )
         if isinstance(graph, ShardedWebGraph):
-            if policy is not None:
-                raise ValueError(
-                    "runtime policies need the assembled operator and "
-                    "are not available on the sharded backend"
-                )
             op = _sharded.sharded_operator_for(self.shard_cache, graph)
         else:
             op = self.bundle(graph)
@@ -382,11 +356,11 @@ class PagerankEngine:
         tele = get_telemetry()
         if not tele.enabled:
             return self._run_batch(
-                op, stacked, labels, damping, tol, max_iter, check, policy,
+                op, stacked, labels, damping, tol, max_iter, check,
             )
         with tele.span("solve:batch", columns=k) as sp:
             result = self._run_batch(
-                op, stacked, labels, damping, tol, max_iter, check, policy,
+                op, stacked, labels, damping, tol, max_iter, check,
             )
             tele.inc("engine.batched_solves")
             tele.inc("engine.columns", k)
@@ -411,13 +385,8 @@ class PagerankEngine:
         tol: float,
         max_iter: int,
         check: bool,
-        policy,
     ) -> BatchResult:
         """The untraced core of :meth:`solve_many`."""
-        if policy is not None:
-            return self._solve_with_policy(
-                op, stacked, labels, damping, tol, max_iter, check, policy,
-            )
         result = _block_jacobi(
             op,
             stacked,
@@ -436,56 +405,10 @@ class PagerankEngine:
             raise ConvergenceError(
                 f"batched solve did not converge for column(s) "
                 f"{', '.join(bad)} within {max_iter} iterations; pass "
-                "check=False for best-effort vectors or, in memory, a "
-                "runtime policy for per-column fallback",
+                "check=False for best-effort vectors",
                 result=result.column(labels.index(bad[0])),
             )
         return result
-
-    def _solve_with_policy(
-        self,
-        bundle: OperatorBundle,
-        stacked: np.ndarray,
-        labels: Sequence[str],
-        damping: float,
-        tol: float,
-        max_iter: int,
-        check: bool,
-        policy,
-    ) -> BatchResult:
-        """Per-column resilient solves sharing the cached operator."""
-        n, k = stacked.shape
-        scores = np.empty_like(stacked)
-        iterations = np.zeros(k, dtype=np.int64)
-        residuals = np.full(k, np.inf)
-        converged = np.zeros(k, dtype=bool)
-        reports: Dict[str, object] = {}
-        for j, label in enumerate(labels):
-            solver = policy.make_solver(label, tol=tol, max_iter=max_iter)
-            result = solver.solve(
-                bundle.transition_t,
-                stacked[:, j],
-                damping=damping,
-                resume=policy.resume,
-            )
-            scores[:, j] = result.scores
-            iterations[j] = result.iterations
-            residuals[j] = result.residual
-            converged[j] = result.converged
-            reports[label] = result.report
-        batch = BatchResult(
-            scores, iterations, residuals, converged,
-            "fallback_chain", labels, reports=reports,
-        )
-        if check and not bool(converged.all()):
-            bad = [labels[j] for j in range(k) if not converged[j]]
-            raise ConvergenceError(
-                "resilient batched solve did not converge for the "
-                f"{' and '.join(bad)} column(s); pass check=False to "
-                "accept the best-effort vectors",
-                result=batch.column(labels.index(bad[0])),
-            )
-        return batch
 
     # ------------------------------------------------------------------
     # incremental updates

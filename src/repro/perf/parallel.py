@@ -1,4 +1,4 @@
-"""Deterministic parallel Monte-Carlo PageRank, supervised.
+"""Deterministic parallel Monte-Carlo PageRank.
 
 Random-walk simulation is embarrassingly parallel — walks never
 interact — but naive parallelization trades away reproducibility: the
@@ -23,21 +23,19 @@ even float rounding is fixed).  Consequently
 returns **bitwise-identical** scores for ``workers=1``, ``workers=8``,
 or the in-process fallback — the worker count only changes wall time.
 
-Execution is gathered by a
-:class:`~repro.runtime.supervisor.TaskSupervisor` (completion order,
-never blocking on one chunk): a dead worker costs only its own
-unfinished chunks (completed chunk results are salvaged and never
-re-simulated), a hung worker is abandoned at its per-task deadline and
-its chunk re-executed in-process, and repeated pool failures trip a
-circuit breaker that degrades the remaining plan to sequential
-in-process execution with a warning — results are unchanged in every
-case, because the chunk plan and RNG streams are fixed up front.
+With ``workers > 1`` the plan is a plain ``ProcessPoolExecutor.map``,
+whose results come back in plan order.  When no pool can be built (a
+sandbox without process support) the plan runs in-process with a
+:class:`RuntimeWarning`.  A worker that dies mid-plan is not salvaged:
+the pool raises :class:`~concurrent.futures.process.BrokenProcessPool`.
 """
 
 from __future__ import annotations
 
+import warnings
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Tuple, Union
+from functools import partial
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -45,7 +43,6 @@ from ..core.montecarlo import MonteCarloResult, pagerank_montecarlo
 from ..core.pagerank import DEFAULT_DAMPING
 from ..graph.webgraph import WebGraph
 from ..obs import get_telemetry
-from ..runtime.supervisor import SupervisorPolicy, TaskSupervisor
 
 __all__ = ["plan_chunks", "pagerank_montecarlo_parallel"]
 
@@ -74,21 +71,14 @@ def plan_chunks(num_walks: int, chunks: int = DEFAULT_CHUNKS) -> List[int]:
 
 
 def _simulate_chunk(
-    chunk_index: int,
     graph: WebGraph,
     v: Optional[np.ndarray],
     damping: float,
+    max_walk_length: int,
     chunk_walks: int,
     seed_seq: np.random.SeedSequence,
-    max_walk_length: int,
 ) -> Tuple[np.ndarray, int, int]:
-    """One chunk's walks (module-level so process pools can pickle it).
-
-    ``chunk_index`` identifies the chunk to the supervision layer (and
-    to chaos injectors keyed on it); the simulation itself depends only
-    on the remaining arguments.
-    """
-    del chunk_index  # identity only; the walks depend on the seed stream
+    """One chunk's walks (module-level so process pools can pickle it)."""
     result = pagerank_montecarlo(
         graph,
         v,
@@ -110,16 +100,14 @@ def pagerank_montecarlo_parallel(
     seed: int = 0,
     chunks: int = DEFAULT_CHUNKS,
     max_walk_length: int = 1_000,
-    supervisor: Union[None, SupervisorPolicy, TaskSupervisor] = None,
-    _chunk_fn=None,
 ) -> MonteCarloResult:
-    """Monte-Carlo PageRank over a supervised process pool, reproducibly.
+    """Monte-Carlo PageRank over a process pool, reproducibly.
 
     Parameters
     ----------
     workers:
         Process count.  ``None``, ``0`` or ``1`` runs the chunk plan
-        in-process (no pool); higher values fan chunks out over a
+        in-process (no pool); higher values map chunks over a
         :class:`~concurrent.futures.ProcessPoolExecutor`.  The returned
         scores are identical either way.
     seed:
@@ -129,47 +117,39 @@ def pagerank_montecarlo_parallel(
         Chunk-plan width; leave at the default unless you need more
         than :data:`DEFAULT_CHUNKS`-way parallelism.  Changing it
         changes the (equally valid) estimate.
-    supervisor:
-        A :class:`~repro.runtime.supervisor.TaskSupervisor` (or a bare
-        :class:`~repro.runtime.supervisor.SupervisorPolicy`) governing
-        retries, per-chunk deadlines, circuit breaking and degradation.
-        ``None`` uses the default policy.  See ``docs/runtime.md``.
-    _chunk_fn:
-        Test seam: replaces the chunk simulator (chaos injectors wrap
-        it).  Must accept the same arguments as the internal simulator
-        and stay picklable for pool execution.
 
     See :func:`repro.core.montecarlo.pagerank_montecarlo` for the
     estimator itself and the remaining parameters.
     """
     plan = plan_chunks(num_walks, chunks)
     streams = np.random.SeedSequence(seed).spawn(len(plan))
-    tasks = [
-        (i, graph, v, damping, chunk_walks, stream, max_walk_length)
-        for i, (chunk_walks, stream) in enumerate(zip(plan, streams))
-    ]
-    fn = _chunk_fn if _chunk_fn is not None else _simulate_chunk
-    if isinstance(supervisor, TaskSupervisor):
-        sup = supervisor
-    else:
-        sup = TaskSupervisor(supervisor)
-
-    pool_factory = None
+    simulate = partial(_simulate_chunk, graph, v, damping, max_walk_length)
+    results = None
     if workers is not None and workers > 1:
-        worker_count = workers
-        # referenced through the module global so tests can monkeypatch
-        # pool construction failures (and so the sandbox fallback stays
-        # observable)
-        pool_factory = lambda: ProcessPoolExecutor(  # noqa: E731
-            max_workers=worker_count
-        )
-    report = sup.run(fn, tasks, pool_factory=pool_factory, label="mc")
+        # the errors of a sandbox without process support: no
+        # semaphores (NotImplementedError), no /dev/shm (OSError), no
+        # _multiprocessing (ImportError)
+        try:
+            pool = ProcessPoolExecutor(max_workers=workers)
+        except (OSError, NotImplementedError, ImportError) as exc:
+            warnings.warn(
+                f"Monte Carlo: no process pool ({exc!r}); running the "
+                f"{len(plan)}-chunk plan sequentially in-process; results "
+                "are unaffected, only wall time.",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        else:
+            with pool:
+                results = list(pool.map(simulate, plan, streams))
+    if results is None:
+        results = list(map(simulate, plan, streams))
 
     # pooled estimator: Σ scoresᵢ·Rᵢ/R, accumulated in chunk order so
     # float rounding is scheduling-independent
     scores = np.zeros(graph.num_nodes, dtype=np.float64)
     total_steps = 0
-    for chunk_scores, chunk_walks, chunk_steps in report.results:
+    for chunk_scores, chunk_walks, chunk_steps in results:
         scores += chunk_scores * (chunk_walks / num_walks)
         total_steps += chunk_steps
     tele = get_telemetry()

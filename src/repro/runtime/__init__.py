@@ -1,110 +1,54 @@
-"""Resilient execution layer: checkpoints, fallback chains, chaos.
+"""Operational helpers: solution snapshots, retries, chaos injectors.
 
-This package wraps the numerical core in the operational behaviors a
-continuously re-run pipeline needs (see ``docs/runtime.md``):
+See ``docs/runtime.md``:
 
-* :mod:`repro.runtime.checkpoint` — atomic snapshot/restore of solver
-  iterates (kill-and-resume).
-* :mod:`repro.runtime.monitors` — mid-solve divergence/NaN/stagnation
-  detection and wall-clock deadlines.
-* :mod:`repro.runtime.resilient` — :class:`FallbackSolver` escalation
-  chains with structured :class:`RunReport` diagnostics, plus the
-  :class:`RuntimePolicy` object the CLI threads through the pipeline.
-* :mod:`repro.runtime.chaos` — deterministic fault injectors for the
-  resilience test-suite.
+* :mod:`repro.runtime.checkpoint` — the atomic ``solution.npz``
+  snapshot that ``estimate --checkpoint-dir`` writes and ``update``,
+  ``serve`` and ``stream ingest`` start from.
 * :mod:`repro.runtime.retry` — deterministic :class:`BackoffPolicy`
   schedules and retry-with-backoff for transient failures.
-* :mod:`repro.runtime.supervisor` — :class:`TaskSupervisor` for
-  fan-out work: per-task retry, deadlines/watchdog, circuit breaking
-  and partial-result salvage (see ``docs/runtime.md``).
+* :mod:`repro.runtime.chaos` — deterministic fault injectors for the
+  resilience test-suite (loaded on first attribute access).
 
-The heavyweight :mod:`~repro.runtime.resilient` module (it pulls in the
-numerical core) is loaded lazily on first attribute access, so the
-light modules stay importable from low layers such as
-:mod:`repro.graph.io` without import cycles.
+The modules here import nothing from the numerical core, so they stay
+importable from low layers such as :mod:`repro.graph.io` without
+import cycles.
 """
 
 from __future__ import annotations
 
 from ..errors import (
-    BudgetExceeded,
     CheckpointError,
     ConvergenceError,
     GraphFormatError,
     GraphIOWarning,
     InjectedFault,
     SnapshotMismatchError,
-    SolverAbort,
     SupervisionError,
     TruncatedFileError,
     WalError,
 )
-from .checkpoint import (
-    CheckpointManager,
-    SolutionSnapshot,
-    SolverCheckpoint,
-    load_solution,
-    problem_fingerprint,
-    save_solution,
-)
-from .monitors import Deadline, ResidualMonitor, compose_callbacks
+from .checkpoint import SolutionSnapshot, load_solution, save_solution
 from .retry import BackoffPolicy, with_retries
-from .supervisor import (
-    CIRCUIT_STATES,
-    CircuitBreaker,
-    SupervisionReport,
-    SupervisorPolicy,
-    TaskSupervisor,
-)
 
 __all__ = [
     # errors (re-exported for convenience)
-    "BudgetExceeded",
     "CheckpointError",
     "ConvergenceError",
     "GraphFormatError",
     "GraphIOWarning",
     "InjectedFault",
     "SnapshotMismatchError",
-    "SolverAbort",
     "SupervisionError",
     "TruncatedFileError",
     "WalError",
-    # light modules
-    "CheckpointManager",
-    "SolverCheckpoint",
     "SolutionSnapshot",
-    "problem_fingerprint",
     "save_solution",
     "load_solution",
-    "Deadline",
-    "ResidualMonitor",
-    "compose_callbacks",
     "BackoffPolicy",
     "with_retries",
-    "CIRCUIT_STATES",
-    "CircuitBreaker",
-    "SupervisionReport",
-    "SupervisorPolicy",
-    "TaskSupervisor",
-    # lazy (resilient.py pulls in the numerical core)
-    "DEFAULT_CHAIN",
-    "AttemptRecord",
-    "RunReport",
-    "FallbackSolver",
-    "RuntimePolicy",
-    "resilient_solve",
     "chaos",
 ]
-
-_LAZY = {
-    "DEFAULT_CHAIN",
-    "AttemptRecord",
-    "RunReport",
-    "FallbackSolver",
-    "RuntimePolicy",
-    "resilient_solve",
-}
 
 
 def __getattr__(name: str):
@@ -112,9 +56,6 @@ def __getattr__(name: str):
     # a getattr on this package and would re-enter this hook forever.
     import importlib
 
-    if name in _LAZY:
-        resilient = importlib.import_module(f"{__name__}.resilient")
-        return getattr(resilient, name)
     if name == "chaos":
         return importlib.import_module(f"{__name__}.chaos")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

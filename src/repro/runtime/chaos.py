@@ -8,15 +8,21 @@ tests can tell the planted fault from a genuine bug.
 
 Injectors
 ---------
-* :func:`fault_at` / :func:`nan_poison_at` — solver iteration callbacks
-  that kill or poison a run at an exact iteration.
 * :func:`corrupt_edge_file` — byte- and line-level corruption of edge
   files (truncation, garbage tokens, out-of-range ids, ...).
 * :class:`FlakyCalls` — wraps any callable to fail on a scripted
   subset of its invocations (``OSError``, ``MemoryError``, ...); used
-  to exercise retry and fallback paths.
+  to exercise retry paths.
 * :func:`flaky_open` — an ``open``-compatible wrapper for
   monkeypatching file-level failures into io code.
+* :class:`ServeChaos` / :func:`truncate_wal_tail` — scripted faults on
+  the scoring daemon's apply path and its write-ahead log.
+* :func:`contaminate_core` — spam planted in a good core, for the
+  core audit.
+* :func:`torn_resend_stream`, :func:`duplicate_stream_events`,
+  :func:`reorder_stream_events`, :func:`late_straggler_events`,
+  :func:`poison_stream_window` — transport faults on a crawl-event
+  feed.
 
 None of this is imported by production code paths.
 """
@@ -32,13 +38,10 @@ import numpy as np
 from ..errors import InjectedFault
 
 __all__ = [
-    "fault_at",
-    "nan_poison_at",
     "corrupt_edge_file",
     "CORRUPTION_KINDS",
     "FlakyCalls",
     "flaky_open",
-    "ChaosWorker",
     "ServeChaos",
     "truncate_wal_tail",
     "contaminate_core",
@@ -48,65 +51,6 @@ __all__ = [
     "late_straggler_events",
     "poison_stream_window",
 ]
-
-
-# ----------------------------------------------------------------------
-# solver-level injectors (iteration callbacks)
-# ----------------------------------------------------------------------
-
-
-def fault_at(
-    iteration: int,
-    exc_factory: Callable[[], BaseException] = None,
-) -> Callable[[int, np.ndarray, float], None]:
-    """Callback raising a fault when the solver reaches ``iteration``.
-
-    The default fault is :class:`~repro.errors.InjectedFault` — a stand-in
-    for "the process was killed here" in kill-and-resume tests.
-    """
-
-    def _inject(it: int, p: np.ndarray, residual: float) -> None:
-        if it == iteration:
-            exc = (
-                exc_factory()
-                if exc_factory is not None
-                else InjectedFault(f"injected crash at iteration {it}")
-            )
-            raise exc
-
-    return _inject
-
-
-def nan_poison_at(
-    iteration: int,
-    *,
-    fraction: float = 0.01,
-    seed: int = 0,
-    methods: Optional[tuple] = None,
-) -> Callable[[int, np.ndarray, float], None]:
-    """Callback that overwrites a deterministic subset of the iterate
-    with NaN at ``iteration`` — simulating in-memory corruption.
-
-    ``methods`` optionally restricts poisoning to attempts whose bound
-    ``method`` matches (see :class:`~repro.runtime.resilient.FallbackSolver`,
-    which exposes the active method on the callback's behalf via the
-    ``_chaos_method`` attribute it sets before each attempt).
-    """
-    if not (0.0 < fraction <= 1.0):
-        raise ValueError("fraction must be in (0, 1]")
-
-    def _poison(it: int, p: np.ndarray, residual: float) -> None:
-        if it != iteration:
-            return
-        active = getattr(_poison, "_chaos_method", None)
-        if methods is not None and active is not None and active not in methods:
-            return
-        rng = np.random.default_rng(seed)
-        count = max(1, int(len(p) * fraction))
-        idx = rng.choice(len(p), size=count, replace=False)
-        p[idx] = np.nan
-
-    return _poison
 
 
 # ----------------------------------------------------------------------
@@ -277,113 +221,6 @@ def flaky_open(
     import builtins
 
     return FlakyCalls(builtins.open, plan=plan, fail_first=fail_first, exc=exc)
-
-
-# ----------------------------------------------------------------------
-# worker-level injectors (process-pool fan-out)
-# ----------------------------------------------------------------------
-
-
-class ChaosWorker:
-    """Wrap a picklable task function with scripted worker faults.
-
-    Faults are keyed on one of the task's positional arguments
-    (``key_arg``, default the first) — the supervised fan-out paths all
-    lead their task tuples with the plan index, so ``kill_on=(2,)``
-    means "chunk 2 misbehaves".  Kinds:
-
-    ``kill_on``
-        The worker *process* dies (``os._exit``) — the classic
-        segfault/OOM-kill, surfacing as ``BrokenProcessPool`` for every
-        in-flight future.  Fires only inside a child process; executed
-        in the supervising process the injector is a no-op, so serial
-        degradation completes the plan.
-    ``hang_on``
-        The worker sleeps ``hang_seconds`` before doing the work —
-        past any sane deadline, so the watchdog abandons it.  Also
-        worker-only by default.
-    ``slow_on``
-        The worker sleeps ``slow_seconds`` first, then works normally:
-        a straggler *within* its deadline, which supervision must
-        tolerate without retrying.
-    ``fail_on``
-        Raise ``exc`` instead of working — fires everywhere (worker or
-        in-process), the script for plain task-retry paths.
-
-    ``once_dir`` makes kill/hang/fail faults fire **once per key**
-    across all processes (an atomically-created marker file arbitrates)
-    so a retried task succeeds — the salvage/retry happy path.  Without
-    it a fault fires on every pool execution, which is how the circuit
-    breaker is driven to trip.
-
-    Instances are picklable as long as ``fn`` is a module-level
-    callable and ``exc`` a module-level exception type.
-    """
-
-    def __init__(
-        self,
-        fn: Callable,
-        *,
-        kill_on: tuple = (),
-        hang_on: tuple = (),
-        slow_on: tuple = (),
-        fail_on: tuple = (),
-        hang_seconds: float = 30.0,
-        slow_seconds: float = 0.02,
-        exc: Type[BaseException] = InjectedFault,
-        once_dir: Optional[Union[str, Path]] = None,
-        key_arg: int = 0,
-    ) -> None:
-        self.fn = fn
-        self.kill_on = tuple(kill_on)
-        self.hang_on = tuple(hang_on)
-        self.slow_on = tuple(slow_on)
-        self.fail_on = tuple(fail_on)
-        self.hang_seconds = hang_seconds
-        self.slow_seconds = slow_seconds
-        self.exc = exc
-        self.once_dir = None if once_dir is None else str(once_dir)
-        self.key_arg = key_arg
-
-    def _fires_once(self, kind: str, key) -> bool:
-        """True if this (kind, key) fault should fire now.
-
-        With ``once_dir`` set, the first process to atomically create
-        the marker file wins; everyone later sees the fault as spent.
-        """
-        if self.once_dir is None:
-            return True
-        marker = Path(self.once_dir) / f"chaos-{kind}-{key}"
-        try:
-            marker.touch(exist_ok=False)
-        except FileExistsError:
-            return False
-        return True
-
-    @staticmethod
-    def _in_worker() -> bool:
-        import multiprocessing
-
-        return multiprocessing.parent_process() is not None
-
-    def __call__(self, *args, **kwargs):
-        import os
-        import time as _time
-
-        key = args[self.key_arg] if len(args) > self.key_arg else None
-        if key in self.kill_on and self._in_worker() and self._fires_once(
-            "kill", key
-        ):
-            os._exit(17)
-        if key in self.hang_on and self._in_worker() and self._fires_once(
-            "hang", key
-        ):
-            _time.sleep(self.hang_seconds)
-        if key in self.slow_on:
-            _time.sleep(self.slow_seconds)
-        if key in self.fail_on and self._fires_once("fail", key):
-            raise self.exc(f"injected task fault on key {key!r}")
-        return self.fn(*args, **kwargs)
 
 
 # ----------------------------------------------------------------------

@@ -1,42 +1,37 @@
-"""Solver checkpointing: atomic snapshots of the PageRank iterate.
+"""Converged-solution snapshots: ``<dir>/solution.npz``.
 
-At the paper's deployment scale (a 73M-host graph re-ranked
-continuously) a PageRank run that dies at iteration 80 of 100 wastes
-hours if it must restart from the uniform vector.  Jacobi, Gauss-Seidel
-and power iteration are memoryless in the iterate — ``p`` plus the
-iteration number is a complete state — so a checkpoint is tiny and
-resuming is exact.
+A cold ``repro-spam estimate --checkpoint-dir DIR`` saves its
+converged ``p`` and ``p′`` here; ``update``, ``serve`` and ``stream
+ingest`` load them as the base their incremental engine warm-starts
+from, and write the advanced pair back after every applied delta.
 
 Format
 ------
-A checkpoint directory holds ``ckpt-<iteration:09d>.npz`` files, each a
-compressed numpy archive with:
+An uncompressed numpy archive with:
 
-``p``
-    The iterate (float64).
-``residual_history``
-    The residuals observed so far (may be empty when tracking is off).
+``scores``
+    The ``(n, k)`` float64 solution, one column per jump vector.
+``iterations``, ``residuals``
+    Per-column solve diagnostics (zeros when the writer had none).
 ``meta``
-    A JSON string: ``iteration``, ``method``, ``residual``, ``damping``,
-    ``tol`` and a ``fingerprint`` of the problem (size + checksums of
-    the jump vector and matrix structure) so a checkpoint is never
-    resumed against a *different* system.
+    A JSON string: the graph's structural ``fingerprint``, the column
+    count and whatever the writer adds (``damping``, ``gamma``,
+    ``labels``), so a snapshot is never warm-started against a
+    *different* graph.
 
 Writes are atomic: the archive is written to a ``.tmp`` sibling and
 ``os.replace``-d into place, so a crash mid-write can never leave a
-half-written *current* checkpoint — at worst a stale ``.tmp`` that is
-ignored (and cleaned up) by readers.  Transient write failures are
-retried with backoff.
+half-written snapshot — at worst a stale ``.tmp`` that is removed on
+the way out.  Transient write failures are retried with backoff.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import zipfile
 from pathlib import Path
-from typing import Callable, List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -45,290 +40,10 @@ from ..obs import get_telemetry
 from .retry import with_retries
 
 __all__ = [
-    "SolverCheckpoint",
-    "CheckpointManager",
-    "problem_fingerprint",
     "SolutionSnapshot",
     "save_solution",
     "load_solution",
 ]
-
-_CKPT_RE = re.compile(r"^ckpt-(\d{9})\.npz$")
-
-
-def problem_fingerprint(transition_t, v: np.ndarray) -> str:
-    """Cheap structural fingerprint of a PageRank problem.
-
-    Combines the dimension, edge count and low-cost checksums of the
-    matrix structure and jump vector.  Not cryptographic — it exists to
-    catch the operational mistake of resuming yesterday's checkpoint
-    against today's graph, which would silently converge to garbage.
-    """
-    n = int(transition_t.shape[0])
-    nnz = int(transition_t.nnz)
-    indptr_sum = int(np.asarray(transition_t.indptr, dtype=np.int64).sum())
-    indices_sum = int(np.asarray(transition_t.indices, dtype=np.int64).sum())
-    v_sum = float(np.asarray(v, dtype=np.float64).sum())
-    v_sq = float(np.square(np.asarray(v, dtype=np.float64)).sum())
-    return f"n={n};nnz={nnz};ip={indptr_sum};ix={indices_sum};vs={v_sum:.12e};vq={v_sq:.12e}"
-
-
-class SolverCheckpoint:
-    """One restored snapshot: the iterate plus solve metadata."""
-
-    __slots__ = ("p", "iteration", "residual", "residual_history", "method", "meta", "path")
-
-    def __init__(
-        self,
-        p: np.ndarray,
-        iteration: int,
-        residual: float,
-        residual_history: List[float],
-        method: str,
-        meta: dict,
-        path: Optional[Path] = None,
-    ) -> None:
-        self.p = p
-        self.iteration = iteration
-        self.residual = residual
-        self.residual_history = residual_history
-        self.method = method
-        self.meta = meta
-        self.path = path
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SolverCheckpoint(iteration={self.iteration}, "
-            f"method={self.method!r}, residual={self.residual:.3e})"
-        )
-
-
-class CheckpointManager:
-    """Reads and writes solver checkpoints in one directory.
-
-    Parameters
-    ----------
-    directory:
-        Checkpoint directory; created on first save.
-    every:
-        Snapshot cadence in iterations (used by the callback built via
-        :meth:`callback`).
-    keep:
-        Number of most-recent checkpoints retained; older ones are
-        deleted after a successful save.  Keeping ≥ 2 means a corrupt
-        latest file still leaves a usable predecessor.
-    retries, backoff:
-        Retry policy for transient ``OSError`` during saves.
-    """
-
-    def __init__(
-        self,
-        directory: Union[str, Path],
-        *,
-        every: int = 50,
-        keep: int = 2,
-        retries: int = 3,
-        backoff: float = 0.02,
-        sleep: Callable[[float], None] = None,
-    ) -> None:
-        if every <= 0:
-            raise ValueError("checkpoint cadence 'every' must be positive")
-        if keep <= 0:
-            raise ValueError("must keep at least one checkpoint")
-        self.directory = Path(directory)
-        self.every = every
-        self.keep = keep
-        self.retries = retries
-        self.backoff = backoff
-        self._sleep = sleep
-        self.saves = 0
-
-    # ------------------------------------------------------------------
-    # writing
-    # ------------------------------------------------------------------
-
-    def save(
-        self,
-        p: np.ndarray,
-        iteration: int,
-        residual: float,
-        *,
-        method: str = "",
-        residual_history: Optional[List[float]] = None,
-        fingerprint: str = "",
-        extra: Optional[dict] = None,
-    ) -> Path:
-        """Atomically write one snapshot; returns the final path."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        final = self.directory / f"ckpt-{iteration:09d}.npz"
-        tmp = final.with_suffix(".npz.tmp")
-        meta = {
-            "iteration": int(iteration),
-            "residual": float(residual),
-            "method": method,
-            "fingerprint": fingerprint,
-        }
-        if extra:
-            meta.update(extra)
-        history = np.asarray(residual_history or [], dtype=np.float64)
-
-        def _write() -> None:
-            with open(tmp, "wb") as fh:
-                np.savez_compressed(
-                    fh,
-                    p=np.asarray(p, dtype=np.float64),
-                    residual_history=history,
-                    meta=np.asarray(json.dumps(meta)),
-                )
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, final)
-
-        kwargs = {"retries": self.retries, "backoff": self.backoff}
-        if self._sleep is not None:
-            kwargs["sleep"] = self._sleep
-        try:
-            with_retries(_write, **kwargs)
-        except OSError as exc:
-            raise CheckpointError(
-                f"could not write checkpoint {final}: {exc}"
-            ) from exc
-        finally:
-            if tmp.exists():  # failed replace or partial write
-                try:
-                    tmp.unlink()
-                except OSError:  # pragma: no cover - best effort
-                    pass
-        self.saves += 1
-        tele = get_telemetry()
-        if tele.enabled:
-            tele.inc("checkpoint.writes")
-            tele.event(
-                "checkpoint.write",
-                iteration=int(iteration),
-                method=method,
-                path=final.name,
-            )
-        self._prune()
-        return final
-
-    def _prune(self) -> None:
-        paths = self._list()
-        for path in paths[: -self.keep]:
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - best effort
-                pass
-
-    # ------------------------------------------------------------------
-    # reading
-    # ------------------------------------------------------------------
-
-    def _list(self) -> List[Path]:
-        if not self.directory.is_dir():
-            return []
-        entries = [
-            p for p in self.directory.iterdir() if _CKPT_RE.match(p.name)
-        ]
-        return sorted(entries)  # zero-padded names sort by iteration
-
-    def load_latest(
-        self, *, fingerprint: str = "", strict_fingerprint: bool = True
-    ) -> Optional[SolverCheckpoint]:
-        """Restore the newest readable checkpoint, or ``None``.
-
-        Corrupt archives are skipped (newest first) so one bad file
-        never loses the run.  When ``fingerprint`` is given, snapshots
-        from a *different* problem raise :class:`CheckpointError`
-        (``strict_fingerprint=False`` downgrades that to a skip).
-        """
-        for path in reversed(self._list()):
-            try:
-                ckpt = self._read(path)
-            except (
-                OSError,
-                ValueError,
-                KeyError,
-                zipfile.BadZipFile,
-                json.JSONDecodeError,
-            ):
-                continue  # corrupt or truncated snapshot — try older
-            stored = str(ckpt.meta.get("fingerprint", ""))
-            if fingerprint and stored not in ("", fingerprint):
-                if strict_fingerprint:
-                    raise SnapshotMismatchError(
-                        f"checkpoint {path} was written for a different "
-                        f"problem (stored fingerprint {stored!r}, expected "
-                        f"{fingerprint!r}); refusing to resume — pass a "
-                        "fresh --checkpoint-dir or delete it",
-                        expected=fingerprint,
-                        actual=stored,
-                    )
-                continue
-            return ckpt
-        return None
-
-    @staticmethod
-    def _read(path: Path) -> SolverCheckpoint:
-        with np.load(path, allow_pickle=False) as data:
-            p = np.asarray(data["p"], dtype=np.float64)
-            history = [float(x) for x in data["residual_history"]]
-            meta = json.loads(str(data["meta"]))
-        if not np.all(np.isfinite(p)):
-            raise ValueError(f"checkpoint {path} contains non-finite values")
-        return SolverCheckpoint(
-            p,
-            int(meta["iteration"]),
-            float(meta.get("residual", float("inf"))),
-            history,
-            str(meta.get("method", "")),
-            meta,
-            path,
-        )
-
-    def clear(self) -> int:
-        """Delete all checkpoints (after a successful run); returns the
-        number removed."""
-        removed = 0
-        for path in self._list():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:  # pragma: no cover - best effort
-                pass
-        return removed
-
-    # ------------------------------------------------------------------
-    # solver integration
-    # ------------------------------------------------------------------
-
-    def callback(
-        self,
-        *,
-        method: str = "",
-        fingerprint: str = "",
-        history: Optional[List[float]] = None,
-    ) -> Callable[[int, np.ndarray, float], None]:
-        """Build a solver iteration callback that snapshots every
-        ``self.every`` iterations (see ``callback=`` on the solvers)."""
-
-        def _on_iteration(iteration: int, p: np.ndarray, residual: float) -> None:
-            if iteration % self.every == 0:
-                self.save(
-                    p,
-                    iteration,
-                    residual,
-                    method=method,
-                    residual_history=history,
-                    fingerprint=fingerprint,
-                )
-
-        return _on_iteration
-
-
-# ----------------------------------------------------------------------
-# converged-solution snapshots (resume-as-previous)
-# ----------------------------------------------------------------------
 
 SOLUTION_FILENAME = "solution.npz"
 
@@ -336,10 +51,8 @@ SOLUTION_FILENAME = "solution.npz"
 class SolutionSnapshot:
     """A restored *converged* multi-vector solution.
 
-    Unlike :class:`SolverCheckpoint` — a mid-flight iterate used to
-    resume an interrupted solve — a solution snapshot is the terminal
-    state of a successful run, kept so the *next* run on a mutated graph
-    can warm-start the incremental engine
+    The terminal state of a successful run, kept so the *next* run on a
+    mutated graph can warm-start the incremental engine
     (:meth:`~repro.perf.engine.PagerankEngine.update_many`) instead of
     solving cold.
     """

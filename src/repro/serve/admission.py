@@ -35,9 +35,9 @@ from ..obs import get_telemetry
 
 __all__ = ["AdmissionController", "AdmissionTicket", "MODES", "SLOW_OPS"]
 
-#: Numeric encoding of the ``serve.mode`` gauge (mirrors the
-#: ``supervisor.circuit_state`` convention): 0 full service, 1 stale
-#: reads only, 2 rejecting.
+#: Numeric encoding of the ``serve.mode`` gauge (0 is healthy, as in
+#: the ``serve.circuit_state`` gauge): 0 full service, 1 stale reads
+#: only, 2 rejecting.
 MODES = {"full": 0, "degraded": 1, "reject": 2}
 
 #: Request kinds that mutate serving state; refused in degraded mode.

@@ -15,11 +15,11 @@ continuously) and the ROADMAP names directly.  One
   guarded warm re-estimate (deadline, retries, degradation to a cold
   solve; :mod:`repro.serve.ingest`), verifies the result against the
   delta chain's derived fingerprint, and hot-swaps the next epoch;
-* a :class:`~repro.runtime.supervisor.CircuitBreaker` on the ingest
-  path — consecutive apply failures (or a staleness bound overrun)
-  flip the service to *degraded*: reads keep flowing from the current
-  epoch with an explicit ``staleness`` field, ingest is refused, and
-  the worker keeps retrying until the path heals.
+* a :class:`CircuitBreaker` on the ingest path — consecutive apply
+  failures (or a staleness bound overrun) flip the service to
+  *degraded*: reads keep flowing from the current epoch with an
+  explicit ``staleness`` field, ingest is refused, and the worker
+  keeps retrying until the path heals.
 
 Restart is replay: the WAL is recovered (torn tail truncated), the
 chain is deduped against the loaded solution snapshot's fingerprint
@@ -41,23 +41,22 @@ import numpy as np
 
 from ..core import estimate_spam_mass
 from ..core.mass import MassEstimates
-from ..errors import DeltaError, SnapshotMismatchError, WalError
+from ..errors import SnapshotMismatchError, WalError
 from ..graph import GraphDelta, read_graph_bundle, read_host_list
 from ..graph.delta import DeltaApplication, compose_applications
 from ..obs import get_telemetry
 from ..runtime.checkpoint import load_solution, save_solution
-from ..runtime.supervisor import CircuitBreaker
 from .ingest import IngestPolicy, guarded_call
 from .epoch import (
     Epoch,
     EpochStore,
-    resolve_host,
+    core_nodes,
     score_from_epoch,
     top_from_epoch,
 )
 from .wal import DeltaWAL, WalRecord, plan_replay
 
-__all__ = ["DaemonConfig", "ScoringDaemon"]
+__all__ = ["CircuitBreaker", "DaemonConfig", "ScoringDaemon"]
 
 PathLike = Union[str, Path]
 
@@ -118,29 +117,43 @@ class DaemonConfig:
         )
 
 
-def _core_nodes(graph, names: List[str]) -> np.ndarray:
-    """Node ids of the core host ``names`` (:class:`DeltaError` naming
-    the first missing one).  A named graph is scanned once against the
-    set of core names, so no table of every host's name is built here;
-    the epoch builds the one the daemon keeps."""
-    lookup = None
-    if graph.names is not None:
-        wanted = set(names)
-        lookup = {
-            name: i for i, name in enumerate(graph.names) if name in wanted
-        }
-    core, missing = [], []
-    for name in names:
-        try:
-            core.append(resolve_host(name, lookup, graph.num_nodes))
-        except KeyError:
-            missing.append(name)
-    if missing:
-        raise DeltaError(
-            f"{len(missing)} core hosts are not in the graph "
-            f"(first: {missing[0]!r})"
+class CircuitBreaker:
+    """Opens after ``threshold`` *consecutive* failures; success resets.
+
+    Deliberately minimal: no half-open probing, and ``opened`` stays
+    set once tripped.  The daemon replaces its breaker when the ingest
+    path heals: after any successful apply, or an operator quarantine.
+    """
+
+    def __init__(self, threshold: int) -> None:
+        if threshold < 1:
+            raise ValueError("threshold must be >= 1")
+        self.threshold = threshold
+        self.consecutive_failures = 0
+        self.opened = False
+
+    def record_success(self) -> None:
+        self.consecutive_failures = 0
+
+    def record_failure(self) -> bool:
+        """Count a failure; returns True when this one opened the
+        circuit (exactly once)."""
+        self.consecutive_failures += 1
+        if not self.opened and self.consecutive_failures >= self.threshold:
+            self.opened = True
+            return True
+        return False
+
+    @property
+    def is_open(self) -> bool:
+        return self.opened
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "open" if self.opened else "closed"
+        return (
+            f"CircuitBreaker({state}, "
+            f"{self.consecutive_failures}/{self.threshold})"
         )
-    return np.asarray(core, dtype=np.int64)
 
 
 class _Pending:
@@ -242,7 +255,7 @@ class ScoringDaemon:
         graph, _, _ = read_graph_bundle(world_dir)
         if core_path is None:
             core_path = Path(world_dir) / "core.hosts"
-        core = _core_nodes(graph, read_host_list(core_path))
+        core = core_nodes(graph, read_host_list(core_path))
         snapshot = load_solution(checkpoint_dir)
         base_fp = graph.structural_fingerprint()
         stored_fp = str(snapshot.meta.get("fingerprint", "")) or base_fp
@@ -716,9 +729,8 @@ class ScoringDaemon:
                     self._pending.popleft()
         self.applies += 1
         self._applied_since_prune += len(items)
-        # any success heals the breaker (fresh instance: `opened` is
-        # sticky by design inside one supervised run, but the daemon
-        # outlives many)
+        # any success heals the breaker (a fresh instance: `opened` is
+        # sticky once tripped)
         self._breaker = CircuitBreaker(config.circuit_threshold)
         self._degraded_reason = None
         if tele.enabled:

@@ -24,17 +24,18 @@ pointer swap.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from ..core import scale_scores
-from ..errors import SnapshotMismatchError
+from ..errors import DeltaError, SnapshotMismatchError
 from ..obs import get_telemetry
 
 __all__ = [
     "Epoch",
     "EpochStore",
+    "core_nodes",
     "resolve_host",
     "score_from_epoch",
     "top_from_epoch",
@@ -72,6 +73,32 @@ def resolve_host(
     if node is None:
         raise KeyError(host)
     return node
+
+
+def core_nodes(graph, names: List[str]) -> np.ndarray:
+    """Node ids of the core host ``names`` (:class:`DeltaError` naming
+    the first missing one), resolved like :func:`resolve_host`.  A
+    named graph is scanned once against the set of core names, so no
+    table of every host's name is built here; the epoch builds the one
+    the daemon keeps."""
+    lookup = None
+    if graph.names is not None:
+        wanted = set(names)
+        lookup = {
+            name: i for i, name in enumerate(graph.names) if name in wanted
+        }
+    core, missing = [], []
+    for name in names:
+        try:
+            core.append(resolve_host(name, lookup, graph.num_nodes))
+        except KeyError:
+            missing.append(name)
+    if missing:
+        raise DeltaError(
+            f"{len(missing)} core hosts are not in the graph "
+            f"(first: {missing[0]!r})"
+        )
+    return np.asarray(core, dtype=np.int64)
 
 
 class Epoch:

@@ -6,14 +6,12 @@ around a warm re-estimate: bound it with a wall-clock deadline (a
 diffused push can cost far more than the typical case), retry
 transient failures with deterministic backoff, and degrade to a cold
 re-solve when the warm path keeps failing (unless degradation is
-forbidden).  This mirrors :class:`~repro.runtime.supervisor.TaskSupervisor`
-semantics for a *single* in-process task: the plan here is one
-re-estimate, not a fan-out, so the machinery is a worker thread joined
-against the deadline rather than a pool watchdog.
+forbidden).  The plan is one in-process re-estimate, so the machinery
+is a worker thread joined against the deadline.
 
 An abandoned attempt keeps running in its daemon thread until it
-finishes or the process exits — same trade the supervisor makes with
-hung pool workers: never block the caller behind a hang.
+finishes or the process exits: the caller is never blocked behind a
+hang.
 """
 
 from __future__ import annotations
@@ -26,9 +24,16 @@ from typing import Callable, Optional
 from ..errors import ReproError, SupervisionError
 from ..obs import get_telemetry
 from ..runtime.retry import BackoffPolicy
-from ..runtime.supervisor import DEFAULT_BACKOFF
 
-__all__ = ["IngestPolicy", "IngestTimeout", "guarded_call"]
+__all__ = ["DEFAULT_BACKOFF", "IngestPolicy", "IngestTimeout", "guarded_call"]
+
+#: Default backoff between warm retries: short, capped, jitter-free —
+#: the re-estimate is CPU-bound and local, so there is no remote
+#: service to be polite to; the backoff exists to ride out transient
+#: memory or scheduler pressure without busy-looping.
+DEFAULT_BACKOFF = BackoffPolicy(
+    retries=2, base=0.02, factor=2.0, max_total=1.0
+)
 
 
 class IngestTimeout(ReproError):

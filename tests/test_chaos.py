@@ -1,8 +1,8 @@
-"""Fault-injection (chaos) tests for the resilient runtime.
+"""Fault-injection (chaos) tests for the I/O recovery paths.
 
 Every fault here is planted deterministically via ``repro.runtime.chaos``;
-the suite asserts the *recovery paths* of the pipeline — checkpoint
-resume, fallback escalation, lenient I/O, write retries — actually
+the suite asserts the *recovery paths* of the pipeline — lenient I/O
+and write retries of edge files and solution snapshots — actually
 recover, not just that the happy path works.
 """
 
@@ -12,217 +12,16 @@ import os
 import numpy as np
 import pytest
 
-from repro.errors import (
-    GraphIOWarning,
-    InjectedFault,
-    TruncatedFileError,
-)
-from repro.graph import (
-    WebGraph,
-    read_edge_list,
-    transition_matrix,
-    write_edge_list,
-)
-from repro.core.solvers import solve
-from repro.runtime import CheckpointManager
-from repro.runtime import chaos
-from repro.runtime.resilient import FallbackSolver, resilient_solve
+from repro.errors import GraphIOWarning, TruncatedFileError
+from repro.graph import WebGraph, read_edge_list, write_edge_list
+from repro.runtime import chaos, load_solution, save_solution
 
-TOL = 1e-10
-
-
-@pytest.fixture()
-def system():
-    graph = WebGraph.from_edges(
-        8,
-        [
-            (0, 1), (1, 2), (2, 0), (0, 3), (3, 4),
-            (4, 5), (5, 0), (5, 6), (6, 7), (7, 0),
-        ],
-    )
-    tt = transition_matrix(graph).T.tocsr()
-    v = np.full(8, 1.0 / 8.0)
-    return tt, v
+SCORES = np.arange(16.0).reshape(8, 2) / 100.0
 
 
 @pytest.fixture()
 def edge_graph():
     return WebGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-
-
-# ----------------------------------------------------------------------
-# acceptance criterion 1: kill-and-resume
-# ----------------------------------------------------------------------
-
-
-def test_kill_and_resume_solve(tmp_path, system):
-    """A checkpointed solve killed at iteration k resumes from the last
-    snapshot (not iteration 0) and matches the uninterrupted answer."""
-    tt, v = system
-    ckpt_dir = tmp_path / "ckpt"
-    uninterrupted = solve("jacobi", tt, v, tol=TOL)
-
-    kill_at = 30
-    with pytest.raises(InjectedFault):
-        solve(
-            "jacobi",
-            tt,
-            v,
-            tol=TOL,
-            checkpoint=ckpt_dir,
-            checkpoint_every=10,
-            callback=chaos.fault_at(kill_at),
-        )
-    # the crash left snapshots behind, none at-or-after the fault
-    manager = CheckpointManager(ckpt_dir)
-    restored = manager.load_latest()
-    assert restored is not None
-    assert 0 < restored.iteration < kill_at
-
-    resumed = solve(
-        "jacobi",
-        tt,
-        v,
-        tol=TOL,
-        checkpoint=ckpt_dir,
-        checkpoint_every=10,
-        resume=True,
-    )
-    assert resumed.converged
-    # resumed run did NOT restart from iteration 0: it converges at the
-    # same total iteration count as the uninterrupted run (the iterate
-    # is memoryless, so the trajectory is identical)
-    assert resumed.iterations == uninterrupted.iterations
-    assert np.abs(resumed.scores - uninterrupted.scores).sum() <= TOL
-
-
-def test_kill_and_resume_fallback_solver(tmp_path, system):
-    """Same criterion through the FallbackSolver front-door, with the
-    resume recorded in the RunReport."""
-    tt, v = system
-    ckpt_dir = tmp_path / "ckpt"
-    baseline = resilient_solve(tt, v, tol=TOL)
-
-    kill_at = 40
-    with pytest.raises(InjectedFault):
-        FallbackSolver(
-            ("jacobi",), tol=TOL, checkpoint=ckpt_dir, checkpoint_every=10
-        ).solve(tt, v, inject=chaos.fault_at(kill_at))
-
-    solver = FallbackSolver(
-        ("jacobi",), tol=TOL, checkpoint=ckpt_dir, checkpoint_every=10
-    )
-    resumed = solver.solve(tt, v, resume=True)
-    assert resumed.converged
-    assert resumed.report.resumed_from is not None
-    assert 0 < resumed.report.resumed_from < kill_at
-    assert np.abs(resumed.scores - baseline.scores).sum() <= TOL
-
-
-def test_resume_refuses_checkpoint_from_other_problem(tmp_path, system):
-    tt, v = system
-    other_graph = WebGraph.from_edges(8, [(0, 1), (1, 0)])
-    other_tt = transition_matrix(other_graph).T.tocsr()
-    with pytest.raises(InjectedFault):
-        solve(
-            "jacobi",
-            other_tt,
-            v,
-            tol=TOL,
-            checkpoint=tmp_path,
-            checkpoint_every=1,
-            callback=chaos.fault_at(2),
-        )
-    from repro.errors import CheckpointError
-
-    with pytest.raises(CheckpointError):
-        solve("jacobi", tt, v, tol=TOL, checkpoint=tmp_path, resume=True)
-
-
-# ----------------------------------------------------------------------
-# acceptance criterion 2: NaN-poisoned run escalates the chain
-# ----------------------------------------------------------------------
-
-
-def test_nan_poison_escalates_chain(system):
-    """A NaN-poisoned gauss_seidel attempt aborts and escalates down the
-    chain; the final SolverResult is usable and the escalation is in
-    the RunReport."""
-    tt, v = system
-    poison = chaos.nan_poison_at(5, fraction=0.5, methods=("gauss_seidel",))
-    solver = FallbackSolver(
-        ("gauss_seidel", "jacobi", "power", "direct"),
-        tol=TOL,
-        monitor_options={"check_every": 1},
-    )
-    result = solver.solve(tt, v, inject=poison)
-
-    # usable result from a later method in the chain
-    assert result.converged
-    assert result.method != "gauss_seidel"
-    assert np.all(np.isfinite(result.scores))
-    clean = resilient_solve(tt, v, tol=TOL)
-    assert np.abs(result.scores - clean.scores).sum() <= 10 * TOL
-
-    # the escalation is recorded
-    report = result.report
-    assert report.outcome == "converged"
-    assert report.escalations()[0] == "gauss_seidel"
-    assert len(report.escalations()) >= 2
-    first = report.attempts[0]
-    assert first.method == "gauss_seidel"
-    assert first.outcome == "aborted:nan"
-
-
-def test_nan_poison_every_iterative_method_falls_through_to_direct(system):
-    tt, v = system
-    poison = chaos.nan_poison_at(3, fraction=1.0)  # poisons every method
-    solver = FallbackSolver(
-        ("gauss_seidel", "jacobi", "direct"),
-        tol=TOL,
-        monitor_options={"check_every": 1},
-    )
-    result = solver.solve(tt, v, inject=poison)
-    assert result.converged
-    assert result.method == "direct"
-    outcomes = [a.outcome for a in result.report.attempts]
-    assert outcomes == ["aborted:nan", "aborted:nan", "converged"]
-
-
-def test_poisoned_iterate_is_never_checkpointed(tmp_path, system):
-    """The monitor aborts before the checkpoint callback runs, so a
-    poisoned iterate can never be snapshotted and later resumed."""
-    tt, v = system
-    poison = chaos.nan_poison_at(10, fraction=1.0, methods=("jacobi",))
-    solver = FallbackSolver(
-        ("jacobi", "direct"),
-        tol=TOL,
-        checkpoint=tmp_path,
-        checkpoint_every=5,  # a snapshot is due exactly at iteration 10
-        monitor_options={"check_every": 1},
-    )
-    result = solver.solve(tt, v, inject=poison)
-    assert result.converged
-    restored = CheckpointManager(tmp_path).load_latest()
-    if restored is not None:  # snapshots before the poison are fine
-        assert np.all(np.isfinite(restored.p))
-        assert restored.iteration < 10
-
-
-def test_injected_memoryerror_escalates(system):
-    """fault_at fires at iteration 2 of *every* iterative attempt, so
-    both iterative methods OOM and the chain lands on ``direct``
-    (which has no iterations for the injector to hit)."""
-    tt, v = system
-    result = FallbackSolver(("gauss_seidel", "jacobi", "direct"), tol=TOL).solve(
-        tt,
-        v,
-        inject=chaos.fault_at(2, exc_factory=lambda: MemoryError("boom")),
-    )
-    assert result.converged
-    assert result.method == "direct"
-    outcomes = [a.outcome for a in result.report.attempts]
-    assert outcomes == ["error:MemoryError", "error:MemoryError", "converged"]
 
 
 # ----------------------------------------------------------------------
@@ -303,45 +102,19 @@ def test_edge_write_retries_transient_oserror(tmp_path, edge_graph, monkeypatch)
     assert read_edge_list(path) == edge_graph
 
 
-def test_checkpoint_write_retries_flaky_replace(tmp_path, system, monkeypatch):
+def test_checkpoint_write_retries_flaky_replace(tmp_path, monkeypatch):
+    """Two snapshot writes, each rescued from one failed os.replace."""
     import repro.runtime.checkpoint as ckpt_mod
 
-    tt, v = system
     flaky = chaos.FlakyCalls(os.replace, plan={1: OSError, 3: OSError})
     monkeypatch.setattr(ckpt_mod.os, "replace", flaky)
-    solver = FallbackSolver(
-        ("jacobi",),
-        tol=TOL,
-        checkpoint=CheckpointManager(
-            tmp_path, every=20, backoff=0.0, sleep=lambda _: None
-        ),
-    )
-    result = solver.solve(tt, v)
+    save_solution(tmp_path, SCORES, fingerprint="fp", backoff=0.0)
+    save_solution(tmp_path, 2 * SCORES, fingerprint="fp", backoff=0.0)
     monkeypatch.undo()
-    assert result.converged
-    assert result.report.checkpoints_written > 0
-    restored = CheckpointManager(tmp_path).load_latest()
-    assert restored is not None
-
-
-# ----------------------------------------------------------------------
-# budget chaos: runs that would never finish degrade, never hang/raise
-# ----------------------------------------------------------------------
-
-
-def test_time_budget_degrades_to_best_effort(system):
-    tt, v = system
-    ticks = iter(float(i) * 0.5 for i in range(100_000))
-    result = FallbackSolver(
-        ("jacobi", "gauss_seidel"),
-        tol=1e-16,  # unreachable
-        time_budget=3.0,
-        clock=lambda: next(ticks),
-    ).solve(tt, v)
-    assert not result.converged
-    assert result.report.outcome == "best-effort"
-    assert np.all(np.isfinite(result.scores))
-    assert result.report.attempts[0].outcome == "aborted:time-budget"
+    assert flaky.calls == 4
+    assert not list(tmp_path.glob("*.tmp"))
+    restored = load_solution(tmp_path, fingerprint="fp")
+    assert np.array_equal(restored.scores, 2 * SCORES)
 
 
 def test_flaky_open_scripts_failures(tmp_path):
@@ -361,71 +134,20 @@ def test_flaky_open_scripts_failures(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def test_tracer_records_escalations_in_chain_order(telemetry, system):
-    """Under a deterministic NaN fault the tracer records the full
-    escalation walk down the chain, in order, matching the RunReport."""
-    tt, v = system
-    poison = chaos.nan_poison_at(3, fraction=1.0)  # poisons every method
-    solver = FallbackSolver(
-        ("gauss_seidel", "jacobi", "direct"),
-        tol=TOL,
-        monitor_options={"check_every": 1},
-    )
-    result = solver.solve(tt, v, inject=poison)
-    assert result.method == "direct"
-
-    sink = telemetry.sink
-    escalations = sink.named("solver.escalation")
-    assert [(e.attrs["from"], e.attrs["to"]) for e in escalations] == [
-        ("gauss_seidel", "jacobi"),
-        ("jacobi", "direct"),
-    ]
-    # attempt events mirror the report, in the same order
-    attempts = sink.named("solver.attempt")
-    assert [e.attrs["method"] for e in attempts] == [
-        a.method for a in result.report.attempts
-    ]
-    assert [e.attrs["outcome"] for e in attempts] == [
-        "aborted:nan",
-        "aborted:nan",
-        "converged",
-    ]
-    # interleaving: each escalation event sits between the failed
-    # attempt and the next method's attempt
-    stream = [
-        (e.name, e.attrs.get("method") or e.attrs.get("to"))
-        for e in sink.events
-        if e.name in ("solver.attempt", "solver.escalation")
-    ]
-    assert stream == [
-        ("solver.attempt", "gauss_seidel"),
-        ("solver.escalation", "jacobi"),
-        ("solver.attempt", "jacobi"),
-        ("solver.escalation", "direct"),
-        ("solver.attempt", "direct"),
-    ]
-
-
 def test_tracer_records_retries_under_flaky_checkpoint_writes(
-    telemetry, tmp_path, system, monkeypatch
+    telemetry, tmp_path, monkeypatch
 ):
     """The scripted flaky os.replace plan {1: OSError, 3: OSError}
     surfaces as exactly two retry events, in write order."""
     import repro.runtime.checkpoint as ckpt_mod
 
-    tt, v = system
     flaky = chaos.FlakyCalls(os.replace, plan={1: OSError, 3: OSError})
     monkeypatch.setattr(ckpt_mod.os, "replace", flaky)
-    solver = FallbackSolver(
-        ("jacobi",),
-        tol=TOL,
-        checkpoint=CheckpointManager(
-            tmp_path, every=20, backoff=0.0, sleep=lambda _: None
-        ),
-    )
-    result = solver.solve(tt, v)
+    save_solution(tmp_path, SCORES, fingerprint="fp", backoff=0.0)
+    save_solution(tmp_path, SCORES, fingerprint="fp", backoff=0.0)
     monkeypatch.undo()
-    assert result.converged
+    assert not list(tmp_path.glob("*.tmp"))
+    assert np.array_equal(load_solution(tmp_path).scores, SCORES)
 
     sink = telemetry.sink
     retries = sink.named("retry.attempt")
@@ -433,27 +155,19 @@ def test_tracer_records_retries_under_flaky_checkpoint_writes(
     assert all(e.attrs["error"] == "OSError" for e in retries)
     # both failures were first attempts of their respective writes
     assert [e.attrs["attempt"] for e in retries] == [1, 1]
-    writes = sink.named("checkpoint.write")
-    assert len(writes) == result.report.checkpoints_written
+    writes = sink.named("checkpoint.solution_write")
+    assert len(writes) == 2
     assert telemetry.metrics.value("retry.attempts") == 2
+    assert telemetry.metrics.value("checkpoint.solution_writes") == 2
     # ordering: a retry always precedes the successful write it rescued
     kinds = [
-        e.name for e in sink.events if e.name in ("retry.attempt", "checkpoint.write")
+        e.name
+        for e in sink.events
+        if e.name in ("retry.attempt", "checkpoint.solution_write")
     ]
-    assert kinds[0] == "retry.attempt"
-    assert kinds.count("checkpoint.write") == len(writes)
-
-
-def test_budget_exhaustion_is_visible_on_the_span(telemetry, system):
-    tt, v = system
-    ticks = iter(float(i) * 0.5 for i in range(100_000))
-    FallbackSolver(
-        ("jacobi", "gauss_seidel"),
-        tol=1e-16,  # unreachable
-        time_budget=3.0,
-        clock=lambda: next(ticks),
-    ).solve(tt, v)
-    end = telemetry.sink.named("fallback-solve", "span_end")[0]
-    assert end.attrs["outcome"] == "best-effort"
-    attempts = telemetry.sink.named("solver.attempt")
-    assert attempts[0].attrs["outcome"] == "aborted:time-budget"
+    assert kinds == [
+        "retry.attempt",
+        "checkpoint.solution_write",
+        "retry.attempt",
+        "checkpoint.solution_write",
+    ]

@@ -224,69 +224,120 @@ def test_traceback_flag_reraises(tmp_path):
         main(["--traceback", "stats", "--world", str(tmp_path / "nope")])
 
 
-def test_resume_without_checkpoint_dir_is_usage_error(world_dir, tmp_path):
-    with pytest.raises(SystemExit):
-        main(
-            [
-                "estimate",
-                "--world",
-                str(world_dir),
-                "--out-prefix",
-                str(tmp_path / "x"),
-                "--resume",
-            ]
-        )
+def test_estimate_checkpoint_dir_saves_the_engine_solve(world_dir, tmp_path):
+    """The snapshot is bitwise the batched engine's solve, and the
+    directory holds nothing but ``solution.npz``."""
+    from repro.core import estimate_spam_mass
+    from repro.perf import PagerankEngine
+    from repro.runtime import load_solution
 
-
-def test_estimate_checkpoint_and_resume(world_dir, tmp_path, capsys):
     ckpt = tmp_path / "ckpt"
     prefix = tmp_path / "scores" / "run"
-    args = [
-        "estimate",
-        "--world",
-        str(world_dir),
-        "--out-prefix",
-        str(prefix),
-        "--checkpoint-dir",
-        str(ckpt),
-        "--checkpoint-every",
-        "20",
-    ]
-    assert main(args) == 0
-    capsys.readouterr()
-    # labeled per-solve subdirectories with atomic snapshots
-    snaps = list(ckpt.glob("*/ckpt-*.npz"))
-    assert snaps
-    assert {p.parent.name for p in snaps} <= {"pagerank", "core"}
-
-    assert main(args + ["--resume"]) == 0
-    out = capsys.readouterr().out
-    assert "resumed from checkpoint at iteration" in out
-    # resumed output matches the from-scratch scores
-    baseline = read_scores(f"{prefix}.relative.scores")
-    assert baseline.size > 0
+    assert main(
+        [
+            "estimate",
+            "--world", str(world_dir),
+            "--out-prefix", str(prefix),
+            "--checkpoint-dir", str(ckpt),
+        ]
+    ) == 0
+    graph, _, _ = read_graph_bundle(world_dir)
+    lookup = {graph.name_of(i): i for i in range(graph.num_nodes)}
+    core = [lookup[n] for n in read_host_list(world_dir / "core.hosts")]
+    expected = estimate_spam_mass(graph, core, engine=PagerankEngine())
+    snapshot = load_solution(ckpt, fingerprint=graph.structural_fingerprint())
+    assert np.array_equal(
+        snapshot.scores,
+        np.stack([expected.pagerank, expected.core_pagerank], axis=1),
+    )
+    # no iteration checkpoints next to the snapshot
+    assert [p.name for p in ckpt.iterdir()] == ["solution.npz"]
 
 
-def test_estimate_time_budget_degrades_with_exit_code(world_dir, tmp_path, capsys):
+def test_estimate_max_iter_cutoff_exits_4_and_writes_nothing(
+    world_dir, tmp_path, capsys, monkeypatch
+):
+    """A real engine solve cut off by ``max_iter`` raises out of the
+    CLI as exit 4, before any score file or snapshot is written."""
+    import functools
+
+    import repro.cli as cli_mod
     from repro.cli import EXIT_CONVERGENCE
+    from repro.core import estimate_spam_mass
 
-    prefix = tmp_path / "s" / "budget"
+    monkeypatch.setattr(
+        cli_mod,
+        "estimate_spam_mass",
+        functools.partial(estimate_spam_mass, max_iter=3),
+    )
     code = main(
         [
             "estimate",
-            "--world",
-            str(world_dir),
-            "--out-prefix",
-            str(prefix),
-            "--time-budget",
-            "1e-6",
+            "--world", str(world_dir),
+            "--out-prefix", str(tmp_path / "s" / "run"),
+            "--checkpoint-dir", str(tmp_path / "ckpt"),
         ]
     )
     assert code == EXIT_CONVERGENCE
-    captured = capsys.readouterr()
-    assert "did not converge" in captured.err
-    # best-effort score files are still written
-    assert read_scores(f"{prefix}.relative.scores").size > 0
+    assert "did not converge" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+    assert not (tmp_path / "ckpt").exists()
+
+
+@pytest.fixture(scope="module")
+def unnamed_world(tmp_path_factory):
+    """An unnamed ~2k-host bundle (hosts are ``node<i>``), the format
+    ``write_graph_bundle`` writes for a graph without names."""
+    from repro.graph import WebGraph, write_graph_bundle, write_host_list
+
+    rng = np.random.default_rng(5)
+    n = 2_000
+    src = rng.integers(0, n, size=12_000)
+    dst = rng.integers(0, n, size=12_000)
+    keep = src != dst
+    graph = WebGraph.from_edges(n, np.stack([src[keep], dst[keep]], axis=1))
+    assert graph.names is None
+    out = tmp_path_factory.mktemp("unnamed") / "world"
+    write_graph_bundle(graph, out)
+    write_host_list([f"node{i}" for i in range(0, n, 17)], out / "core.hosts")
+    return out
+
+
+def test_estimate_checkpoint_dir_on_an_unnamed_world(unnamed_world, tmp_path):
+    from repro.runtime import load_solution
+
+    ckpt = tmp_path / "ckpt"
+    assert main(
+        [
+            "estimate",
+            "--world", str(unnamed_world),
+            "--out-prefix", str(tmp_path / "run"),
+            "--checkpoint-dir", str(ckpt),
+        ]
+    ) == 0
+    graph, _, _ = read_graph_bundle(unnamed_world)
+    snapshot = load_solution(ckpt, fingerprint=graph.structural_fingerprint())
+    assert snapshot.scores.shape == (graph.num_nodes, 2)
+
+
+def test_core_host_past_the_last_node_exits_3(unnamed_world, tmp_path, capsys):
+    from repro.cli import EXIT_DATA
+
+    core = tmp_path / "core.hosts"
+    core.write_text("node0\nnode2000\n", encoding="utf-8")
+    code = main(
+        [
+            "estimate",
+            "--world", str(unnamed_world),
+            "--core", str(core),
+            "--out-prefix", str(tmp_path / "run"),
+        ]
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == (
+        "repro-spam: 1 core hosts are not in the graph (first: 'node2000')\n"
+    )
 
 
 def test_estimate_convergence_failure_exit_code(world_dir, tmp_path, capsys):
@@ -348,47 +399,6 @@ def test_exit_code_constants_are_distinct():
 # ----------------------------------------------------------------------
 
 
-def test_estimate_engine_flags_agree(world_dir, tmp_path, capsys):
-    """--engine batched and --engine legacy write the same scores."""
-    batched = tmp_path / "b" / "r"
-    legacy = tmp_path / "l" / "r"
-    assert (
-        main(
-            [
-                "estimate",
-                "--world",
-                str(world_dir),
-                "--out-prefix",
-                str(batched),
-                "--engine",
-                "batched",
-                "--cache-size",
-                "2",
-            ]
-        )
-        == 0
-    )
-    assert (
-        main(
-            [
-                "estimate",
-                "--world",
-                str(world_dir),
-                "--out-prefix",
-                str(legacy),
-                "--engine",
-                "legacy",
-            ]
-        )
-        == 0
-    )
-    capsys.readouterr()
-    for suffix in ("pagerank", "core", "relative"):
-        a = read_scores(f"{batched}.{suffix}.scores")
-        b = read_scores(f"{legacy}.{suffix}.scores")
-        assert abs(a - b).sum() < 1e-8
-
-
 def test_estimate_montecarlo_cross_check(world_dir, tmp_path, capsys):
     code = main(
         [
@@ -434,7 +444,6 @@ def test_estimate_invalid_cache_size_is_usage_error(
 def test_parser_engine_defaults():
     parser = build_parser()
     args = parser.parse_args(["estimate", "--world", "w", "--out-prefix", "p"])
-    assert args.engine == "batched"
     assert args.cache_size == 8
     assert args.workers is None
     assert args.mc_walks == 0
@@ -464,6 +473,13 @@ _REQUIRED = {
     "command,flag,value",
     [
         ("estimate", "--precision", "adaptive"),
+        ("estimate", "--engine", "legacy"),
+        ("estimate", "--checkpoint-every", "20"),
+        ("estimate", "--resume", None),
+        ("estimate", "--time-budget", "1e-6"),
+        ("estimate", "--max-task-retries", "3"),
+        ("estimate", "--task-timeout", "120"),
+        ("estimate", "--no-degrade", None),
         ("update", "--precision", "float64"),
         ("serve", "--precision", "float64"),
         ("stream-ingest", "--precision", "float64"),
@@ -483,7 +499,10 @@ _REQUIRED = {
 def test_removed_solver_flags_are_usage_errors(command, flag, value, capsys):
     """Every batched solve is float64, only the Monte-Carlo commands
     (``estimate``, ``reproduce``) take ``--workers``, ``serve`` has no
-    read-replica fleet, and the daemon sizes its own operator cache."""
+    read-replica fleet, the daemon sizes its own operator cache, and
+    ``estimate`` runs one cold engine solve: no solver engine choice,
+    iteration checkpoints, resume, time budget or Monte-Carlo
+    supervision."""
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args(
             _REQUIRED[command] + [flag] + ([] if value is None else [value])

@@ -3,9 +3,9 @@
 Unlike ``test_cli.py`` (which drives ``main()`` in-process), these tests
 spawn real interpreter subprocesses — exercising the console entry
 point, argument plumbing, exit codes and on-disk outputs exactly as an
-operator would.  The matrix crosses the small preset with both engines
-and with tracing on/off; each cell asserts exit 0, valid JSON outputs
-and a parseable trace.
+operator would.  The matrix crosses the small preset with and without
+``--checkpoint-dir`` and with tracing on/off; each cell asserts exit
+0, valid JSON outputs and a parseable trace.
 """
 
 import json
@@ -49,11 +49,14 @@ def small_world_dir(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("engine", ["batched", "legacy"])
+@pytest.mark.parametrize(
+    "checkpoint", [False, True], ids=["batched", "checkpoint"]
+)
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-def test_estimate_matrix(small_world_dir, tmp_path, engine, traced):
-    """{small} x {--engine batched,legacy} x {--trace-out on,off}."""
+def test_estimate_matrix(small_world_dir, tmp_path, checkpoint, traced):
+    """{small} x {--checkpoint-dir off,on} x {--trace-out on,off}."""
     prefix = tmp_path / "est" / "run"
+    ckpt = tmp_path / "ckpt"
     trace = tmp_path / "run.trace.jsonl"
     metrics = tmp_path / "run.metrics.json"
     argv = []
@@ -63,8 +66,9 @@ def test_estimate_matrix(small_world_dir, tmp_path, engine, traced):
         "estimate",
         "--world", str(small_world_dir),
         "--out-prefix", str(prefix),
-        "--engine", engine,
     ]
+    if checkpoint:
+        argv += ["--checkpoint-dir", str(ckpt)]
     proc = run_cli(*argv, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "estimated mass" in proc.stdout
@@ -72,6 +76,11 @@ def test_estimate_matrix(small_world_dir, tmp_path, engine, traced):
     # score outputs exist for every cell
     for kind in ("pagerank", "core", "relative"):
         assert Path(f"{prefix}.{kind}.scores").exists()
+    # the snapshot is the only thing a checkpoint directory holds
+    if checkpoint:
+        assert [p.name for p in ckpt.iterdir()] == ["solution.npz"]
+    else:
+        assert not ckpt.exists()
 
     if not traced:
         assert not trace.exists()
@@ -88,11 +97,9 @@ def test_estimate_matrix(small_world_dir, tmp_path, engine, traced):
     names = {r["name"] for r in records}
     assert "cli:estimate" in names
     assert "mass-estimate" in names
-    if engine == "batched":
-        assert "solve:batch" in names
-    else:
-        assert {"solve:p", "solve:p_prime"} <= names
-        assert "solve:batch" not in names
+    # with or without a checkpoint directory, p and p′ are one batch
+    assert "solve:batch" in names
+    assert not {"solve:p", "solve:p_prime"} & names
 
     # the manifest pairs with the trace and is internally consistent
     manifest = json.loads(
@@ -131,7 +138,6 @@ def test_no_telemetry_flag_suppresses_outputs(small_world_dir, tmp_path):
         ("--workers", "0"),
         ("--mc-walks", "0"),
         ("--mc-walks", "-1"),
-        ("--checkpoint-every", "0"),
     ],
 )
 def test_estimate_rejects_non_positive_numeric_flags(
@@ -382,14 +388,16 @@ def test_detect_smoke_over_traced_estimate(small_world_dir, tmp_path):
         ("--task-timeout", "nan", "must be a positive number"),
     ],
 )
-def test_estimate_rejects_bad_supervision_flags(
+def test_update_rejects_bad_supervision_flags(
     small_world_dir, tmp_path, flag, value, message
 ):
-    """Supervision knobs share the PR-4 validation conventions: exit 2
-    at parse time, nothing written."""
+    """``update``'s guard knobs share the validation conventions: exit
+    2 at parse time, nothing written."""
     proc = run_cli(
-        "estimate",
+        "update",
         "--world", str(small_world_dir),
+        "--delta", str(tmp_path / "no.delta"),
+        "--checkpoint-dir", str(tmp_path / "ckpt"),
         "--out-prefix", str(tmp_path / "run"),
         flag, value,
         cwd=tmp_path,
@@ -397,14 +405,15 @@ def test_estimate_rejects_bad_supervision_flags(
     assert proc.returncode == 2
     assert message in proc.stderr
     assert not list(tmp_path.glob("run.*"))
+    assert not (tmp_path / "ckpt").exists()
 
 
 def test_estimate_supervised_mc_matches_unsupervised(
     small_world_dir, tmp_path
 ):
-    """The supervision flags change resilience, never numbers: the MC
-    cross-check line (and the score files) are identical with and
-    without them."""
+    """The worker count changes wall time, never numbers: the
+    Monte-Carlo cross-check line of a ``--workers 2`` pool run and the
+    score files are identical to the in-process run's."""
     plain = run_cli(
         "estimate",
         "--world", str(small_world_dir),
@@ -413,21 +422,25 @@ def test_estimate_supervised_mc_matches_unsupervised(
         cwd=tmp_path,
     )
     assert plain.returncode == 0, plain.stderr
-    supervised = run_cli(
+    pooled = run_cli(
         "estimate",
         "--world", str(small_world_dir),
-        "--out-prefix", str(tmp_path / "sup"),
+        "--out-prefix", str(tmp_path / "pool"),
         "--mc-walks", "300",
         "--workers", "2",
-        "--max-task-retries", "3",
-        "--task-timeout", "120",
         cwd=tmp_path,
     )
-    assert supervised.returncode == 0, supervised.stderr
+    assert pooled.returncode == 0, pooled.stderr
+    assert "workers=2" in pooled.stdout
     dev = re.compile(r"L1 deviation from the linear PageRank (\S+)")
     assert dev.search(plain.stdout).group(1) == dev.search(
-        supervised.stdout
+        pooled.stdout
     ).group(1)
+    for kind in ("pagerank", "core", "relative"):
+        assert (
+            Path(f"{tmp_path / 'plain'}.{kind}.scores").read_bytes()
+            == Path(f"{tmp_path / 'pool'}.{kind}.scores").read_bytes()
+        )
 
 
 def test_audit_core_round_trip(small_world_dir, tmp_path):

@@ -74,16 +74,22 @@ def test_cli_estimate_rejects_unknown_core_hosts(tmp_path, capsys):
     out = tmp_path / "world"
     main(["generate", "--scale", "small", "--seed", "3", "--out", str(out)])
     (out / "core.hosts").write_text("not-a-real-host.example\n")
-    with pytest.raises(SystemExit, match="not present"):
-        main(
-            [
-                "estimate",
-                "--world",
-                str(out),
-                "--out-prefix",
-                str(tmp_path / "p"),
-            ]
-        )
+    capsys.readouterr()
+    code = main(
+        [
+            "estimate",
+            "--world",
+            str(out),
+            "--out-prefix",
+            str(tmp_path / "p"),
+        ]
+    )
+    # the daemon's resolver and message: a data error, exit 3
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "repro-spam: 1 core hosts are not in the graph "
+        "(first: 'not-a-real-host.example')\n"
+    )
 
 
 def test_cli_detect_rejects_mismatched_scores(tmp_path):

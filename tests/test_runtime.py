@@ -1,40 +1,10 @@
-"""Unit tests for the resilient runtime layer (repro.runtime)."""
+"""Unit tests for the runtime helpers: retries and solution snapshots."""
 
 import numpy as np
 import pytest
 
-from repro.errors import (
-    BudgetExceeded,
-    CheckpointError,
-    ConvergenceError,
-    SolverAbort,
-)
-from repro.graph import WebGraph, transition_matrix
-from repro.runtime import (
-    CheckpointManager,
-    Deadline,
-    ResidualMonitor,
-    compose_callbacks,
-    problem_fingerprint,
-    with_retries,
-)
+from repro.runtime import load_solution, save_solution, with_retries
 from repro.runtime.chaos import FlakyCalls
-from repro.runtime.resilient import (
-    DEFAULT_CHAIN,
-    FallbackSolver,
-    RuntimePolicy,
-    resilient_solve,
-)
-
-
-@pytest.fixture()
-def system():
-    graph = WebGraph.from_edges(
-        6, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 0)]
-    )
-    tt = transition_matrix(graph).T.tocsr()
-    v = np.full(6, 1.0 / 6.0)
-    return tt, v
 
 
 # ----------------------------------------------------------------------
@@ -69,61 +39,15 @@ def test_with_retries_does_not_catch_unlisted_exceptions():
 
 
 # ----------------------------------------------------------------------
-# checkpoints
+# solution snapshots
 # ----------------------------------------------------------------------
 
 
-def test_checkpoint_roundtrip(tmp_path):
-    manager = CheckpointManager(tmp_path, every=10)
-    p = np.linspace(0.0, 1.0, 8)
-    manager.save(p, 40, 1e-5, method="jacobi", residual_history=[1e-3, 1e-4])
-    restored = manager.load_latest()
-    assert restored is not None
-    assert restored.iteration == 40
-    assert restored.method == "jacobi"
-    assert restored.residual == pytest.approx(1e-5)
-    np.testing.assert_array_equal(restored.p, p)
-    assert restored.residual_history == [1e-3, 1e-4]
-
-
-def test_checkpoint_keeps_newest_and_prunes(tmp_path):
-    manager = CheckpointManager(tmp_path, every=1, keep=2)
-    for it in (10, 20, 30, 40):
-        manager.save(np.full(4, it, dtype=float), it, 1.0 / it)
-    names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == ["ckpt-000000030.npz", "ckpt-000000040.npz"]
-    assert manager.load_latest().iteration == 40
-
-
-def test_checkpoint_skips_corrupt_latest(tmp_path):
-    manager = CheckpointManager(tmp_path, every=1, keep=3)
-    manager.save(np.ones(4), 10, 1e-2)
-    manager.save(np.ones(4), 20, 1e-3)
-    # corrupt the newest snapshot in place (torn read, bad disk, ...)
-    newest = sorted(tmp_path.iterdir())[-1]
-    newest.write_bytes(b"not an npz archive")
-    restored = manager.load_latest()
-    assert restored is not None
-    assert restored.iteration == 10
-
-
-def test_checkpoint_fingerprint_mismatch_refuses_resume(tmp_path):
-    manager = CheckpointManager(tmp_path, every=1)
-    manager.save(np.ones(4), 10, 1e-2, fingerprint="problem-A")
-    with pytest.raises(CheckpointError, match="different problem"):
-        manager.load_latest(fingerprint="problem-B")
-    # non-strict mode skips instead
-    assert (
-        manager.load_latest(fingerprint="problem-B", strict_fingerprint=False)
-        is None
-    )
-
-
 def test_checkpoint_write_is_atomic_no_tmp_left(tmp_path):
-    manager = CheckpointManager(tmp_path, every=1)
-    manager.save(np.ones(16), 5, 1e-1)
+    save_solution(tmp_path, np.ones((16, 2)), fingerprint="fp")
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+    assert [p.name for p in tmp_path.iterdir()] == ["solution.npz"]
 
 
 def test_checkpoint_save_retries_transient_oserror(tmp_path, monkeypatch):
@@ -132,202 +56,11 @@ def test_checkpoint_save_retries_transient_oserror(tmp_path, monkeypatch):
     real_replace = ckpt_mod.os.replace
     flaky = FlakyCalls(real_replace, fail_first=2, exc=OSError)
     monkeypatch.setattr(ckpt_mod.os, "replace", flaky)
-    manager = CheckpointManager(
-        tmp_path, every=1, retries=3, backoff=0.0, sleep=lambda _: None
-    )
-    manager.save(np.ones(4), 10, 1e-2)
+    scores = np.arange(8.0).reshape(4, 2)
+    save_solution(tmp_path, scores, fingerprint="fp", retries=3, backoff=0.0)
     monkeypatch.setattr(ckpt_mod.os, "replace", real_replace)
-    assert manager.load_latest().iteration == 10
+    assert np.array_equal(
+        load_solution(tmp_path, fingerprint="fp").scores, scores
+    )
     assert flaky.calls == 3
-
-
-def test_problem_fingerprint_distinguishes_problems(system):
-    tt, v = system
-    fp1 = problem_fingerprint(tt, v)
-    assert fp1 == problem_fingerprint(tt, v.copy())
-    assert fp1 != problem_fingerprint(tt, v * 0.5)
-
-
-# ----------------------------------------------------------------------
-# monitors
-# ----------------------------------------------------------------------
-
-
-def test_monitor_aborts_on_nan_residual():
-    monitor = ResidualMonitor()
-    with pytest.raises(SolverAbort) as excinfo:
-        monitor(1, np.ones(4), float("nan"))
-    assert excinfo.value.reason == "nan"
-
-
-def test_monitor_aborts_on_poisoned_iterate():
-    monitor = ResidualMonitor(check_every=1)
-    p = np.ones(4)
-    p[2] = np.nan
-    with pytest.raises(SolverAbort) as excinfo:
-        monitor(1, p, 0.5)
-    assert excinfo.value.reason == "nan"
-
-
-def test_monitor_aborts_on_divergence():
-    monitor = ResidualMonitor(min_iterations=2, divergence_factor=10.0)
-    p = np.ones(4)
-    for it, r in enumerate([1.0, 0.5, 0.4], start=1):
-        monitor(it, p, r)
-    with pytest.raises(SolverAbort) as excinfo:
-        monitor(4, p, 400.0)
-    assert excinfo.value.reason == "diverged"
-
-
-def test_monitor_aborts_on_stagnation():
-    monitor = ResidualMonitor(
-        tol=1e-12, stagnation_window=5, stagnation_ratio=0.999
-    )
-    p = np.ones(4)
-    with pytest.raises(SolverAbort) as excinfo:
-        for it in range(1, 50):
-            monitor(it, p, 0.25)  # never improves, never meets tol
-    assert excinfo.value.reason == "stagnated"
-
-
-def test_monitor_allows_healthy_convergence():
-    monitor = ResidualMonitor(tol=1e-12, stagnation_window=10)
-    p = np.ones(4)
-    for it in range(1, 200):
-        monitor(it, p, 0.9**it)  # geometric decay, like a real solve
-
-
-def test_deadline_expires_with_fake_clock():
-    times = iter([0.0, 0.5, 2.0, 2.5])
-    deadline = Deadline(1.0, clock=lambda: next(times))
-    assert not deadline.expired()  # t=0.5
-    with pytest.raises(BudgetExceeded):
-        deadline.check()  # t=2.0
-
-
-def test_compose_callbacks_order_and_none_skipping():
-    seen = []
-    cb = compose_callbacks(
-        None, lambda i, p, r: seen.append(("a", i)), None,
-        lambda i, p, r: seen.append(("b", i)),
-    )
-    cb(3, np.ones(2), 0.1)
-    assert seen == [("a", 3), ("b", 3)]
-    assert compose_callbacks(None, None) is None
-
-
-# ----------------------------------------------------------------------
-# fallback solver
-# ----------------------------------------------------------------------
-
-
-def test_fallback_healthy_input_single_attempt(system):
-    tt, v = system
-    result = FallbackSolver(DEFAULT_CHAIN, tol=1e-12).solve(tt, v)
-    assert result.converged
-    assert result.report.outcome == "converged"
-    assert result.report.escalations() == ["gauss_seidel"]
-    assert result.report.attempts[0].outcome == "converged"
-
-
-def test_fallback_matches_direct_solution(system):
-    tt, v = system
-    from repro.core.solvers import direct
-
-    expected = direct(tt, v).scores
-    result = resilient_solve(tt, v, tol=1e-13)
-    assert np.abs(result.scores - expected).max() < 1e-9
-
-
-def test_fallback_skips_power_for_unnormalized_v(system):
-    tt, v = system
-    result = FallbackSolver(("power", "jacobi")).solve(tt, 0.5 * v)
-    assert result.converged
-    assert result.method == "jacobi"
-    skipped = result.report.attempts[0]
-    assert skipped.method == "power"
-    assert skipped.outcome == "skipped:unnormalized-v"
-
-
-def test_fallback_escalates_on_memoryerror(system):
-    tt, v = system
-
-    calls = {"n": 0}
-
-    def oom_once(it, p, r):
-        if calls["n"] == 0 and it == 3:
-            calls["n"] += 1
-            raise MemoryError("injected allocation failure")
-
-    result = FallbackSolver(("gauss_seidel", "jacobi")).solve(
-        tt, v, inject=oom_once
-    )
-    assert result.converged
-    assert result.method == "jacobi"
-    outcomes = [a.outcome for a in result.report.attempts]
-    assert outcomes == ["error:MemoryError", "converged"]
-
-
-def test_fallback_exhausted_chain_returns_best_effort(system):
-    tt, v = system
-    # max_iter far too small for tol: every method exhausts
-    result = FallbackSolver(
-        ("jacobi", "gauss_seidel"), tol=1e-15, max_iter=3
-    ).solve(tt, v)
-    assert not result.converged
-    assert result.report.outcome == "best-effort"
-    assert np.all(np.isfinite(result.scores))
-    # the best-effort vector is the lowest-residual attempt
-    residuals = [
-        a.residual for a in result.report.attempts if np.isfinite(a.residual)
-    ]
-    assert result.residual == pytest.approx(min(residuals))
-
-
-def test_fallback_time_budget_returns_best_effort(system):
-    tt, v = system
-    ticks = iter(float(i) for i in range(10_000))
-    solver = FallbackSolver(
-        ("jacobi", "gauss_seidel"),
-        tol=1e-15,
-        time_budget=5.0,
-        clock=lambda: next(ticks),
-    )
-    result = solver.solve(tt, v)
-    assert not result.converged
-    assert result.report.attempts[0].outcome == "aborted:time-budget"
-    # the budget is global: the chain stops instead of escalating
-    assert len(result.report.escalations()) == 1
-    assert np.all(np.isfinite(result.scores))
-
-
-def test_fallback_rejects_unknown_method():
-    with pytest.raises(ValueError, match="unknown solver"):
-        FallbackSolver(("jacobi", "not-a-solver"))
-
-
-def test_runtime_policy_builds_labeled_checkpoints(tmp_path, system):
-    tt, v = system
-    policy = RuntimePolicy(
-        checkpoint_dir=tmp_path / "ck", checkpoint_every=10
-    )
-    solver = policy.make_solver("pagerank", tol=1e-12)
-    result = solver.solve(tt, v)
-    assert result.converged
-    assert (tmp_path / "ck" / "pagerank").is_dir()
-    assert result.report.checkpoints_written > 0
-
-
-def test_runtime_policy_resume_requires_dir():
-    with pytest.raises(ValueError, match="checkpoint_dir"):
-        RuntimePolicy(resume=True)
-
-
-def test_run_report_serializes(system):
-    tt, v = system
-    result = resilient_solve(tt, v)
-    payload = result.report.to_dict()
-    assert payload["outcome"] == "converged"
-    assert payload["attempts"][0]["method"] == "gauss_seidel"
-    text = result.report.render()
-    assert "converged" in text
+    assert not list(tmp_path.glob("*.tmp"))

@@ -33,6 +33,7 @@ from repro.serve import (
     ScoringServer,
     ServeClient,
 )
+from repro.serve.daemon import CircuitBreaker
 from test_differential_solvers import _random_graph
 
 GAMMA = 0.85
@@ -371,6 +372,18 @@ def test_repeated_failure_opens_circuit_then_heals(base, tmp_path):
     assert d.degraded is False
     assert d.health()["circuit"] == "closed"
     d.submit_delta(*DELTAS[1])
+
+
+def test_circuit_breaker_opens_once_and_resets_on_success():
+    breaker = CircuitBreaker(3)
+    assert not breaker.record_failure()
+    assert not breaker.record_failure()
+    breaker.record_success()  # consecutive counting: success resets
+    assert not breaker.record_failure()
+    assert not breaker.record_failure()
+    assert breaker.record_failure()  # third consecutive opens it
+    assert breaker.is_open
+    assert not breaker.record_failure()  # opens exactly once
 
 
 class _WarmPathDownEngine(PagerankEngine):

@@ -561,14 +561,12 @@ def test_derived_operator_reuses_untouched_blocks(tmp_path):
     assert np.array_equal(base_batch.converged, derived_batch.converged)
 
 
-def test_sharded_rejects_non_jacobi_and_policies(store):
-    from repro.runtime.resilient import RuntimePolicy
-
+def test_sharded_rejects_non_jacobi_and_solver_options(store):
     engine = PagerankEngine()
     with pytest.raises(ValueError, match="sharded"):
         engine.solve(store, method="power")
     with pytest.raises(ValueError, match="sharded"):
-        engine.solve_many(store, [None], policy=RuntimePolicy())
+        engine.solve(store, track_residuals=True)
     with pytest.raises(TypeError, match="sharded"):
         engine.bundle(store)
 
