@@ -119,8 +119,8 @@ def _positive_int(text: str) -> int:
 
 
 def _nonnegative_int(text: str) -> int:
-    """argparse type: an integer >= 0 (retry budgets, where 0 means
-    "no retries" and is a legitimate hardening choice)."""
+    """argparse type: an integer >= 0 (allowances where 0 is a
+    legitimate choice)."""
     try:
         value = int(text)
     except ValueError:
@@ -133,8 +133,7 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _positive_float(text: str) -> float:
-    """argparse type: a strictly positive finite float (deadlines,
-    thresholds)."""
+    """argparse type: a strictly positive finite float (deadlines)."""
     try:
         value = float(text)
     except ValueError:
@@ -315,41 +314,10 @@ def _core_ids(graph, core_path: Path) -> np.ndarray:
     return core_nodes(graph, read_host_list(core_path))
 
 
-def _build_engine(args: argparse.Namespace):
-    """A :class:`~repro.perf.PagerankEngine` per the perf flags
-    (``--workers`` exists only where Monte Carlo runs)."""
-    from .perf import PagerankEngine
-
-    return PagerankEngine(
-        args.cache_size, workers=getattr(args, "workers", None)
-    )
-
-
-def _ingest_policy(args: argparse.Namespace):
-    """Build an IngestPolicy from ``update``'s supervision flags (or
-    ``None``): ``None`` keeps the direct-call behavior, so the guarded
-    wrapper only engages when the operator asked for it.
-    """
-    wants = (
-        args.max_task_retries is not None
-        or args.task_timeout is not None
-        or args.no_degrade
-    )
-    if not wants:
-        return None
-    from .serve.ingest import IngestPolicy
-
-    return IngestPolicy(
-        max_retries=(
-            1 if args.max_task_retries is None else args.max_task_retries
-        ),
-        deadline=args.task_timeout,
-        allow_degrade=not args.no_degrade,
-    )
-
-
 def cmd_estimate(args: argparse.Namespace) -> int:
     """Compute PageRank, core PageRank and mass estimates."""
+    from .perf import PagerankEngine
+
     graph, _, _ = read_graph_bundle(args.world, strict=not args.lenient)
     core_path = (
         Path(args.core) if args.core else Path(args.world) / "core.hosts"
@@ -359,7 +327,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     # one batched solve of p and p′; a solve that does not converge
     # raises ConvergenceError (exit 4) before anything is written
     estimates = estimate_spam_mass(
-        graph, core, gamma=gamma, engine=_build_engine(args)
+        graph, core, gamma=gamma, engine=PagerankEngine()
     )
     if args.mc_walks > 0:
         from .perf import pagerank_montecarlo_parallel
@@ -415,13 +383,16 @@ def cmd_update(args: argparse.Namespace) -> int:
     Consumes the graph a previous ``estimate --checkpoint-dir`` run was
     computed on, the converged solution it saved, and an edge-delta
     file; applies the delta, warm-starts the push solver at the stored
-    solution, and writes the same three score files ``estimate`` would
-    have produced for the mutated graph — typically orders of magnitude
-    faster than a cold re-solve (see ``docs/perf.md``).
+    solution (damping and γ come from it), and writes the same three
+    score files ``estimate`` would have produced for the mutated graph
+    — typically orders of magnitude faster than a cold re-solve (see
+    ``docs/perf.md``).  A warm solve that raises falls back once to a
+    cold solve of the mutated graph.
     """
-    from .core import MassEstimates
     from .graph import compose_applications, read_delta
+    from .perf import PagerankEngine
     from .runtime.checkpoint import load_solution, save_solution
+    from .serve.ingest import reestimate, snapshot_estimates
 
     graph, labels, metadata = read_graph_bundle(
         args.world, strict=not args.lenient
@@ -430,24 +401,11 @@ def cmd_update(args: argparse.Namespace) -> int:
         Path(args.core) if args.core else Path(args.world) / "core.hosts"
     )
     core = _core_ids(graph, core_path)
-    gamma = None if args.gamma <= 0 else args.gamma
     deltas = [read_delta(path) for path in args.delta]
     snapshot = load_solution(
         args.checkpoint_dir, fingerprint=graph.structural_fingerprint()
     )
-    stored_gamma = snapshot.meta.get("gamma")
-    if stored_gamma != gamma:
-        raise SystemExit(
-            f"stored solution used gamma={stored_gamma}, requested "
-            f"gamma={gamma}; re-run the cold estimate"
-        )
-    damping = float(snapshot.meta.get("damping", 0.85))
-    previous = MassEstimates(
-        snapshot.scores[:, 0].copy(),
-        snapshot.scores[:, 1].copy(),
-        damping,
-        gamma,
-    )
+    estimates = snapshot_estimates(snapshot)
     applications = []
     tip = graph
     for delta in deltas:
@@ -459,46 +417,16 @@ def cmd_update(args: argparse.Namespace) -> int:
         compose_applications(applications[i:i + batch])
         for i in range(0, len(applications), batch)
     ]
-    engine = _build_engine(args)
-    policy = _ingest_policy(args)
-
-    def _solve_group(application, previous):
-        def _warm():
-            return estimate_spam_mass(
-                application,
-                core,
-                damping=damping,
-                gamma=gamma,
-                previous=previous,
-                engine=engine,
-            )
-
-        if policy is None:
-            return _warm()
-        from .serve.ingest import guarded_call
-
-        def _cold():
-            return estimate_spam_mass(
-                application.after,
-                core,
-                damping=damping,
-                gamma=gamma,
-                engine=engine,
-            )
-
-        estimates, degraded = guarded_call(
-            _warm, _cold, policy, label="update"
+    engine = PagerankEngine()
+    for group in groups:
+        estimates, degraded = reestimate(
+            group, core, estimates, engine=engine
         )
         if degraded:
             print(
                 "warm push update failed; degraded to a cold re-solve "
                 "of the mutated graph (same scores, slower path)"
             )
-        return estimates
-
-    estimates = previous
-    for group in groups:
-        estimates = _solve_group(group, estimates)
     application = compose_applications(applications)
     delta = application.delta
     prefix = Path(args.out_prefix)
@@ -511,8 +439,8 @@ def cmd_update(args: argparse.Namespace) -> int:
         np.stack([estimates.pagerank, estimates.core_pagerank], axis=1),
         fingerprint=application.after.structural_fingerprint(),
         extra={
-            "damping": damping,
-            "gamma": gamma,
+            "damping": estimates.damping,
+            "gamma": estimates.gamma,
             "labels": ["pagerank", "core"],
         },
     )
@@ -558,11 +486,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         rho=args.rho,
         tau=args.tau,
         max_staleness=args.max_staleness,
-        ingest_retries=(
-            1 if args.max_task_retries is None else args.max_task_retries
-        ),
-        ingest_deadline=args.task_timeout,
-        allow_degrade=not args.no_degrade,
         batch_deltas=args.batch_deltas,
     )
     daemon = ScoringDaemon.load(
@@ -713,7 +636,6 @@ def cmd_stream_ingest(args: argparse.Namespace) -> int:
         ]
         probe = LatencyProbe(attacks, rho=args.rho, tau=args.tau)
     config = DaemonConfig(
-        gamma=None if args.gamma <= 0 else args.gamma,
         rho=args.rho,
         tau=args.tau,
         max_staleness=args.max_staleness,
@@ -868,6 +790,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 def cmd_audit_core(args: argparse.Namespace) -> int:
     """Audit a stored good core for Section 4.4-style anomalies."""
     from .eval.audit import audit_core
+    from .perf import PagerankEngine
 
     strict = not args.lenient
     graph, labels, _ = read_graph_bundle(args.world, strict=strict)
@@ -877,7 +800,7 @@ def cmd_audit_core(args: argparse.Namespace) -> int:
     core = _core_ids(graph, core_path)
     gamma = None if args.gamma <= 0 else args.gamma
     estimates = estimate_spam_mass(
-        graph, core, gamma=gamma, engine=_build_engine(args)
+        graph, core, gamma=gamma, engine=PagerankEngine()
     )
     report = audit_core(
         labels,
@@ -910,6 +833,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         list_experiments,
         run_experiment,
     )
+    from .perf import PagerankEngine
 
     config = _config_for(args.scale, args.seed)
     requested = args.experiment.upper()
@@ -924,7 +848,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             f"{', '.join(known)} or 'all'"
         )
 
-    engine = _build_engine(args)
+    engine = PagerankEngine(args.cache_size, workers=args.workers)
     ctx = None
     results = []
     for exp_id in ids:
@@ -1107,12 +1031,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip-and-warn on malformed input lines instead of failing",
     )
     p_est.add_argument(
-        "--cache-size",
-        type=_positive_int,
-        default=8,
-        help="bound of the operator LRU cache (graphs, default 8)",
-    )
-    p_est.add_argument(
         "--workers",
         type=_positive_int,
         default=None,
@@ -1180,12 +1098,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="core host list (default: <world>/core.hosts)",
     )
-    p_upd.add_argument(
-        "--gamma",
-        type=float,
-        default=0.85,
-        help="good-fraction scaling; must match the stored solution",
-    )
     p_upd.add_argument("--rho", type=float, default=10.0)
     p_upd.add_argument(
         "--out-prefix", required=True, help="prefix for the score files"
@@ -1201,36 +1113,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--lenient",
         action="store_true",
         help="skip-and-warn on malformed input lines instead of failing",
-    )
-    p_upd.add_argument(
-        "--cache-size",
-        type=_positive_int,
-        default=8,
-        help="bound of the operator LRU cache (graphs, default 8)",
-    )
-    p_upd.add_argument(
-        "--max-task-retries",
-        type=_nonnegative_int,
-        default=None,
-        metavar="N",
-        help="retry budget for the warm push update before degrading "
-        "to a cold re-solve; 0 disables retries (default 1 once any "
-        "supervision flag is set)",
-    )
-    p_upd.add_argument(
-        "--task-timeout",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock deadline per re-estimate attempt; an attempt "
-        "that overruns is abandoned and retried or degraded "
-        "(default: no deadline)",
-    )
-    p_upd.add_argument(
-        "--no-degrade",
-        action="store_true",
-        help="fail fast instead of degrading the warm push update to "
-        "a cold re-solve when retries are exhausted",
     )
     p_upd.set_defaults(func=cmd_update)
 
@@ -1313,29 +1195,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="drain after N processed requests (benchmark/soak "
         "plumbing; default: run until signalled)",
-    )
-    p_srv.add_argument(
-        "--max-task-retries",
-        type=_nonnegative_int,
-        default=None,
-        metavar="N",
-        help="retry budget for a warm re-estimate before degrading to "
-        "a cold re-solve (default 1)",
-    )
-    p_srv.add_argument(
-        "--task-timeout",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock deadline per re-estimate attempt "
-        "(default: no deadline)",
-    )
-    p_srv.add_argument(
-        "--no-degrade",
-        action="store_true",
-        help="refuse to degrade a failed warm re-estimate to a cold "
-        "re-solve; the delta stays pending and the ingest circuit "
-        "opens instead",
     )
     p_srv.add_argument("--rho", type=float, default=10.0)
     p_srv.add_argument("--tau", type=float, default=0.98)
@@ -1499,12 +1358,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sealed windows to accumulate before one batched apply "
         "(default 1); must not exceed --max-pending-windows",
     )
-    p_sing.add_argument(
-        "--gamma",
-        type=float,
-        default=0.85,
-        help="good-fraction scaling; must match the stored solution",
-    )
     p_sing.add_argument("--rho", type=float, default=10.0)
     p_sing.add_argument("--tau", type=float, default=0.98)
     p_sing.add_argument(
@@ -1609,12 +1462,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write the repaired core (flagged members removed) as a "
         "host list",
-    )
-    p_aud.add_argument(
-        "--cache-size",
-        type=_positive_int,
-        default=8,
-        help="bound of the operator LRU cache (graphs, default 8)",
     )
     p_aud.add_argument(
         "--lenient",

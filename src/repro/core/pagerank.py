@@ -155,9 +155,9 @@ def pagerank(
         ``RuntimeError`` subclass) when the solver fails to converge
         instead of returning a non-converged result.
     solver_options:
-        Forwarded to :func:`repro.core.solvers.solve` — e.g.
-        ``checkpoint=``/``resume=`` for kill-and-resume support, or
-        ``callback=`` for residual monitoring.
+        Forwarded to :func:`repro.core.solvers.solve` — e.g. ``x0=``
+        and ``start_iteration=`` for a warm start, or ``callback=``
+        for residual monitoring.
 
     The transition operator ``Tᵀ`` comes from the process-wide
     :class:`~repro.perf.OperatorCache` (built once per graph, shared by
@@ -196,8 +196,8 @@ def pagerank_from_matrix(
 
     Non-convergence raises :class:`~repro.errors.ConvergenceError`
     unless ``raise_on_divergence=False``; extra keyword arguments are
-    forwarded to :func:`repro.core.solvers.solve` (checkpointing,
-    warm starts, callbacks).
+    forwarded to :func:`repro.core.solvers.solve` (warm starts,
+    callbacks).
     """
     try:
         return solve(

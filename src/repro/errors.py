@@ -37,7 +37,6 @@ __all__ = [
     "DeltaError",
     "StreamError",
     "StreamEventError",
-    "SupervisionError",
     "InjectedFault",
 ]
 
@@ -67,12 +66,12 @@ class SnapshotMismatchError(CheckpointError):
     """A stored snapshot belongs to a *different* problem or graph.
 
     Subclasses :class:`CheckpointError` so existing handlers (and the
-    CLI's exit-3 mapping) keep working, but is distinguishable: the
-    serving daemon catches exactly this type to trigger an epoch
-    rollback instead of treating the snapshot as unreadable.  Both
-    sides of the comparison ride on the exception so operators (and the
-    daemon's telemetry) can log what was expected against what was
-    found.
+    CLI's exit-3 mapping) keep working.  Raised when a solution
+    snapshot is loaded against the wrong graph, and when the serving
+    daemon's epoch store refuses to publish a re-estimate whose graph
+    or scores do not check out.  Both sides of the comparison ride on
+    the exception so operators can log what was expected against what
+    was found.
     """
 
     def __init__(self, message: str, *, expected: str = "",
@@ -210,16 +209,6 @@ class GraphIOWarning(UserWarning):
     def __init__(self, message: str, counts=None) -> None:
         super().__init__(message)
         self.counts = dict(counts or {})
-
-
-class SupervisionError(ReproError, RuntimeError):
-    """A guarded re-estimate could not complete.
-
-    Raised by :func:`~repro.serve.ingest.guarded_call` when the warm
-    path exhausts its retry budget and degradation to a cold re-solve
-    is disallowed (``allow_degrade=False`` / ``--no-degrade``) or
-    unavailable, or when the cold fallback itself fails.
-    """
 
 
 class InjectedFault(ReproError):

@@ -247,8 +247,15 @@ class GraphDelta:
         :class:`WebGraph` (with a derived fingerprint stamped on it) and
         the touched-node sets.  Raises :class:`DeltaError` when an
         endpoint is out of range, an insertion already exists, or a
-        deletion does not.
+        deletion does not, and :class:`TypeError` for a graph without
+        an in-memory CSR (a sharded store).
         """
+        if not isinstance(graph, WebGraph):
+            raise TypeError(
+                f"deltas apply to in-memory graphs, not a "
+                f"{type(graph).__name__}; splice its to_webgraph() "
+                "instead"
+            )
         n = graph.num_nodes
         for what, edges in (
             ("insertion", self._insertions),

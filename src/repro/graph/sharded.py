@@ -58,7 +58,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from ..errors import (
-    DeltaError,
     EmptyGraphError,
     GraphIOError,
     ManifestVersionError,
@@ -68,11 +67,9 @@ from ..errors import (
     ShardTruncatedError,
 )
 from .backend import GraphBackend
-from .delta import DeltaApplication, GraphDelta
 from .io import _write_atomic
 from .webgraph import (
     WebGraph,
-    _mix_edge_keys,
     compose_fingerprint,
     edge_digest,
     sorted_unique,
@@ -165,18 +162,6 @@ class ShardMeta:
             int(record["in_edges"]),
             int(str(record["digest"]), 16),
         )
-
-    def replace(self, **changes) -> "ShardMeta":
-        fields = {
-            "file": self.file,
-            "start": self.start,
-            "stop": self.stop,
-            "num_edges": self.num_edges,
-            "num_in_edges": self.num_in_edges,
-            "digest": self.digest,
-        }
-        fields.update(changes)
-        return ShardMeta(**fields)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -465,8 +450,7 @@ def _check_shard(
 
 
 class _ShardLRU:
-    """Bounded LRU of resident shards, shared by a store and all the
-    delta-derived graphs layered over it."""
+    """Bounded LRU of a store's resident shards."""
 
     __slots__ = ("maxsize", "_entries", "loads", "hits", "evictions")
 
@@ -509,9 +493,10 @@ class ShardedWebGraph(GraphBackend):
     Construct through :meth:`open` (an existing store),
     :func:`sharded_from_edges` (out-of-core build) or
     :func:`partition_graph` (shard an in-memory graph).  Instances are
-    immutable like :class:`~repro.graph.webgraph.WebGraph`;
-    :meth:`apply_delta` returns a *new* graph layering copy-on-write
-    shard overrides on the same on-disk store.
+    immutable like :class:`~repro.graph.webgraph.WebGraph`.  Edge
+    deltas apply to the in-memory CSR only: splice
+    :meth:`to_webgraph`'s graph with
+    :meth:`~repro.graph.delta.GraphDelta.apply`.
     """
 
     backend_name = "sharded"
@@ -525,9 +510,7 @@ class ShardedWebGraph(GraphBackend):
         "_fingerprint",
         "_lru",
         "_verify",
-        "_overrides",
         "_out_degree",
-        "delta_touched_shards",
     )
 
     def __init__(
@@ -541,9 +524,6 @@ class ShardedWebGraph(GraphBackend):
         lru: _ShardLRU,
         *,
         verify: bool = True,
-        overrides: Optional[Dict[int, _LoadedShard]] = None,
-        out_degree: Optional[np.ndarray] = None,
-        delta_touched_shards: Optional[frozenset] = None,
     ) -> None:
         self._directory = Path(directory)
         self._num_nodes = num_nodes
@@ -553,12 +533,7 @@ class ShardedWebGraph(GraphBackend):
         self._fingerprint = fingerprint
         self._lru = lru
         self._verify = verify
-        self._overrides = dict(overrides or {})
-        self._out_degree = out_degree
-        #: Shards structurally touched by the delta that produced this
-        #: instance (``None`` for a base store).  The per-shard operator
-        #: derivation keys off this to decide block reuse.
-        self.delta_touched_shards = delta_touched_shards
+        self._out_degree: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -645,8 +620,7 @@ class ShardedWebGraph(GraphBackend):
         return f"node{node}"
 
     def shard_meta(self, k: int) -> ShardMeta:
-        """Manifest record of shard ``k`` (as seen by *this* graph —
-        delta-derived instances carry updated digests/counts)."""
+        """Manifest record of shard ``k``."""
         return self._metas[k]
 
     def shard_range(self, k: int) -> Tuple[int, int]:
@@ -654,34 +628,17 @@ class ShardedWebGraph(GraphBackend):
         return int(self._boundaries[k]), int(self._boundaries[k + 1])
 
     def shard(self, k: int) -> _LoadedShard:
-        """The four CSR arrays of shard ``k`` (loaded through the LRU;
-        copy-on-write overrides of a delta-derived graph win)."""
-        override = self._overrides.get(k)
-        if override is not None:
-            return override
-        return self._lru.get(k, lambda: self._load_base_shard(k))
+        """The four CSR arrays of shard ``k`` (loaded through the LRU)."""
+        return self._lru.get(k, lambda: self._load_shard(k))
 
-    def _load_base_shard(self, k: int) -> _LoadedShard:
-        # always validate against the *base* manifest: overrides never
-        # reach this path, so the on-disk metas are the right oracle
-        # even when self is delta-derived
-        meta = self._base_meta(k)
+    def _load_shard(self, k: int) -> _LoadedShard:
+        meta = self._metas[k]
         path = self._directory / meta.file
         shard = _load_shard_file(path)
         _check_shard(
             path, shard, meta, self._num_nodes, verify_digest=self._verify
         )
         return shard
-
-    def _base_meta(self, k: int) -> ShardMeta:
-        # derived instances rewrite self._metas for overridden shards;
-        # the on-disk file still matches the original manifest record,
-        # which the shared LRU re-reads from disk
-        if k in self._overrides:  # pragma: no cover - defensive
-            raise ShardIntegrityError(
-                f"shard {k} is overridden; no base file to load"
-            )
-        return self._metas[k]
 
     def out_degree(self, node: Optional[int] = None):
         """Out-degree of ``node``, or the full vector (built on first
@@ -751,199 +708,6 @@ class ShardedWebGraph(GraphBackend):
             np.arange(b - a, dtype=np.int64), np.diff(shard.indptr)
         )
         return sources, np.asarray(shard.indices)
-
-    # ------------------------------------------------------------------
-    # deltas: copy-on-write shard overlays
-    # ------------------------------------------------------------------
-
-    def shard_of(self, nodes: np.ndarray) -> np.ndarray:
-        """Owning shard index of each node id."""
-        return (
-            np.searchsorted(self._boundaries, nodes, side="right") - 1
-        ).astype(np.int64)
-
-    def apply_delta(self, delta: GraphDelta) -> DeltaApplication:
-        """Apply an edge delta, splicing only the owning shards.
-
-        Mirrors :meth:`GraphDelta.apply` semantics exactly — the same
-        :class:`~repro.errors.DeltaError` conditions, the same O(|δ|)
-        derived fingerprint (bit-identical to the in-memory path) — but
-        touches only the shards owning a changed edge's source (out-CSR
-        splice) or destination (transpose splice).  The base graph and
-        the on-disk store are untouched; the returned graph carries
-        copy-on-write overrides for the touched shards.
-        """
-        n = self._num_nodes
-        ins = delta.insertions
-        dels = delta.deletions
-        for what, edges in (("insertion", ins), ("deletion", dels)):
-            if len(edges) and edges.max() >= n:
-                raise DeltaError(f"{what} endpoint out of range for n={n}")
-
-        overrides = dict(self._overrides)
-        metas = list(self._metas)
-        touched: set = set()
-
-        def _current(k: int) -> _LoadedShard:
-            got = overrides.get(k)
-            return got if got is not None else self.shard(k)
-
-        # --- out-CSR splice, grouped by owning source shard ----------
-        ins_shards = self.shard_of(ins[:, 0]) if len(ins) else None
-        del_shards = self.shard_of(dels[:, 0]) if len(dels) else None
-        out_touched = set()
-        if ins_shards is not None:
-            out_touched.update(int(k) for k in np.unique(ins_shards))
-        if del_shards is not None:
-            out_touched.update(int(k) for k in np.unique(del_shards))
-        for k in sorted(out_touched):
-            a, b = self.shard_range(k)
-            shard = _current(k)
-            local_src = np.repeat(
-                np.arange(b - a, dtype=np.int64), np.diff(shard.indptr)
-            )
-            keys = (local_src + a) * n + np.asarray(shard.indices)
-            digest = metas[k].digest
-            k_dels = (
-                dels[del_shards == k] if del_shards is not None
-                else np.empty((0, 2), dtype=np.int64)
-            )
-            k_ins = (
-                ins[ins_shards == k] if ins_shards is not None
-                else np.empty((0, 2), dtype=np.int64)
-            )
-            if len(k_dels):
-                del_keys = k_dels[:, 0] * n + k_dels[:, 1]
-                pos = np.searchsorted(keys, del_keys)
-                if len(keys):
-                    present = (pos < len(keys)) & (
-                        keys[np.minimum(pos, len(keys) - 1)] == del_keys
-                    )
-                else:
-                    present = np.zeros(len(del_keys), dtype=bool)
-                if not present.all():
-                    bad = k_dels[~present][0]
-                    raise DeltaError(
-                        f"cannot delete edge ({bad[0]}, {bad[1]}): "
-                        "not present"
-                    )
-                keep = np.ones(len(keys), dtype=bool)
-                keep[pos] = False
-                keys = keys[keep]
-                digest = (
-                    digest
-                    - int(
-                        _mix_edge_keys(
-                            del_keys.astype(np.uint64)
-                        ).sum(dtype=np.uint64)
-                    )
-                ) & _MASK64
-            if len(k_ins):
-                ins_keys = k_ins[:, 0] * n + k_ins[:, 1]
-                pos = np.searchsorted(keys, ins_keys)
-                if len(keys):
-                    exists = (pos < len(keys)) & (
-                        keys[np.minimum(pos, len(keys) - 1)] == ins_keys
-                    )
-                    if exists.any():
-                        bad = k_ins[exists][0]
-                        raise DeltaError(
-                            f"cannot insert edge ({bad[0]}, {bad[1]}): "
-                            "already present"
-                        )
-                keys = np.insert(keys, pos, ins_keys)
-                digest = (
-                    digest
-                    + int(
-                        _mix_edge_keys(
-                            ins_keys.astype(np.uint64)
-                        ).sum(dtype=np.uint64)
-                    )
-                ) & _MASK64
-            new_local = keys // n - a
-            new_indptr = np.zeros(b - a + 1, dtype=np.int64)
-            new_indptr[1:] = np.cumsum(
-                np.bincount(new_local, minlength=b - a)
-            )
-            overrides[k] = _LoadedShard(
-                new_indptr, keys % n, shard.t_indptr, shard.t_indices
-            )
-            metas[k] = metas[k].replace(
-                num_edges=len(keys), digest=digest
-            )
-            touched.add(k)
-
-        # --- transpose splice, grouped by owning destination shard ---
-        # existence was fully validated by the out pass (every edge has
-        # exactly one owning source shard), so this pass only splices
-        ins_t = self.shard_of(ins[:, 1]) if len(ins) else None
-        del_t = self.shard_of(dels[:, 1]) if len(dels) else None
-        t_touched = set()
-        if ins_t is not None:
-            t_touched.update(int(k) for k in np.unique(ins_t))
-        if del_t is not None:
-            t_touched.update(int(k) for k in np.unique(del_t))
-        for k in sorted(t_touched):
-            a, b = self.shard_range(k)
-            shard = overrides.get(k) or self.shard(k)
-            local_dst = np.repeat(
-                np.arange(b - a, dtype=np.int64), np.diff(shard.t_indptr)
-            )
-            # (destination, source) keys are strictly increasing over
-            # the transpose CSR, mirroring the out-CSR's (src, dst) keys
-            keys = (local_dst + a) * n + np.asarray(shard.t_indices)
-            k_dels = (
-                dels[del_t == k] if del_t is not None
-                else np.empty((0, 2), dtype=np.int64)
-            )
-            k_ins = (
-                ins[ins_t == k] if ins_t is not None
-                else np.empty((0, 2), dtype=np.int64)
-            )
-            if len(k_dels):
-                del_keys = k_dels[:, 1] * n + k_dels[:, 0]
-                del_keys.sort()
-                pos = np.searchsorted(keys, del_keys)
-                keep = np.ones(len(keys), dtype=bool)
-                keep[pos] = False
-                keys = keys[keep]
-            if len(k_ins):
-                ins_keys = k_ins[:, 1] * n + k_ins[:, 0]
-                ins_keys.sort()
-                pos = np.searchsorted(keys, ins_keys)
-                keys = np.insert(keys, pos, ins_keys)
-            new_local = keys // n - a
-            new_t_indptr = np.zeros(b - a + 1, dtype=np.int64)
-            new_t_indptr[1:] = np.cumsum(
-                np.bincount(new_local, minlength=b - a)
-            )
-            overrides[k] = _LoadedShard(
-                shard.indptr, shard.indices, new_t_indptr, keys % n
-            )
-            metas[k] = metas[k].replace(num_in_edges=len(keys))
-            touched.add(k)
-
-        out_deg = np.array(self.out_degree(), dtype=np.int64)
-        if len(ins):
-            np.add.at(out_deg, ins[:, 0], 1)
-        if len(dels):
-            np.subtract.at(out_deg, dels[:, 0], 1)
-        out_deg.setflags(write=False)
-
-        after = ShardedWebGraph(
-            self._directory,
-            n,
-            self._num_edges + len(ins) - len(dels),
-            self._boundaries,
-            metas,
-            delta.derive_fingerprint(self),
-            self._lru,
-            verify=self._verify,
-            overrides=overrides,
-            out_degree=out_deg,
-            delta_touched_shards=frozenset(touched),
-        )
-        return DeltaApplication(self, after, delta)
 
     # ------------------------------------------------------------------
     # dunder

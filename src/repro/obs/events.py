@@ -8,8 +8,8 @@ Everything the instrumented pipeline emits is an :class:`Event` — a
     ``span_start`` carries the nesting ``depth`` and ``parent``; the
     ``span_end`` additionally carries ``duration`` and ``status``).
 ``event``
-    A point-in-time occurrence: a solver escalation, a checkpoint
-    write, an I/O retry.
+    A point-in-time occurrence: a solution-snapshot write, an I/O
+    retry, an epoch swap.
 
 Events flow into an :class:`EventSink`.  Sinks are deliberately dumb —
 ``emit(event)`` and ``close()`` — so the instrumentation cost is one
@@ -54,7 +54,7 @@ class Event:
         ``"span_start"``, ``"span_end"`` or ``"event"``.
     name:
         The stage or occurrence name (e.g. ``"mass-estimate"``,
-        ``"solver.escalation"``).
+        ``"checkpoint.solution_write"``).
     attrs:
         Flat JSON-serializable payload.
     """

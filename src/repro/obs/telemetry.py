@@ -10,9 +10,9 @@ contract that makes this safe to leave in production code paths:
   module-level :data:`~repro.obs.tracer.NOOP_SPAN` singleton and no
   :class:`~repro.obs.events.Event` is ever constructed — zero events,
   zero retained allocations (asserted by
-  ``tests/obs/test_noop_overhead.py``).
+  ``tests/obs/test_obs_noop.py``).
 * **Enabled is cheap.**  Emission happens at stage boundaries and
-  per-occurrence (an escalation, a checkpoint write), never inside a
+  per-occurrence (a solution-snapshot write, an I/O retry), never inside a
   solver iteration loop; the benchmark gates the enabled overhead at
   <5% on the medium preset.
 * **Scoped capture.**  Tests install a fresh telemetry via

@@ -47,7 +47,6 @@ from .parallel import (
 )
 from .sharded import (
     ShardedOperator,
-    derive_sharded,
     sharded_operator_for,
 )
 
@@ -58,7 +57,6 @@ __all__ = [
     "DEFAULT_SHARD_CACHE_SIZE",
     "ShardedOperator",
     "sharded_operator_for",
-    "derive_sharded",
     "BatchResult",
     "IncrementalResult",
     "OperatorBundle",

@@ -352,22 +352,6 @@ class OperatorCache:
                 self.evictions += 1
         return value
 
-    def peek(self, key: str):
-        """Return the entry for ``key`` if resident, else ``None``.
-
-        A successful peek counts as a hit (and refreshes recency); an
-        absent key is *not* counted as a miss — peeking is how derived
-        shard operators probe for reusable parent blocks, and an absent
-        parent block just means a cold build, which registers its own
-        miss through :meth:`entry_for`.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self.hits += 1
-                self._entries.move_to_end(key)
-            return entry
-
     def derive_for(self, application):
         """Return the bundle for ``application.after``, derived cheaply.
 
@@ -377,17 +361,7 @@ class OperatorCache:
         :meth:`~repro.graph.delta.GraphDelta.apply` — the full CSR is
         never rehashed or re-transposed.  Falls back to a cold
         :meth:`bundle_for` build when the parent is not resident.
-
-        Sharded graphs take a different derivation: the child gets a
-        :class:`~repro.perf.sharded.ShardedOperator` that reuses the
-        parent's cached per-shard blocks wherever the delta provably
-        did not touch them (see :func:`repro.perf.sharded.derive_sharded`).
         """
-        if not isinstance(application.after, WebGraph):
-            # lazy import: perf.sharded imports this module
-            from .sharded import derive_sharded
-
-            return derive_sharded(self, application)
         tele = get_telemetry()
         child_key = graph_fingerprint(application.after)
         with self._lock:

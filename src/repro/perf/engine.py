@@ -461,13 +461,6 @@ class PagerankEngine:
 
         if isinstance(application, (list, tuple)):
             application = compose_applications(application)
-        if isinstance(application.after, ShardedWebGraph):
-            raise ValueError(
-                "incremental push updates need the assembled in-memory "
-                "operator; solve the delta-derived sharded graph with "
-                "solve_many (its shard operator derives cheaply via "
-                "the shard cache)"
-            )
         n = application.after.num_nodes
         if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
             stacked = np.array(vectors, dtype=np.float64, copy=True)

@@ -33,9 +33,6 @@ bit for bit.  Two details matter and are preserved deliberately:
 
 Blocks are cached in an :class:`~repro.perf.cache.OperatorCache` under
 composite keys (``<fingerprint>#ss:<k>``, ``<fingerprint>#ds:<k>``).
-For a delta-derived graph, :func:`derive_sharded` builds a child
-operator that *reuses* the parent's cached blocks for every shard the
-delta provably did not touch — see ``docs/scale.md``.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ from .cache import OperatorCache
 __all__ = [
     "ShardedOperator",
     "sharded_operator_for",
-    "derive_sharded",
 ]
 
 
@@ -78,21 +74,12 @@ class ShardedOperator:
         "_s_bounds",
         "_d_bounds",
         "_local",
-        "_parent_fingerprint",
-        "_touched_mask",
-        "_touched_shards",
-        "block_reuses",
-        "block_builds",
     )
 
     def __init__(
         self,
         graph: ShardedWebGraph,
         cache: Optional[OperatorCache] = None,
-        *,
-        parent_fingerprint: Optional[str] = None,
-        touched_mask: Optional[np.ndarray] = None,
-        touched_shards: Optional[frozenset] = None,
     ) -> None:
         self.graph = graph
         self.fingerprint = graph.structural_fingerprint()
@@ -115,13 +102,6 @@ class ShardedOperator:
         self._s_bounds = np.searchsorted(self.non_dangling, graph.boundaries)
         self._d_bounds = np.searchsorted(self.dangling, graph.boundaries)
         self._local = {}  # fallback block store when no cache is given
-        # delta-derivation metadata: when set, untouched shards may
-        # borrow the parent's cached blocks (see _build_or_reuse)
-        self._parent_fingerprint = parent_fingerprint
-        self._touched_mask = touched_mask
-        self._touched_shards = touched_shards or frozenset()
-        self.block_reuses = 0
-        self.block_builds = 0
 
     # ------------------------------------------------------------------
     # geometry
@@ -155,37 +135,15 @@ class ShardedOperator:
         """Rows of ``(Tᵀ)_SS`` owned by shard ``k``'s non-dangling nodes."""
         return self._entry(
             f"{self.key_base}#ss:{k}",
-            lambda: self._build_or_reuse(k, "ss"),
+            lambda: self._build_block(k, "ss"),
         )
 
     def ds_block(self, k: int) -> sparse.csr_matrix:
         """Rows of ``(Tᵀ)_DS`` owned by shard ``k``'s dangling nodes."""
         return self._entry(
             f"{self.key_base}#ds:{k}",
-            lambda: self._build_or_reuse(k, "ds"),
+            lambda: self._build_block(k, "ds"),
         )
-
-    def _build_or_reuse(self, k: int, kind: str) -> sparse.csr_matrix:
-        if (
-            self.cache is not None
-            and self._parent_fingerprint is not None
-            and self._touched_mask is not None
-            and k not in self._touched_shards
-        ):
-            # the shard's transpose CSR is unchanged; its block is
-            # reusable unless some in-edge originates at a touched
-            # source (whose out-degree, hence entry weight, may differ)
-            shard = self.graph.shard(k)
-            if not self._touched_mask[np.asarray(shard.t_indices)].any():
-                parent = self.cache.peek(
-                    f"{self._parent_fingerprint}"
-                    f"@{self.graph.partition_key}#{kind}:{k}"
-                )
-                if parent is not None:
-                    self.block_reuses += 1
-                    return parent
-        self.block_builds += 1
-        return self._build_block(k, kind)
 
     def _build_block(self, k: int, kind: str) -> sparse.csr_matrix:
         a, b = self.graph.shard_range(k)
@@ -261,41 +219,4 @@ def sharded_operator_for(
     return cache.entry_for(
         f"{graph.structural_fingerprint()}@{graph.partition_key}#shardop",
         lambda: ShardedOperator(graph, cache=cache),
-    )
-
-
-def derive_sharded(cache: OperatorCache, application) -> ShardedOperator:
-    """Shard-operator derivation for a delta on the sharded backend.
-
-    The child operator rebuilds a shard's blocks only when the delta
-    could have changed them: a shard spliced by the delta
-    (``delta_touched_shards``), a shard with an in-edge from a touched
-    source (entry weights ``1/outdeg`` may differ), or — globally —
-    when the dangling set changed (which renumbers the restricted
-    system).  Every other shard borrows the parent's cached block
-    verbatim; per-shard reuse/build counts land on the returned
-    operator (``block_reuses`` / ``block_builds``), and cache-level
-    hit/miss counters tick through the shared :class:`OperatorCache`.
-    """
-    after = application.after
-    before = application.before
-
-    def build() -> ShardedOperator:
-        cache.derives += 1
-        if not np.array_equal(before.dangling_mask(), after.dangling_mask()):
-            # dangling set changed: S is renumbered, no block survives
-            return ShardedOperator(after, cache=cache)
-        touched = np.zeros(after.num_nodes, dtype=bool)
-        touched[application.touched_sources] = True
-        return ShardedOperator(
-            after,
-            cache=cache,
-            parent_fingerprint=before.structural_fingerprint(),
-            touched_mask=touched,
-            touched_shards=getattr(after, "delta_touched_shards", None),
-        )
-
-    return cache.entry_for(
-        f"{after.structural_fingerprint()}@{after.partition_key}#shardop",
-        build,
     )

@@ -24,7 +24,6 @@ from ..errors import (
     GraphIOWarning,
     InjectedFault,
     SnapshotMismatchError,
-    SupervisionError,
     TruncatedFileError,
     WalError,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "GraphIOWarning",
     "InjectedFault",
     "SnapshotMismatchError",
-    "SupervisionError",
     "TruncatedFileError",
     "WalError",
     "SolutionSnapshot",

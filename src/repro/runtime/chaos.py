@@ -235,10 +235,11 @@ class ServeChaos:
     the batch being applied:
 
     ``before_apply(seq)``
-        Runs before the re-estimate starts.  ``fail_apply_on`` raises
-        ``exc`` here (the warm path fails before doing any work —
-        drives retry/degrade/circuit paths); ``slow_apply_on`` sleeps
-        ``slow_seconds`` first (a straggling ingest, for deadline and
+        Runs before the re-estimate starts, outside it.
+        ``fail_apply_on`` raises ``exc`` here (the whole apply fails
+        before any solve — drives the circuit-breaker and quarantine
+        paths; a cold fallback never sees it); ``slow_apply_on``
+        sleeps ``slow_seconds`` first (a straggling ingest, for
         staleness-bound tests).
     ``before_publish(seq)``
         Runs after the candidate epoch passed validation but *before*

@@ -1,13 +1,14 @@
-"""Always-on scoring service: epochs, WAL, admission, guarded ingest.
+"""Always-on scoring service: epochs, WAL, admission, re-estimation.
 
 The batch pipeline (``build-world`` → ``estimate`` → ``detect``)
 answers "what does the graph look like today"; this package answers it
 *continuously*.  A :class:`~repro.serve.daemon.ScoringDaemon` loads a
-solution snapshot, serves per-host spam-mass queries from immutable
-copy-on-write epochs (:mod:`~repro.serve.epoch`), accepts graph deltas
-through a crash-safe write-ahead log (:mod:`~repro.serve.wal`), folds
-them in with guarded warm re-estimates (:mod:`~repro.serve.ingest`),
-and degrades explicitly under overload or ingest failure
+solution snapshot, serves per-host spam-mass queries from epochs that
+are read-only once published (:mod:`~repro.serve.epoch`), accepts
+graph deltas through a crash-safe write-ahead log
+(:mod:`~repro.serve.wal`), folds each one in with a warm re-estimate
+that falls back once to a cold solve (:mod:`~repro.serve.ingest`), and
+degrades explicitly under overload or ingest failure
 (:mod:`~repro.serve.admission`).  The socket front-end and client live
 in :mod:`~repro.serve.server`.  See ``docs/serving.md``.
 """
@@ -21,7 +22,7 @@ from .admission import (
 )
 from .daemon import DaemonConfig, ScoringDaemon
 from .epoch import Epoch, EpochStore, score_from_epoch, top_from_epoch
-from .ingest import IngestPolicy, IngestTimeout, guarded_call
+from .ingest import reestimate
 from .server import ScoringServer, ServeClient
 from .stream import DeadLetterQueue, StreamConfig, StreamIngestor
 from .wal import DeltaWAL, WalRecord, plan_replay
@@ -38,9 +39,7 @@ __all__ = [
     "EpochStore",
     "score_from_epoch",
     "top_from_epoch",
-    "IngestPolicy",
-    "IngestTimeout",
-    "guarded_call",
+    "reestimate",
     "ScoringServer",
     "ServeClient",
     "DeadLetterQueue",

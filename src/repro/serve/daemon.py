@@ -11,10 +11,10 @@ continuously) and the ROADMAP names directly.  One
 * a :class:`~repro.serve.wal.DeltaWAL` — an accepted delta is fsynced
   to the log *before* it is acknowledged, so a crash never loses an
   acked batch;
-* a background ingest worker — pops accepted deltas in order, runs a
-  guarded warm re-estimate (deadline, retries, degradation to a cold
-  solve; :mod:`repro.serve.ingest`), verifies the result against the
-  delta chain's derived fingerprint, and hot-swaps the next epoch;
+* a background ingest worker — pops accepted deltas in order, runs
+  one warm re-estimate that falls back once to a cold solve
+  (:mod:`repro.serve.ingest`), verifies the result against the delta
+  chain's derived fingerprint, and hot-swaps the next epoch;
 * a :class:`CircuitBreaker` on the ingest path — consecutive apply
   failures (or a staleness bound overrun) flip the service to
   *degraded*: reads keep flowing from the current epoch with an
@@ -39,14 +39,12 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core import estimate_spam_mass
 from ..core.mass import MassEstimates
 from ..errors import SnapshotMismatchError, WalError
 from ..graph import GraphDelta, read_graph_bundle, read_host_list
 from ..graph.delta import DeltaApplication, compose_applications
 from ..obs import get_telemetry
 from ..runtime.checkpoint import load_solution, save_solution
-from .ingest import IngestPolicy, guarded_call
 from .epoch import (
     Epoch,
     EpochStore,
@@ -54,6 +52,7 @@ from .epoch import (
     score_from_epoch,
     top_from_epoch,
 )
+from .ingest import reestimate, snapshot_estimates
 from .wal import DeltaWAL, WalRecord, plan_replay
 
 __all__ = ["CircuitBreaker", "DaemonConfig", "ScoringDaemon"]
@@ -74,9 +73,8 @@ class DaemonConfig:
     """Operational knobs of one daemon instance.
 
     ``rho``/``tau`` are the Algorithm 2 thresholds used by ``top``
-    queries; the ingest fields mirror the supervision flags of the
-    batch CLI (``--task-timeout`` → ``ingest_deadline``,
-    ``--no-degrade`` → ``allow_degrade=False``).
+    queries.  Damping and γ are not configured here: they come from
+    the solution the daemon starts from.
 
     ``batch_deltas`` bounds how many queued deltas one apply may
     coalesce: the worker drains up to that many from the queue head,
@@ -87,13 +85,9 @@ class DaemonConfig:
     still fsynced and acked individually), only epoch cadence changes.
     """
 
-    gamma: Optional[float] = 0.85
     rho: float = 10.0
     tau: float = 0.98
     max_staleness: int = 8
-    ingest_retries: int = 1
-    ingest_deadline: Optional[float] = None
-    allow_degrade: bool = True
     circuit_threshold: int = 3
     retry_interval: float = 0.05
     prune_every: int = 32
@@ -108,13 +102,6 @@ class DaemonConfig:
             raise ValueError("circuit_threshold must be >= 1")
         if self.retry_interval <= 0:
             raise ValueError("retry_interval must be positive")
-
-    def ingest_policy(self) -> IngestPolicy:
-        return IngestPolicy(
-            max_retries=self.ingest_retries,
-            deadline=self.ingest_deadline,
-            allow_degrade=self.allow_degrade,
-        )
 
 
 class CircuitBreaker:
@@ -286,18 +273,10 @@ class ScoringDaemon:
                     f"{graph.structural_fingerprint()!r}, but the "
                     f"snapshot claims {stored_fp!r}"
                 )
-        gamma = snapshot.meta.get("gamma", config.gamma)
-        damping = float(snapshot.meta.get("damping", 0.85))
-        estimates = MassEstimates(
-            snapshot.scores[:, 0].copy(),
-            snapshot.scores[:, 1].copy(),
-            damping,
-            gamma,
-        )
         daemon = cls(
             graph,
             core,
-            estimates,
+            snapshot_estimates(snapshot),
             checkpoint_dir=checkpoint_dir,
             wal=wal,
             config=config,
@@ -413,34 +392,19 @@ class ScoringDaemon:
         }
 
     def health(self) -> dict:
-        """Readiness/liveness probe; auto-rolls-back a poisoned epoch."""
-        epoch = self.store.current
-        est = epoch.estimates
-        poisoned = not (
-            np.all(np.isfinite(est.pagerank))
-            and np.all(np.isfinite(est.core_pagerank))
-        )
-        if poisoned:
-            restored = self.store.rollback()
-            tele = get_telemetry()
-            if tele.enabled:
-                tele.event(
-                    "serve.poisoned_epoch",
-                    epoch=epoch.seq,
-                    rolled_back_to=(
-                        restored.seq if restored is not None else None
-                    ),
-                )
-            epoch = self.store.current
+        """Readiness/liveness probe, answered from O(1) state.
+
+        No score scan: :meth:`EpochStore.publish` refuses non-finite
+        scores and marks a published epoch's arrays read-only, so the
+        live epoch stays as it was validated.
+        """
         return {
             "ready": True,
-            "poisoned_epoch_rolled_back": poisoned,
             "circuit": "open" if self._breaker.is_open else "closed",
             "degraded_reason": self._degraded_reason,
             "applies": self.applies,
             "apply_failures": self.apply_failures,
             "swaps": self.store.swaps,
-            "rollbacks": self.store.rollbacks,
             **self._meta(self.store.current),
         }
 
@@ -600,7 +564,9 @@ class ScoringDaemon:
 
         With ``batch_deltas > 1`` a prefix of the queue is coalesced:
         the chained applications compose into one net splice and one
-        warm (or degraded-cold) re-estimate covers them all.  The
+        re-estimate covers them all.  The head's ``before`` is always
+        the epoch's graph: :meth:`submit_delta` chains from the tip and
+        :meth:`quarantine_pending` resets the tip to the epoch.  The
         published epoch carries the *last* record's seq/fingerprint —
         the composed splice yields exactly the graph the last delta's
         chain fingerprint names, which the publish verifies.
@@ -624,46 +590,13 @@ class ScoringDaemon:
             )
         epoch = self.store.current
         config = self.config
-        est = epoch.estimates
         tele = get_telemetry()
         try:
             if self.chaos is not None:
                 self.chaos.before_apply(record.seq)
-
-            def _warm():
-                return estimate_spam_mass(
-                    application,
-                    self.core,
-                    damping=est.damping,
-                    gamma=est.gamma,
-                    previous=est,
-                    engine=self.engine,
-                )
-
-            def _cold():
-                return estimate_spam_mass(
-                    application.after,
-                    self.core,
-                    damping=est.damping,
-                    gamma=est.gamma,
-                    engine=self.engine,
-                )
-
-            # the warm path seeds the residual of this delta alone, so
-            # it starts only from the graph the delta was validated
-            # against; a health-probe rollback leaves the epoch a graph
-            # behind the accepted chain, and then only a cold solve is
-            # correct
-            warm = (
-                application.before.structural_fingerprint()
-                == epoch.fingerprint
-            )
             started = self._clock()
-            new_estimates, degraded = guarded_call(
-                _warm if warm else _cold,
-                _cold,
-                config.ingest_policy(),
-                label=f"wal-seq-{record.seq}",
+            new_estimates, degraded = reestimate(
+                application, self.core, epoch.estimates, engine=self.engine
             )
             if degraded:
                 self.degraded_applies += 1

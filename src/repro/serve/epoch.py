@@ -1,4 +1,4 @@
-"""Copy-on-write score epochs: atomic hot-swap, guard, rollback.
+"""Immutable score epochs: atomic hot-swap behind a publish guard.
 
 Readers of the serving daemon must never observe a *torn* state — a
 graph from one crawl paired with scores from another.  The mechanism
@@ -15,10 +15,10 @@ Publication is guarded: the candidate's scores must be finite and its
 stamped fingerprint must equal both the fingerprint derived from the
 delta chain *and* what the mutated graph hashes to
 (:class:`~repro.errors.SnapshotMismatchError` otherwise) — a diverged
-re-estimate is refused before any reader can see it.  The store keeps
-the previous epoch, so a post-publish problem (a chaos-poisoned
-vector, a failed validation downstream) rolls back with another
-pointer swap.
+re-estimate is refused before any reader can see it.  The store then
+marks the epoch's four score arrays read-only in place, so what was
+validated is what every later reader sees; a health probe needs no
+rescan and there is nothing to roll back to.
 """
 
 from __future__ import annotations
@@ -206,30 +206,34 @@ def top_from_epoch(epoch: Epoch, k: int, *, tau: float, rho: float) -> dict:
     }
 
 
-class EpochStore:
-    """The swap point: one current epoch, one rollback predecessor.
+def _freeze(epoch: Epoch) -> None:
+    """Mark the epoch's score arrays read-only, in place (a copy would
+    cost ~32 MB per epoch at 1M hosts)."""
+    est = epoch.estimates
+    for scores in (est.pagerank, est.core_pagerank, est.absolute,
+                   est.relative):
+        scores.setflags(write=False)
 
-    The read side is a bare attribute access; the write side
-    (:meth:`publish`, :meth:`rollback`) serializes under a lock, which
-    costs nothing because only the single ingest worker ever writes.
+
+class EpochStore:
+    """The swap point: one current epoch, published read-only.
+
+    The read side is a bare attribute access; :meth:`publish`
+    serializes under a lock, which costs nothing because only the
+    single ingest worker ever writes.
     """
 
     def __init__(self, initial: Epoch) -> None:
+        _freeze(initial)
         self._current = initial
-        self._previous: Optional[Epoch] = None
         self._lock = threading.Lock()
         self.swaps = 0
-        self.rollbacks = 0
         self._set_gauges(initial)
 
     @property
     def current(self) -> Epoch:
         """The serving epoch (a single atomic pointer read)."""
         return self._current
-
-    @property
-    def previous(self) -> Optional[Epoch]:
-        return self._previous
 
     def publish(
         self,
@@ -243,7 +247,8 @@ class EpochStore:
         ``expected_fingerprint`` is the fingerprint the delta chain
         says the new graph must have (the WAL record's ``after``); the
         guard refuses the swap when the candidate disagrees, and when
-        its scores are not finite.  ``pre_publish`` is the chaos
+        its scores are not finite.  A candidate that passes has its
+        score arrays marked read-only.  ``pre_publish`` is the chaos
         injection point — it runs after validation but *before* the
         pointer swap, so an injected kill lands exactly in the
         mid-swap window; if it raises, readers keep the old epoch.
@@ -268,8 +273,8 @@ class EpochStore:
             )
         if pre_publish is not None:
             pre_publish(candidate)
+        _freeze(candidate)
         with self._lock:
-            self._previous = self._current
             self._current = candidate
             self.swaps += 1
         tele = get_telemetry()
@@ -284,28 +289,6 @@ class EpochStore:
         self._set_gauges(candidate)
         return candidate
 
-    def rollback(self) -> Optional[Epoch]:
-        """Swap the previous epoch back in; ``None`` if there is none.
-
-        Used when a published epoch is later found bad (health probe
-        catches a poisoned vector).  Single-level on purpose: the WAL
-        is the durable history, the store only needs one step of undo
-        to keep serving while the ingest path recovers.
-        """
-        with self._lock:
-            if self._previous is None:
-                return None
-            restored = self._previous
-            self._previous = None
-            self._current = restored
-            self.rollbacks += 1
-        tele = get_telemetry()
-        if tele.enabled:
-            tele.inc("serve.rollbacks")
-            tele.event("serve.rollback", epoch=restored.seq)
-        self._set_gauges(restored)
-        return restored
-
     @staticmethod
     def _set_gauges(epoch: Epoch) -> None:
         tele = get_telemetry()
@@ -314,7 +297,4 @@ class EpochStore:
             tele.set_gauge("serve.epoch_wal_seq", epoch.wal_seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"EpochStore(current={self._current!r}, swaps={self.swaps}, "
-            f"rollbacks={self.rollbacks})"
-        )
+        return f"EpochStore(current={self._current!r}, swaps={self.swaps})"

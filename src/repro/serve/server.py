@@ -408,7 +408,6 @@ class ScoringServer:
             "apply_failures": daemon.apply_failures,
             "degraded_applies": daemon.degraded_applies,
             "swaps": daemon.store.swaps,
-            "rollbacks": daemon.store.rollbacks,
             "pid": os.getpid(),
             "slow_depth": self.admission.slow_depth,
             "slow_shed": self.admission.slow_shed,

@@ -284,6 +284,81 @@ def test_estimate_max_iter_cutoff_exits_4_and_writes_nothing(
     assert not (tmp_path / "ckpt").exists()
 
 
+def _update_against_cold_estimate(world_dir, tmp_path, capsys, *flags):
+    """``estimate --checkpoint-dir`` → ``update`` with a delta of fresh
+    edges from silent hosts → cold ``estimate`` of the mutated world,
+    all with the estimate ``flags``.  ``update`` must exit 0 and match
+    the cold scores to 1e-11; returns its stdout."""
+    from repro.graph import GraphDelta, write_delta
+
+    ckpt = tmp_path / "ckpt"
+    assert main(
+        ["estimate", "--world", str(world_dir), *flags,
+         "--out-prefix", str(tmp_path / "cold"),
+         "--checkpoint-dir", str(ckpt)]
+    ) == 0
+    graph, _, _ = read_graph_bundle(world_dir)
+    silent = np.flatnonzero(np.diff(graph.indptr) == 0)
+    rng = np.random.default_rng(4)
+    insertions = []
+    for src in rng.choice(silent, size=4, replace=False):
+        pool = silent[silent != src]
+        insertions.extend(
+            (int(src), int(t)) for t in rng.choice(pool, size=3, replace=False)
+        )
+    delta = tmp_path / "crawl.delta"
+    write_delta(GraphDelta(insertions=insertions), delta)
+    mutated = tmp_path / "mutated"
+    capsys.readouterr()
+    assert main(
+        ["update", "--world", str(world_dir), "--delta", str(delta),
+         "--checkpoint-dir", str(ckpt),
+         "--out-prefix", str(tmp_path / "upd"),
+         "--write-world", str(mutated)]
+    ) == 0
+    out = capsys.readouterr().out
+    assert main(
+        ["estimate", "--world", str(mutated), *flags,
+         "--out-prefix", str(tmp_path / "coldmut")]
+    ) == 0
+    for kind in ("pagerank", "core"):
+        updated = read_scores(f"{tmp_path / 'upd'}.{kind}.scores")
+        cold = read_scores(f"{tmp_path / 'coldmut'}.{kind}.scores")
+        assert np.abs(updated - cold).max() <= 1e-11, kind
+    return out
+
+
+def test_update_reads_gamma_from_the_snapshot(world_dir, tmp_path, capsys):
+    """An unscaled snapshot (``estimate --gamma 0``) updates unscaled:
+    γ comes from the stored solution, and the new snapshot keeps it."""
+    from repro.runtime import load_solution
+
+    _update_against_cold_estimate(
+        world_dir, tmp_path, capsys, "--gamma", "0"
+    )
+    assert load_solution(tmp_path / "ckpt").meta["gamma"] is None
+
+
+def test_update_falls_back_to_one_cold_solve(
+    world_dir, tmp_path, capsys, monkeypatch
+):
+    """A warm push update that raises degrades to one cold solve of the
+    mutated graph: same exit code and scores as a cold ``estimate``."""
+    from repro.errors import InjectedFault
+    from repro.perf import PagerankEngine
+
+    calls = []
+
+    def _down(self, *args, **kwargs):
+        calls.append(1)
+        raise InjectedFault("warm path down")
+
+    monkeypatch.setattr(PagerankEngine, "update_many", _down)
+    out = _update_against_cold_estimate(world_dir, tmp_path, capsys)
+    assert "degraded to a cold re-solve" in out
+    assert len(calls) == 1
+
+
 @pytest.fixture(scope="module")
 def unnamed_world(tmp_path_factory):
     """An unnamed ~2k-host bundle (hosts are ``node<i>``), the format
@@ -419,32 +494,29 @@ def test_estimate_montecarlo_cross_check(world_dir, tmp_path, capsys):
     assert "L1 deviation" in out
 
 
-def test_estimate_invalid_cache_size_is_usage_error(
-    world_dir, tmp_path, capsys
-):
-    # validated at argparse level since the incremental-engine PR:
-    # non-positive numeric flags are usage errors (exit 2), caught
-    # before any file or solver work starts
+def test_reproduce_invalid_cache_size_is_usage_error(tmp_path, capsys):
+    # validated at argparse level: non-positive numeric flags are usage
+    # errors (exit 2), caught before any file or solver work starts
     with pytest.raises(SystemExit) as excinfo:
         main(
             [
-                "estimate",
-                "--world",
-                str(world_dir),
-                "--out-prefix",
-                str(tmp_path / "x"),
+                "reproduce",
+                "--experiment",
+                "T1",
+                "--out",
+                str(tmp_path / "x.md"),
                 "--cache-size",
                 "0",
             ]
         )
     assert excinfo.value.code == 2
     assert "must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "x.md").exists()
 
 
 def test_parser_engine_defaults():
     parser = build_parser()
     args = parser.parse_args(["estimate", "--world", "w", "--out-prefix", "p"])
-    assert args.cache_size == 8
     assert args.workers is None
     assert args.mc_walks == 0
     rep = parser.parse_args(["reproduce", "--experiment", "T1"])
@@ -494,15 +566,28 @@ _REQUIRED = {
         ("serve", "--replica-poll", "0.05"),
         ("serve", "--cache-size", "2"),
         ("stream-ingest", "--cache-size", "2"),
+        ("estimate", "--cache-size", "2"),
+        ("update", "--cache-size", "2"),
+        ("audit-core", "--cache-size", "2"),
+        ("update", "--max-task-retries", "3"),
+        ("update", "--task-timeout", "120"),
+        ("update", "--no-degrade", None),
+        ("serve", "--max-task-retries", "3"),
+        ("serve", "--task-timeout", "120"),
+        ("serve", "--no-degrade", None),
+        ("update", "--gamma", "0.85"),
+        ("stream-ingest", "--gamma", "0.5"),
     ],
 )
 def test_removed_solver_flags_are_usage_errors(command, flag, value, capsys):
     """Every batched solve is float64, only the Monte-Carlo commands
     (``estimate``, ``reproduce``) take ``--workers``, ``serve`` has no
-    read-replica fleet, the daemon sizes its own operator cache, and
-    ``estimate`` runs one cold engine solve: no solver engine choice,
-    iteration checkpoints, resume, time budget or Monte-Carlo
-    supervision."""
+    read-replica fleet, only ``reproduce`` (many graphs) sizes an
+    operator cache, ``estimate`` runs one cold engine solve (no solver
+    engine choice, iteration checkpoints, resume, time budget or
+    Monte-Carlo supervision), ``update`` and ``serve`` run one warm
+    re-estimate with one cold fallback (no retry, deadline or degrade
+    knobs), and γ comes from the stored solution."""
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args(
             _REQUIRED[command] + [flag] + ([] if value is None else [value])

@@ -134,7 +134,6 @@ def test_no_telemetry_flag_suppresses_outputs(small_world_dir, tmp_path):
 @pytest.mark.parametrize(
     "flag,value",
     [
-        ("--cache-size", "0"),
         ("--workers", "0"),
         ("--mc-walks", "0"),
         ("--mc-walks", "-1"),
@@ -378,36 +377,6 @@ def test_detect_smoke_over_traced_estimate(small_world_dir, tmp_path):
     assert {r["name"] for r in records} >= {"cli:detect"}
 
 
-@pytest.mark.parametrize(
-    "flag,value,message",
-    [
-        ("--max-task-retries", "-1", "must be a non-negative integer"),
-        ("--max-task-retries", "x", "is not an integer"),
-        ("--task-timeout", "0", "must be a positive number"),
-        ("--task-timeout", "-3.5", "must be a positive number"),
-        ("--task-timeout", "nan", "must be a positive number"),
-    ],
-)
-def test_update_rejects_bad_supervision_flags(
-    small_world_dir, tmp_path, flag, value, message
-):
-    """``update``'s guard knobs share the validation conventions: exit
-    2 at parse time, nothing written."""
-    proc = run_cli(
-        "update",
-        "--world", str(small_world_dir),
-        "--delta", str(tmp_path / "no.delta"),
-        "--checkpoint-dir", str(tmp_path / "ckpt"),
-        "--out-prefix", str(tmp_path / "run"),
-        flag, value,
-        cwd=tmp_path,
-    )
-    assert proc.returncode == 2
-    assert message in proc.stderr
-    assert not list(tmp_path.glob("run.*"))
-    assert not (tmp_path / "ckpt").exists()
-
-
 def test_estimate_supervised_mc_matches_unsupervised(
     small_world_dir, tmp_path
 ):
@@ -501,9 +470,7 @@ def test_audit_core_round_trip(small_world_dir, tmp_path):
         ("--max-staleness", "0", "must be a positive integer"),
         ("--max-requests", "0", "must be a positive integer"),
         ("--request-timeout", "0", "must be a positive number"),
-        ("--task-timeout", "-3.5", "must be a positive number"),
-        ("--task-timeout", "nan", "must be a positive number"),
-        ("--max-task-retries", "-1", "must be a non-negative integer"),
+        ("--request-timeout", "nan", "must be a positive number"),
         ("--batch-deltas", "0", "must be a positive integer"),
         ("--batch-deltas", "-2", "must be a positive integer"),
     ],
@@ -556,53 +523,6 @@ def _checkpointed_estimate(small_world_dir, tmp_path):
     delta_file = tmp_path / "crawl.delta"
     write_delta(GraphDelta(insertions=insertions), delta_file)
     return ckpt, delta_file
-
-
-@pytest.mark.parametrize(
-    "extra",
-    [
-        ["--task-timeout", "120"],
-        ["--max-task-retries", "2", "--task-timeout", "120"],
-        ["--no-degrade"],
-    ],
-    ids=["timeout", "retries+timeout", "no-degrade"],
-)
-def test_update_supervision_flags_change_nothing_numeric(
-    small_world_dir, tmp_path, extra
-):
-    """The guarded update path produces byte-identical scores to the
-    unflagged one — supervision changes resilience, never numbers."""
-    import shutil
-
-    import numpy as np
-
-    from repro.graph.io import read_scores
-
-    ckpt, delta_file = _checkpointed_estimate(small_world_dir, tmp_path)
-
-    def _run_update(name, argv):
-        # updates advance the checkpoint fingerprint, so each variant
-        # gets its own copy
-        own_ckpt = tmp_path / f"ckpt-{name}"
-        shutil.copytree(ckpt, own_ckpt)
-        proc = run_cli(
-            "update",
-            "--world", str(small_world_dir),
-            "--delta", str(delta_file),
-            "--checkpoint-dir", str(own_ckpt),
-            "--out-prefix", str(tmp_path / name),
-            *argv,
-            cwd=tmp_path,
-        )
-        assert proc.returncode == 0, proc.stderr
-        return proc
-
-    _run_update("plain", [])
-    _run_update("guarded", extra)
-    for kind in ("pagerank", "core", "relative"):
-        plain = read_scores(f"{tmp_path / 'plain'}.{kind}.scores")
-        guarded = read_scores(f"{tmp_path / 'guarded'}.{kind}.scores")
-        assert np.array_equal(plain, guarded), kind
 
 
 def test_serve_subprocess_round_trip(small_world_dir, tmp_path):

@@ -1,21 +1,17 @@
-"""Admission control and the guarded single-task ingest wrapper.
+"""Admission control.
 
 Overload must be a decision: bounded depth, explicit mode transitions
 (full → degraded → reject), deadline drops at dequeue, and structured
-rejections.  The guarded re-estimate wrapper must retry, degrade to
-its fallback exactly when allowed, and bound hung work with a
-deadline.
+rejections.
 """
 
 import pytest
 
-from repro.errors import InjectedFault, SupervisionError
 from repro.serve.admission import (
     MODES,
     AdmissionController,
     AdmissionRejected,
 )
-from repro.serve.ingest import IngestPolicy, IngestTimeout, guarded_call
 
 
 class FakeClock:
@@ -126,115 +122,3 @@ def test_admission_bounds_slow_lane_independently():
     fast = ctrl.admit("score")
     for t in tickets + [fast]:
         ctrl.release(t)
-
-
-# ----------------------------------------------------------------------
-# guarded_call
-# ----------------------------------------------------------------------
-
-
-def _policy(**kw):
-    return IngestPolicy(**kw)
-
-
-def test_success_is_direct_and_not_degraded():
-    result, degraded = guarded_call(
-        lambda: 42, lambda: 0, _policy(), sleep=lambda _s: None
-    )
-    assert (result, degraded) == (42, False)
-
-
-def test_transient_failure_is_retried():
-    calls = []
-
-    def warm():
-        calls.append(1)
-        if len(calls) < 3:
-            raise InjectedFault("transient")
-        return "ok"
-
-    result, degraded = guarded_call(
-        warm, lambda: "cold", _policy(max_retries=3), sleep=lambda _s: None
-    )
-    assert (result, degraded) == ("ok", False)
-    assert len(calls) == 3
-
-
-def test_exhaustion_degrades_to_fallback():
-    def warm():
-        raise InjectedFault("always")
-
-    result, degraded = guarded_call(
-        warm, lambda: "cold", _policy(max_retries=1), sleep=lambda _s: None
-    )
-    assert (result, degraded) == ("cold", True)
-
-
-def test_no_degrade_raises_supervision_error():
-    def warm():
-        raise InjectedFault("always")
-
-    with pytest.raises(SupervisionError, match="disallowed"):
-        guarded_call(
-            warm,
-            lambda: "cold",
-            _policy(max_retries=0, allow_degrade=False),
-            sleep=lambda _s: None,
-        )
-
-
-def test_missing_fallback_raises_supervision_error():
-    def warm():
-        raise InjectedFault("always")
-
-    with pytest.raises(SupervisionError, match="unavailable"):
-        guarded_call(warm, None, _policy(max_retries=0),
-                     sleep=lambda _s: None)
-
-
-def test_fallback_failure_is_reported_as_supervision_error():
-    def warm():
-        raise InjectedFault("warm down")
-
-    def cold():
-        raise InjectedFault("cold down too")
-
-    with pytest.raises(SupervisionError, match="cold fallback failed"):
-        guarded_call(warm, cold, _policy(max_retries=0),
-                     sleep=lambda _s: None)
-
-
-def test_deadline_abandons_hung_warm_path():
-    import time
-
-    def hung():
-        time.sleep(5.0)
-        return "too late"
-
-    result, degraded = guarded_call(
-        hung,
-        lambda: "cold",
-        _policy(max_retries=0, deadline=0.1),
-        sleep=lambda _s: None,
-    )
-    assert (result, degraded) == ("cold", True)
-
-
-def test_deadline_timeout_surfaces_without_fallback():
-    import time
-
-    with pytest.raises(SupervisionError, match="IngestTimeout"):
-        guarded_call(
-            lambda: time.sleep(5.0),
-            None,
-            _policy(max_retries=0, deadline=0.1),
-            sleep=lambda _s: None,
-        )
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        IngestPolicy(max_retries=-1)
-    with pytest.raises(ValueError):
-        IngestPolicy(deadline=0)
-    assert issubclass(IngestTimeout, Exception)

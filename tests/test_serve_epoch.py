@@ -1,9 +1,9 @@
-"""Epoch-store contracts: atomic swap, guarded publish, rollback.
+"""Epoch-store contracts: atomic swap, guarded publish, read-only epochs.
 
 A reader holding an epoch must never observe mutation; a candidate
 whose fingerprint disagrees with the delta chain, or whose scores are
-non-finite, must be refused *before* the pointer swap; and a published
-epoch later found bad must roll back to its predecessor.
+non-finite, must be refused *before* the pointer swap; and the score
+arrays of the initial and of every published epoch are read-only.
 """
 
 import numpy as np
@@ -95,17 +95,19 @@ def test_pre_publish_fault_leaves_readers_on_old_epoch(store, graph):
     assert store.swaps == 0
 
 
-def test_rollback_restores_previous_once(store, graph):
-    first = store.current
-    after = _mutate(graph)
-    store.publish(first.successor(after, _estimates(graph.num_nodes, 1),
-                                  wal_seq=1))
-    restored = store.rollback()
-    assert restored is first
-    assert store.current is first
-    assert store.rollbacks == 1
-    # single-level on purpose: the WAL is the durable history
-    assert store.rollback() is None
+@pytest.mark.parametrize(
+    "name", ["pagerank", "core_pagerank", "absolute", "relative"]
+)
+def test_initial_and_published_epochs_are_read_only(store, graph, name):
+    initial = store.current
+    published = store.publish(
+        initial.successor(
+            _mutate(graph), _estimates(graph.num_nodes, 1), wal_seq=1
+        )
+    )
+    for epoch in (initial, published):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(epoch.estimates, name)[0] = 0.5
 
 
 def test_successor_shares_name_lookup(store, graph):

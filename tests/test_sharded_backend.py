@@ -1,4 +1,4 @@
-"""The sharded out-of-core backend: round-trip, corruption, deltas.
+"""The sharded out-of-core backend: round-trip, corruption, caching.
 
 Companion to the bitwise solver-parity sweep in
 ``test_differential_solvers.py``.  This file owns everything about the
@@ -7,8 +7,9 @@ integrity (corruption must surface as typed
 :class:`~repro.errors.GraphIOError` subclasses, never as a partially
 loaded graph), the bounded shard LRU, memory-mapped loading,
 hypothesis-generated partition boundaries (uneven and zero-width
-shards included), copy-on-write delta overlays, the per-shard operator
-cache, and the ``repro-spam shard`` CLI.
+shards included), the per-shard operator cache, the refusal of edge
+deltas (they apply to the in-memory CSR), and the ``repro-spam shard``
+CLI.
 """
 
 import json
@@ -24,7 +25,6 @@ from hypothesis import strategies as st
 
 from repro.cli import EXIT_DATA, EXIT_OK, main
 from repro.errors import (
-    DeltaError,
     EmptyGraphError,
     GraphIOError,
     ManifestVersionError,
@@ -283,24 +283,6 @@ def test_arbitrary_boundaries_round_trip(cuts):
         assert report["ok"], report["problems"]
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    node=st.integers(min_value=0, max_value=56),
-    cuts=st.lists(
-        st.integers(min_value=0, max_value=57), min_size=0, max_size=4
-    ),
-)
-def test_shard_of_matches_shard_ranges(node, cuts):
-    boundaries = np.array([0] + sorted(cuts) + [57], dtype=np.int64)
-    with tempfile.TemporaryDirectory() as tmp:
-        store = partition_graph(
-            _HYPO_GRAPH, Path(tmp) / "s", boundaries=boundaries
-        )
-        k = int(store.shard_of(np.array([node]))[0])
-        a, b = store.shard_range(k)
-        assert a <= node < b
-
-
 # ---------------------------------------------------------------------------
 # corruption injection: typed errors, never partial graphs
 # ---------------------------------------------------------------------------
@@ -428,92 +410,7 @@ def test_shards_are_memory_mapped(store):
 
 
 # ---------------------------------------------------------------------------
-# deltas: copy-on-write overlays, exact in-memory parity
-# ---------------------------------------------------------------------------
-
-
-def _pick_delta(graph):
-    # delete two existing edges, insert two absent ones
-    srcs, dsts = [], []
-    for u in range(graph.num_nodes):
-        row = graph.indices[graph.indptr[u] : graph.indptr[u + 1]]
-        for v in row[:1]:
-            srcs.append((u, int(v)))
-        if len(srcs) >= 2:
-            break
-    present = {
-        (u, int(v))
-        for u in range(graph.num_nodes)
-        for v in graph.indices[graph.indptr[u] : graph.indptr[u + 1]]
-    }
-    inserts = []
-    for u in range(graph.num_nodes):
-        for v in range(graph.num_nodes):
-            if u != v and (u, v) not in present:
-                inserts.append((u, v))
-                if len(inserts) == 2:
-                    return GraphDelta(insertions=inserts, deletions=srcs[:2])
-    raise AssertionError("graph too dense for the test delta")
-
-
-def test_delta_matches_in_memory_bitwise(graph, store):
-    delta = _pick_delta(graph)
-    mem_app = delta.apply(graph)
-    shard_app = store.apply_delta(delta)
-    after = shard_app.after
-    assert (
-        after.structural_fingerprint()
-        == mem_app.after.structural_fingerprint()
-    )
-    assert after.num_edges == mem_app.after.num_edges
-    back = after.to_webgraph()
-    assert np.array_equal(back.indptr, mem_app.after.indptr)
-    assert np.array_equal(back.indices, mem_app.after.indices)
-    # copy-on-write: only owning shards were overridden
-    touched = set(
-        after.shard_of(np.asarray(delta.touched_nodes())).tolist()
-    )
-    assert after.delta_touched_shards <= touched
-    # the base graph and the on-disk store are untouched
-    assert store.structural_fingerprint() == graph.structural_fingerprint()
-    assert verify_store(store.directory, deep=True)["ok"]
-
-
-def test_chained_deltas(graph, store):
-    delta = _pick_delta(graph)
-    inverse = GraphDelta(
-        insertions=[tuple(e) for e in delta.deletions],
-        deletions=[tuple(e) for e in delta.insertions],
-    )
-    once = store.apply_delta(delta).after
-    back = once.apply_delta(inverse).after
-    assert back.structural_fingerprint() == graph.structural_fingerprint()
-    assembled = back.to_webgraph()
-    assert np.array_equal(assembled.indptr, graph.indptr)
-    assert np.array_equal(assembled.indices, graph.indices)
-
-
-def test_delta_error_messages_match_in_memory(graph, store):
-    cases = [
-        GraphDelta(insertions=[(0, graph.num_nodes + 5)]),
-        GraphDelta(deletions=[(0, graph.num_nodes + 5)]),
-    ]
-    # a definitely-absent edge and a definitely-present edge
-    delta = _pick_delta(graph)
-    absent = tuple(int(x) for x in delta.insertions[0])
-    present = tuple(int(x) for x in delta.deletions[0])
-    cases.append(GraphDelta(deletions=[absent]))
-    cases.append(GraphDelta(insertions=[present]))
-    for bad in cases:
-        with pytest.raises(DeltaError) as mem_exc:
-            bad.apply(graph)
-        with pytest.raises(DeltaError) as shard_exc:
-            store.apply_delta(bad)
-        assert str(shard_exc.value) == str(mem_exc.value)
-
-
-# ---------------------------------------------------------------------------
-# per-shard operator cache + derived operators
+# per-shard operator cache; deltas apply to in-memory graphs only
 # ---------------------------------------------------------------------------
 
 
@@ -530,37 +427,6 @@ def test_operator_cache_reuses_shard_operator(store):
     assert first is second
 
 
-def test_derived_operator_reuses_untouched_blocks(tmp_path):
-    # five independent 20-node chains, one per shard — a delta confined
-    # to shard 0 leaves the other shards' operator blocks reusable
-    n, block = 100, 20
-    edges = [
-        (u, u + 1)
-        for start in range(0, n, block)
-        for u in range(start, start + block - 1)
-    ]
-    local = WebGraph.from_edges(n, edges)
-    store = partition_graph(local, tmp_path / "s", num_shards=5)
-    engine = PagerankEngine()
-    vectors = np.full((n, 2), 1.0 / n)
-    base_batch = engine.solve_many(store, vectors, tol=TOL)
-    # insertion only: out-degrees stay positive, dangling set unchanged
-    delta = GraphDelta(insertions=[(0, 2)])
-    shard_app = store.apply_delta(delta)
-    op = engine.shard_cache.derive_for(shard_app)
-    derived_batch = engine.solve_many(shard_app.after, vectors, tol=TOL)
-    assert engine.shard_cache.derives == 1
-    # the solve found the derived operator under the after-graph's key
-    assert sharded_operator_for(engine.shard_cache, shard_app.after) is op
-    assert op.block_reuses > 0
-    assert op.block_builds > 0
-    # and the derived solve is still bitwise-identical to in-memory
-    mem_batch = engine.solve_many(delta.apply(local).after, vectors, tol=TOL)
-    assert np.array_equal(derived_batch.scores, mem_batch.scores)
-    assert np.array_equal(derived_batch.iterations, mem_batch.iterations)
-    assert np.array_equal(base_batch.converged, derived_batch.converged)
-
-
 def test_sharded_rejects_non_jacobi_and_solver_options(store):
     engine = PagerankEngine()
     with pytest.raises(ValueError, match="sharded"):
@@ -569,6 +435,12 @@ def test_sharded_rejects_non_jacobi_and_solver_options(store):
         engine.solve(store, track_residuals=True)
     with pytest.raises(TypeError, match="sharded"):
         engine.bundle(store)
+
+
+def test_delta_on_sharded_graph_is_a_type_error(graph, store):
+    delta = GraphDelta(insertions=[(0, graph.num_nodes - 1)])
+    with pytest.raises(TypeError, match=r"in-memory graphs.*to_webgraph"):
+        delta.apply(store)
 
 
 # ---------------------------------------------------------------------------

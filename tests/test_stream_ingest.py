@@ -334,7 +334,7 @@ def test_apply_failure_quarantines_and_serving_survives(
         world,
         tmp_path,
         chaos=chaos,
-        config=_daemon_config(allow_degrade=False, ingest_retries=1),
+        config=_daemon_config(),
     )
     _, _, stream_path = world
     ingestor.ingest_file(stream_path)
