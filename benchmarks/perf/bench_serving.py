@@ -9,7 +9,9 @@ socket path (NDJSON over a unix socket — the same bytes a production
 client would pay for):
 
 1. **Query latency** — p50/p99 over ``--requests`` sequential requests
-   per op (``score``, ``top``, ``health``), one warm client.
+   per op (``score``, ``top``, ``health``), one warm client.  The
+   first and last ``top`` replies must equal a NumPy top-k over the
+   bench's own estimates.
 2. **Sustained QPS** — ``--threads`` clients hammering ``score`` for
    ``--duration`` seconds; reported as total responses / wall time.
 3. **Availability under ingest** — a churn delta (1% of the edge
@@ -18,7 +20,8 @@ client would pay for):
    Every read during the in-flight re-estimate must answer — from the
    previous epoch, with ``staleness`` set — and the bench reports the
    read latencies and the availability ratio.  Availability below 1.0
-   is a correctness failure, not a regression.
+   is a correctness failure, not a regression.  Once the apply lands,
+   one ``top`` must equal the NumPy top-k over the new epoch's scores.
 
 Typical usage::
 
@@ -61,6 +64,40 @@ def _percentiles_ms(samples):
         "max_ms": round(float(arr.max()), 4),
         "requests": int(arr.size),
     }
+
+
+def reference_top(graph, estimates, k, *, tau, rho):
+    """Algorithm 2's top-k straight from the score vectors, ties in
+    node order: what a ``top`` reply's candidates must be."""
+    scaled = estimates.pagerank * (
+        graph.num_nodes / (1.0 - estimates.damping)
+    )
+    relative = estimates.relative
+    eligible = np.flatnonzero((scaled >= rho) & (relative >= tau))
+    order = eligible[np.argsort(-relative[eligible], kind="stable")][:k]
+    return {
+        "candidates": [
+            {
+                "host": graph.name_of(int(node)),
+                "relative_mass": float(relative[node]),
+                "scaled_pagerank": float(scaled[node]),
+            }
+            for node in order
+        ],
+        "total_eligible": int(len(eligible)),
+    }
+
+
+def top_problems(label, reply, expected):
+    """A failure line when ``reply`` is not the ``expected`` top-k."""
+    got = {key: reply.get(key) for key in expected}
+    if got == expected:
+        return []
+    return [
+        f"top ({label}): {got['total_eligible']} eligible and "
+        f"{len(got['candidates'] or ())} candidates differ from the "
+        f"NumPy top-k ({expected['total_eligible']} eligible)"
+    ]
 
 
 def churn_delta(graph, *, churn, rng):
@@ -127,9 +164,11 @@ def bench_preset(config, *, requests, threads, duration, churn, seed):
         }
 
         # 1. sequential latency per op, one warm client
+        gates = {"tau": daemon.config.tau, "rho": daemon.config.rho}
         with ServeClient(server.socket_path) as client:
             client.health()  # connection + first-dispatch warmup
             latency = {}
+            tops = []
             for op in LATENCY_OPS:
                 samples = []
                 for i in range(requests):
@@ -143,8 +182,13 @@ def bench_preset(config, *, requests, threads, duration, churn, seed):
                     samples.append(time.perf_counter() - start)
                     if not response.get("ok"):
                         failures.append(f"{op}: {response!r}")
+                    if op == "top" and i in (0, requests - 1):
+                        tops.append(response)
                 latency[op] = _percentiles_ms(samples)
             preset["latency"] = latency
+        expected = reference_top(graph, estimates, 10, **gates)
+        for label, reply in zip(("first", "last"), tops):
+            failures.extend(top_problems(label, reply, expected))
 
         # 2. sustained QPS, many clients
         counts = [0] * threads
@@ -207,6 +251,14 @@ def bench_preset(config, *, requests, threads, duration, churn, seed):
                     failures.append("apply never finished within 120s")
                     break
             apply_seconds = time.perf_counter() - apply_started
+            applied = daemon.store.current
+            failures.extend(top_problems(
+                "after the apply",
+                client.top(10),
+                reference_top(
+                    applied.graph, applied.estimates, 10, **gates
+                ),
+            ))
             answered = len(reads) - sum(
                 1 for f in failures if f.startswith("read during apply")
             )

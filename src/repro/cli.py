@@ -145,6 +145,20 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float (the Algorithm 2 gates, where NaN
+    would silently gate out every host)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, got {text}"
+        )
+    return value
+
+
 def _config_for(scale: str, seed: int) -> WorldConfig:
     try:
         factory = _SCALES[scale]
@@ -1196,8 +1210,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="drain after N processed requests (benchmark/soak "
         "plumbing; default: run until signalled)",
     )
-    p_srv.add_argument("--rho", type=float, default=10.0)
-    p_srv.add_argument("--tau", type=float, default=0.98)
+    p_srv.add_argument("--rho", type=_finite_float, default=10.0)
+    p_srv.add_argument("--tau", type=_finite_float, default=0.98)
     p_srv.set_defaults(func=cmd_serve)
 
     p_stream = sub.add_parser(
@@ -1358,8 +1372,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="sealed windows to accumulate before one batched apply "
         "(default 1); must not exceed --max-pending-windows",
     )
-    p_sing.add_argument("--rho", type=float, default=10.0)
-    p_sing.add_argument("--tau", type=float, default=0.98)
+    p_sing.add_argument("--rho", type=_finite_float, default=10.0)
+    p_sing.add_argument("--tau", type=_finite_float, default=0.98)
     p_sing.add_argument(
         "--max-staleness",
         type=_positive_int,

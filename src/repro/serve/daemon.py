@@ -30,6 +30,7 @@ bitwise-identical to the ones a crash interrupted.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -73,8 +74,8 @@ class DaemonConfig:
     """Operational knobs of one daemon instance.
 
     ``rho``/``tau`` are the Algorithm 2 thresholds used by ``top``
-    queries.  Damping and γ are not configured here: they come from
-    the solution the daemon starts from.
+    queries; they must be finite.  Damping and γ are not configured
+    here: they come from the solution the daemon starts from.
 
     ``batch_deltas`` bounds how many queued deltas one apply may
     coalesce: the worker drains up to that many from the queue head,
@@ -94,6 +95,10 @@ class DaemonConfig:
     batch_deltas: int = 1
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.rho) and math.isfinite(self.tau)):
+            raise ValueError(
+                f"rho and tau must be finite, got {self.rho}, {self.tau}"
+            )
         if self.max_staleness < 1:
             raise ValueError("max_staleness must be >= 1")
         if self.batch_deltas < 1:

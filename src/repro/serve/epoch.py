@@ -18,13 +18,16 @@ delta chain *and* what the mutated graph hashes to
 re-estimate is refused before any reader can see it.  The store then
 marks the epoch's four score arrays read-only in place, so what was
 validated is what every later reader sees; a health probe needs no
-rescan and there is nothing to roll back to.
+rescan and there is nothing to roll back to.  Because an epoch's
+scores cannot change, ``top`` keeps the ranking of its Algorithm 2
+candidates for the last gate pair asked on the epoch.
 """
 
 from __future__ import annotations
 
+import math
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +43,6 @@ __all__ = [
     "score_from_epoch",
     "top_from_epoch",
 ]
-
 
 def resolve_host(
     host: str, lookup: Optional[Dict[str, int]], num_nodes: int
@@ -104,9 +106,12 @@ def core_nodes(graph, names: List[str]) -> np.ndarray:
 class Epoch:
     """One immutable, self-contained serving state.
 
-    Everything a query touches lives here; an epoch is never mutated
-    after construction, so a reader holding one can never observe a
-    half-applied update regardless of what the ingest worker does.
+    Everything a query touches lives here; an epoch's graph and scores
+    are never mutated after construction, so a reader holding one can
+    never observe a half-applied update regardless of what the ingest
+    worker does.  The only state it gains later is derived from those
+    scores and read-only: the candidate ranking :func:`top_from_epoch`
+    keeps for the last gate pair asked.
     """
 
     __slots__ = (
@@ -116,6 +121,7 @@ class Epoch:
         "fingerprint",
         "lookup",
         "wal_seq",
+        "_ranking",
     )
 
     def __init__(
@@ -140,6 +146,11 @@ class Epoch:
         self.lookup = lookup
         #: sequence of the last WAL record folded into these scores
         self.wal_seq = wal_seq
+        #: ((tau, rho), read-only eligible node ids, highest relative
+        #: mass first) of the last ``top`` (see :func:`top_from_epoch`);
+        #: a new epoch starts without one, so no epoch serves its
+        #: parent's ranking
+        self._ranking: Optional[Tuple[Tuple[float, float], np.ndarray]] = None
 
     def node_of(self, host: str) -> int:
         """Node id of ``host`` (:class:`KeyError` if unknown)."""
@@ -183,24 +194,56 @@ def score_from_epoch(epoch: Epoch, host: str) -> dict:
     }
 
 
+def _rank_candidates(estimates, num_nodes: int, *, tau: float,
+                     rho: float) -> np.ndarray:
+    """Algorithm 2 over whole score vectors: the node ids with scaled
+    PageRank ``>= rho`` and relative mass ``>= tau``, highest relative
+    mass first, ties in node order.  O(n), and read-only."""
+    scaled = scale_scores(estimates.pagerank, num_nodes, estimates.damping)
+    relative = estimates.relative
+    eligible = np.flatnonzero((scaled >= rho) & (relative >= tau))
+    ranked = eligible[np.argsort(-relative[eligible], kind="stable")]
+    ranked.setflags(write=False)
+    return ranked
+
+
 def top_from_epoch(epoch: Epoch, k: int, *, tau: float, rho: float) -> dict:
-    """Top-k spam candidates (Algorithm 2 gates) from one epoch."""
+    """Top-k spam candidates (Algorithm 2 gates) from one epoch.
+
+    The epoch keeps the ranking of the last ``(tau, rho)`` asked: a
+    call with another pair ranks the eligible set
+    (:func:`_rank_candidates`, O(n)) and replaces it, and a call with
+    the same pair is an O(k) slice.  The slot holds a (pair, ranking)
+    tuple stored in one assignment, so a reader never pairs one gate
+    pair with another's ranking; readers that miss at once each build
+    a correct array and the last store wins, so no lock is needed.
+    Non-finite gates raise :class:`ValueError`.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not (math.isfinite(tau) and math.isfinite(rho)):
+        raise ValueError(f"tau and rho must be finite, got {tau}, {rho}")
     est = epoch.estimates
-    scaled = scale_scores(est.pagerank, epoch.graph.num_nodes, est.damping)
-    eligible = np.flatnonzero((scaled >= rho) & (est.relative >= tau))
-    order = eligible[np.argsort(-est.relative[eligible], kind="stable")][:k]
+    n = epoch.graph.num_nodes
+    key, cached = (tau, rho), epoch._ranking
+    if cached is not None and cached[0] == key:
+        ranked = cached[1]
+    else:
+        ranked = _rank_candidates(est, n, tau=tau, rho=rho)
+        epoch._ranking = (key, ranked)
+    order = ranked[:k]
+    # the same elementwise product as scaling the whole vector
+    scaled = scale_scores(est.pagerank[order], n, est.damping)
     return {
         "candidates": [
             {
                 "host": epoch.graph.name_of(int(node)),
                 "relative_mass": float(est.relative[node]),
-                "scaled_pagerank": float(scaled[node]),
+                "scaled_pagerank": float(value),
             }
-            for node in order
+            for node, value in zip(order, scaled)
         ],
-        "total_eligible": int(len(eligible)),
+        "total_eligible": int(len(ranked)),
         "tau": tau,
         "rho": rho,
     }

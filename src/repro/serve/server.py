@@ -382,7 +382,8 @@ class ScoringServer:
                 "detail": str(exc),
                 "staleness": daemon.staleness,
             }
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
+            # OverflowError: int() of an out-of-range number (1e400)
             return {"ok": False, "error": "bad-request",
                     "detail": str(exc)}
         except ReproError as exc:

@@ -473,6 +473,9 @@ def test_audit_core_round_trip(small_world_dir, tmp_path):
         ("--request-timeout", "nan", "must be a positive number"),
         ("--batch-deltas", "0", "must be a positive integer"),
         ("--batch-deltas", "-2", "must be a positive integer"),
+        ("--tau", "nan", "must be a finite number"),
+        ("--rho", "inf", "must be a finite number"),
+        ("--rho", "x", "is not a number"),
     ],
 )
 def test_serve_rejects_bad_flags(tmp_path, flag, value, message):
@@ -656,6 +659,8 @@ def test_stream_synth_ingest_dlq_round_trip(small_world_dir, tmp_path):
         ("--apply-every", "0", "must be a positive integer"),
         ("--max-staleness", "0", "must be a positive integer"),
         ("--batch-deltas", "-1", "must be a positive integer"),
+        ("--rho", "nan", "must be a finite number"),
+        ("--tau", "inf", "must be a finite number"),
     ],
 )
 def test_stream_ingest_rejects_bad_flags(tmp_path, flag, value, message):

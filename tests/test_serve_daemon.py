@@ -294,6 +294,15 @@ def test_config_rejects_nonpositive_batch(base, tmp_path):
         DaemonConfig(batch_deltas=0)
 
 
+@pytest.mark.parametrize(
+    "gates", [{"tau": float("nan")}, {"rho": float("nan")},
+              {"rho": float("-inf")}, {"tau": float("inf")}],
+)
+def test_config_rejects_non_finite_gates(gates):
+    with pytest.raises(ValueError, match="finite"):
+        DaemonConfig(**gates)
+
+
 def test_background_worker_applies(base, tmp_path):
     d = _daemon(base, tmp_path)
     d.start()
@@ -653,6 +662,24 @@ def test_server_round_trip(base, server, tmp_path):
         assert client.request({"op": "top", "k": -1})["error"] == (
             "bad-request"
         )
+        # non-finite gates (json writes NaN/-Infinity tokens, and the
+        # server's float() takes the strings) and numbers too large for
+        # int() (json reads 1e400 as inf) are malformed requests, not
+        # internal errors
+        errors = client.stats()["request_errors"]
+        for bad in (
+            {"op": "top", "tau": float("nan")},
+            {"op": "top", "tau": "nan"},
+            {"op": "top", "rho": "-inf"},
+            {"op": "top", "rho": float("-inf")},
+            {"op": "top", "k": float("inf")},
+            {"op": "explain", "host": graph.name_of(3),
+             "top": float("inf")},
+        ):
+            reply = client.request(bad)
+            assert reply["ok"] is False, bad
+            assert reply["error"] == "bad-request", (bad, reply)
+        assert client.stats()["request_errors"] == errors
 
 
 def test_server_ingest_applies_in_background(base, server):

@@ -6,7 +6,9 @@ An in-process :class:`ScoringServer` is hammered by reader threads
 the ingest worker.  The invariants the ISSUE's CI job gates on:
 
 * **zero torn reads** — every response pairs an epoch sequence with
-  exactly one graph fingerprint, and every score is finite;
+  exactly one graph fingerprint, every score is finite, and every
+  ``top`` reply of one epoch is the same answer (a ranking served
+  under another epoch's meta would break that);
 * **bounded staleness** — no response ever reports more accepted-but-
   unapplied batches than ``max_staleness + 1`` (the one slot the
   degraded check races for);
@@ -109,6 +111,7 @@ def test_soak_chaos_never_tears_reads(base, tmp_path):
     hard_deadline = time.monotonic() + HARD_DEADLINE
     errors = []          # unexpected responses / exceptions, any thread
     observations = []    # (epoch, fingerprint, staleness, pagerank)
+    top_answers = []     # (epoch, candidates, total_eligible)
     modes = set()
     rejections = {"reader": 0, "ingest": 0}
     hosts = [graph.name_of(i) for i in range(0, graph.num_nodes, 7)]
@@ -146,6 +149,13 @@ def test_soak_chaos_never_tears_reads(base, tmp_path):
                     response = client.health()
                 elif kind == 1:
                     response = client.top(3, tau=0.0, rho=0.0)
+                    if _note_meta(response, "reader"):
+                        top_answers.append((
+                            response["epoch"],
+                            response["candidates"],
+                            response["total_eligible"],
+                        ))
+                    continue
                 elif kind == 2:
                     response = client.stats()
                 else:
@@ -227,6 +237,14 @@ def test_soak_chaos_never_tears_reads(base, tmp_path):
             fingerprint
         ), f"torn read: epoch {epoch_seq} served two fingerprints"
     assert len(fingerprints) >= 2, "soak never advanced an epoch"
+
+    # one top answer per epoch
+    answers = {}
+    for epoch_seq, candidates, total in top_answers:
+        assert answers.setdefault(epoch_seq, (candidates, total)) == (
+            candidates, total
+        ), f"epoch {epoch_seq} served two top answers"
+    assert len(answers) >= 2, "top answers never spanned two epochs"
 
     # the WAL survived the chaos: a fresh recovery replays exactly the
     # unapplied suffix on top of the final epoch's fingerprint
