@@ -31,24 +31,39 @@ stopping criterion of :func:`repro.core.solvers.jacobi` — the batched
 kernel converges to the same vectors within the same tolerance.
 
 The loop is written once, in :func:`_block_jacobi`, against any
-operator that exposes the index arrays ``non_dangling``/``dangling``
-and the products ``matvec_ss(z) = (Tᵀ)_SS z`` and
-``matvec_ds(z) = (Tᵀ)_DS z``.  An in-memory graph's
-:class:`~repro.perf.cache.OperatorBundle` applies them as one sparse
-matmul each; a :class:`~repro.graph.sharded.ShardedWebGraph`'s
-:class:`~repro.perf.sharded.ShardedOperator` assembles them from
-per-shard row blocks whose rows are bitwise those of the assembled
-matmul, so both backends produce bitwise-identical solves.  The
-incremental engine's diffusion escape
+operator that exposes the index arrays ``non_dangling``/``dangling``,
+its entry count ``nnz`` and ``row_blocks(parts)``: ``(Tᵀ)_SS`` and
+``(Tᵀ)_DS`` as contiguous :class:`~repro.perf.cache.RowBlock` row
+ranges.  An in-memory graph's :class:`~repro.perf.cache.OperatorBundle`
+splits its two matrices into ``parts`` blocks of about equal entries
+that point into the bundle's own arrays; a
+:class:`~repro.graph.sharded.ShardedWebGraph`'s
+:class:`~repro.perf.sharded.ShardedOperator` hands over its per-shard
+blocks.  Every product writes each block's rows straight into one
+output array with the kernel ``csr_matrix @ ndarray`` itself calls
+(:func:`_block_product`).  For operators of
+:data:`PARALLEL_MIN_NNZ` entries and more, the blocks run on a thread
+pool that lives for one solve and has one thread per CPU this process
+may run on; smaller ones sweep inline.  A CSR product
+computes every output row on its own, in storage order, so the rows
+are bitwise those of the whole-matrix product however the rows are
+split and whichever thread runs them; the residual reductions run on
+the calling thread over whole contiguous arrays.  Both backends, and
+threaded or inline sweeps, therefore produce bitwise-identical solves.
+The incremental engine's diffusion escape
 (:func:`repro.perf.incremental.push_update`) runs the same loop.
 """
 
 from __future__ import annotations
 
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from ..errors import ConvergenceError
 from ..core.solvers import SolverResult, solve as dispatch_solve
@@ -62,6 +77,7 @@ from .cache import (
     DEFAULT_SHARD_CACHE_SIZE,
     OperatorBundle,
     OperatorCache,
+    RowBlock,
 )
 
 __all__ = [
@@ -79,6 +95,13 @@ __all__ = [
 #: iteration, so reported iteration counts may exceed the sequential
 #: solver's by up to ``CHECK_EVERY − 1``.
 DEFAULT_CHECK_EVERY = 8
+
+#: Operators with fewer stored entries than this sweep inline, on the
+#: calling thread.  Measured on 2 vCPUs (docs/perf.md, "Parallel
+#: sweeps"): up to ~250k entries handing blocks to threads made solves
+#: slower, up to ~1M the two traded places from run to run, and from
+#: ~2.4M on threads saved a fifth of the solve or more.
+PARALLEL_MIN_NNZ = 1_000_000
 
 JumpLike = Union[None, np.ndarray, Sequence[int]]
 
@@ -185,7 +208,8 @@ class PagerankEngine:
         Default single-solve method (block solves are always Jacobi —
         the only iteration whose stacked form is a pure sparse matmul).
     check_every:
-        Residual-check cadence of the block kernel.
+        Residual-check cadence of the block kernel, in cold solves and
+        in the diffusion escape of :meth:`update_many` alike.
     workers:
         Default process count for Monte-Carlo sampling (``None`` =
         serial in-process execution).
@@ -499,6 +523,7 @@ class PagerankEngine:
                     bundle, application, prev_scores, stacked,
                     damping=damping, tol=tol, max_iter=max_iter,
                     labels=labels, prev_iterations=prev_iterations,
+                    check_every=self.check_every,
                 )
                 tele.inc("engine.incremental_updates")
                 tele.inc("incremental.pushes", result.stats.pushes)
@@ -528,6 +553,7 @@ class PagerankEngine:
                 bundle, application, prev_scores, stacked,
                 damping=damping, tol=tol, max_iter=max_iter,
                 labels=labels, prev_iterations=prev_iterations,
+                check_every=self.check_every,
             )
         if check and not bool(result.converged.all()):
             bad = [
@@ -583,6 +609,59 @@ class PagerankEngine:
 # ----------------------------------------------------------------------
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one (Linux), else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _block_product(block: RowBlock, z: np.ndarray, out: np.ndarray) -> None:
+    """Add ``block @ z`` into ``out[block.lo:block.hi]``, in place.
+
+    ``z`` and ``out`` are C-contiguous, so the raveled arrays are views
+    and the kernel writes straight into ``out``.  It is the one
+    ``csr_matrix @ ndarray`` itself calls (``csr_matvec`` for a single
+    column, ``csr_matvecs`` otherwise), so every row gets the bits of
+    the whole-matrix product; it releases the GIL while it runs.
+    """
+    rows = block.hi - block.lo
+    n_vecs = z.shape[1]
+    x = z.reshape(-1)
+    y = out[block.lo:block.hi].reshape(-1)
+    if n_vecs == 1:
+        _sparsetools.csr_matvec(
+            rows, z.shape[0], block.indptr, block.indices, block.data, x, y,
+        )
+    else:
+        _sparsetools.csr_matvecs(
+            rows, z.shape[0], n_vecs, block.indptr, block.indices,
+            block.data, x, y,
+        )
+
+
+def _product(
+    blocks: Sequence[RowBlock],
+    z: np.ndarray,
+    rows: int,
+    pool: Optional[ThreadPoolExecutor],
+) -> np.ndarray:
+    """``A @ z`` for the ``rows``-row operator ``blocks`` partition: one
+    zeroed output, every block's rows written into it, on ``pool``'s
+    threads when there is one."""
+    z = np.ascontiguousarray(z)
+    out = np.zeros((rows, z.shape[1]))
+    if pool is None:
+        for block in blocks:
+            _block_product(block, z, out)
+    else:
+        futures = [pool.submit(_block_product, b, z, out) for b in blocks]
+        for future in futures:
+            future.result()
+    return out
+
+
 def _block_jacobi(
     op,
     vectors: np.ndarray,
@@ -597,10 +676,13 @@ def _block_jacobi(
 
     ``op`` is an :class:`~repro.perf.cache.OperatorBundle` or a
     :class:`~repro.perf.sharded.ShardedOperator`: anything with the
-    index arrays ``non_dangling`` (``S``) and ``dangling`` (``D``) and
-    the products ``matvec_ss(z) = (Tᵀ)_SS z`` and
-    ``matvec_ds(z) = (Tᵀ)_DS z``.  Columns freeze individually once
-    their full-vector L1 change drops below ``tol``.
+    index arrays ``non_dangling`` (``S``) and ``dangling`` (``D``), the
+    entry count ``nnz`` and ``row_blocks(parts)``, which returns
+    ``(Tᵀ)_SS`` and ``(Tᵀ)_DS`` as lists of :class:`RowBlock`.  The
+    blocks' products run on a thread pool that exists only for this
+    solve, one thread per CPU (:func:`_cpu_count`), or inline for an
+    operator below :data:`PARALLEL_MIN_NNZ` entries.  Columns freeze
+    individually once their full-vector L1 change drops below ``tol``.
     """
     c = damping
     n, k = vectors.shape
@@ -624,6 +706,8 @@ def _block_jacobi(
             labels,
         )
 
+    threads = _cpu_count() if op.nnz >= PARALLEL_MIN_NNZ else 1
+    ss_blocks, ds_blocks = op.row_blocks(threads)
     b_s = np.ascontiguousarray(jump[s, :])
     z = np.array(vectors[s, :], dtype=np.float64)  # p⁽⁰⁾ = v, as in jacobi()
     active = np.arange(k)
@@ -633,7 +717,7 @@ def _block_jacobi(
         cols = active[cols_in_active]
         z_cols = np.ascontiguousarray(z[:, cols_in_active])
         scores[np.ix_(s, cols)] = z_cols
-        expanded = op.matvec_ds(z_cols)
+        expanded = _product(ds_blocks, z_cols, len(d), pool)
         expanded *= c
         expanded += jump[np.ix_(d, cols)]
         scores[np.ix_(d, cols)] = expanded
@@ -641,44 +725,47 @@ def _block_jacobi(
         residuals[cols] = res[cols_in_active]
         converged[cols] = ok
 
-    it = 0
-    while it < max_iter and len(active):
-        # fused update steps, no residual bookkeeping
-        plain_steps = min(check_every, max_iter - it) - 1
-        for _ in range(plain_steps):
-            z_next = op.matvec_ss(z)
-            z_next *= c
-            z_next += b_s
-            z = z_next
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        it = 0
+        while it < max_iter and len(active):
+            # fused update steps, no residual bookkeeping
+            plain_steps = min(check_every, max_iter - it) - 1
+            for _ in range(plain_steps):
+                z_next = _product(ss_blocks, z, len(s), pool)
+                z_next *= c
+                z_next += b_s
+                z = z_next
+                it += 1
+            # measured step: full-vector L1 change = restricted change
+            # plus the dangling change it induces through (Tᵀ)_DS
+            z_prev = z
+            z = _product(ss_blocks, z, len(s), pool)
+            z *= c
+            z += b_s
             it += 1
-        # measured step: full-vector L1 change = restricted change plus
-        # the dangling change it induces through (Tᵀ)_DS
-        z_prev = z
-        z = op.matvec_ss(z)
-        z *= c
-        z += b_s
-        it += 1
-        dz = z - z_prev
-        res = np.abs(dz).sum(axis=0)
-        if len(d):
-            res = res + c * np.abs(op.matvec_ds(dz)).sum(axis=0)
-        done = res < tol
-        if done.any():
-            _freeze(np.flatnonzero(done), res, it, True)
-            keep = ~done
-            if not keep.any():
+            dz = z - z_prev
+            res = np.abs(dz).sum(axis=0)
+            if len(d):
+                res = res + c * np.abs(
+                    _product(ds_blocks, dz, len(d), pool)
+                ).sum(axis=0)
+            done = res < tol
+            if done.any():
+                _freeze(np.flatnonzero(done), res, it, True)
+                keep = ~done
+                if not keep.any():
+                    active = active[:0]
+                    break
+                active = active[keep]
+                z = np.ascontiguousarray(z[:, keep])
+                b_s = np.ascontiguousarray(b_s[:, keep])
+            elif it >= max_iter:
+                _freeze(np.arange(len(active)), res, it, False)
                 active = active[:0]
-                break
-            active = active[keep]
-            z = np.ascontiguousarray(z[:, keep])
-            b_s = np.ascontiguousarray(b_s[:, keep])
-        elif it >= max_iter:
-            _freeze(np.arange(len(active)), res, it, False)
-            active = active[:0]
 
-    if len(active):  # pragma: no cover - defensive (loop always drains)
-        _freeze(np.arange(len(active)), np.full(len(active), np.inf),
-                it, False)
+        if len(active):  # pragma: no cover - defensive (loop always drains)
+            _freeze(np.arange(len(active)), np.full(len(active), np.inf),
+                    it, False)
 
     return BatchResult(
         scores, iterations, residuals, converged, "batched_jacobi", labels,

@@ -193,6 +193,7 @@ def push_update(
     tol: float,
     max_iter: int,
     labels: Sequence[str],
+    check_every: int,
     prev_iterations: Optional[np.ndarray] = None,
 ) -> IncrementalResult:
     """Run the residual-push update; returns scores at the cold ``tol``.
@@ -201,6 +202,8 @@ def push_update(
     (typically from :meth:`OperatorCache.derive_for`);
     ``previous_scores`` is the ``(n, k)`` solution on
     ``application.before`` for the same stacked jump ``vectors``.
+    ``check_every`` is the residual-check cadence of the diffusion
+    escape's block kernel.
     """
     c = damping
     after = application.after
@@ -296,7 +299,7 @@ def push_update(
                 damping=c,
                 tol=tol,
                 max_iter=max(max_iter - sweep, 1),
-                check_every=8,
+                check_every=check_every,
                 labels=[labels[j] for j in cols],
             )
             scores[:, cols] += correction.scores

@@ -1,14 +1,17 @@
 """The out-of-core operator: per-shard row blocks of ``(Tᵀ)_SS``.
 
 The batched kernel (:func:`repro.perf.engine._block_jacobi`) iterates
-``z ← c·(Tᵀ)_SS z + (1−c) v_S`` against any operator that supplies
-``matvec_ss``/``matvec_ds``.  In memory that is one whole-graph sparse
-matmul per step.  Against a :class:`~repro.graph.sharded.ShardedWebGraph`,
-``(Tᵀ)_SS`` never exists as one matrix: :class:`ShardedOperator` holds,
-for each shard ``k``, the row block of ``(Tᵀ)_SS`` indexed by its
-non-dangling nodes, built straight from the shard's transpose CSR, and
-one matvec sweeps the shards writing each block product into its slice
-of the output vector.  The same loop then runs on both backends.
+``z ← c·(Tᵀ)_SS z + (1−c) v_S`` against any operator that hands it
+``(Tᵀ)_SS`` and ``(Tᵀ)_DS`` as :class:`~repro.perf.cache.RowBlock`
+row ranges (``row_blocks``).  In memory those are slices of the two
+whole-graph matrices.  Against a
+:class:`~repro.graph.sharded.ShardedWebGraph`, ``(Tᵀ)_SS`` never
+exists as one matrix: :class:`ShardedOperator` holds, for each shard
+``k``, the row block of ``(Tᵀ)_SS`` indexed by its non-dangling nodes,
+built straight from the shard's transpose CSR, and gives the kernel
+one block per shard.  The kernel writes each block's product into its
+rows of one output array, on a thread pool when the operator is large
+enough.  The same loop then runs on both backends.
 
 **The parity argument** (what the differential harness enforces
 bitwise): CSR × dense-block multiplication computes every output row
@@ -16,34 +19,36 @@ independently — ``y[i, :]`` starts at zero and accumulates
 ``data[jj] · z[col[jj], :]`` in storage order.  Row-partitioning the
 matrix therefore changes *nothing* about the floating-point operations
 of any row, as long as each block keeps the same within-row storage
-order as the assembled operator.  The shard files store in-edges sorted
-by ``(destination, source)`` — exactly the ascending-column order of
-the canonical in-memory ``Tᵀ`` — and the column remap into ``S``
-positions is monotone, so every block is the *identical* sub-array of
-the in-memory operator and every iterate, residual and score matches
-bit for bit.  Two details matter and are preserved deliberately:
+order as the assembled operator; nor does the thread a block runs on.
+The shard files store in-edges sorted by ``(destination, source)`` —
+exactly the ascending-column order of the canonical in-memory ``Tᵀ`` —
+and the column remap into ``S`` positions is monotone, so every block
+is the *identical* sub-array of the in-memory operator and every
+iterate, residual and score matches bit for bit.  Two details matter
+and are preserved deliberately:
 
 * the iterate stays *compact* (restricted to ``S``) — padding with
   zero rows would change numpy's pairwise-summation grouping in the
   residual reduction;
 * per-shard dangling products are written into one contiguous
   ``(|D|, k)`` array *before* the ``np.abs(...).sum(axis=0)``
-  reduction, again so the pairwise-summation tree is the in-memory
-  one.
+  reduction, which runs on the calling thread, again so the
+  pairwise-summation tree is the in-memory one.
 
-Blocks are cached in an :class:`~repro.perf.cache.OperatorCache` under
-composite keys (``<fingerprint>#ss:<k>``, ``<fingerprint>#ds:<k>``).
+Blocks are built on the calling thread, before any product runs, and
+cached in an :class:`~repro.perf.cache.OperatorCache` under composite
+keys (``<fingerprint>#ss:<k>``, ``<fingerprint>#ds:<k>``).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
 
 from ..graph.sharded import ShardedWebGraph
-from .cache import OperatorCache
+from .cache import OperatorCache, RowBlock
 
 __all__ = [
     "ShardedOperator",
@@ -178,32 +183,34 @@ class ShardedOperator:
         return block
 
     # ------------------------------------------------------------------
-    # matvecs
+    # the block kernel's operator interface
     # ------------------------------------------------------------------
 
-    def matvec_ss(self, z: np.ndarray) -> np.ndarray:
-        """``(Tᵀ)_SS @ z`` assembled from per-shard row blocks; the
-        output rows are bitwise those of the assembled matmul."""
-        out = np.empty((len(self.non_dangling), z.shape[1]))
+    @property
+    def nnz(self) -> int:
+        """Entries of ``(Tᵀ)_SS`` and ``(Tᵀ)_DS`` together: one per
+        edge, since every edge's source is non-dangling."""
+        return self.graph.num_edges
+
+    def row_blocks(
+        self, parts: int
+    ) -> Tuple[List[RowBlock], List[RowBlock]]:
+        """``(Tᵀ)_SS`` and ``(Tᵀ)_DS`` as one row block per shard that
+        owns such rows (the shards are the split, so ``parts`` is not
+        used).  Builds every block here, on the calling thread, one
+        shard at a time."""
+        ss: List[RowBlock] = []
+        ds: List[RowBlock] = []
         for k in range(self.num_shards):
             lo, hi = self.s_range(k)
             if hi > lo:
-                out[lo:hi] = self.ss_block(k) @ z
-        return out
-
-    def matvec_ds(self, z: np.ndarray) -> np.ndarray:
-        """``(Tᵀ)_DS @ z`` as one contiguous ``(|D|, k)`` array.
-
-        The caller reduces over this array; assembling it *before* the
-        reduction keeps numpy's pairwise-summation tree identical to
-        the in-memory kernel's.
-        """
-        out = np.empty((len(self.dangling), z.shape[1]))
-        for k in range(self.num_shards):
+                m = self.ss_block(k)
+                ss.append(RowBlock(lo, hi, m.indptr, m.indices, m.data))
             lo, hi = self.d_range(k)
             if hi > lo:
-                out[lo:hi] = self.ds_block(k) @ z
-        return out
+                m = self.ds_block(k)
+                ds.append(RowBlock(lo, hi, m.indptr, m.indices, m.data))
+        return ss, ds
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -97,3 +97,17 @@ def telemetry():
         yield tele
     finally:
         set_telemetry(previous)
+
+
+@pytest.fixture()
+def sweep_threads(monkeypatch):
+    """Set how many threads the block kernel's products run on, however
+    small the operator: ``sweep_threads(3)`` forces a 3-thread pool,
+    ``sweep_threads(1)`` inline sweeps."""
+    from repro.perf import engine
+
+    def force(threads):
+        monkeypatch.setattr(engine, "PARALLEL_MIN_NNZ", 0)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: threads)
+
+    return force

@@ -23,6 +23,7 @@ before they converge as well as for converged ones.
 """
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -332,3 +333,48 @@ def test_estimate_spam_mass_backend_parity(zoo_graph, sharded_variants):
         ), k
         assert np.array_equal(estimates.absolute, reference.absolute), k
         assert np.array_equal(estimates.relative, reference.relative), k
+
+
+# ---------------------------------------------------------------------------
+# threaded sweeps: the same bits as inline ones
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_threaded_sweeps_are_bitwise_inline(
+    zoo_graph, sharded_variants, threads, sweep_threads, monkeypatch
+):
+    """Row blocks on a thread pool give every solve the inline bits, in
+    memory and at every shard width, converged or cut off."""
+    from repro.perf import engine as perf_engine
+
+    vectors = _parity_vectors(zoo_graph.num_nodes)
+
+    def solves():
+        out = []
+        for check_every in (1, 8):
+            engine = PagerankEngine(check_every=check_every)
+            for max_iter in (10_000, CUT_OFF):
+                for graph in (zoo_graph, *sharded_variants.values()):
+                    out.append(engine.solve_many(
+                        graph, vectors, tol=TOL, max_iter=max_iter,
+                        check=False,
+                    ))
+        return out
+
+    sweep_threads(1)
+    inline = solves()
+    sweep_threads(threads)
+    ran_on = set()
+    product = perf_engine._block_product
+
+    def spy(block, z, out):
+        ran_on.add(threading.get_ident())
+        product(block, z, out)
+
+    monkeypatch.setattr(perf_engine, "_block_product", spy)
+    threaded = solves()
+    for a, b in zip(inline, threaded):
+        assert _solves_bitwise_equal(a, b)
+    if zoo_graph.num_edges:
+        assert ran_on and threading.get_ident() not in ran_on

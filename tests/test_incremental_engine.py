@@ -248,6 +248,41 @@ def test_diffuse_update_escapes_and_records_the_profile():
     assert np.abs(inc.scores - cold.scores).max() <= BOUND
 
 
+def _diffuse_update(check_every=8):
+    """The escaping update of the test above, with its cold base."""
+    graph = _random_graph(22, n=400, num_edges=2400)
+    rng = np.random.default_rng(22)
+    stacked = _stacked_jumps(graph, rng)
+    application = _random_delta(graph, rng, num_ins=120, num_del=0).apply(
+        graph
+    )
+    engine = PagerankEngine(check_every=check_every)
+    base = engine.solve_many(graph, stacked, tol=TOL)
+    return base, engine.update_many(application, base, stacked, tol=TOL)
+
+
+def test_escape_checks_residuals_at_the_engine_cadence():
+    """``PagerankEngine(check_every=...)`` reaches the escape's block
+    kernel, which can only stop at a residual check."""
+    for check_every in (5, 8):
+        _, inc = _diffuse_update(check_every)
+        assert inc.stats.escapes == 1
+        assert inc.stats.escape_sweeps % check_every == 0, check_every
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_threaded_escape_is_bitwise_inline(threads, sweep_threads):
+    sweep_threads(1)
+    base, inline = _diffuse_update()
+    sweep_threads(threads)
+    threaded_base, threaded = _diffuse_update()
+    assert inline.stats.escapes == 1
+    for a, b in ((base, threaded_base), (inline, threaded)):
+        for name in ("scores", "iterations", "residuals", "converged"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert inline.stats.as_dict() == threaded.stats.as_dict()
+
+
 def test_farm_update_stays_on_the_push_path():
     """Leaf-local churn (dangling targets) must never trigger an escape."""
     graph = _random_graph(23, n=300, num_edges=600, dangling_frac=0.7)

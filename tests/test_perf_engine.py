@@ -1,8 +1,12 @@
 """Unit tests for the perf engine: cache behavior, batched-solve
 mechanics, and parallel Monte Carlo."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.core.mass import estimate_spam_mass
 from repro.core.pagerank import pagerank, uniform_jump_vector
@@ -111,6 +115,96 @@ def test_bundle_restriction_partitions_nodes(chain_graph):
     assert bundle.tt_ss.shape == (4, 4)
     assert bundle.tt_ds.shape == (2, 4)
     assert bundle.nbytes() > 0
+
+
+def _random_csr(seed, rows, cols, density=0.05):
+    """A CSR matrix with empty rows and entries of mixed magnitude, so
+    any change in a row's summation order changes its bits."""
+    rng = np.random.default_rng(seed)
+    matrix = sparse.random(
+        rows, cols, density=density, format="csr", random_state=rng,
+        data_rvs=lambda size: rng.random(size) * 10.0 ** rng.integers(
+            -8, 8, size
+        ),
+    )
+    matrix.data[: matrix.nnz // 7] = 0.1  # repeated values, exact ties
+    return matrix
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 5, 64])
+def test_row_blocks_are_views_of_the_restriction(parts):
+    """The in-memory split copies no entry: every block's arrays share
+    memory with the bundle's ``(Tᵀ)_SS``/``(Tᵀ)_DS`` (scipy's
+    ``csr_matrix`` constructor would copy small views), and the blocks
+    cover the rows in order."""
+    graph = WebGraph.from_edges(
+        200, [(i, (i * 7 + j) % 200) for i in range(0, 200, 3)
+              for j in range(1, 6)]
+    )
+    bundle = OperatorCache().bundle_for(graph)
+    for matrix, blocks in zip(
+        (bundle.tt_ss, bundle.tt_ds), bundle.row_blocks(parts)
+    ):
+        assert 1 <= len(blocks) <= parts
+        assert blocks[0].lo == 0 and blocks[-1].hi == matrix.shape[0]
+        for block, following in zip(blocks, blocks[1:]):
+            assert block.hi == following.lo
+        for block in blocks:
+            assert block.hi > block.lo
+            assert np.shares_memory(block.indptr, matrix.indptr)
+            assert np.shares_memory(block.indices, matrix.indices)
+            assert np.shares_memory(block.data, matrix.data)
+            assert np.array_equal(
+                block.indptr, matrix.indptr[block.lo:block.hi + 1]
+            )
+    assert bundle.nnz == bundle.tt_ss.nnz + bundle.tt_ds.nnz
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("threads", [None, 2])
+def test_block_product_is_bitwise_the_scipy_matmul(k, threads):
+    """The private scipy kernels the sweeps call give ``A @ z`` bit for
+    bit, for one column (``csr_matvec``) and several (``csr_matvecs``),
+    from row blocks inline or on a pool."""
+    from repro.perf.cache import row_blocks
+    from repro.perf.engine import _product
+
+    matrix = _random_csr(k, 301, 257)
+    z = np.random.default_rng(k).standard_normal((257, k))
+    expected = matrix @ z
+    for parts in (1, 4):
+        blocks = row_blocks(matrix, parts)
+        if threads is None:
+            got = _product(blocks, z, 301, None)
+        else:
+            with ThreadPoolExecutor(threads) as pool:
+                got = _product(blocks, z, 301, pool)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+
+def test_threaded_solve_leaves_no_threads_behind(sweep_threads, monkeypatch):
+    """The sweep pool lives for one solve: its threads run the products
+    and are joined before ``solve_many`` returns, so a Monte Carlo fork
+    pool started afterwards inherits none of them."""
+    from repro.perf import engine as perf_engine
+
+    graph = WebGraph.from_edges(
+        300, [(i, (i * 11 + j) % 300) for i in range(300) for j in (1, 2)]
+    )
+    sweep_threads(2)
+    during = []
+    product = perf_engine._block_product
+
+    def spy(block, z, out):
+        during.append(threading.active_count())
+        product(block, z, out)
+
+    monkeypatch.setattr(perf_engine, "_block_product", spy)
+    before = threading.active_count()
+    PagerankEngine().solve_many(graph, [None, [0, 1]], tol=1e-12)
+    assert during and before < max(during) <= before + 2
+    assert threading.active_count() == before
 
 
 # ----------------------------------------------------------------------
