@@ -153,8 +153,7 @@ def bench_preset(config, *, requests, threads, duration, churn, seed):
         config=DaemonConfig(),
     )
     server = ScoringServer(
-        daemon, root / "bench.sock", max_queue=max(64, threads * 4),
-        workers=2,
+        daemon, root / "bench.sock", max_queue=max(64, threads * 4)
     )
     server.start()
     try:

@@ -514,7 +514,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         args.socket,
         max_queue=args.max_queue,
         request_timeout=args.request_timeout,
-        workers=args.serve_workers,
         max_requests=args.max_requests,
     )
     server.install_signal_handlers()
@@ -1168,23 +1167,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-queue",
         type=_positive_int,
         default=64,
-        help="bound on admitted-but-unfinished requests; the next one "
-        "is shed with an 'overloaded' rejection (default 64)",
+        help="bound on admitted-but-unfinished requests across all "
+        "connections; the next one is shed with an 'overloaded' "
+        "rejection (default 64)",
     )
     p_srv.add_argument(
         "--request-timeout",
         type=_positive_float,
         default=None,
         metavar="SECONDS",
-        help="per-request deadline from admission; a request that "
-        "waited past it is dropped at dequeue (default: none)",
-    )
-    p_srv.add_argument(
-        "--serve-workers",
-        type=_positive_int,
-        default=2,
-        metavar="N",
-        help="request worker threads (default 2)",
+        help="per-request deadline from admission; an 'explain' that "
+        "waited past it for a slow-lane worker is dropped at dequeue "
+        "(other ops are answered on the connection's reader as soon as "
+        "they are admitted; default: none)",
     )
     p_srv.add_argument(
         "--max-staleness",

@@ -45,9 +45,10 @@ MUTATING_OPS = frozenset({"ingest"})
 
 #: Request kinds whose cost is orders of magnitude above a score read
 #: (``explain`` walks contribution paths over the whole graph).  They
-#: get their own bounded lane — an explain storm can never fill the
-#: fast queue — and are shed outright in degraded mode, where every
-#: cycle belongs to cheap reads and to healing the ingest path.
+#: get their own bounded lane — an explain storm can never take every
+#: slot cheap reads need — and are shed outright in degraded mode,
+#: where every cycle belongs to cheap reads and to healing the ingest
+#: path.
 SLOW_OPS = frozenset({"explain"})
 
 

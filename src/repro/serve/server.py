@@ -3,11 +3,14 @@
 Transport is deliberately boring: a unix-domain socket speaking
 newline-delimited JSON — one request object per line, one response
 object per line, in order.  Each connection gets a reader thread that
-parses and *admits* requests (:mod:`repro.serve.admission`); admitted
-work goes through a shared queue to a small worker pool, so a slow
-query (``explain`` walks contribution paths) never blocks admission
-decisions, and overload is shed at the door with a structured refusal
-instead of a growing backlog.
+parses and *admits* requests (:mod:`repro.serve.admission`) and
+answers every admitted op itself, except ``explain``: a connection's
+next line is read only after its reply is sent, so a hand-off to
+another thread would buy nothing but two context switches.  Only the
+slow lane (:data:`~repro.serve.admission.SLOW_OPS`: ``explain`` walks
+contribution paths) goes through a queue to its own worker threads,
+so an explain storm never holds up the readers.  Overload is shed at
+the door with a structured refusal instead of a growing backlog.
 
 Every response carries the serving context a client needs to interpret
 it: the epoch sequence, the ``staleness`` count (accepted deltas not
@@ -52,9 +55,14 @@ PathLike = Union[str, Path]
 #: must not be able to balloon the reader's buffer).
 MAX_REQUEST_BYTES = 4 * 1024 * 1024
 
+#: Encodes every reply and request line.  ``json.dumps(obj,
+#: separators=(",", ":"))`` builds this same encoder on every call, so
+#: the bytes are the same without the per-call construction.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
 
 class _Job:
-    """One admitted request travelling from reader to worker."""
+    """One admitted slow-lane request travelling from reader to worker."""
 
     __slots__ = ("ticket", "request", "done", "response")
 
@@ -77,13 +85,15 @@ class ScoringServer:
         Unix-domain socket path; unlinked on startup and shutdown.
     max_queue / request_timeout:
         Admission bounds (see :class:`AdmissionController`).
-    workers:
-        Worker threads draining the fast request queue.
+        ``max_queue`` bounds admitted-but-unfinished requests across
+        all connections.  Fast ops are answered on the reader thread
+        as soon as they are admitted, so in practice the deadline
+        fires only on a slow-lane request that waited for a worker.
     slow_workers:
         Worker threads dedicated to the slow lane
         (:data:`~repro.serve.admission.SLOW_OPS` — ``explain``).  Slow
-        requests never occupy a fast worker, so an explain storm's
-        only effect on ``score`` latency is CPU contention.
+        requests never occupy a reader, so an explain storm's only
+        effect on ``score`` latency is CPU contention.
     max_requests:
         Optional cap on processed requests, after which the server
         drains itself — benchmark/soak plumbing.
@@ -96,12 +106,9 @@ class ScoringServer:
         *,
         max_queue: int = 64,
         request_timeout: Optional[float] = None,
-        workers: int = 2,
         slow_workers: int = 1,
         max_requests: Optional[int] = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         if slow_workers < 1:
             raise ValueError("slow_workers must be >= 1")
         if max_requests is not None and max_requests < 1:
@@ -111,10 +118,8 @@ class ScoringServer:
         self.admission = AdmissionController(
             max_queue, request_timeout=request_timeout
         )
-        self.workers = workers
         self.slow_workers = slow_workers
         self.max_requests = max_requests
-        self._queue: "queue.Queue[Optional[_Job]]" = queue.Queue()
         self._slow_queue: "queue.Queue[Optional[_Job]]" = queue.Queue()
         self._threads: list = []
         self._listener: Optional[socket.socket] = None
@@ -129,7 +134,7 @@ class ScoringServer:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Bind the socket, start workers + acceptor + ingest worker."""
+        """Bind the socket, start slow workers + acceptor + ingest worker."""
         if not hasattr(socket, "AF_UNIX"):  # pragma: no cover
             raise ReproError(
                 "the scoring server needs unix-domain sockets, which "
@@ -144,19 +149,9 @@ class ScoringServer:
         listener.settimeout(0.2)
         self._listener = listener
         self.daemon.start()
-        for i in range(self.workers):
-            thread = threading.Thread(
-                target=self._worker_loop,
-                args=(self._queue,),
-                name=f"serve-worker-{i}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
         for i in range(self.slow_workers):
             thread = threading.Thread(
-                target=self._worker_loop,
-                args=(self._slow_queue,),
+                target=self._slow_loop,
                 name=f"serve-slow-{i}",
                 daemon=True,
             )
@@ -169,11 +164,7 @@ class ScoringServer:
         self._threads.append(acceptor)
         tele = get_telemetry()
         if tele.enabled:
-            tele.event(
-                "serve.listening",
-                socket=str(self.socket_path),
-                workers=self.workers,
-            )
+            tele.event("serve.listening", socket=str(self.socket_path))
 
     def install_signal_handlers(self) -> None:
         """SIGTERM/SIGINT → drain (main thread only)."""
@@ -203,9 +194,8 @@ class ScoringServer:
         listener, self._listener = self._listener, None
         if listener is not None:
             listener.close()
-        # one poison pill per worker; queued jobs ahead of them finish
-        for _ in range(self.workers):
-            self._queue.put(None)
+        # one poison pill per slow worker; queued jobs ahead of them
+        # finish
         for _ in range(self.slow_workers):
             self._slow_queue.put(None)
         self.daemon.close()
@@ -250,8 +240,7 @@ class ScoringServer:
             thread.start()
 
     def _reader_loop(self, conn: socket.socket) -> None:
-        """Parse, admit and dispatch one connection's requests, in order."""
-        buf = b""
+        """Parse, admit and answer one connection's requests, in order."""
         try:
             with conn:
                 fh = conn.makefile("rb")
@@ -266,14 +255,11 @@ class ScoringServer:
                             "detail": "request too large",
                         })
                         return
-                    response = self._handle_line(line)
-                    if response is None:
-                        return
-                    self._send(conn, response)
+                    self._send(conn, self._handle_line(line))
         except (OSError, ValueError):
             return
 
-    def _handle_line(self, line: bytes) -> Optional[dict]:
+    def _handle_line(self, line: bytes) -> dict:
         try:
             request = json.loads(line)
             if not isinstance(request, dict):
@@ -283,67 +269,72 @@ class ScoringServer:
             self.errors += 1
             return {"ok": False, "error": "bad-request",
                     "detail": "unparsable request line"}
+        # admission decides on the daemon's mode as of this request
+        self.admission.set_ingest_healthy(not self.daemon.degraded)
         try:
             ticket = self.admission.admit(op)
         except AdmissionRejected as rejected:
-            return {
-                "ok": False,
-                "error": "rejected",
-                "reason": rejected.reason,
-                "mode": rejected.mode,
-                "staleness": self.daemon.staleness,
-            }
+            return self._rejection(rejected)
+        if not ticket.slow:
+            return self._answer(ticket, request)
         job = _Job(ticket, request)
-        (self._slow_queue if ticket.slow else self._queue).put(job)
+        self._slow_queue.put(job)
         job.done.wait()
         return job.response
 
     def _send(self, conn: socket.socket, response: dict) -> None:
-        conn.sendall(
-            json.dumps(response, separators=(",", ":")).encode("utf-8")
-            + b"\n"
-        )
+        conn.sendall(_encode(response).encode("utf-8") + b"\n")
+
+    def _rejection(self, rejected: AdmissionRejected) -> dict:
+        return {
+            "ok": False,
+            "error": "rejected",
+            "reason": rejected.reason,
+            "mode": rejected.mode,
+            "staleness": self.daemon.staleness,
+        }
 
     # ------------------------------------------------------------------
-    # workers
+    # answering
     # ------------------------------------------------------------------
 
-    def _worker_loop(self, jobs: "queue.Queue[Optional[_Job]]") -> None:
+    def _answer(self, ticket, request: dict) -> dict:
+        """Answer one admitted request and free its slot.
+
+        Runs on the connection's reader for fast ops and on a slow-lane
+        worker for :data:`~repro.serve.admission.SLOW_OPS`.
+        """
+        try:
+            self.admission.check_deadline(ticket)
+            response = self._dispatch(request)
+        except AdmissionRejected as rejected:
+            response = self._rejection(rejected)
+        except Exception as exc:  # noqa: BLE001 - boundary
+            self.errors += 1
+            response = {
+                "ok": False,
+                "error": "internal",
+                "detail": f"{type(exc).__name__}: {exc}",
+            }
+        finally:
+            self.admission.release(ticket)
+            with self._lock:
+                self.requests += 1
+                hit_cap = (
+                    self.max_requests is not None
+                    and self.requests >= self.max_requests
+                )
+        if hit_cap:
+            threading.Thread(target=self.stop, daemon=True).start()
+        return response
+
+    def _slow_loop(self) -> None:
         while True:
-            job = jobs.get()
+            job = self._slow_queue.get()
             if job is None:
                 return
-            try:
-                # keep the admission mode honest before deciding anything
-                self.admission.set_ingest_healthy(not self.daemon.degraded)
-                self.admission.check_deadline(job.ticket)
-                job.response = self._dispatch(job.request)
-            except AdmissionRejected as rejected:
-                job.response = {
-                    "ok": False,
-                    "error": "rejected",
-                    "reason": rejected.reason,
-                    "mode": rejected.mode,
-                    "staleness": self.daemon.staleness,
-                }
-            except Exception as exc:  # noqa: BLE001 - boundary
-                self.errors += 1
-                job.response = {
-                    "ok": False,
-                    "error": "internal",
-                    "detail": f"{type(exc).__name__}: {exc}",
-                }
-            finally:
-                self.admission.release(job.ticket)
-                job.done.set()
-                with self._lock:
-                    self.requests += 1
-                    hit_cap = (
-                        self.max_requests is not None
-                        and self.requests >= self.max_requests
-                    )
-            if hit_cap:
-                threading.Thread(target=self.stop, daemon=True).start()
+            job.response = self._answer(job.ticket, job.request)
+            job.done.set()
 
     def _dispatch(self, request: dict) -> dict:
         op = str(request.get("op", ""))
@@ -439,15 +430,16 @@ class ServeClient:
         self, socket_path: PathLike, *, timeout: float = 30.0
     ) -> None:
         self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._sock.settimeout(timeout)
-        self._sock.connect(str(socket_path))
+        try:
+            self._sock.settimeout(timeout)
+            self._sock.connect(str(socket_path))
+        except BaseException:
+            self._sock.close()
+            raise
         self._fh = self._sock.makefile("rb")
 
     def request(self, payload: dict) -> dict:
-        self._sock.sendall(
-            json.dumps(payload, separators=(",", ":")).encode("utf-8")
-            + b"\n"
-        )
+        self._sock.sendall(_encode(payload).encode("utf-8") + b"\n")
         line = self._fh.readline()
         if not line:
             raise ReproError("server closed the connection mid-request")

@@ -575,6 +575,7 @@ _REQUIRED = {
         ("serve", "--max-task-retries", "3"),
         ("serve", "--task-timeout", "120"),
         ("serve", "--no-degrade", None),
+        ("serve", "--serve-workers", "2"),
         ("update", "--gamma", "0.85"),
         ("stream-ingest", "--gamma", "0.5"),
     ],
@@ -587,7 +588,9 @@ def test_removed_solver_flags_are_usage_errors(command, flag, value, capsys):
     engine choice, iteration checkpoints, resume, time budget or
     Monte-Carlo supervision), ``update`` and ``serve`` run one warm
     re-estimate with one cold fallback (no retry, deadline or degrade
-    knobs), and γ comes from the stored solution."""
+    knobs), ``serve`` answers fast ops on each connection's reader (no
+    request worker pool to size), and γ comes from the stored
+    solution."""
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args(
             _REQUIRED[command] + [flag] + ([] if value is None else [value])

@@ -466,7 +466,6 @@ def test_audit_core_round_trip(small_world_dir, tmp_path):
     "flag,value,message",
     [
         ("--max-queue", "0", "must be a positive integer"),
-        ("--serve-workers", "0", "must be a positive integer"),
         ("--max-staleness", "0", "must be a positive integer"),
         ("--max-requests", "0", "must be a positive integer"),
         ("--request-timeout", "0", "must be a positive number"),

@@ -9,12 +9,15 @@ restart replays the WAL to bitwise-identical scores — including after
 a crash between apply and the watermark fsync.
 """
 
+import gc
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -632,8 +635,7 @@ def test_load_rejects_wrong_world_with_both_fingerprints(
 @pytest.fixture()
 def server(base, tmp_path):
     d = _daemon(base, tmp_path)
-    srv = ScoringServer(d, tmp_path / "serve.sock", max_queue=16,
-                        workers=2)
+    srv = ScoringServer(d, tmp_path / "serve.sock", max_queue=16)
     srv.start()
     try:
         yield srv
@@ -705,6 +707,212 @@ def test_server_drain_rejects_then_closes(base, server):
     client.close()
 
 
+def test_admission_decides_on_the_live_mode(base, server):
+    """The first request after the daemon turns degraded is judged on
+    the degraded mode: a slow op is shed at the door, not answered."""
+    graph, _, _ = base
+    with ServeClient(server.socket_path) as client:
+        assert client.health()["mode"] == "full"
+        server.daemon._breaker.opened = True  # the ingest circuit opens
+        reply = client.explain(graph.name_of(3))
+        assert reply["ok"] is False, reply
+        assert reply["error"] == "rejected"
+        assert reply["reason"] == "slow-op"
+        assert reply["mode"] == "degraded"
+        assert client.ingest([[0, 5]])["reason"] == "degraded"
+        # reads stay available, and say what they are
+        score = client.score(graph.name_of(3))
+        assert score["ok"] is True and score["mode"] == "degraded"
+
+
+def test_client_closes_its_socket_when_connect_fails(tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(FileNotFoundError):
+            ServeClient(tmp_path / "missing.sock")
+        gc.collect()
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not leaks, [str(w.message) for w in leaks]
+
+
+def _in_thread(fn, *args):
+    """Run ``fn(*args)`` on a daemon thread; returns (thread, result)."""
+    result = {}
+
+    def _run():
+        result["reply"] = fn(*args)
+
+    thread = threading.Thread(target=_run, daemon=True)
+    thread.start()
+    return thread, result
+
+
+def _ask_once(socket_path, payload):
+    """One request on a fresh connection."""
+    with ServeClient(socket_path, timeout=30.0) as client:
+        return client.request(payload)
+
+
+def test_max_queue_bounds_requests_across_connections(
+    base, tmp_path, monkeypatch
+):
+    """Fast ops are answered on each connection's reader, and
+    ``max_queue`` still bounds them: two held ``score`` requests fill a
+    queue of 2, so a third connection is shed with ``overloaded``."""
+    graph, _, _ = base
+    host = graph.name_of(3)
+    daemon = _daemon(base, tmp_path)
+    entered = threading.Semaphore(0)
+    release = threading.Event()
+    real_score = daemon.query_score
+
+    def held_score(name):
+        entered.release()
+        release.wait(10.0)
+        return real_score(name)
+
+    monkeypatch.setattr(daemon, "query_score", held_score)
+    server = ScoringServer(daemon, tmp_path / "sock", max_queue=2)
+    server.start()
+    try:
+        held = [
+            _in_thread(_ask_once, server.socket_path,
+                       {"op": "score", "host": host})
+            for _ in range(2)
+        ]
+        for _ in held:
+            assert entered.acquire(timeout=10.0)
+        with ServeClient(server.socket_path) as third:
+            reply = third.score(host)
+            assert reply["ok"] is False, reply
+            assert reply["error"] == "rejected"
+            assert reply["reason"] == "overloaded"
+            release.set()
+            for thread, result in held:
+                thread.join(10.0)
+                assert not thread.is_alive()
+                assert result["reply"]["ok"] is True, result
+            assert third.score(host)["ok"] is True
+            assert server.stats()["shed"] == 1
+    finally:
+        release.set()
+        server.stop()
+
+
+def test_request_timeout_drops_an_explain_that_waited(
+    base, tmp_path, monkeypatch
+):
+    """With the one slow worker held in an ``explain``, a second
+    ``explain`` waits past its deadline and is dropped at dequeue, while
+    a ``score`` (answered on its reader) is not held up."""
+    graph, _, _ = base
+    host = graph.name_of(3)
+    daemon = _daemon(base, tmp_path)
+    entered = threading.Event()
+    release = threading.Event()
+    real_explain = daemon.query_explain
+
+    def held_explain(name, *, top=10):
+        entered.set()
+        release.wait(10.0)
+        return real_explain(name, top=top)
+
+    monkeypatch.setattr(daemon, "query_explain", held_explain)
+    server = ScoringServer(
+        daemon, tmp_path / "sock", request_timeout=0.2, slow_workers=1
+    )
+    server.start()
+    explain = {"op": "explain", "host": host}
+    try:
+        first, first_result = _in_thread(
+            _ask_once, server.socket_path, explain
+        )
+        assert entered.wait(10.0)
+        second, second_result = _in_thread(
+            _ask_once, server.socket_path, explain
+        )
+        deadline = time.monotonic() + 10.0
+        while server.admission.slow_depth < 2:
+            assert time.monotonic() < deadline, "second explain not admitted"
+            time.sleep(0.01)
+        time.sleep(0.3)  # past the queued explain's 0.2 s deadline
+        with ServeClient(server.socket_path) as client:
+            assert client.score(host)["ok"] is True
+            release.set()
+            first.join(10.0)
+            second.join(10.0)
+            assert not first.is_alive() and not second.is_alive()
+            assert first_result["reply"]["ok"] is True
+            dropped = second_result["reply"]
+            assert dropped["ok"] is False, dropped
+            assert dropped["error"] == "rejected"
+            assert dropped["reason"] == "deadline"
+            stats = client.stats()
+            assert stats["deadline_drops"] == 1
+            assert stats["queue_depth"] == 1  # this stats request
+            assert stats["slow_depth"] == 0
+    finally:
+        release.set()
+        server.stop()
+
+
+def test_fast_ops_run_on_the_reader_and_explain_on_the_slow_lane(
+    base, tmp_path, monkeypatch
+):
+    graph, _, _ = base
+    host = graph.name_of(3)
+    daemon = _daemon(base, tmp_path)
+    seen = {}
+    real_score, real_explain = daemon.query_score, daemon.query_explain
+
+    def spy_score(name):
+        seen["score"] = threading.current_thread().name
+        return real_score(name)
+
+    def spy_explain(name, *, top=10):
+        seen["explain"] = threading.current_thread().name
+        return real_explain(name, top=top)
+
+    monkeypatch.setattr(daemon, "query_score", spy_score)
+    monkeypatch.setattr(daemon, "query_explain", spy_explain)
+    server = ScoringServer(daemon, tmp_path / "sock")
+    server.start()
+    try:
+        names = [t.name for t in threading.enumerate()]
+        assert not [n for n in names if n.startswith("serve-worker")]
+        assert "serve-slow-0" in names
+        with ServeClient(server.socket_path) as client:
+            assert client.score(host)["ok"] is True
+            assert client.explain(host)["ok"] is True
+        assert seen == {"score": "serve-conn", "explain": "serve-slow-0"}
+    finally:
+        server.stop()
+
+
+def test_replies_are_compact_json_byte_for_byte(base, server):
+    """The server's encoder writes exactly what ``json.dumps(reply,
+    separators=(",", ":"))`` writes, one line per reply."""
+    graph, _, _ = base
+    requests = [
+        {"op": "score", "host": graph.name_of(3)},
+        {"op": "top", "k": 5, "tau": 0.0, "rho": 0.0},
+        {"op": "health"},
+    ]
+    conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    conn.settimeout(30.0)
+    with conn:
+        conn.connect(str(server.socket_path))
+        with conn.makefile("rb") as fh:
+            for request in requests:
+                conn.sendall(json.dumps(request).encode("utf-8") + b"\n")
+                raw = fh.readline()
+                reply = json.loads(raw)
+                assert reply["ok"] is True, reply
+                assert raw == json.dumps(
+                    reply, separators=(",", ":")
+                ).encode("utf-8") + b"\n"
+
+
 def test_score_p99_unmoved_by_explain_storm(base, tmp_path, monkeypatch):
     """Regression: slow explains get their own lane, score stays fast."""
     daemon = _daemon(base, tmp_path)
@@ -718,9 +926,7 @@ def test_score_p99_unmoved_by_explain_storm(base, tmp_path, monkeypatch):
         return real_explain(host, top=top)
 
     monkeypatch.setattr(daemon, "query_explain", glacial_explain)
-    server = ScoringServer(
-        daemon, tmp_path / "sock", workers=2, slow_workers=1
-    )
+    server = ScoringServer(daemon, tmp_path / "sock", slow_workers=1)
     server.start()
     try:
         graph, _, _ = base

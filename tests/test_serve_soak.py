@@ -102,9 +102,7 @@ def test_soak_chaos_never_tears_reads(base, tmp_path):
     daemon.chaos = ServeChaos(
         kill_swap_on=(2, 9), slow_apply_on=(5,), slow_seconds=0.05
     )
-    server = ScoringServer(
-        daemon, tmp_path / "soak.sock", max_queue=32, workers=3
-    )
+    server = ScoringServer(daemon, tmp_path / "soak.sock", max_queue=32)
     server.start()
 
     stop = threading.Event()
