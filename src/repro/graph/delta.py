@@ -39,7 +39,7 @@ import numpy as np
 
 from ..errors import DeltaError, GraphFormatError
 from .io import _open_text, _write_atomic
-from .webgraph import WebGraph, compose_fingerprint, _mix_edge_keys
+from .webgraph import WebGraph, compose_fingerprint, _mix_edge_keys, splice
 
 __all__ = [
     "GraphDelta",
@@ -266,53 +266,56 @@ class GraphDelta:
                     f"{what} endpoint out of range for n={n}"
                 )
         indptr = graph.indptr
-        indices = graph.indices
-        sources = np.repeat(
-            np.arange(n, dtype=np.int64), graph.out_degree()
+        out_deg = graph.out_degree()
+        # the touched rows' entries, keyed (rank of the row) * n + dest:
+        # one sorted array that every edit is searched in, so the cost
+        # is the touched rows', with no key per edge of the graph
+        srcs = self.touched_sources()
+        first = np.cumsum(out_deg[srcs]) - out_deg[srcs]
+        keys = np.repeat(np.arange(len(srcs)), out_deg[srcs]) * n + (
+            graph.out_rows(srcs)
         )
-        # global keys u*n+v are strictly increasing over the whole CSR,
-        # so membership and splice positions are binary searches
-        keys = sources * n + indices
         counts = np.zeros(n, dtype=np.int64)
 
+        def _locate(edges):
+            """Each edge's position in the CSR (where it is, or where it
+            would be inserted), and whether it is there."""
+            rank = np.searchsorted(srcs, edges[:, 0])
+            wanted = rank * n + edges[:, 1]
+            at = np.searchsorted(keys, wanted)
+            found = np.zeros(len(edges), dtype=bool)
+            inside = at < len(keys)
+            found[inside] = keys[at[inside]] == wanted[inside]
+            return indptr[edges[:, 0]] + at - first[rank], found
+
+        gone = np.empty(0, dtype=np.int64)
         if len(self._deletions):
-            del_keys = self._deletions[:, 0] * n + self._deletions[:, 1]
-            pos = np.searchsorted(keys, del_keys)
-            if len(keys):
-                present = (pos < len(keys)) & (
-                    keys[np.minimum(pos, len(keys) - 1)] == del_keys
-                )
-            else:
-                present = np.zeros(len(del_keys), dtype=bool)
+            gone, present = _locate(self._deletions)
             if not present.all():
                 bad = self._deletions[~present][0]
                 raise DeltaError(
                     f"cannot delete edge ({bad[0]}, {bad[1]}): not present"
                 )
-            keep = np.ones(len(keys), dtype=bool)
-            keep[pos] = False
-            keys = keys[keep]
             np.subtract.at(counts, self._deletions[:, 0], 1)
 
+        pos = np.empty(0, dtype=np.int64)
         if len(self._insertions):
-            ins_keys = self._insertions[:, 0] * n + self._insertions[:, 1]
-            pos = np.searchsorted(keys, ins_keys)
-            if len(keys):
-                exists = (pos < len(keys)) & (
-                    keys[np.minimum(pos, len(keys) - 1)] == ins_keys
+            pos, exists = _locate(self._insertions)
+            if exists.any():
+                bad = self._insertions[exists][0]
+                raise DeltaError(
+                    f"cannot insert edge ({bad[0]}, {bad[1]}): "
+                    "already present"
                 )
-                if exists.any():
-                    bad = self._insertions[exists][0]
-                    raise DeltaError(
-                        f"cannot insert edge ({bad[0]}, {bad[1]}): "
-                        "already present"
-                    )
-            keys = np.insert(keys, pos, ins_keys)
+            # among the kept entries (no edge is inserted and deleted)
+            pos = pos - np.searchsorted(gone, pos)
             np.add.at(counts, self._insertions[:, 0], 1)
 
         new_indptr = np.zeros(n + 1, dtype=np.int64)
-        new_indptr[1:] = np.cumsum(graph.out_degree() + counts)
-        new_indices = keys % n
+        new_indptr[1:] = np.cumsum(out_deg + counts)
+        (new_indices,) = splice(
+            gone, pos, (graph.indices, self._insertions[:, 1], None)
+        )
         after = WebGraph(new_indptr, new_indices, graph.names, validate=False)
         after._stamp_fingerprint(self.derive_fingerprint(graph))
         return DeltaApplication(graph, after, self)

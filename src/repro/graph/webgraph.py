@@ -27,7 +27,7 @@ import numpy as np
 
 from ..errors import EmptyGraphError
 
-__all__ = ["WebGraph", "GraphStats", "sorted_unique"]
+__all__ = ["WebGraph", "GraphStats", "ranges", "sorted_unique", "splice"]
 
 
 # Constants of the splitmix64 finalizer — a cheap, well-mixed 64-bit hash.
@@ -77,6 +77,79 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     keep = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
     return keys[keep]
+
+
+def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions ``starts[i] + j`` for ``j < counts[i]``, range after
+    range."""
+    return np.repeat(
+        starts - (np.cumsum(counts) - counts), counts
+    ) + np.arange(int(counts.sum()))
+
+
+#: Kept entries :func:`splice` moves per step; its temporaries are
+#: this long whatever the length of the arrays.
+_SPLICE_CHUNK = 1 << 16
+
+
+def splice(gone, pos, *moves):
+    """One edit applied to parallel arrays.
+
+    Each ``(array, new, table)`` of ``moves`` becomes ``array`` without
+    its entries at the sorted positions ``gone``, mapped through
+    ``table`` unless that is ``None``, with ``new[i]`` inserted before
+    kept entry ``pos[i]`` (``pos`` sorted; new entries at one position
+    keep their order): ``np.insert(table[np.delete(array, gone)], pos,
+    new)``.  Returns one array per move.
+
+    The kept entries move :data:`_SPLICE_CHUNK` at a time, each chunk
+    compacted past its dropped entries and spread around its inserted
+    ones by boolean masks that all the arrays share.  That is one pass
+    over the arrays however large the edit, with nothing of their size
+    allocated besides the results.
+    """
+    if not len(gone) and not len(pos) and all(
+        table is None for _array, _new, table in moves
+    ):
+        return [array for array, _new, _table in moves]
+    size = len(moves[0][0])
+    kept = size - len(gone)
+    # a dropped entry precedes the kept entry with this index
+    skip = gone - np.arange(len(gone))
+    holes = pos + np.arange(len(pos))  # where the new entries land
+    # chunk j moves kept entries bounds[j]:bounds[j + 1] from
+    # src[j]:src[j + 1] of each array to dst[j]:dst[j + 1] of its result
+    bounds = np.append(np.arange(0, kept, _SPLICE_CHUNK), kept)
+    src = bounds + np.searchsorted(skip, bounds, side="right")
+    dst = bounds + np.searchsorted(pos, bounds, side="right")
+    src[-1], dst[-1] = size, kept + len(pos)
+    gone_at = np.searchsorted(gone, src)
+    holes_at = np.searchsorted(holes, dst)
+    outs = []
+    for array, new, table in moves:
+        out = np.empty(
+            kept + len(pos), dtype=(array if table is None else table).dtype
+        )
+        out[holes] = new
+        outs.append(out)
+    for j in range(len(bounds) - 1):
+        a, b, c, e = int(src[j]), int(src[j + 1]), int(dst[j]), int(dst[j + 1])
+        keep = fill = None
+        if gone_at[j + 1] > gone_at[j]:
+            keep = np.ones(b - a, dtype=bool)
+            keep[gone[gone_at[j]:gone_at[j + 1]] - a] = False
+        if holes_at[j + 1] > holes_at[j]:
+            fill = np.ones(e - c, dtype=bool)
+            fill[holes[holes_at[j]:holes_at[j + 1]] - c] = False
+        for (array, _new, table), out in zip(moves, outs):
+            run = array[a:b] if keep is None else array[a:b][keep]
+            if table is not None:
+                run = table[run]
+            if fill is None:
+                out[c:e] = run
+            else:
+                out[c:e][fill] = run
+    return outs
 
 
 def compose_fingerprint(num_nodes: int, num_edges: int, digest: int) -> str:
@@ -367,6 +440,13 @@ class WebGraph:
         self._check_node(node)
         return self._indices[self._indptr[node] : self._indptr[node + 1]]
 
+    def out_rows(self, nodes: np.ndarray) -> np.ndarray:
+        """The out-neighbours of each of ``nodes``, concatenated in
+        order."""
+        return self._indices[
+            ranges(self._indptr[nodes], self._out_degree[nodes])
+        ]
+
     def in_neighbors(self, node: int) -> np.ndarray:
         """In-neighbours of ``node`` (nodes pointing to it)."""
         self._check_node(node)
@@ -424,17 +504,22 @@ class WebGraph:
     # ------------------------------------------------------------------
 
     def _transpose_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The in-adjacency CSR: one sort of the keys ``dst·n + src``.
+
+        The keys are unique (no duplicate edges), so sorting them gives
+        rows in destination order with sources ascending in each — the
+        arrays a stable argsort of the destinations gathers, without
+        the argsort.
+        """
         if self._t_indptr is None:
             n = self.num_nodes
             t_indptr = np.zeros(n + 1, dtype=np.int64)
             counts = np.bincount(self._indices, minlength=n)
             t_indptr[1:] = np.cumsum(counts)
-            sources = np.repeat(
-                np.arange(n, dtype=np.int64), self._out_degree
-            )
-            order = np.argsort(self._indices, kind="stable")
-            t_indices = sources[order]
-            # stable sort keeps sources increasing within each row
+            keys = self._indices * n
+            keys += np.repeat(np.arange(n, dtype=np.int64), self._out_degree)
+            keys.sort()
+            t_indices = keys % n
             t_indptr.setflags(write=False)
             t_indices.setflags(write=False)
             self._t_indptr = t_indptr

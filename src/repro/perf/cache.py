@@ -9,20 +9,29 @@ experiment performs dozens of solves on one graph (the Figure 5 core
 sweep, the γ sweep, the threshold ablations).
 
 :class:`OperatorCache` is a bounded LRU keyed by a structural *graph
-fingerprint*.  A cache entry is an :class:`OperatorBundle` that carries
-``Tᵀ`` plus the derived sub-operators of the dangling restriction used
-by the batched kernel (built lazily, cached alongside):
+fingerprint*.  A cache entry is an :class:`OperatorBundle`, which holds
+the operator once, as the two blocks of its dangling restriction:
 
-* ``S`` — the non-dangling nodes.  Because columns of ``Tᵀ`` indexed by
-  dangling nodes are identically zero, the Jacobi iterate restricted to
-  ``S`` evolves autonomously: ``p_S = c (Tᵀ)_{SS} p_S + (1−c) v_S``.
+* ``S`` — the non-dangling nodes, ``D`` the dangling ones.  Because
+  columns of ``Tᵀ`` indexed by dangling nodes are identically zero,
+  the Jacobi iterate restricted to ``S`` evolves autonomously:
+  ``p_S = c (Tᵀ)_{SS} p_S + (1−c) v_S``.
 * ``(Tᵀ)_{SS}`` — the restricted operator the block iteration runs on.
 * ``(Tᵀ)_{DS}`` — the dangling rows, applied once at the end to expand
   the converged restricted iterate back to the full vector (and during
   residual checks, to account for the dangling component of the true
   full-vector residual).
 
-The kernel takes both as :class:`RowBlock` lists
+Every entry of ``Tᵀ`` lies in one of the two blocks.  A cold build
+(:meth:`OperatorBundle.build`) sorts one ``int64`` key per edge and
+splits the sorted keys into the two CSR matrices; no ``Tᵀ`` and no
+scipy transpose is made.  ``Tᵀ`` itself is assembled from the blocks
+only when asked for (:attr:`OperatorBundle.transition_t`): by
+:meth:`~repro.perf.engine.PagerankEngine.operator` and the scalar
+solvers of :meth:`~repro.perf.engine.PagerankEngine.solve`, never by
+the batched kernel, the estimate path or the write path.
+
+The kernel takes both blocks as :class:`RowBlock` lists
 (:meth:`OperatorBundle.row_blocks`): contiguous row ranges of about
 equal entries whose ``indptr`` is a view of the matrix's own and whose
 ``indices``/``data`` *are* the matrix's arrays, so a split copies no
@@ -46,9 +55,12 @@ or host names (names never enter the operator).  Commutativity is what
 makes the cache *delta-aware*: when a graph is mutated through a
 :class:`~repro.graph.delta.GraphDelta`, the child fingerprint is
 derived from the parent's in O(|delta|) instead of rehashing the full
-CSR, and :meth:`OperatorCache.derive_for` splices the child operator
-from the parent by rewriting only the touched columns of ``Tᵀ`` (the
-out-rows of touched sources) rather than re-transposing the graph.
+CSR, and :meth:`OperatorCache.derive_for` splices the child's
+``(Tᵀ)_SS``/``(Tᵀ)_DS`` straight from the parent's
+(:meth:`OperatorBundle.derive`): the touched sources' columns are
+rewritten, and rows and columns are renumbered only when a touched
+source enters or leaves ``S``.  The spliced arrays equal a cold build's
+byte for byte.
 """
 
 from __future__ import annotations
@@ -60,8 +72,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 from scipy import sparse
 
-from ..graph.ops import transition_matrix
-from ..graph.webgraph import WebGraph
+from ..graph.webgraph import WebGraph, ranges, splice
 from ..obs import get_telemetry
 
 __all__ = [
@@ -73,9 +84,10 @@ __all__ = [
 ]
 
 #: Default number of graphs whose operators are kept alive.  Each entry
-#: holds O(edges) memory (the CSR arrays plus the two sub-operators), so
-#: the default stays small; experiment suites touch a handful of graphs
-#: (world, its transpose for TrustRank seeding, the paper examples).
+#: holds O(edges) memory (the two blocks, plus ``Tᵀ`` once a scalar
+#: solver has asked for it), so the default stays small; experiment
+#: suites touch a handful of graphs (world, its transpose for TrustRank
+#: seeding, the paper examples).
 DEFAULT_CACHE_SIZE = 8
 
 #: Default bound of the engine's *shard* operator cache.  Its entries
@@ -127,13 +139,38 @@ def row_blocks(matrix: sparse.csr_matrix, parts: int) -> List[RowBlock]:
     ]
 
 
+def _index_dtype(*extents: int) -> type:
+    """The index dtype scipy picks for a CSR matrix whose shape and
+    entry count are ``extents``: ``int32`` when all of them fit."""
+    return np.int32 if max(extents) <= np.iinfo(np.int32).max else np.int64
+
+
+def _csr(data, indices, row_nnz, shape) -> sparse.csr_matrix:
+    """A CSR matrix from its entries and per-row counts, with the index
+    dtype scipy would pick; arrays already in that dtype are not
+    copied."""
+    idx = _index_dtype(*shape, len(indices))
+    indptr = np.zeros(shape[0] + 1, dtype=idx)
+    np.cumsum(row_nnz, out=indptr[1:])
+    return sparse.csr_matrix(
+        (data, indices.astype(idx, copy=False), indptr), shape=shape
+    )
+
+
 class OperatorBundle:
-    """The cached per-graph operators.
+    """The cached per-graph operator: ``(Tᵀ)_SS`` and ``(Tᵀ)_DS``.
+
+    Every entry of ``Tᵀ`` is in exactly one of the two blocks (its
+    dangling columns are empty), so the bundle holds the operator once.
+    Build one with :meth:`build` (cold, one sort of the edges) or
+    :meth:`derive` (spliced from the parent graph's bundle).
 
     Attributes
     ----------
-    transition_t:
-        ``Tᵀ`` in CSR form — the operator every solver consumes.
+    tt_ss, tt_ds:
+        ``(Tᵀ)_SS`` (``|S| × |S|``) and ``(Tᵀ)_DS`` (``|D| × |S|``):
+        rows in node order, columns numbered by ``S`` position,
+        ascending within each row.
     dangling_mask:
         Boolean mask of dangling (zero out-degree) nodes.
     non_dangling, dangling:
@@ -143,81 +180,226 @@ class OperatorBundle:
     __slots__ = (
         "fingerprint",
         "num_nodes",
-        "transition_t",
         "dangling_mask",
         "non_dangling",
         "dangling",
-        "_tt_ss",
-        "_tt_ds",
+        "tt_ss",
+        "tt_ds",
+        "_transition_t",
         "_lock",
     )
 
     def __init__(
         self,
-        graph: WebGraph,
         fingerprint: str,
-        transition_t: Optional[sparse.csr_matrix] = None,
+        dangling_mask: np.ndarray,
+        non_dangling: np.ndarray,
+        dangling: np.ndarray,
+        tt_ss: sparse.csr_matrix,
+        tt_ds: sparse.csr_matrix,
     ) -> None:
         self.fingerprint = fingerprint
-        self.num_nodes = graph.num_nodes
-        # a pre-spliced operator (delta derivation) skips the transpose
-        if transition_t is None:
-            transition_t = transition_matrix(graph).T.tocsr()
-        self.transition_t = transition_t
-        self.dangling_mask = graph.dangling_mask()
-        self.non_dangling = np.flatnonzero(~self.dangling_mask)
-        self.dangling = np.flatnonzero(self.dangling_mask)
-        self._tt_ss: Optional[sparse.csr_matrix] = None
-        self._tt_ds: Optional[sparse.csr_matrix] = None
+        self.num_nodes = len(dangling_mask)
+        self.dangling_mask = dangling_mask
+        self.non_dangling = non_dangling
+        self.dangling = dangling
+        self.tt_ss = tt_ss
+        self.tt_ds = tt_ds
+        self._transition_t: Optional[sparse.csr_matrix] = None
         self._lock = threading.Lock()
 
-    # -- restricted sub-operators (built on first batched solve) -------
+    @classmethod
+    def build(cls, graph: WebGraph, fingerprint: str) -> "OperatorBundle":
+        """Cold build: one sort of one ``int64`` key per edge.
 
-    def _build_restriction(self) -> None:
-        """Split ``Tᵀ`` into ``(Tᵀ)_SS`` and ``(Tᵀ)_DS`` in one pass.
-
-        Every column of ``Tᵀ`` at a dangling source is empty, so keeping
-        only the ``S`` columns drops no entry: it renumbers them by the
-        monotone map ``cumsum(~dangling) − 1``, which keeps each row's
-        columns ascending.  The rows then split by whether their node
-        is dangling — the arrays ``tt[s][:, s]`` / ``tt[d][:, s]`` give.
+        An edge ``x → y`` is the entry of ``Tᵀ`` at row ``y``, column
+        ``x``.  Its key is the rank of ``y`` among the rows in
+        ``[S; D]`` order times ``|S|``, plus the ``S`` position of
+        ``x`` (every edge's source is in ``S``).  The keys are unique,
+        so sorting them orders the entries block by block, row by row
+        and by ascending column; the first ``nnz(S rows)`` of them are
+        ``(Tᵀ)_SS`` and the rest ``(Tᵀ)_DS``.
         """
+        out_deg = graph.out_degree()
+        mask = out_deg == 0
+        s = np.flatnonzero(~mask)
+        d = np.flatnonzero(mask)
+        width = len(s)
+        in_deg = np.bincount(graph.indices, minlength=graph.num_nodes)
+        rank = np.empty(graph.num_nodes, dtype=np.int64)
+        rank[s] = np.arange(width)
+        rank[d] = np.arange(width, graph.num_nodes)
+        # edges are stored source by source, and only S has out-edges
+        keys = rank[graph.indices]
+        keys *= width
+        keys += np.repeat(np.arange(width, dtype=np.int64), out_deg[s])
+        keys.sort()
+        inv = 1.0 / out_deg[s]  # the fp op transition_matrix does
+        split = int(in_deg[s].sum())
+        blocks = []
+        for rows, lo, hi in ((s, 0, split), (d, split, len(keys))):
+            idx = _index_dtype(len(rows), width, hi - lo)
+            cols = np.empty(hi - lo, dtype=idx)
+            if width:
+                np.remainder(keys[lo:hi], width, out=cols, casting="unsafe")
+            blocks.append(
+                _csr(inv[cols], cols, in_deg[rows], (len(rows), width))
+            )
+        return cls(fingerprint, mask, s, d, *blocks)
+
+    def derive(self, application, fingerprint: str) -> "OperatorBundle":
+        """Splice the bundle of ``application.after`` from this one, the
+        bundle of ``application.before``.
+
+        Only the touched sources' columns change: their entries are
+        dropped and their new out-edges inserted, with every other
+        entry (data included) carried over.  When a touched source
+        enters or leaves ``S``, its row moves to the other block with
+        the entries it keeps, and the columns are renumbered by the
+        child's ``S`` positions, a monotone map on the sources that
+        stay.  The arrays equal :meth:`build` on the child graph.
+        """
+        after = application.after
+        touched = application.touched_sources
+        out_deg = after.out_degree()
+        mask = out_deg == 0
+        moved = touched[self.dangling_mask[touched] != mask[touched]]
+        to_s, to_d = moved[~mask[moved]], moved[mask[moved]]
+        colmap = None
+        if len(moved):
+            s, d = np.flatnonzero(~mask), np.flatnonzero(mask)
+            # parent column -> child column, for the sources that stay
+            colmap = (np.cumsum(~mask) - 1)[self.non_dangling].astype(
+                self.tt_ss.indices.dtype
+            )
+        else:
+            s, d = self.non_dangling, self.dangling
+        dropped_cols = np.zeros(len(self.non_dangling), dtype=bool)
+        dropped_cols[np.searchsorted(
+            self.non_dangling, touched[~self.dangling_mask[touched]]
+        )] = True
+
+        # foreign entries: the touched sources' new out-edges, then the
+        # entries that rows switching blocks take along
+        live = touched[out_deg[touched] > 0]
+        counts = out_deg[live]
+        dests = [after.out_rows(live)]
+        srcs = [np.repeat(live, counts)]
+        vals = [np.repeat(1.0 / counts, counts)]
+        drops = []
+        for matrix, rows, leaving in (
+            (self.tt_ss, self.non_dangling, to_d),
+            (self.tt_ds, self.dangling, to_s),
+        ):
+            drop = dropped_cols[matrix.indices]
+            at = np.searchsorted(rows, leaving)
+            starts = matrix.indptr[at].astype(np.int64)
+            widths = matrix.indptr[at + 1] - starts
+            pos = ranges(starts, widths)
+            carried = ~drop[pos]
+            dests.append(np.repeat(leaving, widths)[carried])
+            srcs.append(self.non_dangling[matrix.indices[pos[carried]]])
+            vals.append(matrix.data[pos[carried]])
+            drop[pos] = True
+            drops.append(drop)
+        dests = np.concatenate(dests)
+        # the new out-edges come source by source, so this search walks
+        # S about once; sorting by row and column afterwards does the
+        # same for the row search below
+        width = len(s)
+        src_cols = np.searchsorted(s, np.concatenate(srcs))
+        vals = np.concatenate(vals)
+        order = np.argsort(dests * width + src_cols)
+        dests, src_cols, vals = dests[order], src_cols[order], vals[order]
+        in_d = mask[dests]
+
+        blocks = []
+        for matrix, drop, old_rows, rows, left, joined, sel in (
+            (self.tt_ss, drops[0], self.non_dangling, s, to_d, to_s, ~in_d),
+            (self.tt_ds, drops[1], self.dangling, d, to_s, to_d, in_d),
+        ):
+            indptr = matrix.indptr
+            gone = np.flatnonzero(drop)
+            old_nnz = np.diff(indptr).astype(np.int64) - np.bincount(
+                np.searchsorted(indptr, gone, side="right") - 1,
+                minlength=len(old_rows),
+            )
+            # each child row's parent row; -1 for the rows that joined
+            at = np.searchsorted(rows, joined)
+            parent = np.insert(
+                np.delete(
+                    np.arange(len(old_rows)), np.searchsorted(old_rows, left)
+                ),
+                at - np.arange(len(at)),
+                -1,
+            )
+            row_nnz = np.append(old_nnz, 0)[parent]
+            # the foreign entries, by row and ascending column
+            f_rows = np.searchsorted(rows, dests[sel])
+            f_cols, f_vals = src_cols[sel], vals[sel]
+            # where they go among the kept entries: a search over the
+            # kept entries of only the rows they land in, read from the
+            # parent and keyed by (rank of the row, child column)
+            landed, per_row = np.unique(f_rows, return_counts=True)
+            rank = np.arange(len(landed))
+            length = row_nnz[landed]
+            from_row = parent[landed]
+            starts = indptr[from_row].astype(np.int64)
+            entries = ranges(starts, np.where(
+                from_row >= 0, indptr[from_row + 1] - starts, 0
+            ))
+            cols = matrix.indices[entries[~drop[entries]]]
+            if colmap is not None:
+                cols = colmap[cols]
+            keys = np.repeat(rank, length) * width + cols
+            first = (np.cumsum(row_nnz) - row_nnz)[landed]
+            pos = np.repeat(first - (np.cumsum(length) - length), per_row) + (
+                np.searchsorted(
+                    keys, np.repeat(rank, per_row) * width + f_cols
+                )
+            )
+            data, indices = splice(
+                gone, pos, (matrix.data, f_vals, None),
+                (matrix.indices, f_cols, colmap),
+            )
+            blocks.append(_csr(
+                data, indices,
+                row_nnz + np.bincount(f_rows, minlength=len(rows)),
+                (len(rows), width),
+            ))
+        return OperatorBundle(fingerprint, mask, s, d, *blocks)
+
+    @property
+    def transition_t(self) -> sparse.csr_matrix:
+        """``Tᵀ`` in CSR form, node ids as columns: what the scalar
+        solvers of :mod:`repro.core.solvers` take.  Assembled from the
+        two blocks on first use and kept; the batched kernel never
+        asks for it."""
         with self._lock:
-            if self._tt_ss is not None:
-                return
-            tt = self.transition_t
-            mask = self.dangling_mask
-            s_pos = np.cumsum(~mask) - 1
-            columns = s_pos[tt.indices].astype(tt.indices.dtype, copy=False)
-            row_nnz = np.diff(tt.indptr)
-            entry_in_d = np.repeat(mask, row_nnz)
-            blocks = []
-            for rows, entries in ((~mask, ~entry_in_d), (mask, entry_in_d)):
-                indptr = np.zeros(
-                    int(np.count_nonzero(rows)) + 1, dtype=tt.indptr.dtype
-                )
-                np.cumsum(row_nnz[rows], out=indptr[1:])
-                blocks.append(
-                    sparse.csr_matrix(
-                        (tt.data[entries], columns[entries], indptr),
-                        shape=(len(indptr) - 1, len(self.non_dangling)),
-                    )
-                )
-            self._tt_ss, self._tt_ds = blocks
+            if self._transition_t is None:
+                self._transition_t = self._assemble()
+            return self._transition_t
 
-    @property
-    def tt_ss(self) -> sparse.csr_matrix:
-        """``(Tᵀ)_{SS}``: the autonomous non-dangling subsystem."""
-        if self._tt_ss is None:
-            self._build_restriction()
-        return self._tt_ss
-
-    @property
-    def tt_ds(self) -> sparse.csr_matrix:
-        """``(Tᵀ)_{DS}``: dangling rows, for residuals and expansion."""
-        if self._tt_ds is None:
-            self._build_restriction()
-        return self._tt_ds
+    def _assemble(self) -> sparse.csr_matrix:
+        """Interleave the two blocks' rows in node order and renumber
+        their columns back to node ids (a monotone map, so each row
+        stays ascending): the arrays of
+        ``transition_matrix(graph).T.tocsr()``, with no sort."""
+        ss, ds = self.tt_ss, self.tt_ds
+        row_nnz = np.empty(self.num_nodes, dtype=np.int64)
+        row_nnz[self.non_dangling] = np.diff(ss.indptr)
+        row_nnz[self.dangling] = np.diff(ds.indptr)
+        # where each node's row starts in the stacked [SS; DS] entries
+        starts = np.empty(self.num_nodes, dtype=np.int64)
+        starts[self.non_dangling] = ss.indptr[:-1]
+        starts[self.dangling] = ds.indptr[:-1] + ss.nnz
+        gather = ranges(starts, row_nnz)
+        shape = (self.num_nodes, self.num_nodes)
+        indices = self.non_dangling.astype(_index_dtype(*shape, self.nnz))[
+            np.concatenate([ss.indices, ds.indices])[gather]
+        ]
+        data = np.concatenate([ss.data, ds.data])[gather]
+        return _csr(data, indices, row_nnz, shape)
 
     # -- the block kernel's operator interface -----------------------
 
@@ -225,7 +407,7 @@ class OperatorBundle:
     def nnz(self) -> int:
         """Entries of ``(Tᵀ)_SS`` and ``(Tᵀ)_DS`` together: every entry
         of ``Tᵀ``, since its dangling columns are empty."""
-        return self.transition_t.nnz
+        return self.tt_ss.nnz + self.tt_ds.nnz
 
     def row_blocks(
         self, parts: int
@@ -237,11 +419,7 @@ class OperatorBundle:
     def nbytes(self) -> int:
         """Approximate resident size of the bundle (diagnostics)."""
         total = 0
-        for mat in (
-            self.transition_t,
-            self._tt_ss,
-            self._tt_ds,
-        ):
+        for mat in (self.tt_ss, self.tt_ds, self._transition_t):
             if mat is not None:
                 total += mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
         total += self.dangling_mask.nbytes
@@ -251,74 +429,9 @@ class OperatorBundle:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"OperatorBundle(n={self.num_nodes}, "
-            f"nnz={self.transition_t.nnz}, "
+            f"nnz={self.nnz}, "
             f"dangling={len(self.dangling)})"
         )
-
-
-def _splice_transition_t(
-    parent_tt: sparse.csr_matrix, application
-) -> sparse.csr_matrix:
-    """Derive the child ``Tᵀ`` by rewriting only the touched columns.
-
-    Column ``s`` of ``Tᵀ`` is the out-row of source ``s`` with weight
-    ``1/outdeg(s)``; an edge delta changes exactly the columns of its
-    touched sources.  Entries of untouched sources are carried over
-    verbatim (data included), so the splice is O(nnz) copying with no
-    re-transpose (the argsort that dominates a cold operator build):
-    the touched columns' entries are deleted, and each new entry is
-    placed by a search over only the rows it lands in.
-    """
-    after = application.after
-    touched = application.touched_sources
-    n = after.num_nodes
-    # membership via a lookup table: O(nnz) gather, no sort (np.isin
-    # pays an (nnz + m)·log m sort that dominates the whole splice)
-    touched_mask = np.zeros(n, dtype=bool)
-    touched_mask[touched] = True
-    drop = np.flatnonzero(touched_mask[parent_tt.indices])
-    indices = np.delete(parent_tt.indices, drop)
-    data = np.delete(parent_tt.data, drop)
-    row_nnz = np.diff(parent_tt.indptr) - np.bincount(
-        np.searchsorted(parent_tt.indptr, drop, side="right") - 1,
-        minlength=n,
-    )
-    # fresh entries: the touched sources' out-rows on the mutated graph
-    deg = after.out_degree()[touched]
-    live = deg > 0
-    srcs = touched[live]
-    counts = deg[live]
-    if len(srcs):
-        starts = after.indptr[srcs]
-        gather = np.repeat(starts, counts) + (
-            np.arange(int(counts.sum())) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-        )
-        targets = after.indices[gather]
-        cols = np.repeat(srcs, counts)
-        vals = np.repeat(1.0 / counts, counts)
-        order = np.argsort(targets * n + cols)
-        targets, cols, vals = targets[order], cols[order], vals[order]
-        # key the kept entries of the landing rows by (row rank, column):
-        # one sorted array, searched for every new entry at once
-        rows, per_row = np.unique(targets, return_counts=True)
-        rank = np.arange(len(rows))
-        length = row_nnz[rows]
-        base = (np.cumsum(row_nnz) - row_nnz)[rows] - (
-            np.cumsum(length) - length
-        )
-        landing = np.repeat(base, length) + np.arange(int(length.sum()))
-        keys = np.repeat(rank, length) * n + indices[landing]
-        pos = np.repeat(base, per_row) + np.searchsorted(
-            keys, np.repeat(rank, per_row) * n + cols
-        )
-        indices = np.insert(indices, pos, cols.astype(indices.dtype))
-        data = np.insert(data, pos, vals)
-        row_nnz += np.bincount(targets, minlength=n)
-    indptr = np.zeros(n + 1, dtype=parent_tt.indptr.dtype)
-    np.cumsum(row_nnz, out=indptr[1:])
-    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 class OperatorCache:
@@ -344,34 +457,21 @@ class OperatorCache:
         tele = get_telemetry()
         key = graph_fingerprint(graph)
         with self._lock:
-            bundle = self._entries.get(key)
-            if bundle is not None:
-                self.hits += 1
-                self._entries.move_to_end(key)
-                tele.inc("opcache.hits")
-                return bundle
-            self.misses += 1
+            bundle = self._hit(key)
+            if bundle is None:
+                self.misses += 1
+        if bundle is not None:
+            return bundle
         tele.inc("opcache.misses")
         # build outside the lock: O(edges) work
         if tele.enabled:
             with tele.span(
                 "operator-build", nodes=graph.num_nodes, edges=graph.num_edges
             ):
-                bundle = OperatorBundle(graph, key)
+                bundle = OperatorBundle.build(graph, key)
         else:
-            bundle = OperatorBundle(graph, key)
-        with self._lock:
-            # a racing builder may have inserted meanwhile; keep the
-            # first one so callers share a single operator
-            existing = self._entries.get(key)
-            if existing is not None:
-                return existing
-            self._entries[key] = bundle
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-        return bundle
+            bundle = OperatorBundle.build(graph, key)
+        return self._admit(key, bundle)
 
     def entry_for(self, key: str, factory):
         """Generic keyed entry: return the cached value for ``key``,
@@ -383,46 +483,31 @@ class OperatorCache:
         hit/miss/eviction counters as the whole-graph bundles.
         """
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self.hits += 1
-                self._entries.move_to_end(key)
-                return entry
-            self.misses += 1
-        value = factory()
-        with self._lock:
-            existing = self._entries.get(key)
-            if existing is not None:
-                return existing
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-        return value
+            entry = self._hit(key, traced=False)
+            if entry is None:
+                self.misses += 1
+        if entry is not None:
+            return entry
+        return self._admit(key, factory())
 
     def derive_for(self, application):
         """Return the bundle for ``application.after``, derived cheaply.
 
-        When the parent graph's bundle is cached, the child operator is
-        spliced from it (touched columns only) and the child fingerprint
-        comes from the O(|delta|) derivation stamped by
+        When the parent graph's bundle is cached, the child's
+        ``(Tᵀ)_SS``/``(Tᵀ)_DS`` are spliced from the parent's
+        (:meth:`OperatorBundle.derive`) and the child fingerprint comes
+        from the O(|delta|) derivation stamped by
         :meth:`~repro.graph.delta.GraphDelta.apply` — the full CSR is
-        never rehashed or re-transposed.  Falls back to a cold
+        never rehashed or sorted.  Falls back to a cold
         :meth:`bundle_for` build when the parent is not resident.
         """
         tele = get_telemetry()
         child_key = graph_fingerprint(application.after)
         with self._lock:
-            bundle = self._entries.get(child_key)
-            if bundle is not None:
-                self.hits += 1
-                self._entries.move_to_end(child_key)
-                tele.inc("opcache.hits")
-                return bundle
-            parent = self._entries.get(
-                graph_fingerprint(application.before)
-            )
+            bundle = self._hit(child_key)
+            parent = self._entries.get(graph_fingerprint(application.before))
+        if bundle is not None:
+            return bundle
         if parent is None:
             return self.bundle_for(application.after)
         self.derives += 1
@@ -433,20 +518,36 @@ class OperatorCache:
                 touched=len(application.touched_sources),
                 edges=application.after.num_edges,
             ):
-                tt = _splice_transition_t(parent.transition_t, application)
+                bundle = parent.derive(application, child_key)
         else:
-            tt = _splice_transition_t(parent.transition_t, application)
-        bundle = OperatorBundle(application.after, child_key, transition_t=tt)
+            bundle = parent.derive(application, child_key)
+        return self._admit(child_key, bundle)
+
+    def _hit(self, key: str, *, traced: bool = True):
+        """The entry for ``key``, counted as a hit (and, if ``traced``,
+        reported to telemetry) and moved to the recent end; ``None`` if
+        absent.  Called with the lock held."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self.hits += 1
+            self._entries.move_to_end(key)
+            if traced:
+                get_telemetry().inc("opcache.hits")
+        return entry
+
+    def _admit(self, key: str, value):
+        """Insert a freshly built entry, evicting past ``maxsize``.  A
+        racing builder may have inserted ``key`` meanwhile; the first
+        one stays, so callers share a single operator."""
         with self._lock:
-            existing = self._entries.get(child_key)
+            existing = self._entries.get(key)
             if existing is not None:
                 return existing
-            self._entries[child_key] = bundle
-            self._entries.move_to_end(child_key)
+            self._entries[key] = value
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-        return bundle
+        return value
 
     def __len__(self) -> int:
         with self._lock:

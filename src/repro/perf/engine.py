@@ -6,8 +6,11 @@ same operator, and the evaluation suites re-solve that operator dozens
 of times (threshold sweeps, core-size ablations, γ studies).
 :class:`PagerankEngine` amortizes everything the solves share:
 
-* the CSR operator ``Tᵀ`` is built **once** per graph and held in a
-  bounded LRU (:class:`~repro.perf.cache.OperatorCache`);
+* the operator is built **once** per graph, as ``(Tᵀ)_SS`` and
+  ``(Tᵀ)_DS``, and held in a bounded LRU
+  (:class:`~repro.perf.cache.OperatorCache`); ``Tᵀ`` whole is
+  assembled only for :meth:`PagerankEngine.operator` and the scalar
+  solvers of :meth:`PagerankEngine.solve`;
 * :meth:`PagerankEngine.solve_many` runs stacked jump vectors as a
   single dense-block Jacobi iteration on the **dangling-restricted**
   subsystem (see :mod:`repro.perf.cache`), with per-column convergence
@@ -250,7 +253,8 @@ class PagerankEngine:
         return self.cache.bundle_for(graph)
 
     def operator(self, graph: WebGraph):
-        """The graph's ``Tᵀ`` in CSR form, from the cache."""
+        """The graph's ``Tᵀ`` in CSR form, from the cache (assembled from
+        the bundle's two blocks on first use)."""
         return self.bundle(graph).transition_t
 
     # ------------------------------------------------------------------
@@ -277,9 +281,12 @@ class PagerankEngine:
         :func:`repro.core.solvers.solve` (warm starts, residual tracking,
         callbacks).
 
-        Sharded graphs route through the block kernel (only the Jacobi
-        method exists out of core) and come back as the single column
-        of a one-vector batch — bitwise the in-memory Jacobi result.
+        In memory it runs the scalar solver of
+        :mod:`repro.core.solvers` on the cached ``Tᵀ``, which it
+        assembles on first use.  Sharded graphs route through the block
+        kernel (only the Jacobi method exists out of core) and come
+        back as the single column of a one-vector batch — bitwise the
+        in-memory block kernel's result.
         """
         if isinstance(graph, ShardedWebGraph):
             chosen = method or self.method
@@ -355,7 +362,8 @@ class PagerankEngine:
         """
         n = graph.num_nodes
         if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-            stacked = np.array(vectors, dtype=np.float64, copy=True)
+            # the kernel only reads it: no copy of the caller's array
+            stacked = np.asarray(vectors, dtype=np.float64)
             if stacked.shape[0] != n:
                 raise ValueError(
                     f"stacked vectors have {stacked.shape[0]} rows, "
@@ -487,7 +495,8 @@ class PagerankEngine:
             application = compose_applications(application)
         n = application.after.num_nodes
         if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-            stacked = np.array(vectors, dtype=np.float64, copy=True)
+            # validated, never written: no copy of the caller's array
+            stacked = np.asarray(vectors, dtype=np.float64)
         else:
             stacked = np.stack(
                 [_resolve_jump(n, spec) for spec in vectors], axis=1
@@ -686,7 +695,6 @@ def _block_jacobi(
     """
     c = damping
     n, k = vectors.shape
-    jump = (1.0 - c) * vectors
     s = op.non_dangling
     d = op.dangling
     scores = np.empty_like(vectors)
@@ -697,7 +705,7 @@ def _block_jacobi(
     if len(s) == 0:
         # edgeless graph: (I - cTᵀ) = I, the solution is the jump term,
         # reached exactly after one formal iteration
-        scores[:] = jump
+        np.multiply(1.0 - c, vectors, out=scores)
         iterations[:] = 1
         residuals[:] = 0.0
         converged[:] = True
@@ -708,7 +716,9 @@ def _block_jacobi(
 
     threads = _cpu_count() if op.nnz >= PARALLEL_MIN_NNZ else 1
     ss_blocks, ds_blocks = op.row_blocks(threads)
-    b_s = np.ascontiguousarray(jump[s, :])
+    # the jump term (1−c)·v only where it is read: the S rows every
+    # sweep, the D rows once per column at freeze
+    b_s = (1.0 - c) * vectors[s, :]
     z = np.array(vectors[s, :], dtype=np.float64)  # p⁽⁰⁾ = v, as in jacobi()
     active = np.arange(k)
 
@@ -719,7 +729,7 @@ def _block_jacobi(
         scores[np.ix_(s, cols)] = z_cols
         expanded = _product(ds_blocks, z_cols, len(d), pool)
         expanded *= c
-        expanded += jump[np.ix_(d, cols)]
+        expanded += (1.0 - c) * vectors[np.ix_(d, cols)]
         scores[np.ix_(d, cols)] = expanded
         iterations[cols] = it
         residuals[cols] = res[cols_in_active]

@@ -21,10 +21,12 @@ out-neighbourhoods of the touched nodes.  This module exploits that:
    or previously-isolated hosts, as spam-farm appearance does.
 2. **Push.**  Gauss–Southwell sweeps: pick the frontier of rows whose
    residual mass exceeds a floor, absorb their residual into the
-   iterate, and scatter ``c/outdeg`` of it along their out-edges (one
-   CSR row-slice + one C-level sparse·dense product per sweep, both
-   jump vectors in one pass).  Dangling rows absorb without
-   scattering, so no dangling restriction is needed.  Each sweep
+   iterate, and scatter ``c/outdeg`` of it along their out-edges (the
+   frontier's out-rows read from the graph's CSR into a frontier-sized
+   matrix + one C-level sparse·dense product per sweep, both jump
+   vectors in one pass; no n×n scatter operator is assembled).
+   Dangling rows absorb without scattering, so no dangling restriction
+   is needed.  Each sweep
    contracts the global residual by at least ``1 − (1−c)·¾`` (rows
    below the floor hold < tol/4 in total), so termination at the cold
    solve's ``tol`` is guaranteed.
@@ -37,7 +39,10 @@ out-neighbourhoods of the touched nodes.  This module exploits that:
    block Jacobi the cold path uses, at the same ``tol``, but starting
    from a residual that is orders of magnitude smaller.  The
    warm-start advantage survives diffusion; only the locality
-   advantage is lost.  **Early escape:** a seed frontier that is
+   advantage is lost.  The push residual is released before the
+   escape's sweeps start: of the push phase's (n, k) arrays only the
+   iterate lives through them, beside the escape's jump vector.
+   **Early escape:** a seed frontier that is
    already wide *and* alive — enough frontier rows can scatter
    (non-dangling) to keep it wide — escapes before the first sweep
    instead of paying two full-frontier row-slicing sweeps to discover
@@ -145,15 +150,6 @@ class IncrementalResult(BatchResult):
         self.stats = stats
 
 
-def _gather_rows(graph, srcs: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate the out-rows of ``srcs`` (counts = their degrees)."""
-    starts = graph.indptr[srcs]
-    offsets = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    return graph.indices[np.repeat(starts, counts) + offsets]
-
-
 def seed_residual(
     application: DeltaApplication,
     previous_scores: np.ndarray,
@@ -174,7 +170,7 @@ def seed_residual(
         counts = deg[live]
         if len(srcs) == 0:
             continue
-        targets = _gather_rows(graph, srcs, counts)
+        targets = graph.out_rows(srcs)
         weights = np.repeat(sign * damping / counts, counts)
         contribution = weights[:, None] * previous_scores[
             np.repeat(srcs, counts)
@@ -214,24 +210,22 @@ def push_update(
     residual = seed_residual(application, previous_scores, damping=c)
     stats.seed_norms = np.abs(residual).sum(axis=0)
 
-    # scatter operator: row s of cT' holds c/outdeg(s) on s's out-edges,
-    # assembled directly from the mutated graph's CSR (no transpose).
-    # Built lazily — an update that escapes before its first push sweep
-    # (wide live seed) never pays the O(edges) assembly.
+    # the scatter rows of a frontier: row x of cT' holds c/outdeg(x) on
+    # x's out-edges, read straight from the mutated graph's CSR for the
+    # frontier alone, so no n×n operator is ever assembled
     out_deg = after.out_degree()
-    ct_rows: Optional[sparse.csr_matrix] = None
 
-    def _scatter_operator() -> sparse.csr_matrix:
-        nonlocal ct_rows
-        if ct_rows is None:
-            inv = np.zeros(n)
-            scattering = out_deg > 0
-            inv[scattering] = c / out_deg[scattering]
-            ct_rows = sparse.csr_matrix(
-                (np.repeat(inv, out_deg), after.indices, after.indptr),
-                shape=(n, n),
-            )
-        return ct_rows
+    def _scatter_rows(rows: np.ndarray) -> sparse.csr_matrix:
+        counts = out_deg[rows]
+        inv = np.zeros(len(rows))
+        scattering = counts > 0
+        inv[scattering] = c / counts[scattering]
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return sparse.csr_matrix(
+            (np.repeat(inv, counts), after.out_rows(rows), indptr),
+            shape=(len(rows), n),
+        )
 
     scores = previous_scores.astype(np.float64, copy=True)
     iterations = np.zeros(k, dtype=np.int64)
@@ -292,10 +286,13 @@ def push_update(
             # diffusion escape: solve (I - cT')e = R for the remaining
             # correction with the cold restricted block kernel, warm
             # start intact (the jump R/(1-c) is orders of magnitude
-            # smaller than a cold solve's)
+            # smaller than a cold solve's).  The push residual is dead
+            # from here on and goes before the sweeps start
+            jump = active_residual / (1.0 - c)
+            residual = active_residual = None
             correction = _block_jacobi(
                 bundle,
-                np.ascontiguousarray(active_residual) / (1.0 - c),
+                jump,
                 damping=c,
                 tol=tol,
                 max_iter=max(max_iter - sweep, 1),
@@ -319,7 +316,7 @@ def push_update(
         delta = active_residual[act]
         scores[np.ix_(act, cols)] += delta
         residual[np.ix_(act, cols)] = 0.0
-        scatter = _scatter_operator()[act].T @ delta
+        scatter = _scatter_rows(act).T @ delta
         residual[:, cols] += scatter
         totals[cols] = np.abs(residual[:, cols]).sum(axis=0)
         sweep += 1

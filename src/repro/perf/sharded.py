@@ -48,7 +48,7 @@ import numpy as np
 from scipy import sparse
 
 from ..graph.sharded import ShardedWebGraph
-from .cache import OperatorCache, RowBlock
+from .cache import OperatorCache, RowBlock, _csr, _index_dtype
 
 __all__ = [
     "ShardedOperator",
@@ -96,10 +96,12 @@ class ShardedOperator:
         self.dangling_mask = out_deg == 0
         self.non_dangling = np.flatnonzero(~self.dangling_mask)
         self.dangling = np.flatnonzero(self.dangling_mask)
-        # global node id -> its position in S (valid on S members only);
-        # monotone, which is what keeps block columns in the assembled
-        # operator's ascending order
-        self._s_pos = np.cumsum(~self.dangling_mask) - 1
+        # global node id -> its position in S (valid on S members only),
+        # in the blocks' index dtype; monotone, which is what keeps block
+        # columns in the assembled operator's ascending order
+        self._s_pos = (np.cumsum(~self.dangling_mask) - 1).astype(
+            _index_dtype(graph.num_nodes, graph.num_edges)
+        )
         inv = np.zeros(graph.num_nodes, dtype=np.float64)
         nz = out_deg > 0
         inv[nz] = 1.0 / out_deg[nz]  # identical fp op to transition_matrix
@@ -151,33 +153,24 @@ class ShardedOperator:
         )
 
     def _build_block(self, k: int, kind: str) -> sparse.csr_matrix:
+        """Shard ``k``'s rows of ``(Tᵀ)_SS`` (``kind`` ``"ss"``) or
+        ``(Tᵀ)_DS``: its transpose CSR's rows of that kind, selected
+        entry by entry with the row mask, columns gathered from the
+        ``S``-position table in the blocks' own index dtype."""
         a, b = self.graph.shard_range(k)
         shard = self.graph.shard(k)
+        counts = np.diff(np.asarray(shard.t_indptr))
+        rows = self.dangling_mask[a:b]
         if kind == "ss":
-            rows_global = self.non_dangling[slice(*self.s_range(k))]
-        else:
-            rows_global = self.dangling[slice(*self.d_range(k))]
-        local = rows_global - a
-        t_indptr = np.asarray(shard.t_indptr)
-        t_indices = np.asarray(shard.t_indices)
-        counts = t_indptr[local + 1] - t_indptr[local]
-        starts = t_indptr[local]
-        total = int(counts.sum())
-        if total:
-            gather = np.repeat(starts, counts) + (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(np.cumsum(counts) - counts, counts)
-            )
-            srcs = t_indices[gather]
-        else:
-            srcs = np.empty(0, dtype=np.int64)
-        indptr = np.zeros(len(rows_global) + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum(counts)
+            rows = ~rows
+        srcs = np.asarray(shard.t_indices)[np.repeat(rows, counts)]
         # every in-edge source has out-degree >= 1, so srcs ⊆ S and the
         # monotone S-position remap preserves ascending column order
-        block = sparse.csr_matrix(
-            (self._inv_outdeg[srcs], self._s_pos[srcs], indptr),
-            shape=(len(rows_global), len(self.non_dangling)),
+        block = _csr(
+            self._inv_outdeg[srcs],
+            self._s_pos[srcs],
+            counts[rows],
+            (int(np.count_nonzero(rows)), len(self.non_dangling)),
         )
         block.has_sorted_indices = True
         return block

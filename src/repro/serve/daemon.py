@@ -21,6 +21,14 @@ continuously) and the ROADMAP names directly.  One
   explicit ``staleness`` field, ingest is refused, and the worker
   keeps retrying until the path heals.
 
+Between windows the write path holds the operator once: the daemon's
+engine caches one :class:`~repro.perf.cache.OperatorBundle`
+(:data:`OPERATOR_BUNDLES`), the tip's ``(Tᵀ)_SS``/``(Tᵀ)_DS``.  Each
+apply splices the next graph's bundle from it and the new one replaces
+it; a retried apply finds the bundle it already spliced, and the apply
+after :meth:`ScoringDaemon.quarantine_pending`, whose parent is no
+longer cached, builds cold once.
+
 Restart is replay: the WAL is recovered (torn tail truncated), the
 chain is deduped against the loaded solution snapshot's fingerprint
 (apply-then-crash never double-applies), and the pending suffix is
@@ -60,13 +68,13 @@ __all__ = ["CircuitBreaker", "DaemonConfig", "ScoringDaemon"]
 
 PathLike = Union[str, Path]
 
-#: Operator bundles the daemon's own engine caches.  An apply derives
-#: the next graph's operator from the tip's; after
-#: :meth:`ScoringDaemon.quarantine_pending` the tip is the dropped
-#: delta's graph, and the next apply derives from the bundle one step
-#: back.  No older graph is revisited, and each bundle holds O(edges)
-#: memory (~150 MB at 1M hosts).
-OPERATOR_BUNDLES = 2
+#: Operator bundles the daemon's own engine caches: the tip's.  An
+#: apply derives the next graph's operator from it, and a retried
+#: apply finds its own already derived.  After
+#: :meth:`ScoringDaemon.quarantine_pending` the cached bundle is the
+#: dropped delta's graph's, so the next apply builds cold once.  A
+#: bundle holds the operator once, ~76 MB at 1M hosts.
+OPERATOR_BUNDLES = 1
 
 
 @dataclass(frozen=True)

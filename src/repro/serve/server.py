@@ -255,9 +255,26 @@ class ScoringServer:
                             "detail": "request too large",
                         })
                         return
-                    self._send(conn, self._handle_line(line))
+                    try:
+                        self._send(conn, self._handle_line(line))
+                    finally:
+                        # once the reply is out, or could not go out
+                        # (the client left): stop() is what lets the
+                        # process exit
+                        if self._capped():
+                            threading.Thread(
+                                target=self.stop, daemon=True
+                            ).start()
         except (OSError, ValueError):
             return
+
+    def _capped(self) -> bool:
+        """``max_requests`` answered and no drain started yet."""
+        return (
+            self.max_requests is not None
+            and self.requests >= self.max_requests
+            and not self._stopping.is_set()
+        )
 
     def _handle_line(self, line: bytes) -> dict:
         try:
@@ -320,12 +337,6 @@ class ScoringServer:
             self.admission.release(ticket)
             with self._lock:
                 self.requests += 1
-                hit_cap = (
-                    self.max_requests is not None
-                    and self.requests >= self.max_requests
-                )
-        if hit_cap:
-            threading.Thread(target=self.stop, daemon=True).start()
         return response
 
     def _slow_loop(self) -> None:

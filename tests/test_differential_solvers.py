@@ -271,6 +271,27 @@ def _convergence_error(engine, graph, vectors):
     return None
 
 
+def test_shard_blocks_are_the_in_memory_rows(zoo_graph, sharded_variants):
+    """Each shard's ``(Tᵀ)_SS``/``(Tᵀ)_DS`` block is its row range of
+    the in-memory bundle's, array for array and dtype for dtype."""
+    from repro.perf.sharded import ShardedOperator
+
+    bundle = PagerankEngine().bundle(zoo_graph)
+    for k, store in sharded_variants.items():
+        op = ShardedOperator(store)
+        for j in range(op.num_shards):
+            for block, whole, (lo, hi) in (
+                (op.ss_block(j), bundle.tt_ss, op.s_range(j)),
+                (op.ds_block(j), bundle.tt_ds, op.d_range(j)),
+            ):
+                want = whole[lo:hi]
+                assert block.shape == want.shape, (k, j)
+                for name in ("indptr", "indices", "data"):
+                    got, ref = getattr(block, name), getattr(want, name)
+                    assert got.dtype == ref.dtype, (k, j, name)
+                    assert np.array_equal(got, ref), (k, j, name)
+
+
 def test_sharded_solve_many_bitwise_equal(zoo_graph, sharded_variants):
     """Both backends run one loop, so every diagnostic matches bitwise:
     at any residual-check cadence, for converged solves and for solves

@@ -352,6 +352,17 @@ def _shaped_delta(graph, rng, shape):
             insertions=_new_edges([hub], targets),
             deletions=_out_row(hub)[:2],
         )
+    if shape == "crosses-both-ways":
+        # sources leave S and others join it in one delta: their rows
+        # switch blocks with the entries they keep, and every column
+        # after the first of them is renumbered
+        leaving = live[np.argsort(out_deg[live], kind="stable")[:3]]
+        joining = rng.choice(dangling, size=3, replace=False)
+        targets = rng.choice(graph.num_nodes, size=4, replace=False)
+        return GraphDelta(
+            insertions=_new_edges(joining, targets),
+            deletions=[e for src in leaving for e in _out_row(src)],
+        )
     assert shape == "one-row-many-entries"
     # several sources gain the same target: one row of Tᵀ gets them all
     target = int(rng.integers(graph.num_nodes))
@@ -370,6 +381,7 @@ def _shaped_delta(graph, rng, shape):
         "dangling-source-gains-edges",
         "hub-source",
         "one-row-many-entries",
+        "crosses-both-ways",
     ],
 )
 def test_derived_operator_is_bit_identical_to_cold_build(shape):
@@ -378,17 +390,26 @@ def test_derived_operator_is_bit_identical_to_cold_build(shape):
     delta = _shaped_delta(graph, rng, shape)
     assert len(delta)
     application = delta.apply(graph)
+    if shape == "crosses-both-ways":
+        before = graph.dangling_mask()[application.touched_sources]
+        after = application.after.dangling_mask()[
+            application.touched_sources
+        ]
+        assert (before & ~after).any() and (~before & after).any()
 
     cache = OperatorCache()
     cache.bundle_for(graph)  # parent resident
-    spliced = cache.derive_for(application).transition_t
-    cold = OperatorCache().bundle_for(application.after).transition_t
+    spliced = cache.derive_for(application)
+    cold = OperatorCache().bundle_for(application.after)
 
-    assert spliced.shape == cold.shape
-    for name in ("indptr", "indices", "data"):
-        got, want = getattr(spliced, name), getattr(cold, name)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+    for name in ("non_dangling", "dangling"):
+        assert np.array_equal(getattr(spliced, name), getattr(cold, name))
+    for got, want in ((spliced.tt_ss, cold.tt_ss), (spliced.tt_ds, cold.tt_ds)):
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            have, ref = getattr(got, name), getattr(want, name)
+            assert have.dtype == ref.dtype
+            assert have.tobytes() == ref.tobytes()
     assert cache.derives == 1
     # the derived child is registered: a second request is a cache hit
     hits_before = cache.hits
@@ -396,7 +417,7 @@ def test_derived_operator_is_bit_identical_to_cold_build(shape):
     assert cache.hits == hits_before + 1
 
 
-@pytest.mark.parametrize(
+RESTRICTION_GRAPHS = pytest.mark.parametrize(
     "graph",
     [
         _random_graph(30, n=250, num_edges=1500, dangling_frac=0.4),
@@ -409,6 +430,9 @@ def test_derived_operator_is_bit_identical_to_cold_build(shape):
     ids=["random", "random-sparse", "no-dangling", "one-live-source",
          "edgeless"],
 )
+
+
+@RESTRICTION_GRAPHS
 def test_restriction_equals_row_and_column_selection(graph):
     """``(Tᵀ)_SS``/``(Tᵀ)_DS`` are bitwise the fancy-indexed blocks."""
     bundle = OperatorCache().bundle_for(graph)
@@ -425,6 +449,35 @@ def test_restriction_equals_row_and_column_selection(graph):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
+@RESTRICTION_GRAPHS
+def test_transition_t_is_assembled_bitwise_from_the_blocks(graph):
+    """``Tᵀ``, assembled from the two blocks on first use, is bitwise
+    (arrays and dtypes) what transposing ``T`` with scipy gives."""
+    bundle = OperatorCache().bundle_for(graph)
+    assert bundle._transition_t is None
+    got = bundle.transition_t
+    want = transition_matrix(graph).T.tocsr()
+    assert got is bundle.transition_t  # kept after the first use
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_estimate_and_update_paths_never_assemble_the_transpose():
+    graph = _random_graph(12, n=300, num_edges=1500, dangling_frac=0.4)
+    rng = np.random.default_rng(12)
+    core = np.sort(rng.choice(300, size=30, replace=False))
+    engine = PagerankEngine()
+    previous = estimate_spam_mass(graph, core, engine=engine)
+    application = _random_delta(graph, rng, 10, 5).apply(graph)
+    estimate_spam_mass(application, core, engine=engine, previous=previous)
+    assert engine.cache.derives == 1
+    bundles = [engine.bundle(graph), engine.bundle(application.after)]
+    assert all(bundle._transition_t is None for bundle in bundles)
+    assert engine.operator(graph) is bundles[0].transition_t
+
+
 def test_derive_falls_back_to_cold_build_without_parent():
     graph = _random_graph(7, n=100, num_edges=500)
     rng = np.random.default_rng(7)
@@ -433,9 +486,9 @@ def test_derive_falls_back_to_cold_build_without_parent():
     bundle = cache.derive_for(application)
     assert cache.derives == 0
     cold = OperatorCache().bundle_for(application.after)
-    assert np.array_equal(
-        bundle.transition_t.data, cold.transition_t.data
-    )
+    for got, want in ((bundle.tt_ss, cold.tt_ss), (bundle.tt_ds, cold.tt_ds)):
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 # ----------------------------------------------------------------------

@@ -451,42 +451,66 @@ def _fresh_insertions(graph, rng, count=3):
     return sorted(edges)
 
 
-def test_daemon_engine_keeps_two_operator_bundles(base, tmp_path):
-    """A daemon built without an engine caches the tip's bundle and the
-    one a step back, through a retried failure and a quarantine."""
-    d = _daemon(base, tmp_path)
+def test_daemon_engine_keeps_one_operator_bundle(base, tmp_path):
+    """A daemon built without an engine caches the tip's bundle alone.
+    The retry after a failed swap finds the operator it derived; the
+    apply after a quarantine builds cold once and lands bitwise on the
+    scores of a daemon that never saw the dropped delta."""
+    d = _daemon(base, tmp_path / "a")
+    clean = _daemon(base, tmp_path / "b")
     cache = d.engine.cache
+    assert cache.maxsize == 1
     rng = np.random.default_rng(17)
-    for step in range(14):
-        seq = d.submit_delta(_fresh_insertions(d._tail, rng))["seq"]
-        if step == 4:
-            # fails after deriving its operator; the retry below lands
-            d.chaos = ServeChaos(kill_swap_on=(seq,))
-            assert d._apply_one() is False
-            assert len(cache) <= 2
-        if step == 8:
-            # fails for good: the tip's bundle is the dropped graph's
+    for step in range(10):
+        edges = _fresh_insertions(d._tail, rng)
+        seq = d.submit_delta(edges)["seq"]
+        if step == 6:
+            # fails for good: the cached bundle is the dropped graph's
             d.chaos = ServeChaos(kill_swap_on=(seq,), once=False)
             assert d._apply_one() is False
-            assert len(cache) <= 2
             d.quarantine_pending()
             d.chaos = None
             continue
-        derives, misses = cache.derives, cache.misses
+        clean.submit_delta(edges)
+        assert clean._apply_one() is True
+        if step == 3:
+            # fails after deriving its operator
+            d.chaos = ServeChaos(kill_swap_on=(seq,))
+            assert d._apply_one() is False
+        counts = (cache.hits, cache.derives, cache.misses)
         assert d._apply_one() is True
-        assert len(cache) <= 2
-        if step == 9:
-            # derived from the bundle one step back: no cold build
-            assert cache.derives == derives + 1
-            assert cache.misses == misses
-    assert d.applies == 13
+        assert len(cache) == 1
+        hits, derives, misses = (
+            now - then
+            for now, then in zip(
+                (cache.hits, cache.derives, cache.misses), counts
+            )
+        )
+        if step == 3:
+            assert (hits, derives, misses) == (1, 0, 0)  # the retry
+        elif step in (0, 7):
+            # no parent resident: the first apply, and the one after
+            # the quarantine, build cold
+            assert (hits, derives, misses) == (0, 0, 1)
+        else:
+            assert (hits, derives, misses) == (0, 1, 0)
+    assert d.applies == clean.applies == 9
+    for name in ("pagerank", "core_pagerank"):
+        assert np.array_equal(
+            getattr(d.store.current.estimates, name),
+            getattr(clean.store.current.estimates, name),
+        )
 
 
 #: Runs ``windows`` 16-edge deltas through a daemon on a seeded world
-#: of ``hosts`` hosts; prints the peak RSS after each window and the
-#: size of one full operator bundle, in MiB.
+#: of ``hosts`` hosts and prints, in JSON: the peak RSS after each
+#: window and the size of the cached operator bundle, in MiB; and, with
+#: ``trace`` as the third argument, the memory tracemalloc sees held
+#: after each window and the rise of each apply's peak above what was
+#: held before it, in units of one restricted operator (``nnz`` entries
+#: of a float64 and an int32 plus both blocks' int32 row pointers).
 _MEMORY_SCRIPT = """
-import json, resource, sys
+import json, resource, sys, tracemalloc
 import numpy as np
 from repro.core.mass import estimate_spam_mass
 from repro.graph import WebGraph
@@ -495,14 +519,19 @@ from repro.synth.huge import huge_good_core, iter_huge_edges
 from repro.synth.scenario import WorldConfig
 
 hosts, windows = int(sys.argv[1]), int(sys.argv[2])
+traced = sys.argv[3:] == ["trace"]
 config = WorldConfig(13, num_base_hosts=hosts, mean_outdegree=6.0,
                      directory_size=hosts // 10, gov_size=hosts // 10)
 graph = WebGraph.from_edges(hosts, np.concatenate(list(iter_huge_edges(config))))
 core = huge_good_core(config)
-daemon = ScoringDaemon(graph, core, estimate_spam_mass(graph, core))
+estimates = estimate_spam_mass(graph, core)
+unit = graph.num_edges * 12 + (graph.num_nodes + 2) * 4
 rng = np.random.default_rng(13)
 live = np.flatnonzero(graph.out_degree() > 0)
-peaks = []
+if traced:
+    tracemalloc.start()
+daemon = ScoringDaemon(graph, core, estimates)
+peaks, held, rises = [], [], []
 for _ in range(windows):
     tip = daemon.store.current.graph
     insertions, deletions = [], []
@@ -513,33 +542,62 @@ for _ in range(windows):
             deletions.append((int(u), int(row[0])))
         elif v != u and v not in row:
             insertions.append((int(u), v))
+    del tip, row  # a row is a view: it would keep the old graph alive
     daemon.submit_delta(insertions, deletions)
+    if traced:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
     assert daemon.apply_pending() == 1
+    if traced:
+        current, peak = tracemalloc.get_traced_memory()
+        held.append(current / unit)
+        rises.append((peak - before) / unit)
     peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 bundle = daemon.engine.cache.bundle_for(daemon.store.current.graph)
-bundle.tt_ss  # a full bundle: the restriction built
-print(json.dumps({"peaks": peaks, "bundle_mib": bundle.nbytes() / 2**20}))
+print(json.dumps({"peaks": peaks, "bundle_mib": bundle.nbytes() / 2**20,
+                  "held": held, "rises": rises}))
 """
 
 
-def test_daemon_memory_stays_flat_over_windows_at_200k_hosts():
-    """Each cached bundle is ~30 MB at 200k hosts; from the third window
-    on, peak RSS must grow by less than two bundles."""
+def _run_memory_script(*args):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", _MEMORY_SCRIPT, "200000", "12"],
+        [sys.executable, "-c", _MEMORY_SCRIPT, *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_daemon_memory_stays_flat_over_windows_at_200k_hosts():
+    """The cached bundle is ~17 MB at 200k hosts; from the third window
+    on, peak RSS must grow by less than one bundle."""
+    out = _run_memory_script("200000", "12")
     peaks = out["peaks"]
     assert len(peaks) == 12
-    assert peaks[11] - peaks[2] < 2 * out["bundle_mib"], out
+    assert peaks[11] - peaks[2] < out["bundle_mib"], out
+
+
+def test_daemon_holds_the_operator_once_at_200k_hosts():
+    """Between windows the daemon holds its graph, its scores and one
+    bundle that holds the operator once: under 3 operators' worth,
+    where a second cached bundle or a full ``Tᵀ`` beside the blocks
+    adds one each.  An apply rises less than 3 operators above that:
+    the spliced bundle, the graph-sized push state and, with no n×n
+    scatter operator built, nothing of the operator's size besides.
+    Measured: 2.38 held and rises of 2.3–2.4, against 5.50 and 4.2
+    with two cached bundles that each kept ``Tᵀ`` beside its blocks."""
+    out = _run_memory_script("200000", "6", "trace")
+    held, rises = out["held"], out["rises"]
+    assert len(held) == len(rises) == 6
+    # the first apply builds the operator cold: no parent is cached
+    assert max(held[1:]) < 3.0, out
+    assert max(rises[1:]) < 3.0, out
 
 
 # ----------------------------------------------------------------------
@@ -751,6 +809,70 @@ def _ask_once(socket_path, payload):
     """One request on a fresh connection."""
     with ServeClient(socket_path, timeout=30.0) as client:
         return client.request(payload)
+
+
+def test_max_requests_drains_after_the_last_reply_is_sent(base, tmp_path):
+    """The request that reaches ``max_requests`` gets its reply before
+    the drain finishes: ``wait()`` returning is what lets
+    ``repro-spam serve`` exit, which would cut a reply still unsent."""
+    daemon = _daemon(base, tmp_path)
+    server = ScoringServer(daemon, tmp_path / "sock", max_requests=1)
+    sent = threading.Event()
+    send = server._send
+
+    def slow_send(conn, response):
+        time.sleep(0.3)
+        send(conn, response)
+        sent.set()
+
+    server._send = slow_send
+    server.start()
+    try:
+        thread, result = _in_thread(
+            _ask_once, server.socket_path, {"op": "health"}
+        )
+        assert server.wait(10.0)
+        assert sent.is_set()
+        thread.join(10.0)
+        assert not thread.is_alive()
+        assert result["reply"]["ok"] is True
+    finally:
+        server.stop()
+
+
+def test_max_requests_drains_when_the_last_reply_cannot_be_sent(
+    base, tmp_path
+):
+    """The client that sent the request reaching ``max_requests`` may
+    be gone before its reply is written; the drain starts all the same,
+    so ``repro-spam serve --max-requests`` still exits."""
+    daemon = _daemon(base, tmp_path)
+    server = ScoringServer(daemon, tmp_path / "sock", max_requests=1)
+    closed = threading.Event()
+    failed = []
+    send = server._send
+
+    def send_after_close(conn, response):
+        closed.wait(10.0)
+        try:
+            send(conn, response)
+        except OSError as exc:
+            # the class only: the exception's traceback would keep the
+            # reader's frame, and so its connection, alive
+            failed.append(type(exc))
+            raise
+
+    server._send = send_after_close
+    server.start()
+    try:
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.connect(str(server.socket_path))
+            sock.sendall(b'{"op":"health"}\n')
+        closed.set()
+        assert server.wait(10.0)
+        assert failed, "the reply went out to a closed connection"
+    finally:
+        server.stop()
 
 
 def test_max_queue_bounds_requests_across_connections(

@@ -260,3 +260,89 @@ def test_equality_and_hash():
     assert a != c
     assert hash(a) == hash(b)
     assert a != "not a graph"
+
+
+def _transpose_by_argsort(graph):
+    """The in-adjacency arrays as a stable argsort of the destinations
+    gathers them: the formula the one-sort transpose replaced."""
+    n = graph.num_nodes
+    t_indptr = np.zeros(n + 1, dtype=np.int64)
+    t_indptr[1:] = np.cumsum(np.bincount(graph.indices, minlength=n))
+    sources = np.repeat(np.arange(n, dtype=np.int64), graph.out_degree())
+    return t_indptr, sources[np.argsort(graph.indices, kind="stable")]
+
+
+def _assert_transpose_is_argsort_formula(graph):
+    got = graph._transpose_arrays()
+    for have, want in zip(got, _transpose_by_argsort(graph)):
+        assert have.dtype == want.dtype
+        assert np.array_equal(have, want)
+
+
+def test_transpose_arrays_equal_the_argsort_formula_on_the_zoo():
+    from test_differential_solvers import ZOO
+
+    for _name, graph in ZOO:
+        _assert_transpose_is_argsort_formula(
+            WebGraph(graph.indptr, graph.indices)
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+             max_size=40),
+)))
+def test_transpose_arrays_equal_the_argsort_formula_property(case):
+    n, edges = case
+    _assert_transpose_is_argsort_formula(WebGraph.from_edges(n, edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_splice_is_delete_then_insert(data):
+    """``splice`` equals ``np.delete`` then ``np.insert`` on every array
+    it moves, with and without a column table, for edits of any size
+    against any chunk length."""
+    from unittest import mock
+
+    from repro.graph import webgraph
+
+    n = data.draw(st.integers(0, 30))
+    array = np.arange(n, dtype=np.int64) * 3 % 7
+    gone = np.array(
+        sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n)))
+        if n else [],
+        dtype=np.int64,
+    )
+    kept = n - len(gone)
+    pos = np.sort(np.asarray(
+        data.draw(st.lists(st.integers(0, kept), max_size=30)),
+        dtype=np.int64,
+    ))
+    new = -1 - np.arange(len(pos), dtype=np.int64)
+    table = data.draw(st.sampled_from([None, np.arange(7)[::-1].copy()]))
+    chunk = data.draw(st.sampled_from([1, 2, 3, 5, 1 << 16]))
+    floats = array / 7.0
+    expected = np.delete(array, gone)
+    if table is not None:
+        expected = table[expected]
+    expected = np.insert(expected, pos, new)
+    with mock.patch.object(webgraph, "_SPLICE_CHUNK", chunk):
+        got, got_floats = webgraph.splice(
+            gone, pos, (array, new, table), (floats, new / 2.0, None)
+        )
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+    assert got_floats.dtype == np.float64
+    assert np.array_equal(
+        got_floats, np.insert(np.delete(floats, gone), pos, new / 2.0)
+    )
+
+
+def test_out_rows_concatenates_the_out_neighbours():
+    g = WebGraph.from_edges(5, [(0, 3), (0, 1), (2, 4), (3, 0), (3, 2)])
+    nodes = np.array([3, 1, 0, 3])
+    assert g.out_rows(nodes).tolist() == [0, 2, 1, 3, 0, 2]
+    assert g.out_rows(np.array([], dtype=np.int64)).tolist() == []
