@@ -10,8 +10,9 @@ by:
 
 1. **Ingest throughput** — events/sec over a churn-only stream, file
    to final flush, best of ``--repeats`` runs on fresh state.  This is
-   the end-to-end number: validation, journaling, window compaction
-   and the incremental re-estimate per window all included.
+   the end-to-end number: validation, window compaction, the WAL
+   append that commits each window and the incremental re-estimate
+   per window all included.
 2. **Detection latency** — the three scripted temporal attacks
    (expired-domain takeover, sub-threshold gradual farm, stale good-
    core member) replayed across ``--seeds`` worlds; reported as the
@@ -22,8 +23,9 @@ by:
    with retransmits, duplicates, bounded reordering, late stragglers,
    one poisoned window) is ingested to ~60% of the bytes and the
    process dies without a flush; the bench times the second
-   incarnation (journal resume + re-ingest to EOF) and verifies the
-   scores are bitwise-identical to a clean single-pass run.
+   incarnation (resume from the newest WAL record's position +
+   re-ingest to EOF) and verifies the scores are bitwise-identical to
+   a clean single-pass run.
 
 Typical usage::
 
@@ -304,7 +306,7 @@ def bench_recovery(graph, core, edges, world_dir, template, root):
     consumed_before_crash = ingestor.stats()["events_consumed"]
     del daemon, ingestor  # no flush, no close: the crash
 
-    # second incarnation: load, resume from the journal, run to EOF
+    # second incarnation: load, resume from the WAL position, run to EOF
     started = time.perf_counter()
     daemon = ScoringDaemon.load(
         world_dir, run_dir / "ckpt", config=DaemonConfig(max_staleness=16)

@@ -601,8 +601,9 @@ def cmd_stream_ingest(args: argparse.Namespace) -> int:
     snapshot + WAL replay) but drives it synchronously from a stream
     file instead of a socket: events are validated, windowed,
     compacted and applied through the WAL, with malformed/late/poison
-    records quarantined to the DLQ.  Re-running the command on the
-    same state directory resumes from the journaled offset, so a
+    records quarantined to the DLQ.  Each window's WAL record carries
+    the stream position, so re-running the command on the same
+    checkpoint resumes where the last committed window left off: a
     crashed or interrupted ingest just gets re-invoked.
     """
     from .serve import (
@@ -661,14 +662,14 @@ def cmd_stream_ingest(args: argparse.Namespace) -> int:
         wal_dir=args.wal_dir,
         config=config,
     )
-    state_dir = (
-        Path(args.state_dir)
-        if args.state_dir
+    dlq_dir = (
+        Path(args.dlq_dir)
+        if args.dlq_dir
         else Path(args.checkpoint_dir) / "stream"
     )
     ingestor = StreamIngestor(
         daemon,
-        state_dir,
+        dlq_dir,
         config=StreamConfig(
             window=args.window,
             max_lateness=args.max_lateness,
@@ -677,7 +678,6 @@ def cmd_stream_ingest(args: argparse.Namespace) -> int:
             flood_threshold=args.flood_threshold,
             apply_every=args.apply_every,
         ),
-        dlq_dir=args.dlq_dir,
         on_commit=probe.observe if probe is not None else None,
     )
     ingestor.ingest_file(events_path)
@@ -699,7 +699,7 @@ def cmd_stream_ingest(args: argparse.Namespace) -> int:
     )
     print(
         f"serving epoch {stats['epoch']} "
-        f"(state {state_dir}, resume offset {ingestor.resume_offset})"
+        f"(DLQ {dlq_dir}, resume offset {ingestor.resume_offset})"
     )
     if probe is not None:
         print("detection latency (events from onset to first catch):")
@@ -1302,17 +1302,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="core host list (default: <world>/core.hosts)",
     )
     p_sing.add_argument(
-        "--state-dir",
-        default=None,
-        help="ingestor journal directory; re-running with the same "
-        "state resumes from the recorded offset "
-        "(default: <checkpoint-dir>/stream)",
-    )
-    p_sing.add_argument(
         "--dlq-dir",
         default=None,
         help="dead-letter queue directory for quarantined records "
-        "(default: <state-dir>)",
+        "(default: <checkpoint-dir>/stream)",
     )
     p_sing.add_argument(
         "--wal-dir",
@@ -1401,8 +1394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sdlq.add_argument(
         "--dlq-dir",
         required=True,
-        help="dead-letter queue directory (the ingest --dlq-dir, or "
-        "its state directory)",
+        help="dead-letter queue directory (the ingest --dlq-dir, by "
+        "default <checkpoint-dir>/stream)",
     )
     p_sdlq.add_argument(
         "--limit",

@@ -176,11 +176,12 @@ class StreamError(ReproError):
     """Base class for streaming-ingestion failures.
 
     Covers the crawl-event pipeline (:mod:`repro.serve.stream`): a
-    malformed event, a window whose compacted delta is poison, a
-    journal that cannot be resumed.  Individual malformed *records*
-    are normally quarantined into the dead-letter queue rather than
-    raised — this family surfaces only where the ingestor itself
-    cannot continue.
+    malformed event, a window whose compacted delta is poison, an event
+    that falls in no window (a clock-skewed stream, or a source that no
+    longer matches the WAL position a resume restored).  Individual
+    malformed *records* are normally quarantined into the dead-letter
+    queue rather than raised — this family surfaces only where the
+    ingestor itself cannot continue.
     """
 
 

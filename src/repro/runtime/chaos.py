@@ -251,7 +251,10 @@ class ServeChaos:
     Faults fire **once per (kind, seq)** by default (``once=True``) so
     the retry after a planted fault succeeds; with ``once=False`` the
     fault repeats on every attempt, which is how the ingest circuit
-    breaker is driven open.
+    breaker is driven open.  A seq names a place in the WAL chain, not
+    one delta: after ``ScoringDaemon.quarantine_pending`` cuts a record,
+    the next append reuses its seq, and a ``once=False`` fault fires on
+    that record too.
     """
 
     def __init__(

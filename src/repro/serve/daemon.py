@@ -30,10 +30,12 @@ after :meth:`ScoringDaemon.quarantine_pending`, whose parent is no
 longer cached, builds cold once.
 
 Restart is replay: the WAL is recovered (torn tail truncated), the
-chain is deduped against the loaded solution snapshot's fingerprint
-(apply-then-crash never double-applies), and the pending suffix is
+world bundle is fast-forwarded structurally through the records the
+loaded solution snapshot already holds (located by its fingerprint, so
+apply-then-crash never double-applies), and the pending suffix is
 re-applied — deterministically, so the scores after replay are
-bitwise-identical to the ones a crash interrupted.
+bitwise-identical to the ones a crash interrupted.  The WAL is never
+pruned: it is the only link from the world bundle to the snapshot.
 """
 
 from __future__ import annotations
@@ -99,7 +101,6 @@ class DaemonConfig:
     max_staleness: int = 8
     circuit_threshold: int = 3
     retry_interval: float = 0.05
-    prune_every: int = 32
     batch_deltas: int = 1
 
     def __post_init__(self) -> None:
@@ -216,7 +217,6 @@ class ScoringDaemon:
         self._degraded_reason: Optional[str] = None
         self._stop = False
         self._worker: Optional[threading.Thread] = None
-        self._applied_since_prune = 0
         self.applies = 0
         self.apply_failures = 0
         self.degraded_applies = 0
@@ -272,8 +272,7 @@ class ScoringDaemon:
                     f"{stored_fp!r}) belongs to neither the world bundle "
                     f"(fingerprint {base_fp!r}) nor any delta chain the "
                     "wal can replay from it; the daemon is pointed at "
-                    "the wrong world or the wal was pruned past its "
-                    "base",
+                    "the wrong world or the wal is not the one it wrote",
                     expected=base_fp,
                     actual=stored_fp,
                 )
@@ -303,14 +302,7 @@ class ScoringDaemon:
         return daemon
 
     def _enqueue_replay(self, records, todo, dropped: int) -> None:
-        """Enqueue the unapplied suffix; catch the watermark up."""
-        applied_prefix = len(records) - len(todo)
-        if applied_prefix:
-            # the snapshot already contains these (crash before the
-            # watermark advanced); make the watermark catch up
-            last_applied = records[applied_prefix - 1].seq
-            if self.wal.applied_seq() < last_applied:
-                self.wal.mark_applied(last_applied)
+        """Enqueue the unapplied suffix."""
         tail = self.store.current.graph
         for record in todo:
             application = record.delta().apply(tail)
@@ -429,6 +421,8 @@ class ScoringDaemon:
         self,
         insertions: Optional[List[Tuple[int, int]]] = None,
         deletions: Optional[List[Tuple[int, int]]] = None,
+        *,
+        position: Optional[dict] = None,
     ) -> dict:
         """Accept one delta batch: validate, fsync to WAL, enqueue.
 
@@ -436,7 +430,9 @@ class ScoringDaemon:
         against the *tip* of the accepted chain — pending batches
         compose, and a duplicate submission fails validation the same
         way any conflicting delta does.  Acknowledged means durable:
-        the WAL append fsyncs before this returns.
+        the WAL append fsyncs before this returns.  ``position`` is the
+        caller's source position, stored in the same record
+        (:class:`~repro.serve.stream.StreamIngestor` resumes from it).
         """
         delta = GraphDelta(insertions or (), deletions or ())
         with self._lock:
@@ -460,9 +456,12 @@ class ScoringDaemon:
                     after,
                     [(int(u), int(v)) for u, v in delta.insertions],
                     [(int(u), int(v)) for u, v in delta.deletions],
+                    position,
                 )
             else:
-                record = self.wal.append(delta, parent=parent, after=after)
+                record = self.wal.append(
+                    delta, parent=parent, after=after, position=position
+                )
             self._pending.append(_Pending(record, application))
             self._tail = application.after
             self._cond.notify_all()
@@ -484,11 +483,13 @@ class ScoringDaemon:
         estimate fail on it.  Retrying forever would wedge the queue,
         so the poison suffix is abandoned wholesale: the pending queue
         is cleared, the accepted tip is reset to the current epoch's
-        graph, the breaker is healed, and the WAL watermark is advanced
-        past the dropped records (then pruned) so a restart does not
-        replay them.  The caller owns routing the dropped records to a
-        dead-letter queue; the daemon just keeps serving its current
-        epoch.
+        graph, the breaker is healed, and the dropped records are cut
+        off the WAL segment so a restart does not replay them; the
+        segment then ends at the last applied record, and the next
+        append chains from it.  The caller owns routing the dropped
+        records to a dead-letter queue; the daemon just keeps serving
+        its current epoch.  No apply may be running (the stream
+        ingestor drives the daemon synchronously).
 
         Returns the dropped records, oldest first (empty when nothing
         was pending).
@@ -499,13 +500,10 @@ class ScoringDaemon:
             self._tail = self.store.current.graph
             self._breaker = CircuitBreaker(self.config.circuit_threshold)
             self._degraded_reason = None
-        if self.wal is not None and dropped:
-            # forget the poison suffix durably: the watermark jumps past
-            # it and prune removes the records, so the next append's
-            # parent (the current epoch's fingerprint) restarts a clean
-            # chain that replay can anchor
-            self.wal.mark_applied(dropped[-1].seq)
-            self.wal.prune()
+            if self.wal is not None and dropped:
+                # under the lock: a submit appends under it too, so no
+                # record can land behind the cut
+                self.wal.cut(dropped[0].seq)
         tele = get_telemetry()
         if tele.enabled and dropped:
             tele.inc("serve.quarantines")
@@ -649,7 +647,7 @@ class ScoringDaemon:
             self._gauge_circuit()
             return False
 
-        # success: persist the solution, advance the watermark, dequeue
+        # success: persist the solution, dequeue
         if self.checkpoint_dir is not None:
             save_solution(
                 self.checkpoint_dir,
@@ -665,16 +663,11 @@ class ScoringDaemon:
                     "wal_seq": record.seq,
                 },
             )
-        if self.wal is not None:
-            # the watermark is monotone: the last coalesced seq covers
-            # every record the composed apply consumed
-            self.wal.mark_applied(record.seq)
         with self._lock:
             if self._pending and self._pending[0] is item:
                 for _ in items:
                     self._pending.popleft()
         self.applies += 1
-        self._applied_since_prune += len(items)
         # any success heals the breaker (a fresh instance: `opened` is
         # sticky once tripped)
         self._breaker = CircuitBreaker(config.circuit_threshold)
@@ -691,12 +684,6 @@ class ScoringDaemon:
             )
         self._gauge_staleness()
         self._gauge_circuit()
-        if (
-            self.wal is not None
-            and self._applied_since_prune >= config.prune_every
-        ):
-            self.wal.prune()
-            self._applied_since_prune = 0
         return True
 
     # ------------------------------------------------------------------

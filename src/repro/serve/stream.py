@@ -19,9 +19,9 @@ reordered, late, occasionally adversarial.  The ingestor's contract:
   :class:`~repro.graph.delta.GraphDelta` with
   :func:`~repro.graph.delta.compose_deltas` (insert-then-delete pairs
   cancel — window compaction *is* delta coalescing);
-* **apply** through the daemon's WAL, journaling source offsets and an
-  intent/state protocol so a crash at any point resumes exactly where
-  it left off — restart is bitwise-identical;
+* **apply** through the daemon's WAL, one record per window carrying
+  the ingestor's source position, so a crash at any point resumes
+  exactly where it left off — restart is bitwise-identical;
 * **quarantine poison at two levels**: a window whose compacted delta
   fails validation (``"poison-delta"``) never reaches the WAL; a
   window that is durable but unapplicable — both the warm and the cold
@@ -46,22 +46,22 @@ DLQ entry.
 
 Crash anatomy
 -------------
-The journal (``journal.jsonl``) holds two record kinds.  A ``state``
-record is the durable ingest position: consumed-id watermark + extras,
-the safe source byte offset (everything before it is consumed), the
-open-window boundaries and the flow-control state.  An ``intent``
-record precedes every daemon submit and names the fingerprint chain
-(``parent`` → ``after``) plus the event ids the window consumes.  On
-resume, intents after the last state are reconciled against the
-daemon's actual position: an intent whose ``after`` the daemon already
-reached (snapshot or WAL replay) is *adopted* — its ids are marked
-consumed without re-submitting — while intents the daemon never saw
-are simply dropped and their events re-read from the source.  Either
-way the replayed run converges to the same graph and bitwise-identical
-scores.  The only at-least-once artifact is the DLQ itself: a
-malformed line quarantined just before a crash may be quarantined
-again on resume (entries carry the source offset for dedup); scores
-are never affected.
+A window commits when its WAL record is durable, and that record is
+the ingestor's only durable state: it carries the *position* right
+after the window (see :meth:`StreamIngestor._checkpoint`) — the
+window's bounds and event ids, the consumed-id watermark + extras, the
+open windows' bounds, the flow-control state and the counters.  A new
+incarnation restores the newest record's position.  Records the daemon
+has not applied yet go through the same apply path a live run uses
+(poison among them is quarantined as ``"apply-failed"``).  The source
+is then re-read from the oldest open window's first line: lines the
+position had already decided only refill the open windows, and every
+later line is decided afresh — including windows that cancelled out
+or were quarantined after the record, and late or malformed lines.
+Decisions are deterministic, so the resumed run commits the same
+windows with bitwise-identical scores and ends with the same counters;
+the DLQ skips an entry identical to one it already holds, so a
+re-decided verdict is not written twice.
 
 See ``docs/streaming.md`` for the operator-facing runbook.
 """
@@ -72,7 +72,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from ..errors import DeltaError, StreamError, StreamEventError
 from ..graph.delta import GraphDelta, compose_deltas
@@ -84,7 +84,6 @@ __all__ = ["StreamConfig", "DeadLetterQueue", "StreamIngestor"]
 
 PathLike = Union[str, Path]
 
-JOURNAL_FILENAME = "journal.jsonl"
 DLQ_FILENAME = "dlq.jsonl"
 
 
@@ -132,13 +131,17 @@ class DeadLetterQueue:
     solve reject.  Window-level entries keep the quarantined event
     lines verbatim so an operator can inspect, repair and re-ingest
     them (re-ingesting an *unrepaired* quarantined window is a no-op on
-    scores — its ids are consumed).
+    scores: its ids are consumed, or it is quarantined again).
+
+    An append identical to an entry already in the queue apart from
+    its ``n`` is skipped: a restarted ingestor re-decides whatever
+    followed its last WAL record, and the same verdict recurs.
     """
 
-    def __init__(self, directory: PathLike, *, fsync: bool = True) -> None:
+    def __init__(self, directory: PathLike) -> None:
         self.directory = Path(directory)
-        self.fsync = fsync
-        self._count: Optional[int] = None
+        self._keys: Optional[Set[str]] = None
+        self._count = 0
 
     @property
     def path(self) -> Path:
@@ -154,9 +157,13 @@ class DeadLetterQueue:
         ids: Optional[List[int]] = None,
         window: Optional[Tuple[int, int]] = None,
         offset: Optional[int] = None,
-    ) -> dict:
-        """Durably quarantine one record (or one whole window)."""
-        entry: dict = {"n": len(self), "reason": reason}
+    ) -> Optional[dict]:
+        """Durably quarantine one record (or one whole window).
+
+        Returns the entry written, or ``None`` when an identical one is
+        already queued.
+        """
+        entry: dict = {"reason": reason}
         if detail:
             entry["detail"] = detail
         if line is not None:
@@ -169,13 +176,18 @@ class DeadLetterQueue:
             entry["window"] = [int(window[0]), int(window[1])]
         if offset is not None:
             entry["offset"] = int(offset)
+        keys = self._index()
+        key = _entry_key(entry)
+        if key in keys:
+            return None
+        entry = {"n": self._count, **entry}
         self.directory.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
             fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
-        self._count = len(self) + 1
+            os.fsync(fh.fileno())
+        keys.add(key)
+        self._count += 1
         tele = get_telemetry()
         if tele.enabled:
             tele.inc("stream.dlq")
@@ -188,25 +200,51 @@ class DeadLetterQueue:
 
     def entries(self) -> List[dict]:
         """Every parsable entry, in order (a torn tail is skipped)."""
-        if not self.path.exists():
-            return []
-        out: List[dict] = []
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    out.append(json.loads(raw))
-                except ValueError:
-                    # torn tail (crash mid-append): drop and stop
-                    break
-        return out
+        return _parse_entries(self._read())
+
+    def _read(self) -> bytes:
+        return self.path.read_bytes() if self.path.exists() else b""
+
+    def _index(self) -> Set[str]:
+        """The queued entries' keys, read once.  A torn tail is cut off
+        first (truncate, fsync), so the next append starts a line of
+        its own instead of gluing onto half a record."""
+        if self._keys is None:
+            raw = self._read()
+            whole = raw.rfind(b"\n") + 1
+            if whole < len(raw):
+                with open(self.path, "r+b") as fh:
+                    fh.truncate(whole)
+                    os.fsync(fh.fileno())
+            entries = _parse_entries(raw)
+            self._keys = {_entry_key(entry) for entry in entries}
+            self._count = len(entries)
+        return self._keys
 
     def __len__(self) -> int:
-        if self._count is None:
-            self._count = len(self.entries())
+        self._index()
         return self._count
+
+
+def _parse_entries(raw: bytes) -> List[dict]:
+    """The entries on the whole lines of ``raw`` (a torn tail has no
+    newline; a line that does not parse is skipped)."""
+    out: List[dict] = []
+    for line in raw[: raw.rfind(b"\n") + 1].split(b"\n"):
+        try:
+            out.append(json.loads(line))
+        except ValueError:
+            continue  # blank, or a record glued onto a torn one
+    return out
+
+
+def _entry_key(entry: dict) -> str:
+    """An entry's identity: everything but its sequence number."""
+    return json.dumps(
+        {k: v for k, v in entry.items() if k != "n"},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
 
 
 class _IdTracker:
@@ -255,11 +293,11 @@ class StreamIngestor:
     ----------
     daemon:
         The scoring daemon to feed.  Must be quiescent (no background
-        worker) — the ingestor owns the submit/apply cadence.
-    state_dir:
-        Holds the journal (and, unless ``dlq_dir`` overrides it, the
-        dead-letter queue).  Point a restarted ingestor at the same
-        directory to resume.
+        worker) — the ingestor owns the submit/apply cadence.  A new
+        ingestor resumes from the newest position in the daemon's WAL,
+        so point a restarted one at the same checkpoint.
+    directory:
+        Holds the dead-letter queue (``dlq.jsonl``).
     on_commit:
         Optional hook called after every committed window with
         ``(info, epoch)`` — ``info`` has the window bounds, the ids it
@@ -271,22 +309,15 @@ class StreamIngestor:
     def __init__(
         self,
         daemon: ScoringDaemon,
-        state_dir: PathLike,
+        directory: PathLike,
         *,
         config: Optional[StreamConfig] = None,
-        dlq_dir: Optional[PathLike] = None,
         on_commit: Optional[Callable[[dict, object], None]] = None,
-        fsync: bool = True,
     ) -> None:
         self.daemon = daemon
         self.config = config if config is not None else StreamConfig()
-        self.state_dir = Path(state_dir)
-        self.state_dir.mkdir(parents=True, exist_ok=True)
-        self.dlq = DeadLetterQueue(
-            dlq_dir if dlq_dir is not None else self.state_dir, fsync=fsync
-        )
+        self.dlq = DeadLetterQueue(directory)
         self.on_commit = on_commit
-        self.fsync = fsync
         self._num_nodes = daemon.store.current.graph.num_nodes
         self._tracker = _IdTracker()
         self._windows: List[_Window] = []
@@ -297,9 +328,12 @@ class StreamIngestor:
         self._max_ts = -1
         self._position = 0  # byte offset past the last line ingest_file read
         self._flooded = False
+        # after a resume: source offset below which every line was
+        # already decided, so ingest_file only refills the open windows
+        self._refill_until: Optional[int] = None
         # windows submitted to the daemon but not yet applied
         self._inflight: List[dict] = []
-        # counters (monotone over the life of the *state*, journaled)
+        # counters (monotone over the stream, restored on resume)
         self.events_consumed = 0
         self.duplicates = 0
         self.late = 0
@@ -309,34 +343,8 @@ class StreamIngestor:
         self._resume()
 
     # ------------------------------------------------------------------
-    # journal
+    # position
     # ------------------------------------------------------------------
-
-    @property
-    def journal_path(self) -> Path:
-        return self.state_dir / JOURNAL_FILENAME
-
-    def _journal_append(self, obj: dict) -> None:
-        with open(self.journal_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
-
-    def _journal_read(self) -> List[dict]:
-        if not self.journal_path.exists():
-            return []
-        out: List[dict] = []
-        with open(self.journal_path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    out.append(json.loads(raw))
-                except ValueError:
-                    break  # torn tail: everything before it is fsynced
-        return out
 
     def _safe_offset(self) -> int:
         """Largest offset below which every source line is consumed."""
@@ -348,39 +356,56 @@ class StreamIngestor:
         ]
         return min(offsets) if offsets else self._position
 
-    def _state_entry(self) -> dict:
+    def _checkpoint(self, window: _Window, ids: List[int]) -> dict:
+        """The position a window's WAL record commits.
+
+        Taken while the window is being sealed, after its ids are
+        consumed: everything needed to pick the stream up right after
+        it.  ``offset`` is where a resume re-reads from (the open
+        windows' first line); lines before ``read`` were already
+        decided.  The counters count this window as committed — the
+        record is its commit.
+        """
         return {
-            "k": "state",
+            "window": [window.start, window.end],
+            "ids": ids,
             **self._tracker.as_dict(),
             "offset": self._safe_offset(),
+            "read": self._position,
             "max_ts": self._max_ts,
             "next_start": self._next_start,
             "cw": self._cw,
+            "flooded": self._flooded,
             "sealed_until": self._sealed_until,
             "windows": [[w.start, w.end] for w in self._windows],
             "counters": [
-                self.events_consumed,
+                self.events_consumed + len(ids),
                 self.duplicates,
                 self.late,
                 self.malformed,
-                self.windows_committed,
+                self.windows_committed + 1,
                 self.windows_quarantined,
             ],
         }
 
-    def _journal_state(self) -> None:
-        self._journal_append(self._state_entry())
-
-    def _restore_state(self, state: dict) -> None:
-        self._tracker = _IdTracker(state["wm"], state["extra"])
-        self._position = int(state["offset"])
-        self._max_ts = int(state["max_ts"])
-        self._next_start = int(state["next_start"])
-        self._cw = int(state["cw"])
-        self._sealed_until = int(state["sealed_until"])
-        self._windows = [
-            _Window(int(s), int(e)) for s, e in state["windows"]
-        ]
+    def _resume(self) -> None:
+        """Pick the stream up at the newest position in the daemon's WAL."""
+        if self.daemon.wal is None:
+            return
+        records, _ = self.daemon.wal.recover(repair=False)
+        records = [r for r in records if r.position is not None]
+        if not records:
+            return
+        pos = records[-1].position
+        self._tracker = _IdTracker(pos["wm"], pos["extra"])
+        self._position = int(pos["offset"])
+        self._refill_until = int(pos["read"])
+        self._max_ts = int(pos["max_ts"])
+        self._next_start = int(pos["next_start"])
+        self._cw = int(pos["cw"])
+        self._flooded = bool(pos["flooded"])
+        self._sealed_until = int(pos["sealed_until"])
+        self._windows = [_Window(int(s), int(e)) for s, e in pos["windows"]]
         (
             self.events_consumed,
             self.duplicates,
@@ -388,86 +413,28 @@ class StreamIngestor:
             self.malformed,
             self.windows_committed,
             self.windows_quarantined,
-        ) = (int(c) for c in state["counters"])
-
-    def _resume(self) -> None:
-        """Reconcile the journal with the daemon's actual position."""
-        entries = self._journal_read()
-        if not entries:
-            return
-        last_state = None
-        intents: List[dict] = []
-        for entry in entries:
-            if entry.get("k") == "state":
-                last_state = entry
-                intents = []
-            elif entry.get("k") == "intent":
-                intents.append(entry)
-        if last_state is not None:
-            self._restore_state(last_state)
-        if not intents:
-            return
-        # the daemon may hold the intents' records as a WAL-replay
-        # suffix (crash between submit and apply): folding them in now
-        # is exactly what the crashed run would have done next
-        if self.daemon.staleness:
-            self.daemon.apply_pending()
-            if self.daemon.staleness:
-                # the replayed suffix is poison even on restart: abandon
-                # it now, exactly as the crashed run eventually would
-                dropped = self.daemon.quarantine_pending()
-                dropped_after = {record.after for record in dropped}
-                for intent in intents:
-                    if intent["after"] not in dropped_after:
-                        continue
-                    for event_id in intent["ids"]:
-                        self._tracker.consume(int(event_id))
-                    self.events_consumed += len(intent["ids"])
-                    self.windows_quarantined += 1
-                    self.dlq.append(
-                        "apply-failed",
-                        detail=(
-                            "warm and cold re-estimates both failed on "
-                            "WAL replay; window abandoned at resume"
-                        ),
-                        ids=[int(i) for i in intent["ids"]],
-                        window=tuple(intent.get("window", (0, 0))),
-                    )
-                intents = [
-                    i for i in intents if i["after"] not in dropped_after
-                ]
-        tip = self.daemon.store.current.fingerprint
-        adopted: List[dict] = []
-        if intents and tip != intents[0]["parent"]:
-            matched = None
-            for i, intent in enumerate(intents):
-                if intent["after"] == tip:
-                    matched = i
-                    break
-            if matched is None:
-                raise StreamError(
-                    f"journal and daemon disagree: daemon is at "
-                    f"{tip!r}, which matches no journaled intent "
-                    f"(base {intents[0]['parent']!r}); the state "
-                    "directory belongs to a different daemon history"
-                )
-            adopted = intents[: matched + 1]
-        for intent in adopted:
-            for event_id in intent["ids"]:
-                self._tracker.consume(int(event_id))
-            self.events_consumed += len(intent["ids"])
-            self.windows_committed += 1
-        # seal the reconciled intents off behind a fresh state record so
-        # a second resume never re-examines them
-        self._journal_state()
+        ) = (int(c) for c in pos["counters"])
+        # the records the daemon has not applied are this ingestor's
+        # in-flight windows: apply them as the crashed run would have
+        applied = self.daemon.store.current.wal_seq
+        self._inflight = [
+            {
+                "seq": r.seq,
+                "window": tuple(r.position["window"]),
+                "ids": r.position["ids"],
+            }
+            for r in records
+            if r.seq > applied
+        ]
         tele = get_telemetry()
         if tele.enabled:
             tele.event(
                 "stream.resumed",
-                adopted=len(adopted),
-                dropped_intents=len(intents) - len(adopted),
+                seq=records[-1].seq,
+                pending=len(self._inflight),
                 offset=self._position,
             )
+        self._apply_inflight()
 
     # ------------------------------------------------------------------
     # ingestion
@@ -526,7 +493,7 @@ class StreamIngestor:
         self._seal_ready()
 
     def ingest_file(self, path: PathLike) -> dict:
-        """Ingest a JSONL stream file from the journaled resume offset.
+        """Ingest a JSONL stream file from the resume offset.
 
         Returns :meth:`stats`.  Call :meth:`flush` afterwards to seal
         the stream's tail windows (end-of-stream has no watermark).
@@ -535,6 +502,14 @@ class StreamIngestor:
         with open(path, "rb") as fh:
             fh.seek(self._position)
             while True:
+                if (
+                    self._refill_until is not None
+                    and fh.tell() >= self._refill_until
+                ):
+                    # caught up with the resumed position: finish the
+                    # sealing its window's record interrupted
+                    self._refill_until = None
+                    self._seal_ready()
                 start = fh.tell()
                 raw = fh.readline()
                 if not raw:
@@ -544,17 +519,32 @@ class StreamIngestor:
                     # for the next pass rather than DLQ half a record
                     break
                 self._position = fh.tell()
-                self.ingest_line(
-                    raw.decode("utf-8", errors="replace"), offset=start
-                )
+                line = raw.decode("utf-8", errors="replace")
+                if self._refill_until is None:
+                    self.ingest_line(line, offset=start)
+                else:
+                    self._refill(line, start)
         return self.stats()
+
+    def _refill(self, raw: str, offset: int) -> None:
+        """Re-place a line the resumed position had already decided.
+
+        Only an event still buffered in an open window counts; no
+        counter, DLQ entry, flow-control step or seal is repeated.
+        """
+        try:
+            event = parse_event_line(raw.strip(), num_nodes=self._num_nodes)
+        except StreamEventError:
+            return
+        seen = self._tracker.seen(event.id) or event.id in self._buffered_ids
+        if not seen:
+            self._place(event, offset)
 
     def flush(self) -> None:
         """Seal and commit every open window (end-of-stream)."""
         while self._windows:
             self._seal_oldest()
         self._apply_inflight()
-        self._journal_state()
         tele = get_telemetry()
         if tele.enabled:
             tele.set_gauge("stream.open_windows", 0)
@@ -647,8 +637,6 @@ class StreamIngestor:
             self._seal_oldest()
         while len(self._windows) > self.config.max_pending_windows:
             self._seal_oldest()
-        if self._inflight and len(self._inflight) >= self.config.apply_every:
-            self._apply_inflight()
         tele = get_telemetry()
         if tele.enabled:
             tele.set_gauge("stream.open_windows", len(self._windows))
@@ -687,7 +675,6 @@ class StreamIngestor:
             ids=ids,
             window=(window.start, window.end),
         )
-        self._journal_state()
         tele = get_telemetry()
         if tele.enabled:
             tele.event(
@@ -714,41 +701,30 @@ class StreamIngestor:
         except DeltaError as exc:
             self._quarantine_window(window, "poison-delta", str(exc))
             return
-        if len(delta) == 0:
-            # the window cancelled itself out — nothing to apply
-            self._consume_window(window)
-            self.events_consumed += len(ids)
-            self.windows_committed += 1
-            self._journal_state()
-            return
-        parent = self.daemon._tail.structural_fingerprint()
-        after = delta.derive_fingerprint(self.daemon._tail)
-        self._journal_append(
-            {
-                "k": "intent",
-                "parent": parent,
-                "after": after,
-                "ids": ids,
-                "window": [window.start, window.end],
-            }
-        )
-        try:
-            self.daemon.submit_delta(
-                list(delta.insertions), list(delta.deletions)
-            )
-        except DeltaError as exc:
-            # structurally poison against the accepted tip: the submit
-            # validated before the WAL append, nothing is durable
-            self._quarantine_window(window, "poison-delta", str(exc))
-            return
         self._consume_window(window)
-        self._inflight.append(
-            {
-                "window": (window.start, window.end),
-                "ids": ids,
-                "after": after,
-            }
-        )
+        if len(delta):
+            try:
+                ack = self.daemon.submit_delta(
+                    list(delta.insertions),
+                    list(delta.deletions),
+                    position=self._checkpoint(window, ids),
+                )
+            except DeltaError as exc:
+                # structurally poison against the accepted tip: the
+                # submit validated before the WAL append, nothing is
+                # durable
+                self._quarantine_window(window, "poison-delta", str(exc))
+                return
+            self._inflight.append(
+                {
+                    "seq": ack["seq"],
+                    "window": (window.start, window.end),
+                    "ids": ids,
+                }
+            )
+        # else the window cancelled itself out — nothing to apply
+        self.events_consumed += len(ids)
+        self.windows_committed += 1
         if len(self._inflight) >= self.config.apply_every:
             self._apply_inflight()
 
@@ -757,35 +733,30 @@ class StreamIngestor:
         if not self._inflight:
             return
         self.daemon.apply_pending()
+        dropped = set()
         if self.daemon.staleness:
             # some suffix of the inflight windows is durable but
             # unapplicable (warm AND cold both failed): abandon it,
             # keep serving the epoch the prefix reached
-            dropped = self.daemon.quarantine_pending()
-            dropped_after = {record.after for record in dropped}
-            survivors: List[dict] = []
-            for entry in self._inflight:
-                if entry["after"] in dropped_after:
-                    self.windows_quarantined += 1
-                    self.dlq.append(
-                        "apply-failed",
-                        detail=(
-                            "warm and cold re-estimates both failed; "
-                            "window abandoned via quarantine_pending"
-                        ),
-                        ids=entry["ids"],
-                        window=entry["window"],
-                    )
-                else:
-                    survivors.append(entry)
-            applied = survivors
-        else:
-            applied = self._inflight
+            dropped = {r.seq for r in self.daemon.quarantine_pending()}
         epoch = self.daemon.store.current
-        for entry in applied:
-            self.events_consumed += len(entry["ids"])
-            self.windows_committed += 1
-            tele = get_telemetry()
+        tele = get_telemetry()
+        applied: List[dict] = []
+        for entry in self._inflight:
+            if entry["seq"] in dropped:
+                self.windows_committed -= 1
+                self.windows_quarantined += 1
+                self.dlq.append(
+                    "apply-failed",
+                    detail=(
+                        "warm and cold re-estimates both failed; "
+                        "window abandoned via quarantine_pending"
+                    ),
+                    ids=entry["ids"],
+                    window=entry["window"],
+                )
+                continue
+            applied.append(entry)
             if tele.enabled:
                 tele.inc("stream.windows")
                 tele.event(
@@ -795,11 +766,7 @@ class StreamIngestor:
                     events=len(entry["ids"]),
                     epoch=epoch.seq,
                 )
-        quarantined = [e for e in self._inflight if e not in applied]
-        for entry in quarantined:
-            self.events_consumed += len(entry["ids"])
         self._inflight = []
-        self._journal_state()
         if self.on_commit is not None:
             for entry in applied:
                 info = {

@@ -14,16 +14,22 @@ Format
 One append-only segment, ``wal.jsonl``, one JSON record per line::
 
     {"seq": 3, "parent": "<fp>", "after": "<fp>", "ins": [[u, v], ...],
-     "dels": [[u, v], ...], "crc": 123456}
+     "dels": [[u, v], ...], "pos": {...}, "crc": 123456}
 
 ``parent``/``after`` are the structural fingerprints of the graph
 before and after the delta (``after`` is derived in O(|delta|) via
 :meth:`~repro.graph.delta.GraphDelta.derive_fingerprint` — the
-commutative edge digest).  ``crc`` is a zlib CRC-32 over the canonical
-payload; every append is flushed and fsynced before the record is
-acknowledged.  A sidecar ``applied.json`` holds the apply watermark,
-written atomically *after* the re-estimated solution snapshot is
-durable.
+commutative edge digest).  ``pos`` is optional and opaque to the log:
+the stream ingestor's source position after the window this delta
+compacts (:class:`~repro.serve.stream.StreamIngestor` resumes from the
+newest one), so one record is a window's only commit point.  ``crc``
+is a zlib CRC-32 over the canonical payload, ``pos`` included; every
+append is flushed and fsynced before the record is acknowledged.
+
+There is no apply watermark and no pruning.  The segment keeps every
+delta since the world bundle, so the chain always links the bundle to
+whatever snapshot the daemon saved; what is applied is what the
+snapshot's fingerprint says (:func:`plan_replay`).
 
 Crash anatomy
 -------------
@@ -31,12 +37,10 @@ Crash anatomy
   Recovery truncates the segment back to the last good record (the
   un-acknowledged delta is simply gone, which is correct — the client
   never got an ack) and reports how many bytes were dropped.
-* **Crash between apply and watermark write**: the record is fully in
-  the log but ``applied.json`` still names its predecessor.  Replay
-  dedupes by fingerprint — the delta chain is walked from its first
-  record, and every record whose chained ``after`` has already been
-  folded into the live snapshot fingerprint is skipped.  Applying the
-  same segment twice is therefore a no-op.
+* **Crash between apply and the next save**: the snapshot names some
+  record's ``after`` inside the chain.  Replay walks the chain from its
+  first record and skips every record up to that fingerprint, so
+  applying the same segment twice is a no-op.
 * **Corruption in the middle of the segment**: never tolerated —
   recovery raises :class:`~repro.errors.WalError` rather than silently
   skipping history (which would desynchronize the replay chain).
@@ -60,21 +64,25 @@ __all__ = ["WalRecord", "DeltaWAL", "plan_replay"]
 PathLike = Union[str, Path]
 
 SEGMENT_FILENAME = "wal.jsonl"
-WATERMARK_FILENAME = "applied.json"
 
 
-def _payload_crc(seq: int, parent: str, after: str, ins, dels) -> int:
+def _payload_crc(
+    seq: int, parent: str, after: str, ins, dels, pos: Optional[dict]
+) -> int:
     """CRC-32 of the canonical record payload (everything but the crc)."""
-    canonical = json.dumps(
-        [seq, parent, after, ins, dels], separators=(",", ":")
-    )
+    payload = [seq, parent, after, ins, dels]
+    if pos is not None:
+        payload.append(pos)
+    canonical = json.dumps(payload, separators=(",", ":"), sort_keys=True)
     return zlib.crc32(canonical.encode("utf-8"))
 
 
 class WalRecord:
-    """One durable delta: its sequence number and fingerprint chain."""
+    """One durable delta: its sequence number, fingerprint chain and
+    the optional ingestor position it commits."""
 
-    __slots__ = ("seq", "parent", "after", "insertions", "deletions")
+    __slots__ = ("seq", "parent", "after", "insertions", "deletions",
+                 "position")
 
     def __init__(
         self,
@@ -83,12 +91,14 @@ class WalRecord:
         after: str,
         insertions: List[Tuple[int, int]],
         deletions: List[Tuple[int, int]],
+        position: Optional[dict] = None,
     ) -> None:
         self.seq = seq
         self.parent = parent
         self.after = after
         self.insertions = [(int(u), int(v)) for u, v in insertions]
         self.deletions = [(int(u), int(v)) for u, v in deletions]
+        self.position = position
 
     def delta(self) -> GraphDelta:
         """Materialize the :class:`GraphDelta` this record carries."""
@@ -102,13 +112,13 @@ class WalRecord:
 
 
 class DeltaWAL:
-    """Append-only delta log with torn-tail recovery and a watermark.
+    """Append-only delta log with torn-tail recovery.
 
     Parameters
     ----------
     directory:
         Log directory; created on first append.  Holds the segment
-        (``wal.jsonl``) and the apply watermark (``applied.json``).
+        (``wal.jsonl``).
     fsync:
         Whether appends fsync before acknowledging (the default; tests
         that simulate torn writes turn it off to control the file tail
@@ -119,32 +129,32 @@ class DeltaWAL:
         self.directory = Path(directory)
         self.fsync = fsync
         self._last_seq: Optional[int] = None
-        # serializes append/recover/prune/watermark: prune's atomic
-        # rewrite (tmp + replace) would otherwise clobber a record a
-        # concurrent append just acknowledged into the old segment
+        # serializes append/recover/cut on the one segment file
         self._mutex = threading.RLock()
 
     @property
     def segment_path(self) -> Path:
         return self.directory / SEGMENT_FILENAME
 
-    @property
-    def watermark_path(self) -> Path:
-        return self.directory / WATERMARK_FILENAME
-
     # ------------------------------------------------------------------
     # appending
     # ------------------------------------------------------------------
 
     def append(
-        self, delta: GraphDelta, *, parent: str, after: str
+        self,
+        delta: GraphDelta,
+        *,
+        parent: str,
+        after: str,
+        position: Optional[dict] = None,
     ) -> WalRecord:
         """Durably append one delta; returns the record (with its seq).
 
         The caller supplies the fingerprint chain — ``parent`` is the
         fingerprint of the graph the delta applies to, ``after`` the
         derived fingerprint of the result — so replay can dedupe and
-        divergence-check without re-deriving anything.
+        divergence-check without re-deriving anything.  ``position``
+        (any JSON object) is stored in the record under its CRC.
         """
         with self._mutex:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -160,8 +170,12 @@ class DeltaWAL:
                 "after": after,
                 "ins": ins,
                 "dels": dels,
-                "crc": _payload_crc(seq, parent, after, ins, dels),
             }
+            if position is not None:
+                record["pos"] = position
+            record["crc"] = _payload_crc(
+                seq, parent, after, ins, dels, position
+            )
             line = json.dumps(record, separators=(",", ":")) + "\n"
             with open(self.segment_path, "a", encoding="utf-8") as fh:
                 fh.write(line)
@@ -178,7 +192,7 @@ class DeltaWAL:
                 insertions=len(ins),
                 deletions=len(dels),
             )
-        return WalRecord(seq, parent, after, ins, dels)
+        return WalRecord(seq, parent, after, ins, dels, position)
 
     # ------------------------------------------------------------------
     # recovery
@@ -199,39 +213,11 @@ class DeltaWAL:
             if not path.exists():
                 return [], 0
             raw = path.read_bytes()
-            records: List[WalRecord] = []
-            offset = 0
-            good_end = 0
-            torn = False
-            while offset < len(raw):
-                newline = raw.find(b"\n", offset)
-                end = len(raw) if newline < 0 else newline + 1
-                line = raw[offset:end]
-                record = self._parse_line(line)
-                if record is None:
-                    if end < len(raw):
-                        raise WalError(
-                            f"{path}: corrupt record at byte {offset} "
-                            "with further records after it — the log and "
-                            "its history disagree; refusing to replay"
-                        )
-                    torn = True
-                    break
-                if records and record.seq != records[-1].seq + 1:
-                    raise WalError(
-                        f"{path}: sequence gap ({records[-1].seq} -> "
-                        f"{record.seq}); refusing to replay"
-                    )
-                records.append(record)
-                offset = end
-                good_end = end
-            dropped = len(raw) - good_end if torn else 0
-            if torn and repair and dropped:
-                with open(path, "r+b") as fh:
-                    fh.truncate(good_end)
-                    fh.flush()
-                    if self.fsync:
-                        os.fsync(fh.fileno())
+            records, ends = self._scan(raw)
+            good_end = ends[-1] if ends else 0
+            dropped = len(raw) - good_end
+            if repair and dropped:
+                self._truncate(good_end)
                 tele = get_telemetry()
                 if tele.enabled:
                     tele.inc("serve.wal.torn_tails")
@@ -242,6 +228,54 @@ class DeltaWAL:
                     )
             self._last_seq = records[-1].seq if records else 0
             return records, dropped
+
+    def cut(self, seq: int) -> None:
+        """Drop record ``seq`` and every later one (truncate, fsync).
+
+        The next append reuses ``seq``, so the segment stays gap-free
+        and its fingerprint chain links as before the cut records were
+        appended.
+        """
+        with self._mutex:
+            records, ends = self._scan(self.segment_path.read_bytes())
+            keep = sum(1 for record in records if record.seq < seq)
+            self._truncate(ends[keep - 1] if keep else 0)
+            self._last_seq = records[keep - 1].seq if keep else 0
+
+    def _scan(self, raw: bytes) -> Tuple[List[WalRecord], List[int]]:
+        """Parse ``raw``; returns the good records and each one's end
+        offset (a torn last line is left out)."""
+        records: List[WalRecord] = []
+        ends: List[int] = []
+        offset = 0
+        while offset < len(raw):
+            newline = raw.find(b"\n", offset)
+            end = len(raw) if newline < 0 else newline + 1
+            record = self._parse_line(raw[offset:end])
+            if record is None:
+                if end < len(raw):
+                    raise WalError(
+                        f"{self.segment_path}: corrupt record at byte "
+                        f"{offset} with further records after it — the "
+                        "log and its history disagree; refusing to replay"
+                    )
+                break
+            if records and record.seq != records[-1].seq + 1:
+                raise WalError(
+                    f"{self.segment_path}: sequence gap "
+                    f"({records[-1].seq} -> {record.seq}); refusing to "
+                    "replay"
+                )
+            records.append(record)
+            ends.append(end)
+            offset = end
+        return records, ends
+
+    def _truncate(self, size: int) -> None:
+        with open(self.segment_path, "r+b") as fh:
+            fh.truncate(size)
+            if self.fsync:
+                os.fsync(fh.fileno())
 
     @staticmethod
     def _parse_line(line: bytes) -> Optional[WalRecord]:
@@ -255,77 +289,16 @@ class DeltaWAL:
             after = str(data["after"])
             ins = [(int(u), int(v)) for u, v in data["ins"]]
             dels = [(int(u), int(v)) for u, v in data["dels"]]
+            pos = data.get("pos")
             crc = int(data["crc"])
         except (ValueError, KeyError, TypeError):
             return None
         if crc != _payload_crc(
             seq, parent, after,
-            [[u, v] for u, v in ins], [[u, v] for u, v in dels],
+            [[u, v] for u, v in ins], [[u, v] for u, v in dels], pos,
         ):
             return None
-        return WalRecord(seq, parent, after, ins, dels)
-
-    # ------------------------------------------------------------------
-    # watermark
-    # ------------------------------------------------------------------
-
-    def applied_seq(self) -> int:
-        """The durable apply watermark (0 when nothing was applied)."""
-        path = self.watermark_path
-        if not path.exists():
-            return 0
-        try:
-            return int(json.loads(path.read_text(encoding="utf-8"))["seq"])
-        except (ValueError, KeyError, OSError):
-            # a torn watermark is survivable: replay dedupes by
-            # fingerprint, the watermark only short-circuits it
-            return 0
-
-    def mark_applied(self, seq: int) -> None:
-        """Atomically advance the watermark to ``seq``."""
-        with self._mutex:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            tmp = self.watermark_path.with_suffix(".json.tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps({"seq": int(seq)}))
-                fh.flush()
-                if self.fsync:
-                    os.fsync(fh.fileno())
-            os.replace(tmp, self.watermark_path)
-
-    def prune(self) -> int:
-        """Drop records at or below the watermark; returns how many.
-
-        Atomic rewrite (tmp + replace): a crash mid-prune leaves either
-        the old segment or the new one, never a partial file.
-        """
-        with self._mutex:
-            records, _ = self.recover()
-            watermark = self.applied_seq()
-            keep = [r for r in records if r.seq > watermark]
-            if len(keep) == len(records):
-                return 0
-            tmp = self.segment_path.with_suffix(".jsonl.tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for record in keep:
-                    ins = [[u, v] for u, v in record.insertions]
-                    dels = [[u, v] for u, v in record.deletions]
-                    fh.write(json.dumps({
-                        "seq": record.seq,
-                        "parent": record.parent,
-                        "after": record.after,
-                        "ins": ins,
-                        "dels": dels,
-                        "crc": _payload_crc(
-                            record.seq, record.parent, record.after,
-                            ins, dels
-                        ),
-                    }, separators=(",", ":")) + "\n")
-                fh.flush()
-                if self.fsync:
-                    os.fsync(fh.fileno())
-            os.replace(tmp, self.segment_path)
-            return len(records) - len(keep)
+        return WalRecord(seq, parent, after, ins, dels, pos)
 
 
 def plan_replay(
@@ -336,10 +309,9 @@ def plan_replay(
     Walks the chained fingerprints of ``records`` (each record's
     ``parent`` must equal its predecessor's ``after``) and locates the
     snapshot inside the chain: records *before* that point were already
-    folded into the snapshot (apply-then-crash-before-watermark) and
-    are skipped; records after it are returned in order.  This is what
-    makes replay idempotent — replaying a fully-applied segment returns
-    an empty plan.
+    folded into the snapshot and are skipped; records after it are
+    returned in order.  This is what makes replay idempotent —
+    replaying a fully-applied segment returns an empty plan.
 
     Raises
     ------

@@ -578,6 +578,7 @@ _REQUIRED = {
         ("serve", "--serve-workers", "2"),
         ("update", "--gamma", "0.85"),
         ("stream-ingest", "--gamma", "0.5"),
+        ("stream-ingest", "--state-dir", "s"),
     ],
 )
 def test_removed_solver_flags_are_usage_errors(command, flag, value, capsys):
@@ -589,8 +590,9 @@ def test_removed_solver_flags_are_usage_errors(command, flag, value, capsys):
     Monte-Carlo supervision), ``update`` and ``serve`` run one warm
     re-estimate with one cold fallback (no retry, deadline or degrade
     knobs), ``serve`` answers fast ops on each connection's reader (no
-    request worker pool to size), and γ comes from the stored
-    solution."""
+    request worker pool to size), γ comes from the stored solution, and
+    ``stream ingest`` keeps its position in the WAL (no journal
+    directory)."""
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args(
             _REQUIRED[command] + [flag] + ([] if value is None else [value])

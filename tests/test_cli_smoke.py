@@ -619,6 +619,7 @@ def test_stream_synth_ingest_dlq_round_trip(small_world_dir, tmp_path):
     assert ing.returncode == 0, ing.stderr
     assert "windows committed" in ing.stdout
     assert "1 malformed" in ing.stdout
+    assert f"(DLQ {ckpt / 'stream'}," in ing.stdout
     assert "detection latency" in ing.stdout
     assert "caught after" in ing.stdout
 
@@ -630,8 +631,10 @@ def test_stream_synth_ingest_dlq_round_trip(small_world_dir, tmp_path):
     assert dlq.returncode == 0, dlq.stderr
     assert "bad-json" in dlq.stdout
 
-    # re-running the same ingest resumes at EOF: a machine-readable
-    # no-op (same consumed count, no new windows)
+    # re-running the same ingest resumes from the last WAL record: a
+    # machine-readable no-op (same consumed count, no new windows, the
+    # torn record not dead-lettered twice)
+    queued = (ckpt / "stream" / "dlq.jsonl").read_bytes()
     again = run_cli(
         "stream", "ingest",
         "--world", str(small_world_dir),
@@ -644,6 +647,8 @@ def test_stream_synth_ingest_dlq_round_trip(small_world_dir, tmp_path):
     payload = json.loads(again.stdout)
     assert payload["stats"]["events_consumed"] == 300
     assert payload["stats"]["buffered"] == 0
+    assert payload["stats"]["malformed"] == 1
+    assert (ckpt / "stream" / "dlq.jsonl").read_bytes() == queued
 
 
 @pytest.mark.parametrize(

@@ -5,8 +5,9 @@ answer from one immutable epoch; an accepted delta is durable before
 it is acknowledged; a warm apply matches a cold re-solve; kill-mid-swap
 leaves readers on the previous epoch; repeated ingest failure opens the
 circuit and degrades to stale-reads-only (reads stay available); and a
-restart replays the WAL to bitwise-identical scores — including after
-a crash between apply and the watermark fsync.
+restart replays the WAL to bitwise-identical scores — after a crash
+between two applies, after any number of applies, and after a
+quarantine cut the dropped records off the log.
 """
 
 import gc
@@ -27,7 +28,7 @@ from repro.core.mass import estimate_spam_mass
 from repro.errors import InjectedFault, SnapshotMismatchError, WalError
 from repro.graph import write_graph_bundle, write_host_list
 from repro.perf import PagerankEngine
-from repro.runtime import save_solution
+from repro.runtime import load_solution, save_solution
 from repro.runtime.chaos import ServeChaos, truncate_wal_tail
 from repro.serve import (
     DaemonConfig,
@@ -254,9 +255,9 @@ def test_applied_deltas_match_cold_resolve(base, tmp_path):
 def test_batched_apply_coalesces_the_queue(base, tmp_path):
     """``batch_deltas=N`` drains N queued deltas per apply.
 
-    One composed warm solve covers the whole batch: the epoch/WAL
-    watermark jump to the last coalesced record, and scores match a
-    cold re-solve of the final graph.
+    One composed warm solve covers the whole batch: the epoch and the
+    saved snapshot jump to the last coalesced record, and scores match
+    a cold re-solve of the final graph.
     """
     graph, core, _ = base
     d = _daemon(base, tmp_path, batch_deltas=2)
@@ -267,7 +268,7 @@ def test_batched_apply_coalesces_the_queue(base, tmp_path):
     assert d.applies == 2
     assert d.staleness == 0
     assert d.store.current.wal_seq == 3
-    assert d.wal.applied_seq() == 3
+    assert load_solution(tmp_path / "ckpt").meta["wal_seq"] == 3
     cold = estimate_spam_mass(d.store.current.graph, core, gamma=GAMMA)
     assert np.abs(
         d.store.current.estimates.pagerank - cold.pagerank
@@ -316,7 +317,7 @@ def test_background_worker_applies(base, tmp_path):
             time.sleep(0.02)
         assert d.staleness == 0
         assert d.store.current.seq == 1
-        assert d.wal.applied_seq() == 1
+        assert load_solution(tmp_path / "ckpt").meta["wal_seq"] == 1
     finally:
         d.close()
 
@@ -360,11 +361,11 @@ def test_kill_mid_swap_keeps_previous_epoch(base, tmp_path):
     # readers still see the old epoch, the record is still pending
     assert d.store.current is before
     assert d.staleness == 1 and d.apply_failures == 1
-    assert d.wal.applied_seq() == 0
+    assert not (tmp_path / "ckpt").exists()  # nothing saved
     # the fault is spent; the retry lands the swap
     assert d._apply_one() is True
     assert d.store.current.seq == 1 and d.staleness == 0
-    assert d.wal.applied_seq() == 1
+    assert load_solution(tmp_path / "ckpt").meta["wal_seq"] == 1
 
 
 def test_repeated_failure_opens_circuit_then_heals(base, tmp_path):
@@ -618,22 +619,19 @@ def test_restart_replays_to_bitwise_identical_scores(base, world, tmp_path):
     reference = ref.store.current.estimates.pagerank.copy()
     reference_core = ref.store.current.estimates.core_pagerank.copy()
 
-    # crashing run: same deltas accepted, only two applied, and the
-    # watermark is rolled back to simulate a crash between apply #2
-    # and its watermark fsync
+    # crashing run: same deltas accepted, only two applied, then the
+    # crash
     ckpt2 = _fresh_ckpt(world, tmp_path / "b")
     d1 = ScoringDaemon.load(world_dir, ckpt2, wal_dir=tmp_path / "wal2")
     for ins, dels in DELTAS:
         d1.submit_delta(ins, dels)
     d1._apply_one()
     d1._apply_one()
-    d1.wal.mark_applied(1)
 
     d2 = ScoringDaemon.load(world_dir, ckpt2, wal_dir=tmp_path / "wal2")
     # the applied prefix was deduped by fingerprint, not re-applied
     assert d2.staleness == 1
     assert d2.store.current.seq == 0  # epoch numbering restarts per life
-    assert d2.wal.applied_seq() == 2  # watermark caught up
     # loaded scores are bitwise what the crashed instance had
     assert np.array_equal(
         d2.store.current.estimates.pagerank,
@@ -649,6 +647,80 @@ def test_restart_replays_to_bitwise_identical_scores(base, world, tmp_path):
     d3 = ScoringDaemon.load(world_dir, ckpt2, wal_dir=tmp_path / "wal2")
     assert d3.staleness == 0
     assert np.array_equal(d3.store.current.estimates.pagerank, reference)
+
+
+def _fresh_deltas(graph, count):
+    """``count`` single-edge insertions of edges the graph lacks."""
+    present = set(zip(
+        np.repeat(np.arange(graph.num_nodes), np.diff(graph.indptr)),
+        graph.indices,
+    ))
+    out = []
+    for u in range(graph.num_nodes):
+        for v in range(graph.num_nodes):
+            if u != v and (u, v) not in present and len(out) < count:
+                out.append(([(u, v)], []))
+    return out
+
+
+def _assert_restarts_at_the_snapshot(world_dir, ckpt, next_delta):
+    """A new life comes up at the saved snapshot, bitwise, with nothing
+    to replay, and applies the next delta."""
+    snapshot = load_solution(ckpt)
+    d = ScoringDaemon.load(world_dir, ckpt)
+    assert d.staleness == 0
+    assert d.store.current.fingerprint == snapshot.meta["fingerprint"]
+    assert np.array_equal(
+        d.store.current.estimates.pagerank, snapshot.scores[:, 0]
+    )
+    assert np.array_equal(
+        d.store.current.estimates.core_pagerank, snapshot.scores[:, 1]
+    )
+    d.submit_delta(*next_delta)
+    assert d.apply_pending() == 1
+    assert d.store.current.wal_seq == snapshot.meta["wal_seq"] + 1
+
+
+def test_restart_after_many_applies_with_the_default_config(
+    base, world, tmp_path
+):
+    """The WAL keeps every record since the world bundle: a restart
+    after more applies than any periodic cleanup would wait for still
+    links the bundle to the snapshot."""
+    graph, _, _ = base
+    world_dir, _ = world
+    ckpt = _fresh_ckpt(world, tmp_path)
+    deltas = _fresh_deltas(graph, 34)
+    d = ScoringDaemon.load(world_dir, ckpt, config=DaemonConfig())
+    for ins, dels in deltas[:33]:
+        d.submit_delta(ins, dels)
+        assert d.apply_pending() == 1
+    _assert_restarts_at_the_snapshot(world_dir, ckpt, deltas[33])
+    records, _ = DeltaWAL(ckpt / "wal").recover()
+    assert [r.seq for r in records] == list(range(1, 35))
+
+
+def test_restart_after_an_applied_then_a_quarantined_delta(
+    base, world, tmp_path
+):
+    """A quarantine cuts the dropped record off the segment, which then
+    ends at the last applied record; a restart comes up there."""
+    graph, _, _ = base
+    world_dir, _ = world
+    ckpt = _fresh_ckpt(world, tmp_path)
+    first, poison, after = _fresh_deltas(graph, 3)
+    d = ScoringDaemon.load(
+        world_dir, ckpt, chaos=ServeChaos(fail_apply_on=(2,), once=False)
+    )
+    d.submit_delta(*first)
+    assert d.apply_pending() == 1
+    applied = d.wal.segment_path.read_bytes()
+    d.submit_delta(*poison)
+    assert d.apply_pending() == 0
+    assert [r.seq for r in d.quarantine_pending()] == [2]
+    segment = d.wal.segment_path.read_bytes()
+    _assert_restarts_at_the_snapshot(world_dir, ckpt, after)
+    assert segment == applied
 
 
 def test_restart_repairs_torn_wal_tail(base, world, tmp_path):

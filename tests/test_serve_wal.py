@@ -2,10 +2,10 @@
 
 The load-bearing claims under test: an acknowledged delta survives any
 crash (fsync-before-ack), a torn tail is repaired and never invents
-history, interior corruption refuses to replay, and — the ISSUE's
-satellite — applying the same WAL segment twice is a no-op, including
-after a simulated crash *between* applying a record and advancing the
-durable watermark.
+history, interior corruption refuses to replay, a record's position
+payload is covered by its CRC, a cut leaves a gap-free chain, and
+applying the same WAL segment twice is a no-op, including after a
+crash between applying a record and the next save.
 """
 
 import json
@@ -90,7 +90,7 @@ def test_replay_plan_full_and_empty(graph, chain):
     assert [r.seq for r in plan_replay(records, base)] == [1, 2, 3]
     # snapshot at the final record: double-apply is a no-op
     assert plan_replay(records, records[-1].after) == []
-    # snapshot mid-chain (crash between apply and watermark): the
+    # snapshot mid-chain (crash after applying the first record): the
     # applied prefix is skipped by fingerprint
     assert [r.seq for r in plan_replay(records, records[0].after)] == [2, 3]
 
@@ -151,28 +151,42 @@ def test_sequence_gap_refuses_to_replay(wal, chain):
         wal.recover()
 
 
-def test_watermark_round_trip_and_torn_watermark(wal, chain):
+def test_cut_drops_the_suffix_and_appends_reuse_its_seq(wal, chain):
+    """A cut truncates the segment at a record boundary; the next
+    append takes the first cut seq, so the log stays gap-free and its
+    chain links as before."""
     _fill(wal, chain)
-    assert wal.applied_seq() == 0
-    wal.mark_applied(2)
-    assert wal.applied_seq() == 2
-    # a torn watermark degrades to 0 — replay dedupes by fingerprint,
-    # so this only costs a fast re-plan, never correctness
-    wal.watermark_path.write_text('{"se')
-    assert wal.applied_seq() == 0
-
-
-def test_prune_drops_exactly_the_applied_prefix(wal, chain):
-    _fill(wal, chain)
-    wal.mark_applied(2)
-    assert wal.prune() == 2
-    records, _ = wal.recover()
-    assert [r.seq for r in records] == [3]
-    # pruning again is a no-op
-    assert wal.prune() == 0
-    # appends continue the original numbering
+    first_two = b"".join(
+        wal.segment_path.read_bytes().splitlines(keepends=True)[:2]
+    )
+    wal.cut(3)
+    assert wal.segment_path.read_bytes() == first_two
+    delta, parent, after = chain[2]
+    assert wal.append(delta, parent=parent, after=after).seq == 3
+    records, dropped = DeltaWAL(wal.directory).recover()
+    assert dropped == 0 and [r.seq for r in records] == [1, 2, 3]
+    assert plan_replay(records, chain[0][1]) == records
+    # cutting from the first record empties the segment
+    wal.cut(1)
+    assert wal.segment_path.read_bytes() == b""
     delta, parent, after = chain[0]
-    assert wal.append(delta, parent=parent, after=after).seq == 4
+    assert wal.append(delta, parent=parent, after=after).seq == 1
+
+
+def test_position_round_trips_under_the_crc(wal, chain):
+    """The optional position is stored in the record and covered by
+    its CRC: a flipped byte in it makes the record a torn tail."""
+    position = {"window": [0, 16], "ids": [3, 4], "flooded": False}
+    delta, parent, after = chain[0]
+    wal.append(delta, parent=parent, after=after, position=position)
+    records, _ = DeltaWAL(wal.directory).recover()
+    assert records[0].position == position
+    raw = wal.segment_path.read_bytes()
+    flipped = raw.replace(b'"ids":[3,4]', b'"ids":[3,5]')
+    assert flipped != raw
+    wal.segment_path.write_bytes(flipped)
+    records, dropped = wal.recover()
+    assert records == [] and dropped > 0
 
 
 def test_fsync_off_still_round_trips(tmp_path, chain):
@@ -187,3 +201,9 @@ def test_records_are_plain_json_lines(wal, chain):
         record = json.loads(line)
         assert set(record) == {"seq", "parent", "after", "ins", "dels",
                                "crc"}
+    # a record that carries a position adds exactly one key
+    delta, parent, after = chain[0]
+    wal.append(delta, parent=parent, after=after, position={"read": 0})
+    last = json.loads(wal.segment_path.read_text().splitlines()[-1])
+    assert set(last) == {"seq", "parent", "after", "ins", "dels", "pos",
+                         "crc"}

@@ -5,14 +5,16 @@ stream — torn lines with retransmits, duplicates, bounded reordering,
 late stragglers, one poisoned window, and a crash mid-ingest — must
 produce **bitwise-identical** scores to the clean sequence, with the
 poison quarantined to the DLQ under a typed reason while the daemon
-keeps serving.  Re-ingesting a quarantined window is a no-op on
-scores; a flood degrades the window size under backpressure and still
-converges to the same graph; a concurrent WAL prune never perturbs a
-batched apply; and the latency probe catches all three scripted
-temporal attacks.
+keeps serving.  A crash anywhere in the stream, flooded or not, resumes
+from the last WAL record to the uninterrupted run's scores and
+counters, at two fsyncs per committed window.  Re-ingesting a
+quarantined window is a no-op on scores; a flood degrades the window
+size under backpressure and still converges to the same graph; a
+batched run restarts at its own scores; and the latency probe catches
+all three scripted temporal attacks.
 """
 
-import threading
+import os
 
 import numpy as np
 import pytest
@@ -105,7 +107,9 @@ def _fresh_ckpt(world, tmp_path):
     return ckpt
 
 
-def _load(world, tmp_path, *, chaos=None, config=None, **stream_kw):
+def _load(
+    world, tmp_path, *, chaos=None, config=None, stream=None, **stream_kw
+):
     """A daemon + ingestor pair on a fresh checkpoint copy."""
     world_dir, _, _ = world
     daemon = ScoringDaemon.load(
@@ -115,7 +119,10 @@ def _load(world, tmp_path, *, chaos=None, config=None, **stream_kw):
         chaos=chaos,
     )
     ingestor = StreamIngestor(
-        daemon, tmp_path / "state", config=_stream_config(), **stream_kw
+        daemon,
+        tmp_path / "state",
+        config=stream or _stream_config(),
+        **stream_kw,
     )
     return daemon, ingestor
 
@@ -208,7 +215,7 @@ def test_chaos_crash_resume_bitwise(base, world, tmp_path, clean):
 
     daemon, ingestor = _load(world, tmp_path)
     # first incarnation: ingest ~60% of the bytes, then crash (no
-    # flush, no close — the journal and WAL are all that survives)
+    # flush, no close — the WAL is all that survives)
     raw = chaos_path.read_bytes()
     cut = len(raw) * 6 // 10
     with open(chaos_path, "rb") as fh:
@@ -221,7 +228,7 @@ def test_chaos_crash_resume_bitwise(base, world, tmp_path, clean):
             ingestor.ingest_line(line.decode(), offset=start)
     del daemon, ingestor
 
-    # second incarnation: same state dir, same file, runs to the end
+    # second incarnation: same checkpoint, same file, runs to the end
     world_dir, _, _ = world
     daemon = ScoringDaemon.load(
         world_dir, tmp_path / "ckpt", config=_daemon_config()
@@ -247,9 +254,197 @@ def test_chaos_crash_resume_bitwise(base, world, tmp_path, clean):
     assert stats["duplicates"] >= 4
 
 
+def _ingest_until(ingestor, path, stop):
+    """Feed whole lines as ``ingest_file`` does until ``stop(ingestor)``
+    holds after one; returns the byte offset reached.  Leaving off
+    there without a flush is the crash."""
+    with open(path, "rb") as fh:
+        while True:
+            start = fh.tell()
+            line = fh.readline()
+            if not line:
+                return start
+            ingestor._position = fh.tell()
+            ingestor.ingest_line(line.decode(), offset=start)
+            if stop(ingestor):
+                return fh.tell()
+
+
+def _resume(world, root, path, config):
+    """A new incarnation on ``root``'s checkpoint, run to the end."""
+    world_dir, _, _ = world
+    daemon = ScoringDaemon.load(
+        world_dir, root / "ckpt", config=_daemon_config()
+    )
+    ingestor = StreamIngestor(daemon, root / "state", config=config)
+    ingestor.ingest_file(path)
+    ingestor.flush()
+    return daemon, ingestor
+
+
+def _stream_stats(ingestor):
+    """Every counter but the epoch, which restarts with each daemon
+    life."""
+    stats = ingestor.stats()
+    del stats["epoch"]
+    return stats
+
+
+@pytest.mark.parametrize("apply_every", [1, 3])
+def test_crash_at_every_tenth_resumes_to_the_uninterrupted_run(
+    world, tmp_path, apply_every
+):
+    """A crash after any 10% of the stream's bytes resumes from the
+    last WAL record to the uninterrupted run's scores, bitwise, and to
+    its counters — ``duplicates`` included: lines the record's position
+    had already decided only refill the open windows."""
+    _, _, stream_path = world
+    config = _stream_config(apply_every=apply_every)
+    ref_root = tmp_path / "ref"
+    ref_root.mkdir()
+    daemon, ingestor = _load(world, ref_root, stream=config)
+    ingestor.ingest_file(stream_path)
+    ingestor.flush()
+    reference = daemon.store.current
+    expected = _stream_stats(ingestor)
+
+    size = stream_path.stat().st_size
+    for tenth in range(1, 10):
+        root = tmp_path / f"crash-{tenth}"
+        root.mkdir()
+        daemon, ingestor = _load(world, root, stream=config)
+        cut = size * tenth // 10
+        _ingest_until(ingestor, stream_path, lambda i: i._position >= cut)
+        del daemon, ingestor
+
+        daemon, ingestor = _resume(world, root, stream_path, config)
+        epoch = daemon.store.current
+        assert epoch.fingerprint == reference.fingerprint, tenth
+        assert np.array_equal(
+            epoch.estimates.pagerank, reference.estimates.pagerank
+        ), tenth
+        assert np.array_equal(
+            epoch.estimates.core_pagerank, reference.estimates.core_pagerank
+        ), tenth
+        assert _stream_stats(ingestor) == expected, tenth
+
+
+def test_flood_crash_resume_keeps_the_flood_state(base, world, tmp_path):
+    """A crash while a flood drains resumes flooded: the window keeps
+    recovering and the resumed run commits the uninterrupted run's
+    windows with its scores, bitwise."""
+    graph, core, _, _, _ = base
+    flood_stream = synthesize_stream(
+        graph, core=core, seed=5, num_events=260, attacks=(),
+        burst=(80, 120),
+    )
+    path = tmp_path / "flood.jsonl"
+    flood_stream.write(path)
+    config = StreamConfig(
+        window=16, max_lateness=8, min_window=2, flood_threshold=48
+    )
+
+    def drained_at_the_narrowest(ingestor):
+        return ingestor._cw == 2 and ingestor.buffered < 48 // 2
+
+    ref_root = tmp_path / "ref"
+    ref_root.mkdir()
+    daemon, ingestor = _load(world, ref_root, stream=config)
+    crash = _ingest_until(ingestor, path, drained_at_the_narrowest)
+    assert crash < path.stat().st_size, "the flood never drained at cw 2"
+    ingestor.ingest_file(path)
+    ingestor.flush()
+    reference = daemon.store.current
+    expected = _stream_stats(ingestor)
+
+    root = tmp_path / "crash"
+    root.mkdir()
+    daemon, ingestor = _load(world, root, stream=config)
+    _ingest_until(ingestor, path, lambda i: i._position >= crash)
+    assert ingestor._flooded
+    del daemon, ingestor
+
+    daemon, ingestor = _resume(world, root, path, config)
+    epoch = daemon.store.current
+    assert _stream_stats(ingestor) == expected
+    assert epoch.fingerprint == reference.fingerprint
+    assert np.array_equal(
+        epoch.estimates.pagerank, reference.estimates.pagerank
+    )
+
+
+def test_a_committed_window_costs_two_fsyncs(world, tmp_path, monkeypatch):
+    """The WAL append and the solution snapshot are a window's only
+    fsyncs; flush adds none of its own."""
+    calls = []
+    fsync = os.fsync
+
+    def counting(fd):
+        calls.append(fd)
+        fsync(fd)
+
+    daemon, ingestor = _load(world, tmp_path)
+    _, _, stream_path = world
+    monkeypatch.setattr(os, "fsync", counting)
+    ingestor.ingest_file(stream_path)
+    before_flush = (len(calls), ingestor.windows_committed)
+    ingestor.flush()
+    monkeypatch.undo()
+    committed = ingestor.stats()["windows_committed"]
+    records, _ = daemon.wal.recover(repair=False)
+    assert committed == len(records) > 0
+    assert len(calls) == 2 * committed
+    assert len(calls) - before_flush[0] == 2 * (committed - before_flush[1])
+
+
+def test_dlq_cuts_a_torn_tail_before_appending(tmp_path):
+    """An append after a crash mid-append starts a line of its own, so
+    every later entry stays visible; an identical verdict is not
+    written twice."""
+    DeadLetterQueue(tmp_path).append("late", line="a", ids=[1])
+    with open(tmp_path / "dlq.jsonl", "ab") as fh:
+        fh.write(b'{"n":1,"reason":"la')  # the crash
+    dlq = DeadLetterQueue(tmp_path)
+    dlq.append("bad-json", line="b")
+    dlq.append("bad-json", line="c")
+    assert [e["line"] for e in dlq.entries()] == ["a", "b", "c"]
+    assert [e["n"] for e in dlq.entries()] == [0, 1, 2]
+    assert len(dlq) == 3 and len(DeadLetterQueue(tmp_path)) == 3
+    raw = dlq.path.read_bytes()
+    assert DeadLetterQueue(tmp_path).append("bad-json", line="b") is None
+    assert dlq.path.read_bytes() == raw
+
+
+def test_second_ingest_over_a_finished_chaos_feed_is_a_noop(
+    base, world, tmp_path, clean
+):
+    """Re-running an ingest over a feed it finished re-decides only
+    what followed the last WAL record: no new epoch, the same counters,
+    and a byte-identical DLQ."""
+    chaos_path = tmp_path / "chaos.jsonl"
+    chaos_path.write_text("\n".join(_chaos_lines(base)) + "\n")
+    daemon, ingestor = _load(world, tmp_path)
+    ingestor.ingest_file(chaos_path)
+    ingestor.flush()
+    expected = _stream_stats(ingestor)
+    dlq = (tmp_path / "state" / "dlq.jsonl").read_bytes()
+
+    daemon, ingestor = _resume(world, tmp_path, chaos_path, _stream_config())
+    assert daemon.store.current.seq == 0
+    assert np.array_equal(
+        daemon.store.current.estimates.pagerank, clean["pagerank"]
+    )
+    assert (tmp_path / "state" / "dlq.jsonl").read_bytes() == dlq
+    assert _stream_stats(ingestor) == expected
+
+
 def test_dlq_replay_is_noop_on_scores(base, world, tmp_path, clean):
-    """Re-ingesting a quarantined window changes nothing: its event
-    ids are consumed, so every line is a duplicate."""
+    """Re-ingesting an unrepaired quarantined window changes nothing.
+
+    Its ids count as consumed only once a later window's WAL record
+    commits them.  The poisoned window is the stream's last, so a new
+    incarnation of the ingestor re-decides it: quarantined again, with
+    no new epoch and no new DLQ entry."""
     lines = _chaos_lines(base)
     chaos_path = tmp_path / "chaos.jsonl"
     chaos_path.write_text("\n".join(lines) + "\n")
@@ -261,10 +456,13 @@ def test_dlq_replay_is_noop_on_scores(base, world, tmp_path, clean):
     windows = [e for e in dlq.entries() if e["reason"] == "poison-delta"]
     assert len(windows) == 1 and windows[0]["lines"]
 
-    # replay through the *same* ingestor state (a new incarnation of
-    # it): the quarantined ids are consumed, so every line is a
-    # duplicate — the defining property that makes DLQ re-ingestion
-    # after an operator inspection safe by default
+    final = ingestor.stats()
+
+    # replay through a new incarnation of the ingestor: it resumes at
+    # the last committed window, so the quarantined lines are not
+    # duplicates — the window is re-decided, and poison stays poison.
+    # That is what makes DLQ re-ingestion after an operator inspection
+    # safe by default
     replayer = StreamIngestor(
         daemon, tmp_path / "state", config=_stream_config()
     )
@@ -278,11 +476,16 @@ def test_dlq_replay_is_noop_on_scores(base, world, tmp_path, clean):
     assert np.array_equal(
         epoch_after.estimates.pagerank, clean["pagerank"]
     )
-    assert after["duplicates"] - before["duplicates"] == len(
+    assert after["duplicates"] == before["duplicates"]
+    assert after["windows_committed"] == before["windows_committed"]
+    assert after["windows_quarantined"] == before["windows_quarantined"] + 1
+    assert after["events_consumed"] == before["events_consumed"] + len(
         windows[0]["lines"]
     )
-    assert after["windows_committed"] == before["windows_committed"]
-    assert after["events_consumed"] == before["events_consumed"]
+    assert after["dlq_entries"] == final["dlq_entries"]
+    for key in ("events_consumed", "windows_committed",
+                "windows_quarantined"):
+        assert after[key] == final[key], key
 
 
 def test_poison_window_quarantined_daemon_keeps_serving(
@@ -326,10 +529,13 @@ def test_apply_failure_quarantines_and_serving_survives(
     base, world, tmp_path
 ):
     """Both warm and cold solves rejecting a durable window must not
-    wedge the stream: the window is dead-lettered as 'apply-failed'
-    and the daemon keeps answering from the last good epoch."""
+    wedge the stream: the window is dead-lettered as 'apply-failed',
+    its record is cut off the WAL, the daemon keeps answering from the
+    last good epoch, and later windows commit."""
     graph, _, _, _, stream = base
-    chaos = ServeChaos(fail_apply_on=(1,), once=False)
+    # the whole first apply fails, before either solve runs; the fault
+    # fires once because the next window's record reuses the cut seq
+    chaos = ServeChaos(fail_apply_on=(1,))
     daemon, ingestor = _load(
         world,
         tmp_path,
@@ -341,9 +547,16 @@ def test_apply_failure_quarantines_and_serving_survives(
     ingestor.flush()
     entries = DeadLetterQueue(tmp_path / "state").entries()
     assert any(e["reason"] == "apply-failed" for e in entries)
-    assert ingestor.stats()["windows_quarantined"] >= 1
+    stats = ingestor.stats()
+    assert stats["windows_quarantined"] >= 1
     got = daemon.query_score(graph.name_of(3))
     assert got["host"] == graph.name_of(3)
+    assert stats["windows_committed"] > 0
+    assert daemon.store.current.seq == stats["windows_committed"]
+    records, _ = daemon.wal.recover(repair=False)
+    assert [r.seq for r in records] == list(
+        range(1, stats["windows_committed"] + 1)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -410,72 +623,43 @@ def test_flood_degrades_window_and_recovers(base, world, tmp_path):
 # ----------------------------------------------------------------------
 
 
-def test_concurrent_wal_prune_during_batched_apply(
-    base, world, tmp_path, clean
-):
-    """An aggressive pruner racing the batched stream apply never
-    perturbs the result: prune only drops records at or below the
-    applied watermark.
+def test_batched_run_restarts_at_its_scores(base, world, tmp_path, clean):
+    """A batched stream apply reaches the clean graph, its WAL keeps a
+    record per window, and a restart comes up at its scores bitwise
+    with nothing to replay.
 
-    Batching changes the warm-start trajectory, so the reference is
-    the *same* batched configuration without the pruner — those two
-    must be bitwise-identical (and both reach the clean final graph).
+    Batching changes the warm-start trajectory, so the reference for
+    the scores is the batched run itself, not the clean one.
     """
     world_dir, _, stream_path = world
-
-    def _batched_run(tag, with_pruner):
-        root = tmp_path / tag
-        root.mkdir()
-        daemon = ScoringDaemon.load(
-            world_dir,
-            _fresh_ckpt(world, root),
-            config=_daemon_config(batch_deltas=4),
-        )
-        ingestor = StreamIngestor(
-            daemon,
-            root / "state",
-            config=StreamConfig(window=16, max_lateness=8, apply_every=3),
-        )
-        stop = threading.Event()
-        errors = []
-
-        def _pruner():
-            while not stop.is_set():
-                try:
-                    daemon.wal.prune()
-                except Exception as exc:  # pragma: no cover
-                    errors.append(exc)
-                    return
-
-        thread = None
-        if with_pruner:
-            thread = threading.Thread(target=_pruner)
-            thread.start()
-        try:
-            ingestor.ingest_file(stream_path)
-            ingestor.flush()
-        finally:
-            if thread is not None:
-                stop.set()
-                thread.join(timeout=10)
-        assert not errors
-        return daemon
-
-    racy = _batched_run("racy", with_pruner=True)
-    quiet = _batched_run("quiet", with_pruner=False)
-    a, b = racy.store.current, quiet.store.current
-    assert a.graph.structural_fingerprint() == clean["fingerprint"]
-    assert (
-        a.graph.structural_fingerprint() == b.graph.structural_fingerprint()
+    daemon = ScoringDaemon.load(
+        world_dir,
+        _fresh_ckpt(world, tmp_path),
+        config=_daemon_config(batch_deltas=4),
     )
-    assert np.array_equal(a.estimates.pagerank, b.estimates.pagerank)
+    ingestor = StreamIngestor(
+        daemon,
+        tmp_path / "state",
+        config=StreamConfig(window=16, max_lateness=8, apply_every=3),
+    )
+    ingestor.ingest_file(stream_path)
+    ingestor.flush()
+    epoch = daemon.store.current
+    assert epoch.graph.structural_fingerprint() == clean["fingerprint"]
+    records, _ = daemon.wal.recover(repair=False)
+    assert len(records) == ingestor.stats()["windows_committed"]
+    assert epoch.wal_seq == records[-1].seq
+
+    restarted = ScoringDaemon.load(
+        world_dir, tmp_path / "ckpt", config=_daemon_config()
+    )
+    assert restarted.staleness == 0
+    again = restarted.store.current
+    assert again.fingerprint == epoch.fingerprint
+    assert np.array_equal(again.estimates.pagerank, epoch.estimates.pagerank)
     assert np.array_equal(
-        a.estimates.core_pagerank, b.estimates.core_pagerank
+        again.estimates.core_pagerank, epoch.estimates.core_pagerank
     )
-    # everything applied: a final prune empties the racy log entirely
-    racy.wal.prune()
-    records, _ = racy.wal.recover(repair=False)
-    assert records == []
 
 
 # ----------------------------------------------------------------------
