@@ -10,8 +10,9 @@ the claim on the ``WorldConfig.huge`` preset:
    block-partitioned shard store via the external bucket sort —
    ``build_huge_store`` never materializes the edge list.
 2. Run the full mass-estimation pipeline (`estimate_spam_mass`, two
-   batched PageRank solves) against the store through the shard-by-shard
-   block-Jacobi kernel.
+   batched PageRank solves) against the store: the engine gathers the
+   operator from the shards, one at a time, and holds it in memory for
+   the block-Jacobi solve, as it does for an in-memory graph.
 3. Shallow-verify the store (manifest digests composing to the
    fingerprint).
 
@@ -23,9 +24,11 @@ gate enforces three things against the committed baseline
 * the store fingerprint is **equal** — the streaming generator and the
   bucket-sort builder are deterministic by construction, so any drift
   is a correctness bug, not noise;
-* peak RSS stays under ``--max-rss-mb`` (an absolute cap: the point of
-  out-of-core is a memory ceiling, and a cap regression is exactly the
-  failure mode the backend exists to prevent);
+* peak RSS stays under ``--max-rss-mb`` (an absolute cap on the build
+  and the solve together: the out-of-core build keeps the edge list out
+  of memory, the solve holds the gathered operator, and a cap
+  regression is exactly the failure mode the backend exists to
+  prevent);
 * wall-clock stays within ``--factor`` of the baseline.
 
 Typical usage::
@@ -201,7 +204,8 @@ def main(argv=None):
         "--max-rss-mb",
         type=float,
         default=None,
-        help="absolute peak-RSS cap in MiB (the out-of-core guarantee)",
+        help="absolute peak-RSS cap in MiB of the out-of-core build "
+        "plus the in-memory solve",
     )
     args = parser.parse_args(argv)
 

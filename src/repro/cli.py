@@ -627,6 +627,14 @@ def cmd_stream_ingest(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    if args.apply_every > args.max_staleness + 1:
+        print(
+            "repro-spam stream ingest: error: --apply-every must not "
+            "exceed --max-staleness + 1 (the daemon refuses a window "
+            "once more than --max-staleness wait unapplied)",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     events_path = Path(args.events)
     probe = None
     if args.probe:
@@ -1358,7 +1366,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="sealed windows to accumulate before one batched apply "
-        "(default 1); must not exceed --max-pending-windows",
+        "(default 1); must not exceed --max-pending-windows or "
+        "--max-staleness + 1",
     )
     p_sing.add_argument("--rho", type=_finite_float, default=10.0)
     p_sing.add_argument("--tau", type=_finite_float, default=0.98)

@@ -3,8 +3,9 @@
 The paper's host graph (73.3M hosts, 979M edges — Section 4.1) does not
 fit the in-memory CSR model this library grew up on.  This module
 stores a graph as ``K`` contiguous node-range *shards* on disk and
-loads them lazily through a bounded LRU, so million-host worlds solve
-in bounded memory:
+loads them lazily through a bounded LRU, so million-host worlds are
+built and read in bounded memory (the solve holds the operator gathered
+from the shards in memory, as the in-memory path does):
 
 * shard ``k`` owns the node range ``[boundaries[k], boundaries[k+1])``
   and persists, in one ``.npz`` file, the local out-CSR of its sources
@@ -12,9 +13,9 @@ in bounded memory:
   transpose CSR of its destinations (``t_indptr`` / ``t_indices``,
   sources global, sorted ascending within each row) — the transpose
   blocks are exactly the row blocks of the PageRank operator ``Tᵀ``,
-  which is what makes shard-by-shard block Jacobi
+  which is what makes the operator gathered from them
   (:mod:`repro.perf.sharded`) *bitwise identical* to the in-memory
-  kernel;
+  one;
 * a JSON manifest records the partition, per-shard edge counts and
   per-shard edge digests.  The digest is the commutative splitmix64 sum
   of :func:`~repro.graph.webgraph.edge_digest`, so the shard digests
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import json
 import zipfile
-import zlib
 from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -511,6 +511,7 @@ class ShardedWebGraph(GraphBackend):
         "_lru",
         "_verify",
         "_out_degree",
+        "_in_degree",
     )
 
     def __init__(
@@ -534,6 +535,7 @@ class ShardedWebGraph(GraphBackend):
         self._lru = lru
         self._verify = verify
         self._out_degree: Optional[np.ndarray] = None
+        self._in_degree: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -600,18 +602,6 @@ class ShardedWebGraph(GraphBackend):
         return self._boundaries
 
     @property
-    def partition_key(self) -> str:
-        """Short token identifying the partition geometry.
-
-        The structural fingerprint identifies the *edge set* only — two
-        stores sharding the same graph 2- and 32-ways share it.  Cache
-        keys of per-shard operator blocks append this token so distinct
-        partitions never collide.
-        """
-        crc = zlib.crc32(self._boundaries.tobytes()) & 0xFFFFFFFF
-        return f"{self.num_shards}.{crc:08x}"
-
-    @property
     def names(self) -> None:
         """Sharded stores carry structure only; no host names."""
         return None
@@ -642,18 +632,31 @@ class ShardedWebGraph(GraphBackend):
 
     def out_degree(self, node: Optional[int] = None):
         """Out-degree of ``node``, or the full vector (built on first
-        use by streaming every shard once through the LRU)."""
+        use, with the in-degrees, by streaming every shard once through
+        the LRU)."""
+        degrees = self._degrees()[0]
+        return degrees if node is None else int(degrees[node])
+
+    def in_degree(self, node: Optional[int] = None):
+        """In-degree of ``node``, or the full vector (built in the same
+        pass as :meth:`out_degree`'s)."""
+        degrees = self._degrees()[1]
+        return degrees if node is None else int(degrees[node])
+
+    def _degrees(self) -> Tuple[np.ndarray, np.ndarray]:
         if self._out_degree is None:
-            degrees = np.empty(self._num_nodes, dtype=np.int64)
+            out_deg = np.empty(self._num_nodes, dtype=np.int64)
+            in_deg = np.empty(self._num_nodes, dtype=np.int64)
             for k in range(self.num_shards):
                 a, b = self.shard_range(k)
                 if b > a:
-                    degrees[a:b] = np.diff(self.shard(k).indptr)
-            degrees.setflags(write=False)
-            self._out_degree = degrees
-        if node is None:
-            return self._out_degree
-        return int(self._out_degree[node])
+                    shard = self.shard(k)
+                    out_deg[a:b] = np.diff(shard.indptr)
+                    in_deg[a:b] = np.diff(shard.t_indptr)
+            out_deg.setflags(write=False)
+            in_deg.setflags(write=False)
+            self._out_degree, self._in_degree = out_deg, in_deg
+        return self._out_degree, self._in_degree
 
     def dangling_mask(self) -> np.ndarray:
         return self.out_degree() == 0

@@ -4,8 +4,9 @@ The hot path of every experiment in this repository is repeated
 PageRank solves against one graph's transition operator.  This package
 makes that path fast without changing any numerical semantics:
 
-* :mod:`repro.perf.cache` — build ``Tᵀ`` once per graph, keep it in a
-  bounded LRU keyed by a structural fingerprint;
+* :mod:`repro.perf.cache` — build ``Tᵀ`` once per graph (gathered
+  shard by shard for a shard store), keep it in a bounded LRU keyed by
+  a structural fingerprint;
 * :mod:`repro.perf.engine` — :class:`PagerankEngine`, whose
   ``solve_many`` runs stacked jump vectors as one dangling-restricted
   block Jacobi iteration (``p`` and ``p′`` in a single pass);
@@ -21,7 +22,6 @@ route through by default.
 
 from .cache import (
     DEFAULT_CACHE_SIZE,
-    DEFAULT_SHARD_CACHE_SIZE,
     OperatorBundle,
     OperatorCache,
     graph_fingerprint,
@@ -45,17 +45,12 @@ from .parallel import (
     pagerank_montecarlo_parallel,
     plan_chunks,
 )
-from .sharded import (
-    ShardedOperator,
-    sharded_operator_for,
-)
+from .sharded import sharded_operator_for
 
 __all__ = [
     "DEFAULT_CACHE_SIZE",
     "DEFAULT_CHECK_EVERY",
     "DEFAULT_CHUNKS",
-    "DEFAULT_SHARD_CACHE_SIZE",
-    "ShardedOperator",
     "sharded_operator_for",
     "BatchResult",
     "IncrementalResult",

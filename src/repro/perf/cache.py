@@ -25,7 +25,11 @@ the operator once, as the two blocks of its dangling restriction:
 Every entry of ``Tᵀ`` lies in one of the two blocks.  A cold build
 (:meth:`OperatorBundle.build`) sorts one ``int64`` key per edge and
 splits the sorted keys into the two CSR matrices; no ``Tᵀ`` and no
-scipy transpose is made.  ``Tᵀ`` itself is assembled from the blocks
+scipy transpose is made.  A
+:class:`~repro.graph.sharded.ShardedWebGraph` store's bundle is
+gathered shard by shard instead (:meth:`OperatorBundle.gather`), with
+no sort, into the same arrays; both backends then solve against one
+operator type.  ``Tᵀ`` itself is assembled from the blocks
 only when asked for (:attr:`OperatorBundle.transition_t`): by
 :meth:`~repro.perf.engine.PagerankEngine.operator` and the scalar
 solvers of :meth:`~repro.perf.engine.PagerankEngine.solve`, never by
@@ -72,6 +76,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 from scipy import sparse
 
+from ..graph.backend import GraphBackend
+from ..graph.sharded import ShardedWebGraph
 from ..graph.webgraph import WebGraph, ranges, splice
 from ..obs import get_telemetry
 
@@ -90,21 +96,15 @@ __all__ = [
 #: seeding, the paper examples).
 DEFAULT_CACHE_SIZE = 8
 
-#: Default bound of the engine's *shard* operator cache.  Its entries
-#: are per-shard operator blocks (``fp#ss:k`` / ``fp#ds:k``) rather
-#: than whole graphs, so a 32-shard parity sweep alone needs ~65 keys;
-#: the bound is sized so such sweeps never thrash.
-DEFAULT_SHARD_CACHE_SIZE = 256
 
-
-def graph_fingerprint(graph: WebGraph) -> str:
+def graph_fingerprint(graph: GraphBackend) -> str:
     """Structural fingerprint of a graph's link structure.
 
     Delegates to :meth:`WebGraph.structural_fingerprint`, which caches
     the digest on the instance — graphs are immutable, so repeated
     ``bundle_for`` calls on a large graph hash its CSR arrays exactly
-    once.  Host names are deliberately excluded — they do not affect
-    the operator.
+    once; a shard store reads it from its manifest.  Host names are
+    deliberately excluded — they do not affect the operator.
     """
     return graph.structural_fingerprint()
 
@@ -162,8 +162,9 @@ class OperatorBundle:
 
     Every entry of ``Tᵀ`` is in exactly one of the two blocks (its
     dangling columns are empty), so the bundle holds the operator once.
-    Build one with :meth:`build` (cold, one sort of the edges) or
-    :meth:`derive` (spliced from the parent graph's bundle).
+    Build one with :meth:`build` (cold, one sort of the edges),
+    :meth:`gather` (a shard store's, shard by shard) or :meth:`derive`
+    (spliced from the parent graph's bundle).
 
     Attributes
     ----------
@@ -245,6 +246,54 @@ class OperatorBundle:
             blocks.append(
                 _csr(inv[cols], cols, in_deg[rows], (len(rows), width))
             )
+        return cls(fingerprint, mask, s, d, *blocks)
+
+    @classmethod
+    def gather(
+        cls, store: ShardedWebGraph, fingerprint: str
+    ) -> "OperatorBundle":
+        """A shard store's bundle, filled shard by shard, with no sort.
+
+        Shard ``k``'s transpose CSR is rows ``boundaries[k]:
+        boundaries[k + 1]`` of ``Tᵀ``, each row's sources ascending, so
+        its ``S`` rows are the next rows of ``(Tᵀ)_SS`` and its ``D``
+        rows the next of ``(Tᵀ)_DS``; renumbering the sources by ``S``
+        position, a monotone map, keeps every row ascending.  The
+        entries go straight into the bundle's arrays, which equal
+        :meth:`build` on the same edges, dtypes included.  Only the
+        build is bounded by the store: the bundle is resident, as an
+        in-memory graph's is.
+        """
+        out_deg = store.out_degree()
+        in_deg = store.in_degree()
+        mask = out_deg == 0
+        s = np.flatnonzero(~mask)
+        d = np.flatnonzero(mask)
+        width = len(s)
+        s_pos = np.cumsum(~mask) - 1  # node -> its S position, on S
+        columns = []
+        for rows in (s, d):
+            nnz = int(in_deg[rows].sum())
+            columns.append(
+                np.empty(nnz, dtype=_index_dtype(len(rows), width, nnz))
+            )
+        filled = [0, 0]
+        for k in range(store.num_shards):
+            a, b = store.shard_range(k)
+            if b == a:
+                continue
+            # every edge's source has an out-edge, so all are in S
+            sources = np.asarray(store.shard(k).t_indices)
+            in_s = np.repeat(~mask[a:b], in_deg[a:b])
+            for j, sel in enumerate((in_s, ~in_s)):
+                cols = s_pos[sources[sel]]
+                columns[j][filled[j]:filled[j] + len(cols)] = cols
+                filled[j] += len(cols)
+        inv = 1.0 / out_deg[s]  # the fp op transition_matrix does
+        blocks = [
+            _csr(inv[cols], cols, in_deg[rows], (len(rows), width))
+            for rows, cols in zip((s, d), columns)
+        ]
         return cls(fingerprint, mask, s, d, *blocks)
 
     def derive(self, application, fingerprint: str) -> "OperatorBundle":
@@ -452,8 +501,12 @@ class OperatorCache:
         self.evictions = 0
         self.derives = 0
 
-    def bundle_for(self, graph: WebGraph) -> OperatorBundle:
-        """Return the graph's bundle, building it on first sight."""
+    def bundle_for(self, graph: GraphBackend) -> OperatorBundle:
+        """Return the graph's bundle, made on first sight: built from an
+        in-memory graph (:meth:`OperatorBundle.build`) or gathered from
+        a shard store (:meth:`OperatorBundle.gather`).  Both make the
+        same arrays, so a store and the in-memory graph of the same
+        edges share one entry."""
         tele = get_telemetry()
         key = graph_fingerprint(graph)
         with self._lock:
@@ -463,32 +516,20 @@ class OperatorCache:
         if bundle is not None:
             return bundle
         tele.inc("opcache.misses")
+        make = (
+            OperatorBundle.gather
+            if isinstance(graph, ShardedWebGraph)
+            else OperatorBundle.build
+        )
         # build outside the lock: O(edges) work
         if tele.enabled:
             with tele.span(
                 "operator-build", nodes=graph.num_nodes, edges=graph.num_edges
             ):
-                bundle = OperatorBundle.build(graph, key)
+                bundle = make(graph, key)
         else:
-            bundle = OperatorBundle.build(graph, key)
+            bundle = make(graph, key)
         return self._admit(key, bundle)
-
-    def entry_for(self, key: str, factory):
-        """Generic keyed entry: return the cached value for ``key``,
-        building it via ``factory()`` (outside the lock) on a miss.
-
-        The sharded solver path stores per-shard operator blocks and
-        whole shard operators through this, under composite keys
-        (``<fingerprint>#ss:<k>`` etc.), sharing the same LRU, lock and
-        hit/miss/eviction counters as the whole-graph bundles.
-        """
-        with self._lock:
-            entry = self._hit(key, traced=False)
-            if entry is None:
-                self.misses += 1
-        if entry is not None:
-            return entry
-        return self._admit(key, factory())
 
     def derive_for(self, application):
         """Return the bundle for ``application.after``, derived cheaply.
@@ -523,38 +564,36 @@ class OperatorCache:
             bundle = parent.derive(application, child_key)
         return self._admit(child_key, bundle)
 
-    def _hit(self, key: str, *, traced: bool = True):
-        """The entry for ``key``, counted as a hit (and, if ``traced``,
-        reported to telemetry) and moved to the recent end; ``None`` if
-        absent.  Called with the lock held."""
-        entry = self._entries.get(key)
-        if entry is not None:
+    def _hit(self, key: str) -> Optional[OperatorBundle]:
+        """The bundle for ``key``, counted as a hit and moved to the
+        recent end; ``None`` if absent.  Called with the lock held."""
+        bundle = self._entries.get(key)
+        if bundle is not None:
             self.hits += 1
             self._entries.move_to_end(key)
-            if traced:
-                get_telemetry().inc("opcache.hits")
-        return entry
+            get_telemetry().inc("opcache.hits")
+        return bundle
 
-    def _admit(self, key: str, value):
-        """Insert a freshly built entry, evicting past ``maxsize``.  A
+    def _admit(self, key: str, bundle: OperatorBundle) -> OperatorBundle:
+        """Insert a freshly built bundle, evicting past ``maxsize``.  A
         racing builder may have inserted ``key`` meanwhile; the first
         one stays, so callers share a single operator."""
         with self._lock:
             existing = self._entries.get(key)
             if existing is not None:
                 return existing
-            self._entries[key] = value
+            self._entries[key] = bundle
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-        return value
+        return bundle
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
     def __contains__(self, graph: object) -> bool:
-        if not isinstance(graph, WebGraph):
+        if not isinstance(graph, GraphBackend):
             return False
         with self._lock:
             return graph_fingerprint(graph) in self._entries

@@ -33,21 +33,19 @@ restricted change plus the induced dangling change), i.e. exactly the
 stopping criterion of :func:`repro.core.solvers.jacobi` — the batched
 kernel converges to the same vectors within the same tolerance.
 
-The loop is written once, in :func:`_block_jacobi`, against any
-operator that exposes the index arrays ``non_dangling``/``dangling``,
-its entry count ``nnz`` and ``row_blocks(parts)``: ``(Tᵀ)_SS`` and
-``(Tᵀ)_DS`` as contiguous :class:`~repro.perf.cache.RowBlock` row
-ranges.  An in-memory graph's :class:`~repro.perf.cache.OperatorBundle`
-splits its two matrices into ``parts`` blocks of about equal entries
-that point into the bundle's own arrays; a
-:class:`~repro.graph.sharded.ShardedWebGraph`'s
-:class:`~repro.perf.sharded.ShardedOperator` hands over its per-shard
-blocks.  Every product writes each block's rows straight into one
-output array with the kernel ``csr_matrix @ ndarray`` itself calls
-(:func:`_block_product`).  For operators of
-:data:`PARALLEL_MIN_NNZ` entries and more, the blocks run on a thread
-pool that lives for one solve and has one thread per CPU this process
-may run on; smaller ones sweep inline.  A CSR product
+Both graph backends solve against one operator type, the
+:class:`~repro.perf.cache.OperatorBundle`: an in-memory graph's is
+built from its CSR, a :class:`~repro.graph.sharded.ShardedWebGraph`'s
+gathered from its shards (:func:`repro.perf.sharded.sharded_operator_for`),
+into the same arrays.  The loop is written once, in
+:func:`_block_jacobi`: the bundle splits ``(Tᵀ)_SS`` and ``(Tᵀ)_DS``
+into contiguous :class:`~repro.perf.cache.RowBlock` row ranges of
+about equal entries that point into its own arrays, and every product
+writes each block's rows straight into one output array with the
+kernel ``csr_matrix @ ndarray`` itself calls (:func:`_block_product`).
+For operators of :data:`PARALLEL_MIN_NNZ` entries and more, the blocks
+run on a thread pool that lives for one solve and has one thread per
+CPU this process may run on; smaller ones sweep inline.  A CSR product
 computes every output row on its own, in storage order, so the rows
 are bitwise those of the whole-matrix product however the rows are
 split and whichever thread runs them; the residual reductions run on
@@ -75,13 +73,7 @@ from ..graph.sharded import ShardedWebGraph
 from ..graph.webgraph import WebGraph
 from ..obs import get_telemetry
 from . import sharded as _sharded
-from .cache import (
-    DEFAULT_CACHE_SIZE,
-    DEFAULT_SHARD_CACHE_SIZE,
-    OperatorBundle,
-    OperatorCache,
-    RowBlock,
-)
+from .cache import DEFAULT_CACHE_SIZE, OperatorBundle, OperatorCache, RowBlock
 
 __all__ = [
     "BatchResult",
@@ -229,10 +221,6 @@ class PagerankEngine:
         if check_every < 1:
             raise ValueError("check_every must be >= 1")
         self.cache = OperatorCache(cache_size)
-        # per-shard operator blocks live in their own LRU: block keys
-        # are ~2 per shard per graph, so sharing the (small) whole-graph
-        # cache would thrash both
-        self.shard_cache = OperatorCache(DEFAULT_SHARD_CACHE_SIZE)
         self.method = method
         self.check_every = check_every
         self.workers = workers
@@ -242,14 +230,10 @@ class PagerankEngine:
     # ------------------------------------------------------------------
 
     def bundle(self, graph: WebGraph) -> OperatorBundle:
-        """The graph's cached operator bundle (built on first sight)."""
+        """The graph's cached operator bundle (built on first sight; a
+        shard store's is gathered from its shards)."""
         if isinstance(graph, ShardedWebGraph):
-            raise TypeError(
-                "a sharded graph has no assembled operator bundle — "
-                "its operator exists only as per-shard blocks; use "
-                "solve()/solve_many(), which run against those blocks "
-                "automatically"
-            )
+            return _sharded.sharded_operator_for(self.cache, graph)
         return self.cache.bundle_for(graph)
 
     def operator(self, graph: WebGraph):
@@ -281,36 +265,10 @@ class PagerankEngine:
         :func:`repro.core.solvers.solve` (warm starts, residual tracking,
         callbacks).
 
-        In memory it runs the scalar solver of
-        :mod:`repro.core.solvers` on the cached ``Tᵀ``, which it
-        assembles on first use.  Sharded graphs route through the block
-        kernel (only the Jacobi method exists out of core) and come
-        back as the single column of a one-vector batch — bitwise the
-        in-memory block kernel's result.
+        It runs the scalar solver of :mod:`repro.core.solvers` on the
+        cached ``Tᵀ``, which it assembles on first use, on either
+        backend: a shard store's result is bitwise the in-memory one.
         """
-        if isinstance(graph, ShardedWebGraph):
-            chosen = method or self.method
-            if chosen != "jacobi":
-                raise ValueError(
-                    f"method {chosen!r} is not available on the sharded "
-                    "backend; only the Jacobi block iteration runs "
-                    "shard-by-shard"
-                )
-            if solver_options:
-                raise ValueError(
-                    "solver options "
-                    f"{sorted(solver_options)} are not supported on the "
-                    "sharded backend"
-                )
-            batch = self.solve_many(
-                graph,
-                [v],
-                damping=damping,
-                tol=tol,
-                max_iter=max_iter,
-                check=check,
-            )
-            return batch.column(0)
         bundle = self.bundle(graph)
         jump = _resolve_jump(graph.num_nodes, v)
         return dispatch_solve(
@@ -341,10 +299,8 @@ class PagerankEngine:
     ) -> BatchResult:
         """Solve ``k`` stacked jump vectors in one batched pass.
 
-        Both backends run :func:`_block_jacobi`: an in-memory graph
-        against its cached :class:`OperatorBundle`, a sharded graph
-        against its :class:`~repro.perf.sharded.ShardedOperator`
-        (per-shard blocks cached in ``shard_cache``).
+        Both backends run :func:`_block_jacobi` against the graph's
+        cached :class:`OperatorBundle`.
 
         Parameters
         ----------
@@ -380,19 +336,16 @@ class PagerankEngine:
             raise ValueError(
                 f"{len(labels)} labels for {k} stacked vectors"
             )
-        if isinstance(graph, ShardedWebGraph):
-            op = _sharded.sharded_operator_for(self.shard_cache, graph)
-        else:
-            op = self.bundle(graph)
+        bundle = self.bundle(graph)
 
         tele = get_telemetry()
         if not tele.enabled:
             return self._run_batch(
-                op, stacked, labels, damping, tol, max_iter, check,
+                bundle, stacked, labels, damping, tol, max_iter, check,
             )
         with tele.span("solve:batch", columns=k) as sp:
             result = self._run_batch(
-                op, stacked, labels, damping, tol, max_iter, check,
+                bundle, stacked, labels, damping, tol, max_iter, check,
             )
             tele.inc("engine.batched_solves")
             tele.inc("engine.columns", k)
@@ -410,7 +363,7 @@ class PagerankEngine:
 
     def _run_batch(
         self,
-        op,
+        bundle: OperatorBundle,
         stacked: np.ndarray,
         labels: Sequence[str],
         damping: float,
@@ -420,7 +373,7 @@ class PagerankEngine:
     ) -> BatchResult:
         """The untraced core of :meth:`solve_many`."""
         result = _block_jacobi(
-            op,
+            bundle,
             stacked,
             damping=damping,
             tol=tol,
@@ -672,7 +625,7 @@ def _product(
 
 
 def _block_jacobi(
-    op,
+    bundle: OperatorBundle,
     vectors: np.ndarray,
     *,
     damping: float,
@@ -683,20 +636,18 @@ def _block_jacobi(
 ) -> BatchResult:
     """Dangling-restricted block Jacobi over stacked jump vectors.
 
-    ``op`` is an :class:`~repro.perf.cache.OperatorBundle` or a
-    :class:`~repro.perf.sharded.ShardedOperator`: anything with the
-    index arrays ``non_dangling`` (``S``) and ``dangling`` (``D``), the
-    entry count ``nnz`` and ``row_blocks(parts)``, which returns
-    ``(Tᵀ)_SS`` and ``(Tᵀ)_DS`` as lists of :class:`RowBlock`.  The
-    blocks' products run on a thread pool that exists only for this
-    solve, one thread per CPU (:func:`_cpu_count`), or inline for an
-    operator below :data:`PARALLEL_MIN_NNZ` entries.  Columns freeze
-    individually once their full-vector L1 change drops below ``tol``.
+    ``bundle.row_blocks(parts)`` hands over ``(Tᵀ)_SS`` and ``(Tᵀ)_DS``
+    as lists of :class:`RowBlock`; ``bundle.non_dangling`` and
+    ``bundle.dangling`` are ``S`` and ``D``.  The blocks' products run
+    on a thread pool that exists only for this solve, one thread per
+    CPU (:func:`_cpu_count`), or inline for an operator below
+    :data:`PARALLEL_MIN_NNZ` entries.  Columns freeze individually once
+    their full-vector L1 change drops below ``tol``.
     """
     c = damping
     n, k = vectors.shape
-    s = op.non_dangling
-    d = op.dangling
+    s = bundle.non_dangling
+    d = bundle.dangling
     scores = np.empty_like(vectors)
     iterations = np.zeros(k, dtype=np.int64)
     residuals = np.full(k, np.inf)
@@ -714,8 +665,8 @@ def _block_jacobi(
             labels,
         )
 
-    threads = _cpu_count() if op.nnz >= PARALLEL_MIN_NNZ else 1
-    ss_blocks, ds_blocks = op.row_blocks(threads)
+    threads = _cpu_count() if bundle.nnz >= PARALLEL_MIN_NNZ else 1
+    ss_blocks, ds_blocks = bundle.row_blocks(threads)
     # the jump term (1−c)·v only where it is read: the S rows every
     # sweep, the D rows once per column at freeze
     b_s = (1.0 - c) * vectors[s, :]

@@ -375,8 +375,9 @@ class ScoringDaemon:
         """Contribution breakdown for one host (review-sheet text).
 
         A **slow op** (:data:`~repro.serve.admission.SLOW_OPS`):
-        ``explain_mass`` walks contribution paths over the whole graph,
-        orders of magnitude above a score read.  The server runs it on
+        ``explain_mass`` runs one Jacobi solve over the whole graph's
+        edges (a few dozen sweeps), orders of magnitude above a score
+        read.  The server runs it on
         the dedicated slow lane and admission sheds it first in
         degraded mode, so it never competes with the hot scoring path.
         """
@@ -436,10 +437,16 @@ class ScoringDaemon:
         """
         delta = GraphDelta(insertions or (), deletions or ())
         with self._lock:
-            if self.degraded:
+            if self._breaker.is_open:
                 raise WalError(
                     "ingest refused: serving is degraded "
                     f"({self._degraded_reason or 'circuit open'})"
+                )
+            if self.degraded:
+                raise WalError(
+                    "ingest refused: serving is degraded "
+                    f"({len(self._pending)} unapplied delta batches "
+                    f"exceed max_staleness {self.config.max_staleness})"
                 )
             parent = self._tail.structural_fingerprint()
             application = delta.apply(self._tail)

@@ -52,8 +52,9 @@ after the window (see :meth:`StreamIngestor._checkpoint`) — the
 window's bounds and event ids, the consumed-id watermark + extras, the
 open windows' bounds, the flow-control state and the counters.  A new
 incarnation restores the newest record's position.  Records the daemon
-has not applied yet go through the same apply path a live run uses
-(poison among them is quarantined as ``"apply-failed"``).  The source
+has not applied yet are the in-flight windows again and are applied
+when a live run would apply them, with the same group (poison among
+them is quarantined as ``"apply-failed"``).  The source
 is then re-read from the oldest open window's first line: lines the
 position had already decided only refill the open windows, and every
 later line is decided afresh — including windows that cancelled out
@@ -316,6 +317,14 @@ class StreamIngestor:
     ) -> None:
         self.daemon = daemon
         self.config = config if config is not None else StreamConfig()
+        bound = daemon.config.max_staleness + 1
+        if self.config.apply_every > bound:
+            # the daemon refuses a submit once more than max_staleness
+            # deltas wait, so the group's last window could never land
+            raise ValueError(
+                f"apply_every {self.config.apply_every} exceeds the "
+                f"daemon's max_staleness + 1 ({bound})"
+            )
         self.dlq = DeadLetterQueue(directory)
         self.on_commit = on_commit
         self._num_nodes = daemon.store.current.graph.num_nodes
@@ -415,7 +424,9 @@ class StreamIngestor:
             self.windows_quarantined,
         ) = (int(c) for c in pos["counters"])
         # the records the daemon has not applied are this ingestor's
-        # in-flight windows: apply them as the crashed run would have
+        # in-flight windows: apply them when the crashed run would have,
+        # once a full group is in flight, so batched applies coalesce
+        # the same windows (flush applies a partial group)
         applied = self.daemon.store.current.wal_seq
         self._inflight = [
             {
@@ -434,7 +445,8 @@ class StreamIngestor:
                 pending=len(self._inflight),
                 offset=self._position,
             )
-        self._apply_inflight()
+        if len(self._inflight) >= self.config.apply_every:
+            self._apply_inflight()
 
     # ------------------------------------------------------------------
     # ingestion

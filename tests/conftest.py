@@ -111,3 +111,25 @@ def sweep_threads(monkeypatch):
         monkeypatch.setattr(engine, "_cpu_count", lambda: threads)
 
     return force
+
+
+@pytest.fixture(scope="session")
+def assert_same_operator():
+    """``assert_same_operator(got, want, *context)`` asserts that two
+    operator bundles hold the same arrays in the same dtypes;
+    ``context`` goes into the failure message."""
+
+    def check(got, want, *context):
+        for name in ("dangling_mask", "non_dangling", "dangling"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, (*context, name)
+            assert np.array_equal(a, b), (*context, name)
+        for block in ("tt_ss", "tt_ds"):
+            a, b = getattr(got, block), getattr(want, block)
+            assert a.shape == b.shape, (*context, block)
+            for name in ("indptr", "indices", "data"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype, (*context, block, name)
+                assert np.array_equal(x, y), (*context, block, name)
+
+    return check

@@ -694,8 +694,17 @@ def test_stream_ingest_rejects_bad_flags(tmp_path, flag, value, message):
             ["--apply-every", "8", "--max-pending-windows", "4"],
             "--apply-every must not exceed --max-pending-windows",
         ),
+        (
+            ["--apply-every", "10"],
+            "--apply-every must not exceed --max-staleness + 1",
+        ),
+        (
+            ["--apply-every", "5", "--max-staleness", "3"],
+            "--apply-every must not exceed --max-staleness + 1",
+        ),
     ],
-    ids=["min-window", "apply-every"],
+    ids=["min-window", "apply-every", "apply-every-staleness",
+         "apply-every-set-staleness"],
 )
 def test_stream_ingest_cross_flag_validation(tmp_path, argv, message):
     """Individually-valid flags that contradict each other: exit 2

@@ -2,8 +2,9 @@
 
 The repo carries five ways to solve ``(I − c Tᵀ) p = (1 − c) v`` —
 Jacobi, Gauss–Seidel, the power method, a direct sparse solve,
-BiCGSTAB — plus the batched block kernel of :mod:`repro.perf.engine`
-and the out-of-core sharded kernel of :mod:`repro.perf.sharded`.
+BiCGSTAB — plus the batched block kernel of :mod:`repro.perf.engine`,
+on an in-memory graph or on the operator gathered from a shard store
+(:mod:`repro.perf.sharded`).
 The paper's guarantees (Theorems 1–3, the mass identities) hold for
 *the* solution, so the backends must agree with each other to solver
 tolerance on any graph.  These tests pin that agreement on a seeded zoo
@@ -16,10 +17,14 @@ The sharded backend is held to a *stronger* standard than solver
 tolerance: for every zoo graph and every shard count in
 ``SHARD_COUNTS`` ({1, 2, 7, 32} by default, overridable through the
 ``REPRO_TEST_SHARDS`` environment variable — the CI ``scale`` job
-matrixes over it), scores, iteration counts, residuals and convergence
-flags must be **bitwise identical** to the in-memory block kernel —
-at every residual-check cadence, and for solves cut off by ``max_iter``
-before they converge as well as for converged ones.
+matrixes over it), the gathered operator is the in-memory one array
+for array, and scores, iteration counts, residuals and convergence
+flags must be **bitwise identical** to the in-memory solve — for every
+solver, at every residual-check cadence of the block kernel, and for
+solves cut off by ``max_iter`` before they converge as well as for
+converged ones.  A store and the in-memory graph of the same edges
+share one operator-cache entry, so each backend solves on an engine of
+its own: a shared engine would hand the store the in-memory operator.
 """
 
 import os
@@ -33,12 +38,12 @@ from repro.core.pagerank import (
     scaled_core_jump_vector,
     uniform_jump_vector,
 )
-from repro.core.solvers import solve
+from repro.core.solvers import SOLVERS, solve
 from repro.errors import ConvergenceError
 from repro.graph.ops import transition_matrix
 from repro.graph.sharded import partition_graph
 from repro.graph.webgraph import WebGraph
-from repro.perf import PagerankEngine
+from repro.perf import DEFAULT_CHECK_EVERY, OperatorBundle, PagerankEngine
 
 DAMPING = 0.85
 TOL = 1e-12
@@ -262,8 +267,9 @@ def _solves_bitwise_equal(a, b) -> bool:
     )
 
 
-def _convergence_error(engine, graph, vectors):
+def _convergence_error(graph, vectors, check_every):
     """The message of the checked cut-off solve's error, or ``None``."""
+    engine = PagerankEngine(check_every=check_every)
     try:
         engine.solve_many(graph, vectors, tol=TOL, max_iter=CUT_OFF)
     except ConvergenceError as exc:
@@ -271,83 +277,89 @@ def _convergence_error(engine, graph, vectors):
     return None
 
 
-def test_shard_blocks_are_the_in_memory_rows(zoo_graph, sharded_variants):
-    """Each shard's ``(Tᵀ)_SS``/``(Tᵀ)_DS`` block is its row range of
-    the in-memory bundle's, array for array and dtype for dtype."""
-    from repro.perf.sharded import ShardedOperator
+def _gathered(store, check_every=DEFAULT_CHECK_EVERY):
+    """An engine of the store's own, with the store's operator gathered
+    into its cache (a miss, not the in-memory graph's entry)."""
+    engine = PagerankEngine(check_every=check_every)
+    engine.bundle(store)
+    assert engine.cache.misses == 1
+    return engine
 
-    bundle = PagerankEngine().bundle(zoo_graph)
+
+def test_shard_blocks_are_the_in_memory_rows(
+    zoo_graph, sharded_variants, assert_same_operator
+):
+    """Each shard's rows of the gathered ``(Tᵀ)_SS``/``(Tᵀ)_DS`` are
+    the in-memory rows: the bundle gathered from a store of any width
+    is :meth:`OperatorBundle.build`'s, array for array and dtype for
+    dtype."""
+    built = OperatorBundle.build(zoo_graph, "built")
     for k, store in sharded_variants.items():
-        op = ShardedOperator(store)
-        for j in range(op.num_shards):
-            for block, whole, (lo, hi) in (
-                (op.ss_block(j), bundle.tt_ss, op.s_range(j)),
-                (op.ds_block(j), bundle.tt_ds, op.d_range(j)),
-            ):
-                want = whole[lo:hi]
-                assert block.shape == want.shape, (k, j)
-                for name in ("indptr", "indices", "data"):
-                    got, ref = getattr(block, name), getattr(want, name)
-                    assert got.dtype == ref.dtype, (k, j, name)
-                    assert np.array_equal(got, ref), (k, j, name)
+        gathered = OperatorBundle.gather(store, "gathered")
+        assert_same_operator(gathered, built, k)
 
 
 def test_sharded_solve_many_bitwise_equal(zoo_graph, sharded_variants):
-    """Both backends run one loop, so every diagnostic matches bitwise:
-    at any residual-check cadence, for converged solves and for solves
-    cut off at ``max_iter`` — which, checked, raise the same error
-    naming the same columns."""
+    """Both backends run one loop on one operator, so every diagnostic
+    matches bitwise: at any residual-check cadence, for converged
+    solves and for solves cut off at ``max_iter`` — which, checked,
+    raise the same error naming the same columns."""
     vectors = _parity_vectors(zoo_graph.num_nodes)
     for check_every in (1, 3, 8):
-        engine = PagerankEngine(check_every=check_every)
         for max_iter in (10_000, CUT_OFF):
-            reference = engine.solve_many(
+            reference = PagerankEngine(check_every=check_every).solve_many(
                 zoo_graph, vectors, damping=DAMPING, tol=TOL,
                 max_iter=max_iter, check=False,
             )
             for k, store in sharded_variants.items():
-                batch = engine.solve_many(
+                batch = _gathered(store, check_every).solve_many(
                     store, vectors, damping=DAMPING, tol=TOL,
                     max_iter=max_iter, check=False,
                 )
                 assert _solves_bitwise_equal(batch, reference), (
                     k, check_every, max_iter,
                 )
-        cut = engine.solve_many(
+        cut = PagerankEngine(check_every=check_every).solve_many(
             zoo_graph, vectors, tol=TOL, max_iter=CUT_OFF, check=False
         )
         unconverged = [f"col{j}" for j in np.flatnonzero(~cut.converged)]
-        expected = _convergence_error(engine, zoo_graph, vectors)
+        expected = _convergence_error(zoo_graph, vectors, check_every)
         if unconverged:
             assert ", ".join(unconverged) in expected
         else:
             assert expected is None
         for k, store in sharded_variants.items():
-            assert _convergence_error(engine, store, vectors) == expected, k
+            got = _convergence_error(store, vectors, check_every)
+            assert got == expected, k
 
 
 def test_sharded_single_solve_bitwise_equal(zoo_graph, sharded_variants):
-    # solve() on a sharded graph is a one-vector batch; the in-memory
-    # comparison point is therefore the block kernel, not the scalar
-    # Jacobi (whose check_every accounting differs)
-    engine = PagerankEngine()
-    reference = engine.solve_many(zoo_graph, [None], tol=TOL).column(0)
-    for k, store in sharded_variants.items():
-        result = engine.solve(store, tol=TOL)
-        assert np.array_equal(result.scores, reference.scores), k
-        assert result.iterations == reference.iterations, k
+    """``solve`` on a store runs every scalar solver on the gathered
+    operator's ``Tᵀ``: bitwise the in-memory solve, method by method."""
+    for method in SOLVERS:
+        reference = PagerankEngine().solve(zoo_graph, tol=TOL, method=method)
+        for k, store in sharded_variants.items():
+            result = _gathered(store).solve(store, tol=TOL, method=method)
+            assert np.array_equal(result.scores, reference.scores), (
+                k, method,
+            )
+            assert result.iterations == reference.iterations, (k, method)
+            assert result.residual == reference.residual, (k, method)
+            assert result.converged == reference.converged, (k, method)
+            assert result.method == reference.method, (k, method)
 
 
 def test_estimate_spam_mass_backend_parity(zoo_graph, sharded_variants):
     from repro.core.mass import estimate_spam_mass
 
     core = list(range(min(3, zoo_graph.num_nodes)))
-    engine = PagerankEngine()
     reference = estimate_spam_mass(
-        zoo_graph, core, tol=TOL, engine=engine
+        zoo_graph, core, tol=TOL, engine=PagerankEngine()
     )
     for k, store in sharded_variants.items():
-        estimates = estimate_spam_mass(store, core, tol=TOL, engine=engine)
+        estimates = estimate_spam_mass(
+            store, core, tol=TOL, engine=_gathered(store)
+        )
         assert np.array_equal(estimates.pagerank, reference.pagerank), k
         assert np.array_equal(
             estimates.core_pagerank, reference.core_pagerank
@@ -374,9 +386,9 @@ def test_threaded_sweeps_are_bitwise_inline(
     def solves():
         out = []
         for check_every in (1, 8):
-            engine = PagerankEngine(check_every=check_every)
             for max_iter in (10_000, CUT_OFF):
                 for graph in (zoo_graph, *sharded_variants.values()):
+                    engine = PagerankEngine(check_every=check_every)
                     out.append(engine.solve_many(
                         graph, vectors, tol=TOL, max_iter=max_iter,
                         check=False,

@@ -1,12 +1,65 @@
-"""Tests for the mass-explanation module (inverse contributions)."""
+"""Tests for the mass-explanation module (inverse contributions).
+
+``contributions_to`` answers with a Jacobi solve; the sparse LU solve
+of ``(I − cT) z = e_y`` it replaced is kept here as the oracle, on
+graphs small enough to factorize.
+"""
+
+import time
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse import linalg as sparse_linalg
 
+import repro.core.explain as explain_module
 from repro.core import contribution_matrix, pagerank
 from repro.core.explain import contributions_to, explain_mass
-from repro.datasets import figure2_graph
+from repro.datasets import figure1_graph, figure2_graph
 from repro.graph import WebGraph
+from repro.graph.ops import transition_matrix
+from repro.synth.huge import huge_good_core, iter_huge_edges
+from repro.synth.scenario import WorldConfig
+
+SHARES = 1e-9
+
+
+def _lu_contributions(graph, target, v=None, damping=0.85):
+    """The oracle: one sparse LU solve of ``(I − cT) z = e_target``."""
+    n = graph.num_nodes
+    if v is None:
+        v = np.full(n, 1.0 / n)
+    system = sparse.identity(n, format="csc") - damping * transition_matrix(
+        graph
+    ).tocsc()
+    unit = np.zeros(n)
+    unit[target] = 1.0
+    z = np.asarray(sparse_linalg.spsolve(system, unit)).ravel()
+    return (1.0 - damping) * v * z
+
+
+def _zoo():
+    """Small graphs across the structural regimes, Table 1's included."""
+    rng = np.random.default_rng(5)
+    zoo = {
+        "table1": (figure2_graph().graph, figure2_graph()),
+        "figure1": (figure1_graph().graph, None),
+        "cycle": (WebGraph.from_edges(
+            30, [(i, (i + 1) % 30) for i in range(30)]), None),
+        "star": (WebGraph.from_edges(
+            40, [(i, 0) for i in range(1, 40)]), None),
+    }
+    for name, n, m, dangling in (
+        ("sparse", 200, 600, 0.0),
+        ("dangling-heavy", 200, 400, 0.7),
+    ):
+        sources = rng.permutation(n)[: max(2, int(n * (1 - dangling)))]
+        edges = zip(rng.choice(sources, m), rng.integers(0, n, m))
+        zoo[name] = (WebGraph.from_edges(n, list(edges)), None)
+    return zoo
+
+
+ZOO = _zoo()
 
 
 @pytest.fixture(scope="module")
@@ -128,3 +181,62 @@ def test_explain_on_synthetic_candidate(small_ctx):
 def test_top_validation(example):
     with pytest.raises(ValueError):
         explain_mass(example.graph, 0, example.good_core, top=0)
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_review_sheet_matches_the_lu_oracle(name, monkeypatch):
+    """Shares, the core/spam/unknown split and the top contributors of
+    every review sheet equal the LU answer's within 1e-9."""
+    graph, example = ZOO[name]
+    n = graph.num_nodes
+    if example is not None:
+        core, spam = example.good_core, example.spam
+    else:
+        core, spam = list(range(0, n, 5)), list(range(1, n, 7))
+    scores = pagerank(graph, tol=1e-14).scores
+    targets = sorted({0, n - 1, int(np.argmax(scores))})
+    for target in targets:
+        got = explain_mass(graph, target, core, suspected_spam=spam, top=8)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                explain_module, "contributions_to", _lu_contributions
+            )
+            want = explain_mass(
+                graph, target, core, suspected_spam=spam, top=8
+            )
+        assert got.pagerank == pytest.approx(want.pagerank, rel=1e-9)
+        for share in ("core_share", "spam_share", "unknown_share"):
+            assert abs(getattr(got, share) - getattr(want, share)) < SHARES
+        lu_share = want.contributions / want.pagerank
+        assert np.abs(got.contributions / got.pagerank - lu_share).max() < (
+            SHARES
+        )
+        # ties may order differently; the shares at each rank may not
+        assert len(got.top_sources) == len(want.top_sources)
+        for (_, a, _), (_, b, _) in zip(got.top_sources, want.top_sources):
+            assert abs(a / got.pagerank - b / want.pagerank) < SHARES
+        for source, contribution, _ in got.top_sources:
+            assert abs(contribution / got.pagerank - lu_share[source]) < SHARES
+
+
+def test_explain_at_50k_hosts_in_bounded_time():
+    """At 50k hosts, where a sparse LU solve does not finish, one
+    explanation answers in well under 5 s, and its contributions still
+    sum to the target's PageRank (Theorem 1)."""
+    hosts = 50_000
+    config = WorldConfig(
+        7, num_base_hosts=hosts, mean_outdegree=6.0,
+        directory_size=hosts // 10, gov_size=hosts // 10,
+    )
+    graph = WebGraph.from_edges(
+        hosts, np.concatenate(list(iter_huge_edges(config)))
+    )
+    core = huge_good_core(config)
+    scores = pagerank(graph, tol=1e-14).scores
+    target = int(np.argmax(scores))
+    start = time.perf_counter()
+    explanation = explain_mass(graph, target, core)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0
+    assert explanation.pagerank == pytest.approx(scores[target], rel=1e-9)
+    assert explanation.top_sources[0][1] > 0

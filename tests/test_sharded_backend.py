@@ -7,9 +7,10 @@ integrity (corruption must surface as typed
 :class:`~repro.errors.GraphIOError` subclasses, never as a partially
 loaded graph), the bounded shard LRU, memory-mapped loading,
 hypothesis-generated partition boundaries (uneven and zero-width
-shards included), the per-shard operator cache, the refusal of edge
-deltas (they apply to the in-memory CSR), and the ``repro-spam shard``
-CLI.
+shards included, each gathering the in-memory operator), the one
+operator-cache entry a store shares with its in-memory graph, the
+refusal of edge deltas (they apply to the in-memory CSR), and the
+``repro-spam shard`` CLI.
 """
 
 import json
@@ -45,7 +46,12 @@ from repro.graph.sharded import (
     verify_store,
 )
 from repro.graph.webgraph import WebGraph, compose_fingerprint, edge_digest
-from repro.perf import OperatorCache, PagerankEngine, sharded_operator_for
+from repro.perf import (
+    OperatorBundle,
+    OperatorCache,
+    PagerankEngine,
+    sharded_operator_for,
+)
 
 TOL = 1e-12
 
@@ -113,6 +119,7 @@ def test_round_trip_bitwise(graph, store):
     # to_webgraph does not stamp the fingerprint: recomputation is the check
     assert back.structural_fingerprint() == graph.structural_fingerprint()
     assert np.array_equal(store.out_degree(), graph.out_degree())
+    assert np.array_equal(store.in_degree(), graph.in_degree())
     assert np.array_equal(store.dangling_mask(), graph.dangling_mask())
 
 
@@ -263,7 +270,7 @@ _HYPO_GRAPH = _random_graph(31, 57, 260)
         st.integers(min_value=0, max_value=57), min_size=0, max_size=6
     )
 )
-def test_arbitrary_boundaries_round_trip(cuts):
+def test_arbitrary_boundaries_round_trip(cuts, assert_same_operator):
     # includes uneven partitions, duplicate cuts (zero-width shards),
     # and the trivial single-shard partition
     boundaries = [0] + sorted(cuts) + [57]
@@ -281,6 +288,11 @@ def test_arbitrary_boundaries_round_trip(cuts):
         assert np.array_equal(back.indices, _HYPO_GRAPH.indices)
         report = verify_store(Path(tmp) / "s", deep=True)
         assert report["ok"], report["problems"]
+        assert_same_operator(
+            OperatorBundle.gather(store, "gathered"),
+            OperatorBundle.build(_HYPO_GRAPH, "built"),
+            boundaries,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +422,25 @@ def test_shards_are_memory_mapped(store):
 
 
 # ---------------------------------------------------------------------------
-# per-shard operator cache; deltas apply to in-memory graphs only
+# one operator-cache entry per edge set; deltas apply to in-memory graphs
 # ---------------------------------------------------------------------------
 
 
-def test_partition_key_distinguishes_partitions(graph, store, tmp_path):
+def test_partitions_share_one_cache_entry(graph, store, tmp_path):
+    # the operator does not depend on the partition: a 5-shard store, a
+    # 2-shard store and the in-memory graph of the same edges share the
+    # entry the first of them made
     other = partition_graph(graph, tmp_path / "k2", num_shards=2)
-    assert store.structural_fingerprint() == other.structural_fingerprint()
-    assert store.partition_key != other.partition_key
+    engine = PagerankEngine()
+    first = engine.bundle(store)
+    assert isinstance(first, OperatorBundle)
+    # one pass for the degrees, one to fill: each shard loads once
+    assert store.cache_info()["loads"] == store.num_shards
+    assert engine.bundle(other) is first
+    assert engine.bundle(graph) is first
+    info = engine.cache.cache_info()
+    assert (info["size"], info["misses"], info["hits"]) == (1, 1, 2)
+    assert store in engine.cache and graph in engine.cache
 
 
 def test_operator_cache_reuses_shard_operator(store):
@@ -425,16 +448,6 @@ def test_operator_cache_reuses_shard_operator(store):
     first = sharded_operator_for(cache, store)
     second = sharded_operator_for(cache, store)
     assert first is second
-
-
-def test_sharded_rejects_non_jacobi_and_solver_options(store):
-    engine = PagerankEngine()
-    with pytest.raises(ValueError, match="sharded"):
-        engine.solve(store, method="power")
-    with pytest.raises(ValueError, match="sharded"):
-        engine.solve(store, track_residuals=True)
-    with pytest.raises(TypeError, match="sharded"):
-        engine.bundle(store)
 
 
 def test_delta_on_sharded_graph_is_a_type_error(graph, store):

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core import estimate_spam_mass
+from repro.errors import WalError
 from repro.eval import LatencyProbe
 from repro.graph import WebGraph, write_graph_bundle, write_host_list
 from repro.runtime.chaos import (
@@ -270,11 +271,11 @@ def _ingest_until(ingestor, path, stop):
                 return fh.tell()
 
 
-def _resume(world, root, path, config):
+def _resume(world, root, path, config, daemon_config=None):
     """A new incarnation on ``root``'s checkpoint, run to the end."""
     world_dir, _, _ = world
     daemon = ScoringDaemon.load(
-        world_dir, root / "ckpt", config=_daemon_config()
+        world_dir, root / "ckpt", config=daemon_config or _daemon_config()
     )
     ingestor = StreamIngestor(daemon, root / "state", config=config)
     ingestor.ingest_file(path)
@@ -290,19 +291,32 @@ def _stream_stats(ingestor):
     return stats
 
 
-@pytest.mark.parametrize("apply_every", [1, 3])
+@pytest.mark.parametrize(
+    "apply_every, batch_deltas",
+    [
+        pytest.param(1, 1, id="1"),
+        pytest.param(3, 1, id="3"),
+        pytest.param(3, 3, id="3-batched"),
+    ],
+)
 def test_crash_at_every_tenth_resumes_to_the_uninterrupted_run(
-    world, tmp_path, apply_every
+    world, tmp_path, apply_every, batch_deltas
 ):
     """A crash after any 10% of the stream's bytes resumes from the
     last WAL record to the uninterrupted run's scores, bitwise, and to
     its counters — ``duplicates`` included: lines the record's position
-    had already decided only refill the open windows."""
+    had already decided only refill the open windows.  With batched
+    applies the resumed run applies the windows a crash left in flight
+    in the uninterrupted run's groups, so each apply coalesces the same
+    deltas."""
     _, _, stream_path = world
     config = _stream_config(apply_every=apply_every)
+    daemon_config = _daemon_config(batch_deltas=batch_deltas)
     ref_root = tmp_path / "ref"
     ref_root.mkdir()
-    daemon, ingestor = _load(world, ref_root, stream=config)
+    daemon, ingestor = _load(
+        world, ref_root, config=daemon_config, stream=config
+    )
     ingestor.ingest_file(stream_path)
     ingestor.flush()
     reference = daemon.store.current
@@ -312,12 +326,16 @@ def test_crash_at_every_tenth_resumes_to_the_uninterrupted_run(
     for tenth in range(1, 10):
         root = tmp_path / f"crash-{tenth}"
         root.mkdir()
-        daemon, ingestor = _load(world, root, stream=config)
+        daemon, ingestor = _load(
+            world, root, config=daemon_config, stream=config
+        )
         cut = size * tenth // 10
         _ingest_until(ingestor, stream_path, lambda i: i._position >= cut)
         del daemon, ingestor
 
-        daemon, ingestor = _resume(world, root, stream_path, config)
+        daemon, ingestor = _resume(
+            world, root, stream_path, config, daemon_config
+        )
         epoch = daemon.store.current
         assert epoch.fingerprint == reference.fingerprint, tenth
         assert np.array_equal(
@@ -616,6 +634,35 @@ def test_flood_degrades_window_and_recovers(base, world, tmp_path):
         epoch.estimates.pagerank, cold.pagerank, rtol=0, atol=1e-8
     )
     assert ingestor.stats()["windows_quarantined"] == 0
+
+
+def test_apply_every_is_bounded_by_the_staleness_bound(
+    world, tmp_path, clean
+):
+    """The daemon refuses a submit once more than ``max_staleness``
+    deltas wait unapplied, and its refusal names that bound.  An
+    ``apply_every`` whose last submit it would refuse is rejected up
+    front; the largest one it accepts runs the stream to the end."""
+    _, _, stream_path = world
+    bounded = DaemonConfig(max_staleness=2)
+    with pytest.raises(ValueError, match=r"max_staleness \+ 1 \(3\)"):
+        _load(world, tmp_path / "over", config=bounded,
+              stream=_stream_config(apply_every=4))
+
+    daemon, ingestor = _load(world, tmp_path / "at", config=bounded,
+                             stream=_stream_config(apply_every=3))
+    ingestor.ingest_file(stream_path)
+    ingestor.flush()
+    assert daemon.staleness == 0
+    assert ingestor.stats()["windows_quarantined"] == 0
+    graph = daemon.store.current.graph
+    assert graph.structural_fingerprint() == clean["fingerprint"]
+
+    daemon, _ = _load(world, tmp_path / "refuse", config=bounded)
+    for dst in (98, 97, 96):
+        daemon.submit_delta([(99, dst)])
+    with pytest.raises(WalError, match="3 unapplied .* max_staleness 2"):
+        daemon.submit_delta([(99, 95)])
 
 
 # ----------------------------------------------------------------------
