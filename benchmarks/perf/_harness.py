@@ -26,6 +26,7 @@ import scipy
 __all__ = [
     "best_of",
     "median",
+    "paired_ratio",
     "emit_report",
     "new_report",
     "split_csv",
@@ -45,6 +46,33 @@ def best_of(repeats, fn):
         result = fn()
         best = min(best, time.perf_counter() - start)
     return best, result
+
+
+def paired_ratio(pairs, numerator, denominator):
+    """Median over ``pairs`` back-to-back runs of ``numerator`` and
+    ``denominator`` of the ratio of their times.
+
+    The two runs of a pair go first in turn.  Two best-of-N timings
+    taken one after the other see different moments of a shared host,
+    so their ratio moves with whatever else ran then; the two halves
+    of a pair see nearly the same moment, and the median drops the
+    pairs a burst of load split.
+    """
+    def timed(fn):
+        start = time.perf_counter()
+        fn()
+        return time.perf_counter() - start
+
+    ratios = []
+    for i in range(pairs):
+        if i % 2 == 0:
+            top = timed(numerator)
+            bottom = timed(denominator)
+        else:
+            bottom = timed(denominator)
+            top = timed(numerator)
+        ratios.append(top / bottom)
+    return median(ratios)
 
 
 def median(values):

@@ -366,17 +366,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if args.checkpoint_dir is not None:
         # persist the converged pair so a later `repro-spam update` can
         # warm-start the incremental engine instead of solving cold
-        from .runtime.checkpoint import save_solution
+        from .serve.ingest import save_estimates
 
-        save_solution(
+        save_estimates(
             args.checkpoint_dir,
-            np.stack([estimates.pagerank, estimates.core_pagerank], axis=1),
+            estimates,
             fingerprint=graph.structural_fingerprint(),
-            extra={
-                "damping": estimates.damping,
-                "gamma": gamma,
-                "labels": ["pagerank", "core"],
-            },
         )
         print(f"saved converged solution to {args.checkpoint_dir}")
     eligible = int(
@@ -405,8 +400,8 @@ def cmd_update(args: argparse.Namespace) -> int:
     """
     from .graph import compose_applications, read_delta
     from .perf import PagerankEngine
-    from .runtime.checkpoint import load_solution, save_solution
-    from .serve.ingest import reestimate, snapshot_estimates
+    from .runtime.checkpoint import load_solution
+    from .serve.ingest import reestimate, save_estimates, snapshot_estimates
 
     graph, labels, metadata = read_graph_bundle(
         args.world, strict=not args.lenient
@@ -419,44 +414,35 @@ def cmd_update(args: argparse.Namespace) -> int:
     snapshot = load_solution(
         args.checkpoint_dir, fingerprint=graph.structural_fingerprint()
     )
-    estimates = snapshot_estimates(snapshot)
     applications = []
     tip = graph
     for delta in deltas:
         app = delta.apply(tip)
         applications.append(app)
         tip = app.after
-    batch = args.batch_deltas or len(applications)
-    groups = [
-        compose_applications(applications[i:i + batch])
-        for i in range(0, len(applications), batch)
-    ]
-    engine = PagerankEngine()
-    for group in groups:
-        estimates, degraded = reestimate(
-            group, core, estimates, engine=engine
-        )
-        if degraded:
-            print(
-                "warm push update failed; degraded to a cold re-solve "
-                "of the mutated graph (same scores, slower path)"
-            )
+    # the chained files compose into one splice and one warm solve
     application = compose_applications(applications)
+    estimates, degraded = reestimate(
+        application,
+        core,
+        snapshot_estimates(snapshot),
+        engine=PagerankEngine(),
+    )
+    if degraded:
+        print(
+            "warm push update failed; degraded to a cold re-solve "
+            "of the mutated graph (same scores, slower path)"
+        )
     delta = application.delta
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     write_scores(estimates.pagerank, f"{prefix}.pagerank.scores")
     write_scores(estimates.core_pagerank, f"{prefix}.core.scores")
     write_scores(estimates.relative, f"{prefix}.relative.scores")
-    save_solution(
+    save_estimates(
         args.checkpoint_dir,
-        np.stack([estimates.pagerank, estimates.core_pagerank], axis=1),
+        estimates,
         fingerprint=application.after.structural_fingerprint(),
-        extra={
-            "damping": estimates.damping,
-            "gamma": estimates.gamma,
-            "labels": ["pagerank", "core"],
-        },
     )
     if args.write_world:
         out_world = Path(args.write_world)
@@ -476,7 +462,7 @@ def cmd_update(args: argparse.Namespace) -> int:
     eligible = int((estimates.scaled_pagerank() >= args.rho).sum())
     print(
         f"applied {delta.num_insertions:,}+/{delta.num_deletions:,}- net "
-        f"edge delta ({len(deltas)} file(s) in {len(groups)} batch(es)) "
+        f"edge delta ({len(deltas)} file(s)) "
         f"touching {len(application.touched_nodes):,} hosts; "
         f"{eligible:,} hosts pass scaled PageRank >= {args.rho:g}"
     )
@@ -620,21 +606,6 @@ def cmd_stream_ingest(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    if args.apply_every > args.max_pending_windows:
-        print(
-            "repro-spam stream ingest: error: --apply-every must not "
-            "exceed --max-pending-windows",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if args.apply_every > args.max_staleness + 1:
-        print(
-            "repro-spam stream ingest: error: --apply-every must not "
-            "exceed --max-staleness + 1 (the daemon refuses a window "
-            "once more than --max-staleness wait unapplied)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     events_path = Path(args.events)
     probe = None
     if args.probe:
@@ -657,18 +628,12 @@ def cmd_stream_ingest(args: argparse.Namespace) -> int:
             TemporalAttack.from_dict(a) for a in data.get("attacks", [])
         ]
         probe = LatencyProbe(attacks, rho=args.rho, tau=args.tau)
-    config = DaemonConfig(
-        rho=args.rho,
-        tau=args.tau,
-        max_staleness=args.max_staleness,
-        batch_deltas=args.batch_deltas,
-    )
     daemon = ScoringDaemon.load(
         args.world,
         args.checkpoint_dir,
         core_path=args.core,
         wal_dir=args.wal_dir,
-        config=config,
+        config=DaemonConfig(rho=args.rho, tau=args.tau),
     )
     dlq_dir = (
         Path(args.dlq_dir)
@@ -684,7 +649,6 @@ def cmd_stream_ingest(args: argparse.Namespace) -> int:
             min_window=args.min_window,
             max_pending_windows=args.max_pending_windows,
             flood_threshold=args.flood_threshold,
-            apply_every=args.apply_every,
         ),
         on_commit=probe.observe if probe is not None else None,
     )
@@ -869,7 +833,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             f"{', '.join(known)} or 'all'"
         )
 
-    engine = PagerankEngine(args.cache_size, workers=args.workers)
+    engine = PagerankEngine(args.cache_size)
     ctx = None
     results = []
     for exp_id in ids:
@@ -1097,16 +1061,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="edge-delta file ('+ u v' / '- u v' lines; see "
         "docs/cli.md); repeatable — the files chain in order, each "
-        "applying to the graph the previous one produced",
-    )
-    p_upd.add_argument(
-        "--batch-deltas",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="coalesce up to N chained --delta files into one composed "
-        "splice + one warm solve each (default: all of them as a "
-        "single batch)",
+        "applying to the graph the previous one produced, and compose "
+        "into one splice and one warm solve",
     )
     p_upd.add_argument(
         "--checkpoint-dir",
@@ -1326,7 +1282,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=16,
         metavar="TICKS",
-        help="event-time window size (default 16)",
+        help="event-time window size (default 16); each sealed "
+        "window is one apply, so a wider window coalesces more churn "
+        "into one warm solve",
     )
     p_sing.add_argument(
         "--max-lateness",
@@ -1360,32 +1318,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="buffered events above which backpressure degrades the "
         "window size and drops the lateness allowance (default 10000)",
     )
-    p_sing.add_argument(
-        "--apply-every",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="sealed windows to accumulate before one batched apply "
-        "(default 1); must not exceed --max-pending-windows or "
-        "--max-staleness + 1",
-    )
     p_sing.add_argument("--rho", type=_finite_float, default=10.0)
     p_sing.add_argument("--tau", type=_finite_float, default=0.98)
-    p_sing.add_argument(
-        "--max-staleness",
-        type=_positive_int,
-        default=8,
-        metavar="N",
-        help="unapplied delta batches before ingest degrades "
-        "(default 8)",
-    )
-    p_sing.add_argument(
-        "--batch-deltas",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="window deltas one daemon apply may coalesce (default 1)",
-    )
     p_sing.add_argument(
         "--probe",
         action="store_true",
@@ -1496,13 +1430,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=8,
         help="bound of the operator LRU cache used by the solves",
-    )
-    p_rep.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="process count for Monte-Carlo stages (deterministic for "
-        "any worker count)",
     )
     p_rep.add_argument(
         "--out",

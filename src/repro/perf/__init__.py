@@ -30,7 +30,6 @@ from .engine import (
     DEFAULT_CHECK_EVERY,
     BatchResult,
     PagerankEngine,
-    configure_engine,
     get_engine,
     set_engine,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "PushStats",
     "push_update",
     "seed_residual",
-    "configure_engine",
     "get_engine",
     "graph_fingerprint",
     "pagerank_montecarlo_parallel",

@@ -15,10 +15,7 @@ of times (threshold sweeps, core-size ablations, γ studies).
   single dense-block Jacobi iteration on the **dangling-restricted**
   subsystem (see :mod:`repro.perf.cache`), with per-column convergence
   freezing and periodic residual checks — one matrix traversal per
-  iteration serves every column;
-* Monte-Carlo endpoint sampling parallelizes across processes with
-  deterministic per-worker RNG streams
-  (:func:`~repro.perf.parallel.pagerank_montecarlo_parallel`).
+  iteration serves every column.
 
 The block iteration is algebraically the plain Jacobi of Algorithm 1:
 columns of ``Tᵀ`` indexed by dangling nodes are zero, so the iterate
@@ -80,7 +77,6 @@ __all__ = [
     "PagerankEngine",
     "get_engine",
     "set_engine",
-    "configure_engine",
 ]
 
 #: Cadence of residual checks inside the block iteration.  Between
@@ -205,9 +201,6 @@ class PagerankEngine:
     check_every:
         Residual-check cadence of the block kernel, in cold solves and
         in the diffusion escape of :meth:`update_many` alike.
-    workers:
-        Default process count for Monte-Carlo sampling (``None`` =
-        serial in-process execution).
     """
 
     def __init__(
@@ -216,14 +209,12 @@ class PagerankEngine:
         *,
         method: str = "jacobi",
         check_every: int = DEFAULT_CHECK_EVERY,
-        workers: Optional[int] = None,
     ) -> None:
         if check_every < 1:
             raise ValueError("check_every must be >= 1")
         self.cache = OperatorCache(cache_size)
         self.method = method
         self.check_every = check_every
-        self.workers = workers
 
     # ------------------------------------------------------------------
     # operator access
@@ -529,36 +520,6 @@ class PagerankEngine:
             )
         return result
 
-    # ------------------------------------------------------------------
-    # Monte Carlo
-    # ------------------------------------------------------------------
-
-    def montecarlo(
-        self,
-        graph: WebGraph,
-        v: Optional[np.ndarray] = None,
-        *,
-        damping: float = 0.85,
-        num_walks: int = 100_000,
-        workers: Optional[int] = None,
-        seed: int = 0,
-        max_walk_length: int = 1_000,
-    ):
-        """Parallel Monte-Carlo PageRank (deterministic in ``seed`` and
-        ``workers``); see
-        :func:`repro.perf.parallel.pagerank_montecarlo_parallel`."""
-        from .parallel import pagerank_montecarlo_parallel
-
-        return pagerank_montecarlo_parallel(
-            graph,
-            v,
-            damping=damping,
-            num_walks=num_walks,
-            workers=workers if workers is not None else self.workers,
-            seed=seed,
-            max_walk_length=max_walk_length,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PagerankEngine(cache={self.cache!r}, "
@@ -768,19 +729,3 @@ def set_engine(engine: Optional[PagerankEngine]) -> Optional[PagerankEngine]:
         _default_engine = engine
         return previous
 
-
-def configure_engine(
-    cache_size: int = DEFAULT_CACHE_SIZE,
-    *,
-    method: str = "jacobi",
-    check_every: int = DEFAULT_CHECK_EVERY,
-    workers: Optional[int] = None,
-) -> PagerankEngine:
-    """Build a fresh engine with the given knobs and install it as the
-    shared default.  Returns the new engine."""
-    engine = PagerankEngine(
-        cache_size, method=method, check_every=check_every,
-        workers=workers,
-    )
-    set_engine(engine)
-    return engine

@@ -44,7 +44,7 @@ MODES = {"full": 0, "degraded": 1, "reject": 2}
 MUTATING_OPS = frozenset({"ingest"})
 
 #: Request kinds whose cost is orders of magnitude above a score read
-#: (``explain`` walks contribution paths over the whole graph).  They
+#: (``explain`` runs one Jacobi solve over the whole graph's edges).  They
 #: get their own bounded lane — an explain storm can never take every
 #: slot cheap reads need — and are shed outright in degraded mode,
 #: where every cycle belongs to cheap reads and to healing the ingest

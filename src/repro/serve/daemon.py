@@ -55,7 +55,7 @@ from ..errors import SnapshotMismatchError, WalError
 from ..graph import GraphDelta, read_graph_bundle, read_host_list
 from ..graph.delta import DeltaApplication, compose_applications
 from ..obs import get_telemetry
-from ..runtime.checkpoint import load_solution, save_solution
+from ..runtime.checkpoint import load_solution
 from .epoch import (
     Epoch,
     EpochStore,
@@ -63,7 +63,7 @@ from .epoch import (
     score_from_epoch,
     top_from_epoch,
 )
-from .ingest import reestimate, snapshot_estimates
+from .ingest import reestimate, save_estimates, snapshot_estimates
 from .wal import DeltaWAL, WalRecord, plan_replay
 
 __all__ = ["CircuitBreaker", "DaemonConfig", "ScoringDaemon"]
@@ -94,6 +94,11 @@ class DaemonConfig:
     whole batch.  The default of 1 preserves the one-record-per-epoch
     behaviour; the WAL chain is unchanged either way (every record is
     still fsynced and acked individually), only epoch cadence changes.
+    It is for ``serve``, whose queue holds client deltas in numbers the
+    daemon does not choose: a :class:`~repro.serve.stream.StreamIngestor`
+    applies each window in the call that submits it, so at most one
+    delta waits and neither ``batch_deltas`` nor ``max_staleness``
+    changes a bit there.
     """
 
     rho: float = 10.0
@@ -656,19 +661,11 @@ class ScoringDaemon:
 
         # success: persist the solution, dequeue
         if self.checkpoint_dir is not None:
-            save_solution(
+            save_estimates(
                 self.checkpoint_dir,
-                np.stack(
-                    [new_estimates.pagerank, new_estimates.core_pagerank],
-                    axis=1,
-                ),
+                new_estimates,
                 fingerprint=candidate.fingerprint,
-                extra={
-                    "damping": new_estimates.damping,
-                    "gamma": new_estimates.gamma,
-                    "labels": ["pagerank", "core"],
-                    "wal_seq": record.seq,
-                },
+                wal_seq=record.seq,
             )
         with self._lock:
             if self._pending and self._pending[0] is item:

@@ -11,19 +11,52 @@ the previous scores, which is what makes it a fallback at all.
 
 Damping and γ are not inputs: they are read from the solution snapshot
 the chain starts from (:func:`snapshot_estimates`), so a re-estimate
-can never mix parameters with the scores it warm-starts from.
+can never mix parameters with the scores it warm-starts from.  The
+snapshot is written by :func:`save_estimates`, next to its reader: the
+column order (``p``, ``p′``) and the meta keys live in this module.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from pathlib import Path
+from typing import Optional, Tuple, Union
+
+import numpy as np
 
 from ..core import estimate_spam_mass
 from ..core.mass import DEFAULT_GAMMA, MassEstimates
 from ..errors import ReproError
 from ..obs import get_telemetry
+from ..runtime.checkpoint import save_solution
 
-__all__ = ["reestimate", "snapshot_estimates"]
+__all__ = ["reestimate", "save_estimates", "snapshot_estimates"]
+
+
+def save_estimates(
+    directory: Union[str, Path],
+    estimates: MassEstimates,
+    *,
+    fingerprint: str,
+    wal_seq: Optional[int] = None,
+) -> Path:
+    """Write ``estimates`` as the solution snapshot
+    :func:`snapshot_estimates` reads: ``p`` and ``p′`` as two columns,
+    damping and γ in the meta, and ``wal_seq`` when a daemon apply
+    wrote it.  ``fingerprint`` is the scored graph's structural
+    fingerprint.  Returns the snapshot's path."""
+    extra = {
+        "damping": estimates.damping,
+        "gamma": estimates.gamma,
+        "labels": ["pagerank", "core"],
+    }
+    if wal_seq is not None:
+        extra["wal_seq"] = wal_seq
+    return save_solution(
+        directory,
+        np.stack([estimates.pagerank, estimates.core_pagerank], axis=1),
+        fingerprint=fingerprint,
+        extra=extra,
+    )
 
 
 def snapshot_estimates(snapshot) -> MassEstimates:

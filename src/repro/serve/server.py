@@ -7,8 +7,9 @@ parses and *admits* requests (:mod:`repro.serve.admission`) and
 answers every admitted op itself, except ``explain``: a connection's
 next line is read only after its reply is sent, so a hand-off to
 another thread would buy nothing but two context switches.  Only the
-slow lane (:data:`~repro.serve.admission.SLOW_OPS`: ``explain`` walks
-contribution paths) goes through a queue to its own worker threads,
+slow lane (:data:`~repro.serve.admission.SLOW_OPS`: ``explain`` runs
+one Jacobi solve over the whole graph) goes through a queue to its own
+worker threads,
 so an explain storm never holds up the readers.  Overload is shed at
 the door with a structured refusal instead of a growing backlog.
 

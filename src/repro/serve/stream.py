@@ -51,14 +51,14 @@ the ingestor's only durable state: it carries the *position* right
 after the window (see :meth:`StreamIngestor._checkpoint`) — the
 window's bounds and event ids, the consumed-id watermark + extras, the
 open windows' bounds, the flow-control state and the counters.  A new
-incarnation restores the newest record's position.  Records the daemon
-has not applied yet are the in-flight windows again and are applied
-when a live run would apply them, with the same group (poison among
-them is quarantined as ``"apply-failed"``).  The source
-is then re-read from the oldest open window's first line: lines the
-position had already decided only refill the open windows, and every
-later line is decided afresh — including windows that cancelled out
-or were quarantined after the record, and late or malformed lines.
+incarnation restores the newest record's position and applies the
+record the daemon has not (a crash between a window's submit and its
+apply leaves one; poison is quarantined as ``"apply-failed"``).  The
+source is then re-read from the oldest open window's first line:
+lines the position had already decided only refill the open windows,
+and every later line is decided afresh — including windows that
+cancelled out or were quarantined after the record, and late or
+malformed lines.
 Decisions are deterministic, so the resumed run commits the same
 windows with bitwise-identical scores and ends with the same counters;
 the DLQ skips an entry identical to one it already holds, so a
@@ -94,7 +94,8 @@ class StreamConfig:
 
     ``window``/``max_lateness``/``min_window`` are in event-time ticks
     (the stream's ``ts`` unit); ``max_pending_windows`` and
-    ``flood_threshold`` are counts.
+    ``flood_threshold`` are counts.  Each sealed window is one apply,
+    so ``window`` also sets how much churn one warm solve absorbs.
     """
 
     window: int = 16
@@ -102,7 +103,6 @@ class StreamConfig:
     min_window: int = 2
     max_pending_windows: int = 64
     flood_threshold: int = 10_000
-    apply_every: int = 1
 
     def __post_init__(self) -> None:
         if self.window < 1:
@@ -115,8 +115,6 @@ class StreamConfig:
             raise ValueError("max_pending_windows must be >= 1")
         if self.flood_threshold < 1:
             raise ValueError("flood_threshold must be >= 1")
-        if self.apply_every < 1:
-            raise ValueError("apply_every must be >= 1")
 
 
 class DeadLetterQueue:
@@ -317,14 +315,6 @@ class StreamIngestor:
     ) -> None:
         self.daemon = daemon
         self.config = config if config is not None else StreamConfig()
-        bound = daemon.config.max_staleness + 1
-        if self.config.apply_every > bound:
-            # the daemon refuses a submit once more than max_staleness
-            # deltas wait, so the group's last window could never land
-            raise ValueError(
-                f"apply_every {self.config.apply_every} exceeds the "
-                f"daemon's max_staleness + 1 ({bound})"
-            )
         self.dlq = DeadLetterQueue(directory)
         self.on_commit = on_commit
         self._num_nodes = daemon.store.current.graph.num_nodes
@@ -340,8 +330,6 @@ class StreamIngestor:
         # after a resume: source offset below which every line was
         # already decided, so ingest_file only refills the open windows
         self._refill_until: Optional[int] = None
-        # windows submitted to the daemon but not yet applied
-        self._inflight: List[dict] = []
         # counters (monotone over the stream, restored on resume)
         self.events_consumed = 0
         self.duplicates = 0
@@ -423,17 +411,11 @@ class StreamIngestor:
             self.windows_committed,
             self.windows_quarantined,
         ) = (int(c) for c in pos["counters"])
-        # the records the daemon has not applied are this ingestor's
-        # in-flight windows: apply them when the crashed run would have,
-        # once a full group is in flight, so batched applies coalesce
-        # the same windows (flush applies a partial group)
+        # a crash between a window's submit and its apply leaves its
+        # record pending in the daemon: apply it now
         applied = self.daemon.store.current.wal_seq
-        self._inflight = [
-            {
-                "seq": r.seq,
-                "window": tuple(r.position["window"]),
-                "ids": r.position["ids"],
-            }
+        pending = [
+            (r.seq, tuple(r.position["window"]), r.position["ids"])
             for r in records
             if r.seq > applied
         ]
@@ -442,11 +424,11 @@ class StreamIngestor:
             tele.event(
                 "stream.resumed",
                 seq=records[-1].seq,
-                pending=len(self._inflight),
+                pending=len(pending),
                 offset=self._position,
             )
-        if len(self._inflight) >= self.config.apply_every:
-            self._apply_inflight()
+        if pending:
+            self._apply(pending)
 
     # ------------------------------------------------------------------
     # ingestion
@@ -556,7 +538,6 @@ class StreamIngestor:
         """Seal and commit every open window (end-of-stream)."""
         while self._windows:
             self._seal_oldest()
-        self._apply_inflight()
         tele = get_telemetry()
         if tele.enabled:
             tele.set_gauge("stream.open_windows", 0)
@@ -714,48 +695,46 @@ class StreamIngestor:
             self._quarantine_window(window, "poison-delta", str(exc))
             return
         self._consume_window(window)
+        seq = None
         if len(delta):
             try:
-                ack = self.daemon.submit_delta(
+                seq = self.daemon.submit_delta(
                     list(delta.insertions),
                     list(delta.deletions),
                     position=self._checkpoint(window, ids),
-                )
+                )["seq"]
             except DeltaError as exc:
                 # structurally poison against the accepted tip: the
                 # submit validated before the WAL append, nothing is
                 # durable
                 self._quarantine_window(window, "poison-delta", str(exc))
                 return
-            self._inflight.append(
-                {
-                    "seq": ack["seq"],
-                    "window": (window.start, window.end),
-                    "ids": ids,
-                }
-            )
         # else the window cancelled itself out — nothing to apply
         self.events_consumed += len(ids)
         self.windows_committed += 1
-        if len(self._inflight) >= self.config.apply_every:
-            self._apply_inflight()
+        if seq is not None:
+            self._apply([(seq, (window.start, window.end), ids)])
 
-    def _apply_inflight(self) -> None:
-        """Apply every submitted-but-unapplied window; quarantine poison."""
-        if not self._inflight:
-            return
+    def _apply(
+        self, windows: List[Tuple[int, Tuple[int, int], List[int]]]
+    ) -> None:
+        """Apply the submitted windows, ``(seq, bounds, ids)`` each.
+
+        The live path passes the window it just submitted, so a window
+        both the warm and the cold solve reject is abandoned alone
+        (its record is the only one pending) while the daemon keeps
+        serving its current epoch.  A resume passes whatever records
+        the daemon left pending; a failure among several drops them
+        all.
+        """
         self.daemon.apply_pending()
         dropped = set()
         if self.daemon.staleness:
-            # some suffix of the inflight windows is durable but
-            # unapplicable (warm AND cold both failed): abandon it,
-            # keep serving the epoch the prefix reached
             dropped = {r.seq for r in self.daemon.quarantine_pending()}
         epoch = self.daemon.store.current
         tele = get_telemetry()
-        applied: List[dict] = []
-        for entry in self._inflight:
-            if entry["seq"] in dropped:
+        for seq, bounds, ids in windows:
+            if seq in dropped:
                 self.windows_committed -= 1
                 self.windows_quarantined += 1
                 self.dlq.append(
@@ -764,28 +743,25 @@ class StreamIngestor:
                         "warm and cold re-estimates both failed; "
                         "window abandoned via quarantine_pending"
                     ),
-                    ids=entry["ids"],
-                    window=entry["window"],
+                    ids=ids,
+                    window=bounds,
                 )
                 continue
-            applied.append(entry)
             if tele.enabled:
                 tele.inc("stream.windows")
                 tele.event(
                     "stream.window_committed",
-                    start=entry["window"][0],
-                    end=entry["window"][1],
-                    events=len(entry["ids"]),
+                    start=bounds[0],
+                    end=bounds[1],
+                    events=len(ids),
                     epoch=epoch.seq,
                 )
-        self._inflight = []
-        if self.on_commit is not None:
-            for entry in applied:
+            if self.on_commit is not None:
                 info = {
-                    "window": entry["window"],
-                    "ids": entry["ids"],
+                    "window": bounds,
+                    "ids": ids,
                     "events_consumed": self.events_consumed,
-                    "last_id": entry["ids"][-1],
+                    "last_id": ids[-1],
                 }
                 try:
                     self.on_commit(info, epoch)

@@ -521,7 +521,6 @@ def test_parser_engine_defaults():
     assert args.mc_walks == 0
     rep = parser.parse_args(["reproduce", "--experiment", "T1"])
     assert rep.cache_size == 8
-    assert rep.workers is None
 
 
 _REQUIRED = {
@@ -538,6 +537,7 @@ _REQUIRED = {
         "--events", "e",
     ],
     "audit-core": ["audit-core", "--world", "w"],
+    "reproduce": ["reproduce", "--experiment", "T1"],
 }
 
 
@@ -579,20 +579,29 @@ _REQUIRED = {
         ("update", "--gamma", "0.85"),
         ("stream-ingest", "--gamma", "0.5"),
         ("stream-ingest", "--state-dir", "s"),
+        ("stream-ingest", "--apply-every", "3"),
+        ("stream-ingest", "--apply-every", "0"),
+        ("stream-ingest", "--batch-deltas", "3"),
+        ("stream-ingest", "--max-staleness", "8"),
+        ("update", "--batch-deltas", "1"),
+        ("update", "--batch-deltas", "0"),
+        ("reproduce", "--workers", "2"),
     ],
 )
 def test_removed_solver_flags_are_usage_errors(command, flag, value, capsys):
-    """Every batched solve is float64, only the Monte-Carlo commands
-    (``estimate``, ``reproduce``) take ``--workers``, ``serve`` has no
+    """Every batched solve is float64, only ``estimate`` runs Monte
+    Carlo and takes ``--workers``, ``serve`` has no
     read-replica fleet, only ``reproduce`` (many graphs) sizes an
     operator cache, ``estimate`` runs one cold engine solve (no solver
     engine choice, iteration checkpoints, resume, time budget or
     Monte-Carlo supervision), ``update`` and ``serve`` run one warm
     re-estimate with one cold fallback (no retry, deadline or degrade
-    knobs), ``serve`` answers fast ops on each connection's reader (no
-    request worker pool to size), γ comes from the stored solution, and
-    ``stream ingest`` keeps its position in the WAL (no journal
-    directory)."""
+    knobs; ``update`` composes all its files into one), ``serve``
+    answers fast ops on each connection's reader (no request worker
+    pool to size), γ comes from the stored solution, and ``stream
+    ingest`` keeps its position in the WAL (no journal directory) and
+    applies each sealed window as it seals it (``--window`` alone sets
+    how much churn one apply coalesces)."""
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args(
             _REQUIRED[command] + [flag] + ([] if value is None else [value])

@@ -258,13 +258,13 @@ def test_update_round_trip_matches_cold_estimate(small_world_dir, tmp_path):
 
 
 def test_update_chained_deltas_and_precision(small_world_dir, tmp_path):
-    """Repeated ``--delta`` + ``--batch-deltas``.
+    """Repeated ``--delta``.
 
-    Two chained delta files applied in one invocation (coalesced into
-    one batch by default, split with ``--batch-deltas 1``) must land on
-    the same scores as a cold estimate of the final mutated world,
-    within ``10 * tol``.  Both solves are float64: neither command
-    reports a precision choice.
+    Two chained delta files applied in one invocation (composed into
+    one splice and one warm solve) must land on the same scores as a
+    cold estimate of the final mutated world, within ``10 * tol``.
+    Both solves are float64: neither command reports a precision
+    choice.
     """
     import numpy as np
 
@@ -305,14 +305,13 @@ def test_update_chained_deltas_and_precision(small_world_dir, tmp_path):
         "--world", str(small_world_dir),
         "--delta", str(delta_files[0]),
         "--delta", str(delta_files[1]),
-        "--batch-deltas", "1",
         "--checkpoint-dir", str(ckpt),
         "--out-prefix", str(tmp_path / "upd"),
         "--write-world", str(mutated_dir),
         cwd=tmp_path,
     )
     assert upd.returncode == 0, upd.stderr
-    assert "2 file(s) in 2 batch(es)" in upd.stdout
+    assert "(2 file(s))" in upd.stdout
     assert "precision:" not in upd.stdout
 
     est2 = run_cli(
@@ -327,28 +326,6 @@ def test_update_chained_deltas_and_precision(small_world_dir, tmp_path):
         updated = read_scores(f"{tmp_path}/upd.{kind}.scores")
         cold = read_scores(f"{tmp_path}/coldmut.{kind}.scores")
         assert np.abs(updated - cold).max() <= 1e-11, kind
-
-
-@pytest.mark.parametrize(
-    "flag,value,message",
-    [
-        ("--batch-deltas", "0", "must be a positive integer"),
-    ],
-)
-def test_update_rejects_bad_coalescing_flags(
-    tmp_path, flag, value, message
-):
-    proc = run_cli(
-        "update",
-        "--world", str(tmp_path / "none"),
-        "--delta", str(tmp_path / "none.delta"),
-        "--checkpoint-dir", str(tmp_path / "none-ckpt"),
-        "--out-prefix", str(tmp_path / "out"),
-        flag, value,
-        cwd=tmp_path,
-    )
-    assert proc.returncode == 2
-    assert message in proc.stderr
 
 
 def test_detect_smoke_over_traced_estimate(small_world_dir, tmp_path):
@@ -660,9 +637,6 @@ def test_stream_synth_ingest_dlq_round_trip(small_world_dir, tmp_path):
         ("--min-window", "0", "must be a positive integer"),
         ("--max-pending-windows", "0", "must be a positive integer"),
         ("--flood-threshold", "0", "must be a positive integer"),
-        ("--apply-every", "0", "must be a positive integer"),
-        ("--max-staleness", "0", "must be a positive integer"),
-        ("--batch-deltas", "-1", "must be a positive integer"),
         ("--rho", "nan", "must be a finite number"),
         ("--tau", "inf", "must be a finite number"),
     ],
@@ -690,21 +664,8 @@ def test_stream_ingest_rejects_bad_flags(tmp_path, flag, value, message):
             ["--window", "4", "--min-window", "8"],
             "--min-window must not exceed --window",
         ),
-        (
-            ["--apply-every", "8", "--max-pending-windows", "4"],
-            "--apply-every must not exceed --max-pending-windows",
-        ),
-        (
-            ["--apply-every", "10"],
-            "--apply-every must not exceed --max-staleness + 1",
-        ),
-        (
-            ["--apply-every", "5", "--max-staleness", "3"],
-            "--apply-every must not exceed --max-staleness + 1",
-        ),
     ],
-    ids=["min-window", "apply-every", "apply-every-staleness",
-         "apply-every-set-staleness"],
+    ids=["min-window"],
 )
 def test_stream_ingest_cross_flag_validation(tmp_path, argv, message):
     """Individually-valid flags that contradict each other: exit 2

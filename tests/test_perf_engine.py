@@ -354,12 +354,3 @@ def test_montecarlo_pool_failure_falls_back(monkeypatch, chain_graph):
             chain_graph, num_walks=2_000, workers=4, seed=5
         )
     assert np.array_equal(degraded.scores, reference.scores)
-
-
-def test_engine_montecarlo_uses_default_workers(chain_graph):
-    engine = PagerankEngine(workers=1)
-    result = engine.montecarlo(chain_graph, num_walks=1_000, seed=2)
-    direct = pagerank_montecarlo_parallel(
-        chain_graph, num_walks=1_000, workers=1, seed=2
-    )
-    assert np.array_equal(result.scores, direct.scores)

@@ -346,6 +346,18 @@ def test_staleness_bound_degrades_ingest_not_reads(base, tmp_path):
     d.submit_delta(*DELTAS[2])
 
 
+def test_refusal_past_the_staleness_bound_names_it(base, tmp_path):
+    """The daemon takes up to ``max_staleness`` unapplied deltas and
+    refuses the next submit, naming the bound rather than a circuit
+    it never opened."""
+    d = _daemon(base, tmp_path, max_staleness=2)
+    for ins, dels in DELTAS:
+        d.submit_delta(ins, dels)
+    with pytest.raises(WalError, match="3 unapplied .* max_staleness 2"):
+        d.submit_delta([], [(3, 11)])
+    assert d.staleness == 3
+
+
 # ----------------------------------------------------------------------
 # chaos: kill-mid-swap, circuit breaker, degrade-to-cold
 # ----------------------------------------------------------------------

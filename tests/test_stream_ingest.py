@@ -10,8 +10,9 @@ from the last WAL record to the uninterrupted run's scores and
 counters, at two fsyncs per committed window.  Re-ingesting a
 quarantined window is a no-op on scores; a flood degrades the window
 size under backpressure and still converges to the same graph; a
-batched run restarts at its own scores; and the latency probe catches
-all three scripted temporal attacks.
+run whose wider window coalesces more churn per apply restarts at its
+own scores; and the latency probe catches all three scripted temporal
+attacks.
 """
 
 import os
@@ -20,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.core import estimate_spam_mass
-from repro.errors import WalError
 from repro.eval import LatencyProbe
 from repro.graph import WebGraph, write_graph_bundle, write_host_list
 from repro.runtime.chaos import (
@@ -137,11 +137,13 @@ def clean(base, world, tmp_path_factory):
     ingestor.ingest_file(stream_path)
     ingestor.flush()
     epoch = daemon.store.current
+    records, _ = daemon.wal.recover(repair=False)
     return {
         "fingerprint": epoch.graph.structural_fingerprint(),
         "pagerank": epoch.estimates.pagerank.copy(),
         "core_pagerank": epoch.estimates.core_pagerank.copy(),
         "stats": ingestor.stats(),
+        "first_window": records[0].position,
     }
 
 
@@ -185,6 +187,29 @@ def test_clean_ingest_matches_cold_solve(base, world, clean):
     assert clean["stats"]["windows_quarantined"] == 0
     assert clean["stats"]["dlq_entries"] == 0
     assert clean["stats"]["events_consumed"] == len(stream.events)
+
+
+def test_queue_knobs_change_no_bit_under_the_ingestor(
+    world, tmp_path, clean
+):
+    """Each window is applied in the call that submits it, so at most
+    one delta waits: the daemon's queue coalescing and staleness bound
+    never bind, and the run is bitwise the clean one."""
+    daemon, ingestor = _load(
+        world,
+        tmp_path,
+        config=DaemonConfig(batch_deltas=4, max_staleness=1),
+    )
+    _, _, stream_path = world
+    ingestor.ingest_file(stream_path)
+    ingestor.flush()
+    epoch = daemon.store.current
+    assert np.array_equal(epoch.estimates.pagerank, clean["pagerank"])
+    assert np.array_equal(
+        epoch.estimates.core_pagerank, clean["core_pagerank"]
+    )
+    assert ingestor.stats() == clean["stats"]
+    assert daemon.applies == clean["stats"]["windows_committed"]
 
 
 def test_reingest_is_idempotent(world, tmp_path, clean):
@@ -292,7 +317,7 @@ def _stream_stats(ingestor):
 
 
 @pytest.mark.parametrize(
-    "apply_every, batch_deltas",
+    "span, batch_deltas",
     [
         pytest.param(1, 1, id="1"),
         pytest.param(3, 1, id="3"),
@@ -300,17 +325,17 @@ def _stream_stats(ingestor):
     ],
 )
 def test_crash_at_every_tenth_resumes_to_the_uninterrupted_run(
-    world, tmp_path, apply_every, batch_deltas
+    world, tmp_path, span, batch_deltas
 ):
     """A crash after any 10% of the stream's bytes resumes from the
     last WAL record to the uninterrupted run's scores, bitwise, and to
     its counters — ``duplicates`` included: lines the record's position
-    had already decided only refill the open windows.  With batched
-    applies the resumed run applies the windows a crash left in flight
-    in the uninterrupted run's groups, so each apply coalesces the same
-    deltas."""
+    had already decided only refill the open windows.  ``span`` is how
+    many 16-tick windows' churn one apply coalesces: the window is
+    ``16 * span`` ticks wide.  A daemon whose queue may coalesce
+    ``batch_deltas`` deltas resumes the same way."""
     _, _, stream_path = world
-    config = _stream_config(apply_every=apply_every)
+    config = _stream_config(window=16 * span)
     daemon_config = _daemon_config(batch_deltas=batch_deltas)
     ref_root = tmp_path / "ref"
     ref_root.mkdir()
@@ -336,6 +361,66 @@ def test_crash_at_every_tenth_resumes_to_the_uninterrupted_run(
         daemon, ingestor = _resume(
             world, root, stream_path, config, daemon_config
         )
+        epoch = daemon.store.current
+        assert epoch.fingerprint == reference.fingerprint, tenth
+        assert np.array_equal(
+            epoch.estimates.pagerank, reference.estimates.pagerank
+        ), tenth
+        assert np.array_equal(
+            epoch.estimates.core_pagerank, reference.estimates.core_pagerank
+        ), tenth
+        assert _stream_stats(ingestor) == expected, tenth
+
+
+class _Crash(Exception):
+    """The process dying inside an apply."""
+
+
+@pytest.mark.parametrize("span", [1, 3], ids=["1", "3"])
+def test_crash_between_submit_and_apply_resumes_to_the_uninterrupted_run(
+    world, tmp_path, span
+):
+    """A crash after a window's WAL record is durable but before the
+    daemon applied it leaves that record pending; the resumed run
+    applies it and ends at the uninterrupted run's scores, bitwise,
+    and counters."""
+    _, _, stream_path = world
+    config = _stream_config(window=16 * span)
+    ref_root = tmp_path / "ref"
+    ref_root.mkdir()
+    daemon, ingestor = _load(world, ref_root, stream=config)
+    ingestor.ingest_file(stream_path)
+    ingestor.flush()
+    reference = daemon.store.current
+    expected = _stream_stats(ingestor)
+
+    def crash():
+        raise _Crash
+
+    size = stream_path.stat().st_size
+    for tenth in (2, 5, 8):
+        root = tmp_path / f"crash-{tenth}"
+        root.mkdir()
+        daemon, ingestor = _load(world, root, stream=config)
+        cut = size * tenth // 10
+        _ingest_until(ingestor, stream_path, lambda i: i._position >= cut)
+        daemon.apply_pending = crash
+        with pytest.raises(_Crash):
+            ingestor.ingest_file(stream_path)
+            ingestor.flush()
+        committed = daemon.store.current.wal_seq
+        del daemon, ingestor
+
+        world_dir, _, _ = world
+        daemon = ScoringDaemon.load(
+            world_dir, root / "ckpt", config=_daemon_config()
+        )
+        assert daemon.staleness == 1, tenth
+        assert daemon.store.current.wal_seq == committed, tenth
+        ingestor = StreamIngestor(daemon, root / "state", config=config)
+        assert daemon.staleness == 0, tenth
+        ingestor.ingest_file(stream_path)
+        ingestor.flush()
         epoch = daemon.store.current
         assert epoch.fingerprint == reference.fingerprint, tenth
         assert np.array_equal(
@@ -544,12 +629,13 @@ def test_poison_window_quarantined_daemon_keeps_serving(
 
 
 def test_apply_failure_quarantines_and_serving_survives(
-    base, world, tmp_path
+    base, world, tmp_path, clean
 ):
     """Both warm and cold solves rejecting a durable window must not
-    wedge the stream: the window is dead-lettered as 'apply-failed',
-    its record is cut off the WAL, the daemon keeps answering from the
-    last good epoch, and later windows commit."""
+    wedge the stream: that window alone is dead-lettered as
+    'apply-failed', its record is cut off the WAL, the daemon keeps
+    answering from the last good epoch, and every later window
+    commits."""
     graph, _, _, _, stream = base
     # the whole first apply fails, before either solve runs; the fault
     # fires once because the next window's record reuses the cut seq
@@ -564,9 +650,16 @@ def test_apply_failure_quarantines_and_serving_survives(
     ingestor.ingest_file(stream_path)
     ingestor.flush()
     entries = DeadLetterQueue(tmp_path / "state").entries()
-    assert any(e["reason"] == "apply-failed" for e in entries)
+    failed = [e for e in entries if e["reason"] == "apply-failed"]
+    assert len(failed) == 1
+    first = clean["first_window"]
+    assert failed[0]["window"] == first["window"]
+    assert failed[0]["ids"] == first["ids"]
     stats = ingestor.stats()
-    assert stats["windows_quarantined"] >= 1
+    assert stats["windows_quarantined"] == 1
+    assert stats["windows_committed"] == (
+        clean["stats"]["windows_committed"] - 1
+    ) == 18
     got = daemon.query_score(graph.name_of(3))
     assert got["host"] == graph.name_of(3)
     assert stats["windows_committed"] > 0
@@ -636,58 +729,28 @@ def test_flood_degrades_window_and_recovers(base, world, tmp_path):
     assert ingestor.stats()["windows_quarantined"] == 0
 
 
-def test_apply_every_is_bounded_by_the_staleness_bound(
-    world, tmp_path, clean
-):
-    """The daemon refuses a submit once more than ``max_staleness``
-    deltas wait unapplied, and its refusal names that bound.  An
-    ``apply_every`` whose last submit it would refuse is rejected up
-    front; the largest one it accepts runs the stream to the end."""
-    _, _, stream_path = world
-    bounded = DaemonConfig(max_staleness=2)
-    with pytest.raises(ValueError, match=r"max_staleness \+ 1 \(3\)"):
-        _load(world, tmp_path / "over", config=bounded,
-              stream=_stream_config(apply_every=4))
-
-    daemon, ingestor = _load(world, tmp_path / "at", config=bounded,
-                             stream=_stream_config(apply_every=3))
-    ingestor.ingest_file(stream_path)
-    ingestor.flush()
-    assert daemon.staleness == 0
-    assert ingestor.stats()["windows_quarantined"] == 0
-    graph = daemon.store.current.graph
-    assert graph.structural_fingerprint() == clean["fingerprint"]
-
-    daemon, _ = _load(world, tmp_path / "refuse", config=bounded)
-    for dst in (98, 97, 96):
-        daemon.submit_delta([(99, dst)])
-    with pytest.raises(WalError, match="3 unapplied .* max_staleness 2"):
-        daemon.submit_delta([(99, 95)])
-
-
 # ----------------------------------------------------------------------
 # WAL interplay
 # ----------------------------------------------------------------------
 
 
 def test_batched_run_restarts_at_its_scores(base, world, tmp_path, clean):
-    """A batched stream apply reaches the clean graph, its WAL keeps a
-    record per window, and a restart comes up at its scores bitwise
-    with nothing to replay.
+    """A run that coalesces three 16-tick windows' churn per apply (a
+    48-tick window) reaches the clean graph, its WAL keeps a record
+    per window, and a restart comes up at its scores bitwise with
+    nothing to replay.
 
-    Batching changes the warm-start trajectory, so the reference for
-    the scores is the batched run itself, not the clean one.
+    Coalescing changes the warm-start trajectory, so the reference for
+    the scores is the coalesced run itself, not the clean one.
     """
     world_dir, _, stream_path = world
     daemon = ScoringDaemon.load(
-        world_dir,
-        _fresh_ckpt(world, tmp_path),
-        config=_daemon_config(batch_deltas=4),
+        world_dir, _fresh_ckpt(world, tmp_path), config=_daemon_config()
     )
     ingestor = StreamIngestor(
         daemon,
         tmp_path / "state",
-        config=StreamConfig(window=16, max_lateness=8, apply_every=3),
+        config=StreamConfig(window=48, max_lateness=8),
     )
     ingestor.ingest_file(stream_path)
     ingestor.flush()
