@@ -21,34 +21,40 @@ out-neighbourhoods of the touched nodes.  This module exploits that:
    or previously-isolated hosts, as spam-farm appearance does.
 2. **Push.**  Gauss–Southwell sweeps: pick the frontier of rows whose
    residual mass exceeds a floor, absorb their residual into the
-   iterate, and scatter ``c/outdeg`` of it along their out-edges (the
-   frontier's out-rows read from the graph's CSR into a frontier-sized
-   matrix + one C-level sparse·dense product per sweep, both jump
-   vectors in one pass; no n×n scatter operator is assembled).
-   Dangling rows absorb without scattering, so no dangling restriction
-   is needed.  Each sweep
+   iterate, and scatter ``c/outdeg`` of it along their out-edges, both
+   jump vectors in one pass.  A sweep's search and scatter cost
+   O(frontier + its out-edges): the frontier is searched only among
+   the rows the last sweep (or the seed) landed on, since a pushed row
+   is zeroed and a row below the floor rises only by receiving
+   scatter; the frontier's out-rows are read from the graph's CSR, and
+   one C-level sparse·dense product sums what lands on each of those
+   rows alone, in the order the whole-graph product would (no n×n
+   scatter operator, no ``n``-row output).  The one full-length pass
+   left is the residual's column L1 norm that the stopping test
+   reads.  Dangling rows absorb without scattering, so no
+   dangling restriction is needed.  Each sweep
    contracts the global residual by at least ``1 − (1−c)·¾`` (rows
    below the floor hold < tol/4 in total), so termination at the cold
    solve's ``tol`` is guaranteed.
 3. **Diffusion escape.**  When the frontier widens past
    ``n / DENSE_CROSSOVER`` rows, row-slicing costs more per sweep than
-   a full iteration, so the kernel hands the *remaining correction* to
-   the cold block kernel: the error ``e`` of the current iterate
-   satisfies ``(I − c·Tᵀ)·e = R``, which is the PageRank system with
-   jump vector ``R/(1−c)`` — solved by the same dangling-restricted
-   block Jacobi the cold path uses, at the same ``tol``, but starting
-   from a residual that is orders of magnitude smaller.  The
-   warm-start advantage survives diffusion; only the locality
-   advantage is lost.  The push residual is released before the
-   escape's sweeps start: of the push phase's (n, k) arrays only the
-   iterate lives through them, beside the escape's jump vector.
-   **Early escape:** a seed frontier that is
-   already wide *and* alive — enough frontier rows can scatter
-   (non-dangling) to keep it wide — escapes before the first sweep
-   instead of paying two full-frontier row-slicing sweeps to discover
-   the diffusion.  A wide-but-dead seed (spam-farm churn lands on
-   dangling leaves and collapses after one absorb) keeps the push
-   path.
+   a full iteration, so the kernel hands the *window's own system*
+   ``p = c·T'ᵀp + (1−c)·v`` to the cold block kernel, warm-started
+   from the current iterate: the same dangling-restricted block Jacobi
+   the cold path uses, on the same jump vectors and at the same
+   ``tol``, but starting orders of magnitude closer to the solution.
+   The warm-start advantage survives diffusion; only the locality
+   advantage is lost.  The kernel writes its solution into the
+   iterate, and the push residual is released before its sweeps
+   start, so of the push phase's (n, k) arrays only the iterate lives
+   through them.
+   **Early escape:** a frontier that is wide *and* alive — enough of
+   its rows can scatter (non-dangling) to keep it wide — escapes at
+   the sweep it appears, whichever sweep that is, instead of paying
+   another full-frontier row-slicing sweep to discover the diffusion;
+   so does a second wide frontier in a row.  A wide-but-dead frontier
+   (spam-farm churn lands on dangling leaves and collapses after one
+   absorb) keeps the push path.
 4. **Freeze.**  A column whose global L1 residual drops below ``tol``
    absorbs its remaining residual once (a free terminal push) and
    leaves the active set.
@@ -56,20 +62,26 @@ out-neighbourhoods of the touched nodes.  This module exploits that:
 The stopping criterion — global L1 *residual* below ``tol`` for pushed
 columns, the cold kernel's own criterion for escaped ones — matches or
 exceeds the cold solve's; the differential tests pin agreement with a
-cold solve to ``10·tol`` per node across the full solver zoo.
+cold solve to ``10·tol`` per node across the full solver zoo.  An
+escaping window lands within ``tol`` of its own system whatever error
+it inherited, because its sweeps iterate that system from the current
+scores.  A window that finishes by pushing does not: its seed treats
+the previous epoch's scores as exact, so their error carries into
+later windows until an escape resets it.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
 from ..errors import ConvergenceError
 from ..graph.delta import DeltaApplication
+from ..graph.webgraph import sorted_unique
 from .cache import OperatorBundle
-from .engine import BatchResult, _block_jacobi
+from .engine import BatchResult, _block_jacobi, _column_l1
 
 __all__ = ["IncrementalResult", "PushStats", "push_update", "seed_residual"]
 
@@ -81,9 +93,9 @@ FLOOR_FRACTION = 0.25
 
 #: When the frontier exceeds ``n / DENSE_CROSSOVER`` rows the residual
 #: has diffused graph-wide and CSR row-slicing costs more per sweep
-#: than a full iteration; the kernel then solves the remaining
-#: correction with the cold block kernel instead (see the module
-#: docstring, "Diffusion escape").
+#: than a full iteration; the kernel then solves the window's system
+#: with the cold block kernel instead, from the current iterate (see
+#: the module docstring, "Diffusion escape").
 DENSE_CROSSOVER = 64
 
 
@@ -155,14 +167,17 @@ def seed_residual(
     previous_scores: np.ndarray,
     *,
     damping: float,
-) -> np.ndarray:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Residual of the *new* system at the old solution, seeded sparsely.
 
     Only the touched sources' out-rows are visited, so the cost is
-    O(Σ deg of touched nodes), independent of graph size.
+    O(Σ deg of touched nodes), independent of graph size.  Returns the
+    ``(n, k)`` residual and the sorted rows the seed landed on; the
+    residual is zero on every other row.
     """
     touched = application.touched_sources
     residual = np.zeros_like(previous_scores)
+    landed = [np.empty(0, dtype=np.int64)]
     for graph, sign in ((application.before, -1.0), (application.after, 1.0)):
         deg = graph.out_degree()[touched]
         live = deg > 0
@@ -176,7 +191,8 @@ def seed_residual(
             np.repeat(srcs, counts)
         ]
         np.add.at(residual, targets, contribution)
-    return residual
+        landed.append(targets)
+    return residual, sorted_unique(np.concatenate(landed))
 
 
 def push_update(
@@ -207,25 +223,39 @@ def push_update(
     stats = PushStats()
     stats.seed_sources = len(application.touched_sources)
 
-    residual = seed_residual(application, previous_scores, damping=c)
-    stats.seed_norms = np.abs(residual).sum(axis=0)
+    residual, candidates = seed_residual(
+        application, previous_scores, damping=c
+    )
+    stats.seed_norms = _column_l1(residual)
 
-    # the scatter rows of a frontier: row x of cT' holds c/outdeg(x) on
-    # x's out-edges, read straight from the mutated graph's CSR for the
-    # frontier alone, so no n×n operator is ever assembled
     out_deg = after.out_degree()
+    # a row's position among the landing rows of the current sweep;
+    # only the entries of those rows are ever written or read
+    slot = np.empty(n, dtype=np.int64)
 
-    def _scatter_rows(rows: np.ndarray) -> sparse.csr_matrix:
+    def _scatter(rows: np.ndarray, pushed: np.ndarray):
+        """The sorted rows that frontier ``rows`` scatters ``pushed``
+        onto, and the sum landing on each.
+
+        Row x of cT' holds c/outdeg(x) on x's out-edges, read from the
+        mutated graph's CSR for the frontier alone, so no n×n operator
+        is assembled.  The product has one row per landing row, not
+        ``n``, but it is the CSC kernel of ``cT'[rows]ᵀ @ pushed``,
+        which sums each row over the frontier in order: every landing
+        row gets the bits the whole-graph product gives it.
+        """
         counts = out_deg[rows]
-        inv = np.zeros(len(rows))
-        scattering = counts > 0
-        inv[scattering] = c / counts[scattering]
+        targets = after.out_rows(rows)
+        landing = sorted_unique(targets)
+        slot[landing] = np.arange(len(landing))
+        live = counts > 0
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        return sparse.csr_matrix(
-            (np.repeat(inv, counts), after.out_rows(rows), indptr),
-            shape=(len(rows), n),
+        scatter = sparse.csc_matrix(
+            (np.repeat(c / counts[live], counts[live]), slot[targets], indptr),
+            shape=(len(landing), len(rows)),
         )
+        return landing, scatter @ pushed
 
     scores = previous_scores.astype(np.float64, copy=True)
     iterations = np.zeros(k, dtype=np.int64)
@@ -235,13 +265,24 @@ def push_update(
     dense_cutoff = max(32, n // DENSE_CROSSOVER)
 
     cols = np.arange(k)
-    totals = np.abs(residual).sum(axis=0)
+    totals = stats.seed_norms.copy()
+
+    def _at(rows: np.ndarray):
+        """Index of ``rows`` in the active columns: plain row indexing
+        while every column is active."""
+        return rows if len(cols) == k else np.ix_(rows, cols)
+
+    def _active_norms() -> np.ndarray:
+        return _column_l1(residual if len(cols) == k else residual[:, cols])
 
     def _freeze(local: np.ndarray, sweep: int) -> None:
         frozen = cols[local]
         # terminal absorb: adding the sub-tol residual once is a free
         # push that tightens the iterate without another sweep
-        scores[:, frozen] += residual[:, frozen]
+        if len(frozen) == k:
+            np.add(scores, residual, out=scores)
+        else:
+            scores[:, frozen] += residual[:, frozen]
         iterations[frozen] = sweep
         residuals[frozen] = totals[frozen]
         converged[frozen] = True
@@ -259,51 +300,53 @@ def push_update(
             iterations[cols] = sweep
             residuals[cols] = totals[cols]
             break
-        active_residual = residual[:, cols]
-        row_mass = np.abs(active_residual).sum(axis=1)
-        act = np.flatnonzero(row_mass > floor)
+        # only rows above the floor are pushed, a pushed row is zeroed
+        # and a row below the floor rises only by receiving scatter: the
+        # frontier lies among the rows the last sweep (or the seed)
+        # landed on
+        pool = residual[_at(candidates)]
+        above = np.abs(pool).sum(axis=1) > floor
+        act = candidates[above]
         if len(act) == 0:
             # every remaining row is below the floor: totals < tol/4,
             # handled by the freeze at the top of the next pass
-            totals[cols] = np.abs(active_residual).sum(axis=0)
+            totals[cols] = _active_norms()
             continue
-        # a single wide frontier is common even for shallow deltas (the
-        # seed lands on every inserted target at once) and can collapse
-        # after one absorb; two wide frontiers in a row mean the
-        # residual is actually diffusing.  The one exception: a seed
-        # frontier that is wide *and alive* — enough of its rows can
-        # scatter — cannot collapse, so waiting the two sweeps only
-        # pays two full-frontier row-slicing passes for nothing;
-        # escape immediately (farm-style churn lands on dangling
-        # leaves: wide but dead, and keeps the push path)
+        # a wide frontier is common even for shallow deltas (the seed
+        # lands on every inserted target at once) and can collapse after
+        # one absorb, unless it is *alive*: enough of its rows scatter to
+        # keep it wide.  A live wide frontier, or a second wide one in a
+        # row, means the residual is diffusing, and pushing it costs
+        # more than a full sweep; farm-style churn lands on dangling
+        # leaves (wide but dead) and keeps the push path
         wide = len(act) >= dense_cutoff
         live_rows = int(np.count_nonzero(out_deg[act] > 0))
         if sweep == 0:
             stats.seed_frontier = len(act)
             stats.live_seed_frontier = live_rows
-        early = sweep == 0 and wide and live_rows >= dense_cutoff
-        if (wide and prev_wide) or early:
-            # diffusion escape: solve (I - cT')e = R for the remaining
-            # correction with the cold restricted block kernel, warm
-            # start intact (the jump R/(1-c) is orders of magnitude
-            # smaller than a cold solve's).  The push residual is dead
-            # from here on and goes before the sweeps start
-            jump = active_residual / (1.0 - c)
-            residual = active_residual = None
-            correction = _block_jacobi(
+        if wide and (prev_wide or live_rows >= dense_cutoff):
+            # diffusion escape: the cold restricted block kernel on the
+            # window's own system, warm-started from the current
+            # iterate, which it overwrites.  The push residual and its
+            # bookkeeping are dead from here on and go before the sweeps
+            residual = pool = slot = None
+            every = len(cols) == k
+            escape = _block_jacobi(
                 bundle,
-                jump,
+                vectors if every else vectors[:, cols],
                 damping=c,
                 tol=tol,
                 max_iter=max(max_iter - sweep, 1),
                 check_every=check_every,
                 labels=[labels[j] for j in cols],
+                x0=scores if every else scores[:, cols],
             )
-            scores[:, cols] += correction.scores
-            iterations[cols] = sweep + correction.iterations
-            residuals[cols] = correction.residuals
-            converged[cols] = correction.converged
-            escape_iters = int(correction.iterations.max(initial=0))
+            if not every:
+                scores[:, cols] = escape.scores
+            iterations[cols] = sweep + escape.iterations
+            residuals[cols] = escape.residuals
+            converged[cols] = escape.converged
+            escape_iters = int(escape.iterations.max(initial=0))
             stats.sweeps = sweep + escape_iters
             stats.pushes += n * escape_iters
             stats.max_frontier = n
@@ -313,12 +356,12 @@ def push_update(
             cols = cols[:0]
             break
         prev_wide = wide
-        delta = active_residual[act]
-        scores[np.ix_(act, cols)] += delta
-        residual[np.ix_(act, cols)] = 0.0
-        scatter = _scatter_rows(act).T @ delta
-        residual[:, cols] += scatter
-        totals[cols] = np.abs(residual[:, cols]).sum(axis=0)
+        pushed = pool[above]
+        scores[_at(act)] += pushed
+        residual[_at(act)] = 0.0
+        candidates, landed = _scatter(act, pushed)
+        residual[_at(candidates)] += landed
+        totals[cols] = _active_norms()
         sweep += 1
         stats.sweeps = sweep
         stats.pushes += len(act)

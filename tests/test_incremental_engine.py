@@ -15,6 +15,8 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from repro.core.detector import MassDetector
@@ -28,7 +30,16 @@ from repro.graph import GraphDelta, compose_applications
 from repro.graph.ops import transition_matrix
 from repro.graph.webgraph import WebGraph
 from repro.perf import OperatorCache, PagerankEngine
+from repro.perf.engine import _column_l1
+from repro.perf.incremental import (
+    DENSE_CROSSOVER,
+    FLOOR_FRACTION,
+    PushStats,
+    seed_residual,
+)
 from repro.runtime import load_solution, save_solution
+from repro.synth.huge import huge_good_core, iter_huge_edges
+from repro.synth.scenario import WorldConfig
 from test_differential_solvers import _random_graph
 
 TOL = 1e-12
@@ -308,6 +319,270 @@ def test_farm_update_stays_on_the_push_path():
     assert inc.stats.max_frontier < graph.num_nodes
     cold = PagerankEngine().solve_many(application.after, stacked, tol=TOL)
     assert np.abs(inc.scores - cold.scores).max() <= BOUND
+
+
+# ----------------------------------------------------------------------
+# the escape rule on later sweeps
+# ----------------------------------------------------------------------
+
+
+def _hub_graph(live_leaves):
+    """Hosts 1–999 on a ring with a few random out-links each, and hub
+    0 linking to 100 hosts: ring hosts, or hosts 1,000–1,099, which have
+    no out-links, when ``live_leaves`` is false.  Host 1,100 is silent,
+    so a delta giving it one link to the hub seeds a one-row frontier
+    whose next frontier is the hub's 100 targets (the escape cutoff is
+    32 rows here)."""
+    rng = np.random.default_rng(31)
+    ring = np.arange(1, 1000)
+    edges = [(int(u), int(u % 999 + 1)) for u in ring]
+    edges += [(int(u), int(v)) for u, v in zip(
+        rng.choice(ring, 3000), rng.choice(ring, 3000)
+    )]
+    leaves = ring[::9][:100] if live_leaves else np.arange(1000, 1100)
+    edges += [(0, int(v)) for v in leaves]
+    edges += [(int(v), 0) for v in rng.choice(ring, 50)]
+    return WebGraph.from_edges(1101, edges)
+
+
+def _hub_update(live_leaves):
+    graph = _hub_graph(live_leaves)
+    rng = np.random.default_rng(32)
+    stacked = _stacked_jumps(graph, rng)
+    application = GraphDelta(insertions=[(1100, 0)]).apply(graph)
+    engine = PagerankEngine()
+    base = engine.solve_many(graph, stacked, tol=TOL)
+    inc = engine.update_many(application, base, stacked, tol=TOL)
+    cold = PagerankEngine().solve_many(application.after, stacked, tol=TOL)
+    assert inc.converged.all()
+    assert np.abs(inc.scores - cold.scores).max() <= BOUND
+    return inc.stats
+
+
+def test_a_live_wide_frontier_escapes_at_the_sweep_it_appears():
+    """A narrow seed (the hub alone) whose next frontier is wide and
+    alive escapes at sweep 1, without pushing that frontier first."""
+    stats = _hub_update(live_leaves=True)
+    assert stats.seed_frontier == 1
+    assert stats.escapes == 1
+    assert stats.sweeps == 1 + stats.escape_sweeps
+
+
+def test_a_dead_wide_frontier_keeps_pushing():
+    """The same shape onto dangling leaves: the wide frontier absorbs
+    without scattering, so the update finishes on the push path."""
+    stats = _hub_update(live_leaves=False)
+    assert stats.escapes == 0
+    assert stats.max_frontier == 100
+    assert stats.sweeps == 2
+
+
+# ----------------------------------------------------------------------
+# push bookkeeping stays bitwise the dense loop
+# ----------------------------------------------------------------------
+
+
+def _dense_push_update(application, previous, *, damping, tol):
+    """The push loop as a whole-graph computation: every sweep searches
+    all ``n`` rows for its frontier, scatters with the ``n``-row product
+    ``cT'[frontier]ᵀ @ delta`` and sums each column's residual with
+    ``np.abs(x).sum(axis=0)``.  A test-only oracle for windows that
+    never escape (it refuses to)."""
+    c = damping
+    after = application.after
+    n, k = previous.scores.shape
+    stats = PushStats()
+    stats.seed_sources = len(application.touched_sources)
+    residual, _ = seed_residual(application, previous.scores, damping=c)
+    stats.seed_norms = np.abs(residual).sum(axis=0)
+    out_deg = after.out_degree()
+
+    def _scatter_rows(rows):
+        counts = out_deg[rows]
+        inv = np.zeros(len(rows))
+        scattering = counts > 0
+        inv[scattering] = c / counts[scattering]
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return sparse.csr_matrix(
+            (np.repeat(inv, counts), after.out_rows(rows), indptr),
+            shape=(len(rows), n),
+        )
+
+    scores = previous.scores.astype(np.float64, copy=True)
+    iterations = np.zeros(k, dtype=np.int64)
+    residuals = np.zeros(k, dtype=np.float64)
+    floor = tol * FLOOR_FRACTION / n
+    dense_cutoff = max(32, n // DENSE_CROSSOVER)
+    cols = np.arange(k)
+    totals = np.abs(residual).sum(axis=0)
+    sweep = 0
+    prev_wide = False
+    while len(cols):
+        done = totals[cols] < tol
+        if done.any():
+            frozen = cols[done]
+            scores[:, frozen] += residual[:, frozen]
+            iterations[frozen] = sweep
+            residuals[frozen] = totals[frozen]
+            cols = cols[~done]
+            if len(cols) == 0:
+                break
+        active_residual = residual[:, cols]
+        act = np.flatnonzero(np.abs(active_residual).sum(axis=1) > floor)
+        if len(act) == 0:
+            totals[cols] = np.abs(active_residual).sum(axis=0)
+            continue
+        wide = len(act) >= dense_cutoff
+        live_rows = int(np.count_nonzero(out_deg[act] > 0))
+        if sweep == 0:
+            stats.seed_frontier = len(act)
+            stats.live_seed_frontier = live_rows
+        assert not (wide and (prev_wide or live_rows >= dense_cutoff))
+        prev_wide = wide
+        delta = active_residual[act]
+        scores[np.ix_(act, cols)] += delta
+        residual[np.ix_(act, cols)] = 0.0
+        residual[:, cols] += _scatter_rows(act).T @ delta
+        totals[cols] = np.abs(residual[:, cols]).sum(axis=0)
+        sweep += 1
+        stats.sweeps = sweep
+        stats.pushes += len(act)
+        stats.max_frontier = max(stats.max_frontier, len(act))
+        stats.colwork += int(out_deg[act].sum())
+
+    touched = application.touched_sources
+    seed_work = int(
+        application.before.out_degree()[touched].sum()
+        + out_deg[touched].sum()
+    )
+    stats.cold_work_estimate = int(
+        float(np.mean(previous.iterations)) * after.num_edges
+    )
+    stats.speedup_estimate = stats.cold_work_estimate / max(
+        stats.colwork + seed_work, 1
+    )
+    return scores, iterations, residuals, stats
+
+
+@pytest.mark.parametrize("columns", [1, 2, 3])
+def test_push_only_windows_are_bitwise_the_dense_loop(columns):
+    """Chained farm-churn windows (new links from silent hosts onto
+    dangling leaves) never escape, and each returns exactly the dense
+    loop's scores, iterations, residuals and stats.  The third column's
+    core is host 0 alone, so its residual is small enough to freeze
+    while the other columns still push."""
+    graph = _random_graph(23, n=600, num_edges=1200, dangling_frac=0.7)
+    rng = np.random.default_rng(24)
+    stacked = np.column_stack([
+        _stacked_jumps(graph, rng),
+        scaled_core_jump_vector(graph.num_nodes, [0], 0.85),
+    ])[:, :columns]
+    engine = PagerankEngine()
+    current = engine.solve_many(graph, stacked, tol=TOL)
+    partial_freeze = False
+    for _ in range(4):
+        silent = np.flatnonzero(graph.out_degree() == 0)
+        insertions = {
+            (int(src), int(t))
+            for src in rng.choice(silent, size=5, replace=False)
+            for t in rng.choice(silent[silent != src], size=15,
+                                replace=False)
+        }
+        application = GraphDelta(insertions=sorted(insertions)).apply(graph)
+        scores, iterations, residuals, stats = _dense_push_update(
+            application, current, damping=0.85, tol=TOL
+        )
+        current = engine.update_many(application, current, stacked, tol=TOL)
+        assert current.stats.escapes == 0
+        assert np.array_equal(current.scores, scores)
+        assert np.array_equal(current.iterations, iterations)
+        assert np.array_equal(current.residuals, residuals)
+        assert current.stats.as_dict() == stats.as_dict()
+        partial_freeze |= len(set(iterations.tolist())) > 1
+        graph = application.after
+    assert partial_freeze or columns < 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 20_000),
+    columns=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_column_l1_is_bitwise_the_plain_sum(rows, columns, seed):
+    """The solver's column-norm helper equals ``np.abs(x).sum(axis=0)``
+    bit for bit on C-contiguous blocks of 1 to 8 columns whose entries
+    span 40 decades (and on blocks longer than numpy's 8,192-element
+    reduction buffer)."""
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((rows, columns)) * 10.0 ** rng.integers(
+        -20, 21, size=(rows, columns)
+    )
+    assert block.flags.c_contiguous
+    assert np.array_equal(_column_l1(block), np.abs(block).sum(axis=0))
+
+
+# ----------------------------------------------------------------------
+# accuracy over a long stream
+# ----------------------------------------------------------------------
+
+
+def _churn_window(graph, active, rng, events=14, delete_share=0.4):
+    """One window of random churn: about ``delete_share`` of the events
+    delete distinct existing edges, the rest insert distinct new edges
+    between ``active`` hosts."""
+    n = graph.num_nodes
+    # sorted: CSR rows ascend, and each row's targets are sorted
+    keys = np.repeat(np.arange(n), graph.out_degree()) * n + graph.indices
+    num_del = int((rng.random(events) < delete_share).sum())
+    gone = rng.choice(keys, size=num_del, replace=False)
+    insertions = set()
+    while len(insertions) < events - num_del:
+        u, v = (int(x) for x in rng.choice(active, size=2))
+        key = u * n + v
+        pos = min(int(np.searchsorted(keys, key)), len(keys) - 1)
+        if u != v and keys[pos] != key:
+            insertions.add(key)
+    return GraphDelta(
+        insertions=[divmod(key, n) for key in sorted(insertions)],
+        deletions=[divmod(int(key), n) for key in gone],
+    )
+
+
+def test_a_long_stream_does_not_drift_from_the_cold_solution():
+    """60 chained windows of 14 churn events on a 5k-host world of the
+    1M benchmark's shape.  Every window escapes, and the escape solves
+    the window's own system from the current scores, so the error a
+    window inherits does not add up: after every 10th window the warm
+    scores are within 3·tol (L1, per column) of a cold solve.  A warm
+    solve of only the window's delta, as if the previous scores were
+    exact, drifts past that after 30 windows on this stream."""
+    config = WorldConfig(
+        11, num_base_hosts=5000, mean_outdegree=6.0,
+        directory_size=500, gov_size=500,
+    )
+    graph = WebGraph.from_edges(
+        config.num_base_hosts, np.concatenate(list(iter_huge_edges(config)))
+    )
+    n = graph.num_nodes
+    stacked = np.stack([
+        uniform_jump_vector(n),
+        scaled_core_jump_vector(n, huge_good_core(config), 0.85),
+    ], axis=1)
+    active = np.flatnonzero(~graph.isolated_mask())
+    rng = np.random.default_rng(12)
+    engine = PagerankEngine()
+    current = engine.solve_many(graph, stacked, tol=TOL)
+    for window in range(1, 61):
+        application = _churn_window(graph, active, rng).apply(graph)
+        current = engine.update_many(application, current, stacked, tol=TOL)
+        assert current.stats.escapes == 1
+        graph = application.after
+        if window % 10 == 0:
+            cold = PagerankEngine().solve_many(graph, stacked, tol=TOL)
+            drift = np.abs(current.scores - cold.scores).sum(axis=0)
+            assert (drift <= 3 * TOL).all(), (window, drift)
 
 
 # ----------------------------------------------------------------------
