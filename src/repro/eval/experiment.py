@@ -933,8 +933,8 @@ def run_solver_ablation(
             ]
         )
 
-    # the batched engine as a final row: one dangling-restricted block
-    # iteration solving the same jump vector (stacked width 1)
+    # the batched engine as a final row: the dangling-restricted block
+    # kernel solving the same jump vector (stacked width 1)
     from ..perf import PagerankEngine
 
     engine = PagerankEngine()
@@ -946,7 +946,7 @@ def run_solver_ablation(
     deviation = float(np.abs(normalized - reference).sum())
     rows.append(
         [
-            "batched_jacobi",
+            batch.method,
             int(batch.iterations[0]),
             round(elapsed, 4),
             f"{float(batch.residuals[0]):.2e}",

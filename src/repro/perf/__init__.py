@@ -8,8 +8,8 @@ makes that path fast without changing any numerical semantics:
   shard by shard for a shard store), keep it in a bounded LRU keyed by
   a structural fingerprint;
 * :mod:`repro.perf.engine` — :class:`PagerankEngine`, whose
-  ``solve_many`` runs stacked jump vectors as one dangling-restricted
-  block Jacobi iteration (``p`` and ``p′`` in a single pass);
+  ``solve_many`` solves stacked jump vectors with one dangling-restricted
+  block BiCGSTAB (``p`` and ``p′`` in a single pass);
 * :mod:`repro.perf.parallel` — process-parallel Monte-Carlo sampling
   with deterministic, scheduling-independent results (a fixed chunk
   plan mapped over a process pool).
@@ -27,7 +27,6 @@ from .cache import (
     graph_fingerprint,
 )
 from .engine import (
-    DEFAULT_CHECK_EVERY,
     BatchResult,
     PagerankEngine,
     get_engine,
@@ -48,7 +47,6 @@ from .sharded import sharded_operator_for
 
 __all__ = [
     "DEFAULT_CACHE_SIZE",
-    "DEFAULT_CHECK_EVERY",
     "DEFAULT_CHUNKS",
     "sharded_operator_for",
     "BatchResult",

@@ -11,46 +11,52 @@ of times (threshold sweeps, core-size ablations, γ studies).
   (:class:`~repro.perf.cache.OperatorCache`); ``Tᵀ`` whole is
   assembled only for :meth:`PagerankEngine.operator` and the scalar
   solvers of :meth:`PagerankEngine.solve`;
-* :meth:`PagerankEngine.solve_many` runs stacked jump vectors as a
-  single dense-block Jacobi iteration on the **dangling-restricted**
-  subsystem (see :mod:`repro.perf.cache`), with per-column convergence
-  freezing and periodic residual checks — one matrix traversal per
-  iteration serves every column.
+* :meth:`PagerankEngine.solve_many` solves stacked jump vectors with
+  one block BiCGSTAB on the **dangling-restricted** subsystem (see
+  :mod:`repro.perf.cache`), with per-column scalars and per-column
+  freezing — one matrix traversal per product serves every column.
 
-The block iteration is algebraically the plain Jacobi of Algorithm 1:
-columns of ``Tᵀ`` indexed by dangling nodes are zero, so the iterate
-restricted to the non-dangling set ``S`` evolves autonomously,
+Columns of ``Tᵀ`` indexed by dangling nodes are zero, so the solution
+restricted to the non-dangling set ``S`` solves a system of its own,
 
-.. math:: p_S^{(i)} = c\\,(T^T)_{SS}\\, p_S^{(i-1)} + (1-c)\\, v_S ,
+.. math:: (I - c\\,(T^T)_{SS})\\, p_S = (1-c)\\, v_S ,
 
-and the dangling components follow in closed form once ``p_S`` has
-converged: ``p_D = c (Tᵀ)_{DS} p_S + (1−c) v_D``.  The reported
-residual is the *full-vector* L1 change ``‖p⁽ⁱ⁾ − p⁽ⁱ⁻¹⁾‖₁`` (the
-restricted change plus the induced dangling change), i.e. exactly the
-stopping criterion of :func:`repro.core.solvers.jacobi` — the batched
-kernel converges to the same vectors within the same tolerance.
+and the dangling components follow in closed form once ``p_S`` is
+known: ``p_D = c (Tᵀ)_{DS} p_S + (1−c) v_D``.  The kernel solves the
+restricted system by BiCGSTAB, the Krylov approach to the PageRank
+linear system of Gleich, Zhukov & Berkhin ("Fast parallel PageRank: a
+linear system approach", 2004), and stops on the quantity the plain
+Jacobi of Algorithm 1 measures: the *full-vector* L1 change one more
+Jacobi sweep would make, ``‖r_S‖₁ + c‖(Tᵀ)_DS r_S‖₁`` for the true
+residual ``r_S``.  A column freezes once that change is below
+``(1 − c)·tol`` and returns that sweep, so it lies within ``c·tol``
+(L1) of the exact solution.  A column that breaks down, or that falls
+behind Jacobi's own a-priori sweep count, finishes with Jacobi sweeps
+(see :func:`_block_bicgstab`).
 
 Both graph backends solve against one operator type, the
 :class:`~repro.perf.cache.OperatorBundle`: an in-memory graph's is
 built from its CSR, a :class:`~repro.graph.sharded.ShardedWebGraph`'s
 gathered from its shards (:func:`repro.perf.sharded.sharded_operator_for`),
-into the same arrays.  The loop is written once, in
-:func:`_block_jacobi`: the bundle splits ``(Tᵀ)_SS`` and ``(Tᵀ)_DS``
+into the same arrays.  The kernel is written once, in
+:func:`_block_bicgstab`: the bundle splits ``(Tᵀ)_SS`` and ``(Tᵀ)_DS``
 into contiguous :class:`~repro.perf.cache.RowBlock` row ranges of
 about equal entries that point into its own arrays, and every product
 writes each block's rows straight into one output array with the
 kernel ``csr_matrix @ ndarray`` itself calls (:func:`_block_product`).
 For operators of :data:`PARALLEL_MIN_NNZ` entries and more, the blocks
 run on a thread pool that lives for one solve and has one thread per
-CPU this process may run on; smaller ones sweep inline.  A CSR product
+CPU this process may run on; smaller ones run inline.  A CSR product
 computes every output row on its own, in storage order, so the rows
 are bitwise those of the whole-matrix product however the rows are
-split and whichever thread runs them; the residual reductions run on
-the calling thread over whole contiguous arrays.  Both backends, and
-threaded or inline sweeps, therefore produce bitwise-identical solves.
-The incremental engine's diffusion escape
-(:func:`repro.perf.incremental.push_update`) runs the same loop,
-started from the pushed scores instead of the jump vectors.
+split and whichever thread runs them.  The vector work runs per
+fixed-size row chunk (:data:`CHUNK_ROWS`) on the same pool, and every
+inner product and L1 norm adds the chunks' partial sums in chunk
+order on the calling thread.  Both backends, and threaded or inline
+runs, therefore produce bitwise-identical solves.  The incremental
+engine's diffusion escape (:func:`repro.perf.incremental.push_update`)
+runs the same kernel, started from the pushed scores instead of the
+jump vectors.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.sparse import _sparsetools
@@ -80,13 +86,11 @@ __all__ = [
     "set_engine",
 ]
 
-#: Cadence of residual checks inside the block iteration.  Between
-#: checks the loop performs pure fused update steps (one sparse matmul,
-#: two in-place vector ops); the L1-change reduction — as expensive as
-#: the matvec itself on thin blocks — runs only every ``CHECK_EVERY``-th
-#: iteration, so reported iteration counts may exceed the sequential
-#: solver's by up to ``CHECK_EVERY − 1``.
-DEFAULT_CHECK_EVERY = 8
+#: Rows per chunk of the block kernel's vector work.  Every inner
+#: product and L1 norm is summed chunk by chunk and the chunk sums are
+#: added in chunk order on the calling thread, so this constant, not
+#: the thread count, fixes their bits; it is not a tuning knob.
+CHUNK_ROWS = 1 << 15
 
 #: Operators with fewer stored entries than this sweep inline, on the
 #: calling thread.  Measured on 2 vCPUs (docs/perf.md, "Parallel
@@ -108,8 +112,8 @@ class BatchResult:
     iterations, residuals, converged:
         Per-column diagnostics (``int64`` / ``float64`` / ``bool``).
     method:
-        ``"batched_jacobi"`` for the block kernel, ``"incremental_push"``
-        for a warm update.
+        ``"batched_bicgstab"`` for the block kernel,
+        ``"incremental_push"`` for a warm update.
     labels:
         Per-column labels (named in convergence errors and telemetry).
     """
@@ -197,11 +201,8 @@ class PagerankEngine:
     cache_size:
         Bound of the operator LRU (graphs, not bytes).
     method:
-        Default single-solve method (block solves are always Jacobi —
-        the only iteration whose stacked form is a pure sparse matmul).
-    check_every:
-        Residual-check cadence of the block kernel, in cold solves and
-        in the diffusion escape of :meth:`update_many` alike.
+        Default single-solve method of :meth:`solve` (block solves
+        always run the block BiCGSTAB kernel).
     """
 
     def __init__(
@@ -209,13 +210,9 @@ class PagerankEngine:
         cache_size: int = DEFAULT_CACHE_SIZE,
         *,
         method: str = "jacobi",
-        check_every: int = DEFAULT_CHECK_EVERY,
     ) -> None:
-        if check_every < 1:
-            raise ValueError("check_every must be >= 1")
         self.cache = OperatorCache(cache_size)
         self.method = method
-        self.check_every = check_every
 
     # ------------------------------------------------------------------
     # operator access
@@ -291,8 +288,9 @@ class PagerankEngine:
     ) -> BatchResult:
         """Solve ``k`` stacked jump vectors in one batched pass.
 
-        Both backends run :func:`_block_jacobi` against the graph's
-        cached :class:`OperatorBundle`.
+        Both backends run :func:`_block_bicgstab` against the graph's
+        cached :class:`OperatorBundle`; every column lands within
+        ``c·tol`` (L1) of its exact solution.
 
         Parameters
         ----------
@@ -364,13 +362,12 @@ class PagerankEngine:
         check: bool,
     ) -> BatchResult:
         """The untraced core of :meth:`solve_many`."""
-        result = _block_jacobi(
+        result = _block_bicgstab(
             bundle,
             stacked,
             damping=damping,
             tol=tol,
             max_iter=max_iter,
-            check_every=self.check_every,
             labels=labels,
         )
         if check and not bool(result.converged.all()):
@@ -413,7 +410,7 @@ class PagerankEngine:
         pushes' frontier turns wide and alive, at whichever sweep, the
         update escapes into the cold block kernel on the mutated
         system itself, started from the pushed scores: such a window
-        lands within ``tol`` of its own system, whatever error
+        lands within ``c·tol`` of its own system, whatever error
         ``previous`` carried.  A window that finishes by pushing takes
         ``previous`` as exact, so its error carries forward until a
         later window escapes.
@@ -484,7 +481,6 @@ class PagerankEngine:
                     bundle, application, prev_scores, stacked,
                     damping=damping, tol=tol, max_iter=max_iter,
                     labels=labels, prev_iterations=prev_iterations,
-                    check_every=self.check_every,
                 )
                 tele.inc("engine.incremental_updates")
                 tele.inc("incremental.pushes", result.stats.pushes)
@@ -514,7 +510,6 @@ class PagerankEngine:
                 bundle, application, prev_scores, stacked,
                 damping=damping, tol=tol, max_iter=max_iter,
                 labels=labels, prev_iterations=prev_iterations,
-                check_every=self.check_every,
             )
         if check and not bool(result.converged.all()):
             bad = [
@@ -531,7 +526,7 @@ class PagerankEngine:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PagerankEngine(cache={self.cache!r}, "
-            f"method={self.method!r}, check_every={self.check_every})"
+            f"method={self.method!r})"
         )
 
 
@@ -548,6 +543,15 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def _run(pool: Optional[ThreadPoolExecutor], fn, tasks) -> list:
+    """``[fn(*task) for task in tasks]``, on ``pool``'s threads when
+    there is one; the results come back in task order."""
+    if pool is None:
+        return [fn(*task) for task in tasks]
+    futures = [pool.submit(fn, *task) for task in tasks]
+    return [future.result() for future in futures]
+
+
 def _column_l1(x: np.ndarray) -> np.ndarray:
     """``np.abs(x).sum(axis=0)`` of a C-contiguous ``(m, k)`` block,
     bit for bit.
@@ -562,6 +566,43 @@ def _column_l1(x: np.ndarray) -> np.ndarray:
     if x.shape[1] == 1:
         return np.abs(x).sum(axis=0)
     return np.einsum("ij->j", np.abs(x))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column inner products ``Σᵢ a[i, j]·b[i, j]`` of two row chunks:
+    every inner product of the kernel, one chunk's share."""
+    return np.array([
+        np.einsum("i,i->", a[:, j], b[:, j]) for j in range(a.shape[1])
+    ])
+
+
+def _l1(a: np.ndarray) -> np.ndarray:
+    """Column L1 norms of a row chunk: every L1 norm of the kernel, one
+    chunk's share."""
+    return np.array([np.abs(a[:, j]).sum() for j in range(a.shape[1])])
+
+
+def _chunk_sum(partials: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-chunk partial sums added in chunk order."""
+    total = partials[0].copy()
+    for part in partials[1:]:
+        total += part
+    return total
+
+
+def _chunks(rows: int) -> List[Tuple[int, int]]:
+    """``rows`` split into :data:`CHUNK_ROWS`-row ranges, in order."""
+    return [
+        (lo, min(lo + CHUNK_ROWS, rows)) for lo in range(0, rows, CHUNK_ROWS)
+    ]
+
+
+def _sweep_bound(q0: np.ndarray, damping: float, bar: float) -> np.ndarray:
+    """Jacobi's a-priori product count from an iterate whose Jacobi
+    quantity is ``q0``: each sweep shrinks that quantity by at least
+    ``c``, so ``⌈log(bar / q0) / log c⌉`` sweeps after the first
+    product bring it below ``bar`` (float: NaN never compares)."""
+    return 1.0 + np.ceil(np.log(bar / q0) / np.log(damping))
 
 
 def _block_product(block: RowBlock, z: np.ndarray, out: np.ndarray) -> None:
@@ -588,146 +629,429 @@ def _block_product(block: RowBlock, z: np.ndarray, out: np.ndarray) -> None:
         )
 
 
-def _product(
-    blocks: Sequence[RowBlock],
-    z: np.ndarray,
-    rows: int,
-    pool: Optional[ThreadPoolExecutor],
-) -> np.ndarray:
-    """``A @ z`` for the ``rows``-row operator ``blocks`` partition: one
-    zeroed output, every block's rows written into it, on ``pool``'s
-    threads when there is one."""
-    z = np.ascontiguousarray(z)
-    out = np.zeros((rows, z.shape[1]))
-    if pool is None:
-        for block in blocks:
-            _block_product(block, z, out)
+def _apply_block(block: RowBlock, z: np.ndarray, out: np.ndarray,
+                 c: float) -> None:
+    """``out = z − c·(Tᵀ)_SS z`` on one row block of ``(Tᵀ)_SS``: that
+    block's rows of ``A z``, product and epilogue in one task."""
+    rows = out[block.lo:block.hi]
+    rows.fill(0.0)
+    _block_product(block, z, out)
+    rows *= -c
+    rows += z[block.lo:block.hi]
+
+
+# The vector work of the kernel, one row chunk per call.  A per-column
+# scalar is applied one strided column at a time: broadcast over a
+# thin (rows, m) block, numpy runs its inner loop once per row, ~5x
+# slower.  ``r`` holds ``s`` between the half step and the update.
+
+
+def _direction_chunk(lo, hi, p, r, beta) -> None:
+    """``p ← r + β·p`` (``p`` already holds ``p − ω·v``)."""
+    for j, scalar in enumerate(beta):
+        column = p[lo:hi, j]
+        column *= scalar
+        column += r[lo:hi, j]
+
+
+def _dot_chunk(lo, hi, a, b) -> np.ndarray:
+    return _dot(a[lo:hi], b[lo:hi])
+
+
+def _half_step_chunk(lo, hi, r, v, alpha) -> None:
+    """``s = r − α·v``, into ``r``."""
+    for j, scalar in enumerate(alpha):
+        r[lo:hi, j] -= scalar * v[lo:hi, j]
+
+
+def _omega_chunk(lo, hi, t, s):
+    """The partial ``tᵀs`` and ``tᵀt``."""
+    rows = t[lo:hi]
+    return _dot(rows, s[lo:hi]), _dot(rows, rows)
+
+
+def _update_chunk(lo, hi, x, p, r, rh, v, t, alpha, omega):
+    """``x ← x + α·p + ω·s``, ``p ← p − ω·v`` (the half of the next
+    direction that needs no new scalar) and ``r ← s − ω·t``; returns
+    the partial ``‖r‖₁`` and ``r̂ᵀr``."""
+    for j, (a, w) in enumerate(zip(alpha, omega)):
+        s = r[lo:hi, j]
+        column = x[lo:hi, j]
+        column += a * p[lo:hi, j]
+        column += w * s
+        p[lo:hi, j] -= w * v[lo:hi, j]
+        s -= w * t[lo:hi, j]
+    return _l1(r[lo:hi]), _dot(rh[lo:hi], r[lo:hi])
+
+
+def _add_chunk(lo, hi, x, r) -> None:
+    """``x ← x + r``: one Jacobi sweep, given ``r = b − A x``."""
+    x[lo:hi] += r[lo:hi]
+
+
+def _jump_rows(vectors, rows, cols) -> np.ndarray:
+    """``vectors[rows]`` for columns ``cols`` (``None``: all of them)."""
+    return vectors[rows] if cols is None else vectors[np.ix_(rows, cols)]
+
+
+def _residual_chunk(lo, hi, out, vectors, s, cols, c) -> np.ndarray:
+    """``out ← b − out`` for ``b = (1 − c)·v_S`` (``out`` holds
+    ``A x``); returns the partial ``‖·‖₁``."""
+    rows = out[lo:hi]
+    b = _jump_rows(vectors, s[lo:hi], cols)
+    b *= 1.0 - c
+    np.subtract(b, rows, out=rows)
+    return _l1(rows)
+
+
+def _dangling_chunk(lo, block, z, c, vectors, d, cols, scores):
+    """``(Tᵀ)_DS z`` on one chunk of D rows (``block`` numbers them
+    from 0, ``lo`` places them): with ``scores``, writes them as the
+    solution's D rows ``c·(Tᵀ)_DS z + (1−c)·v_D``; without, returns
+    their partial ``‖·‖₁``."""
+    out = np.zeros((block.hi, z.shape[1]))
+    _block_product(block, z, out)
+    if scores is None:
+        return _l1(out)
+    rows = d[lo:lo + block.hi]
+    out *= c
+    out += (1.0 - c) * _jump_rows(vectors, rows, cols)
+    if cols is None:
+        scores[rows] = out
     else:
-        futures = [pool.submit(_block_product, b, z, out) for b in blocks]
-        for future in futures:
-            future.result()
-    return out
+        scores[np.ix_(rows, cols)] = out
+    return None
 
 
-def _block_jacobi(
+class _BlockSolve:
+    """One :func:`_block_bicgstab` solve: its operator blocks and pool,
+    its Krylov vectors and its per-column bookkeeping.
+
+    Every Krylov vector is one ``(|S|, k)`` buffer allocated here; the
+    ``m`` columns still iterating are the first ``|S|·m`` entries of
+    each, viewed as ``(|S|, m)``, and a column that leaves is
+    compacted out.  Columns are named by their index in ``vectors``
+    (``cols``); ``None`` stands for all ``k`` of them, in order.
+    """
+
+    #: the vectors that carry over from one iteration to the next (``v``
+    #: and ``t`` are free between iterations)
+    LIVE = ("x", "r", "rh", "p")
+
+    def __init__(self, bundle, vectors, scores, *, damping, tol, max_iter,
+                 threads, pool) -> None:
+        self.c = damping
+        self.bar = (1.0 - damping) * tol
+        self.max_iter = max_iter
+        self.vectors = vectors
+        self.scores = scores
+        self.s = bundle.non_dangling
+        self.d = bundle.dangling
+        self.pool = pool
+        rows, k = len(self.s), vectors.shape[1]
+        self.chunks = _chunks(rows)
+        # (Tᵀ)_SS as row blocks of about equal entries, one per thread;
+        # (Tᵀ)_DS as chunks of D rows, whose L1 partials add in order
+        self.ss_blocks, _ = bundle.row_blocks(threads)
+        ds = bundle.tt_ds
+        self.d_blocks = [
+            (lo, RowBlock(0, hi - lo, ds.indptr[lo:hi + 1], ds.indices,
+                          ds.data))
+            for lo, hi in _chunks(len(self.d))
+        ]
+        self.flat = {
+            name: np.empty(rows * k) for name in (*self.LIVE, "v", "t")
+        }
+        self.iterations = np.zeros(k, dtype=np.int64)
+        self.residuals = np.full(k, np.inf)
+        self.converged = np.zeros(k, dtype=bool)
+        #: columns that finish with Jacobi sweeps, their iterates parked
+        #: in their S rows of ``scores``
+        self.pending: List[int] = []
+
+    # -- building blocks ---------------------------------------------
+
+    def view(self, name: str, m: int) -> np.ndarray:
+        return self.flat[name][: len(self.s) * m].reshape(len(self.s), m)
+
+    def each_chunk(self, fn, *args) -> list:
+        return _run(self.pool, fn, [(lo, hi, *args) for lo, hi in self.chunks])
+
+    def each_d_chunk(self, z, cols, scores) -> list:
+        return _run(self.pool, _dangling_chunk, [
+            (lo, block, z, self.c, self.vectors, self.d, cols, scores)
+            for lo, block in self.d_blocks
+        ])
+
+    def dots(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return _chunk_sum(self.each_chunk(_dot_chunk, a, b))
+
+    def apply(self, z: np.ndarray, out: np.ndarray) -> None:
+        """``out = A z``: one ``(Tᵀ)_SS`` product per column of ``z``."""
+        _run(self.pool, _apply_block,
+             [(block, z, out, self.c) for block in self.ss_blocks])
+
+    def residual(self, x, cols, out) -> np.ndarray:
+        """``out = b − A x`` for the columns ``cols``, and Jacobi's
+        quantity for one more sweep from ``x``, ``q = ‖r‖₁ +
+        c·‖(Tᵀ)_DS r‖₁``: the full-vector L1 change that sweep makes."""
+        self.apply(x, out)
+        q = _chunk_sum(self.each_chunk(
+            _residual_chunk, out, self.vectors, self.s, cols, self.c,
+        ))
+        if self.d_blocks:
+            q += self.c * _chunk_sum(self.each_d_chunk(out, cols, None))
+        return q
+
+    def freeze(self, cols, z, q, ok) -> None:
+        """Write columns ``cols`` of the solution: their S rows ``z``,
+        their D rows ``c (Tᵀ)_DS z + (1−c) v_D``."""
+        z = np.ascontiguousarray(z)
+        if len(cols) == self.vectors.shape[1]:
+            # every column at once: whole rows, no np.ix_ gathers
+            self.scores[self.s] = z
+            self.each_d_chunk(z, None, self.scores)
+        else:
+            self.scores[np.ix_(self.s, cols)] = z
+            self.each_d_chunk(z, cols, self.scores)
+        self.residuals[cols] = q
+        self.converged[cols] = ok
+
+    def settle(self, cols, xs, rt, q) -> np.ndarray:
+        """Book a check of the columns ``cols`` at ``xs`` (true residual
+        ``rt``, Jacobi quantity ``q``) and freeze each column whose
+        ``q`` passes at ``xs + rt``, that very sweep; returns which."""
+        self.iterations[cols] += 1
+        self.residuals[cols] = q
+        done = q < self.bar
+        if done.all():
+            rt += xs
+            self.freeze(cols, rt, q, True)
+        elif done.any():
+            self.freeze(cols[done], (xs + rt)[:, done], q[done], True)
+        return done
+
+    def keep(self, names, m: int, mask: np.ndarray) -> None:
+        """Compact the columns ``mask`` picks out of the first ``m`` of
+        each buffer ``names`` to the front, in order."""
+        kept = int(mask.sum())
+        for name in names:
+            self.view(name, kept)[...] = self.view(name, m)[:, mask]
+
+    # -- the solve ---------------------------------------------------
+
+    def run(self, start: np.ndarray) -> None:
+        c, bar, k = self.c, self.bar, self.vectors.shape[1]
+        x = self.view("x", k)
+        np.take(start, self.s, axis=0, out=x, mode="clip")
+        self.cols = np.arange(k)
+        if self.max_iter < 1:
+            self.freeze(self.cols, x, np.inf, False)
+            return
+        # one Jacobi check of the start: a column already within reach
+        # freezes at its next sweep, ``x + r``
+        r = self.view("r", k)
+        q = self.residual(x, None, r)
+        self.gone = self.settle(self.cols, x, r, q)
+        self.broken = np.zeros(k, dtype=bool)
+        self.bound = _sweep_bound(np.maximum(q, bar), c, bar)
+        rh, p = self.view("rh", k), self.view("p", k)
+        rh[...] = r
+        p.fill(0.0)
+        self.rho = self.dots(rh, r)
+        self.rho_prev = np.ones(k)
+        self.alpha = np.ones(k)
+        self.omega = np.ones(k)
+        self.krylov()
+        if self.pending:
+            self.jacobi()
+
+    def krylov(self) -> None:
+        """BiCGSTAB iterations until every column has frozen or left
+        for the Jacobi finish."""
+        while True:
+            m = len(self.cols)
+            used = self.iterations[self.cols]
+            healthy = np.isfinite(self.rho) & (self.rho != 0.0)
+            fall = ~self.gone & (
+                self.broken
+                | ~healthy
+                | (self.max_iter - used < 3)
+                | (used > self.bound)
+            )
+            if fall.any():
+                cols = self.cols[fall]
+                self.scores[np.ix_(self.s, cols)] = self.view("x", m)[:, fall]
+                self.pending.extend(cols.tolist())
+            leave = self.gone | fall
+            if leave.any():
+                stay = ~leave
+                self.keep(self.LIVE, m, stay)
+                for name in ("cols", "rho", "rho_prev", "alpha", "omega",
+                             "bound"):
+                    setattr(self, name, getattr(self, name)[stay])
+                m = len(self.cols)
+                self.gone = self.broken = np.zeros(m, dtype=bool)
+            if m == 0:
+                return
+            self.iterate(m)
+            self.verify(m)
+
+    def iterate(self, m: int) -> None:
+        """One BiCGSTAB step of every column: two ``(Tᵀ)_SS``
+        products, per-column scalars."""
+        x, r, rh, p = (self.view(name, m) for name in self.LIVE)
+        v, t = self.view("v", m), self.view("t", m)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            beta = (self.rho / self.rho_prev) * (self.alpha / self.omega)
+            self.each_chunk(_direction_chunk, p, r, beta)
+            self.apply(p, v)
+            sigma = self.dots(rh, v)
+            alpha = self.rho / sigma
+            broken = ~np.isfinite(alpha) | (sigma == 0.0)
+            alpha[broken] = 0.0
+            self.each_chunk(_half_step_chunk, r, v, alpha)
+            self.apply(r, t)
+            self.iterations[self.cols] += 2
+            parts = self.each_chunk(_omega_chunk, t, r)
+            omega = (_chunk_sum([ts for ts, _ in parts])
+                     / _chunk_sum([tt for _, tt in parts]))
+            # s = 0 (a half step that lands exactly) makes ω = 0/0
+            broken |= ~np.isfinite(omega) | (omega == 0.0)
+            omega[broken] = 0.0
+        parts = self.each_chunk(_update_chunk, x, p, r, rh, v, t, alpha, omega)
+        self.rnorm = _chunk_sum([l1 for l1, _ in parts])
+        self.rho_prev, self.rho = self.rho, _chunk_sum([d for _, d in parts])
+        self.alpha, self.omega, self.broken = alpha, omega, broken
+
+    def verify(self, m: int) -> None:
+        """Confirm on the true residual every column whose recurrence
+        residual dropped below the bar: one product each.  A column
+        whose Jacobi quantity passes freezes; any other carries on
+        from its true residual."""
+        sub = np.flatnonzero((self.rnorm < self.bar) & ~self.broken)
+        if not len(sub):
+            return
+        xs = self.view("x", m)
+        if len(sub) < m:
+            xs = np.take(xs, sub, axis=1, out=self.view("t", len(sub)),
+                         mode="clip")
+        cols = self.cols[sub]
+        which = None if len(cols) == self.vectors.shape[1] else cols
+        rt = self.view("v", len(sub))
+        q = self.residual(xs, which, rt)
+        done = self.settle(cols, xs, rt, q)
+        self.gone[sub[done]] = True
+        again = ~done
+        if again.any():
+            r = self.view("r", m)
+            r[:, sub[again]] = rt[:, again]
+            self.rho = self.dots(self.view("rh", m), r)
+
+    def jacobi(self) -> None:
+        """Plain Jacobi sweeps, checked every sweep, for the columns
+        that left the Krylov iteration: from any iterate they converge,
+        shrinking the Jacobi quantity by ``c`` a sweep."""
+        cols = np.sort(np.asarray(self.pending, dtype=np.int64))
+        m = len(cols)
+        self.view("x", m)[...] = self.scores[np.ix_(self.s, cols)]
+        spent = self.iterations[cols] >= self.max_iter
+        if spent.any():
+            # no product left: the parked iterate as it stands
+            self.freeze(cols[spent], self.view("x", m)[:, spent],
+                        self.residuals[cols[spent]], False)
+            self.keep(("x",), m, ~spent)
+            cols = cols[~spent]
+            m = len(cols)
+        while m:
+            x, r = self.view("x", m), self.view("t", m)
+            which = None if m == self.vectors.shape[1] else cols
+            q = self.residual(x, which, r)
+            self.iterations[cols] += 1
+            self.each_chunk(_add_chunk, x, r)
+            done = q < self.bar
+            stop = done | (self.iterations[cols] >= self.max_iter)
+            if stop.any():
+                self.freeze(cols[stop], x[:, stop], q[stop], done[stop])
+                self.keep(("x",), m, ~stop)
+                cols = cols[~stop]
+                m = len(cols)
+
+
+def _block_bicgstab(
     bundle: OperatorBundle,
     vectors: np.ndarray,
     *,
     damping: float,
     tol: float,
     max_iter: int,
-    check_every: int,
     labels: Sequence[str],
     x0: Optional[np.ndarray] = None,
 ) -> BatchResult:
-    """Dangling-restricted block Jacobi over stacked jump vectors.
+    """Block BiCGSTAB on the dangling-restricted system over stacked
+    jump vectors.
 
-    ``bundle.row_blocks(parts)`` hands over ``(Tᵀ)_SS`` and ``(Tᵀ)_DS``
-    as lists of :class:`RowBlock`; ``bundle.non_dangling`` and
-    ``bundle.dangling`` are ``S`` and ``D``.  The blocks' products run
-    on a thread pool that exists only for this solve, one thread per
-    CPU (:func:`_cpu_count`), or inline for an operator below
-    :data:`PARALLEL_MIN_NNZ` entries.  Columns freeze individually once
-    their full-vector L1 change drops below ``tol``.
+    Solves ``(I − c(Tᵀ)_SS) z = (1 − c)·v_S`` for every column of
+    ``vectors`` at once, with per-column scalars, and expands each
+    column's D rows once it freezes, ``p_D = c (Tᵀ)_DS z + (1−c) v_D``.
+    ``bundle.row_blocks(parts)`` hands over ``(Tᵀ)_SS`` as
+    :class:`RowBlock` row ranges of about equal entries, one task each
+    per product, on a thread pool that exists only for this solve (one
+    thread per CPU, :func:`_cpu_count`), or inline for an operator
+    below :data:`PARALLEL_MIN_NNZ` entries; each task applies ``z −
+    c·(Tᵀ)_SS z`` to its own rows.  ``(Tᵀ)_DS`` products run one task
+    per chunk of D rows, and the vector work one task per
+    :data:`CHUNK_ROWS`-row chunk of S, on the same pool.  Every inner
+    product and L1 norm is the chunks' partial sums added in chunk
+    order, so neither the thread count nor the backend changes a bit.
+
+    **Stopping.**  A column freezes once Jacobi's own quantity for one
+    more sweep, ``q = ‖r‖₁ + c·‖(Tᵀ)_DS r‖₁`` of its true residual
+    ``r = b − A z`` (taken whenever the recurrence residual's L1 drops
+    below the bar), is below ``(1 − c)·tol``; it returns ``z + r``,
+    that very sweep, at no product.  Its error ``e`` then satisfies
+    ``A e = −c (Tᵀ)_SS r``, and with the D rows in closed form the
+    full-vector error is ``(I − cTᵀ)⁻¹`` applied to ``[A e; 0]``: at
+    most ``c‖r‖₁ / (1 − c) < c·tol`` (L1).
+
+    **Fallback.**  A column that breaks down (``ρ``, ``r̂ᵀv`` or ``ω``
+    zero or not finite; an exact half step, ``s = 0``, makes ``ω =
+    0/0``), that has used more products than Jacobi's a-priori count
+    from its start (:func:`_sweep_bound`), or that has fewer than three
+    products left finishes with plain Jacobi sweeps checked every
+    sweep.  ``iterations`` counts ``(Tᵀ)_SS`` products per column and
+    ``max_iter`` caps them exactly; a column cut off there keeps the
+    iterate of its last sweep.
 
     The iteration starts from ``z⁽⁰⁾ = x0[S]``, or from ``v[S]`` as
     :func:`repro.core.solvers.jacobi` does when ``x0`` is ``None``.  A
     given ``x0`` (``(n, k)``, float64) is read once, before the first
-    sweep, and the solution is then written into it: the result's
+    product, and the solution is then written into it: the result's
     ``scores`` *is* ``x0``.
     """
     c = damping
-    n, k = vectors.shape
-    s = bundle.non_dangling
-    d = bundle.dangling
+    k = vectors.shape[1]
     scores = np.empty_like(vectors) if x0 is None else x0
-    iterations = np.zeros(k, dtype=np.int64)
-    residuals = np.full(k, np.inf)
-    converged = np.zeros(k, dtype=bool)
 
-    if len(s) == 0:
+    if len(bundle.non_dangling) == 0:
         # edgeless graph: (I - cTᵀ) = I, the solution is the jump term,
         # reached exactly after one formal iteration
         np.multiply(1.0 - c, vectors, out=scores)
-        iterations[:] = 1
-        residuals[:] = 0.0
-        converged[:] = True
         return BatchResult(
-            scores, iterations, residuals, converged, "batched_jacobi",
-            labels,
+            scores, np.ones(k, dtype=np.int64), np.zeros(k),
+            np.ones(k, dtype=bool), "batched_bicgstab", labels,
         )
 
     threads = _cpu_count() if bundle.nnz >= PARALLEL_MIN_NNZ else 1
-    ss_blocks, ds_blocks = bundle.row_blocks(threads)
-    # the jump term (1−c)·v only where it is read: the S rows every
-    # sweep, the D rows once per column at freeze
-    b_s = (1.0 - c) * vectors[s, :]
-    # p⁽⁰⁾ = v as in jacobi(), or the caller's warm start
-    z = np.asarray((vectors if x0 is None else x0)[s, :], dtype=np.float64)
-    active = np.arange(k)
-
-    def _freeze(cols_in_active: np.ndarray, res: np.ndarray, it: int,
-                ok: bool) -> None:
-        cols = active[cols_in_active]
-        if len(cols) == k:
-            # every column at once: whole rows, no np.ix_ gathers
-            z_cols, rows_s, rows_d = z, s, d
-        else:
-            z_cols = np.ascontiguousarray(z[:, cols_in_active])
-            rows_s, rows_d = np.ix_(s, cols), np.ix_(d, cols)
-        scores[rows_s] = z_cols
-        expanded = _product(ds_blocks, z_cols, len(d), pool)
-        expanded *= c
-        expanded += (1.0 - c) * vectors[rows_d]
-        scores[rows_d] = expanded
-        iterations[cols] = it
-        residuals[cols] = res[cols_in_active]
-        converged[cols] = ok
-
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        it = 0
-        while it < max_iter and len(active):
-            # fused update steps, no residual bookkeeping
-            plain_steps = min(check_every, max_iter - it) - 1
-            for _ in range(plain_steps):
-                z_next = _product(ss_blocks, z, len(s), pool)
-                z_next *= c
-                z_next += b_s
-                z = z_next
-                it += 1
-            # measured step: full-vector L1 change = restricted change
-            # plus the dangling change it induces through (Tᵀ)_DS
-            z_prev = z
-            z = _product(ss_blocks, z, len(s), pool)
-            z *= c
-            z += b_s
-            it += 1
-            dz = z - z_prev
-            res = _column_l1(dz)
-            if len(d):
-                res = res + c * _column_l1(
-                    _product(ds_blocks, dz, len(d), pool)
-                )
-            done = res < tol
-            if done.any():
-                _freeze(np.flatnonzero(done), res, it, True)
-                keep = ~done
-                if not keep.any():
-                    active = active[:0]
-                    break
-                active = active[keep]
-                z = np.ascontiguousarray(z[:, keep])
-                b_s = np.ascontiguousarray(b_s[:, keep])
-            elif it >= max_iter:
-                _freeze(np.arange(len(active)), res, it, False)
-                active = active[:0]
-
-        if len(active):  # pragma: no cover - defensive (loop always drains)
-            _freeze(np.arange(len(active)), np.full(len(active), np.inf),
-                    it, False)
-
+        solve = _BlockSolve(
+            bundle, vectors, scores, damping=c, tol=tol, max_iter=max_iter,
+            threads=threads, pool=pool,
+        )
+        solve.run(vectors if x0 is None else x0)
     return BatchResult(
-        scores, iterations, residuals, converged, "batched_jacobi", labels,
+        scores, solve.iterations, solve.residuals, solve.converged,
+        "batched_bicgstab", labels,
     )
 
 

@@ -38,16 +38,18 @@ out-neighbourhoods of the touched nodes.  This module exploits that:
    solve's ``tol`` is guaranteed.
 3. **Diffusion escape.**  When the frontier widens past
    ``n / DENSE_CROSSOVER`` rows, row-slicing costs more per sweep than
-   a full iteration, so the kernel hands the *window's own system*
+   a full product, so the kernel hands the *window's own system*
    ``p = c·T'ᵀp + (1−c)·v`` to the cold block kernel, warm-started
-   from the current iterate: the same dangling-restricted block Jacobi
-   the cold path uses, on the same jump vectors and at the same
-   ``tol``, but starting orders of magnitude closer to the solution.
-   The warm-start advantage survives diffusion; only the locality
-   advantage is lost.  The kernel writes its solution into the
-   iterate, and the push residual is released before its sweeps
-   start, so of the push phase's (n, k) arrays only the iterate lives
-   through them.
+   from the current iterate: the same dangling-restricted block
+   BiCGSTAB the cold path uses, on the same jump vectors, at the same
+   ``tol`` and with the same guarantee (every column within ``c·tol``
+   of the window's exact solution), but starting orders of magnitude
+   closer to it.  The warm-start advantage survives diffusion; only
+   the locality advantage is lost.  The kernel writes its solution
+   into the iterate, and the push residual is released before the
+   kernel starts, so of the push phase's (n, k) arrays only the
+   iterate lives through it.  ``PushStats.escape_sweeps`` counts the
+   kernel's ``(Tᵀ)_SS`` products.
    **Early escape:** a frontier that is wide *and* alive — enough of
    its rows can scatter (non-dangling) to keep it wide — escapes at
    the sweep it appears, whichever sweep that is, instead of paying
@@ -63,11 +65,11 @@ The stopping criterion — global L1 *residual* below ``tol`` for pushed
 columns, the cold kernel's own criterion for escaped ones — matches or
 exceeds the cold solve's; the differential tests pin agreement with a
 cold solve to ``10·tol`` per node across the full solver zoo.  An
-escaping window lands within ``tol`` of its own system whatever error
-it inherited, because its sweeps iterate that system from the current
-scores.  A window that finishes by pushing does not: its seed treats
-the previous epoch's scores as exact, so their error carries into
-later windows until an escape resets it.
+escaping window lands within ``c·tol`` of its own system whatever
+error it inherited, because the kernel solves that system from the
+current scores.  A window that finishes by pushing does not: its seed
+treats the previous epoch's scores as exact, so their error carries
+into later windows until an escape resets it.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ from ..errors import ConvergenceError
 from ..graph.delta import DeltaApplication
 from ..graph.webgraph import sorted_unique
 from .cache import OperatorBundle
-from .engine import BatchResult, _block_jacobi, _column_l1
+from .engine import BatchResult, _block_bicgstab, _column_l1
 
 __all__ = ["IncrementalResult", "PushStats", "push_update", "seed_residual"]
 
@@ -205,7 +207,6 @@ def push_update(
     tol: float,
     max_iter: int,
     labels: Sequence[str],
-    check_every: int,
     prev_iterations: Optional[np.ndarray] = None,
 ) -> IncrementalResult:
     """Run the residual-push update; returns scores at the cold ``tol``.
@@ -214,8 +215,6 @@ def push_update(
     (typically from :meth:`OperatorCache.derive_for`);
     ``previous_scores`` is the ``(n, k)`` solution on
     ``application.before`` for the same stacked jump ``vectors``.
-    ``check_every`` is the residual-check cadence of the diffusion
-    escape's block kernel.
     """
     c = damping
     after = application.after
@@ -331,13 +330,12 @@ def push_update(
             # bookkeeping are dead from here on and go before the sweeps
             residual = pool = slot = None
             every = len(cols) == k
-            escape = _block_jacobi(
+            escape = _block_bicgstab(
                 bundle,
                 vectors if every else vectors[:, cols],
                 damping=c,
                 tol=tol,
                 max_iter=max(max_iter - sweep, 1),
-                check_every=check_every,
                 labels=[labels[j] for j in cols],
                 x0=scores if every else scores[:, cols],
             )

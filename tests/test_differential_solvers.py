@@ -20,9 +20,8 @@ tolerance: for every zoo graph and every shard count in
 matrixes over it), the gathered operator is the in-memory one array
 for array, and scores, iteration counts, residuals and convergence
 flags must be **bitwise identical** to the in-memory solve — for every
-solver, at every residual-check cadence of the block kernel, and for
-solves cut off by ``max_iter`` before they converge as well as for
-converged ones.  A store and the in-memory graph of the same edges
+solver, and for solves cut off by ``max_iter`` before they converge as
+well as for converged ones.  A store and the in-memory graph of the same edges
 share one operator-cache entry, so each backend solves on an engine of
 its own: a shared engine would hand the store the in-memory operator.
 """
@@ -43,7 +42,7 @@ from repro.errors import ConvergenceError
 from repro.graph.ops import transition_matrix
 from repro.graph.sharded import partition_graph
 from repro.graph.webgraph import WebGraph
-from repro.perf import DEFAULT_CHECK_EVERY, OperatorBundle, PagerankEngine
+from repro.perf import OperatorBundle, PagerankEngine
 
 DAMPING = 0.85
 TOL = 1e-12
@@ -132,6 +131,23 @@ def oracle(zoo_graph):
 def test_iterative_solvers_match_direct(zoo_graph, oracle, method):
     scores = pagerank(zoo_graph, method=method, tol=TOL).scores
     assert np.abs(scores - oracle).sum() < AGREEMENT
+
+
+def test_bicgstab_reports_iterations_and_its_l1_verdict(zoo_graph):
+    """SciPy's BiCGSTAB reports the iterations it ran, and
+    ``converged`` means the module's L1 criterion: the residual of the
+    linear system is below ``tol``."""
+    n = zoo_graph.num_nodes
+    v = uniform_jump_vector(n)
+    result = pagerank(zoo_graph, method="bicgstab", tol=TOL)
+    transition_t = transition_matrix(zoo_graph).T.tocsr()
+    residual = np.abs(
+        result.scores - DAMPING * (transition_t @ result.scores)
+        - (1.0 - DAMPING) * v
+    ).sum()
+    assert result.iterations > 0
+    assert result.converged
+    assert result.residual < TOL and residual < TOL
 
 
 def test_power_matches_normalized_direct(zoo_graph, oracle):
@@ -267,9 +283,9 @@ def _solves_bitwise_equal(a, b) -> bool:
     )
 
 
-def _convergence_error(graph, vectors, check_every):
+def _convergence_error(graph, vectors):
     """The message of the checked cut-off solve's error, or ``None``."""
-    engine = PagerankEngine(check_every=check_every)
+    engine = PagerankEngine()
     try:
         engine.solve_many(graph, vectors, tol=TOL, max_iter=CUT_OFF)
     except ConvergenceError as exc:
@@ -277,10 +293,10 @@ def _convergence_error(graph, vectors, check_every):
     return None
 
 
-def _gathered(store, check_every=DEFAULT_CHECK_EVERY):
+def _gathered(store):
     """An engine of the store's own, with the store's operator gathered
     into its cache (a miss, not the in-memory graph's entry)."""
-    engine = PagerankEngine(check_every=check_every)
+    engine = PagerankEngine()
     engine.bundle(store)
     assert engine.cache.misses == 1
     return engine
@@ -300,37 +316,34 @@ def test_shard_blocks_are_the_in_memory_rows(
 
 
 def test_sharded_solve_many_bitwise_equal(zoo_graph, sharded_variants):
-    """Both backends run one loop on one operator, so every diagnostic
-    matches bitwise: at any residual-check cadence, for converged
-    solves and for solves cut off at ``max_iter`` — which, checked,
-    raise the same error naming the same columns."""
+    """Both backends run one kernel on one operator, so every
+    diagnostic matches bitwise: for converged solves and for solves cut
+    off at ``max_iter`` — which, checked, raise the same error naming
+    the same columns."""
     vectors = _parity_vectors(zoo_graph.num_nodes)
-    for check_every in (1, 3, 8):
-        for max_iter in (10_000, CUT_OFF):
-            reference = PagerankEngine(check_every=check_every).solve_many(
-                zoo_graph, vectors, damping=DAMPING, tol=TOL,
+    for max_iter in (10_000, CUT_OFF):
+        reference = PagerankEngine().solve_many(
+            zoo_graph, vectors, damping=DAMPING, tol=TOL,
+            max_iter=max_iter, check=False,
+        )
+        for k, store in sharded_variants.items():
+            batch = _gathered(store).solve_many(
+                store, vectors, damping=DAMPING, tol=TOL,
                 max_iter=max_iter, check=False,
             )
-            for k, store in sharded_variants.items():
-                batch = _gathered(store, check_every).solve_many(
-                    store, vectors, damping=DAMPING, tol=TOL,
-                    max_iter=max_iter, check=False,
-                )
-                assert _solves_bitwise_equal(batch, reference), (
-                    k, check_every, max_iter,
-                )
-        cut = PagerankEngine(check_every=check_every).solve_many(
-            zoo_graph, vectors, tol=TOL, max_iter=CUT_OFF, check=False
-        )
-        unconverged = [f"col{j}" for j in np.flatnonzero(~cut.converged)]
-        expected = _convergence_error(zoo_graph, vectors, check_every)
-        if unconverged:
-            assert ", ".join(unconverged) in expected
-        else:
-            assert expected is None
-        for k, store in sharded_variants.items():
-            got = _convergence_error(store, vectors, check_every)
-            assert got == expected, k
+            assert _solves_bitwise_equal(batch, reference), (k, max_iter)
+    cut = PagerankEngine().solve_many(
+        zoo_graph, vectors, tol=TOL, max_iter=CUT_OFF, check=False
+    )
+    unconverged = [f"col{j}" for j in np.flatnonzero(~cut.converged)]
+    expected = _convergence_error(zoo_graph, vectors)
+    if unconverged:
+        assert ", ".join(unconverged) in expected
+    else:
+        assert expected is None
+    for k, store in sharded_variants.items():
+        got = _convergence_error(store, vectors)
+        assert got == expected, k
 
 
 def test_sharded_single_solve_bitwise_equal(zoo_graph, sharded_variants):
@@ -385,14 +398,11 @@ def test_threaded_sweeps_are_bitwise_inline(
 
     def solves():
         out = []
-        for check_every in (1, 8):
-            for max_iter in (10_000, CUT_OFF):
-                for graph in (zoo_graph, *sharded_variants.values()):
-                    engine = PagerankEngine(check_every=check_every)
-                    out.append(engine.solve_many(
-                        graph, vectors, tol=TOL, max_iter=max_iter,
-                        check=False,
-                    ))
+        for max_iter in (10_000, CUT_OFF):
+            for graph in (zoo_graph, *sharded_variants.values()):
+                out.append(PagerankEngine().solve_many(
+                    graph, vectors, tol=TOL, max_iter=max_iter, check=False,
+                ))
         return out
 
     sweep_threads(1)
@@ -411,3 +421,147 @@ def test_threaded_sweeps_are_bitwise_inline(
         assert _solves_bitwise_equal(a, b)
     if zoo_graph.num_edges:
         assert ran_on and threading.get_ident() not in ran_on
+
+
+# ---------------------------------------------------------------------------
+# the block BiCGSTAB kernel: within c·tol of the exact solution
+# ---------------------------------------------------------------------------
+
+
+def _lu(graph, vectors):
+    """Each column's direct sparse LU solve."""
+    transition_t = transition_matrix(graph).T.tocsr()
+    return np.stack(
+        [
+            solve("direct", transition_t, vectors[:, j], damping=DAMPING,
+                  tol=TOL).scores
+            for j in range(vectors.shape[1])
+        ],
+        axis=1,
+    )
+
+
+def _kernel(graph, vectors, x0=None, max_iter=10_000):
+    from repro.perf.engine import _block_bicgstab
+
+    return _block_bicgstab(
+        PagerankEngine().bundle(graph), vectors, damping=DAMPING, tol=TOL,
+        max_iter=max_iter,
+        labels=[f"col{j}" for j in range(vectors.shape[1])], x0=x0,
+    )
+
+
+def _assert_within_c_tol(batch, exact):
+    """Every column converged and lies within ``c·tol`` (L1) of
+    ``exact``."""
+    assert batch.converged.all()
+    errors = np.abs(batch.scores - exact).sum(axis=0)
+    assert (errors <= DAMPING * TOL).all(), errors
+
+
+def _kernel_accuracy(graph):
+    """Cold and warm (from a perturbed solution) solves of 1, 2 and 3
+    stacked columns."""
+    vectors = _parity_vectors(graph.num_nodes)
+    exact = _lu(graph, vectors)
+    rng = np.random.default_rng(7)
+    for k in (1, 2, 3):
+        cold = PagerankEngine().solve_many(
+            graph, vectors[:, :k], damping=DAMPING, tol=TOL
+        )
+        _assert_within_c_tol(cold, exact[:, :k])
+        start = exact[:, :k] * (1.0 + 1e-3 * rng.standard_normal((
+            graph.num_nodes, k,
+        )))
+        warm = _kernel(graph, np.ascontiguousarray(vectors[:, :k]),
+                       x0=start)
+        assert warm.scores is start
+        _assert_within_c_tol(warm, exact[:, :k])
+
+
+def test_kernel_lands_within_c_tol_of_lu(zoo_graph):
+    _kernel_accuracy(zoo_graph)
+
+
+def test_kernel_lands_within_c_tol_of_lu_on_table1():
+    from repro.datasets import figure2_graph
+
+    _kernel_accuracy(figure2_graph().graph)
+
+
+#: Ways to force the kernel off BiCGSTAB: the inner product that
+#: comes back 0 (its call number: ρ at the start, r̂ᵀv and tᵀs in the
+#: first step), or an a-priori sweep bound of 2 products.
+FALLBACKS = ["rho", "alpha", "omega", "bound"]
+
+
+def _force(fallback, monkeypatch):
+    """Force ``fallback``; returns the list the Jacobi finish appends
+    to whenever it runs."""
+    import itertools
+
+    from repro.perf import engine as perf_engine
+
+    if fallback == "bound":
+        monkeypatch.setattr(
+            perf_engine, "_sweep_bound",
+            lambda q0, damping, bar: np.full(len(q0), 2.0),
+        )
+    else:
+        real, calls = perf_engine._dot, itertools.count()
+        zeroed = FALLBACKS.index(fallback)
+
+        def dot(a, b):
+            if next(calls) == zeroed:
+                return np.zeros(a.shape[1])
+            return real(a, b)
+
+        monkeypatch.setattr(perf_engine, "_dot", dot)
+    finished = []
+    jacobi = perf_engine._BlockSolve.jacobi
+
+    def spy(self):
+        finished.append(len(self.pending))
+        jacobi(self)
+
+    monkeypatch.setattr(perf_engine._BlockSolve, "jacobi", spy)
+    return finished
+
+
+@pytest.mark.parametrize("fallback", FALLBACKS)
+def test_kernel_fallbacks_converge_bitwise_threaded(
+    zoo_graph, fallback, sweep_threads, monkeypatch
+):
+    """A breakdown (an inner product of 0) or a passed a-priori sweep
+    bound finishes the column with Jacobi sweeps: still within
+    ``c·tol`` of LU, and bitwise the same inline and on 2 threads."""
+    vectors = _parity_vectors(zoo_graph.num_nodes)
+    exact = _lu(zoo_graph, vectors)
+    solves = []
+    for threads in (1, 2):
+        sweep_threads(threads)
+        with monkeypatch.context() as patch:
+            finished = _force(fallback, patch)
+            solves.append(PagerankEngine().solve_many(
+                zoo_graph, vectors, damping=DAMPING, tol=TOL,
+            ))
+        _assert_within_c_tol(solves[-1], exact)
+        if zoo_graph in (dict(ZOO)["plain-sparse"], dict(ZOO)["tiny"]):
+            assert finished == [3], fallback
+    assert _solves_bitwise_equal(*solves)
+
+
+def test_exact_half_step_finishes_with_a_jacobi_sweep(sweep_threads):
+    """With |S| = 1 and ``(Tᵀ)_SS = 0`` the first half step lands
+    exactly (``s = 0``, so ``ω = 0/0``): the column leaves for the
+    Jacobi finish, whose first sweep confirms it — 4 products."""
+    graph = dict(ZOO)["two-node"]
+    vectors = _parity_vectors(graph.num_nodes)
+    solves = []
+    for threads in (1, 3):
+        sweep_threads(threads)
+        solves.append(PagerankEngine().solve_many(graph, vectors, tol=TOL))
+    assert np.isfinite(solves[0].scores).all()
+    assert solves[0].iterations.tolist() == [4, 4, 4]
+    _assert_within_c_tol(solves[0], _lu(graph, vectors))
+    assert _solves_bitwise_equal(*solves)

@@ -259,7 +259,7 @@ def test_diffuse_update_escapes_and_records_the_profile():
     assert np.abs(inc.scores - cold.scores).max() <= BOUND
 
 
-def _diffuse_update(check_every=8):
+def _diffuse_update():
     """The escaping update of the test above, with its cold base."""
     graph = _random_graph(22, n=400, num_edges=2400)
     rng = np.random.default_rng(22)
@@ -267,18 +267,9 @@ def _diffuse_update(check_every=8):
     application = _random_delta(graph, rng, num_ins=120, num_del=0).apply(
         graph
     )
-    engine = PagerankEngine(check_every=check_every)
+    engine = PagerankEngine()
     base = engine.solve_many(graph, stacked, tol=TOL)
     return base, engine.update_many(application, base, stacked, tol=TOL)
-
-
-def test_escape_checks_residuals_at_the_engine_cadence():
-    """``PagerankEngine(check_every=...)`` reaches the escape's block
-    kernel, which can only stop at a residual check."""
-    for check_every in (5, 8):
-        _, inc = _diffuse_update(check_every)
-        assert inc.stats.escapes == 1
-        assert inc.stats.escape_sweeps % check_every == 0, check_every
 
 
 @pytest.mark.parametrize("threads", [2, 3])

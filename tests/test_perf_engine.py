@@ -167,19 +167,19 @@ def test_block_product_is_bitwise_the_scipy_matmul(k, threads):
     bit, for one column (``csr_matvec``) and several (``csr_matvecs``),
     from row blocks inline or on a pool."""
     from repro.perf.cache import row_blocks
-    from repro.perf.engine import _product
+    from repro.perf.engine import _block_product, _run
 
     matrix = _random_csr(k, 301, 257)
     z = np.random.default_rng(k).standard_normal((257, k))
     expected = matrix @ z
     for parts in (1, 4):
-        blocks = row_blocks(matrix, parts)
+        got = np.zeros_like(expected)
+        tasks = [(block, z, got) for block in row_blocks(matrix, parts)]
         if threads is None:
-            got = _product(blocks, z, 301, None)
+            _run(None, _block_product, tasks)
         else:
             with ThreadPoolExecutor(threads) as pool:
-                got = _product(blocks, z, 301, pool)
-        assert got.shape == expected.shape
+                _run(pool, _block_product, tasks)
         assert np.array_equal(got, expected)
 
 
@@ -231,8 +231,6 @@ def test_solve_many_input_validation(chain_graph):
         engine.solve_many(chain_graph, np.stack([v, nan], axis=1), check=False)
     with pytest.raises(ValueError, match="labels"):
         engine.solve_many(chain_graph, [v, v], labels=["only-one"])
-    with pytest.raises(ValueError, match="check_every"):
-        PagerankEngine(check_every=0)
 
 
 def test_solve_many_edgeless_graph():
@@ -256,6 +254,35 @@ def test_solve_many_raises_on_iteration_exhaustion(chain_graph):
     assert batch.iterations[0] == 2
 
 
+def test_max_iter_caps_products_exactly(monkeypatch):
+    """``iterations`` counts ``(Tᵀ)_SS`` products per column and
+    ``max_iter`` caps them exactly, whichever phase of the kernel the
+    cap lands in: a cut-off column has made exactly ``max_iter``."""
+    from repro.perf import engine as perf_engine
+
+    graph = WebGraph.from_edges(
+        40, [(i, (i * 7 + j) % 40) for i in range(30) for j in (1, 3)]
+    )
+    products = []
+    apply_block = perf_engine._apply_block
+
+    def spy(block, z, out, c):
+        products.append(z.shape[1])
+        apply_block(block, z, out, c)
+
+    monkeypatch.setattr(perf_engine, "_apply_block", spy)
+    for max_iter in range(1, 16):
+        products.clear()
+        batch = PagerankEngine().solve_many(
+            graph, [None, [0, 1], [5]], tol=1e-15, max_iter=max_iter,
+            check=False,
+        )
+        assert sum(products) == batch.iterations.sum()
+        assert (batch.iterations <= max_iter).all()
+        assert (batch.iterations[~batch.converged] == max_iter).all()
+        assert np.isfinite(batch.scores).all()
+
+
 def test_batch_result_columns_roundtrip(chain_graph):
     engine = PagerankEngine()
     batch = engine.solve_many(chain_graph, [None, [0, 1]], tol=1e-12)
@@ -264,7 +291,7 @@ def test_batch_result_columns_roundtrip(chain_graph):
     for j, column in enumerate(columns):
         assert np.array_equal(column.scores, batch.scores[:, j])
         assert column.converged
-        assert column.method == "batched_jacobi"
+        assert column.method == "batched_bicgstab"
 
 
 def test_default_engine_is_shared_and_replaceable():
