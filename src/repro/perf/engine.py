@@ -576,10 +576,12 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ])
 
 
-def _l1(a: np.ndarray) -> np.ndarray:
+def _l1(a: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Column L1 norms of a row chunk: every L1 norm of the kernel, one
-    chunk's share."""
-    return np.array([np.abs(a[:, j]).sum() for j in range(a.shape[1])])
+    chunk's share (``|a[:, j]|`` goes to ``scratch`` when given)."""
+    return np.array([
+        np.abs(a[:, j], out=scratch).sum() for j in range(a.shape[1])
+    ])
 
 
 def _chunk_sum(partials: Sequence[np.ndarray]) -> np.ndarray:
@@ -643,7 +645,11 @@ def _apply_block(block: RowBlock, z: np.ndarray, out: np.ndarray,
 # The vector work of the kernel, one row chunk per call.  A per-column
 # scalar is applied one strided column at a time: broadcast over a
 # thin (rows, m) block, numpy runs its inner loop once per row, ~5x
-# slower.  ``r`` holds ``s`` between the half step and the update.
+# slower.  Products go through the chunk's rows of the solve's scratch
+# column ``w``: glibc serves a fresh chunk-sized temporary by mmap
+# until a larger free raises its threshold, and with temporaries a
+# pool's first solve ran its threads one at a time.  ``r`` holds ``s``
+# between the half step and the update.
 
 
 def _direction_chunk(lo, hi, p, r, beta) -> None:
@@ -658,10 +664,12 @@ def _dot_chunk(lo, hi, a, b) -> np.ndarray:
     return _dot(a[lo:hi], b[lo:hi])
 
 
-def _half_step_chunk(lo, hi, r, v, alpha) -> None:
+def _half_step_chunk(lo, hi, r, v, alpha, w) -> None:
     """``s = r − α·v``, into ``r``."""
+    product = w[lo:hi]
     for j, scalar in enumerate(alpha):
-        r[lo:hi, j] -= scalar * v[lo:hi, j]
+        np.multiply(v[lo:hi, j], scalar, out=product)
+        r[lo:hi, j] -= product
 
 
 def _omega_chunk(lo, hi, t, s):
@@ -670,18 +678,19 @@ def _omega_chunk(lo, hi, t, s):
     return _dot(rows, s[lo:hi]), _dot(rows, rows)
 
 
-def _update_chunk(lo, hi, x, p, r, rh, v, t, alpha, omega):
+def _update_chunk(lo, hi, x, p, r, rh, v, t, alpha, omega, w):
     """``x ← x + α·p + ω·s``, ``p ← p − ω·v`` (the half of the next
     direction that needs no new scalar) and ``r ← s − ω·t``; returns
     the partial ``‖r‖₁`` and ``r̂ᵀr``."""
-    for j, (a, w) in enumerate(zip(alpha, omega)):
+    product = w[lo:hi]
+    for j, (a, o) in enumerate(zip(alpha, omega)):
         s = r[lo:hi, j]
         column = x[lo:hi, j]
-        column += a * p[lo:hi, j]
-        column += w * s
-        p[lo:hi, j] -= w * v[lo:hi, j]
-        s -= w * t[lo:hi, j]
-    return _l1(r[lo:hi]), _dot(rh[lo:hi], r[lo:hi])
+        column += np.multiply(p[lo:hi, j], a, out=product)
+        column += np.multiply(s, o, out=product)
+        p[lo:hi, j] -= np.multiply(v[lo:hi, j], o, out=product)
+        s -= np.multiply(t[lo:hi, j], o, out=product)
+    return _l1(r[lo:hi], product), _dot(rh[lo:hi], r[lo:hi])
 
 
 def _add_chunk(lo, hi, x, r) -> None:
@@ -694,14 +703,16 @@ def _jump_rows(vectors, rows, cols) -> np.ndarray:
     return vectors[rows] if cols is None else vectors[np.ix_(rows, cols)]
 
 
-def _residual_chunk(lo, hi, out, vectors, s, cols, c) -> np.ndarray:
+def _residual_chunk(lo, hi, out, vectors, s, cols, c, w) -> np.ndarray:
     """``out ← b − out`` for ``b = (1 − c)·v_S`` (``out`` holds
     ``A x``); returns the partial ``‖·‖₁``."""
-    rows = out[lo:hi]
-    b = _jump_rows(vectors, s[lo:hi], cols)
-    b *= 1.0 - c
-    np.subtract(b, rows, out=rows)
-    return _l1(rows)
+    b = w[lo:hi]
+    for j in range(out.shape[1]):
+        jump = vectors[:, j if cols is None else cols[j]]
+        np.take(jump, s[lo:hi], out=b, mode="clip")
+        b *= 1.0 - c
+        np.subtract(b, out[lo:hi, j], out=out[lo:hi, j])
+    return _l1(out[lo:hi], b)
 
 
 def _dangling_chunk(lo, block, z, c, vectors, d, cols, scores):
@@ -762,6 +773,7 @@ class _BlockSolve:
         self.flat = {
             name: np.empty(rows * k) for name in (*self.LIVE, "v", "t")
         }
+        self.w = np.empty(rows)
         self.iterations = np.zeros(k, dtype=np.int64)
         self.residuals = np.full(k, np.inf)
         self.converged = np.zeros(k, dtype=bool)
@@ -797,7 +809,7 @@ class _BlockSolve:
         c·‖(Tᵀ)_DS r‖₁``: the full-vector L1 change that sweep makes."""
         self.apply(x, out)
         q = _chunk_sum(self.each_chunk(
-            _residual_chunk, out, self.vectors, self.s, cols, self.c,
+            _residual_chunk, out, self.vectors, self.s, cols, self.c, self.w,
         ))
         if self.d_blocks:
             q += self.c * _chunk_sum(self.each_d_chunk(out, cols, None))
@@ -910,7 +922,7 @@ class _BlockSolve:
             alpha = self.rho / sigma
             broken = ~np.isfinite(alpha) | (sigma == 0.0)
             alpha[broken] = 0.0
-            self.each_chunk(_half_step_chunk, r, v, alpha)
+            self.each_chunk(_half_step_chunk, r, v, alpha, self.w)
             self.apply(r, t)
             self.iterations[self.cols] += 2
             parts = self.each_chunk(_omega_chunk, t, r)
@@ -919,7 +931,9 @@ class _BlockSolve:
             # s = 0 (a half step that lands exactly) makes ω = 0/0
             broken |= ~np.isfinite(omega) | (omega == 0.0)
             omega[broken] = 0.0
-        parts = self.each_chunk(_update_chunk, x, p, r, rh, v, t, alpha, omega)
+        parts = self.each_chunk(
+            _update_chunk, x, p, r, rh, v, t, alpha, omega, self.w,
+        )
         self.rnorm = _chunk_sum([l1 for l1, _ in parts])
         self.rho_prev, self.rho = self.rho, _chunk_sum([d for _, d in parts])
         self.alpha, self.omega, self.broken = alpha, omega, broken
