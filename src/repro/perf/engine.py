@@ -706,13 +706,11 @@ def _jump_rows(vectors, rows, cols) -> np.ndarray:
 def _residual_chunk(lo, hi, out, vectors, s, cols, c, w) -> np.ndarray:
     """``out ← b − out`` for ``b = (1 − c)·v_S`` (``out`` holds
     ``A x``); returns the partial ``‖·‖₁``."""
-    b = w[lo:hi]
-    for j in range(out.shape[1]):
-        jump = vectors[:, j if cols is None else cols[j]]
-        np.take(jump, s[lo:hi], out=b, mode="clip")
-        b *= 1.0 - c
-        np.subtract(b, out[lo:hi, j], out=out[lo:hi, j])
-    return _l1(out[lo:hi], b)
+    rows = out[lo:hi]
+    b = _jump_rows(vectors, s[lo:hi], cols)
+    b *= 1.0 - c
+    np.subtract(b, rows, out=rows)
+    return _l1(rows, w[lo:hi])
 
 
 def _dangling_chunk(lo, block, z, c, vectors, d, cols, scores):
