@@ -53,6 +53,7 @@ __all__ = [
     "true_spam_mass",
     "true_relative_mass",
     "estimate_spam_mass",
+    "mass_jump_block",
     "blacklist_mass",
     "DEFAULT_GAMMA",
 ]
@@ -172,6 +173,28 @@ def true_relative_mass(
     return rel
 
 
+def mass_jump_block(
+    n: int, good_core: Sequence[int], gamma: Optional[float]
+) -> np.ndarray:
+    """The ``(n, 2)`` jump vectors ``[v, w]`` of a mass estimate: the
+    uniform ``v`` of ``p`` and the core vector ``w`` of ``p′``, scaled
+    to ``‖w‖ = γ`` (unscaled for ``gamma=None``).
+
+    The block is read-only: it depends only on ``n``, the core and γ,
+    so a caller that re-estimates one graph size with one core builds
+    it once and passes it as ``estimate_spam_mass(jumps=...)``, and
+    the engine scans its entries once (see
+    :class:`~repro.perf.engine.PagerankEngine`).
+    """
+    if gamma is None:
+        w = core_jump_vector(n, good_core)
+    else:
+        w = scaled_core_jump_vector(n, good_core, gamma)
+    block = np.stack([uniform_jump_vector(n), w], axis=1)
+    block.setflags(write=False)
+    return block
+
+
 def estimate_spam_mass(
     graph: WebGraph,
     good_core: Sequence[int],
@@ -185,6 +208,7 @@ def estimate_spam_mass(
     check: bool = True,
     engine=None,
     previous: Optional[MassEstimates] = None,
+    jumps: Optional[np.ndarray] = None,
 ) -> MassEstimates:
     """Estimate spam mass from a good core (Definition 3 + Section 3.5).
 
@@ -226,6 +250,11 @@ def estimate_spam_mass(
         seeded at the touched nodes
         (:meth:`~repro.perf.engine.PagerankEngine.update_many`) instead
         of re-solved from scratch, converging to the same ``tol``.
+    jumps:
+        Optional ``mass_jump_block(n, good_core, gamma)`` of this
+        graph's ``n`` and these ``good_core`` and ``gamma``, built once
+        by a caller that re-estimates with them repeatedly; without it
+        the block is built per call.
     """
     core_list = list(good_core)
     if not core_list:
@@ -234,6 +263,11 @@ def estimate_spam_mass(
     if isinstance(graph, DeltaApplication):
         application = graph
         graph = application.after
+    if jumps is not None and jumps.shape != (graph.num_nodes, 2):
+        raise ValueError(
+            f"jumps has shape {jumps.shape}, expected "
+            f"{(graph.num_nodes, 2)}"
+        )
     if previous is not None:
         if application is None:
             raise ValueError(
@@ -263,6 +297,7 @@ def estimate_spam_mass(
             max_iter=max_iter, method=method, transition_t=transition_t,
             check=check, engine=engine, tele=tele,
             application=application, previous=previous,
+            jumps=jumps,
         )
     with tele.span(
         "mass-estimate",
@@ -276,6 +311,7 @@ def estimate_spam_mass(
             max_iter=max_iter, method=method, transition_t=transition_t,
             check=check, engine=engine, tele=tele,
             application=application, previous=previous,
+            jumps=jumps,
         )
 
 
@@ -294,14 +330,11 @@ def _estimate_spam_mass(
     tele,
     application=None,
     previous: Optional[MassEstimates] = None,
+    jumps: Optional[np.ndarray] = None,
 ) -> MassEstimates:
     """The untraced core of :func:`estimate_spam_mass`."""
-    n = graph.num_nodes
-    if gamma is None:
-        w = core_jump_vector(n, core_list)
-    else:
-        w = scaled_core_jump_vector(n, core_list, gamma)
-    u = uniform_jump_vector(n)
+    if jumps is None:
+        jumps = mass_jump_block(graph.num_nodes, core_list, gamma)
 
     if previous is not None:
         if engine is None:
@@ -311,7 +344,7 @@ def _estimate_spam_mass(
         batch = engine.update_many(
             application,
             np.stack([previous.pagerank, previous.core_pagerank], axis=1),
-            np.stack([u, w], axis=1),
+            jumps,
             damping=damping,
             tol=tol,
             max_iter=max_iter,
@@ -335,7 +368,7 @@ def _estimate_spam_mass(
         if method == "jacobi":
             batch = engine.solve_many(
                 graph,
-                np.stack([u, w], axis=1),
+                jumps,
                 damping=damping,
                 tol=tol,
                 max_iter=max_iter,
@@ -353,6 +386,8 @@ def _estimate_spam_mass(
 
     # sequential path: two separate solves, spanned apart so traces
     # distinguish p from p′
+    u = np.ascontiguousarray(jumps[:, 0])
+    w = np.ascontiguousarray(jumps[:, 1])
     with tele.span("solve:p", method=method):
         p = pagerank_from_matrix(
             transition_t,

@@ -39,6 +39,7 @@ from .components import (
 from .hosts import HostName, HostRegistry, clean_url, parse_host
 from .io import (
     read_edge_list,
+    read_anchor,
     read_npz,
     read_graph_bundle,
     read_host_list,
@@ -46,6 +47,7 @@ from .io import (
     read_scores,
     write_edge_list,
     write_graph_bundle,
+    write_anchor,
     write_npz,
     write_host_list,
     write_labels,
@@ -129,6 +131,8 @@ __all__ = [
     "write_edge_list",
     "read_npz",
     "write_npz",
+    "read_anchor",
+    "write_anchor",
     "read_host_list",
     "write_host_list",
     "read_labels",

@@ -385,6 +385,14 @@ class WebGraph:
         indptr[1:] = np.cumsum(np.bincount(sources, minlength=num_nodes))
         return cls(indptr, dests, names, validate=False)
 
+    def with_names(self, names: Optional[Sequence[str]]) -> "WebGraph":
+        """This graph under ``names``: the read-only CSR arrays are
+        shared, and a fingerprint already computed or stamped carries
+        over (names are not part of it)."""
+        named = WebGraph(self._indptr, self._indices, names, validate=False)
+        named._fingerprint = self._fingerprint
+        return named
+
     @classmethod
     def empty(cls, num_nodes: int) -> "WebGraph":
         """Return a graph with ``num_nodes`` nodes and no edges."""

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import os
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from typing import List, Optional, Sequence, Tuple, Union
@@ -169,7 +170,11 @@ class BatchResult:
         )
 
 
-def _validate_block(vectors: np.ndarray, damping: float, tol: float) -> None:
+def _validate_block(
+    vectors: np.ndarray, damping: float, tol: float, *, scan: bool = True
+) -> None:
+    """Check the stacked jump vectors and the solve parameters;
+    ``scan=False`` skips the O(n·k) checks of the entries."""
     if vectors.ndim != 2:
         raise ValueError("stacked jump vectors must form an (n, k) array")
     if vectors.shape[1] == 0:
@@ -178,6 +183,8 @@ def _validate_block(vectors: np.ndarray, damping: float, tol: float) -> None:
         raise ValueError(f"damping factor must be in (0, 1), got {damping}")
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
+    if not scan:
+        return
     # NaN passes every comparison below and would sweep to max_iter
     if not np.isfinite(vectors).all():
         raise ValueError("random-jump vectors must be finite")
@@ -203,6 +210,12 @@ class PagerankEngine:
     method:
         Default single-solve method of :meth:`solve` (block solves
         always run the block BiCGSTAB kernel).
+
+    Block solves validate their stacked jump vectors, an O(n·k) scan.
+    A read-only block that owns its data cannot change between calls,
+    so the engine remembers the last one it validated and does not
+    scan it again: a caller that solves with the same block every
+    time (the scoring daemon, window after window) pays the scan once.
     """
 
     def __init__(
@@ -213,6 +226,21 @@ class PagerankEngine:
     ) -> None:
         self.cache = OperatorCache(cache_size)
         self.method = method
+        self._validated: Optional[weakref.ref] = None
+
+    def _check_block(
+        self, stacked: np.ndarray, damping: float, tol: float
+    ) -> None:
+        """:func:`_validate_block`, scanning the entries of any block
+        but the read-only one this engine last validated."""
+        known = self._validated is not None and self._validated() is stacked
+        _validate_block(stacked, damping, tol, scan=not known)
+        if (
+            not known
+            and stacked.flags.owndata
+            and not stacked.flags.writeable
+        ):
+            self._validated = weakref.ref(stacked)
 
     # ------------------------------------------------------------------
     # operator access
@@ -318,7 +346,7 @@ class PagerankEngine:
         else:
             columns = [_resolve_jump(n, spec) for spec in vectors]
             stacked = np.stack(columns, axis=1).astype(np.float64)
-        _validate_block(stacked, damping, tol)
+        self._check_block(stacked, damping, tol)
         k = stacked.shape[1]
         if labels is None:
             labels = [f"col{j}" for j in range(k)]
@@ -450,7 +478,7 @@ class PagerankEngine:
             stacked = np.stack(
                 [_resolve_jump(n, spec) for spec in vectors], axis=1
             ).astype(np.float64)
-        _validate_block(stacked, damping, tol)
+        self._check_block(stacked, damping, tol)
         k = stacked.shape[1]
         prev_iterations = None
         if isinstance(previous, BatchResult):
@@ -648,8 +676,9 @@ def _apply_block(block: RowBlock, z: np.ndarray, out: np.ndarray,
 # slower.  Products go through the chunk's rows of the solve's scratch
 # column ``w``: glibc serves a fresh chunk-sized temporary by mmap
 # until a larger free raises its threshold, and with temporaries a
-# pool's first solve ran its threads one at a time.  ``r`` holds ``s``
-# between the half step and the update.
+# pool's first solve ran its threads one at a time.  The (Tᵀ)_DS
+# products of :func:`_dangling_chunk` go through D-row scratch the
+# same way.  ``r`` holds ``s`` between the half step and the update.
 
 
 def _direction_chunk(lo, hi, p, r, beta) -> None:
@@ -713,15 +742,19 @@ def _residual_chunk(lo, hi, out, vectors, s, cols, c, w) -> np.ndarray:
     return _l1(rows, w[lo:hi])
 
 
-def _dangling_chunk(lo, block, z, c, vectors, d, cols, scores):
+def _dangling_chunk(lo, block, z, c, vectors, d, cols, scores, flat, w):
     """``(Tᵀ)_DS z`` on one chunk of D rows (``block`` numbers them
     from 0, ``lo`` places them): with ``scores``, writes them as the
     solution's D rows ``c·(Tᵀ)_DS z + (1−c)·v_D``; without, returns
-    their partial ``‖·‖₁``."""
-    out = np.zeros((block.hi, z.shape[1]))
+    their partial ``‖·‖₁``.  The product goes through the chunk's share
+    of the solve's D-row scratch ``flat`` (from ``lo·k`` on, for ``k``
+    stacked vectors), its absolute values through ``w``'s rows."""
+    rows, m, k = block.hi, z.shape[1], vectors.shape[1]
+    out = flat[lo * k:lo * k + rows * m].reshape(rows, m)
+    out.fill(0.0)
     _block_product(block, z, out)
     if scores is None:
-        return _l1(out)
+        return _l1(out, w[lo:lo + rows])
     rows = d[lo:lo + block.hi]
     out *= c
     out += (1.0 - c) * _jump_rows(vectors, rows, cols)
@@ -772,6 +805,9 @@ class _BlockSolve:
             name: np.empty(rows * k) for name in (*self.LIVE, "v", "t")
         }
         self.w = np.empty(rows)
+        # (Tᵀ)_DS products and their absolute values, per chunk of D rows
+        self.d_flat = np.empty(len(self.d) * k)
+        self.d_w = np.empty(len(self.d))
         self.iterations = np.zeros(k, dtype=np.int64)
         self.residuals = np.full(k, np.inf)
         self.converged = np.zeros(k, dtype=bool)
@@ -789,7 +825,8 @@ class _BlockSolve:
 
     def each_d_chunk(self, z, cols, scores) -> list:
         return _run(self.pool, _dangling_chunk, [
-            (lo, block, z, self.c, self.vectors, self.d, cols, scores)
+            (lo, block, z, self.c, self.vectors, self.d, cols, scores,
+             self.d_flat, self.d_w)
             for lo, block in self.d_blocks
         ])
 

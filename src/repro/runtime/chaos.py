@@ -248,6 +248,16 @@ class ServeChaos:
         visible, and the fault proves readers keep the previous epoch
         and the WAL record stays pending.
 
+    ``after_anchor_step(seq, step)``
+        Runs after each step of the re-anchor that follows the apply
+        of ``seq``: ``"anchor"`` (the anchor is written), ``"switch"``
+        (the WAL segment based on it is live) and ``"delete"`` (the
+        older segments are gone).  ``kill_anchor_on`` holds
+        ``(seq, step)`` pairs; a listed step raises ``exc``, which
+        stops the re-anchor there and leaves on disk exactly what a
+        crash at that point would.  The apply itself has already
+        succeeded.
+
     Faults fire **once per (kind, seq)** by default (``once=True``) so
     the retry after a planted fault succeeds; with ``once=False`` the
     fault repeats on every attempt, which is how the ingest circuit
@@ -263,6 +273,7 @@ class ServeChaos:
         fail_apply_on: tuple = (),
         slow_apply_on: tuple = (),
         kill_swap_on: tuple = (),
+        kill_anchor_on: tuple = (),
         slow_seconds: float = 0.05,
         exc: Type[BaseException] = InjectedFault,
         once: bool = True,
@@ -270,6 +281,9 @@ class ServeChaos:
         self.fail_apply_on = tuple(fail_apply_on)
         self.slow_apply_on = tuple(slow_apply_on)
         self.kill_swap_on = tuple(kill_swap_on)
+        self.kill_anchor_on = tuple(
+            (int(seq), str(step)) for seq, step in kill_anchor_on
+        )
         self.slow_seconds = slow_seconds
         self.exc = exc
         self.once = once
@@ -295,6 +309,13 @@ class ServeChaos:
     def before_publish(self, seq: int) -> None:
         if seq in self.kill_swap_on and self._fires("kill", seq):
             raise self.exc(f"injected kill mid-swap on wal seq {seq}")
+
+    def after_anchor_step(self, seq: int, step: str) -> None:
+        if (seq, step) in self.kill_anchor_on and self._fires(step, seq):
+            raise self.exc(
+                f"injected kill after the re-anchor step {step!r} on wal "
+                f"seq {seq}"
+            )
 
 
 def truncate_wal_tail(path: Union[str, Path], nbytes: int = 7) -> Path:

@@ -73,7 +73,7 @@ def snapshot_estimates(snapshot) -> MassEstimates:
 
 
 def reestimate(
-    application, core, previous: MassEstimates, *, engine
+    application, core, previous: MassEstimates, *, engine, jumps=None
 ) -> Tuple[MassEstimates, bool]:
     """``(estimates, degraded)`` for ``application.after``.
 
@@ -82,8 +82,13 @@ def reestimate(
     :class:`~repro.errors.ReproError` or ``FloatingPointError``, the
     cold solve of ``application.after`` runs once and ``degraded`` is
     true.  An error from the cold solve propagates unchanged.
+    ``jumps`` is the caller's
+    :func:`~repro.core.mass.mass_jump_block` for ``core`` and that γ,
+    passed to both solves.
     """
-    params = dict(damping=previous.damping, gamma=previous.gamma)
+    params = dict(
+        damping=previous.damping, gamma=previous.gamma, jumps=jumps
+    )
     try:
         return (
             estimate_spam_mass(

@@ -50,8 +50,10 @@ A window commits when its WAL record is durable, and that record is
 the ingestor's only durable state: it carries the *position* right
 after the window (see :meth:`StreamIngestor._checkpoint`) — the
 window's bounds and event ids, the consumed-id watermark + extras, the
-open windows' bounds, the flow-control state and the counters.  A new
-incarnation restores the newest record's position and applies the
+open windows' bounds, the flow-control state and the counters.  When
+the daemon re-anchors, the header of the new WAL segment carries the
+newest position it folded, so an empty live segment still resumes.  A
+new incarnation restores the newest position and applies the
 record the daemon has not (a crash between a window's submit and its
 apply leaves one; poison is quarantined as ``"apply-failed"``).  The
 source is then re-read from the oldest open window's first line:
@@ -386,14 +388,20 @@ class StreamIngestor:
         }
 
     def _resume(self) -> None:
-        """Pick the stream up at the newest position in the daemon's WAL."""
-        if self.daemon.wal is None:
+        """Pick the stream up at the newest position in the daemon's
+        WAL: its live segment's last record that carries one, else the
+        segment header's (a re-anchor folded every record before it)."""
+        wal = self.daemon.wal
+        if wal is None:
             return
-        records, _ = self.daemon.wal.recover(repair=False)
+        records, _ = wal.recover(repair=False)
         records = [r for r in records if r.position is not None]
-        if not records:
+        if records:
+            seq, pos = records[-1].seq, records[-1].position
+        elif wal.base is not None and wal.base.position is not None:
+            seq, pos = wal.base.seq, wal.base.position
+        else:
             return
-        pos = records[-1].position
         self._tracker = _IdTracker(pos["wm"], pos["extra"])
         self._position = int(pos["offset"])
         self._refill_until = int(pos["read"])
@@ -423,7 +431,7 @@ class StreamIngestor:
         if tele.enabled:
             tele.event(
                 "stream.resumed",
-                seq=records[-1].seq,
+                seq=seq,
                 pending=len(pending),
                 offset=self._position,
             )

@@ -11,7 +11,7 @@ deterministic given the same base solution and the same delta chain).
 
 Format
 ------
-One append-only segment, ``wal.jsonl``, one JSON record per line::
+Append-only segments, one JSON record per line::
 
     {"seq": 3, "parent": "<fp>", "after": "<fp>", "ins": [[u, v], ...],
      "dels": [[u, v], ...], "pos": {...}, "crc": 123456}
@@ -26,9 +26,23 @@ newest one), so one record is a window's only commit point.  ``crc``
 is a zlib CRC-32 over the canonical payload, ``pos`` included; every
 append is flushed and fsynced before the record is acknowledged.
 
-There is no apply watermark and no pruning.  The segment keeps every
-delta since the world bundle, so the chain always links the bundle to
-whatever snapshot the daemon saved; what is applied is what the
+The first segment, ``wal.jsonl``, starts at the world bundle (seq 0).
+A later one, ``wal-<seq>.jsonl``, starts at an *anchor*: the graph
+after record ``seq``, which the daemon wrote beside its solution
+snapshot (:meth:`rebase`).  Its first line is a header carrying that
+record's ``seq``, ``after`` fingerprint and newest ``pos``, plus the
+``origin`` fingerprint of the world bundle the history started at::
+
+    {"base": 64, "after": "<fp>", "origin": "<fp>", "pos": {...},
+     "crc": 123456}
+
+so the header is the commit point of the records folded into the
+anchor.  The live segment is the one with the highest base; records
+continue its seq.  Every
+:data:`~repro.serve.daemon.ANCHOR_EVERY` applies the daemon writes an
+anchor, starts a segment based on it (carrying the records still
+pending) and deletes the older segments, so a restart replays at most
+that many records onto the newest anchor.  What is applied is what the
 snapshot's fingerprint says (:func:`plan_replay`).
 
 Crash anatomy
@@ -43,7 +57,15 @@ Crash anatomy
   applying the same segment twice is a no-op.
 * **Corruption in the middle of the segment**: never tolerated —
   recovery raises :class:`~repro.errors.WalError` rather than silently
-  skipping history (which would desynchronize the replay chain).
+  skipping history (which would desynchronize the replay chain).  A
+  header that does not read clean is corruption too: segments are
+  written whole to a temporary file and renamed into place.
+* **Crash during a re-anchor**: after the anchor is written the old
+  segment is still live and holds the anchor's record; after the new
+  segment is renamed into place both segments exist and the newer is
+  live; after the old one is deleted only the new one is left.  Every
+  one of these states restarts at the snapshot (the superseded
+  segment is deleted at the next re-anchor).
 """
 
 from __future__ import annotations
@@ -57,13 +79,16 @@ from typing import List, Optional, Tuple, Union
 
 from ..errors import WalError
 from ..graph.delta import GraphDelta
+from ..graph.io import fsync_directory
 from ..obs import get_telemetry
 
-__all__ = ["WalRecord", "DeltaWAL", "plan_replay"]
+__all__ = ["WalRecord", "WalBase", "DeltaWAL", "plan_replay"]
 
 PathLike = Union[str, Path]
 
 SEGMENT_FILENAME = "wal.jsonl"
+#: A segment based on an anchor: ``wal-<base seq>.jsonl``.
+_BASED_PREFIX, _BASED_SUFFIX = "wal-", ".jsonl"
 
 
 def _payload_crc(
@@ -75,6 +100,64 @@ def _payload_crc(
         payload.append(pos)
     canonical = json.dumps(payload, separators=(",", ":"), sort_keys=True)
     return zlib.crc32(canonical.encode("utf-8"))
+
+
+def _base_crc(seq: int, after: str, origin: str, pos: Optional[dict]) -> int:
+    """CRC-32 of a segment header's canonical payload."""
+    payload = [seq, after, origin]
+    if pos is not None:
+        payload.append(pos)
+    canonical = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+    return zlib.crc32(canonical.encode("utf-8"))
+
+
+class WalBase:
+    """Where a segment based on an anchor starts: the ``seq``, ``after``
+    fingerprint and newest ``position`` of the last record folded into
+    the anchor, and the ``origin`` fingerprint of the world bundle the
+    history started at."""
+
+    __slots__ = ("seq", "after", "origin", "position")
+
+    def __init__(
+        self, seq: int, after: str, origin: str,
+        position: Optional[dict] = None,
+    ) -> None:
+        self.seq = seq
+        self.after = after
+        self.origin = origin
+        self.position = position
+
+    def line(self) -> bytes:
+        header = {"base": self.seq, "after": self.after,
+                  "origin": self.origin}
+        if self.position is not None:
+            header["pos"] = self.position
+        header["crc"] = _base_crc(
+            self.seq, self.after, self.origin, self.position
+        )
+        return (json.dumps(header, separators=(",", ":")) + "\n").encode()
+
+    @staticmethod
+    def parse(line: bytes) -> Optional["WalBase"]:
+        """The header on ``line``, or ``None`` if it does not read clean."""
+        if not line.endswith(b"\n"):
+            return None
+        try:
+            data = json.loads(line)
+            seq = int(data["base"])
+            after = str(data["after"])
+            origin = str(data["origin"])
+            pos = data.get("pos")
+            crc = int(data["crc"])
+        except (ValueError, KeyError, TypeError):
+            return None
+        if crc != _base_crc(seq, after, origin, pos):
+            return None
+        return WalBase(seq, after, origin, pos)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"WalBase(seq={self.seq})"
 
 
 class WalRecord:
@@ -117,24 +200,66 @@ class DeltaWAL:
     Parameters
     ----------
     directory:
-        Log directory; created on first append.  Holds the segment
-        (``wal.jsonl``).
+        Log directory; created on first append.  Holds the segments
+        (``wal.jsonl``, then ``wal-<seq>.jsonl`` after re-anchors).
     fsync:
         Whether appends fsync before acknowledging (the default; tests
         that simulate torn writes turn it off to control the file tail
         byte-exactly).
+
+    Constructing a log and recovering an empty one touch no file.
     """
 
     def __init__(self, directory: PathLike, *, fsync: bool = True) -> None:
         self.directory = Path(directory)
         self.fsync = fsync
         self._last_seq: Optional[int] = None
-        # serializes append/recover/cut on the one segment file
+        #: ``(base seq, path)`` of the live segment, once looked up
+        self._segment: Optional[Tuple[int, Path]] = None
+        #: the live segment's header (``None``: it starts at the world)
+        self.base: Optional[WalBase] = None
+        # serializes append/recover/cut/rebase on the segment files
         self._mutex = threading.RLock()
 
     @property
     def segment_path(self) -> Path:
-        return self.directory / SEGMENT_FILENAME
+        """The live segment: the one appends go to."""
+        with self._mutex:
+            return self._live()[1]
+
+    @property
+    def base_seq(self) -> int:
+        """Seq of the last record folded into the live segment's
+        anchor (0 for the first segment)."""
+        with self._mutex:
+            return self._live()[0]
+
+    def _segments(self) -> List[Tuple[int, Path]]:
+        """Every segment file as ``(base seq, path)``, oldest first."""
+        try:
+            names = os.listdir(self.directory)
+        except FileNotFoundError:
+            return []
+        segments = []
+        for name in names:
+            if name == SEGMENT_FILENAME:
+                segments.append((0, self.directory / name))
+            elif name.startswith(_BASED_PREFIX) and name.endswith(
+                _BASED_SUFFIX
+            ):
+                digits = name[len(_BASED_PREFIX):-len(_BASED_SUFFIX)]
+                if digits.isdigit():
+                    segments.append((int(digits), self.directory / name))
+        return sorted(segments)
+
+    def _live(self) -> Tuple[int, Path]:
+        if self._segment is None:
+            segments = self._segments()
+            self._segment = (
+                segments[-1] if segments
+                else (0, self.directory / SEGMENT_FILENAME)
+            )
+        return self._segment
 
     # ------------------------------------------------------------------
     # appending
@@ -159,8 +284,7 @@ class DeltaWAL:
         with self._mutex:
             self.directory.mkdir(parents=True, exist_ok=True)
             if self._last_seq is None:
-                records, _ = self.recover(repair=False)
-                self._last_seq = records[-1].seq if records else 0
+                self.recover(repair=False)
             seq = self._last_seq + 1
             ins = [[int(u), int(v)] for u, v in delta.insertions]
             dels = [[int(u), int(v)] for u, v in delta.deletions]
@@ -177,7 +301,7 @@ class DeltaWAL:
                 seq, parent, after, ins, dels, position
             )
             line = json.dumps(record, separators=(",", ":")) + "\n"
-            with open(self.segment_path, "a", encoding="utf-8") as fh:
+            with open(self._live()[1], "a", encoding="utf-8") as fh:
                 fh.write(line)
                 fh.flush()
                 if self.fsync:
@@ -199,7 +323,7 @@ class DeltaWAL:
     # ------------------------------------------------------------------
 
     def recover(self, *, repair: bool = True) -> Tuple[List[WalRecord], int]:
-        """Scan the segment; returns ``(records, dropped_bytes)``.
+        """Scan the live segment; returns ``(records, dropped_bytes)``.
 
         A torn *tail* — a final line that is incomplete, unparsable or
         fails its CRC — is expected after a crash mid-append: the tail
@@ -207,14 +331,19 @@ class DeltaWAL:
         truncated back to the last good record.  Corruption *before*
         the last line raises :class:`~repro.errors.WalError`: skipping
         interior history would silently desynchronize the delta chain.
+        The live segment's header, if it has one, is left in
+        :attr:`base`.
         """
         with self._mutex:
-            path = self.segment_path
+            self._segment = None
+            base_seq, path = self._live()
             if not path.exists():
+                self.base = None
+                self._last_seq = base_seq
                 return [], 0
             raw = path.read_bytes()
-            records, ends = self._scan(raw)
-            good_end = ends[-1] if ends else 0
+            head, records, ends, head_end = self._scan(raw, base_seq)
+            good_end = ends[-1] if ends else head_end
             dropped = len(raw) - good_end
             if repair and dropped:
                 self._truncate(good_end)
@@ -226,7 +355,8 @@ class DeltaWAL:
                         dropped_bytes=dropped,
                         kept_records=len(records),
                     )
-            self._last_seq = records[-1].seq if records else 0
+            self.base = head
+            self._last_seq = records[-1].seq if records else base_seq
             return records, dropped
 
     def cut(self, seq: int) -> None:
@@ -237,17 +367,112 @@ class DeltaWAL:
         appended.
         """
         with self._mutex:
-            records, ends = self._scan(self.segment_path.read_bytes())
+            base_seq, path = self._live()
+            _, records, ends, head_end = self._scan(
+                path.read_bytes(), base_seq
+            )
             keep = sum(1 for record in records if record.seq < seq)
-            self._truncate(ends[keep - 1] if keep else 0)
-            self._last_seq = records[keep - 1].seq if keep else 0
+            self._truncate(ends[keep - 1] if keep else head_end)
+            self._last_seq = records[keep - 1].seq if keep else base_seq
 
-    def _scan(self, raw: bytes) -> Tuple[List[WalRecord], List[int]]:
-        """Parse ``raw``; returns the good records and each one's end
-        offset (a torn last line is left out)."""
+    # ------------------------------------------------------------------
+    # re-anchoring
+    # ------------------------------------------------------------------
+
+    def rebase(self, seq: int, after: str) -> Path:
+        """Start a segment based on an anchor of the graph after record
+        ``seq`` (fingerprint ``after``); returns its path.
+
+        The new segment's header carries ``seq``, ``after``, the newest
+        position folded into the anchor and the history's origin; the
+        live segment's records after ``seq`` (still pending) follow it
+        byte for byte.  It is written to a temporary file, fsynced and
+        renamed into place, and from then on it is the live segment.
+        The older segments stay until :meth:`drop_superseded`.
+        """
+        with self._mutex:
+            base_seq, old = self._live()
+            raw = old.read_bytes() if old.exists() else b""
+            head, records, ends, _ = self._scan(raw, base_seq)
+            folded = [record for record in records if record.seq <= seq]
+            if not folded or folded[-1].seq != seq or (
+                folded[-1].after != after
+            ):
+                raise WalError(
+                    f"{old}: cannot re-anchor at seq {seq} "
+                    f"(fingerprint {after!r}): no such record"
+                )
+            positions = [r.position for r in folded if r.position is not None]
+            base = WalBase(
+                seq,
+                after,
+                head.origin if head is not None else folded[0].parent,
+                positions[-1] if positions else (
+                    head.position if head is not None else None
+                ),
+            )
+            carried = raw[ends[len(folded) - 1]:ends[-1]]
+            path = self.directory / f"{_BASED_PREFIX}{seq:012d}{_BASED_SUFFIX}"
+            tmp = path.with_name(path.name + ".tmp")
+            try:
+                with open(tmp, "wb") as fh:
+                    fh.write(base.line())
+                    fh.write(carried)
+                    fh.flush()
+                    if self.fsync:
+                        os.fsync(fh.fileno())
+                os.replace(tmp, path)
+            finally:
+                tmp.unlink(missing_ok=True)
+            self._segment = (seq, path)
+            self.base = base
+            if self.fsync:
+                fsync_directory(self.directory)
+        tele = get_telemetry()
+        if tele.enabled:
+            tele.inc("serve.wal.rebases")
+            tele.event(
+                "serve.wal_rebased",
+                seq=seq,
+                carried=len(records) - len(folded),
+            )
+        return path
+
+    def drop_superseded(self) -> int:
+        """Delete the segments older than the live one; returns how
+        many."""
+        with self._mutex:
+            live = self._live()[0]
+            old = [path for base, path in self._segments() if base < live]
+            for path in old:
+                path.unlink(missing_ok=True)
+            if old and self.fsync:
+                fsync_directory(self.directory)
+            return len(old)
+
+    # ------------------------------------------------------------------
+    # parsing
+    # ------------------------------------------------------------------
+
+    def _scan(
+        self, raw: bytes, base_seq: int
+    ) -> Tuple[Optional[WalBase], List[WalRecord], List[int], int]:
+        """Parse a segment based at ``base_seq``; returns its header,
+        the good records, each one's end offset (a torn last line is
+        left out) and where the header ends."""
+        head, offset = None, 0
+        if base_seq:
+            newline = raw.find(b"\n")
+            head = WalBase.parse(raw[:newline + 1]) if newline >= 0 else None
+            if head is None or head.seq != base_seq:
+                raise WalError(
+                    f"{self.segment_path}: the segment header does not "
+                    "read clean; refusing to replay"
+                )
+            offset = newline + 1
+        head_end = offset
         records: List[WalRecord] = []
         ends: List[int] = []
-        offset = 0
         while offset < len(raw):
             newline = raw.find(b"\n", offset)
             end = len(raw) if newline < 0 else newline + 1
@@ -260,16 +485,19 @@ class DeltaWAL:
                         "log and its history disagree; refusing to replay"
                     )
                 break
-            if records and record.seq != records[-1].seq + 1:
+            previous = records[-1].seq if records else (
+                base_seq if head is not None else None
+            )
+            if previous is not None and record.seq != previous + 1:
                 raise WalError(
                     f"{self.segment_path}: sequence gap "
-                    f"({records[-1].seq} -> {record.seq}); refusing to "
+                    f"({previous} -> {record.seq}); refusing to "
                     "replay"
                 )
             records.append(record)
             ends.append(end)
             offset = end
-        return records, ends
+        return head, records, ends, head_end
 
     def _truncate(self, size: int) -> None:
         with open(self.segment_path, "r+b") as fh:

@@ -151,6 +151,150 @@ def test_npz_without_names(tmp_path):
     assert loaded.names is None
 
 
+def test_npz_reads_deflated_archives(tmp_path, sample_graph):
+    """Archives are written stored now; deflated ones written by older
+    versions still read."""
+    from repro.graph import read_npz
+
+    path = tmp_path / "g.npz"
+    np.savez_compressed(
+        path,
+        indptr=sample_graph.indptr,
+        indices=sample_graph.indices,
+        names=np.asarray(sample_graph.names, dtype=np.str_),
+    )
+    loaded = read_npz(path)
+    assert loaded == sample_graph and loaded.names == sample_graph.names
+
+
+# ----------------------------------------------------------------------
+# bundle anchors: no text parse, and never a stale graph
+# ----------------------------------------------------------------------
+
+
+def _text_parses(monkeypatch):
+    """Record the edge files ``read_graph_bundle`` parses as text."""
+    import repro.graph.io as io_mod
+
+    parsed = []
+    read = io_mod.read_edge_list
+
+    def recording(path, **kw):
+        parsed.append(path)
+        return read(path, **kw)
+
+    monkeypatch.setattr(io_mod, "read_edge_list", recording)
+    return parsed
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["edges", "gz"])
+def test_bundle_reads_its_anchor_without_parsing_the_text(
+    tmp_path, sample_graph, monkeypatch, compress
+):
+    out = write_graph_bundle(sample_graph, tmp_path / "b", compress=compress)
+    assert (out / "graph.anchor.npz").exists()
+    parsed = _text_parses(monkeypatch)
+    computed = WebGraph.fingerprint_computations
+    graph, _, _ = read_graph_bundle(out)
+    assert parsed == []
+    assert graph == sample_graph and graph.names == sample_graph.names
+    assert graph.structural_fingerprint() == (
+        WebGraph.from_edges(4, sample_graph.edges()).structural_fingerprint()
+    )
+    assert WebGraph.fingerprint_computations == computed + 1
+    assert not graph.indices.flags.writeable
+
+
+def test_an_edge_file_edited_at_the_same_size_is_read_from_the_text(
+    tmp_path, monkeypatch
+):
+    """The size matches, the CRC-32 does not: the text is the truth."""
+    before = WebGraph.from_edges(12, [(0, 1), (1, 2), (2, 3), (5, 7)])
+    out = write_graph_bundle(before, tmp_path / "b")
+    edges = out / "graph.edges"
+    raw = edges.read_bytes()
+    edited = raw.replace(b"5 7\n", b"5 8\n")
+    assert len(edited) == len(raw) and edited != raw
+    edges.write_bytes(edited)
+    parsed = _text_parses(monkeypatch)
+    graph, _, _ = read_graph_bundle(out)
+    assert parsed == [edges]
+    after = WebGraph.from_edges(12, [(0, 1), (1, 2), (2, 3), (5, 8)])
+    assert graph == after
+    assert graph.structural_fingerprint() == after.structural_fingerprint()
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+@pytest.mark.parametrize(
+    "damage", ["truncated", "bit-flip", "not-an-archive", "empty"]
+)
+def test_a_damaged_anchor_falls_back_to_the_text(
+    tmp_path, sample_graph, monkeypatch, strict, damage
+):
+    import warnings
+
+    out = write_graph_bundle(sample_graph, tmp_path / "b")
+    anchor = out / "graph.anchor.npz"
+    raw = anchor.read_bytes()
+    if damage == "truncated":
+        raw = raw[: len(raw) // 2]
+    elif damage == "bit-flip":
+        # a byte of the stored indices: the member's CRC-32 catches it
+        at = raw.find(sample_graph.indices.tobytes())
+        assert at > 0
+        raw = raw[:at] + bytes([raw[at] ^ 0x04]) + raw[at + 1:]
+    elif damage == "not-an-archive":
+        raw = b"PK\x03\x04 not a zip archive"
+    else:
+        raw = b""
+    anchor.write_bytes(raw)
+    parsed = _text_parses(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        graph, _, _ = read_graph_bundle(out, strict=strict)
+    assert len(parsed) == 1
+    assert graph == sample_graph and graph.names == sample_graph.names
+
+
+def test_a_bundle_without_an_anchor_still_reads(
+    tmp_path, sample_graph, monkeypatch
+):
+    """A bundle written before anchors existed: only the text."""
+    out = tmp_path / "b"
+    out.mkdir()
+    write_edge_list(sample_graph, out / "graph.edges")
+    write_host_list(list(sample_graph.names), out / "graph.hosts")
+    parsed = _text_parses(monkeypatch)
+    graph, _, _ = read_graph_bundle(out)
+    assert len(parsed) == 1
+    assert graph == sample_graph and graph.names == sample_graph.names
+
+
+def test_rewriting_a_bundle_replaces_its_anchor(tmp_path, monkeypatch):
+    first = WebGraph.from_edges(5, [(0, 1), (1, 2)])
+    second = WebGraph.from_edges(5, [(0, 1), (3, 4)])
+    out = write_graph_bundle(first, tmp_path / "b")
+    write_graph_bundle(second, out)
+    parsed = _text_parses(monkeypatch)
+    graph, _, _ = read_graph_bundle(out)
+    assert parsed == [] and graph == second
+
+
+def test_read_anchor_rejects_what_check_rejects(tmp_path, sample_graph):
+    from repro.graph import GraphFormatError, read_anchor, write_anchor
+
+    path = write_anchor(sample_graph, tmp_path / "a.npz", seq=3)
+    graph, meta = read_anchor(path, check=lambda meta: meta["seq"] == 3)
+    assert graph == sample_graph and graph.names is None
+    assert meta == {
+        "fingerprint": sample_graph.structural_fingerprint(), "seq": 3
+    }
+    with pytest.raises(GraphFormatError, match="does not apply"):
+        read_anchor(path, check=lambda meta: meta["seq"] == 4)
+    with pytest.raises(GraphFormatError, match="unusable"):
+        read_anchor(tmp_path / "missing.npz")
+
+
 # ----------------------------------------------------------------------
 # corrupted input: strict raises typed errors, lenient skips + warns
 # ----------------------------------------------------------------------

@@ -233,6 +233,47 @@ def test_solve_many_input_validation(chain_graph):
         engine.solve_many(chain_graph, [v, v], labels=["only-one"])
 
 
+def test_a_validated_read_only_block_is_scanned_once(
+    chain_graph, monkeypatch
+):
+    """The engine scans the entries of a read-only block that owns its
+    data once; a writeable block, a view, or another block is scanned
+    on every call, so an invalid one is still rejected."""
+    import repro.perf.engine as engine_module
+
+    scans = []
+    validate = engine_module._validate_block
+
+    def recording(vectors, damping, tol, *, scan=True):
+        scans.append(scan)
+        validate(vectors, damping, tol, scan=scan)
+
+    monkeypatch.setattr(engine_module, "_validate_block", recording)
+    engine = PagerankEngine()
+    n = chain_graph.num_nodes
+    v = uniform_jump_vector(n)
+    block = np.stack([v, v], axis=1)
+    block.setflags(write=False)
+    first = engine.solve_many(chain_graph, block)
+    again = engine.solve_many(chain_graph, block)
+    assert scans == [True, False]
+    assert np.array_equal(first.scores, again.scores)
+    engine.solve_many(chain_graph, block.copy())
+    view = np.stack([v, v, v], axis=1)[:, :2]
+    view.setflags(write=False)
+    engine.solve_many(chain_graph, view)
+    engine.solve_many(chain_graph, view)
+    assert scans[2:] == [True, True, True]
+    nan = v.copy()
+    nan[2] = np.nan
+    bad = np.stack([v, nan], axis=1)
+    bad.setflags(write=False)
+    with pytest.raises(ValueError, match="finite"):
+        engine.solve_many(chain_graph, bad, check=False)
+    with pytest.raises(ValueError, match="damping"):
+        engine.solve_many(chain_graph, block, damping=1.0)
+
+
 def test_solve_many_edgeless_graph():
     graph = WebGraph.from_edges(5, [])
     engine = PagerankEngine()

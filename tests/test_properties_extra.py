@@ -25,9 +25,11 @@ from repro.eval import (
 from repro.graph import (
     WebGraph,
     read_edge_list,
+    read_graph_bundle,
     read_npz,
     read_scores,
     write_edge_list,
+    write_graph_bundle,
     write_npz,
     write_scores,
 )
@@ -65,6 +67,32 @@ def test_npz_roundtrip_property(tmp_path_factory, graph):
     path = tmp_path_factory.mktemp("io") / "g.npz"
     write_npz(graph, path)
     assert read_npz(path) == graph
+
+
+@given(graphs(), st.booleans(), st.booleans())
+@settings(**SETTINGS)
+def test_bundle_anchor_reads_what_the_text_reads(
+    tmp_path_factory, graph, named, compress
+):
+    """The graph and fingerprint a bundle's anchor yields equal those
+    of a text read of the same bundle, names included, and come with
+    no fingerprint pass."""
+    if named:
+        graph = graph.with_names(
+            [f"h{i}.example" for i in range(graph.num_nodes)]
+        )
+    out = write_graph_bundle(
+        graph, tmp_path_factory.mktemp("bundle"), compress=compress
+    )
+    computed = WebGraph.fingerprint_computations
+    anchored, _, _ = read_graph_bundle(out)
+    anchored_fp = anchored.structural_fingerprint()
+    assert WebGraph.fingerprint_computations == computed
+    (out / "graph.anchor.npz").unlink()
+    text, _, _ = read_graph_bundle(out)
+    assert anchored == text
+    assert anchored.names == text.names
+    assert anchored_fp == text.structural_fingerprint()
 
 
 @given(

@@ -6,8 +6,9 @@ it is acknowledged; a warm apply matches a cold re-solve; kill-mid-swap
 leaves readers on the previous epoch; repeated ingest failure opens the
 circuit and degrades to stale-reads-only (reads stay available); and a
 restart replays the WAL to bitwise-identical scores — after a crash
-between two applies, after any number of applies, and after a
-quarantine cut the dropped records off the log.
+between two applies, after any number of applies, after a quarantine
+cut the dropped records off the log, and after a crash at any step of
+a re-anchor, from which it replays at most one anchor interval.
 """
 
 import gc
@@ -26,6 +27,7 @@ import pytest
 
 from repro.core.mass import estimate_spam_mass
 from repro.errors import InjectedFault, SnapshotMismatchError, WalError
+from repro.obs.telemetry import capture
 from repro.graph import write_graph_bundle, write_host_list
 from repro.perf import PagerankEngine
 from repro.runtime import load_solution, save_solution
@@ -37,7 +39,8 @@ from repro.serve import (
     ScoringServer,
     ServeClient,
 )
-from repro.serve.daemon import CircuitBreaker
+import repro.serve.daemon as serve_daemon
+from repro.serve.daemon import ANCHOR_FILENAME, CircuitBreaker
 from test_differential_solvers import _random_graph
 
 GAMMA = 0.85
@@ -747,6 +750,164 @@ def test_restart_repairs_torn_wal_tail(base, world, tmp_path):
     # raced the ack) record is gone; the intact one replays
     assert d2.staleness == 1
     assert d2._pending[0].record.seq == 1
+
+
+# ----------------------------------------------------------------------
+# re-anchoring
+# ----------------------------------------------------------------------
+
+#: the anchor interval of the re-anchor tests
+K = 4
+
+
+def _restart(world_dir, ckpt, **kw):
+    """A new life on ``ckpt``, and its ``serve.wal_replay`` attrs:
+    ``folded`` records spliced onto its start, ``pending`` enqueued."""
+    with capture() as tele:
+        daemon = ScoringDaemon.load(world_dir, ckpt, **kw)
+    (replay,) = tele.sink.named("serve.wal_replay")
+    return daemon, replay.attrs
+
+
+def _layout(ckpt):
+    return sorted(path.name for path in (ckpt / "wal").iterdir())
+
+
+def _run(world_dir, ckpt, deltas, **kw):
+    d = ScoringDaemon.load(world_dir, ckpt, **kw)
+    for ins, dels in deltas:
+        d.submit_delta(ins, dels)
+        assert d.apply_pending() == 1
+    return d
+
+
+@pytest.mark.parametrize("step", ["anchor", "switch", "delete"])
+def test_a_crash_at_each_reanchor_step_restarts_bitwise(
+    base, world, tmp_path, monkeypatch, step
+):
+    """A crash after the anchor is written, after the segment based on
+    it went live, or after the old segment was deleted restarts at the
+    snapshot from the anchor, replaying nothing, and goes on to the
+    uninterrupted run's scores, bitwise."""
+    monkeypatch.setattr(serve_daemon, "ANCHOR_EVERY", K)
+    graph, _, _ = base
+    world_dir, _ = world
+    deltas = _fresh_deltas(graph, 2 * K + 2)
+    ref = _run(world_dir, _fresh_ckpt(world, tmp_path / "ref"), deltas)
+    reference = ref.store.current
+
+    ckpt = _fresh_ckpt(world, tmp_path / "crash")
+    chaos = ServeChaos(kill_anchor_on=[(K, step)])
+    d = _run(world_dir, ckpt, deltas[:K], chaos=chaos)
+    assert chaos.fired == [(step, K)]
+    based = f"wal-{K:012d}.jsonl"
+    assert _layout(ckpt) == {
+        "anchor": ["wal.jsonl"],
+        "switch": [based, "wal.jsonl"],
+        "delete": [based],
+    }[step]
+    assert (ckpt / ANCHOR_FILENAME).exists()
+    del d  # the crash
+
+    restarted, replay = _restart(world_dir, ckpt)
+    assert (replay["folded"], replay["pending"]) == (0, 0)
+    assert restarted.staleness == 0
+    assert restarted.store.current.wal_seq == K
+    assert restarted.store.current.fingerprint == (
+        load_solution(ckpt).meta["fingerprint"]
+    )
+    for ins, dels in deltas[K:]:
+        restarted.submit_delta(ins, dels)
+        assert restarted.apply_pending() == 1
+    epoch = restarted.store.current
+    assert epoch.fingerprint == reference.fingerprint
+    assert epoch.graph == reference.graph
+    assert np.array_equal(
+        epoch.estimates.pagerank, reference.estimates.pagerank
+    )
+    assert np.array_equal(
+        epoch.estimates.core_pagerank, reference.estimates.core_pagerank
+    )
+    assert _layout(ckpt) == [f"wal-{2 * K + (step == 'anchor'):012d}.jsonl"]
+
+
+def test_a_reanchor_carries_the_pending_records(
+    base, world, tmp_path, monkeypatch
+):
+    """Records accepted but not applied when the daemon re-anchors
+    move to the new segment byte for byte, after its header; a restart
+    replays them onto the anchor."""
+    monkeypatch.setattr(serve_daemon, "ANCHOR_EVERY", K)
+    graph, _, _ = base
+    world_dir, _ = world
+    deltas = _fresh_deltas(graph, K + 2)
+    ref = _run(world_dir, _fresh_ckpt(world, tmp_path / "ref"), deltas)
+
+    ckpt = _fresh_ckpt(world, tmp_path / "carry")
+    d = _run(world_dir, ckpt, deltas[:K - 1])
+    for ins, dels in deltas[K - 1:]:
+        d.submit_delta(ins, dels)
+    pending = d.wal.segment_path.read_bytes().splitlines(keepends=True)[K:]
+    assert d._apply_one()
+    assert _layout(ckpt) == [f"wal-{K:012d}.jsonl"]
+    lines = d.wal.segment_path.read_bytes().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    assert header["base"] == K
+    assert header["origin"] == graph.structural_fingerprint()
+    assert header["after"] == d.store.current.fingerprint
+    assert lines[1:] == pending
+    del d
+
+    restarted, replay = _restart(world_dir, ckpt)
+    assert (replay["folded"], replay["pending"]) == (0, 2)
+    assert restarted.staleness == 2
+    assert restarted.apply_pending() == 2
+    assert np.array_equal(
+        restarted.store.current.estimates.pagerank,
+        ref.store.current.estimates.pagerank,
+    )
+
+
+def test_an_unusable_anchor_under_a_based_segment_refuses_to_load(
+    base, world, tmp_path, monkeypatch
+):
+    """Once the first segment is gone, the anchor is the only link to
+    the world: a damaged one refuses the restart instead of guessing,
+    and a restart with it intact comes up."""
+    monkeypatch.setattr(serve_daemon, "ANCHOR_EVERY", K)
+    graph, _, _ = base
+    world_dir, _ = world
+    ckpt = _fresh_ckpt(world, tmp_path)
+    _run(world_dir, ckpt, _fresh_deltas(graph, K))
+    anchor = ckpt / ANCHOR_FILENAME
+    intact = anchor.read_bytes()
+    anchor.write_bytes(intact[: len(intact) // 2])
+    with pytest.raises(WalError, match="unusable"):
+        ScoringDaemon.load(world_dir, ckpt)
+    anchor.write_bytes(intact)
+    assert ScoringDaemon.load(world_dir, ckpt).store.current.wal_seq == K
+
+
+def test_a_based_segment_of_another_world_is_rejected(
+    base, world, tmp_path, monkeypatch
+):
+    """A re-anchored checkpoint served against a different world
+    fails on the segment header's origin, naming both fingerprints."""
+    monkeypatch.setattr(serve_daemon, "ANCHOR_EVERY", K)
+    graph, core, _ = base
+    world_dir, _ = world
+    ckpt = _fresh_ckpt(world, tmp_path)
+    _run(world_dir, ckpt, _fresh_deltas(graph, K))
+    other = _random_graph(23, graph.num_nodes, 300)
+    other_dir = tmp_path / "other"
+    write_graph_bundle(other, other_dir)
+    write_host_list(
+        [other.name_of(int(i)) for i in core], other_dir / "core.hosts"
+    )
+    with pytest.raises(SnapshotMismatchError) as info:
+        ScoringDaemon.load(other_dir, ckpt)
+    assert info.value.expected == other.structural_fingerprint()
+    assert info.value.actual == graph.structural_fingerprint()
 
 
 def test_load_rejects_wrong_world_with_both_fingerprints(

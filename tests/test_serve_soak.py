@@ -16,7 +16,15 @@ the ingest worker.  The invariants the ISSUE's CI job gates on:
   path the server says ``rejected`` with a reason, never an
   ``internal`` error, and never closes a healthy connection;
 * **clean drain** — stop() unlinks the socket and the WAL chain still
-  replays exactly the pending suffix.
+  replays exactly the pending suffix;
+* **bounded restart** — the daemon re-anchors every few applies
+  (the interval is lowered for the soak, so the kills land around
+  re-anchors, and some kill a re-anchor between its steps), and a
+  restart after the soak comes up at the final epoch, bitwise,
+  replaying at most one interval.
+
+A second test runs a daemon for many windows at the real anchor
+interval (1,000 under ``REPRO_SOAK``) and restarts it.
 
 The default run is a few seconds so the tier-1 suite stays fast; CI
 sets ``REPRO_SOAK=1`` for the ~60 s version.  All loops carry their
@@ -33,7 +41,9 @@ import time
 import numpy as np
 import pytest
 
+import repro.serve.daemon as serve_daemon
 from repro.core.mass import estimate_spam_mass
+from repro.graph import write_graph_bundle, write_host_list
 from repro.runtime.chaos import ServeChaos
 from repro.serve import (
     DaemonConfig,
@@ -43,7 +53,9 @@ from repro.serve import (
     ServeClient,
     plan_replay,
 )
+from repro.serve.ingest import save_estimates
 from test_differential_solvers import _random_graph
+from test_serve_daemon import _restart
 
 SOAK = bool(os.environ.get("REPRO_SOAK"))
 #: Wall-clock budget of the load phase.
@@ -53,6 +65,12 @@ HARD_DEADLINE = DURATION + 120.0
 READERS = 4
 EDGES_PER_DELTA = 2
 MAX_DELTAS = 4000 if SOAK else 400
+#: The soak's anchor interval: re-anchors at seq 4, then 8 (killed
+#: after its anchor), 9 (whose swap is killed first), 13 (killed after
+#: the switch), 17 (killed after the delete), 21, ...
+SOAK_ANCHOR_EVERY = 4
+#: Applies before the restart at the real anchor interval.
+RESTART_APPLIES = 1000 if SOAK else 3 * serve_daemon.ANCHOR_EVERY + 10
 
 
 @pytest.fixture(scope="module")
@@ -86,8 +104,28 @@ def _fresh_deltas(graph, count, rng):
     return deltas
 
 
-def test_soak_chaos_never_tears_reads(base, tmp_path):
+def _world(graph, core, root):
+    """The bundle a restart loads ``graph`` from, with its core."""
+    world = root / "world"
+    write_graph_bundle(graph, world)
+    write_host_list([graph.name_of(int(i)) for i in core],
+                    world / "core.hosts")
+    return world
+
+
+def _assert_same_epoch(got, want):
+    assert got.fingerprint == want.fingerprint
+    assert got.graph == want.graph
+    assert np.array_equal(got.estimates.pagerank, want.estimates.pagerank)
+    assert np.array_equal(
+        got.estimates.core_pagerank, want.estimates.core_pagerank
+    )
+
+
+def test_soak_chaos_never_tears_reads(base, tmp_path, monkeypatch):
     graph, core, estimates = base
+    monkeypatch.setattr(serve_daemon, "ANCHOR_EVERY", SOAK_ANCHOR_EVERY)
+    world = _world(graph, core, tmp_path)
     config = DaemonConfig(max_staleness=4, retry_interval=0.01)
     daemon = ScoringDaemon(
         graph,
@@ -97,10 +135,13 @@ def test_soak_chaos_never_tears_reads(base, tmp_path):
         wal=DeltaWAL(tmp_path / "wal"),
         config=config,
     )
-    # scripted faults: two kill-mid-swap crashes and one slow apply,
-    # each spent after one firing so the worker recovers on retry
+    # scripted faults: two kill-mid-swap crashes, one slow apply and a
+    # kill after each step of a re-anchor, each spent after one firing
+    # so the worker recovers on retry
+    anchor_kills = ((8, "anchor"), (13, "switch"), (17, "delete"))
     daemon.chaos = ServeChaos(
-        kill_swap_on=(2, 9), slow_apply_on=(5,), slow_seconds=0.05
+        kill_swap_on=(2, 9), slow_apply_on=(5,), slow_seconds=0.05,
+        kill_anchor_on=anchor_kills,
     )
     server = ScoringServer(daemon, tmp_path / "soak.sock", max_queue=32)
     server.start()
@@ -250,6 +291,19 @@ def test_soak_chaos_never_tears_reads(base, tmp_path):
     assert dropped == 0
     assert len(plan_replay(records, final_fp)) == final_staleness
 
+    # every re-anchor kill fired, and a restart comes up at the last
+    # applied epoch, bitwise, from the newest anchor: it replays at
+    # most one interval besides the records still pending
+    assert set(anchor_kills) <= {
+        (seq, step) for step, seq in daemon.chaos.fired
+    }
+    restarted, replay = _restart(
+        world, tmp_path / "ckpt", wal_dir=tmp_path / "wal"
+    )
+    assert replay["folded"] <= SOAK_ANCHOR_EVERY
+    assert replay["pending"] == restarted.staleness == daemon.staleness
+    _assert_same_epoch(restarted.store.current, daemon.store.current)
+
     report = {
         "duration_seconds": DURATION,
         "observations": len(observations),
@@ -261,3 +315,37 @@ def test_soak_chaos_never_tears_reads(base, tmp_path):
         "requests": stats["requests"],
     }
     print("soak:", json.dumps(report))
+
+
+def test_a_restart_after_many_windows_replays_at_most_one_interval(
+    base, tmp_path
+):
+    """At the real anchor interval, a daemon that applied
+    ``RESTART_APPLIES`` windows restarts from its newest anchor,
+    replaying only the records after it, at the scores it stopped at
+    and to the same scores after one more window, bitwise."""
+    graph, core, estimates = base
+    every = serve_daemon.ANCHOR_EVERY
+    world = _world(graph, core, tmp_path)
+    ckpt = tmp_path / "ckpt"
+    save_estimates(ckpt, estimates, fingerprint=graph.structural_fingerprint())
+    deltas = _fresh_deltas(
+        graph, RESTART_APPLIES + 1, np.random.default_rng(37)
+    )
+    daemon = ScoringDaemon.load(world, ckpt)
+    for batch in deltas[:-1]:
+        daemon.submit_delta(batch)
+        assert daemon.apply_pending() == 1
+    assert daemon.wal.base_seq == RESTART_APPLIES // every * every
+    assert [p.name for p in (ckpt / "wal").iterdir()] == [
+        daemon.wal.segment_path.name
+    ]
+
+    restarted, replay = _restart(world, ckpt)
+    assert replay["folded"] == RESTART_APPLIES % every <= every
+    assert replay["pending"] == restarted.staleness == 0
+    _assert_same_epoch(restarted.store.current, daemon.store.current)
+    for d in (daemon, restarted):
+        d.submit_delta(deltas[-1])
+        assert d.apply_pending() == 1
+    _assert_same_epoch(restarted.store.current, daemon.store.current)

@@ -5,7 +5,9 @@ crash (fsync-before-ack), a torn tail is repaired and never invents
 history, interior corruption refuses to replay, a record's position
 payload is covered by its CRC, a cut leaves a gap-free chain, and
 applying the same WAL segment twice is a no-op, including after a
-crash between applying a record and the next save.
+crash between applying a record and the next save; and a segment based
+on an anchor carries the folded records' commit point in a header
+under its own CRC, followed by the records still pending.
 """
 
 import json
@@ -207,3 +209,55 @@ def test_records_are_plain_json_lines(wal, chain):
     last = json.loads(wal.segment_path.read_text().splitlines()[-1])
     assert set(last) == {"seq", "parent", "after", "ins", "dels", "pos",
                          "crc"}
+
+
+def test_rebase_starts_a_segment_after_the_folded_records(wal, chain):
+    """A rebase at seq 2 writes ``wal-<2>.jsonl``: a header carrying
+    seq 2, its fingerprint, the newest folded position and the
+    history's origin, then record 3 byte for byte; appends continue
+    the seq there, and the first segment goes at drop_superseded."""
+    for i, (delta, parent, after) in enumerate(chain):
+        wal.append(delta, parent=parent, after=after,
+                   position={"read": i} if i < 2 else None)
+    third = wal.segment_path.read_bytes().splitlines(keepends=True)[2]
+    with pytest.raises(WalError, match="no such record"):
+        wal.rebase(2, chain[0][2])
+    path = wal.rebase(2, chain[1][2])
+    assert path.name == f"wal-{2:012d}.jsonl" == wal.segment_path.name
+    assert wal.base_seq == 2
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert lines[1:] == [third]
+    reopened = DeltaWAL(wal.directory)
+    records, dropped = reopened.recover()
+    assert dropped == 0 and [r.seq for r in records] == [3]
+    base = reopened.base
+    assert (base.seq, base.after, base.origin, base.position) == (
+        2, chain[1][2], chain[0][1], {"read": 1}
+    )
+    assert plan_replay(records, base.after) == records
+    assert wal.drop_superseded() == 1
+    assert sorted(p.name for p in wal.directory.iterdir()) == [path.name]
+    # the cut keeps the header; the next append reuses the seq
+    wal.cut(3)
+    assert path.read_bytes() == lines[0]
+    delta, parent, after = chain[2]
+    assert wal.append(delta, parent=parent, after=after).seq == 3
+
+
+def test_a_damaged_segment_header_refuses_to_replay(wal, chain):
+    _fill(wal, chain)
+    path = wal.rebase(3, chain[2][2])
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b'"base":3', b'"base":4'))
+    with pytest.raises(WalError, match="header"):
+        DeltaWAL(wal.directory).recover()
+
+
+def test_an_empty_log_creates_no_file(tmp_path):
+    """Constructing and recovering a log touch nothing on disk; only
+    the first append creates the directory and the segment."""
+    wal = DeltaWAL(tmp_path / "wal")
+    assert wal.recover() == ([], 0)
+    assert wal.recover(repair=False) == ([], 0)
+    assert wal.base is None and wal.base_seq == 0
+    assert not (tmp_path / "wal").exists()

@@ -40,6 +40,7 @@ from repro.serve import (
     StreamIngestor,
 )
 from repro.synth import read_stream, synthesize_stream
+import repro.serve.daemon as serve_daemon
 
 N, ACTIVE = 100, 40
 GAMMA = 0.85
@@ -770,6 +771,63 @@ def test_batched_run_restarts_at_its_scores(base, world, tmp_path, clean):
     assert np.array_equal(
         again.estimates.core_pagerank, epoch.estimates.core_pagerank
     )
+
+
+def _resumable_state(ingestor):
+    """What a resumed ingestor restores from a position: all but the
+    open windows' events, which it re-reads from the source."""
+    stats = _stream_stats(ingestor)
+    del stats["buffered"]
+    return {
+        **stats,
+        "tracker": ingestor._tracker.as_dict(),
+        "max_ts": ingestor._max_ts,
+        "next_start": ingestor._next_start,
+        "flooded": ingestor._flooded,
+    }
+
+
+def test_resume_right_after_a_reanchor_reads_the_segment_header(
+    world, tmp_path, clean, monkeypatch
+):
+    """A re-anchor leaves the live segment empty: the ingestor resumed
+    right after one restores the position and counters the new
+    segment's header carries — the last folded window's — and ends at
+    the uninterrupted run's scores and counters, bitwise."""
+    every = 4
+    monkeypatch.setattr(serve_daemon, "ANCHOR_EVERY", every)
+    _, _, stream_path = world
+    daemon, ingestor = _load(world, tmp_path)
+    _ingest_until(
+        ingestor, stream_path, lambda i: i.daemon.wal.base is not None
+    )
+    records, _ = daemon.wal.recover(repair=False)
+    assert records == [] and daemon.wal.base.seq == every
+    assert daemon.wal.base.position["counters"][4] == every
+    crashed = _resumable_state(ingestor)
+    del daemon, ingestor
+
+    world_dir, _, _ = world
+    daemon = ScoringDaemon.load(
+        world_dir, tmp_path / "ckpt", config=_daemon_config()
+    )
+    assert daemon.staleness == 0
+    assert daemon.store.current.wal_seq == every
+    ingestor = StreamIngestor(
+        daemon, tmp_path / "state", config=_stream_config()
+    )
+    assert _resumable_state(ingestor) == crashed
+    ingestor.ingest_file(stream_path)
+    ingestor.flush()
+    epoch = daemon.store.current
+    assert epoch.fingerprint == clean["fingerprint"]
+    assert np.array_equal(epoch.estimates.pagerank, clean["pagerank"])
+    assert np.array_equal(
+        epoch.estimates.core_pagerank, clean["core_pagerank"]
+    )
+    expected = dict(clean["stats"])
+    del expected["epoch"]
+    assert _stream_stats(ingestor) == expected
 
 
 # ----------------------------------------------------------------------
