@@ -39,7 +39,9 @@ import numpy as np
 
 from ..errors import DeltaError, GraphFormatError
 from .io import _open_text, _write_atomic
-from .webgraph import WebGraph, compose_fingerprint, _mix_edge_keys, splice
+from .webgraph import (
+    WebGraph, compose_fingerprint, _mix_edge_keys, sorted_unique, splice,
+)
 
 __all__ = [
     "GraphDelta",
@@ -158,9 +160,9 @@ class GraphDelta:
         These are the nodes whose transition-matrix *rows* change — the
         exact seed set for residual-push updates.
         """
-        return np.unique(
+        return sorted_unique(
             np.concatenate([self._insertions[:, 0], self._deletions[:, 0]])
-        ).astype(np.int64)
+        )
 
     def touched_nodes(self) -> np.ndarray:
         """Sorted unique endpoints (sources and targets) of all changes."""

@@ -87,9 +87,36 @@ def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     ) + np.arange(int(counts.sum()))
 
 
-#: Kept entries :func:`splice` moves per step; its temporaries are
-#: this long whatever the length of the arrays.
+#: Kept entries :func:`splice` moves per step at most; its temporaries
+#: are this long whatever the length of the arrays.
 _SPLICE_CHUNK = 1 << 16
+
+#: A chunk with at most this many edits (dropped plus inserted entries)
+#: is copied run by run; one with more moves through boolean masks.  A
+#: run costs a Python step, ~7 us for a float64 and a mapped int32
+#: array, and a chunk's masks ~0.25 ms besides its copy (2-vCPU x86,
+#: numpy 2.4), so the two meet at about this many runs.
+_SPLICE_RUNS = 32
+
+
+def _runs(a: int, b: int, c: int, gone: List[int], holes: List[int]):
+    """The runs that move kept entries ``a:b`` (less those at ``gone``)
+    to ``c`` on (around the new entries at ``holes``), as ``(source,
+    destination, length)``; ``gone`` and ``holes`` are sorted."""
+    runs = []
+    holes = iter(holes)
+    hole = next(holes, None)
+    at = c
+    for lo, hi in zip([a] + [g + 1 for g in gone], gone + [b]):
+        while lo < hi:
+            while hole == at:
+                at += 1
+                hole = next(holes, None)
+            length = hi - lo if hole is None else min(hi - lo, hole - at)
+            runs.append((lo, at, length))
+            lo += length
+            at += length
+    return runs
 
 
 def splice(gone, pos, *moves):
@@ -102,11 +129,14 @@ def splice(gone, pos, *moves):
     keep their order): ``np.insert(table[np.delete(array, gone)], pos,
     new)``.  Returns one array per move.
 
-    The kept entries move :data:`_SPLICE_CHUNK` at a time, each chunk
-    compacted past its dropped entries and spread around its inserted
-    ones by boolean masks that all the arrays share.  That is one pass
-    over the arrays however large the edit, with nothing of their size
-    allocated besides the results.
+    The kept entries move :data:`_SPLICE_CHUNK` at a time.  A chunk
+    with few edits is copied in the runs between them, each run
+    straight from its array into its result (``np.take`` through
+    ``table``); one with more than :data:`_SPLICE_RUNS` is compacted
+    past its dropped entries and spread around its inserted ones by
+    boolean masks that all the arrays share.  That is one pass over the
+    arrays, with a bounded number of steps per chunk however large the
+    edit, and nothing of their size allocated besides the results.
     """
     if not len(gone) and not len(pos) and all(
         table is None for _array, _new, table in moves
@@ -123,8 +153,9 @@ def splice(gone, pos, *moves):
     src = bounds + np.searchsorted(skip, bounds, side="right")
     dst = bounds + np.searchsorted(pos, bounds, side="right")
     src[-1], dst[-1] = size, kept + len(pos)
-    gone_at = np.searchsorted(gone, src)
-    holes_at = np.searchsorted(holes, dst)
+    gone_at = np.searchsorted(gone, src).tolist()
+    holes_at = np.searchsorted(holes, dst).tolist()
+    src, dst = src.tolist(), dst.tolist()
     outs = []
     for array, new, table in moves:
         out = np.empty(
@@ -132,23 +163,35 @@ def splice(gone, pos, *moves):
         )
         out[holes] = new
         outs.append(out)
+    # "clip" is never hit (the entries index the table) and, unlike
+    # "raise", lets np.take write its result without a buffer
     for j in range(len(bounds) - 1):
-        a, b, c, e = int(src[j]), int(src[j + 1]), int(dst[j]), int(dst[j + 1])
-        keep = fill = None
-        if gone_at[j + 1] > gone_at[j]:
-            keep = np.ones(b - a, dtype=bool)
-            keep[gone[gone_at[j]:gone_at[j + 1]] - a] = False
-        if holes_at[j + 1] > holes_at[j]:
-            fill = np.ones(e - c, dtype=bool)
-            fill[holes[holes_at[j]:holes_at[j + 1]] - c] = False
+        a, b, c, e = src[j], src[j + 1], dst[j], dst[j + 1]
+        g0, g1 = gone_at[j], gone_at[j + 1]
+        h0, h1 = holes_at[j], holes_at[j + 1]
+        if g1 - g0 + h1 - h0 <= _SPLICE_RUNS:
+            runs = _runs(
+                a, b, c, gone[g0:g1].tolist(), holes[h0:h1].tolist()
+            )
+            for (array, _new, table), out in zip(moves, outs):
+                for at, to, length in runs:
+                    if table is None:
+                        out[to:to + length] = array[at:at + length]
+                    else:
+                        np.take(
+                            table, array[at:at + length],
+                            out=out[to:to + length], mode="clip",
+                        )
+            continue
+        keep = np.ones(b - a, dtype=bool)
+        keep[gone[g0:g1] - a] = False
+        fill = np.ones(e - c, dtype=bool)
+        fill[holes[h0:h1] - c] = False
         for (array, _new, table), out in zip(moves, outs):
-            run = array[a:b] if keep is None else array[a:b][keep]
-            if table is not None:
-                run = table[run]
-            if fill is None:
-                out[c:e] = run
-            else:
-                out[c:e][fill] = run
+            run = array[a:b][keep]
+            out[c:e][fill] = (
+                run if table is None else np.take(table, run, mode="clip")
+            )
     return outs
 
 

@@ -29,10 +29,13 @@ out-neighbourhoods of the touched nodes.  This module exploits that:
    scatter; the frontier's out-rows are read from the graph's CSR, and
    one C-level sparse·dense product sums what lands on each of those
    rows alone, in the order the whole-graph product would (no n×n
-   scatter operator, no ``n``-row output).  The one full-length pass
-   left is the residual's column L1 norm that the stopping test
-   reads.  Dangling rows absorb without scattering, so no
-   dangling restriction is needed.  Each sweep
+   scatter operator, no ``n``-row output).  The column L1 norms the
+   stopping test reads are taken over the rows the seed and the sweeps
+   have landed on (kept sorted), outside which the residual is zero:
+   two or more columns are summed row by row, so that is the whole
+   sum bit for bit; a single column keeps its whole pairwise sum, the
+   one full-length pass left.  Dangling rows absorb without
+   scattering, so no dangling restriction is needed.  Each sweep
    contracts the global residual by at least ``1 − (1−c)·¾`` (rows
    below the floor hold < tol/4 in total), so termination at the cold
    solve's ``tol`` is guaranteed.
@@ -225,7 +228,12 @@ def push_update(
     residual, candidates = seed_residual(
         application, previous_scores, damping=c
     )
-    stats.seed_norms = _column_l1(residual)
+    # the rows the residual can be non-zero on: the seed's and every
+    # sweep's landing rows, ascending
+    support = candidates
+    in_support = np.zeros(n, dtype=bool)
+    in_support[support] = True
+    stats.seed_norms = _column_l1(residual if k == 1 else residual[support])
 
     out_deg = after.out_degree()
     # a row's position among the landing rows of the current sweep;
@@ -272,7 +280,16 @@ def push_update(
         return rows if len(cols) == k else np.ix_(rows, cols)
 
     def _active_norms() -> np.ndarray:
-        return _column_l1(residual if len(cols) == k else residual[:, cols])
+        """The active columns' L1 norms.  Two or more columns are
+        summed row by row (:func:`_column_l1`), and a zero row adds
+        nothing, so a sum over the support is the whole one bit for
+        bit; a single column keeps its whole pairwise sum."""
+        if len(cols) == 1:
+            return _column_l1(residual if k == 1 else residual[:, cols])
+        return _column_l1(
+            residual[support] if len(cols) == k
+            else residual[np.ix_(support, cols)]
+        )
 
     def _freeze(local: np.ndarray, sweep: int) -> None:
         frozen = cols[local]
@@ -328,7 +345,7 @@ def push_update(
             # window's own system, warm-started from the current
             # iterate, which it overwrites.  The push residual and its
             # bookkeeping are dead from here on and go before the sweeps
-            residual = pool = slot = None
+            residual = pool = slot = support = in_support = None
             every = len(cols) == k
             escape = _block_bicgstab(
                 bundle,
@@ -359,6 +376,12 @@ def push_update(
         residual[_at(act)] = 0.0
         candidates, landed = _scatter(act, pushed)
         residual[_at(candidates)] += landed
+        fresh = candidates[~in_support[candidates]]
+        if len(fresh):
+            in_support[fresh] = True
+            support = np.insert(
+                support, np.searchsorted(support, fresh), fresh
+            )
         totals[cols] = _active_norms()
         sweep += 1
         stats.sweeps = sweep

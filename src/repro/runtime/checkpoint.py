@@ -184,7 +184,9 @@ def load_solution(
             "--checkpoint-dir first"
         )
     try:
-        with np.load(path, allow_pickle=False) as data:
+        # own the handle: np.load leaks it when a file that looks like
+        # an archive is not one
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             scores = np.asarray(data["scores"], dtype=np.float64)
             iterations = np.asarray(data["iterations"], dtype=np.int64)
             residuals = np.asarray(data["residuals"], dtype=np.float64)

@@ -280,7 +280,13 @@ class ScoringDaemon:
         segment starts (the bundle, or the anchor its header names) or
         reachable from there through the segment's applied prefix
         (:class:`~repro.errors.SnapshotMismatchError` otherwise — the
-        operator pointed the daemon at the wrong world).  The newest
+        operator pointed the daemon at the wrong world).  A daemon's
+        snapshot records the seq of the last record folded into it
+        (``wal_seq``), which places it in the chain exactly, and that
+        record must end at the snapshot's fingerprint
+        (:class:`~repro.errors.WalError` otherwise); one without it
+        (``estimate --checkpoint-dir``) is placed at the first point of
+        the chain with its fingerprint.  The newest
         anchor on that chain at or before the snapshot is
         fast-forwarded through the rest of the prefix structurally (no
         re-estimation — the snapshot already has the scores), and the
@@ -312,7 +318,12 @@ class ScoringDaemon:
         start_seq, start_fp = (
             (head.seq, head.after) if head is not None else (0, base_fp)
         )
-        todo = plan_replay(records, stored_fp)
+        # a daemon's snapshot names the last record it folds in; one
+        # that estimate wrote is placed by its fingerprint
+        wal_seq = snapshot.meta.get("wal_seq")
+        todo = plan_replay(
+            records, stored_fp, None if wal_seq is None else int(wal_seq)
+        )
         prefix = records[: len(records) - len(todo)]
         if (prefix[0].parent if prefix else stored_fp) != start_fp:
             raise SnapshotMismatchError(

@@ -43,7 +43,7 @@ continue its seq.  Every
 anchor, starts a segment based on it (carrying the records still
 pending) and deletes the older segments, so a restart replays at most
 that many records onto the newest anchor.  What is applied is what the
-snapshot's fingerprint says (:func:`plan_replay`).
+snapshot's ``wal_seq`` says (:func:`plan_replay`).
 
 Crash anatomy
 -------------
@@ -51,10 +51,11 @@ Crash anatomy
   Recovery truncates the segment back to the last good record (the
   un-acknowledged delta is simply gone, which is correct — the client
   never got an ack) and reports how many bytes were dropped.
-* **Crash between apply and the next save**: the snapshot names some
-  record's ``after`` inside the chain.  Replay walks the chain from its
-  first record and skips every record up to that fingerprint, so
-  applying the same segment twice is a no-op.
+* **Crash between apply and the next save**: the snapshot names the
+  last record folded into it, by its ``wal_seq`` (a snapshot that
+  ``estimate`` wrote has none, and is found by fingerprint instead).
+  Replay skips every record up to that one, so applying the same
+  segment twice is a no-op.
 * **Corruption in the middle of the segment**: never tolerated —
   recovery raises :class:`~repro.errors.WalError` rather than silently
   skipping history (which would desynchronize the replay chain).  A
@@ -530,7 +531,7 @@ class DeltaWAL:
 
 
 def plan_replay(
-    records: List[WalRecord], fingerprint: str
+    records: List[WalRecord], fingerprint: str, seq: Optional[int] = None
 ) -> List[WalRecord]:
     """Which records still need applying onto a snapshot at ``fingerprint``.
 
@@ -541,11 +542,23 @@ def plan_replay(
     returned in order.  This is what makes replay idempotent —
     replaying a fully-applied segment returns an empty plan.
 
+    ``seq`` is the snapshot's WAL position, the seq of the last record
+    folded into it, which every daemon save records: the snapshot sits
+    right after that record (or before the first record, for the seq
+    preceding it), and that record's ``after`` must be ``fingerprint``.
+    Without it (a snapshot ``estimate`` or ``update`` wrote), the
+    snapshot sits after the first record whose ``after`` is
+    ``fingerprint``, or before every record if the first one's
+    ``parent`` is; a graph that recurs in the chain makes that guess
+    wrong, which is why the daemon records the seq.
+
     Raises
     ------
     WalError
-        The chain is discontinuous, or ``fingerprint`` appears nowhere
-        in it (the snapshot and the log tell different histories).
+        The chain is discontinuous, ``fingerprint`` appears nowhere in
+        it (the snapshot and the log tell different histories), or the
+        record at ``seq`` is missing or does not end at
+        ``fingerprint``.
     """
     if not records:
         return []
@@ -556,6 +569,18 @@ def plan_replay(
                 f"(after {records[i - 1].after!r}) and seq "
                 f"{records[i].seq} (parent {records[i].parent!r})"
             )
+    if seq is not None:
+        at = seq - records[0].seq + 1  # records[:at] are folded
+        if 0 <= at <= len(records) and fingerprint == (
+            records[at - 1].after if at else records[0].parent
+        ):
+            return list(records[at:])
+        raise WalError(
+            f"solution snapshot at wal seq {seq} (fingerprint "
+            f"{fingerprint!r}) is not where the {len(records)}-record "
+            f"wal chain (seq {records[0].seq} to {records[-1].seq}) "
+            "puts that seq; the log belongs to a different history"
+        )
     if records[0].parent == fingerprint:
         return list(records)
     for i, record in enumerate(records):

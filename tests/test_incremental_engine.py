@@ -9,8 +9,10 @@ splicing, ``estimate_spam_mass(previous=)``, ``MassDetector.update``,
 ``ReproductionContext.updated``, solution checkpoints).
 """
 
+import gc
 import json
 import struct
+import warnings
 import zipfile
 
 import numpy as np
@@ -495,6 +497,47 @@ def test_push_only_windows_are_bitwise_the_dense_loop(columns):
     assert partial_freeze or columns < 3
 
 
+@pytest.mark.parametrize("columns", [1, 2, 3])
+def test_push_windows_that_spread_are_bitwise_the_dense_loop(columns):
+    """Chained windows whose pushes spread past the rows the seed
+    landed on (new links from silent hosts onto live ones, in a sparse
+    graph) never escape, and each returns exactly the dense loop's
+    scores, iterations, residuals and stats: the norms over the rows
+    the residual has reached are the whole ones.  The first two jump
+    vectors reach every host, so two columns push together."""
+    graph = _random_graph(23, n=600, num_edges=500, dangling_frac=0.7)
+    rng = np.random.default_rng(24)
+    n = graph.num_nodes
+    weights = rng.random(n)
+    stacked = np.column_stack([
+        uniform_jump_vector(n),
+        weights / weights.sum(),
+        scaled_core_jump_vector(n, [0], 0.85),
+    ])[:, :columns]
+    engine = PagerankEngine()
+    current = engine.solve_many(graph, stacked, tol=TOL)
+    for _ in range(4):
+        silent = np.flatnonzero(graph.out_degree() == 0)
+        live = np.flatnonzero(graph.out_degree() > 0)
+        insertions = {
+            (int(src), int(t))
+            for src in rng.choice(silent, size=2, replace=False)
+            for t in rng.choice(live, size=2, replace=False)
+        }
+        application = GraphDelta(insertions=sorted(insertions)).apply(graph)
+        scores, iterations, residuals, stats = _dense_push_update(
+            application, current, damping=0.85, tol=TOL
+        )
+        current = engine.update_many(application, current, stacked, tol=TOL)
+        assert current.stats.escapes == 0
+        assert current.stats.sweeps >= 3
+        assert np.array_equal(current.scores, scores)
+        assert np.array_equal(current.iterations, iterations)
+        assert np.array_equal(current.residuals, residuals)
+        assert current.stats.as_dict() == stats.as_dict()
+        graph = application.after
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     rows=st.integers(1, 20_000),
@@ -512,6 +555,30 @@ def test_column_l1_is_bitwise_the_plain_sum(rows, columns, seed):
     )
     assert block.flags.c_contiguous
     assert np.array_equal(_column_l1(block), np.abs(block).sum(axis=0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 20_000),
+    columns=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    share=st.floats(0.0, 1.0),
+)
+def test_column_l1_over_the_support_is_the_whole_sum(
+    rows, columns, seed, share
+):
+    """With two or more columns a block is summed row by row, and a zero
+    row adds nothing: the norms over an ascending superset of the
+    non-zero rows (the push's support) are the whole block's, bit for
+    bit."""
+    rng = np.random.default_rng(seed)
+    block = np.zeros((rows, columns))
+    nonzero = rng.random(rows) < share
+    block[nonzero] = rng.standard_normal(
+        (int(nonzero.sum()), columns)
+    ) * 10.0 ** rng.integers(-20, 21, size=(int(nonzero.sum()), columns))
+    support = np.flatnonzero(nonzero | (rng.random(rows) < 0.1))
+    assert np.array_equal(_column_l1(block[support]), _column_l1(block))
 
 
 # ----------------------------------------------------------------------
@@ -581,6 +648,12 @@ def test_a_long_stream_does_not_drift_from_the_cold_solution():
 # ----------------------------------------------------------------------
 
 
+def _out_row(graph, src):
+    """The edges out of ``src``."""
+    row = graph.indices[graph.indptr[src]:graph.indptr[src + 1]]
+    return [(int(src), int(v)) for v in row]
+
+
 def _shaped_delta(graph, rng, shape):
     """A delta of one shape the operator splice must handle."""
     out_deg = graph.out_degree()
@@ -594,10 +667,6 @@ def _shaped_delta(graph, rng, shape):
              if u != v and (int(u), int(v)) not in existing}
         )
 
-    def _out_row(src):
-        row = graph.indices[graph.indptr[src]:graph.indptr[src + 1]]
-        return [(int(src), int(v)) for v in row]
-
     if shape == "mixed":
         return _random_delta(graph, rng, num_ins=25, num_del=10)
     if shape == "insertion-only":
@@ -606,7 +675,7 @@ def _shaped_delta(graph, rng, shape):
         return _random_delta(graph, rng, num_ins=0, num_del=25)
     if shape == "source-goes-dangling":
         src = live[np.argmax(out_deg[live] >= 2)]
-        return GraphDelta(deletions=_out_row(src))
+        return GraphDelta(deletions=_out_row(graph, src))
     if shape == "dangling-source-gains-edges":
         src = rng.choice(dangling)
         targets = rng.choice(graph.num_nodes, size=6, replace=False)
@@ -616,7 +685,7 @@ def _shaped_delta(graph, rng, shape):
         targets = rng.choice(graph.num_nodes, size=4, replace=False)
         return GraphDelta(
             insertions=_new_edges([hub], targets),
-            deletions=_out_row(hub)[:2],
+            deletions=_out_row(graph, hub)[:2],
         )
     if shape == "crosses-both-ways":
         # sources leave S and others join it in one delta: their rows
@@ -627,8 +696,20 @@ def _shaped_delta(graph, rng, shape):
         targets = rng.choice(graph.num_nodes, size=4, replace=False)
         return GraphDelta(
             insertions=_new_edges(joining, targets),
-            deletions=[e for src in leaving for e in _out_row(src)],
+            deletions=[e for src in leaving for e in _out_row(graph, src)],
         )
+    if shape == "first-and-last-leave-s":
+        # the sources at S positions 0 and |S| - 1 lose every out-link
+        return GraphDelta(
+            deletions=_out_row(graph, live[0]) + _out_row(graph, live[-1])
+        )
+    if shape == "joins-below-and-above-s":
+        # dangling hosts before the first and after the last S position
+        # gain out-links
+        joining = [dangling[0], dangling[-1]]
+        assert joining[0] < live[0] and joining[1] > live[-1]
+        targets = rng.choice(graph.num_nodes, size=4, replace=False)
+        return GraphDelta(insertions=_new_edges(joining, targets))
     assert shape == "one-row-many-entries"
     # several sources gain the same target: one row of Tᵀ gets them all
     target = int(rng.integers(graph.num_nodes))
@@ -648,11 +729,20 @@ def _shaped_delta(graph, rng, shape):
         "hub-source",
         "one-row-many-entries",
         "crosses-both-ways",
+        "first-and-last-leave-s",
+        "joins-below-and-above-s",
     ],
 )
 def test_derived_operator_is_bit_identical_to_cold_build(shape):
     graph = _random_graph(6, n=200, num_edges=1200, dangling_frac=0.4)
     rng = np.random.default_rng(6)
+    if shape == "joins-below-and-above-s":
+        # S starts after host 1 and ends before host n - 2
+        n = graph.num_nodes
+        graph = GraphDelta(deletions=[
+            edge for src in (0, 1, n - 2, n - 1)
+            for edge in _out_row(graph, src)
+        ]).apply(graph).after
     delta = _shaped_delta(graph, rng, shape)
     assert len(delta)
     application = delta.apply(graph)
@@ -662,6 +752,12 @@ def test_derived_operator_is_bit_identical_to_cold_build(shape):
             application.touched_sources
         ]
         assert (before & ~after).any() and (~before & after).any()
+    s_before = np.flatnonzero(~graph.dangling_mask())
+    s_after = np.flatnonzero(~application.after.dangling_mask())
+    if shape == "first-and-last-leave-s":
+        assert s_after[0] > s_before[0] and s_after[-1] < s_before[-1]
+    if shape == "joins-below-and-above-s":
+        assert s_after[0] < s_before[0] and s_after[-1] > s_before[-1]
 
     cache = OperatorCache()
     cache.bundle_for(graph)  # parent resident
@@ -681,6 +777,74 @@ def test_derived_operator_is_bit_identical_to_cold_build(shape):
     hits_before = cache.hits
     cache.derive_for(application)
     assert cache.hits == hits_before + 1
+
+
+def _assert_bundles_equal(got, want):
+    """Every array of two bundles equal, dtypes and bytes."""
+    for name in ("dangling_mask", "non_dangling", "dangling"):
+        have, ref = getattr(got, name), getattr(want, name)
+        assert have.dtype == ref.dtype, name
+        assert have.tobytes() == ref.tobytes(), name
+    for block in ("tt_ss", "tt_ds"):
+        have, ref = getattr(got, block), getattr(want, block)
+        assert have.shape == ref.shape, block
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(have, name), getattr(ref, name)
+            assert a.dtype == b.dtype, (block, name)
+            assert a.tobytes() == b.tobytes(), (block, name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_derived_operator_equals_a_cold_build_property(data):
+    """On random graphs, a delta that empties some sources (they leave
+    S), gives dangling hosts out-links (they join S), deletes every
+    in-link of one host (a row of Tᵀ emptied), links several sources to
+    one host (a row gaining entries from each) and edits a few random
+    edges derives every bundle array a cold build makes."""
+    n = data.draw(st.integers(2, 24), label="n")
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    graph = WebGraph.from_edges(
+        n, data.draw(st.lists(pairs, max_size=80), label="edges")
+    )
+    existing = _edge_set(graph)
+    live = np.flatnonzero(graph.out_degree() > 0).tolist()
+    dangling = np.flatnonzero(graph.out_degree() == 0).tolist()
+    nodes = st.integers(0, n - 1)
+    deletions = set()
+    for src in data.draw(st.sets(st.sampled_from(live)) if live
+                         else st.just(set()), label="leaving"):
+        deletions.update(_out_row(graph, src))
+    emptied = data.draw(st.none() | nodes, label="emptied row")
+    if emptied is not None:
+        deletions.update(e for e in existing if e[1] == emptied)
+    if existing:
+        deletions.update(data.draw(
+            st.sets(st.sampled_from(sorted(existing)), max_size=6),
+            label="deleted",
+        ))
+    insertions = set()
+    for src in data.draw(st.sets(st.sampled_from(dangling)) if dangling
+                         else st.just(set()), label="joining"):
+        insertions.update((src, v) for v in data.draw(
+            st.sets(nodes, min_size=1, max_size=4), label="targets"
+        ))
+    target = data.draw(nodes, label="gaining row")
+    insertions.update((u, target) for u in data.draw(
+        st.sets(nodes, max_size=6), label="sources"
+    ))
+    insertions.update(data.draw(st.sets(pairs, max_size=6), label="new"))
+    insertions = {
+        e for e in insertions if e[0] != e[1] and e not in existing
+    }
+    delta = GraphDelta(sorted(insertions), sorted(deletions))
+    application = delta.apply(graph)
+    derived = OperatorCache().bundle_for(graph).derive(
+        application, application.after.structural_fingerprint()
+    )
+    _assert_bundles_equal(
+        derived, OperatorCache().bundle_for(application.after)
+    )
 
 
 RESTRICTION_GRAPHS = pytest.mark.parametrize(
@@ -991,6 +1155,21 @@ def test_solution_snapshot_reads_the_compressed_format(tmp_path):
     assert np.array_equal(snap.iterations, [40, 41])
     assert np.array_equal(snap.residuals, [1e-13, 2e-13])
     assert snap.meta == meta
+
+
+def test_solution_snapshot_that_is_not_an_archive_closes_its_file(
+    tmp_path,
+):
+    """A snapshot that starts like a zip archive but is not one raises
+    CheckpointError and leaves no file open behind it."""
+    (tmp_path / "solution.npz").write_bytes(b"PK\x03\x04 not a zip archive")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(CheckpointError, match="unreadable"):
+            load_solution(tmp_path)
+        gc.collect()
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not leaks, [str(w.message) for w in leaks]
 
 
 def test_solution_snapshot_flipped_byte_raises(tmp_path):

@@ -738,6 +738,43 @@ def test_restart_after_an_applied_then_a_quarantined_delta(
     assert segment == applied
 
 
+def test_restart_after_an_edge_inserted_then_deleted(base, world, tmp_path):
+    """The snapshot's graph recurs in the WAL chain: one record inserts
+    an edge and the next deletes it, so the snapshot after both has the
+    bundle's fingerprint.  Its ``wal_seq`` places it after both
+    records: a restart replays nothing and goes on bitwise as the
+    uninterrupted run does.  A ``wal_seq`` whose record does not end at
+    the snapshot's fingerprint refuses to load."""
+    graph, _, _ = base
+    world_dir, _ = world
+    (edge,), _ = _fresh_deltas(graph, 1)[0]
+    deltas = [([edge], []), ([], [edge]), _fresh_deltas(graph, 2)[1]]
+    ref = _run(world_dir, _fresh_ckpt(world, tmp_path / "ref"), deltas)
+
+    ckpt = _fresh_ckpt(world, tmp_path)
+    first = _run(world_dir, ckpt, deltas[:2])
+    assert first.store.current.fingerprint == graph.structural_fingerprint()
+    restarted = ScoringDaemon.load(world_dir, ckpt)
+    assert restarted.staleness == 0
+    assert restarted.store.current.wal_seq == 2
+    restarted.submit_delta(*deltas[2])
+    assert restarted.apply_pending() == 1
+    for name in ("pagerank", "core_pagerank"):
+        assert np.array_equal(
+            getattr(restarted.store.current.estimates, name),
+            getattr(ref.store.current.estimates, name),
+        )
+
+    snapshot = load_solution(ckpt)
+    save_solution(
+        ckpt, snapshot.scores,
+        fingerprint=snapshot.fingerprint,
+        extra={**snapshot.meta, "wal_seq": 2},
+    )
+    with pytest.raises(WalError, match="wal seq 2"):
+        ScoringDaemon.load(world_dir, ckpt)
+
+
 def test_restart_repairs_torn_wal_tail(base, world, tmp_path):
     world_dir, _ = world
     ckpt = _fresh_ckpt(world, tmp_path)

@@ -110,6 +110,32 @@ def test_replay_plan_rejects_divergent_history(chain):
         plan_replay(broken, records[0].parent)
 
 
+def test_replay_plan_places_a_snapshot_by_its_seq(graph):
+    """A graph that recurs in the chain (an edge inserted, then
+    deleted) has one fingerprint at seq 0 and seq 2; the snapshot's seq
+    tells the two apart, where its fingerprint alone picks seq 0."""
+    edge = next(
+        (u, v) for u in range(graph.num_nodes)
+        for v in range(graph.num_nodes)
+        if u != v and not graph.has_edge(u, v)
+    )
+    base = graph.structural_fingerprint()
+    inserted = GraphDelta(insertions=[edge]).apply(graph).after
+    middle = inserted.structural_fingerprint()
+    records = [
+        WalRecord(1, base, middle, [edge], []),
+        WalRecord(2, middle, base, [], [edge]),
+    ]
+    assert [r.seq for r in plan_replay(records, base)] == [1, 2]
+    assert [r.seq for r in plan_replay(records, base, 0)] == [1, 2]
+    assert [r.seq for r in plan_replay(records, middle, 1)] == [2]
+    assert plan_replay(records, base, 2) == []
+    # a seq whose record ends elsewhere, or that the chain lacks
+    for fingerprint, seq in ((base, 1), (middle, 2), (base, 3), (base, -1)):
+        with pytest.raises(WalError, match="different history"):
+            plan_replay(records, fingerprint, seq)
+
+
 def test_torn_tail_is_truncated_and_never_invents_records(wal, chain):
     _fill(wal, chain)
     intact = wal.segment_path.read_bytes()

@@ -304,7 +304,9 @@ def test_transpose_arrays_equal_the_argsort_formula_property(case):
 def test_splice_is_delete_then_insert(data):
     """``splice`` equals ``np.delete`` then ``np.insert`` on every array
     it moves, with and without a column table, for edits of any size
-    against any chunk length."""
+    against any chunk length, copied run by run or through masks.  The
+    int32 move carries an int32 table of the kind an operator derive
+    renumbers columns with (a monotone shift) as often as not."""
     from unittest import mock
 
     from repro.graph import webgraph
@@ -323,21 +325,36 @@ def test_splice_is_delete_then_insert(data):
     ))
     new = -1 - np.arange(len(pos), dtype=np.int64)
     table = data.draw(st.sampled_from([None, np.arange(7)[::-1].copy()]))
+    columns = (np.arange(n, dtype=np.int32) * 5) % 11
+    shift = data.draw(st.sampled_from([
+        None,
+        np.arange(11, dtype=np.int32) + (np.arange(11) >= 4).astype(np.int32),
+    ]))
     chunk = data.draw(st.sampled_from([1, 2, 3, 5, 1 << 16]))
+    runs = data.draw(st.sampled_from([0, 1, 2, 32]))
     floats = array / 7.0
     expected = np.delete(array, gone)
     if table is not None:
         expected = table[expected]
     expected = np.insert(expected, pos, new)
-    with mock.patch.object(webgraph, "_SPLICE_CHUNK", chunk):
-        got, got_floats = webgraph.splice(
-            gone, pos, (array, new, table), (floats, new / 2.0, None)
+    with mock.patch.object(webgraph, "_SPLICE_CHUNK", chunk), \
+            mock.patch.object(webgraph, "_SPLICE_RUNS", runs):
+        got, got_floats, got_columns = webgraph.splice(
+            gone, pos, (array, new, table), (floats, new / 2.0, None),
+            (columns, 100 + new.astype(np.int32), shift),
         )
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
     assert got_floats.dtype == np.float64
     assert np.array_equal(
         got_floats, np.insert(np.delete(floats, gone), pos, new / 2.0)
+    )
+    kept_columns = np.delete(columns, gone)
+    if shift is not None:
+        kept_columns = shift[kept_columns]
+    assert got_columns.dtype == np.int32
+    assert np.array_equal(
+        got_columns, np.insert(kept_columns, pos, 100 + new)
     )
 
 
