@@ -5,8 +5,9 @@ Measures, on the synthetic presets, the spam-mass hot path — solving
 the (uniform, core) jump pair — three ways:
 
 ``sequential``
-    Two ``pagerank()`` calls against a cold engine: the operator is
-    built on the first call and the two vectors solve one at a time.
+    Two scalar Jacobi solves (``pagerank_from_matrix``) over a cold
+    engine's ``Tᵀ``: the operator is built on the first call and the
+    two vectors solve one at a time.
     This is the pre-engine behavior an experiment paid per mass
     estimate.
 ``batched_cold``
@@ -72,7 +73,7 @@ RATIO_PAIRS = 9
 
 def bench_preset(name, config, *, repeats, mc_walks):
     from repro.core.pagerank import (
-        pagerank,
+        pagerank_from_matrix,
         scaled_core_jump_vector,
         uniform_jump_vector,
     )
@@ -90,11 +91,9 @@ def bench_preset(name, config, *, repeats, mc_walks):
     # sequential baseline: cold engine, one solve at a time
     def run_sequential():
         engine = PagerankEngine()
-        r1 = pagerank(
-            graph, uniform, tol=1e-12, transition_t=engine.operator(graph)
-        )
-        r2 = pagerank(
-            graph, core_jump, tol=1e-12, transition_t=engine.operator(graph)
+        r1 = pagerank_from_matrix(engine.operator(graph), uniform, tol=1e-12)
+        r2 = pagerank_from_matrix(
+            engine.operator(graph), core_jump, tol=1e-12
         )
         return r1, r2
 

@@ -73,16 +73,13 @@ def inverse_pagerank(
     *,
     damping: float = DEFAULT_DAMPING,
     tol: float = 1e-12,
-    method: str = "jacobi",
 ) -> np.ndarray:
     """PageRank of the transposed graph (seed-desirability score).
 
     High inverse PageRank means trust placed on the node would flow to
     many other nodes quickly.
     """
-    return pagerank(
-        graph.transpose(), damping=damping, tol=tol, method=method
-    ).scores
+    return pagerank(graph.transpose(), damping=damping, tol=tol).scores
 
 
 def select_seed(
@@ -119,7 +116,6 @@ def trustrank(
     *,
     damping: float = DEFAULT_DAMPING,
     tol: float = 1e-12,
-    method: str = "jacobi",
     seed: Optional[Sequence[int]] = None,
 ) -> TrustRankResult:
     """Full TrustRank: seed selection + trust propagation.
@@ -141,7 +137,7 @@ def trustrank(
     n = graph.num_nodes
     v = np.zeros(n, dtype=np.float64)
     v[seed_arr] = 1.0 / len(seed_arr)  # normalized, unlike the mass core
-    trust = pagerank(graph, v, damping=damping, tol=tol, method=method).scores
+    trust = pagerank(graph, v, damping=damping, tol=tol).scores
     return TrustRankResult(trust, seed_arr, inspected)
 
 

@@ -148,7 +148,6 @@ def estimate_combined_mass(
     est_good_size: Optional[int] = None,
     est_spam_size: Optional[int] = None,
     tol: float = 1e-12,
-    method: str = "jacobi",
 ) -> CombinedEstimates:
     """End-to-end combined estimation from both cores.
 
@@ -158,11 +157,9 @@ def estimate_combined_mass(
     ``(1 − γ)·n`` spam, consistent with the γ convention).
     """
     whitelist = estimate_spam_mass(
-        graph, good_core, damping=damping, gamma=gamma, tol=tol, method=method
+        graph, good_core, damping=damping, gamma=gamma, tol=tol
     )
-    black = blacklist_mass(
-        graph, spam_core, damping=damping, tol=tol, method=method
-    )
+    black = blacklist_mass(graph, spam_core, damping=damping, tol=tol)
     if not weighted:
         return combine_average(whitelist, black)
     n = graph.num_nodes

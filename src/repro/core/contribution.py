@@ -154,7 +154,6 @@ def contribution_vector(
     *,
     tol: float = 1e-12,
     max_iter: int = 10_000,
-    method: str = "jacobi",
 ) -> np.ndarray:
     """Total contribution ``q^U`` of a source set ``U`` to every node.
 
@@ -164,7 +163,7 @@ def contribution_vector(
     """
     v_u = indicator_jump_vector(graph.num_nodes, sources, v)
     return pagerank(
-        graph, v_u, damping=damping, tol=tol, max_iter=max_iter, method=method
+        graph, v_u, damping=damping, tol=tol, max_iter=max_iter
     ).scores
 
 

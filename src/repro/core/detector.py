@@ -240,16 +240,10 @@ class MassDetector:
         damping: float = DEFAULT_DAMPING,
         gamma: Optional[float] = DEFAULT_GAMMA,
         tol: float = 1e-12,
-        method: str = "jacobi",
     ) -> DetectionResult:
         """End-to-end Algorithm 2: estimate mass, then threshold."""
         estimates = estimate_spam_mass(
-            graph,
-            good_core,
-            damping=damping,
-            gamma=gamma,
-            tol=tol,
-            method=method,
+            graph, good_core, damping=damping, gamma=gamma, tol=tol
         )
         return self.detect(estimates)
 
@@ -263,7 +257,6 @@ def detect_spam(
     damping: float = DEFAULT_DAMPING,
     gamma: Optional[float] = DEFAULT_GAMMA,
     tol: float = 1e-12,
-    method: str = "jacobi",
 ) -> DetectionResult:
     """One-call convenience wrapper around :class:`MassDetector`.
 
@@ -273,5 +266,5 @@ def detect_spam(
     """
     detector = MassDetector(tau, rho)
     return detector.detect_on_graph(
-        graph, good_core, damping=damping, gamma=gamma, tol=tol, method=method
+        graph, good_core, damping=damping, gamma=gamma, tol=tol
     )

@@ -42,7 +42,7 @@ from .contribution import contribution_vector
 from .pagerank import (
     DEFAULT_DAMPING,
     core_jump_vector,
-    pagerank_from_matrix,
+    pagerank,
     scale_scores,
     scaled_core_jump_vector,
     uniform_jump_vector,
@@ -141,14 +141,11 @@ def true_spam_mass(
     damping: float = DEFAULT_DAMPING,
     *,
     tol: float = 1e-12,
-    method: str = "jacobi",
 ) -> np.ndarray:
     """Actual absolute mass ``M = q^{V⁻}`` given full knowledge of
     ``V⁻`` (Definition 1) — the oracle quantity estimators target.
     """
-    return contribution_vector(
-        graph, spam_nodes, v, damping, tol=tol, method=method
-    )
+    return contribution_vector(graph, spam_nodes, v, damping, tol=tol)
 
 
 def true_relative_mass(
@@ -158,15 +155,10 @@ def true_relative_mass(
     damping: float = DEFAULT_DAMPING,
     *,
     tol: float = 1e-12,
-    method: str = "jacobi",
 ) -> np.ndarray:
     """Actual relative mass ``m = M/p`` (Definition 2)."""
-    from .pagerank import pagerank  # local import to avoid cycle noise
-
-    mass = true_spam_mass(
-        graph, spam_nodes, v, damping, tol=tol, method=method
-    )
-    scores = pagerank(graph, v, damping=damping, tol=tol, method=method).scores
+    mass = true_spam_mass(graph, spam_nodes, v, damping, tol=tol)
+    scores = pagerank(graph, v, damping=damping, tol=tol).scores
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = mass / scores
     rel[~np.isfinite(rel)] = 0.0
@@ -203,8 +195,6 @@ def estimate_spam_mass(
     gamma: Optional[float] = DEFAULT_GAMMA,
     tol: float = 1e-12,
     max_iter: int = 10_000,
-    method: str = "jacobi",
-    transition_t=None,
     check: bool = True,
     engine=None,
     previous: Optional[MassEstimates] = None,
@@ -228,15 +218,11 @@ def estimate_spam_mass(
         scaled to ``‖w‖ = γ``.  Pass ``None`` to reproduce the *unscaled*
         Section 3.4 estimator (useful to demonstrate the ``‖p'‖ ≪ ‖p‖``
         failure mode; see the γ-scaling ablation).
-    transition_t:
-        Optional pre-built ``Tᵀ`` in CSR form.  Rarely needed anymore:
-        without it the solves go through the perf engine, whose
-        operator cache already builds ``Tᵀ`` once per graph, and whose
-        ``solve_many`` computes ``p`` and ``p'`` in a single batched
-        block iteration.  Passing an explicit matrix opts out of both.
     engine:
         Optional :class:`~repro.perf.PagerankEngine`; defaults to the
         process-wide shared engine (:func:`repro.perf.get_engine`).
+        Both vectors come from one block solve on its cached operator
+        (:meth:`~repro.perf.engine.PagerankEngine.solve_many`).
     check:
         Raise :class:`~repro.errors.ConvergenceError` if either
         PageRank solve fails to converge — mass estimates computed from
@@ -274,11 +260,6 @@ def estimate_spam_mass(
                 "previous= needs a DeltaApplication (pairing the old "
                 "graph with the mutated one), not a bare WebGraph"
             )
-        if transition_t is not None:
-            raise ValueError(
-                "previous= uses the incremental engine path and cannot "
-                "be combined with transition_t="
-            )
         if previous.num_nodes != graph.num_nodes:
             raise ValueError(
                 f"previous estimates cover {previous.num_nodes} nodes, "
@@ -294,8 +275,7 @@ def estimate_spam_mass(
     if not tele.enabled:
         return _estimate_spam_mass(
             graph, core_list, damping=damping, gamma=gamma, tol=tol,
-            max_iter=max_iter, method=method, transition_t=transition_t,
-            check=check, engine=engine, tele=tele,
+            max_iter=max_iter, check=check, engine=engine,
             application=application, previous=previous,
             jumps=jumps,
         )
@@ -303,13 +283,11 @@ def estimate_spam_mass(
         "mass-estimate",
         core_size=len(core_list),
         gamma=gamma,
-        method=method,
         incremental=previous is not None,
     ):
         return _estimate_spam_mass(
             graph, core_list, damping=damping, gamma=gamma, tol=tol,
-            max_iter=max_iter, method=method, transition_t=transition_t,
-            check=check, engine=engine, tele=tele,
+            max_iter=max_iter, check=check, engine=engine,
             application=application, previous=previous,
             jumps=jumps,
         )
@@ -323,11 +301,8 @@ def _estimate_spam_mass(
     gamma: Optional[float],
     tol: float,
     max_iter: int,
-    method: str,
-    transition_t,
     check: bool,
     engine,
-    tele,
     application=None,
     previous: Optional[MassEstimates] = None,
     jumps: Optional[np.ndarray] = None,
@@ -335,80 +310,32 @@ def _estimate_spam_mass(
     """The untraced core of :func:`estimate_spam_mass`."""
     if jumps is None:
         jumps = mass_jump_block(graph.num_nodes, core_list, gamma)
+    if engine is None:
+        from ..perf import get_engine
 
-    if previous is not None:
-        if engine is None:
-            from ..perf import get_engine
-
-            engine = get_engine()
+        engine = get_engine()
+    controls = dict(
+        damping=damping,
+        tol=tol,
+        max_iter=max_iter,
+        check=check,
+        labels=("pagerank", "core"),
+    )
+    if previous is None:
+        batch = engine.solve_many(graph, jumps, **controls)
+    else:
         batch = engine.update_many(
             application,
             np.stack([previous.pagerank, previous.core_pagerank], axis=1),
             jumps,
-            damping=damping,
-            tol=tol,
-            max_iter=max_iter,
-            check=check,
-            labels=("pagerank", "core"),
+            **controls,
         )
-        return MassEstimates(
-            batch.scores[:, 0].copy(),
-            batch.scores[:, 1].copy(),
-            damping,
-            gamma,
-        )
-
-    if transition_t is None:
-        # the engine path: shared cached operator, and (for the default
-        # Jacobi) both vectors solved in one batched block iteration
-        if engine is None:
-            from ..perf import get_engine
-
-            engine = get_engine()
-        if method == "jacobi":
-            batch = engine.solve_many(
-                graph,
-                jumps,
-                damping=damping,
-                tol=tol,
-                max_iter=max_iter,
-                check=check,
-                labels=("pagerank", "core"),
-            )
-            return MassEstimates(
-                batch.scores[:, 0].copy(),
-                batch.scores[:, 1].copy(),
-                damping,
-                gamma,
-            )
-        # non-default solver: sequential solves, cached operator
-        transition_t = engine.operator(graph)
-
-    # sequential path: two separate solves, spanned apart so traces
-    # distinguish p from p′
-    u = np.ascontiguousarray(jumps[:, 0])
-    w = np.ascontiguousarray(jumps[:, 1])
-    with tele.span("solve:p", method=method):
-        p = pagerank_from_matrix(
-            transition_t,
-            u,
-            damping=damping,
-            tol=tol,
-            max_iter=max_iter,
-            method=method,
-            raise_on_divergence=check,
-        ).scores
-    with tele.span("solve:p_prime", method=method):
-        p_core = pagerank_from_matrix(
-            transition_t,
-            w,
-            damping=damping,
-            tol=tol,
-            max_iter=max_iter,
-            method=method,
-            raise_on_divergence=check,
-        ).scores
-    return MassEstimates(p, p_core, damping, gamma)
+    return MassEstimates(
+        batch.scores[:, 0].copy(),
+        batch.scores[:, 1].copy(),
+        damping,
+        gamma,
+    )
 
 
 def blacklist_mass(
@@ -419,7 +346,6 @@ def blacklist_mass(
     gamma: Optional[float] = None,
     tol: float = 1e-12,
     max_iter: int = 10_000,
-    method: str = "jacobi",
 ) -> np.ndarray:
     """Estimate absolute mass from a known spam core: ``M̂ = PR(v^{Ṽ⁻})``.
 
@@ -438,14 +364,6 @@ def blacklist_mass(
         if not (0.0 <= gamma < 1.0):
             raise ValueError(f"gamma must be in [0, 1), got {gamma}")
         v = scaled_core_jump_vector(n, core_list, 1.0 - gamma)
-    from ..perf import get_engine
-
-    transition_t = get_engine().operator(graph)
-    return pagerank_from_matrix(
-        transition_t,
-        v,
-        damping=damping,
-        tol=tol,
-        max_iter=max_iter,
-        method=method,
+    return pagerank(
+        graph, v, damping=damping, tol=tol, max_iter=max_iter
     ).scores

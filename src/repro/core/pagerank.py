@@ -134,7 +134,6 @@ def pagerank(
     max_iter: int = 10_000,
     method: str = "jacobi",
     raise_on_divergence: bool = True,
-    **solver_options,
 ) -> SolverResult:
     """Compute ``p = PR(v)`` for a web graph.
 
@@ -154,29 +153,21 @@ def pagerank(
         Raise :class:`~repro.errors.ConvergenceError` (a
         ``RuntimeError`` subclass) when the solver fails to converge
         instead of returning a non-converged result.
-    solver_options:
-        Forwarded to :func:`repro.core.solvers.solve` — e.g. ``x0=``
-        and ``start_iteration=`` for a warm start, or ``callback=``
-        for residual monitoring.
 
     The transition operator ``Tᵀ`` comes from the process-wide
     :class:`~repro.perf.OperatorCache` (built once per graph, shared by
-    every caller); pass ``transition_t=`` to supply your own instead.
+    every caller), on either graph backend.
     """
-    transition_t = solver_options.pop("transition_t", None)
-    if transition_t is None:
-        from ..perf import get_engine  # deferred: perf imports this module
+    from ..perf import get_engine  # deferred: perf imports this module
 
-        transition_t = get_engine().operator(graph)
     return pagerank_from_matrix(
-        transition_t,
+        get_engine().operator(graph),
         _resolve_jump(graph.num_nodes, v),
         damping=damping,
         tol=tol,
         max_iter=max_iter,
         method=method,
         raise_on_divergence=raise_on_divergence,
-        **solver_options,
     )
 
 
@@ -189,15 +180,13 @@ def pagerank_from_matrix(
     max_iter: int = 10_000,
     method: str = "jacobi",
     raise_on_divergence: bool = True,
-    **solver_options,
 ) -> SolverResult:
-    """Compute PageRank from a pre-built ``Tᵀ`` (reuse across jump
-    vectors — the mass estimator computes two PageRanks on one matrix).
+    """Compute PageRank from a pre-built ``Tᵀ`` (for instance
+    ``engine.operator(graph)``, to solve one graph's operator on an
+    engine of the caller's choosing).
 
     Non-convergence raises :class:`~repro.errors.ConvergenceError`
-    unless ``raise_on_divergence=False``; extra keyword arguments are
-    forwarded to :func:`repro.core.solvers.solve` (warm starts,
-    callbacks).
+    unless ``raise_on_divergence=False``.
     """
     try:
         return solve(
@@ -208,7 +197,6 @@ def pagerank_from_matrix(
             tol=tol,
             max_iter=max_iter,
             check=raise_on_divergence,
-            **solver_options,
         )
     except ConvergenceError as exc:
         residual = (

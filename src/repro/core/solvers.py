@@ -30,17 +30,20 @@ This module provides interchangeable solvers:
     to floating point, handy as a test oracle).
 ``bicgstab``
     Krylov iterative solve via SciPy, stopped on the same L1 residual
-    bound.  The batched engine (:mod:`repro.perf.engine`) solves its
-    stacked systems with a block BiCGSTAB of its own.
+    bound.
 
-All solvers return a :class:`SolverResult` carrying the solution,
-iteration count, final residual and convergence flag — failures never
-pass silently.
+These are the reference solvers: the A2 solver ablation compares
+them and the differential tests hold the batched engine
+(:mod:`repro.perf.engine`), which solves every production estimate
+with a block BiCGSTAB of its own, against them.  Every solver takes
+the same ``(transition_t, v, damping, tol, max_iter)`` and returns a
+:class:`SolverResult` carrying the solution, iteration count, final
+residual and convergence flag — failures never pass silently.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict
 
 import numpy as np
 from scipy import sparse
@@ -51,7 +54,6 @@ from ..errors import ConvergenceError
 __all__ = [
     "SolverResult",
     "ConvergenceError",
-    "IterationCallback",
     "jacobi",
     "gauss_seidel",
     "power_iteration",
@@ -60,12 +62,6 @@ __all__ = [
     "SOLVERS",
     "solve",
 ]
-
-#: Signature of the per-iteration hook accepted by the iterative
-#: solvers: ``callback(iteration, p, residual)``.  Raising from the
-#: callback aborts the solve.
-IterationCallback = Callable[[int, np.ndarray, float], None]
-
 
 class SolverResult:
     """Outcome of a PageRank solve.
@@ -85,14 +81,7 @@ class SolverResult:
         Name of the solver that produced the result.
     """
 
-    __slots__ = (
-        "scores",
-        "iterations",
-        "residual",
-        "converged",
-        "method",
-        "residual_history",
-    )
+    __slots__ = ("scores", "iterations", "residual", "converged", "method")
 
     def __init__(
         self,
@@ -101,34 +90,12 @@ class SolverResult:
         residual: float,
         converged: bool,
         method: str,
-        residual_history: Optional[List[float]] = None,
     ) -> None:
         self.scores = scores
         self.iterations = iterations
         self.residual = residual
         self.converged = converged
         self.method = method
-        self.residual_history = residual_history
-
-    def convergence_rate(self) -> float:
-        """Empirical per-iteration residual contraction (geometric mean
-        over the tracked history; ``nan`` without tracking).
-
-        Classical theory predicts a rate of ``c`` for Jacobi on the
-        PageRank system and roughly ``c²`` for Gauss-Seidel.
-        """
-        history = self.residual_history
-        if not history or len(history) < 2:
-            return float("nan")
-        ratios = [
-            b / a
-            for a, b in zip(history, history[1:])
-            if a > 0 and b > 0
-        ]
-        if not ratios:
-            return float("nan")
-        log_sum = sum(np.log(r) for r in ratios)
-        return float(np.exp(log_sum / len(ratios)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "converged" if self.converged else "NOT converged"
@@ -164,34 +131,12 @@ def _validate_inputs(
         )
 
 
-def _initial_iterate(
-    v: np.ndarray, x0: Optional[np.ndarray], start_iteration: int
-) -> np.ndarray:
-    """Resolve the warm-start iterate (``x0`` after ``start_iteration``)."""
-    if start_iteration < 0:
-        raise ValueError("start_iteration must be non-negative")
-    if x0 is None:
-        if start_iteration != 0:
-            raise ValueError("start_iteration > 0 requires an x0 iterate")
-        return v.astype(np.float64, copy=True)
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape != v.shape:
-        raise ValueError(
-            f"warm-start iterate has shape {x0.shape}, expected {v.shape}"
-        )
-    return x0.copy()
-
-
 def jacobi(
     transition_t: sparse.csr_matrix,
     v: np.ndarray,
     damping: float = 0.85,
     tol: float = 1e-12,
     max_iter: int = 10_000,
-    track_residuals: bool = False,
-    x0: Optional[np.ndarray] = None,
-    start_iteration: int = 0,
-    callback: Optional[IterationCallback] = None,
 ) -> SolverResult:
     """Algorithm 1 of the paper (Jacobi iteration).
 
@@ -208,36 +153,20 @@ def jacobi(
     tol:
         Stop when ``‖p⁽ⁱ⁾ − p⁽ⁱ⁻¹⁾‖₁ < tol``.
     max_iter:
-        Safety bound on the number of iterations (absolute — a
-        warm-started solve continues counting from ``start_iteration``).
-    x0, start_iteration:
-        Warm start: continue from an iterate ``x0`` taken after
-        ``start_iteration`` iterations.  Jacobi is memoryless in the
-        iterate, so a continued run reproduces the uninterrupted one
-        exactly.
-    callback:
-        Optional per-iteration hook ``callback(iteration, p, residual)``;
-        raising from it aborts the solve.
+        Safety bound on the number of iterations.
     """
     _validate_inputs(transition_t, v, damping, tol)
-    p = _initial_iterate(v, x0, start_iteration)
+    p = v.astype(np.float64, copy=True)
     jump = (1.0 - damping) * v
     residual = np.inf
-    history: Optional[List[float]] = [] if track_residuals else None
-    iteration = start_iteration
-    for iteration in range(start_iteration + 1, max_iter + 1):
+    iteration = 0
+    for iteration in range(1, max_iter + 1):
         p_next = damping * (transition_t @ p) + jump
         residual = float(np.abs(p_next - p).sum())
-        if history is not None:
-            history.append(residual)
         p = p_next
-        if callback is not None:
-            callback(iteration, p, residual)
         if residual < tol:
-            return SolverResult(
-                p, iteration, residual, True, "jacobi", history
-            )
-    return SolverResult(p, iteration, residual, False, "jacobi", history)
+            return SolverResult(p, iteration, residual, True, "jacobi")
+    return SolverResult(p, iteration, residual, False, "jacobi")
 
 
 def gauss_seidel(
@@ -246,10 +175,6 @@ def gauss_seidel(
     damping: float = 0.85,
     tol: float = 1e-12,
     max_iter: int = 10_000,
-    track_residuals: bool = False,
-    x0: Optional[np.ndarray] = None,
-    start_iteration: int = 0,
-    callback: Optional[IterationCallback] = None,
 ) -> SolverResult:
     """Gauss–Seidel sweeps on ``(I − c Tᵀ) p = (1 − c) v``.
 
@@ -270,30 +195,21 @@ def gauss_seidel(
     system = sparse.identity(n, format="csr") - damping * transition_t.tocsr()
     lower = sparse.tril(system, k=0, format="csr")
     upper = sparse.triu(system, k=1, format="csr")
-    p = _initial_iterate(v, x0, start_iteration)
+    p = v.astype(np.float64, copy=True)
     jump = (1.0 - damping) * v
     residual = np.inf
-    history: Optional[List[float]] = [] if track_residuals else None
-    iteration = start_iteration
-    for iteration in range(start_iteration + 1, max_iter + 1):
+    iteration = 0
+    for iteration in range(1, max_iter + 1):
         rhs = jump - upper @ p
         p_next = sparse_linalg.spsolve_triangular(
             lower, rhs, lower=True, unit_diagonal=True
         )
         p_next = np.asarray(p_next, dtype=np.float64).ravel()
         residual = float(np.abs(p_next - p).sum())
-        if history is not None:
-            history.append(residual)
         p = p_next
-        if callback is not None:
-            callback(iteration, p, residual)
         if residual < tol:
-            return SolverResult(
-                p, iteration, residual, True, "gauss_seidel", history
-            )
-    return SolverResult(
-        p, iteration, residual, False, "gauss_seidel", history
-    )
+            return SolverResult(p, iteration, residual, True, "gauss_seidel")
+    return SolverResult(p, iteration, residual, False, "gauss_seidel")
 
 
 def power_iteration(
@@ -302,21 +218,14 @@ def power_iteration(
     damping: float = 0.85,
     tol: float = 1e-12,
     max_iter: int = 10_000,
-    dangling_mask: Optional[np.ndarray] = None,
-    track_residuals: bool = False,
-    x0: Optional[np.ndarray] = None,
-    start_iteration: int = 0,
-    callback: Optional[IterationCallback] = None,
 ) -> SolverResult:
     """Power iteration on the augmented matrix ``T''`` of equation (1).
 
     This is the classical eigenvector PageRank: dangling rows are patched
     with ``v`` and a ``(1 − c)`` teleport is added, keeping iterates on
     the probability simplex.  Requires ``‖v‖₁ = 1``.  The fixed point is
-    the linear-system solution normalized to unit L1 norm.
-
-    ``dangling_mask`` marks nodes with zero out-degree; when omitted it
-    is derived from the column sums of ``Tᵀ``.
+    the linear-system solution normalized to unit L1 norm.  Dangling
+    nodes are the zero columns of ``Tᵀ``.
     """
     _validate_inputs(transition_t, v, damping, tol)
     if abs(float(v.sum()) - 1.0) > 1e-9:
@@ -325,16 +234,14 @@ def power_iteration(
             "(the eigenvector formulation is probabilistic); use the "
             "linear solvers for unnormalized v"
         )
-    if dangling_mask is None:
-        column_sums = np.asarray(
-            transition_t.sum(axis=0)
-        ).ravel()  # col x of T^T == row x of T
-        dangling_mask = column_sums < 1e-12
-    p = _initial_iterate(v, x0, start_iteration)
+    column_sums = np.asarray(
+        transition_t.sum(axis=0)
+    ).ravel()  # col x of T^T == row x of T
+    dangling_mask = column_sums < 1e-12
+    p = v.astype(np.float64, copy=True)
     residual = np.inf
-    history: Optional[List[float]] = [] if track_residuals else None
-    iteration = start_iteration
-    for iteration in range(start_iteration + 1, max_iter + 1):
+    iteration = 0
+    for iteration in range(1, max_iter + 1):
         dangling_weight = float(p[dangling_mask].sum())
         p_next = (
             damping * (transition_t @ p)
@@ -344,14 +251,10 @@ def power_iteration(
         # guard against floating-point drift off the simplex
         p_next /= p_next.sum()
         residual = float(np.abs(p_next - p).sum())
-        if history is not None:
-            history.append(residual)
         p = p_next
-        if callback is not None:
-            callback(iteration, p, residual)
         if residual < tol:
-            return SolverResult(p, iteration, residual, True, "power", history)
-    return SolverResult(p, iteration, residual, False, "power", history)
+            return SolverResult(p, iteration, residual, True, "power")
+    return SolverResult(p, iteration, residual, False, "power")
 
 
 def direct(
@@ -360,17 +263,11 @@ def direct(
     damping: float = 0.85,
     tol: float = 1e-12,
     max_iter: int = 0,
-    track_residuals: bool = False,
-    x0: Optional[np.ndarray] = None,
-    start_iteration: int = 0,
-    callback: Optional[IterationCallback] = None,
 ) -> SolverResult:
     """Sparse LU solve of ``(I − c Tᵀ) p = (1 − c) v`` (test oracle).
 
-    ``track_residuals``/``x0``/``start_iteration``/``callback`` are
-    accepted for signature uniformity with the iterative solvers (the
-    fallback chain dispatches blindly) and ignored — a direct solve has
-    no iterations to hook into.
+    ``max_iter`` is accepted so every solver shares one signature, and
+    ignored: a direct solve has no iterations.
     """
     _validate_inputs(transition_t, v, damping, tol)
     n = transition_t.shape[0]
@@ -388,16 +285,10 @@ def bicgstab(
     damping: float = 0.85,
     tol: float = 1e-12,
     max_iter: int = 10_000,
-    track_residuals: bool = False,
-    x0: Optional[np.ndarray] = None,
-    start_iteration: int = 0,
-    callback: Optional[IterationCallback] = None,
 ) -> SolverResult:
     """BiCGSTAB Krylov solve of the linear PageRank system.
 
-    ``x0`` warm-starts the Krylov iteration; the remaining uniformity
-    parameters are ignored (SciPy owns the iteration loop).  SciPy
-    stops on the L2 norm of its residual, so the solve passes it
+    SciPy stops on the L2 norm of its residual, so the solve passes it
     ``atol = tol / √n``: since ``‖r‖₁ ≤ √n·‖r‖₂``, that stop implies
     the L1 bound the other solvers use.  ``iterations`` counts SciPy's
     iterations (two products each) through its callback, and
@@ -409,7 +300,7 @@ def bicgstab(
     system = sparse.identity(n, format="csr") - damping * transition_t.tocsr()
     rhs = (1.0 - damping) * v
     iterations = 0
-    last = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
+    last = np.zeros(n)
 
     def _count(xk: np.ndarray) -> None:
         nonlocal iterations, last
@@ -419,7 +310,7 @@ def bicgstab(
     # note: seeding x0 = v invites an exact BiCGSTAB breakdown (rho = 0)
     # on symmetric-ish tiny systems; the default zero start is robust
     p, _info = sparse_linalg.bicgstab(
-        system, rhs, x0=x0, rtol=0.0, atol=tol / np.sqrt(n),
+        system, rhs, rtol=0.0, atol=tol / np.sqrt(n),
         maxiter=max_iter, callback=_count,
     )
     p = np.asarray(p, dtype=np.float64).ravel()
@@ -447,10 +338,6 @@ def solve(
     max_iter: int = 10_000,
     *,
     check: bool = False,
-    track_residuals: bool = False,
-    x0: Optional[np.ndarray] = None,
-    start_iteration: int = 0,
-    callback: Optional[IterationCallback] = None,
 ) -> SolverResult:
     """Dispatch to a solver by name (see :data:`SOLVERS`).
 
@@ -459,8 +346,6 @@ def solve(
         best-effort result) when the stopping criterion was not met —
         the exhaust-path otherwise returns ``converged=False`` silently
         and nothing downstream is forced to look at the flag.
-    x0, start_iteration, callback:
-        Warm start and per-iteration hook, forwarded to the solver.
     """
     try:
         solver = SOLVERS[method]
@@ -470,15 +355,7 @@ def solve(
         ) from None
 
     result = solver(
-        transition_t,
-        v,
-        damping=damping,
-        tol=tol,
-        max_iter=max_iter,
-        track_residuals=track_residuals,
-        x0=x0,
-        start_iteration=start_iteration,
-        callback=callback,
+        transition_t, v, damping=damping, tol=tol, max_iter=max_iter
     )
     if check and not result.converged:
         raise ConvergenceError(

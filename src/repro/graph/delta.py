@@ -81,7 +81,7 @@ class GraphDelta:
         :meth:`apply` time, against the concrete base graph.
     """
 
-    __slots__ = ("_insertions", "_deletions")
+    __slots__ = ("_insertions", "_deletions", "_touched_sources")
 
     def __init__(
         self,
@@ -114,6 +114,10 @@ class GraphDelta:
         self._insertions.setflags(write=False)
         self._deletions = dels
         self._deletions.setflags(write=False)
+        self._touched_sources = sorted_unique(
+            np.concatenate([ins[:, 0], dels[:, 0]])
+        )
+        self._touched_sources.setflags(write=False)
 
     @staticmethod
     def _canonical(array: np.ndarray, what: str) -> np.ndarray:
@@ -155,14 +159,13 @@ class GraphDelta:
         return len(self) == 0
 
     def touched_sources(self) -> np.ndarray:
-        """Sorted unique source nodes of all changed edges.
+        """Sorted unique source nodes of all changed edges, as one
+        read-only array computed with the delta.
 
         These are the nodes whose transition-matrix *rows* change — the
         exact seed set for residual-push updates.
         """
-        return sorted_unique(
-            np.concatenate([self._insertions[:, 0], self._deletions[:, 0]])
-        )
+        return self._touched_sources
 
     def touched_nodes(self) -> np.ndarray:
         """Sorted unique endpoints (sources and targets) of all changes."""

@@ -30,10 +30,11 @@ scipy transpose is made.  A
 gathered shard by shard instead (:meth:`OperatorBundle.gather`), with
 no sort, into the same arrays; both backends then solve against one
 operator type.  ``Tᵀ`` itself is assembled from the blocks
-only when asked for (:attr:`OperatorBundle.transition_t`): by
-:meth:`~repro.perf.engine.PagerankEngine.operator` and the scalar
-solvers of :meth:`~repro.perf.engine.PagerankEngine.solve`, never by
-the batched kernel, the estimate path or the write path.
+only when asked for (:attr:`OperatorBundle.transition_t`), by
+:meth:`~repro.perf.engine.PagerankEngine.operator` for the scalar
+solvers of :mod:`repro.core.solvers` (``pagerank()`` and
+``pagerank_from_matrix()``); never by the batched kernel, the
+estimate path or the write path.
 
 The kernel takes both blocks as :class:`RowBlock` lists
 (:meth:`OperatorBundle.row_blocks`): contiguous row ranges of about

@@ -9,8 +9,8 @@ of times (threshold sweeps, core-size ablations, γ studies).
 * the operator is built **once** per graph, as ``(Tᵀ)_SS`` and
   ``(Tᵀ)_DS``, and held in a bounded LRU
   (:class:`~repro.perf.cache.OperatorCache`); ``Tᵀ`` whole is
-  assembled only for :meth:`PagerankEngine.operator` and the scalar
-  solvers of :meth:`PagerankEngine.solve`;
+  assembled only for :meth:`PagerankEngine.operator`, the matrix the
+  scalar reference solvers of :mod:`repro.core.solvers` take;
 * :meth:`PagerankEngine.solve_many` solves stacked jump vectors with
   one block BiCGSTAB on the **dangling-restricted** subsystem (see
   :mod:`repro.perf.cache`), with per-column scalars and per-column
@@ -72,7 +72,7 @@ import numpy as np
 from scipy.sparse import _sparsetools
 
 from ..errors import ConvergenceError
-from ..core.solvers import SolverResult, solve as dispatch_solve
+from ..core.solvers import SolverResult
 from ..core.pagerank import _resolve_jump  # single source of jump semantics
 from ..graph.sharded import ShardedWebGraph
 from ..graph.webgraph import WebGraph
@@ -207,9 +207,6 @@ class PagerankEngine:
     ----------
     cache_size:
         Bound of the operator LRU (graphs, not bytes).
-    method:
-        Default single-solve method of :meth:`solve` (block solves
-        always run the block BiCGSTAB kernel).
 
     Block solves validate their stacked jump vectors, an O(n·k) scan.
     A read-only block that owns its data cannot change between calls,
@@ -218,21 +215,37 @@ class PagerankEngine:
     time (the scoring daemon, window after window) pays the scan once.
     """
 
-    def __init__(
-        self,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        *,
-        method: str = "jacobi",
-    ) -> None:
+    def __init__(self, cache_size: int = DEFAULT_CACHE_SIZE) -> None:
         self.cache = OperatorCache(cache_size)
-        self.method = method
         self._validated: Optional[weakref.ref] = None
 
-    def _check_block(
-        self, stacked: np.ndarray, damping: float, tol: float
-    ) -> None:
-        """:func:`_validate_block`, scanning the entries of any block
-        but the read-only one this engine last validated."""
+    def _jump_block(
+        self,
+        n: int,
+        vectors: Union[np.ndarray, Sequence[JumpLike]],
+        damping: float,
+        tol: float,
+        labels: Optional[Sequence[str]],
+    ) -> Tuple[np.ndarray, Sequence[str]]:
+        """The prologue of :meth:`solve_many` and :meth:`update_many`:
+        stack ``vectors`` into an ``(n, k)`` block, check it and the
+        solve parameters, and resolve the column labels.
+
+        An ``(n, k)`` array is used as it is: the kernel only reads it.
+        :func:`_validate_block` scans the entries of any block but the
+        read-only one this engine last validated.
+        """
+        if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+            stacked = np.asarray(vectors, dtype=np.float64)
+            if stacked.shape[0] != n:
+                raise ValueError(
+                    f"stacked vectors have {stacked.shape[0]} rows, "
+                    f"expected {n}"
+                )
+        else:
+            stacked = np.stack(
+                [_resolve_jump(n, spec) for spec in vectors], axis=1
+            ).astype(np.float64)
         known = self._validated is not None and self._validated() is stacked
         _validate_block(stacked, damping, tol, scan=not known)
         if (
@@ -241,6 +254,12 @@ class PagerankEngine:
             and not stacked.flags.writeable
         ):
             self._validated = weakref.ref(stacked)
+        k = stacked.shape[1]
+        if labels is None:
+            labels = [f"col{j}" for j in range(k)]
+        elif len(labels) != k:
+            raise ValueError(f"{len(labels)} labels for {k} stacked vectors")
+        return stacked, labels
 
     # ------------------------------------------------------------------
     # operator access
@@ -257,47 +276,6 @@ class PagerankEngine:
         """The graph's ``Tᵀ`` in CSR form, from the cache (assembled from
         the bundle's two blocks on first use)."""
         return self.bundle(graph).transition_t
-
-    # ------------------------------------------------------------------
-    # single solves
-    # ------------------------------------------------------------------
-
-    def solve(
-        self,
-        graph: WebGraph,
-        v: JumpLike = None,
-        *,
-        damping: float = 0.85,
-        tol: float = 1e-12,
-        max_iter: int = 10_000,
-        method: Optional[str] = None,
-        check: bool = False,
-        **solver_options,
-    ) -> SolverResult:
-        """One PageRank solve against the cached operator.
-
-        Semantically identical to
-        :func:`repro.core.pagerank.pagerank`, minus the per-call
-        operator rebuild.  Extra options go to
-        :func:`repro.core.solvers.solve` (warm starts, residual tracking,
-        callbacks).
-
-        It runs the scalar solver of :mod:`repro.core.solvers` on the
-        cached ``Tᵀ``, which it assembles on first use, on either
-        backend: a shard store's result is bitwise the in-memory one.
-        """
-        bundle = self.bundle(graph)
-        jump = _resolve_jump(graph.num_nodes, v)
-        return dispatch_solve(
-            method or self.method,
-            bundle.transition_t,
-            jump,
-            damping=damping,
-            tol=tol,
-            max_iter=max_iter,
-            check=check,
-            **solver_options,
-        )
 
     # ------------------------------------------------------------------
     # stacked solves
@@ -334,26 +312,10 @@ class PagerankEngine:
         labels:
             Per-column names, used in convergence errors and telemetry.
         """
-        n = graph.num_nodes
-        if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-            # the kernel only reads it: no copy of the caller's array
-            stacked = np.asarray(vectors, dtype=np.float64)
-            if stacked.shape[0] != n:
-                raise ValueError(
-                    f"stacked vectors have {stacked.shape[0]} rows, "
-                    f"expected {n}"
-                )
-        else:
-            columns = [_resolve_jump(n, spec) for spec in vectors]
-            stacked = np.stack(columns, axis=1).astype(np.float64)
-        self._check_block(stacked, damping, tol)
+        stacked, labels = self._jump_block(
+            graph.num_nodes, vectors, damping, tol, labels
+        )
         k = stacked.shape[1]
-        if labels is None:
-            labels = [f"col{j}" for j in range(k)]
-        elif len(labels) != k:
-            raise ValueError(
-                f"{len(labels)} labels for {k} stacked vectors"
-            )
         bundle = self.bundle(graph)
 
         tele = get_telemetry()
@@ -471,14 +433,7 @@ class PagerankEngine:
         if isinstance(application, (list, tuple)):
             application = compose_applications(application)
         n = application.after.num_nodes
-        if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-            # validated, never written: no copy of the caller's array
-            stacked = np.asarray(vectors, dtype=np.float64)
-        else:
-            stacked = np.stack(
-                [_resolve_jump(n, spec) for spec in vectors], axis=1
-            ).astype(np.float64)
-        self._check_block(stacked, damping, tol)
+        stacked, labels = self._jump_block(n, vectors, damping, tol, labels)
         k = stacked.shape[1]
         prev_iterations = None
         if isinstance(previous, BatchResult):
@@ -491,10 +446,6 @@ class PagerankEngine:
                 f"previous scores have shape {prev_scores.shape}, "
                 f"expected {(n, k)}"
             )
-        if labels is None:
-            labels = [f"col{j}" for j in range(k)]
-        elif len(labels) != k:
-            raise ValueError(f"{len(labels)} labels for {k} stacked vectors")
         bundle = self.cache.derive_for(application)
 
         tele = get_telemetry()
@@ -552,10 +503,7 @@ class PagerankEngine:
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PagerankEngine(cache={self.cache!r}, "
-            f"method={self.method!r})"
-        )
+        return f"PagerankEngine(cache={self.cache!r})"
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,8 @@ See ``docs/runtime.md``:
 * :mod:`repro.runtime.checkpoint` — the atomic ``solution.npz``
   snapshot that ``estimate --checkpoint-dir`` writes and ``update``,
   ``serve`` and ``stream ingest`` start from.
-* :mod:`repro.runtime.retry` — deterministic :class:`BackoffPolicy`
-  schedules and retry-with-backoff for transient failures.
+* :mod:`repro.runtime.retry` — retry with exponential backoff for
+  transient I/O failures.
 * :mod:`repro.runtime.chaos` — deterministic fault injectors for the
   resilience test-suite (loaded on first attribute access).
 
@@ -28,7 +28,7 @@ from ..errors import (
     WalError,
 )
 from .checkpoint import SolutionSnapshot, load_solution, save_solution
-from .retry import BackoffPolicy, with_retries
+from .retry import with_retries
 
 __all__ = [
     # errors (re-exported for convenience)
@@ -43,7 +43,6 @@ __all__ = [
     "SolutionSnapshot",
     "save_solution",
     "load_solution",
-    "BackoffPolicy",
     "with_retries",
     "chaos",
 ]

@@ -1,14 +1,10 @@
-"""Deterministic retry/backoff policies for transient failures.
+"""Retry with exponential backoff for transient I/O failures.
 
-Two layers live here:
-
-* :class:`BackoffPolicy` — a frozen, seeded description of a backoff
-  schedule (exponential growth, optional jitter, per-delay and
-  cumulative caps).  The schedule is a pure function of the policy (and
-  an optional injected ``rng``), so a retry storm replays identically
-  under test and in production post-mortems.
-* :func:`with_retries` — call a zero-argument function under a policy,
-  emitting ``retry.attempt`` telemetry on every rescheduled failure.
+:func:`with_retries` calls a zero-argument function, retrying an
+``OSError`` after sleeping ``backoff·2^i`` before retry ``i + 1``, and
+emits one ``retry.attempt`` event per retry.  The schedule has no
+jitter and no clock, so a retry storm replays identically under test
+and in a post-mortem.
 
 Kept dependency-free at module import time (the only intra-package
 import is a lazy one of :mod:`repro.obs`, itself stdlib-only, on the
@@ -18,111 +14,29 @@ sits below the runtime package — can use it without import cycles.
 
 from __future__ import annotations
 
-import random
 import time
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Type, TypeVar
+from typing import Callable, TypeVar
 
-__all__ = ["BackoffPolicy", "with_retries"]
+__all__ = ["with_retries"]
 
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class BackoffPolicy:
-    """A deterministic exponential-backoff schedule.
-
-    Attributes
-    ----------
-    retries:
-        Number of *re*-tries after the first attempt; 0 disables
-        retrying entirely.
-    base:
-        Sleep before the first retry, in seconds.
-    factor:
-        Multiplier applied to the raw delay after every retry.
-    jitter:
-        Fraction in ``[0, 1)``; each delay is stretched by a seeded
-        uniform factor in ``[1, 1 + jitter]``.  Zero (the default)
-        makes the schedule jitter-free and byte-for-byte reproducible
-        without any RNG at all.
-    max_delay:
-        Upper bound on any single sleep (``None`` = unbounded).
-    max_total:
-        Hard cap on the *cumulative* sleep across the whole schedule;
-        later delays are clipped so the sum never exceeds it.
-    seed:
-        Seed of the jitter stream (ignored when ``jitter == 0`` or an
-        explicit ``rng`` is passed to :meth:`delays`).
-    """
-
-    retries: int = 3
-    base: float = 0.05
-    factor: float = 2.0
-    jitter: float = 0.0
-    max_delay: Optional[float] = None
-    max_total: Optional[float] = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ValueError("retries must be non-negative")
-        if self.base < 0:
-            raise ValueError("base delay must be non-negative")
-        if self.factor <= 0:
-            raise ValueError("backoff factor must be positive")
-        if not (0.0 <= self.jitter < 1.0):
-            raise ValueError("jitter must be in [0, 1)")
-        if self.max_delay is not None and self.max_delay < 0:
-            raise ValueError("max_delay must be non-negative")
-        if self.max_total is not None and self.max_total < 0:
-            raise ValueError("max_total must be non-negative")
-
-    def delays(self, rng: Optional[random.Random] = None) -> List[float]:
-        """The full sleep schedule, one entry per retry.
-
-        Deterministic: the same policy (and the same ``rng`` state, when
-        one is injected) always yields the same list.  The sum of the
-        returned delays never exceeds ``max_total``.
-        """
-        if rng is None:
-            rng = random.Random(self.seed)
-        schedule: List[float] = []
-        raw = self.base
-        total = 0.0
-        for _ in range(self.retries):
-            delay = raw * (1.0 + self.jitter * rng.random())
-            if self.max_delay is not None:
-                delay = min(delay, self.max_delay)
-            if self.max_total is not None:
-                delay = min(delay, max(0.0, self.max_total - total))
-            schedule.append(delay)
-            total += delay
-            raw *= self.factor
-        return schedule
-
-    def total_sleep(self, rng: Optional[random.Random] = None) -> float:
-        """Worst-case cumulative sleep of the schedule."""
-        return sum(self.delays(rng))
-
-
 def _emit_retry(attempt: int, retries: int, exc: BaseException,
-                delay: float, label: Optional[str]) -> None:
+                delay: float) -> None:
     from ..obs import get_telemetry
 
     tele = get_telemetry()
     if not tele.enabled:
         return
     tele.inc("retry.attempts")
-    attrs = dict(
+    tele.event(
+        "retry.attempt",
         attempt=attempt,
         retries=retries,
         error=type(exc).__name__,
         delay=delay,
     )
-    if label is not None:
-        attrs["label"] = label
-    tele.event("retry.attempt", **attrs)
 
 
 def with_retries(
@@ -130,12 +44,7 @@ def with_retries(
     *,
     retries: int = 3,
     backoff: float = 0.05,
-    factor: float = 2.0,
-    exceptions: Tuple[Type[BaseException], ...] = (OSError,),
     sleep: Callable[[float], None] = time.sleep,
-    policy: Optional[BackoffPolicy] = None,
-    rng: Optional[random.Random] = None,
-    label: Optional[str] = None,
 ) -> T:
     """Call ``fn`` up to ``1 + retries`` times with exponential backoff.
 
@@ -144,37 +53,30 @@ def with_retries(
     fn:
         Zero-argument callable; must be safe to re-run (the io writers
         re-open and rewrite the whole file on each attempt).
-    retries, backoff, factor:
-        Shorthand for a jitter-free :class:`BackoffPolicy`; ignored
-        when an explicit ``policy`` is passed.
-    exceptions:
-        Exception types considered transient.  Anything else propagates
-        immediately.
+    retries:
+        Number of *re*-tries after the first attempt; 0 disables
+        retrying.
+    backoff:
+        Sleep before the first retry, in seconds; each later one
+        doubles it.
     sleep:
-        Injection point for tests (and for event-loop integration).
-    policy:
-        An explicit :class:`BackoffPolicy`; the sleep schedule is
-        computed up front from it, so the total sleep is bounded by
-        ``policy.max_total`` regardless of how the failures interleave.
-    rng:
-        Explicit jitter stream (a :class:`random.Random`), overriding
-        the policy's own ``seed``.
-    label:
-        Optional tag attached to the ``retry.attempt`` telemetry.
+        Injection point for tests.
 
-    The final failure propagates unchanged, so callers see the genuine
+    Only ``OSError`` is retried; anything else propagates at once.  The
+    final failure propagates unchanged, so callers see the genuine
     exception once the budget is exhausted.
     """
-    if policy is None:
-        policy = BackoffPolicy(retries=retries, base=backoff, factor=factor)
-    schedule = policy.delays(rng)
-    for attempt in range(policy.retries + 1):
+    if retries < 0:
+        raise ValueError("retries must be non-negative")
+    if backoff < 0:
+        raise ValueError("backoff must be non-negative")
+    for attempt in range(retries + 1):
         try:
             return fn()
-        except exceptions as exc:
-            if attempt == policy.retries:
+        except OSError as exc:
+            if attempt == retries:
                 raise
-            delay = schedule[attempt]
-            _emit_retry(attempt + 1, policy.retries, exc, delay, label)
+            delay = backoff * 2 ** attempt
+            _emit_retry(attempt + 1, retries, exc, delay)
             sleep(delay)
     raise AssertionError("unreachable")  # pragma: no cover

@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.core.detector import MassDetector
 from repro.core.mass import estimate_spam_mass
-from repro.graph import transition_matrix
 from repro.perf import PagerankEngine, pagerank_montecarlo_parallel
 from repro.runtime import chaos, load_solution, save_solution
 from repro.synth import build_world, default_good_core
@@ -78,9 +77,9 @@ def test_cache_counters_match_engine_reports(telemetry, tiny_world):
     """The telemetry counters and OperatorCache.cache_info agree."""
     engine = PagerankEngine()
     graph = tiny_world.graph
-    engine.solve(graph)  # miss: builds the bundle
-    engine.solve(graph)  # hit
-    engine.solve(graph)  # hit
+    engine.bundle(graph)  # miss: builds the bundle
+    engine.bundle(graph)  # hit
+    engine.bundle(graph)  # hit
     info = engine.cache.cache_info()
     assert info == {
         "hits": 2,
@@ -93,22 +92,6 @@ def test_cache_counters_match_engine_reports(telemetry, tiny_world):
     assert telemetry.metrics.value("opcache.hits") == info["hits"]
     assert telemetry.metrics.value("opcache.misses") == info["misses"]
     assert telemetry.sink.span_count("operator-build") == 1
-
-
-def test_legacy_path_spans_p_and_p_prime_separately(telemetry, tiny_world):
-    """An explicit transition matrix opts into the sequential path,
-    which spans the two solves apart."""
-    graph = tiny_world.graph
-    core = default_good_core(tiny_world)
-    tt = transition_matrix(graph).T.tocsr()
-    estimate_spam_mass(graph, core, transition_t=tt)
-    sink = telemetry.sink
-    assert sink.span_count("solve:p") == 1
-    assert sink.span_count("solve:p_prime") == 1
-    assert sink.span_count("solve:batch") == 0
-    assert sink.named("solve:p", "span_start")[0].attrs["parent"] == (
-        "mass-estimate"
-    )
 
 
 def test_transient_write_failure_emits_retry_events(

@@ -34,6 +34,7 @@ import pytest
 
 from repro.core.pagerank import (
     pagerank,
+    pagerank_from_matrix,
     scaled_core_jump_vector,
     uniform_jump_vector,
 )
@@ -204,10 +205,16 @@ def test_solve_many_agrees_across_jump_scales(zoo_graph):
 
 
 def test_engine_single_solve_equals_pagerank(zoo_graph):
-    engine = PagerankEngine()
-    via_engine = engine.solve(zoo_graph, tol=TOL)
+    """``pagerank()`` is the scalar solve over an engine's cached
+    ``Tᵀ``: a solve on a fresh engine's operator gives its bits."""
+    via_engine = pagerank_from_matrix(
+        PagerankEngine().operator(zoo_graph),
+        uniform_jump_vector(zoo_graph.num_nodes),
+        tol=TOL,
+    )
     via_api = pagerank(zoo_graph, tol=TOL)
     assert np.array_equal(via_engine.scores, via_api.scores)
+    assert via_engine.iterations == via_api.iterations
 
 
 def test_operator_cache_returns_equivalent_matrix(zoo_graph):
@@ -347,12 +354,19 @@ def test_sharded_solve_many_bitwise_equal(zoo_graph, sharded_variants):
 
 
 def test_sharded_single_solve_bitwise_equal(zoo_graph, sharded_variants):
-    """``solve`` on a store runs every scalar solver on the gathered
-    operator's ``Tᵀ``: bitwise the in-memory solve, method by method."""
+    """Every scalar solver on a store's gathered ``Tᵀ`` is bitwise the
+    in-memory solve, method by method."""
+    v = uniform_jump_vector(zoo_graph.num_nodes)
     for method in SOLVERS:
-        reference = PagerankEngine().solve(zoo_graph, tol=TOL, method=method)
+        reference = pagerank_from_matrix(
+            PagerankEngine().operator(zoo_graph), v, tol=TOL,
+            method=method, raise_on_divergence=False,
+        )
         for k, store in sharded_variants.items():
-            result = _gathered(store).solve(store, tol=TOL, method=method)
+            result = pagerank_from_matrix(
+                _gathered(store).operator(store), v, tol=TOL,
+                method=method, raise_on_divergence=False,
+            )
             assert np.array_equal(result.scores, reference.scores), (
                 k, method,
             )

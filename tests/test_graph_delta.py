@@ -140,6 +140,20 @@ def test_touched_sets_and_base_immutability(case):
     )
 
 
+def test_touched_sources_is_computed_once_and_read_only():
+    """Every read of a delta's touched sources, directly or through its
+    application, is the one read-only array made with the delta."""
+    graph = WebGraph.from_edges(6, [(0, 1), (1, 2), (4, 5)])
+    delta = GraphDelta(insertions=[(3, 1), (0, 2)], deletions=[(4, 5)])
+    first = delta.touched_sources()
+    assert delta.touched_sources() is first
+    assert first.tolist() == [0, 3, 4]
+    assert not first.flags.writeable
+    application = delta.apply(graph)
+    assert application.touched_sources is first
+    assert GraphDelta().touched_sources().tolist() == []
+
+
 # ----------------------------------------------------------------------
 # zoo regimes: dangling- and isolated-heavy graphs
 # ----------------------------------------------------------------------

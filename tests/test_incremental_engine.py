@@ -184,6 +184,24 @@ def test_update_many_rejects_non_finite_jump_vectors():
         )
 
 
+def test_update_many_checks_the_jump_block_rows():
+    """A jump block with the wrong number of rows is refused by
+    ``update_many`` as by ``solve_many``, before it reaches a kernel."""
+    n = 200
+    graph = _random_graph(27, n=n, num_edges=800)
+    rng = np.random.default_rng(27)
+    application = _random_delta(graph, rng, num_ins=10, num_del=0).apply(
+        graph
+    )
+    engine = PagerankEngine()
+    base = engine.solve_many(graph, [None, [0, 1, 2]], tol=TOL)
+    tall = np.full((n + 7, 2), 1.0 / (n + 7))
+    with pytest.raises(ValueError, match=f"{n + 7} rows, expected {n}"):
+        engine.solve_many(graph, tall, tol=TOL)
+    with pytest.raises(ValueError, match=f"{n + 7} rows, expected {n}"):
+        engine.update_many(application, base, tall, tol=TOL)
+
+
 # ----------------------------------------------------------------------
 # delta coalescing, escape profile
 # ----------------------------------------------------------------------
@@ -956,14 +974,6 @@ def test_estimate_previous_path_validates_inputs():
     with pytest.raises(ValueError, match="different"):
         estimate_spam_mass(
             application, core, gamma=0.5, previous=previous
-        )
-    with pytest.raises(ValueError, match="incremental engine"):
-        estimate_spam_mass(
-            application,
-            core,
-            gamma=0.85,
-            previous=previous,
-            transition_t=object(),
         )
 
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.core.mass import estimate_spam_mass
 from repro.core.pagerank import pagerank, uniform_jump_vector
 from repro.errors import ConvergenceError
 from repro.graph.webgraph import WebGraph
@@ -357,16 +356,6 @@ def test_pagerank_populates_shared_cache(chain_graph):
         assert get_engine().cache.cache_info()["hits"] >= 1
     finally:
         set_engine(previous)
-
-
-def test_estimate_spam_mass_non_jacobi_uses_cached_operator(chain_graph):
-    engine = PagerankEngine()
-    est = estimate_spam_mass(
-        chain_graph, [0, 1], method="gauss_seidel", engine=engine
-    )
-    assert engine.cache.cache_info()["misses"] == 1
-    batched = estimate_spam_mass(chain_graph, [0, 1], engine=engine)
-    assert np.abs(est.pagerank - batched.pagerank).sum() < 1e-8
 
 
 # ----------------------------------------------------------------------

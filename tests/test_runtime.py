@@ -25,8 +25,9 @@ def test_with_retries_recovers_from_transient_failures():
 
 
 def test_with_retries_exhausts_and_reraises():
+    """Once the budget is spent, the last attempt's error propagates."""
     flaky = FlakyCalls(lambda: "ok", fail_first=5, exc=OSError)
-    with pytest.raises(OSError):
+    with pytest.raises(OSError, match="on call 3$"):
         with_retries(flaky, retries=2, backoff=0.0, sleep=lambda _: None)
     assert flaky.calls == 3
 
@@ -36,6 +37,42 @@ def test_with_retries_does_not_catch_unlisted_exceptions():
     with pytest.raises(KeyError):
         with_retries(flaky, retries=5, backoff=0.0, sleep=lambda _: None)
     assert flaky.calls == 1
+
+
+def _fails(first):
+    return FlakyCalls(lambda: "ok", fail_first=first, exc=OSError)
+
+
+def test_with_retries_sleeps_exactly_the_schedule_prefix():
+    """``f`` failures sleep the first ``f`` delays of ``backoff·2^i``."""
+    schedule = [0.125 * 2**i for i in range(6)]
+    for failures in range(7):
+        slept = []
+        result = with_retries(
+            _fails(failures), retries=6, backoff=0.125, sleep=slept.append
+        )
+        assert result == "ok"
+        assert slept == schedule[:failures]
+
+
+def test_with_retries_emits_attempt_telemetry(telemetry):
+    slept = []
+    with_retries(_fails(2), retries=3, backoff=0.125, sleep=slept.append)
+    events = telemetry.sink.named("retry.attempt")
+    assert [e.attrs["attempt"] for e in events] == [1, 2]
+    assert [e.attrs["delay"] for e in events] == [0.125, 0.25]
+    assert all(e.attrs["retries"] == 3 for e in events)
+    assert all(e.attrs["error"] == "OSError" for e in events)
+    assert telemetry.metrics.value("retry.attempts") == 2
+    assert slept == [0.125, 0.25]
+
+
+@pytest.mark.parametrize("kwargs", [{"retries": -1}, {"backoff": -0.1}])
+def test_with_retries_rejects_a_negative_budget(kwargs):
+    flaky = _fails(0)
+    with pytest.raises(ValueError):
+        with_retries(flaky, sleep=lambda _: None, **kwargs)
+    assert flaky.calls == 0
 
 
 # ----------------------------------------------------------------------

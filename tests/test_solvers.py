@@ -146,48 +146,8 @@ def test_bicgstab_matches_direct_on_larger_random_graph(rng):
     )
 
 
-def test_residual_tracking_and_convergence_rate(rng):
-    """The Jacobi residual contracts geometrically at rate ~c, and
-    Gauss-Seidel strictly faster — the classical convergence theory."""
-    n = 120
-    # a pure directed ring is a permutation chain: the Jacobi error
-    # contracts at exactly c per iteration
-    ring = WebGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-    tt_ring = transition_matrix(ring).T.tocsr()
-    v = np.full(n, 1.0 / n)
-    # a point jump breaks the ring's symmetry (the uniform jump is the
-    # ring's fixed point and converges in one step)
-    point = np.zeros(n)
-    point[0] = 1.0
-    jac_ring = jacobi(
-        tt_ring, point, damping=0.85, tol=1e-12, track_residuals=True
-    )
-    assert jac_ring.residual_history is not None
-    assert len(jac_ring.residual_history) == jac_ring.iterations
-    assert jac_ring.convergence_rate() == pytest.approx(0.85, abs=0.02)
-
-    # with random chords the chain mixes faster (rate < c), and
-    # Gauss-Seidel contracts faster than Jacobi on the same system
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    edges += [
-        (int(u), int(v))
-        for u, v in zip(rng.integers(0, n, 200), rng.integers(0, n, 200))
-        if u != v
-    ]
-    graph = WebGraph.from_edges(n, edges)
-    tt = transition_matrix(graph).T.tocsr()
-    jac = jacobi(tt, v, damping=0.85, tol=1e-12, track_residuals=True)
-    assert jac.convergence_rate() <= 0.86
-    gs = gauss_seidel(tt, v, damping=0.85, tol=1e-12, track_residuals=True)
-    assert gs.convergence_rate() < jac.convergence_rate()
-    # without tracking, the rate is NaN and no history is stored
-    untracked = jacobi(tt, v, tol=1e-12)
-    assert untracked.residual_history is None
-    assert untracked.convergence_rate() != untracked.convergence_rate()
-
-
 # ----------------------------------------------------------------------
-# robustness extensions: check=, warm starts, iteration callbacks
+# robustness: check=
 # ----------------------------------------------------------------------
 
 
@@ -210,58 +170,3 @@ def test_check_false_keeps_silent_exhaust_path(small_system):
     _, tt, v = small_system
     result = solve("jacobi", tt, v, tol=1e-15, max_iter=3)
     assert not result.converged  # no exception
-
-
-def test_warm_start_matches_cold_run(small_system):
-    """Stopping at iteration k and restarting from (p_k, k) reproduces
-    the uninterrupted trajectory exactly — the solvers are memoryless."""
-    _, tt, v = small_system
-    for method in (jacobi, gauss_seidel):
-        cold = method(tt, v, tol=1e-13)
-        partial = method(tt, v, tol=1e-13, max_iter=10)
-        assert not partial.converged
-        resumed = method(
-            tt, v, tol=1e-13, x0=partial.scores, start_iteration=10
-        )
-        assert resumed.converged
-        assert resumed.iterations == cold.iterations
-        np.testing.assert_allclose(resumed.scores, cold.scores, atol=1e-15)
-
-
-def test_warm_start_requires_x0(small_system):
-    _, tt, v = small_system
-    with pytest.raises(ValueError):
-        jacobi(tt, v, start_iteration=5)
-
-
-def test_warm_start_rejects_bad_shape(small_system):
-    _, tt, v = small_system
-    with pytest.raises(ValueError):
-        jacobi(tt, v, x0=np.ones(7), start_iteration=1)
-
-
-def test_iteration_callback_sees_every_iteration(small_system):
-    _, tt, v = small_system
-    seen = []
-    result = jacobi(
-        tt, v, tol=1e-10, callback=lambda it, p, r: seen.append((it, r))
-    )
-    assert result.converged
-    iterations = [it for it, _ in seen]
-    assert iterations == list(range(1, result.iterations + 1))
-    assert seen[-1][1] == pytest.approx(result.residual)
-
-
-def test_callback_numbering_continues_after_warm_start(small_system):
-    _, tt, v = small_system
-    partial = jacobi(tt, v, tol=1e-13, max_iter=5)
-    seen = []
-    jacobi(
-        tt,
-        v,
-        tol=1e-13,
-        x0=partial.scores,
-        start_iteration=5,
-        callback=lambda it, p, r: seen.append(it),
-    )
-    assert seen[0] == 6  # not 1: iteration numbering is global
