@@ -25,8 +25,15 @@ def test_with_retries_recovers_from_transient_failures():
 
 
 def test_with_retries_exhausts_and_reraises():
-    """Once the budget is spent, the last attempt's error propagates."""
     flaky = FlakyCalls(lambda: "ok", fail_first=5, exc=OSError)
+    with pytest.raises(OSError):
+        with_retries(flaky, retries=2, backoff=0.0, sleep=lambda _: None)
+    assert flaky.calls == 3
+
+
+def test_with_retries_exhaustion_raises_the_last_error():
+    """Once the budget is spent, the last attempt's error propagates."""
+    flaky = FlakyCalls(lambda: "ok", fail_first=10, exc=OSError)
     with pytest.raises(OSError, match="on call 3$"):
         with_retries(flaky, retries=2, backoff=0.0, sleep=lambda _: None)
     assert flaky.calls == 3
