@@ -599,13 +599,6 @@ def cmd_stream_ingest(args: argparse.Namespace) -> int:
         StreamIngestor,
     )
 
-    if args.min_window > args.window:
-        print(
-            "repro-spam stream ingest: error: --min-window must not "
-            "exceed --window",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     events_path = Path(args.events)
     probe = None
     if args.probe:
@@ -644,11 +637,7 @@ def cmd_stream_ingest(args: argparse.Namespace) -> int:
         daemon,
         dlq_dir,
         config=StreamConfig(
-            window=args.window,
-            max_lateness=args.max_lateness,
-            min_window=args.min_window,
-            max_pending_windows=args.max_pending_windows,
-            flood_threshold=args.flood_threshold,
+            window=args.window, max_lateness=args.max_lateness
         ),
         on_commit=probe.observe if probe is not None else None,
     )
@@ -1141,7 +1130,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="per-request deadline from admission; an 'explain' that "
-        "waited past it for a slow-lane worker is dropped at dequeue "
+        "waited past it for the slow-lane worker is dropped at dequeue "
         "(other ops are answered on the connection's reader as soon as "
         "they are admitted; default: none)",
     )
@@ -1293,30 +1282,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TICKS",
         help="out-of-order allowance behind the max event time seen; "
         "older events are dead-lettered as 'late' (default 8)",
-    )
-    p_sing.add_argument(
-        "--min-window",
-        type=_positive_int,
-        default=2,
-        metavar="TICKS",
-        help="floor the flood flow-control may degrade the window "
-        "size to (default 2); must not exceed --window",
-    )
-    p_sing.add_argument(
-        "--max-pending-windows",
-        type=_positive_int,
-        default=64,
-        metavar="N",
-        help="hard cap on open windows before the oldest is "
-        "force-sealed (default 64)",
-    )
-    p_sing.add_argument(
-        "--flood-threshold",
-        type=_positive_int,
-        default=10_000,
-        metavar="N",
-        help="buffered events above which backpressure degrades the "
-        "window size and drops the lateness allowance (default 10000)",
     )
     p_sing.add_argument("--rho", type=_finite_float, default=10.0)
     p_sing.add_argument("--tau", type=_finite_float, default=0.98)

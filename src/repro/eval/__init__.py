@@ -21,7 +21,7 @@ from .experiment import (
     run_table2,
 )
 from .audit import CoreAuditFinding, CoreAuditReport, audit_core
-from .latency import AUDIT_THRESHOLD, AttackOutcome, LatencyProbe
+from .latency import AttackOutcome, LatencyProbe
 from .grouping import MassGroup, group_composition, split_into_groups
 from .metrics import (
     PAPER_THRESHOLDS,
@@ -90,7 +90,6 @@ __all__ = [
     "CoreAuditFinding",
     "CoreAuditReport",
     "audit_core",
-    "AUDIT_THRESHOLD",
     "AttackOutcome",
     "LatencyProbe",
     "MassGroup",

@@ -901,20 +901,20 @@ def run_solver_ablation(
     """Solver ablation (Section 2.2): the linear-system solvers reach
     the same PageRank vector; Gauss–Seidel converges in fewer sweeps
     than Jacobi (the "regularly faster" remark), and the power-iteration
-    fixed point equals the normalized linear solution."""
-    import time
+    fixed point equals the normalized linear solution.
 
+    The table holds no wall-clock column: it is a committed artifact,
+    and ``benchmarks/test_ablation_solvers.py`` times each solver.
+    """
     from ..core.pagerank import pagerank as run_pagerank
 
     graph = ctx.graph
     reference = None
     rows = []
     for method in methods:
-        start = time.perf_counter()
         result = run_pagerank(
             graph, method=method, tol=tol, raise_on_divergence=False
         )
-        elapsed = time.perf_counter() - start
         scores = result.scores
         normalized = scores / scores.sum()
         if reference is None:
@@ -926,7 +926,6 @@ def run_solver_ablation(
             [
                 method,
                 result.iterations,
-                round(elapsed, 4),
                 f"{result.residual:.2e}",
                 result.converged,
                 f"{deviation:.2e}",
@@ -937,18 +936,13 @@ def run_solver_ablation(
     # kernel solving the same jump vector (stacked width 1)
     from ..perf import PagerankEngine
 
-    engine = PagerankEngine()
-    engine.bundle(graph)  # build outside the timed region, like the rows above
-    start = time.perf_counter()
-    batch = engine.solve_many(graph, [None], tol=tol, check=False)
-    elapsed = time.perf_counter() - start
+    batch = PagerankEngine().solve_many(graph, [None], tol=tol, check=False)
     normalized = batch.scores[:, 0] / batch.scores[:, 0].sum()
     deviation = float(np.abs(normalized - reference).sum())
     rows.append(
         [
             batch.method,
             int(batch.iterations[0]),
-            round(elapsed, 4),
             f"{float(batch.residuals[0]):.2e}",
             bool(batch.converged[0]),
             f"{deviation:.2e}",
@@ -960,7 +954,6 @@ def run_solver_ablation(
         [
             "solver",
             "iterations",
-            "seconds",
             "residual",
             "converged",
             "L1 dev. from jacobi (normalized)",

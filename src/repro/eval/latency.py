@@ -11,7 +11,8 @@ committed window whose scores put the target over the detector's gate:
   serving daemon's ``top`` queries use: scaled PageRank ≥ ρ **and**
   relative mass ≥ τ.
 * ``stale-core`` — the core-audit gate (:func:`repro.eval.audit_core`):
-  the stale member's relative mass crossing the audit threshold, which
+  the stale member's relative mass crossing the audit's threshold
+  (:data:`~repro.eval.audit.DEFAULT_RELATIVE_MASS_THRESHOLD`), which
   is what flags a supposedly-good host for removal from ``Ṽ⁺``.
 
 :class:`LatencyProbe` attaches to a
@@ -27,12 +28,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..synth.crawler import TemporalAttack
+from .audit import DEFAULT_RELATIVE_MASS_THRESHOLD
 
-__all__ = ["AttackOutcome", "LatencyProbe", "AUDIT_THRESHOLD"]
-
-#: Relative-mass bound above which a good-core member is considered
-#: contaminated (mirrors the core-audit default in repro.eval.audit).
-AUDIT_THRESHOLD = 0.5
+__all__ = ["AttackOutcome", "LatencyProbe"]
 
 
 class AttackOutcome:
@@ -92,8 +90,6 @@ class LatencyProbe:
         Algorithm 2 gates for the spam-promotion attacks.  The paper's
         ρ = 10 (scaled PageRank) assumes web-scale mass; small worlds
         need a smaller ρ for the gate to be reachable at all.
-    audit_threshold:
-        Relative-mass gate for ``stale-core`` attacks.
 
     Attach :meth:`observe` as the ingestor's ``on_commit`` hook, or
     call it manually with ``(info, epoch)`` after each apply.
@@ -105,11 +101,9 @@ class LatencyProbe:
         *,
         rho: float = 10.0,
         tau: float = 0.98,
-        audit_threshold: float = AUDIT_THRESHOLD,
     ) -> None:
         self.rho = float(rho)
         self.tau = float(tau)
-        self.audit_threshold = float(audit_threshold)
         self.outcomes: Dict[str, AttackOutcome] = {
             attack.name: AttackOutcome(attack) for attack in attacks
         }
@@ -127,7 +121,7 @@ class LatencyProbe:
                 continue
             target = outcome.target
             if outcome.kind == "stale-core":
-                hit = relative[target] >= self.audit_threshold
+                hit = relative[target] >= DEFAULT_RELATIVE_MASS_THRESHOLD
             else:
                 hit = (
                     scaled[target] >= self.rho

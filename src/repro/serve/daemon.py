@@ -15,11 +15,14 @@ continuously) and the ROADMAP names directly.  One
   one warm re-estimate that falls back once to a cold solve
   (:mod:`repro.serve.ingest`), verifies the result against the delta
   chain's derived fingerprint, and hot-swaps the next epoch;
-* a :class:`CircuitBreaker` on the ingest path — consecutive apply
+* the ingest circuit — :data:`CIRCUIT_THRESHOLD` consecutive apply
   failures (or a staleness bound overrun) flip the service to
   *degraded*: reads keep flowing from the current epoch with an
   explicit ``staleness`` field, ingest is refused, and the worker
-  keeps retrying until the path heals.
+  keeps retrying until the path heals.  :attr:`ScoringDaemon.degraded`
+  is the one place that decision is made; the daemon sets the
+  ``serve.mode`` gauge wherever it changes, and the server admits on
+  it.
 
 Between windows the write path holds the operator once: the daemon's
 engine caches one :class:`~repro.perf.cache.OperatorBundle`
@@ -83,7 +86,7 @@ from .epoch import (
 from .ingest import reestimate, save_estimates, snapshot_estimates
 from .wal import DeltaWAL, WalRecord, plan_replay
 
-__all__ = ["CircuitBreaker", "DaemonConfig", "ScoringDaemon"]
+__all__ = ["DaemonConfig", "ScoringDaemon"]
 
 PathLike = Union[str, Path]
 
@@ -104,6 +107,17 @@ ANCHOR_EVERY = 64
 
 #: The daemon's anchor, beside the solution snapshot.
 ANCHOR_FILENAME = "anchor.npz"
+
+#: Consecutive apply failures that open the ingest circuit.  Any
+#: successful apply, or a quarantine, closes it.
+CIRCUIT_THRESHOLD = 3
+
+#: Seconds the ingest worker waits before retrying a failed apply.
+RETRY_INTERVAL = 0.05
+
+#: The ``serve.mode`` gauge's values, by name (0 is healthy, as in the
+#: ``serve.circuit_state`` gauge).
+_MODES = ("full", "degraded", "reject")
 
 
 @dataclass(frozen=True)
@@ -131,8 +145,6 @@ class DaemonConfig:
     rho: float = 10.0
     tau: float = 0.98
     max_staleness: int = 8
-    circuit_threshold: int = 3
-    retry_interval: float = 0.05
     batch_deltas: int = 1
 
     def __post_init__(self) -> None:
@@ -144,49 +156,6 @@ class DaemonConfig:
             raise ValueError("max_staleness must be >= 1")
         if self.batch_deltas < 1:
             raise ValueError("batch_deltas must be >= 1")
-        if self.circuit_threshold < 1:
-            raise ValueError("circuit_threshold must be >= 1")
-        if self.retry_interval <= 0:
-            raise ValueError("retry_interval must be positive")
-
-
-class CircuitBreaker:
-    """Opens after ``threshold`` *consecutive* failures; success resets.
-
-    Deliberately minimal: no half-open probing, and ``opened`` stays
-    set once tripped.  The daemon replaces its breaker when the ingest
-    path heals: after any successful apply, or an operator quarantine.
-    """
-
-    def __init__(self, threshold: int) -> None:
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        self.threshold = threshold
-        self.consecutive_failures = 0
-        self.opened = False
-
-    def record_success(self) -> None:
-        self.consecutive_failures = 0
-
-    def record_failure(self) -> bool:
-        """Count a failure; returns True when this one opened the
-        circuit (exactly once)."""
-        self.consecutive_failures += 1
-        if not self.opened and self.consecutive_failures >= self.threshold:
-            self.opened = True
-            return True
-        return False
-
-    @property
-    def is_open(self) -> bool:
-        return self.opened
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "open" if self.opened else "closed"
-        return (
-            f"CircuitBreaker({state}, "
-            f"{self.consecutive_failures}/{self.threshold})"
-        )
 
 
 class _Pending:
@@ -245,8 +214,12 @@ class ScoringDaemon:
         self._pending: "deque[_Pending]" = deque()
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        self._breaker = CircuitBreaker(self.config.circuit_threshold)
+        #: consecutive apply failures; the circuit is open at
+        #: CIRCUIT_THRESHOLD
+        self._failures = 0
         self._degraded_reason: Optional[str] = None
+        #: ``degraded`` as of the last serve.mode update
+        self._was_degraded = False
         self._stop = False
         self._worker: Optional[threading.Thread] = None
         self.applies = 0
@@ -420,10 +393,14 @@ class ScoringDaemon:
         return len(self._pending)
 
     @property
+    def _circuit_open(self) -> bool:
+        return self._failures >= CIRCUIT_THRESHOLD
+
+    @property
     def degraded(self) -> bool:
         """True when the ingest path is unhealthy (stale-reads-only)."""
         return (
-            self._breaker.is_open
+            self._circuit_open
             or len(self._pending) > self.config.max_staleness
         )
 
@@ -459,12 +436,12 @@ class ScoringDaemon:
     def query_explain(self, host: str, *, top: int = 10) -> dict:
         """Contribution breakdown for one host (review-sheet text).
 
-        A **slow op** (:data:`~repro.serve.admission.SLOW_OPS`):
+        A **slow op** (:data:`~repro.serve.server.SLOW_OPS`):
         ``explain_mass`` runs one Jacobi solve over the whole graph's
         edges (a few dozen sweeps), orders of magnitude above a score
-        read.  The server runs it on
-        the dedicated slow lane and admission sheds it first in
-        degraded mode, so it never competes with the hot scoring path.
+        read.  The server runs it on the dedicated slow lane and sheds
+        it first in degraded mode, so it never competes with the hot
+        scoring path.
         """
         from ..core.explain import explain_mass
 
@@ -491,7 +468,7 @@ class ScoringDaemon:
         """
         return {
             "ready": True,
-            "circuit": "open" if self._breaker.is_open else "closed",
+            "circuit": "open" if self._circuit_open else "closed",
             "degraded_reason": self._degraded_reason,
             "applies": self.applies,
             "apply_failures": self.apply_failures,
@@ -522,7 +499,7 @@ class ScoringDaemon:
         """
         delta = GraphDelta(insertions or (), deletions or ())
         with self._lock:
-            if self._breaker.is_open:
+            if self._circuit_open:
                 raise WalError(
                     "ingest refused: serving is degraded "
                     f"({self._degraded_reason or 'circuit open'})"
@@ -556,6 +533,7 @@ class ScoringDaemon:
                 )
             self._pending.append(_Pending(record, application))
             self._tail = application.after
+            self._publish_mode()
             self._cond.notify_all()
         self._gauge_staleness()
         return {
@@ -575,7 +553,7 @@ class ScoringDaemon:
         estimate fail on it.  Retrying forever would wedge the queue,
         so the poison suffix is abandoned wholesale: the pending queue
         is cleared, the accepted tip is reset to the current epoch's
-        graph, the breaker is healed, and the dropped records are cut
+        graph, the circuit is closed, and the dropped records are cut
         off the WAL segment so a restart does not replay them; the
         segment then ends at the last applied record, and the next
         append chains from it.  The caller owns routing the dropped
@@ -590,12 +568,13 @@ class ScoringDaemon:
             dropped = [p.record for p in self._pending]
             self._pending.clear()
             self._tail = self.store.current.graph
-            self._breaker = CircuitBreaker(self.config.circuit_threshold)
+            self._failures = 0
             self._degraded_reason = None
             if self.wal is not None and dropped:
                 # under the lock: a submit appends under it too, so no
                 # record can land behind the cut
                 self.wal.cut(dropped[0].seq)
+            self._publish_mode()
         tele = get_telemetry()
         if tele.enabled and dropped:
             tele.inc("serve.quarantines")
@@ -617,7 +596,9 @@ class ScoringDaemon:
         """Start the background ingest worker (idempotent)."""
         if self._worker is not None and self._worker.is_alive():
             return
-        self._stop = False
+        with self._lock:
+            self._stop = False
+            self._publish_mode()
         self._worker = threading.Thread(
             target=self._worker_loop, name="serve-ingest", daemon=True
         )
@@ -627,10 +608,13 @@ class ScoringDaemon:
         """Stop the worker after its current apply; WAL keeps pending.
 
         Pending batches are durable in the log, so shutdown never
-        waits for the whole backlog — restart replays it.
+        waits for the whole backlog — restart replays it.  The
+        ``serve.mode`` gauge reads 2 (reject) from here on: the server's
+        drain is what closes the daemon.
         """
         with self._lock:
             self._stop = True
+            self._publish_mode()
             self._cond.notify_all()
         if self._worker is not None:
             self._worker.join(timeout)
@@ -652,7 +636,7 @@ class ScoringDaemon:
         while True:
             with self._cond:
                 while not self._stop and not self._pending:
-                    self._cond.wait(timeout=self.config.retry_interval)
+                    self._cond.wait(timeout=RETRY_INTERVAL)
                 if self._stop:
                     return
             ok = self._apply_one()
@@ -660,7 +644,7 @@ class ScoringDaemon:
                 # failed apply: the record stays at the queue head; wait
                 # out the retry interval (interruptible by close())
                 with self._cond:
-                    self._cond.wait(timeout=self.config.retry_interval)
+                    self._cond.wait(timeout=RETRY_INTERVAL)
 
     def _apply_one(self) -> bool:
         """Apply the oldest pending batch; returns success.
@@ -692,7 +676,6 @@ class ScoringDaemon:
                 [it.application for it in items]
             )
         epoch = self.store.current
-        config = self.config
         tele = get_telemetry()
         try:
             if self.chaos is not None:
@@ -726,19 +709,21 @@ class ScoringDaemon:
                 ),
             )
         except Exception as exc:
-            self.apply_failures += 1
-            if self._breaker.record_failure():
-                self._degraded_reason = (
-                    f"circuit open after "
-                    f"{self._breaker.consecutive_failures} consecutive "
-                    f"apply failures (last: {type(exc).__name__})"
-                )
-                if tele.enabled:
-                    tele.event(
-                        "serve.circuit_open",
-                        seq=record.seq,
-                        error=type(exc).__name__,
+            with self._lock:
+                self.apply_failures += 1
+                self._failures += 1
+                if self._failures == CIRCUIT_THRESHOLD:
+                    self._degraded_reason = (
+                        f"circuit open after {self._failures} consecutive "
+                        f"apply failures (last: {type(exc).__name__})"
                     )
+                    if tele.enabled:
+                        tele.event(
+                            "serve.circuit_open",
+                            seq=record.seq,
+                            error=type(exc).__name__,
+                        )
+                self._publish_mode()
             if tele.enabled:
                 tele.inc("serve.apply_failures")
                 tele.event(
@@ -761,11 +746,11 @@ class ScoringDaemon:
             if self._pending and self._pending[0] is item:
                 for _ in items:
                     self._pending.popleft()
+            # any success closes the circuit
+            self._failures = 0
+            self._degraded_reason = None
+            self._publish_mode()
         self.applies += 1
-        # any success heals the breaker (a fresh instance: `opened` is
-        # sticky once tripped)
-        self._breaker = CircuitBreaker(config.circuit_threshold)
-        self._degraded_reason = None
         if (
             self.checkpoint_dir is not None
             and self.wal is not None
@@ -831,9 +816,22 @@ class ScoringDaemon:
     def _gauge_circuit(self) -> None:
         tele = get_telemetry()
         if tele.enabled:
-            tele.set_gauge(
-                "serve.circuit_state", 1 if self._breaker.is_open else 0
-            )
+            tele.set_gauge("serve.circuit_state", int(self._circuit_open))
+
+    def _publish_mode(self) -> None:
+        """Set the ``serve.mode`` gauge (2 once closing) and emit
+        ``serve.mode_change`` when :attr:`degraded` flipped since the
+        last call.  The caller holds the lock, and calls this wherever
+        ``degraded`` can change."""
+        degraded = self.degraded
+        changed = degraded != self._was_degraded
+        self._was_degraded = degraded
+        tele = get_telemetry()
+        if tele.enabled:
+            mode = 2 if self._stop else int(degraded)
+            if changed:
+                tele.event("serve.mode_change", mode=_MODES[mode])
+            tele.set_gauge("serve.mode", mode)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

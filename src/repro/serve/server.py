@@ -3,15 +3,24 @@
 Transport is deliberately boring: a unix-domain socket speaking
 newline-delimited JSON — one request object per line, one response
 object per line, in order.  Each connection gets a reader thread that
-parses and *admits* requests (:mod:`repro.serve.admission`) and
-answers every admitted op itself, except ``explain``: a connection's
-next line is read only after its reply is sent, so a hand-off to
-another thread would buy nothing but two context switches.  Only the
-slow lane (:data:`~repro.serve.admission.SLOW_OPS`: ``explain`` runs
-one Jacobi solve over the whole graph) goes through a queue to its own
-worker threads,
-so an explain storm never holds up the readers.  Overload is shed at
-the door with a structured refusal instead of a growing backlog.
+parses and admits requests and answers every admitted op itself,
+except ``explain``: a connection's next line is read only after its
+reply is sent, so a hand-off to another thread would buy nothing but
+two context switches.  Only the slow lane (:data:`SLOW_OPS`:
+``explain`` runs one Jacobi solve over the whole graph) goes through a
+queue to its own worker thread, so an explain storm never holds up
+the readers.
+
+Admission decides on two things the server reads directly: its own
+drain flag and :attr:`ScoringDaemon.degraded
+<repro.serve.daemon.ScoringDaemon.degraded>`.  During a drain every op
+is refused with ``shutting-down``; while the daemon is degraded
+``ingest`` is refused with ``degraded`` and ``explain`` with
+``slow-op``.  Overload is shed at the door with ``overloaded`` instead
+of a growing backlog: ``max_queue`` bounds admitted-but-unfinished
+requests across all connections, and the slow lane has its own
+``max(1, max_queue // 4)`` slots.  A request that waited past
+``request_timeout`` is dropped when it starts, with ``deadline``.
 
 Every response carries the serving context a client needs to interpret
 it: the epoch sequence, the ``staleness`` count (accepted deltas not
@@ -40,17 +49,25 @@ import queue
 import signal
 import socket
 import threading
+import time
 from pathlib import Path
 from typing import Optional, Union
 
 from ..errors import ReproError, WalError
 from ..obs import get_telemetry
-from .admission import AdmissionController, AdmissionRejected
 from .daemon import ScoringDaemon
 
-__all__ = ["ScoringServer", "ServeClient"]
+__all__ = ["SLOW_OPS", "ScoringServer", "ServeClient"]
 
 PathLike = Union[str, Path]
+
+#: Request kinds whose cost is orders of magnitude above a score read
+#: (``explain`` runs one Jacobi solve over the whole graph's edges).  They
+#: get their own bounded lane — an explain storm can never take every
+#: slot cheap reads need — and are shed outright in degraded mode,
+#: where every cycle belongs to cheap reads and to healing the ingest
+#: path.
+SLOW_OPS = frozenset({"explain"})
 
 #: Requests larger than this are refused outright (a malformed client
 #: must not be able to balloon the reader's buffer).
@@ -65,11 +82,11 @@ _encode = json.JSONEncoder(separators=(",", ":")).encode
 class _Job:
     """One admitted slow-lane request travelling from reader to worker."""
 
-    __slots__ = ("ticket", "request", "done", "response")
+    __slots__ = ("request", "deadline", "done", "response")
 
-    def __init__(self, ticket, request: dict) -> None:
-        self.ticket = ticket
+    def __init__(self, request: dict, deadline: Optional[float]) -> None:
         self.request = request
+        self.deadline = deadline
         self.done = threading.Event()
         self.response: Optional[dict] = None
 
@@ -84,17 +101,18 @@ class ScoringServer:
         ingest worker).
     socket_path:
         Unix-domain socket path; unlinked on startup and shutdown.
-    max_queue / request_timeout:
-        Admission bounds (see :class:`AdmissionController`).
-        ``max_queue`` bounds admitted-but-unfinished requests across
-        all connections.  Fast ops are answered on the reader thread
-        as soon as they are admitted, so in practice the deadline
-        fires only on a slow-lane request that waited for a worker.
-    slow_workers:
-        Worker threads dedicated to the slow lane
-        (:data:`~repro.serve.admission.SLOW_OPS` — ``explain``).  Slow
-        requests never occupy a reader, so an explain storm's only
-        effect on ``score`` latency is CPU contention.
+    max_queue:
+        Bound on admitted-but-unfinished requests across all
+        connections; the next one is shed with ``overloaded``.  The
+        slow lane (:data:`SLOW_OPS`) has its own ``max(1, max_queue //
+        4)`` slots inside it, served by one worker thread, so an
+        explain storm's only effect on ``score`` latency is CPU
+        contention.
+    request_timeout:
+        Deadline in seconds from admission, checked when the request
+        starts (``None``: no deadline).  Fast ops start as soon as
+        they are admitted, so in practice it fires only on a slow-lane
+        request that waited for the worker.
     max_requests:
         Optional cap on processed requests, after which the server
         drains itself — benchmark/soak plumbing.
@@ -107,26 +125,34 @@ class ScoringServer:
         *,
         max_queue: int = 64,
         request_timeout: Optional[float] = None,
-        slow_workers: int = 1,
         max_requests: Optional[int] = None,
     ) -> None:
-        if slow_workers < 1:
-            raise ValueError("slow_workers must be >= 1")
+        if max_queue < 1:
+            raise ValueError("max_queue must be >= 1")
+        if request_timeout is not None and request_timeout <= 0:
+            raise ValueError("request_timeout must be positive")
         if max_requests is not None and max_requests < 1:
             raise ValueError("max_requests must be >= 1")
         self.daemon = daemon
         self.socket_path = Path(socket_path)
-        self.admission = AdmissionController(
-            max_queue, request_timeout=request_timeout
-        )
-        self.slow_workers = slow_workers
+        self.max_queue = max_queue
+        self.max_slow = max(1, max_queue // 4)
+        self.request_timeout = request_timeout
         self.max_requests = max_requests
         self._slow_queue: "queue.Queue[Optional[_Job]]" = queue.Queue()
         self._threads: list = []
         self._listener: Optional[socket.socket] = None
         self._stopping = threading.Event()
         self._stopped = threading.Event()
+        # guards the drain flag's setting, the slow-lane queue and the
+        # counters below
         self._lock = threading.Lock()
+        self._depth = 0
+        self._slow_depth = 0
+        self.admitted = 0
+        self.shed = 0
+        self.slow_shed = 0
+        self.deadline_drops = 0
         self.requests = 0
         self.errors = 0
 
@@ -135,7 +161,8 @@ class ScoringServer:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Bind the socket, start slow workers + acceptor + ingest worker."""
+        """Bind the socket, start the slow worker + acceptor + ingest
+        worker."""
         if not hasattr(socket, "AF_UNIX"):  # pragma: no cover
             raise ReproError(
                 "the scoring server needs unix-domain sockets, which "
@@ -150,19 +177,13 @@ class ScoringServer:
         listener.settimeout(0.2)
         self._listener = listener
         self.daemon.start()
-        for i in range(self.slow_workers):
-            thread = threading.Thread(
-                target=self._slow_loop,
-                name=f"serve-slow-{i}",
-                daemon=True,
-            )
+        for target, name in (
+            (self._slow_loop, "serve-slow-0"),
+            (self._accept_loop, "serve-accept"),
+        ):
+            thread = threading.Thread(target=target, name=name, daemon=True)
             thread.start()
             self._threads.append(thread)
-        acceptor = threading.Thread(
-            target=self._accept_loop, name="serve-accept", daemon=True
-        )
-        acceptor.start()
-        self._threads.append(acceptor)
         tele = get_telemetry()
         if tele.enabled:
             tele.event("serve.listening", socket=str(self.socket_path))
@@ -188,17 +209,19 @@ class ScoringServer:
         with self._lock:
             first = not self._stopping.is_set()
             self._stopping.set()
+            if first:
+                # the slow worker's poison pill; admission queues a slow
+                # job under this lock only while no drain has started,
+                # so every admitted job is ahead of it and finishes
+                self._slow_queue.put(None)
         if not first:  # another stop() is already draining; wait it out
             self._stopped.wait()
             return
-        self.admission.start_drain()
         listener, self._listener = self._listener, None
         if listener is not None:
             listener.close()
-        # one poison pill per slow worker; queued jobs ahead of them
-        # finish
-        for _ in range(self.slow_workers):
-            self._slow_queue.put(None)
+        # sets the serve.mode gauge to 2 (reject) under the lock that
+        # stops the ingest worker, so no apply finishing now lowers it
         self.daemon.close()
         if self.socket_path.exists():
             try:
@@ -208,9 +231,7 @@ class ScoringServer:
         tele = get_telemetry()
         if tele.enabled:
             tele.event(
-                "serve.drained",
-                requests=self.requests,
-                shed=self.admission.shed,
+                "serve.drained", requests=self.requests, shed=self.shed
             )
         # set LAST: wait() returning is the caller's license to exit
         # the process, and everything above (socket unlink, telemetry)
@@ -287,28 +308,79 @@ class ScoringServer:
             self.errors += 1
             return {"ok": False, "error": "bad-request",
                     "detail": "unparsable request line"}
-        # admission decides on the daemon's mode as of this request
-        self.admission.set_ingest_healthy(not self.daemon.degraded)
-        try:
-            ticket = self.admission.admit(op)
-        except AdmissionRejected as rejected:
-            return self._rejection(rejected)
-        if not ticket.slow:
-            return self._answer(ticket, request)
-        job = _Job(ticket, request)
-        self._slow_queue.put(job)
+        slow = op in SLOW_OPS
+        deadline = (
+            None
+            if self.request_timeout is None
+            else time.monotonic() + self.request_timeout
+        )
+        job = _Job(request, deadline) if slow else None
+        with self._lock:
+            # admitting and queueing a slow job is one step under the
+            # lock stop() takes to start the drain: the job lands ahead
+            # of the worker's poison pill, or is refused shutting-down
+            mode = self._mode()
+            reason = self._refusal(op, slow, mode)
+            if reason is None:
+                self._depth += 1
+                self.admitted += 1
+                if job is not None:
+                    self._slow_depth += 1
+                    self._slow_queue.put(job)
+        if reason is not None:
+            return self._rejection(reason, mode)
+        self._gauge_depth()
+        if job is None:
+            return self._answer(request, deadline, slow=False)
         job.done.wait()
         return job.response
+
+    def _mode(self) -> str:
+        """The service mode a rejection reports and ``stats`` shows."""
+        if self._stopping.is_set():
+            return "reject"
+        return "degraded" if self.daemon.degraded else "full"
+
+    def _refusal(self, op: str, slow: bool, mode: str) -> Optional[str]:
+        """The reason ``op`` is shed in ``mode``, counted, or ``None``
+        to admit it.
+
+        The caller holds the lock.  A drain refuses every op; a
+        degraded daemon refuses ``ingest`` and :data:`SLOW_OPS`;
+        otherwise only the slow-lane and queue bounds refuse.
+        """
+        if mode == "reject":
+            return self._shed("shutting-down")
+        if mode == "degraded" and op == "ingest":
+            return self._shed("degraded")
+        if slow and mode == "degraded":
+            self.slow_shed += 1
+            return self._shed("slow-op")
+        if slow and self._slow_depth >= self.max_slow:
+            self.slow_shed += 1
+            return self._shed("overloaded")
+        if self._depth >= self.max_queue:
+            return self._shed("overloaded")
+        return None
+
+    def _shed(self, reason: str) -> str:
+        # caller holds the lock
+        self.shed += 1
+        tele = get_telemetry()
+        if tele.enabled:
+            tele.inc("serve.shed")
+            tele.event("serve.shed", reason=reason, depth=self._depth)
+        return reason
 
     def _send(self, conn: socket.socket, response: dict) -> None:
         conn.sendall(_encode(response).encode("utf-8") + b"\n")
 
-    def _rejection(self, rejected: AdmissionRejected) -> dict:
+    def _rejection(self, reason: str, mode: str) -> dict:
         return {
             "ok": False,
             "error": "rejected",
-            "reason": rejected.reason,
-            "mode": rejected.mode,
+            "reason": reason,
+            "mode": mode,
             "staleness": self.daemon.staleness,
         }
 
@@ -316,17 +388,25 @@ class ScoringServer:
     # answering
     # ------------------------------------------------------------------
 
-    def _answer(self, ticket, request: dict) -> dict:
+    def _answer(
+        self, request: dict, deadline: Optional[float], *, slow: bool
+    ) -> dict:
         """Answer one admitted request and free its slot.
 
-        Runs on the connection's reader for fast ops and on a slow-lane
-        worker for :data:`~repro.serve.admission.SLOW_OPS`.
+        Runs on the connection's reader for fast ops and on the slow
+        worker for :data:`SLOW_OPS`.  A request whose deadline passed
+        while it waited is dropped here, with ``deadline``.
         """
         try:
-            self.admission.check_deadline(ticket)
-            response = self._dispatch(request)
-        except AdmissionRejected as rejected:
-            response = self._rejection(rejected)
+            if deadline is not None and time.monotonic() > deadline:
+                with self._lock:
+                    self.deadline_drops += 1
+                tele = get_telemetry()
+                if tele.enabled:
+                    tele.inc("serve.deadline_drops")
+                response = self._rejection("deadline", self._mode())
+            else:
+                response = self._dispatch(request)
         except Exception as exc:  # noqa: BLE001 - boundary
             self.errors += 1
             response = {
@@ -335,9 +415,12 @@ class ScoringServer:
                 "detail": f"{type(exc).__name__}: {exc}",
             }
         finally:
-            self.admission.release(ticket)
             with self._lock:
+                self._depth -= 1
+                if slow:
+                    self._slow_depth -= 1
                 self.requests += 1
+            self._gauge_depth()
         return response
 
     def _slow_loop(self) -> None:
@@ -345,8 +428,13 @@ class ScoringServer:
             job = self._slow_queue.get()
             if job is None:
                 return
-            job.response = self._answer(job.ticket, job.request)
+            job.response = self._answer(job.request, job.deadline, slow=True)
             job.done.set()
+
+    def _gauge_depth(self) -> None:
+        tele = get_telemetry()
+        if tele.enabled:
+            tele.set_gauge("serve.queue_depth", self._depth)
 
     def _dispatch(self, request: dict) -> dict:
         op = str(request.get("op", ""))
@@ -401,11 +489,11 @@ class ScoringServer:
         return {
             "requests": self.requests,
             "request_errors": self.errors,
-            "admitted": self.admission.admitted,
-            "shed": self.admission.shed,
-            "deadline_drops": self.admission.deadline_drops,
-            "queue_depth": self.admission.depth,
-            "mode": self.admission.mode,
+            "admitted": self.admitted,
+            "shed": self.shed,
+            "deadline_drops": self.deadline_drops,
+            "queue_depth": self._depth,
+            "mode": self._mode(),
             "staleness": daemon.staleness,
             "epoch": daemon.store.current.seq,
             "applies": daemon.applies,
@@ -413,8 +501,8 @@ class ScoringServer:
             "degraded_applies": daemon.degraded_applies,
             "swaps": daemon.store.swaps,
             "pid": os.getpid(),
-            "slow_depth": self.admission.slow_depth,
-            "slow_shed": self.admission.slow_shed,
+            "slow_depth": self._slow_depth,
+            "slow_shed": self.slow_shed,
         }
 
 

@@ -28,10 +28,12 @@ reordered, late, occasionally adversarial.  The ingestor's contract:
   estimate fail — is abandoned wholesale (``"apply-failed"``, via
   :meth:`~repro.serve.daemon.ScoringDaemon.quarantine_pending`) while
   the daemon keeps serving its current epoch;
-* **backpressure**: under a burst flood the effective window size
-  halves (down to ``min_window``) and the lateness allowance drops to
-  zero, so windows seal and drain aggressively instead of buffering
-  without bound; ``max_pending_windows`` is the hard cap.
+* **backpressure**: under a burst flood (more than
+  :data:`FLOOD_THRESHOLD` buffered events) the effective window size
+  halves, down to :data:`MIN_WINDOW` ticks (a window already that
+  narrow stays as it is), and the lateness allowance drops to zero, so
+  windows seal and drain aggressively instead of buffering without
+  bound; :data:`MAX_PENDING_WINDOWS` open windows is the hard cap.
 
 Windowing
 ---------
@@ -89,34 +91,32 @@ PathLike = Union[str, Path]
 
 DLQ_FILENAME = "dlq.jsonl"
 
+#: Flow control.  More than ``FLOOD_THRESHOLD`` buffered events is a
+#: flood: the effective window halves, down to ``MIN_WINDOW`` ticks (a
+#: narrower configured window never shrinks), and doubles back once
+#: the buffer falls below half the threshold.  More than
+#: ``MAX_PENDING_WINDOWS`` open windows force-seals the oldest.  Module
+#: constants, not options.
+MIN_WINDOW = 2
+MAX_PENDING_WINDOWS = 64
+FLOOD_THRESHOLD = 10_000
+
 
 @dataclass(frozen=True)
 class StreamConfig:
-    """Windowing and flow-control knobs of one ingestor.
-
-    ``window``/``max_lateness``/``min_window`` are in event-time ticks
-    (the stream's ``ts`` unit); ``max_pending_windows`` and
-    ``flood_threshold`` are counts.  Each sealed window is one apply,
-    so ``window`` also sets how much churn one warm solve absorbs.
+    """Windowing of one ingestor, in event-time ticks (the stream's
+    ``ts`` unit).  Each sealed window is one apply, so ``window`` also
+    sets how much churn one warm solve absorbs.
     """
 
     window: int = 16
     max_lateness: int = 8
-    min_window: int = 2
-    max_pending_windows: int = 64
-    flood_threshold: int = 10_000
 
     def __post_init__(self) -> None:
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.min_window < 1 or self.min_window > self.window:
-            raise ValueError("min_window must be in [1, window]")
         if self.max_lateness < 0:
             raise ValueError("max_lateness must be >= 0")
-        if self.max_pending_windows < 1:
-            raise ValueError("max_pending_windows must be >= 1")
-        if self.flood_threshold < 1:
-            raise ValueError("flood_threshold must be >= 1")
 
 
 class DeadLetterQueue:
@@ -601,9 +601,8 @@ class StreamIngestor:
 
     def _flow_control(self) -> None:
         """Degrade window size under a flood; recover when it drains."""
-        threshold = self.config.flood_threshold
-        if self.buffered > threshold and self._cw > self.config.min_window:
-            self._cw = max(self.config.min_window, self._cw // 2)
+        if self.buffered > FLOOD_THRESHOLD and self._cw > MIN_WINDOW:
+            self._cw = max(MIN_WINDOW, self._cw // 2)
             self._flooded = True
             tele = get_telemetry()
             if tele.enabled:
@@ -615,7 +614,7 @@ class StreamIngestor:
                 )
         elif (
             self._flooded
-            and self.buffered < threshold // 2
+            and self.buffered < FLOOD_THRESHOLD // 2
             and self._cw < self.config.window
         ):
             self._cw = min(self.config.window, self._cw * 2)
@@ -636,7 +635,7 @@ class StreamIngestor:
         watermark = self._max_ts - lateness
         while self._windows and self._windows[0].end <= watermark:
             self._seal_oldest()
-        while len(self._windows) > self.config.max_pending_windows:
+        while len(self._windows) > MAX_PENDING_WINDOWS:
             self._seal_oldest()
         tele = get_telemetry()
         if tele.enabled:

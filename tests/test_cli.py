@@ -583,6 +583,9 @@ _REQUIRED = {
         ("stream-ingest", "--apply-every", "0"),
         ("stream-ingest", "--batch-deltas", "3"),
         ("stream-ingest", "--max-staleness", "8"),
+        ("stream-ingest", "--min-window", "2"),
+        ("stream-ingest", "--max-pending-windows", "64"),
+        ("stream-ingest", "--flood-threshold", "10000"),
         ("update", "--batch-deltas", "1"),
         ("update", "--batch-deltas", "0"),
         ("reproduce", "--workers", "2"),
@@ -599,9 +602,10 @@ def test_removed_solver_flags_are_usage_errors(command, flag, value, capsys):
     knobs; ``update`` composes all its files into one), ``serve``
     answers fast ops on each connection's reader (no request worker
     pool to size), γ comes from the stored solution, and ``stream
-    ingest`` keeps its position in the WAL (no journal directory) and
+    ingest`` keeps its position in the WAL (no journal directory),
     applies each sealed window as it seals it (``--window`` alone sets
-    how much churn one apply coalesces)."""
+    how much churn one apply coalesces) and runs its flood control on
+    fixed bounds."""
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args(
             _REQUIRED[command] + [flag] + ([] if value is None else [value])

@@ -634,9 +634,6 @@ def test_stream_synth_ingest_dlq_round_trip(small_world_dir, tmp_path):
         ("--window", "0", "must be a positive integer"),
         ("--window", "x", "is not an integer"),
         ("--max-lateness", "-1", "must be a non-negative integer"),
-        ("--min-window", "0", "must be a positive integer"),
-        ("--max-pending-windows", "0", "must be a positive integer"),
-        ("--flood-threshold", "0", "must be a positive integer"),
         ("--rho", "nan", "must be a finite number"),
         ("--tau", "inf", "must be a finite number"),
     ],
@@ -655,31 +652,6 @@ def test_stream_ingest_rejects_bad_flags(tmp_path, flag, value, message):
     assert proc.returncode == 2
     assert message in proc.stderr
     assert not (tmp_path / "nor-this").exists()
-
-
-@pytest.mark.parametrize(
-    "argv,message",
-    [
-        (
-            ["--window", "4", "--min-window", "8"],
-            "--min-window must not exceed --window",
-        ),
-    ],
-    ids=["min-window"],
-)
-def test_stream_ingest_cross_flag_validation(tmp_path, argv, message):
-    """Individually-valid flags that contradict each other: exit 2
-    with a named pair, before the world is even opened."""
-    proc = run_cli(
-        "stream", "ingest",
-        "--world", str(tmp_path / "does-not-exist"),
-        "--checkpoint-dir", str(tmp_path / "nor-this"),
-        "--events", str(tmp_path / "no-events.jsonl"),
-        *argv,
-        cwd=tmp_path,
-    )
-    assert proc.returncode == 2
-    assert message in proc.stderr
 
 
 def test_stream_synth_rejects_unknown_attack(tmp_path):

@@ -40,7 +40,7 @@ from repro.serve import (
     ServeClient,
 )
 import repro.serve.daemon as serve_daemon
-from repro.serve.daemon import ANCHOR_FILENAME, CircuitBreaker
+from repro.serve.daemon import ANCHOR_FILENAME
 from test_differential_solvers import _random_graph
 
 GAMMA = 0.85
@@ -383,9 +383,12 @@ def test_kill_mid_swap_keeps_previous_epoch(base, tmp_path):
     assert load_solution(tmp_path / "ckpt").meta["wal_seq"] == 1
 
 
-def test_repeated_failure_opens_circuit_then_heals(base, tmp_path):
+def test_repeated_failure_opens_circuit_then_heals(
+    base, tmp_path, monkeypatch
+):
     graph, _, _ = base
-    d = _daemon(base, tmp_path, circuit_threshold=2)
+    monkeypatch.setattr(serve_daemon, "CIRCUIT_THRESHOLD", 2)
+    d = _daemon(base, tmp_path)
     d.chaos = ServeChaos(fail_apply_on=(1,), once=False)
     d.submit_delta(*DELTAS[0])
     assert d._apply_one() is False
@@ -405,16 +408,34 @@ def test_repeated_failure_opens_circuit_then_heals(base, tmp_path):
     d.submit_delta(*DELTAS[1])
 
 
-def test_circuit_breaker_opens_once_and_resets_on_success():
-    breaker = CircuitBreaker(3)
-    assert not breaker.record_failure()
-    assert not breaker.record_failure()
-    breaker.record_success()  # consecutive counting: success resets
-    assert not breaker.record_failure()
-    assert not breaker.record_failure()
-    assert breaker.record_failure()  # third consecutive opens it
-    assert breaker.is_open
-    assert not breaker.record_failure()  # opens exactly once
+def test_circuit_breaker_opens_once_and_resets_on_success(base, tmp_path):
+    """The circuit opens on the third *consecutive* apply failure (a
+    success in between resets the count), ``serve.circuit_open`` fires
+    once per opening, and a success closes it again."""
+    d = _daemon(base, tmp_path)
+
+    def failures(seq, count):
+        d.chaos = ServeChaos(fail_apply_on=(seq,), once=False)
+        for _ in range(count):
+            assert d._apply_one() is False
+        d.chaos = None
+
+    with capture() as tele:
+        d.submit_delta(*DELTAS[0])
+        failures(1, 2)
+        assert d._apply_one() is True  # success resets the count
+        d.submit_delta(*DELTAS[1])
+        failures(2, 2)
+        assert d.degraded is False
+        failures(2, 1)  # the third consecutive failure opens it
+        assert d.degraded is True and d.health()["circuit"] == "open"
+        failures(2, 1)  # opens exactly once
+        assert len(tele.sink.named("serve.circuit_open")) == 1
+        assert tele.metrics.value("serve.circuit_state") == 1
+        assert d._apply_one() is True
+        assert d.degraded is False and d.health()["circuit"] == "closed"
+        assert tele.metrics.value("serve.circuit_state") == 0
+        assert d.apply_failures == 6
 
 
 class _WarmPathDownEngine(PagerankEngine):
@@ -1053,7 +1074,8 @@ def test_admission_decides_on_the_live_mode(base, server):
     graph, _, _ = base
     with ServeClient(server.socket_path) as client:
         assert client.health()["mode"] == "full"
-        server.daemon._breaker.opened = True  # the ingest circuit opens
+        # the ingest circuit opens
+        server.daemon._failures = serve_daemon.CIRCUIT_THRESHOLD
         reply = client.explain(graph.name_of(3))
         assert reply["ok"] is False, reply
         assert reply["error"] == "rejected"
@@ -1063,6 +1085,106 @@ def test_admission_decides_on_the_live_mode(base, server):
         # reads stay available, and say what they are
         score = client.score(graph.name_of(3))
         assert score["ok"] is True and score["mode"] == "degraded"
+
+
+def test_an_explain_admitted_as_the_drain_starts_is_answered(base, tmp_path):
+    """An ``explain`` admitted just before ``stop()`` gets its reply.
+    The hook starts ``stop()`` between the request's admission and its
+    slow-lane enqueue, and gives the slow worker's poison pill 0.2 s to
+    land first; a pill ahead of the job would leave it unanswered."""
+    graph, _, _ = base
+    server = ScoringServer(_daemon(base, tmp_path), tmp_path / "sock")
+    slow_queue = server._slow_queue
+    put = slow_queue.put
+    pill = threading.Event()
+    stoppers = []
+
+    def racing_put(job):
+        if job is None:
+            put(job)
+            pill.set()
+            return
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stoppers.append(stopper)
+        pill.wait(0.2)
+        put(job)
+
+    slow_queue.put = racing_put
+    server.start()
+    try:
+        with ServeClient(server.socket_path, timeout=3.0) as client:
+            reply = client.explain(graph.name_of(3))
+        assert reply["ok"] is True, reply
+        (stopper,) = stoppers
+        stopper.join(10.0)
+        assert not stopper.is_alive()
+        assert slow_queue.qsize() == 0
+    finally:
+        server.stop()
+
+
+class _HealingApply:
+    """Chaos hooks: every apply fails while ``failing``; after that the
+    next one waits for ``go`` and succeeds."""
+
+    def __init__(self):
+        self.failing = True
+        self.entered = threading.Event()
+        self.go = threading.Event()
+
+    def before_apply(self, seq):
+        if self.failing:
+            raise InjectedFault("apply down")
+        self.entered.set()
+        self.go.wait(10.0)
+
+    def before_publish(self, seq):
+        pass
+
+    def after_anchor_step(self, seq, step):
+        pass
+
+
+def test_mode_gauge_follows_the_daemon_and_holds_through_a_drain(
+    base, tmp_path, monkeypatch
+):
+    """``serve.mode`` reads 1 once the ingest worker opens the circuit,
+    with no request after it, and stays 2 from the start of a drain,
+    though the worker heals the circuit with an apply during it."""
+    monkeypatch.setattr(serve_daemon, "RETRY_INTERVAL", 0.01)
+    daemon = _daemon(base, tmp_path)
+    chaos = daemon.chaos = _HealingApply()
+    server = ScoringServer(daemon, tmp_path / "sock")
+
+    def wait_for(tele, gauge, value):
+        deadline = time.monotonic() + 10.0
+        while tele.metrics.value(gauge, None) != value:
+            assert time.monotonic() < deadline, (gauge, value)
+            time.sleep(0.005)
+
+    with capture() as tele:
+        server.start()
+        try:
+            with ServeClient(server.socket_path) as client:
+                assert client.health()["mode"] == "full"
+            assert tele.metrics.value("serve.mode") == 0
+            daemon.submit_delta(*DELTAS[0])  # not through the server
+            wait_for(tele, "serve.circuit_state", 1)
+            assert tele.metrics.value("serve.mode") == 1
+            chaos.failing = False
+            assert chaos.entered.wait(10.0)
+            stopper = threading.Thread(target=server.stop, daemon=True)
+            stopper.start()
+            wait_for(tele, "serve.mode", 2)
+            chaos.go.set()  # the held apply succeeds during the close
+            stopper.join(10.0)
+            assert not stopper.is_alive()
+            assert daemon.applies == 1 and not daemon.degraded
+            assert tele.metrics.value("serve.mode") == 2
+        finally:
+            chaos.go.set()
+            server.stop()
 
 
 def test_client_closes_its_socket_when_connect_fails(tmp_path):
@@ -1222,9 +1344,7 @@ def test_request_timeout_drops_an_explain_that_waited(
         return real_explain(name, top=top)
 
     monkeypatch.setattr(daemon, "query_explain", held_explain)
-    server = ScoringServer(
-        daemon, tmp_path / "sock", request_timeout=0.2, slow_workers=1
-    )
+    server = ScoringServer(daemon, tmp_path / "sock", request_timeout=0.2)
     server.start()
     explain = {"op": "explain", "host": host}
     try:
@@ -1236,7 +1356,7 @@ def test_request_timeout_drops_an_explain_that_waited(
             _ask_once, server.socket_path, explain
         )
         deadline = time.monotonic() + 10.0
-        while server.admission.slow_depth < 2:
+        while server.stats()["slow_depth"] < 2:
             assert time.monotonic() < deadline, "second explain not admitted"
             time.sleep(0.01)
         time.sleep(0.3)  # past the queued explain's 0.2 s deadline
@@ -1330,7 +1450,7 @@ def test_score_p99_unmoved_by_explain_storm(base, tmp_path, monkeypatch):
         return real_explain(host, top=top)
 
     monkeypatch.setattr(daemon, "query_explain", glacial_explain)
-    server = ScoringServer(daemon, tmp_path / "sock", slow_workers=1)
+    server = ScoringServer(daemon, tmp_path / "sock")
     server.start()
     try:
         graph, _, _ = base

@@ -125,8 +125,9 @@ def _assert_same_epoch(got, want):
 def test_soak_chaos_never_tears_reads(base, tmp_path, monkeypatch):
     graph, core, estimates = base
     monkeypatch.setattr(serve_daemon, "ANCHOR_EVERY", SOAK_ANCHOR_EVERY)
+    monkeypatch.setattr(serve_daemon, "RETRY_INTERVAL", 0.01)
     world = _world(graph, core, tmp_path)
-    config = DaemonConfig(max_staleness=4, retry_interval=0.01)
+    config = DaemonConfig(max_staleness=4)
     daemon = ScoringDaemon(
         graph,
         core,

@@ -41,6 +41,7 @@ from repro.serve import (
 )
 from repro.synth import read_stream, synthesize_stream
 import repro.serve.daemon as serve_daemon
+import repro.serve.stream as serve_stream
 
 N, ACTIVE = 100, 40
 GAMMA = 0.85
@@ -433,7 +434,9 @@ def test_crash_between_submit_and_apply_resumes_to_the_uninterrupted_run(
         assert _stream_stats(ingestor) == expected, tenth
 
 
-def test_flood_crash_resume_keeps_the_flood_state(base, world, tmp_path):
+def test_flood_crash_resume_keeps_the_flood_state(
+    base, world, tmp_path, monkeypatch
+):
     """A crash while a flood drains resumes flooded: the window keeps
     recovering and the resumed run commits the uninterrupted run's
     windows with its scores, bitwise."""
@@ -444,9 +447,8 @@ def test_flood_crash_resume_keeps_the_flood_state(base, world, tmp_path):
     )
     path = tmp_path / "flood.jsonl"
     flood_stream.write(path)
-    config = StreamConfig(
-        window=16, max_lateness=8, min_window=2, flood_threshold=48
-    )
+    monkeypatch.setattr(serve_stream, "FLOOD_THRESHOLD", 48)
+    config = StreamConfig(window=16, max_lateness=8)
 
     def drained_at_the_narrowest(ingestor):
         return ingestor._cw == 2 and ingestor.buffered < 48 // 2
@@ -676,7 +678,9 @@ def test_apply_failure_quarantines_and_serving_survives(
 # ----------------------------------------------------------------------
 
 
-def test_flood_degrades_window_and_recovers(base, world, tmp_path):
+def test_flood_degrades_window_and_recovers(
+    base, world, tmp_path, monkeypatch
+):
     """A same-instant burst trips the flow control: the effective
     window shrinks under load, recovers after the flood drains, and
     the final graph still matches the clean replay."""
@@ -696,12 +700,11 @@ def test_flood_degrades_window_and_recovers(base, world, tmp_path):
     daemon = ScoringDaemon.load(
         world_dir, _fresh_ckpt(world, tmp_path), config=_daemon_config()
     )
+    monkeypatch.setattr(serve_stream, "FLOOD_THRESHOLD", 48)
     ingestor = StreamIngestor(
         daemon,
         tmp_path / "state",
-        config=StreamConfig(
-            window=16, max_lateness=8, min_window=2, flood_threshold=48
-        ),
+        config=StreamConfig(window=16, max_lateness=8),
     )
     min_cw = ingestor.config.window
     with open(path, "rb") as fh:
@@ -727,6 +730,35 @@ def test_flood_degrades_window_and_recovers(base, world, tmp_path):
     np.testing.assert_allclose(
         epoch.estimates.pagerank, cold.pagerank, rtol=0, atol=1e-8
     )
+    assert ingestor.stats()["windows_quarantined"] == 0
+
+
+def test_a_window_narrower_than_the_flood_floor_runs_as_set(
+    base, world, tmp_path, monkeypatch
+):
+    """A one-tick window is below ``MIN_WINDOW``: it is accepted, stays
+    one tick through a flood, and every event reaches the graph."""
+    graph, core, _, edges, _ = base
+    flood_stream = synthesize_stream(
+        graph, core=core, seed=5, num_events=260, attacks=(),
+        burst=(80, 120),
+    )
+    path = tmp_path / "flood.jsonl"
+    flood_stream.write(path)
+    monkeypatch.setattr(serve_stream, "FLOOD_THRESHOLD", 48)
+    daemon, ingestor = _load(
+        world, tmp_path, stream=StreamConfig(window=1, max_lateness=8)
+    )
+    widths = set()
+    _ingest_until(ingestor, path, lambda i: widths.add(i._cw))
+    ingestor.flush()
+    assert widths == {1}
+    live = set(edges)
+    for event in flood_stream.events:
+        (live.add if event.op == "+" else live.remove)(event.edge())
+    final = WebGraph.from_edges(N, sorted(live))
+    epoch = daemon.store.current
+    assert epoch.graph.structural_fingerprint() == final.structural_fingerprint()
     assert ingestor.stats()["windows_quarantined"] == 0
 
 
